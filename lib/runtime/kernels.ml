@@ -253,8 +253,8 @@ let view_dims_arr (v : Tensor.view) = Array.of_list v.Tensor.vdims
 let into_grain = 16_384
 
 (* Broadcast-aware binary loop over views, writing into [dst] at [doff].
-   Same index arithmetic as [Tensor.map2], plus source/destination base
-   offsets.  The same-shape uniform-kind path dispatches once on the
+   Broadcasting operands take [Tensor.broadcast2_into], the walk behind
+   [Tensor.map2].  The same-shape uniform-kind path dispatches once on the
    operator and buffer kinds and runs a direct-operator monomorphic loop
    for the four arithmetic ops: a kind-polymorphic bigarray access is a C
    call the compiler cannot inline, worth ~5x on this loop, and
@@ -347,37 +347,7 @@ let binary_into ~chunked (b : Op.binary) (x : Tensor.view) (y : Tensor.view)
               (f (Tensor.fbuf_get bx (ox + i)) (Tensor.fbuf_get by (oy + i)))
           done)
   end
-  else begin
-    let f = float_binary_fn b in
-    let bx = x.Tensor.vbuf and by = y.Tensor.vbuf in
-    (* Right-aligned stride tables (stride 0 on broadcast axes). *)
-    let r = Array.length od in
-    let stride_of src =
-      let rs = Array.length src in
-      let s = Array.make r 0 in
-      let acc = ref 1 in
-      for i = rs - 1 downto 0 do
-        s.(i + (r - rs)) <- (if src.(i) = 1 then 0 else !acc);
-        acc := !acc * src.(i)
-      done;
-      s
-    in
-    let sx = stride_of dx and sy = stride_of dy in
-    let offset s i =
-      let off = ref 0 and rem = ref i in
-      for d = r - 1 downto 0 do
-        let q = !rem mod od.(d) in
-        rem := !rem / od.(d);
-        off := !off + (q * s.(d))
-      done;
-      !off
-    in
-    for i = 0 to n - 1 do
-      Tensor.fbuf_set dst (doff + i)
-        (f (Tensor.fbuf_get bx (ox + offset sx i))
-           (Tensor.fbuf_get by (oy + offset sy i)))
-    done
-  end;
+  else ignore (Tensor.broadcast2_into (float_binary_fn b) x y dst doff);
   Array.to_list od
 
 let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
@@ -421,10 +391,19 @@ let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
     end
   in
   match op, inputs with
-  | Op.Unary Op.Relu, [ x ] ->
-    (* Same direct-loop treatment as the binary arithmetic fast path;
+  | Op.Unary Op.Relu, [ x ] -> (
+    (* Same direct-loop treatment as the binary arithmetic fast path (a
+       call through [pointwise]'s closure boxes every element);
        [Float.max 0.0 v] matches [unary_fn Relu] bit-for-bit. *)
-    pointwise (fun v -> Float.max 0.0 v) x
+    match x.Tensor.vbuf, c with
+    | Tensor.FB32 b, Tensor.FB32 d when fits x.Tensor.vdims ->
+      let o = x.Tensor.voff in
+      chunked cap (fun lo hi ->
+          for i = lo to hi do
+            BA1.unsafe_set d (co + i) (Float.max 0.0 (BA1.unsafe_get b (o + i)))
+          done);
+      Some x.Tensor.vdims
+    | _ -> pointwise (fun v -> Float.max 0.0 v) x)
   | Op.Unary u, [ x ] -> pointwise (unary_fn u) x
   | Op.Clip (lo, hi), [ x ] -> pointwise (fun v -> Float.min hi (Float.max lo v)) x
   | Op.Binary b, [ x; y ] ->
@@ -438,46 +417,7 @@ let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
                         && Tensor.view_numel bias = ch
                         && Tensor.view_numel mean = ch
                         && Tensor.view_numel var = ch ->
-      let sp =
-        List.fold_left ( * ) 1 (match x.Tensor.vdims with _ :: _ :: rest -> rest | _ -> [])
-      in
-      let o = x.Tensor.voff in
-      let gv (v : Tensor.view) =
-        let off = v.Tensor.voff in
-        match v.Tensor.vbuf with
-        | Tensor.FB32 b -> fun i -> BA1.unsafe_get b (off + i)
-        | Tensor.FB64 b -> fun i -> BA1.unsafe_get b (off + i)
-      in
-      let sv = gv scale and bv = gv bias and mv = gv mean and vv = gv var in
-      (* [Reduction.batch_norm] is a chain of four [map2]s, each of which
-         stores — and under f32 rounds — its intermediate.  The direct loop
-         mirrors that exactly: per-step rounding when every operand and the
-         destination are f32, one plain double-precision chain (store
-         exact) under f64. *)
-      let all_f32 =
-        Tensor.fbuf_dtype c = Tensor.F32
-        && List.for_all
-             (fun (v : Tensor.view) -> Tensor.view_dtype v = Tensor.F32)
-             [ x; scale; bias; mean; var ]
-      in
-      (match x.Tensor.vbuf, c with
-      | Tensor.FB32 b, Tensor.FB32 d when all_f32 ->
-        let r = Tensor.round_f32 in
-        for i = 0 to cap - 1 do
-          let chn = i / sp mod ch in
-          BA1.unsafe_set d (co + i)
-            (r (r (r (BA1.unsafe_get b (o + i) -. mv chn) /. sqrt (vv chn +. eps))
-               *. sv chn)
-            +. bv chn)
-        done
-      | bsrc, d ->
-        for i = 0 to cap - 1 do
-          let chn = i / sp mod ch in
-          Tensor.fbuf_set d (co + i)
-            (((Tensor.fbuf_get bsrc (o + i) -. mv chn) /. sqrt (vv chn +. eps)
-             *. sv chn)
-            +. bv chn)
-        done);
+      Reduction.batch_norm_into ~x ~scale ~bias ~mean ~var ~eps ~c ~co;
       Some x.Tensor.vdims
     | _ -> None)
   | Op.MatMul, [ a; b ] -> (

@@ -15,190 +15,280 @@ type tiles = {
   tm : int;
   tn : int;
   tk : int;  (* retained for the autotuner's config space; packing is full-depth *)
-  kunroll : int;
+  kunroll : int;  (* likewise retained: the micro-kernel always unrolls by 4 *)
 }
 
 let default_tiles = { tm = 64; tn = 32; tk = 128; kunroll = 4 }
 
 (* Floors measured against the real kernel: micro-tiles need at least 8
-   quad-rows/pair-columns to amortize the edge guards, and an unroll below
-   4 leaves FP-add latency exposed.  The autotuner steers above these
-   floors. *)
+   quad-rows/pair-columns to amortize the edge guards.  The autotuner
+   steers above these floors. *)
 let tiles_of ~tile_m ~tile_n ~tile_k ~unroll =
   { tm = max 32 tile_m; tn = max 32 tile_n; tk = max 64 tile_k; kunroll = max 4 unroll }
 
 let ceil_div x y = (x + y - 1) / y
 
+(* ---------------------------------------------------------------- *)
+(* Reusable packing scratch                                          *)
+
+(* Packed panels are bounded: an A row tile and a B column block each
+   hold at most [panel_words] elements (256 KB, so the pair stays
+   cache-resident), except that one row group or column pair at full
+   depth is always allowed.  Retaining full-width B panels per worker
+   was measured to more than double the OCaml heap's high-water mark. *)
+let panel_words = 32 * 1024
+
+(* Scratch travels by take-and-return through a mutex-guarded free list,
+   not domain-local storage: systhreads share their domain's DLS, and the
+   engine's degraded mode runs kernels on client threads.  A task takes a
+   scratch, packs into it and gives it back, so once every participant
+   has grown its scratch to the shapes in use a kernel call allocates
+   only a constant few words. *)
+module Pool = struct
+  type 'a t = {
+    lock : Mutex.t;
+    mutable items : 'a array;
+    mutable count : int;
+    make : unit -> 'a;
+  }
+
+  let create make = { lock = Mutex.create (); items = [||]; count = 0; make }
+
+  let take p =
+    Mutex.lock p.lock;
+    if p.count > 0 then begin
+      p.count <- p.count - 1;
+      let s = p.items.(p.count) in
+      Mutex.unlock p.lock;
+      s
+    end
+    else begin
+      Mutex.unlock p.lock;
+      p.make ()
+    end
+
+  let give p s =
+    Mutex.lock p.lock;
+    if p.count = Array.length p.items then
+      p.items <- Array.append p.items (Array.make (max 4 p.count) s);
+    p.items.(p.count) <- s;
+    p.count <- p.count + 1;
+    Mutex.unlock p.lock
+
+  (* [use p f] runs [f] on a taken scratch and gives it back, also when
+     [f] raises. *)
+  let use p f =
+    let s = take p in
+    match f s with
+    | v ->
+      give p s;
+      v
+    | exception e ->
+      give p s;
+      raise e
+end
+
+(* One participant's packing state.  [a_call]/[a_tile] and
+   [b_call]/[b_blk] name what the panels hold, so consecutive tasks of
+   one call on the same participant skip repacking; every call draws a
+   fresh id from [calls], so a stale panel never matches. *)
+type scratch = {
+  mutable fa : float array;  (* A row tile as row quads *)
+  mutable fb : float array;  (* B column block as column pairs *)
+  facc : float array;  (* one 4×2 micro-tile's accumulators, [row*2 + col] *)
+  mutable ia : int array;  (* int8: A row tile, three rows per word *)
+  mutable asum : int array;
+  mutable ib : int array;  (* int8: B column block, sign-extended *)
+  mutable bsum : int array;
+  iacc : int array;  (* one 6×2 int8 micro-tile's drained accumulators *)
+  mutable a_call : int;
+  mutable a_tile : int;
+  mutable b_call : int;
+  mutable b_blk : int;
+}
+
+let panels =
+  Pool.create (fun () ->
+      {
+        fa = [||];
+        fb = [||];
+        facc = Array.make 8 0.0;
+        ia = [||];
+        asum = [||];
+        ib = [||];
+        bsum = [||];
+        iacc = Array.make 12 0;
+        a_call = -1;
+        a_tile = -1;
+        b_call = -1;
+        b_blk = -1;
+      })
+
+let calls = Atomic.make 0
+
+(* Grow-only: steady-state calls find the arrays already large enough. *)
+let fgrow a n = if Array.length a >= n then a else Array.make n 0.0
+let igrow a n = if Array.length a >= n then a else Array.make n 0
+
+(* Row-tile height: the tuned [tm], lowered to a multiple of [group] rows
+   when [tm] rows at [group_words] words per row group would pass the
+   panel bound.  Column-block width likewise, in pairs of depth [k]. *)
+let row_tile tm ~group ~group_words =
+  max group (min tm (group * (panel_words / group_words)))
+
+let col_block ~k = 2 * max 1 (panel_words / (2 * k))
+
+(* Run [nt] tasks of one call on the runner, each on a scratch taken
+   from [panels].  Callers number tasks block-major (task [t] is row tile
+   [t mod mtiles] of column block [t / mtiles]), so a sequential runner
+   packs each B block once. *)
+let run_tasks (par : par) nt task =
+  par.run nt (fun t ->
+      let s = Pool.take panels in
+      match task s t with
+      | () -> Pool.give panels s
+      | exception e ->
+        Pool.give panels s;
+        raise e)
+
 (* 4×2 register micro-tile over packed panels: [ap] holds row quads
    ([(ip*k + p)*4 + ii]), [bp] column pairs ([(jp*k + p)*2 + jj]), so both
-   streams are read contiguously.  Accumulators travel as tail-call
-   arguments, which the native compiler keeps in FP registers — the whole
-   k-loop runs without touching C, and the eight independent accumulator
-   chains hide the FP-add latency (6 loads feed 8 multiply-adds).
+   streams are read contiguously.  The eight accumulators are local float
+   refs that never escape, which ocamlopt keeps unboxed in FP registers
+   across the [for] loops; they leave through the float array [acc], so
+   nothing is boxed.  (Passing them as tail-call arguments and returning
+   them as a tuple boxed every one of them on every step: 4.3 bytes per
+   multiply-accumulate.)  The depth loop is unrolled by 4.
 
    Each accumulator is one ascending-p chain of double-precision adds over
    the full depth — the same operation sequence as the naive reference —
    so the single rounding store at write-back yields bit-identical results
    in every precision. *)
-let rec micro4x2 ap bp ia ib kk c00 c01 c10 c11 c20 c21 c30 c31 =
-  if kk <= 0 then (c00, c01, c10, c11, c20, c21, c30, c31)
-  else
+let micro4x2 (ap : float array) (bp : float array) ia ib k (acc : float array) =
+  let c00 = ref 0.0 and c01 = ref 0.0 and c10 = ref 0.0 and c11 = ref 0.0 in
+  let c20 = ref 0.0 and c21 = ref 0.0 and c30 = ref 0.0 and c31 = ref 0.0 in
+  for q = 0 to (k / 4) - 1 do
+    let ia = ia + (q * 16) and ib = ib + (q * 8) in
     let a0 = Array.unsafe_get ap ia
     and a1 = Array.unsafe_get ap (ia + 1)
     and a2 = Array.unsafe_get ap (ia + 2)
     and a3 = Array.unsafe_get ap (ia + 3)
     and b0 = Array.unsafe_get bp ib
     and b1 = Array.unsafe_get bp (ib + 1) in
-    micro4x2 ap bp (ia + 4) (ib + 2) (kk - 1)
-      (c00 +. (a0 *. b0))
-      (c01 +. (a0 *. b1))
-      (c10 +. (a1 *. b0))
-      (c11 +. (a1 *. b1))
-      (c20 +. (a2 *. b0))
-      (c21 +. (a2 *. b1))
-      (c30 +. (a3 *. b0))
-      (c31 +. (a3 *. b1))
-
-let rec micro4x2u2 ap bp ia ib kk c00 c01 c10 c11 c20 c21 c30 c31 =
-  if kk < 2 then micro4x2 ap bp ia ib kk c00 c01 c10 c11 c20 c21 c30 c31
-  else
-    let a0 = Array.unsafe_get ap ia
-    and a1 = Array.unsafe_get ap (ia + 1)
-    and a2 = Array.unsafe_get ap (ia + 2)
-    and a3 = Array.unsafe_get ap (ia + 3)
-    and b0 = Array.unsafe_get bp ib
-    and b1 = Array.unsafe_get bp (ib + 1) in
-    let c00 = c00 +. (a0 *. b0)
-    and c01 = c01 +. (a0 *. b1)
-    and c10 = c10 +. (a1 *. b0)
-    and c11 = c11 +. (a1 *. b1)
-    and c20 = c20 +. (a2 *. b0)
-    and c21 = c21 +. (a2 *. b1)
-    and c30 = c30 +. (a3 *. b0)
-    and c31 = c31 +. (a3 *. b1) in
-    let a4 = Array.unsafe_get ap (ia + 4)
-    and a5 = Array.unsafe_get ap (ia + 5)
-    and a6 = Array.unsafe_get ap (ia + 6)
-    and a7 = Array.unsafe_get ap (ia + 7)
-    and b2 = Array.unsafe_get bp (ib + 2)
-    and b3 = Array.unsafe_get bp (ib + 3) in
-    micro4x2u2 ap bp (ia + 8) (ib + 4) (kk - 2)
-      (c00 +. (a4 *. b2))
-      (c01 +. (a4 *. b3))
-      (c10 +. (a5 *. b2))
-      (c11 +. (a5 *. b3))
-      (c20 +. (a6 *. b2))
-      (c21 +. (a6 *. b3))
-      (c30 +. (a7 *. b2))
-      (c31 +. (a7 *. b3))
-
-let rec micro4x2u4 ap bp ia ib kk c00 c01 c10 c11 c20 c21 c30 c31 =
-  if kk < 4 then micro4x2u2 ap bp ia ib kk c00 c01 c10 c11 c20 c21 c30 c31
-  else begin
-    let a0 = Array.unsafe_get ap ia
-    and a1 = Array.unsafe_get ap (ia + 1)
-    and a2 = Array.unsafe_get ap (ia + 2)
-    and a3 = Array.unsafe_get ap (ia + 3)
-    and b0 = Array.unsafe_get bp ib
-    and b1 = Array.unsafe_get bp (ib + 1) in
-    let c00 = c00 +. (a0 *. b0)
-    and c01 = c01 +. (a0 *. b1)
-    and c10 = c10 +. (a1 *. b0)
-    and c11 = c11 +. (a1 *. b1)
-    and c20 = c20 +. (a2 *. b0)
-    and c21 = c21 +. (a2 *. b1)
-    and c30 = c30 +. (a3 *. b0)
-    and c31 = c31 +. (a3 *. b1) in
+    c00 := !c00 +. (a0 *. b0);
+    c01 := !c01 +. (a0 *. b1);
+    c10 := !c10 +. (a1 *. b0);
+    c11 := !c11 +. (a1 *. b1);
+    c20 := !c20 +. (a2 *. b0);
+    c21 := !c21 +. (a2 *. b1);
+    c30 := !c30 +. (a3 *. b0);
+    c31 := !c31 +. (a3 *. b1);
     let a0 = Array.unsafe_get ap (ia + 4)
     and a1 = Array.unsafe_get ap (ia + 5)
     and a2 = Array.unsafe_get ap (ia + 6)
     and a3 = Array.unsafe_get ap (ia + 7)
     and b0 = Array.unsafe_get bp (ib + 2)
     and b1 = Array.unsafe_get bp (ib + 3) in
-    let c00 = c00 +. (a0 *. b0)
-    and c01 = c01 +. (a0 *. b1)
-    and c10 = c10 +. (a1 *. b0)
-    and c11 = c11 +. (a1 *. b1)
-    and c20 = c20 +. (a2 *. b0)
-    and c21 = c21 +. (a2 *. b1)
-    and c30 = c30 +. (a3 *. b0)
-    and c31 = c31 +. (a3 *. b1) in
+    c00 := !c00 +. (a0 *. b0);
+    c01 := !c01 +. (a0 *. b1);
+    c10 := !c10 +. (a1 *. b0);
+    c11 := !c11 +. (a1 *. b1);
+    c20 := !c20 +. (a2 *. b0);
+    c21 := !c21 +. (a2 *. b1);
+    c30 := !c30 +. (a3 *. b0);
+    c31 := !c31 +. (a3 *. b1);
     let a0 = Array.unsafe_get ap (ia + 8)
     and a1 = Array.unsafe_get ap (ia + 9)
     and a2 = Array.unsafe_get ap (ia + 10)
     and a3 = Array.unsafe_get ap (ia + 11)
     and b0 = Array.unsafe_get bp (ib + 4)
     and b1 = Array.unsafe_get bp (ib + 5) in
-    let c00 = c00 +. (a0 *. b0)
-    and c01 = c01 +. (a0 *. b1)
-    and c10 = c10 +. (a1 *. b0)
-    and c11 = c11 +. (a1 *. b1)
-    and c20 = c20 +. (a2 *. b0)
-    and c21 = c21 +. (a2 *. b1)
-    and c30 = c30 +. (a3 *. b0)
-    and c31 = c31 +. (a3 *. b1) in
+    c00 := !c00 +. (a0 *. b0);
+    c01 := !c01 +. (a0 *. b1);
+    c10 := !c10 +. (a1 *. b0);
+    c11 := !c11 +. (a1 *. b1);
+    c20 := !c20 +. (a2 *. b0);
+    c21 := !c21 +. (a2 *. b1);
+    c30 := !c30 +. (a3 *. b0);
+    c31 := !c31 +. (a3 *. b1);
     let a0 = Array.unsafe_get ap (ia + 12)
     and a1 = Array.unsafe_get ap (ia + 13)
     and a2 = Array.unsafe_get ap (ia + 14)
     and a3 = Array.unsafe_get ap (ia + 15)
     and b0 = Array.unsafe_get bp (ib + 6)
     and b1 = Array.unsafe_get bp (ib + 7) in
-    micro4x2u4 ap bp (ia + 16) (ib + 8) (kk - 4)
-      (c00 +. (a0 *. b0))
-      (c01 +. (a0 *. b1))
-      (c10 +. (a1 *. b0))
-      (c11 +. (a1 *. b1))
-      (c20 +. (a2 *. b0))
-      (c21 +. (a2 *. b1))
-      (c30 +. (a3 *. b0))
-      (c31 +. (a3 *. b1))
-  end
+    c00 := !c00 +. (a0 *. b0);
+    c01 := !c01 +. (a0 *. b1);
+    c10 := !c10 +. (a1 *. b0);
+    c11 := !c11 +. (a1 *. b1);
+    c20 := !c20 +. (a2 *. b0);
+    c21 := !c21 +. (a2 *. b1);
+    c30 := !c30 +. (a3 *. b0);
+    c31 := !c31 +. (a3 *. b1)
+  done;
+  for p = k land lnot 3 to k - 1 do
+    let ia = ia + (p * 4) and ib = ib + (p * 2) in
+    let a0 = Array.unsafe_get ap ia
+    and a1 = Array.unsafe_get ap (ia + 1)
+    and a2 = Array.unsafe_get ap (ia + 2)
+    and a3 = Array.unsafe_get ap (ia + 3)
+    and b0 = Array.unsafe_get bp ib
+    and b1 = Array.unsafe_get bp (ib + 1) in
+    c00 := !c00 +. (a0 *. b0);
+    c01 := !c01 +. (a0 *. b1);
+    c10 := !c10 +. (a1 *. b0);
+    c11 := !c11 +. (a1 *. b1);
+    c20 := !c20 +. (a2 *. b0);
+    c21 := !c21 +. (a2 *. b1);
+    c30 := !c30 +. (a3 *. b0);
+    c31 := !c31 +. (a3 *. b1)
+  done;
+  Array.unsafe_set acc 0 !c00;
+  Array.unsafe_set acc 1 !c01;
+  Array.unsafe_set acc 2 !c10;
+  Array.unsafe_set acc 3 !c11;
+  Array.unsafe_set acc 4 !c20;
+  Array.unsafe_set acc 5 !c21;
+  Array.unsafe_set acc 6 !c30;
+  Array.unsafe_set acc 7 !c31
 
-(* Pack all of B into one full-depth panel (shared read-only by every macro
-   row-tile): columns grouped in pairs, odd tails padded with zeros so the
-   micro-kernel never branches on the edge.  One monomorphic loop per
-   storage kind — the generic accessor would put a C call in the pack. *)
-let pack_b_f32 (b : Tensor.f32buf) bo ~n ~k ~npairs =
-  let panel = Array.make (npairs * k * 2) 0.0 in
+(* Element access for packing and im2col, inlined so each element stays
+   unboxed (a float returned from a call into another module is boxed, and
+   dev-profile builds are [-opaque]).  The per-element kind match is one
+   predictable branch on loops that are O(n·k) against the O(m·n·k)
+   compute. *)
+let[@inline] fget (buf : Tensor.fbuf) i =
+  match buf with Tensor.FB32 b -> BA1.unsafe_get b i | Tensor.FB64 b -> BA1.unsafe_get b i
+
+let[@inline] fset (buf : Tensor.fbuf) i v =
+  match buf with
+  | Tensor.FB32 b -> BA1.unsafe_set b i v
+  | Tensor.FB64 b -> BA1.unsafe_set b i v
+
+(* Pack columns [j0, j0 + 2*npairs) of B (clipped at [n]) into full-depth
+   column pairs, an odd tail column padded with zeros so the micro-kernel
+   never branches on the edge. *)
+let pack_b (b : Tensor.fbuf) bo ~n ~k ~j0 ~npairs panel =
   for jp = 0 to npairs - 1 do
-    let j = jp * 2 in
+    let j = j0 + (jp * 2) in
     let base = jp * k * 2 in
     if j + 1 < n then
       for p = 0 to k - 1 do
         let s = bo + (p * n) + j in
-        Array.unsafe_set panel (base + (p * 2)) (BA1.unsafe_get b s);
-        Array.unsafe_set panel (base + (p * 2) + 1) (BA1.unsafe_get b (s + 1))
+        Array.unsafe_set panel (base + (p * 2)) (fget b s);
+        Array.unsafe_set panel (base + (p * 2) + 1) (fget b (s + 1))
       done
     else
       for p = 0 to k - 1 do
-        Array.unsafe_set panel (base + (p * 2)) (BA1.unsafe_get b (bo + (p * n) + j))
+        Array.unsafe_set panel (base + (p * 2)) (fget b (bo + (p * n) + j));
+        Array.unsafe_set panel (base + (p * 2) + 1) 0.0
       done
-  done;
-  panel
-
-let pack_b_f64 (b : Tensor.f64buf) bo ~n ~k ~npairs =
-  let panel = Array.make (npairs * k * 2) 0.0 in
-  for jp = 0 to npairs - 1 do
-    let j = jp * 2 in
-    let base = jp * k * 2 in
-    if j + 1 < n then
-      for p = 0 to k - 1 do
-        let s = bo + (p * n) + j in
-        Array.unsafe_set panel (base + (p * 2)) (BA1.unsafe_get b s);
-        Array.unsafe_set panel (base + (p * 2) + 1) (BA1.unsafe_get b (s + 1))
-      done
-    else
-      for p = 0 to k - 1 do
-        Array.unsafe_set panel (base + (p * 2)) (BA1.unsafe_get b (bo + (p * n) + j))
-      done
-  done;
-  panel
+  done
 
 (* Pack one macro row-tile of A into full-depth row quads, short tiles
    zero-padded. *)
-let pack_a_f32 (a : Tensor.f32buf) ao ~k ~i0 ~mc abuf =
-  let mquads = ceil_div mc 4 in
-  for ip = 0 to mquads - 1 do
+let pack_a (a : Tensor.fbuf) ao ~k ~i0 ~mc abuf =
+  for ip = 0 to ceil_div mc 4 - 1 do
     let i = i0 + (ip * 4) in
     let base = ip * k * 4 in
     let rows = min 4 (i0 + mc - i) in
@@ -206,250 +296,255 @@ let pack_a_f32 (a : Tensor.f32buf) ao ~k ~i0 ~mc abuf =
     if rows = 4 then
       for p = 0 to k - 1 do
         let d = base + (p * 4) and s = r0 + p in
-        Array.unsafe_set abuf d (BA1.unsafe_get a s);
-        Array.unsafe_set abuf (d + 1) (BA1.unsafe_get a (s + k));
-        Array.unsafe_set abuf (d + 2) (BA1.unsafe_get a (s + (2 * k)));
-        Array.unsafe_set abuf (d + 3) (BA1.unsafe_get a (s + (3 * k)))
+        Array.unsafe_set abuf d (fget a s);
+        Array.unsafe_set abuf (d + 1) (fget a (s + k));
+        Array.unsafe_set abuf (d + 2) (fget a (s + (2 * k)));
+        Array.unsafe_set abuf (d + 3) (fget a (s + (3 * k)))
       done
     else begin
       Array.fill abuf base (k * 4) 0.0;
       for r = 0 to rows - 1 do
         let rs = r0 + (r * k) in
         for p = 0 to k - 1 do
-          Array.unsafe_set abuf (base + (p * 4) + r) (BA1.unsafe_get a (rs + p))
+          Array.unsafe_set abuf (base + (p * 4) + r) (fget a (rs + p))
         done
       done
     end
   done
 
-let pack_a_f64 (a : Tensor.f64buf) ao ~k ~i0 ~mc abuf =
-  let mquads = ceil_div mc 4 in
-  for ip = 0 to mquads - 1 do
-    let i = i0 + (ip * 4) in
-    let base = ip * k * 4 in
-    let rows = min 4 (i0 + mc - i) in
-    let r0 = ao + (i * k) in
-    if rows = 4 then
-      for p = 0 to k - 1 do
-        let d = base + (p * 4) and s = r0 + p in
-        Array.unsafe_set abuf d (BA1.unsafe_get a s);
-        Array.unsafe_set abuf (d + 1) (BA1.unsafe_get a (s + k));
-        Array.unsafe_set abuf (d + 2) (BA1.unsafe_get a (s + (2 * k)));
-        Array.unsafe_set abuf (d + 3) (BA1.unsafe_get a (s + (3 * k)))
-      done
-    else begin
-      Array.fill abuf base (k * 4) 0.0;
-      for r = 0 to rows - 1 do
-        let rs = r0 + (r * k) in
-        for p = 0 to k - 1 do
-          Array.unsafe_set abuf (base + (p * 4) + r) (BA1.unsafe_get a (rs + p))
-        done
-      done
-    end
+(* Add a finished micro-tile into C (rows × cols of it; [ci] is its
+   top-left flat index), matching the destination kind per element so
+   every value stays unboxed.  [epilogue] sees the double-precision
+   pre-store value at destination-relative index [ci - ep_off] — a plain
+   subtraction keeps arena callers (ep_off = their slot base) off a
+   per-element shift closure — and the store is still the single
+   rounding point. *)
+let write_back (c : Tensor.fbuf) epilogue ~ep_off (acc : float array) ~ci ~n ~rows
+    ~cols =
+  for r = 0 to rows - 1 do
+    for jj = 0 to cols - 1 do
+      let ci = ci + (r * n) + jj in
+      let v = fget c ci +. Array.unsafe_get acc ((r * 2) + jj) in
+      match epilogue with None -> fset c ci v | Some f -> fset c ci (f (ci - ep_off) v)
+    done
   done
 
 let gemm ?(par = sequential) ?(tiles = default_tiles) ?epilogue ?(ep_off = 0) ~m ~n ~k
     ~(a : Tensor.fbuf) ~ao ~(b : Tensor.fbuf) ~bo ~(c : Tensor.fbuf) ~co () =
   if m > 0 && n > 0 && k > 0 then begin
-    let { tm; tn; tk = _; kunroll } = tiles in
-    let npairs = ceil_div n 2 in
-    let bp =
-      match b with
-      | Tensor.FB32 bb -> pack_b_f32 bb bo ~n ~k ~npairs
-      | Tensor.FB64 bb -> pack_b_f64 bb bo ~n ~k ~npairs
-    in
-    (* Read-modify-write on the destination, matched once per call: the
-       write-back is O(mn) against the O(mnk) compute, so the closure call
-       per element stays in the noise. *)
-    let cread, cstore =
-      match c with
-      | Tensor.FB32 cb ->
-        (fun i -> BA1.unsafe_get cb i), fun i v -> BA1.unsafe_set cb i v
-      | Tensor.FB64 cb ->
-        (fun i -> BA1.unsafe_get cb i), fun i v -> BA1.unsafe_set cb i v
-    in
-    let jpt = max 1 (tn / 2) in
-    let jt_count = ceil_div npairs jpt in
-    par.run (ceil_div m tm) (fun it ->
-        let i0 = it * tm in
-        let mc = min tm (m - i0) in
+    let mt = row_tile tiles.tm ~group:4 ~group_words:(4 * k) in
+    let nc = col_block ~k in
+    let mtiles = ceil_div m mt in
+    let call = Atomic.fetch_and_add calls 1 in
+    (* [tn] splits a block into column tiles whose panel slice stays in L1
+       while the A quads stream past it. *)
+    let jpt = max 1 (tiles.tn / 2) in
+    run_tasks par
+      (mtiles * ceil_div n nc)
+      (fun s t ->
+        let it = t mod mtiles and blk = t / mtiles in
+        let i0 = it * mt and j0 = blk * nc in
+        let mc = min mt (m - i0) in
         let mquads = ceil_div mc 4 in
-        let abuf = Array.make (mquads * k * 4) 0.0 in
-        (match a with
-        | Tensor.FB32 ab -> pack_a_f32 ab ao ~k ~i0 ~mc abuf
-        | Tensor.FB64 ab -> pack_a_f64 ab ao ~k ~i0 ~mc abuf);
-        let micro =
-          if kunroll >= 4 then micro4x2u4
-          else if kunroll >= 2 then micro4x2u2
-          else micro4x2
-        in
-        for jt = 0 to jt_count - 1 do
-          let jp_end = min npairs ((jt + 1) * jpt) in
+        let npairs = ceil_div (min nc (n - j0)) 2 in
+        if s.a_call <> call || s.a_tile <> it then begin
+          s.fa <- fgrow s.fa (mquads * k * 4);
+          pack_a a ao ~k ~i0 ~mc s.fa;
+          s.a_call <- call;
+          s.a_tile <- it
+        end;
+        if s.b_call <> call || s.b_blk <> blk then begin
+          s.fb <- fgrow s.fb (npairs * k * 2);
+          pack_b b bo ~n ~k ~j0 ~npairs s.fb;
+          s.b_call <- call;
+          s.b_blk <- blk
+        end;
+        for jt = 0 to ceil_div npairs jpt - 1 do
           for ip = 0 to mquads - 1 do
-            let iabase = ip * k * 4 in
             let i = i0 + (ip * 4) in
             let rows = min 4 (i0 + mc - i) in
-            for jp = jt * jpt to jp_end - 1 do
-              let c00, c01, c10, c11, c20, c21, c30, c31 =
-                micro abuf bp iabase (jp * k * 2) k 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0
-              in
-              let j = jp * 2 in
-              let wide = j + 1 < n in
-              let ci = co + (i * n) + j in
-              (match epilogue with
-              | None ->
-                cstore ci (cread ci +. c00);
-                if wide then cstore (ci + 1) (cread (ci + 1) +. c01);
-                if rows > 1 then begin
-                  let ci1 = ci + n in
-                  cstore ci1 (cread ci1 +. c10);
-                  if wide then cstore (ci1 + 1) (cread (ci1 + 1) +. c11);
-                  if rows > 2 then begin
-                    let ci2 = ci1 + n in
-                    cstore ci2 (cread ci2 +. c20);
-                    if wide then cstore (ci2 + 1) (cread (ci2 + 1) +. c21);
-                    if rows > 3 then begin
-                      let ci3 = ci2 + n in
-                      cstore ci3 (cread ci3 +. c30);
-                      if wide then cstore (ci3 + 1) (cread (ci3 + 1) +. c31)
-                    end
-                  end
-                end
-              | Some f ->
-                (* [ei] is the epilogue's destination-relative index: a
-                   plain subtraction here keeps arena callers (ep_off =
-                   their slot base) off a per-element shift closure.  The
-                   epilogue sees the double-precision pre-store value, and
-                   the store is still the single rounding point. *)
-                let ei = ci - ep_off in
-                cstore ci (f ei (cread ci +. c00));
-                if wide then cstore (ci + 1) (f (ei + 1) (cread (ci + 1) +. c01));
-                if rows > 1 then begin
-                  let ci1 = ci + n and ei1 = ei + n in
-                  cstore ci1 (f ei1 (cread ci1 +. c10));
-                  if wide then cstore (ci1 + 1) (f (ei1 + 1) (cread (ci1 + 1) +. c11));
-                  if rows > 2 then begin
-                    let ci2 = ci1 + n and ei2 = ei1 + n in
-                    cstore ci2 (f ei2 (cread ci2 +. c20));
-                    if wide then cstore (ci2 + 1) (f (ei2 + 1) (cread (ci2 + 1) +. c21));
-                    if rows > 3 then begin
-                      let ci3 = ci2 + n and ei3 = ei2 + n in
-                      cstore ci3 (f ei3 (cread ci3 +. c30));
-                      if wide then cstore (ci3 + 1) (f (ei3 + 1) (cread (ci3 + 1) +. c31))
-                    end
-                  end
-                end)
+            for jp = jt * jpt to min npairs ((jt + 1) * jpt) - 1 do
+              micro4x2 s.fa s.fb (ip * k * 4) (jp * k * 2) k s.facc;
+              let j = j0 + (jp * 2) in
+              write_back c epilogue ~ep_off s.facc
+                ~ci:(co + (i * n) + j)
+                ~n ~rows
+                ~cols:(if j + 1 < n then 2 else 1)
             done
           done
         done)
   end
 
-let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ?epilogue
-    ?(ep_off = 0) ~stride ~pad ~dilation ~groups (vx : Tensor.view)
-    (vw : Tensor.view) (vbias : Tensor.view option) ~c:dst ~co =
-  let dx = Array.of_list vx.Tensor.vdims and dw = Array.of_list vw.Tensor.vdims in
-  let n = dx.(0) and c = dx.(1) and h = dx.(2) and wd = dx.(3) in
-  let m = dw.(0) and cg = dw.(1) and kh = dw.(2) and kw = dw.(3) in
+(* Per-participant im2col column buffers, one per storage kind, grown to
+   the largest (kernel volume × output pixels) seen and reused. *)
+type cols = {
+  mutable c32 : Tensor.f32buf;
+  mutable c64 : Tensor.f64buf;
+  mutable c8 : Tensor.i8buf;
+}
+
+let col_pool =
+  Pool.create (fun () ->
+      {
+        c32 = BA1.create Bigarray.float32 Bigarray.c_layout 0;
+        c64 = BA1.create Bigarray.float64 Bigarray.c_layout 0;
+        c8 = BA1.create Bigarray.int8_signed Bigarray.c_layout 0;
+      })
+
+let bgrow kind b n = if BA1.dim b >= n then b else BA1.create kind Bigarray.c_layout n
+
+(* Conv geometry shared by the float and int8 im2col paths. *)
+type conv_geom = {
+  n : int;
+  c : int;
+  h : int;
+  wd : int;
+  m : int;
+  cg : int;
+  kh : int;
+  kw : int;
+  oh : int;
+  ow : int;
+  sh : int;
+  sw : int;
+  pt : int;
+  pl : int;
+  dh : int;
+  dw : int;
+}
+
+let conv_geom ~stride ~pad ~dilation ~groups (dx : int array) (dw : int array) =
   let sh, sw = stride in
   let pt, pl, pb, pr = pad in
   let dh, dw_ = dilation in
-  Linalg.check_conv_groups ~c ~groups ~cg;
-  let oh =
-    Linalg.conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb
-      ~dilation:dh
+  Linalg.check_conv_groups ~c:dx.(1) ~groups ~cg:dw.(1);
+  {
+    n = dx.(0);
+    c = dx.(1);
+    h = dx.(2);
+    wd = dx.(3);
+    m = dw.(0);
+    cg = dw.(1);
+    kh = dw.(2);
+    kw = dw.(3);
+    oh =
+      Linalg.conv2d_out_dim ~in_:dx.(2) ~kernel:dw.(2) ~stride:sh ~pad_begin:pt
+        ~pad_end:pb ~dilation:dh;
+    ow =
+      Linalg.conv2d_out_dim ~in_:dx.(3) ~kernel:dw.(3) ~stride:sw ~pad_begin:pl
+        ~pad_end:pr ~dilation:dw_;
+    sh;
+    sw;
+    pt;
+    pl;
+    dh;
+    dw = dw_;
+  }
+
+(* The im2col column matrix of image [ni], group [g] ([cg·kh·kw] rows of
+   [oh·ow] output pixels) is written one output row at a time:
+   [row o soff lo hi] must fill the [ow] elements at [o] with the source
+   [soff + ox·sw] for [ox] in [[lo, hi)] and with padding elsewhere.
+   Computing the in-bounds range once per row keeps the per-element
+   loops branch-free and lets each storage kind's fill stay
+   monomorphic. *)
+let iter_col_rows (q : conv_geom) ~xoff ~ni ~g row =
+  let ndim = q.oh * q.ow in
+  for ci = 0 to q.cg - 1 do
+    let src_base = xoff + (((ni * q.c) + (g * q.cg) + ci) * q.h * q.wd) in
+    for ky = 0 to q.kh - 1 do
+      for kx = 0 to q.kw - 1 do
+        let rbase = ((((ci * q.kh) + ky) * q.kw) + kx) * ndim in
+        (* source column of output column ox is [ox·sw + off] *)
+        let off = (kx * q.dw) - q.pl in
+        let lo = if off >= 0 then 0 else min q.ow (ceil_div (-off) q.sw) in
+        let hi = if off >= q.wd then lo else max lo (min q.ow (((q.wd - 1 - off) / q.sw) + 1)) in
+        for oy = 0 to q.oh - 1 do
+          let iy = (oy * q.sh) - q.pt + (ky * q.dh) in
+          if iy >= 0 && iy < q.h then
+            row (rbase + (oy * q.ow)) (src_base + (iy * q.wd) + off) lo hi
+          else row (rbase + (oy * q.ow)) 0 0 0
+        done
+      done
+    done
+  done
+
+let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ?epilogue
+    ?(ep_off = 0) ~stride ~pad ~dilation ~groups (vx : Tensor.view)
+    (vw : Tensor.view) (vbias : Tensor.view option) ~c:dst ~co =
+  let q =
+    conv_geom ~stride ~pad ~dilation ~groups (Array.of_list vx.Tensor.vdims)
+      (Array.of_list vw.Tensor.vdims)
   in
-  let ow =
-    Linalg.conv2d_out_dim ~in_:wd ~kernel:kw ~stride:sw ~pad_begin:pl ~pad_end:pr
-      ~dilation:dw_
-  in
-  let mg = m / groups in
-  let kdim = cg * kh * kw in
-  let ndim = oh * ow in
+  let mg = q.m / groups in
+  let kdim = q.cg * q.kh * q.kw in
+  let ndim = q.oh * q.ow in
+  if co < 0 || co + (q.n * q.m * ndim) > Tensor.fbuf_len dst then
+    invalid_arg "Blocked.conv2d_im2col_into: destination window out of bounds";
   (* The gemm accumulates into its destination window, so it must start
      from the bias value (or zero) regardless of what the buffer held. *)
-  (match vbias with
-  | Some bt ->
-    for ni = 0 to n - 1 do
-      for mi = 0 to m - 1 do
-        Tensor.fbuf_fill dst
-          (co + (((ni * m) + mi) * ndim))
-          ndim
-          (Tensor.fbuf_get bt.Tensor.vbuf (bt.Tensor.voff + mi))
-      done
+  for ni = 0 to q.n - 1 do
+    for mi = 0 to q.m - 1 do
+      let v =
+        match vbias with
+        | None -> 0.0
+        | Some { Tensor.vbuf = Tensor.FB32 b; voff; _ } -> BA1.get b (voff + mi)
+        | Some { Tensor.vbuf = Tensor.FB64 b; voff; _ } -> BA1.get b (voff + mi)
+      in
+      let o = co + (((ni * q.m) + mi) * ndim) in
+      match dst with
+      | Tensor.FB32 d ->
+        for i = o to o + ndim - 1 do
+          BA1.unsafe_set d i v
+        done
+      | Tensor.FB64 d ->
+        for i = o to o + ndim - 1 do
+          BA1.unsafe_set d i v
+        done
     done
-  | None -> Tensor.fbuf_fill dst co (n * m * ndim) 0.0);
-  if ndim > 0 && kdim > 0 then begin
-    (* One column buffer in the input's precision (the copy is lossless),
-       rebuilt per (image, group); gemm completes before the next rebuild,
-       so reuse is safe even under the parallel runner. *)
-    let col = Tensor.fbuf_create (Tensor.view_dtype vx) (kdim * ndim) in
-    let fill_col =
-      match vx.Tensor.vbuf, col with
-      | Tensor.FB32 src, Tensor.FB32 colb ->
-        fun ni g ->
-          BA1.fill colb 0.0;
-          for ci = 0 to cg - 1 do
-            let cin = (g * cg) + ci in
-            let src_base = vx.Tensor.voff + (((ni * c) + cin) * h * wd) in
-            for ky = 0 to kh - 1 do
-              for kx = 0 to kw - 1 do
-                let rbase = ((((ci * kh) + ky) * kw) + kx) * ndim in
-                for oy = 0 to oh - 1 do
-                  let iy = (oy * sh) - pt + (ky * dh) in
-                  if iy >= 0 && iy < h then begin
-                    let sbase = src_base + (iy * wd) in
-                    let obase = rbase + (oy * ow) in
-                    for ox = 0 to ow - 1 do
-                      let ix = (ox * sw) - pl + (kx * dw_) in
-                      if ix >= 0 && ix < wd then
-                        BA1.unsafe_set colb (obase + ox) (BA1.unsafe_get src (sbase + ix))
-                    done
-                  end
-                done
-              done
-            done
+  done;
+  if ndim > 0 && kdim > 0 then
+    Pool.use col_pool (fun cs ->
+        (* One column buffer in the input's precision (the copy is
+           lossless), rebuilt per (image, group); gemm completes before the
+           next rebuild, so reuse is safe even under the parallel runner. *)
+        let len = kdim * ndim and sw = q.sw and ow = q.ow in
+        let col =
+          match vx.Tensor.vbuf with
+          | Tensor.FB32 _ ->
+            cs.c32 <- bgrow Bigarray.float32 cs.c32 len;
+            Tensor.FB32 cs.c32
+          | Tensor.FB64 _ ->
+            cs.c64 <- bgrow Bigarray.float64 cs.c64 len;
+            Tensor.FB64 cs.c64
+        in
+        let src = vx.Tensor.vbuf in
+        let row o soff lo hi =
+          for ox = 0 to lo - 1 do
+            fset col (o + ox) 0.0
+          done;
+          for ox = lo to hi - 1 do
+            fset col (o + ox) (fget src (soff + (ox * sw)))
+          done;
+          for ox = hi to ow - 1 do
+            fset col (o + ox) 0.0
           done
-      | Tensor.FB64 src, Tensor.FB64 colb ->
-        fun ni g ->
-          BA1.fill colb 0.0;
-          for ci = 0 to cg - 1 do
-            let cin = (g * cg) + ci in
-            let src_base = vx.Tensor.voff + (((ni * c) + cin) * h * wd) in
-            for ky = 0 to kh - 1 do
-              for kx = 0 to kw - 1 do
-                let rbase = ((((ci * kh) + ky) * kw) + kx) * ndim in
-                for oy = 0 to oh - 1 do
-                  let iy = (oy * sh) - pt + (ky * dh) in
-                  if iy >= 0 && iy < h then begin
-                    let sbase = src_base + (iy * wd) in
-                    let obase = rbase + (oy * ow) in
-                    for ox = 0 to ow - 1 do
-                      let ix = (ox * sw) - pl + (kx * dw_) in
-                      if ix >= 0 && ix < wd then
-                        BA1.unsafe_set colb (obase + ox) (BA1.unsafe_get src (sbase + ix))
-                    done
-                  end
-                done
-              done
-            done
+        in
+        for ni = 0 to q.n - 1 do
+          for g = 0 to groups - 1 do
+            iter_col_rows q ~xoff:vx.Tensor.voff ~ni ~g row;
+            (* [co] makes the gemm's write indices global flat offsets into
+               the destination buffer; [ep_off] carries the caller's
+               epilogue base through unchanged so epilogue indices stay
+               relative to it. *)
+            gemm ~par ~tiles ?epilogue ~ep_off ~m:mg ~n:ndim ~k:kdim ~a:vw.Tensor.vbuf
+              ~ao:(vw.Tensor.voff + (g * mg * kdim))
+              ~b:col ~bo:0 ~c:dst
+              ~co:(co + (((ni * q.m) + (g * mg)) * ndim))
+              ()
           done
-      | _ -> assert false (* [col]'s kind mirrors the input's *)
-    in
-    for ni = 0 to n - 1 do
-      for g = 0 to groups - 1 do
-        fill_col ni g;
-        (* [co] makes the gemm's write indices global flat offsets into the
-           destination buffer; [ep_off] carries the caller's epilogue base
-           through unchanged so epilogue indices stay relative to it. *)
-        gemm ~par ~tiles ?epilogue ~ep_off ~m:mg ~n:ndim ~k:kdim ~a:vw.Tensor.vbuf
-          ~ao:(vw.Tensor.voff + (g * mg * kdim))
-          ~b:col ~bo:0 ~c:dst
-          ~co:(co + (((ni * m) + (g * mg)) * ndim))
-          ()
-      done
-    done
-  end;
-  [ n; m; oh; ow ]
+        done);
+  [ q.n; q.m; q.oh; q.ow ]
 
 (* ---------------------------------------------------------------- *)
 (* Int8 path: packed panels, integer micro-kernel, fused requantize   *)
@@ -583,17 +678,16 @@ let rec iqtile ap bp acc ia ib krem =
 
 (* B panel: column pairs, sign-extended into a plain [int array] at pack
    time.  Trading the 1-byte footprint for 8-byte words keeps the panel
-   L2-resident at bench sizes (512 KB at 256³) while making every inner-
-   loop B access a single indexed load — a Bigarray byte read costs a
-   data-pointer fetch plus a sign extension on every access, and the
-   micro-kernel does two of them per k-step.  An odd tail column is
-   zero-padded; per-column sums for the zero-point correction are
-   collected in the same pass. *)
-let pack_b_i8 (b : Tensor.i8buf) bo ~n ~k ~npairs =
-  let panel = Array.make (npairs * k * 2) 0 in
-  let bsum = Array.make (npairs * 2) 0 in
+   L2-resident while making every inner-loop B access a single indexed
+   load — a Bigarray byte read costs a data-pointer fetch plus a sign
+   extension on every access, and the micro-kernel does two of them per
+   k-step.  Packs columns [j0, j0 + 2*npairs) clipped at [n]; an odd
+   tail column is zero-padded; per-column sums for the zero-point
+   correction are collected in the same pass. *)
+let pack_b_i8 (b : Tensor.i8buf) bo ~n ~k ~j0 ~npairs (panel : int array)
+    (bsum : int array) =
   for jp = 0 to npairs - 1 do
-    let j = jp * 2 in
+    let j = j0 + (jp * 2) in
     let base = jp * k * 2 in
     if j + 1 < n then begin
       let s0 = ref 0 and s1 = ref 0 in
@@ -605,20 +699,21 @@ let pack_b_i8 (b : Tensor.i8buf) bo ~n ~k ~npairs =
         s0 := !s0 + v0;
         s1 := !s1 + v1
       done;
-      bsum.(j) <- !s0;
-      bsum.(j + 1) <- !s1
+      bsum.(jp * 2) <- !s0;
+      bsum.((jp * 2) + 1) <- !s1
     end
     else begin
       let s0 = ref 0 in
       for p = 0 to k - 1 do
         let v0 = BA1.unsafe_get b (bo + (p * n) + j) in
         Array.unsafe_set panel (base + (p * 2)) v0;
+        Array.unsafe_set panel (base + (p * 2) + 1) 0;
         s0 := !s0 + v0
       done;
-      bsum.(j) <- !s0
+      bsum.(jp * 2) <- !s0;
+      bsum.((jp * 2) + 1) <- 0
     end
-  done;
-  (panel, bsum)
+  done
 
 (* A panel: row sextets packed three-rows-per-word ([(ip*k + p)*2 +
    {0,1}] holding rows (r, r+2, r+4) at 21-bit spacing), short tiles
@@ -695,44 +790,54 @@ let gemm_i8_core ?(par = sequential) ?(tiles = default_tiles) ~za ~zb
         done
       done
     else begin
-      let { tm; tn; tk = _; kunroll = _ } = tiles in
-      let npairs = ceil_div n 2 in
-      let bp, bsum = pack_b_i8 b bo ~n ~k ~npairs in
+      (* Same bounded, block-major tiling as the float {!gemm}. *)
+      let mt = row_tile tiles.tm ~group:6 ~group_words:(2 * k) in
+      let nc = col_block ~k in
+      let mtiles = ceil_div m mt in
+      let call = Atomic.fetch_and_add calls 1 in
       let kzazb = k * za * zb in
-      let jpt = max 1 (tn / 2) in
-      let jt_count = ceil_div npairs jpt in
-      par.run (ceil_div m tm) (fun it ->
-          let i0 = it * tm in
-          let mc = min tm (m - i0) in
+      let jpt = max 1 (tiles.tn / 2) in
+      run_tasks par
+        (mtiles * ceil_div n nc)
+        (fun s t ->
+          let it = t mod mtiles and blk = t / mtiles in
+          let i0 = it * mt and j0 = blk * nc in
+          let mc = min mt (m - i0) in
           let msext = ceil_div mc 6 in
-          let abuf = Array.make (msext * k * 2) 0 in
-          let asum = Array.make (msext * 6) 0 in
-          pack_a_i8 a ao ~k ~i0 ~mc abuf asum;
+          let npairs = ceil_div (min nc (n - j0)) 2 in
+          if s.a_call <> call || s.a_tile <> it then begin
+            s.ia <- igrow s.ia (msext * k * 2);
+            s.asum <- igrow s.asum (msext * 6);
+            pack_a_i8 a ao ~k ~i0 ~mc s.ia s.asum;
+            s.a_call <- call;
+            s.a_tile <- it
+          end;
+          if s.b_call <> call || s.b_blk <> blk then begin
+            s.ib <- igrow s.ib (npairs * k * 2);
+            s.bsum <- igrow s.bsum (npairs * 2);
+            pack_b_i8 b bo ~n ~k ~j0 ~npairs s.ib s.bsum;
+            s.b_call <- call;
+            s.b_blk <- blk
+          end;
           (* Drained accumulators for one 6×2 micro-tile, laid out
              [row*2 + col]. *)
-          let acc = Array.make 12 0 in
-          for jt = 0 to jt_count - 1 do
-            let jp_end = min npairs ((jt + 1) * jpt) in
+          let acc = s.iacc in
+          for jt = 0 to ceil_div npairs jpt - 1 do
             for ip = 0 to msext - 1 do
-              let iabase = ip * k * 2 in
               let i = i0 + (ip * 6) in
-              let li = ip * 6 in
               let rows = min 6 (i0 + mc - i) in
-              (* [correct r raw bs] turns a raw field sum Σab for local
-                 row r into Σ(a-za)(b-zb) given the column term [bs]. *)
-              let correct r raw bs =
-                raw - (zb * Array.unsafe_get asum (li + r)) - bs + kzazb
-              in
-              for jp = jt * jpt to jp_end - 1 do
+              for jp = jt * jpt to min npairs ((jt + 1) * jpt) - 1 do
                 Array.fill acc 0 12 0;
-                iqtile abuf bp acc iabase (jp * k * 2) k;
-                let j = jp * 2 in
+                iqtile s.ia s.ib acc (ip * k * 2) (jp * k * 2) k;
+                let j = j0 + (jp * 2) in
                 let wide = j + 1 < n in
-                let bs0 = za * Array.unsafe_get bsum j in
-                let bs1 = if wide then za * Array.unsafe_get bsum (j + 1) else 0 in
+                let bs0 = za * s.bsum.(jp * 2) and bs1 = za * s.bsum.((jp * 2) + 1) in
+                (* The zero-point correction: a raw field sum Σab for row
+                   [r] becomes Σ(a-za)(b-zb). *)
                 for r = 0 to rows - 1 do
-                  store (i + r) j (correct r acc.(r * 2) bs0);
-                  if wide then store (i + r) (j + 1) (correct r acc.((r * 2) + 1) bs1)
+                  let ra = kzazb - (zb * s.asum.((ip * 6) + r)) in
+                  store (i + r) j (acc.(r * 2) - bs0 + ra);
+                  if wide then store (i + r) (j + 1) (acc.((r * 2) + 1) - bs1 + ra)
                 done
               done
             done
@@ -771,57 +876,33 @@ let gemm_i8_dequant ?par ?tiles ~za ~zb ~epilogue ?(ep_off = 0) ~m ~n ~k ~a ~ao
    the zero-point correction then cancels them exactly. *)
 let conv2d_i8_gen ~zx ~stride ~pad ~dilation ~groups ~(x : Tensor.i8buf) ~xoff
     ~xdims ~wdims ~run_gemm =
-  let n = xdims.(0) and c = xdims.(1) and h = xdims.(2) and wd = xdims.(3) in
-  let m = wdims.(0) and cg = wdims.(1) and kh = wdims.(2) and kw = wdims.(3) in
-  let sh, sw = stride in
-  let pt, pl, pb, pr = pad in
-  let dh, dw_ = dilation in
-  Linalg.check_conv_groups ~c ~groups ~cg;
-  let oh =
-    Linalg.conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb
-      ~dilation:dh
-  in
-  let ow =
-    Linalg.conv2d_out_dim ~in_:wd ~kernel:kw ~stride:sw ~pad_begin:pl ~pad_end:pr
-      ~dilation:dw_
-  in
-  let mg = m / groups in
-  let kdim = cg * kh * kw in
-  let ndim = oh * ow in
-  if ndim > 0 && kdim > 0 then begin
-    let col = BA1.create Bigarray.int8_signed Bigarray.c_layout (kdim * ndim) in
-    let fill_col ni g =
-      BA1.fill col zx;
-      for ci = 0 to cg - 1 do
-        let cin = (g * cg) + ci in
-        let src_base = xoff + (((ni * c) + cin) * h * wd) in
-        for ky = 0 to kh - 1 do
-          for kx = 0 to kw - 1 do
-            let rbase = ((((ci * kh) + ky) * kw) + kx) * ndim in
-            for oy = 0 to oh - 1 do
-              let iy = (oy * sh) - pt + (ky * dh) in
-              if iy >= 0 && iy < h then begin
-                let sbase = src_base + (iy * wd) in
-                let obase = rbase + (oy * ow) in
-                for ox = 0 to ow - 1 do
-                  let ix = (ox * sw) - pl + (kx * dw_) in
-                  if ix >= 0 && ix < wd then
-                    BA1.unsafe_set col (obase + ox) (BA1.unsafe_get x (sbase + ix))
-                done
-              end
-            done
+  let q = conv_geom ~stride ~pad ~dilation ~groups xdims wdims in
+  let mg = q.m / groups in
+  let kdim = q.cg * q.kh * q.kw in
+  let ndim = q.oh * q.ow in
+  if ndim > 0 && kdim > 0 then
+    Pool.use col_pool (fun cs ->
+        let col = bgrow Bigarray.int8_signed cs.c8 (kdim * ndim) in
+        cs.c8 <- col;
+        let sw = q.sw and ow = q.ow in
+        let row o soff lo hi =
+          for ox = 0 to lo - 1 do
+            BA1.unsafe_set col (o + ox) zx
+          done;
+          for ox = lo to hi - 1 do
+            BA1.unsafe_set col (o + ox) (BA1.unsafe_get x (soff + (ox * sw)))
+          done;
+          for ox = hi to ow - 1 do
+            BA1.unsafe_set col (o + ox) zx
           done
-        done
-      done
-    in
-    for ni = 0 to n - 1 do
-      for g = 0 to groups - 1 do
-        fill_col ni g;
-        run_gemm ~ni ~g ~m ~mg ~ndim ~kdim ~col
-      done
-    done
-  end;
-  [ n; m; oh; ow ]
+        in
+        for ni = 0 to q.n - 1 do
+          for g = 0 to groups - 1 do
+            iter_col_rows q ~xoff ~ni ~g row;
+            run_gemm ~ni ~g ~m:q.m ~mg ~ndim ~kdim ~col
+          done
+        done);
+  [ q.n; q.m; q.oh; q.ow ]
 
 let conv2d_i8_into ?par ?tiles ~zx ~zw ~epilogue ?(ep_off = 0) ~stride ~pad
     ~dilation ~groups ~x ~xoff ~xdims ~(w : Tensor.i8buf) ~woff ~wdims

@@ -5,14 +5,20 @@
     module provides the optimized variants the autotuner's tile/thread
     choices actually steer:
 
-    - {!gemm} packs A and B into tile-local panels (so the inner loop
-      touches contiguous memory), computes 4×2 register micro-tiles with a
-      tail-recursive kernel whose accumulators live in FP registers, and
-      splits the M dimension into macro row-tiles that a parallel runner
-      can execute concurrently;
+    - {!gemm} packs A by row tile and B by column block into panels (so
+      the inner loop touches contiguous memory), computes 4×2 register
+      micro-tiles whose accumulators are unboxed local floats, and runs
+      (row tile × column block) tasks that a parallel runner can execute
+      concurrently;
     - {!conv2d_im2col} lowers convolution (grouped, strided, dilated,
       padded) onto that GEMM by materializing the im2col column matrix per
       (image, group).
+
+    Packing panels and column buffers are per-participant scratch, taken
+    from a shared free list and given back after each task, bounded in
+    size and reused across calls: once a shape has been seen, a float
+    {!gemm} or {!conv2d_im2col_into} without an epilogue allocates only a
+    constant few words per call, whatever the extents.
 
     The module is deliberately runtime-agnostic: parallelism arrives
     through the {!par} record so the tensor library does not depend on the
@@ -26,9 +32,9 @@ val sequential : par
 
 type tiles = {
   tm : int;  (** macro row-tile height (parallel work unit) *)
-  tn : int;  (** column-tile width *)
-  tk : int;  (** depth of one packed panel *)
-  kunroll : int;  (** ≥4 (resp. ≥2) selects the unrolled-by-4 (by-2) micro-kernel *)
+  tn : int;  (** column-tile width within a packed column block *)
+  tk : int;  (** kept for the autotuner's config space; packing is full-depth *)
+  kunroll : int;  (** kept for the autotuner's config space; the micro-kernel always unrolls by 4 *)
 }
 
 val default_tiles : tiles

@@ -361,6 +361,10 @@ let conv1d ?(stride = 1) ?(pad = (0, 0)) ?(dilation = 1) ?(groups = 1) x w b =
   | [ n; m; 1; ol ] -> Tensor.reshape out [ n; m; ol ]
   | _ -> assert false
 
+(* The pools read their input in place: [Tensor.data_f] would copy it. *)
+let[@inline] fget buf i =
+  match buf with Tensor.FB32 b -> BA1.get b i | Tensor.FB64 b -> BA1.get b i
+
 let pool2d ~kind ~kernel ?(stride = (1, 1)) ?(pad = (0, 0, 0, 0)) x =
   let dx = Tensor.dims_arr x in
   let n = dx.(0) and c = dx.(1) and h = dx.(2) and w = dx.(3) in
@@ -369,7 +373,7 @@ let pool2d ~kind ~kernel ?(stride = (1, 1)) ?(pad = (0, 0, 0, 0)) x =
   let pt, pl, pb, pr = pad in
   let oh = conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb ~dilation:1 in
   let ow = conv2d_out_dim ~in_:w ~kernel:kw ~stride:sw ~pad_begin:pl ~pad_end:pr ~dilation:1 in
-  let src = Tensor.data_f x in
+  let src = Tensor.storage_f x in
   let dst = Array.make (n * c * oh * ow) 0.0 in
   for ni = 0 to n - 1 do
     for ci = 0 to c - 1 do
@@ -383,7 +387,7 @@ let pool2d ~kind ~kernel ?(stride = (1, 1)) ?(pad = (0, 0, 0, 0)) x =
               for kx = 0 to kw - 1 do
                 let ix = (ox * sw) - pl + kx in
                 if ix >= 0 && ix < w then begin
-                  let v = src.((((((ni * c) + ci) * h) + iy) * w) + ix) in
+                  let v = fget src ((((((ni * c) + ci) * h) + iy) * w) + ix) in
                   (match kind with
                   | `Max -> if v > !acc then acc := v
                   | `Avg -> acc := !acc +. v);
@@ -411,7 +415,7 @@ let global_avg_pool x =
   if Array.length d < 3 then invalid_arg "Linalg.global_avg_pool: rank must be >= 3";
   let n = d.(0) and c = d.(1) in
   let spatial = Array.fold_left ( * ) 1 (Array.sub d 2 (Array.length d - 2)) in
-  let src = Tensor.data_f x in
+  let src = Tensor.storage_f x in
   let out_dims = n :: c :: List.init (Array.length d - 2) (fun _ -> 1) in
   let dst = Array.make (n * c) 0.0 in
   for ni = 0 to n - 1 do
@@ -419,7 +423,7 @@ let global_avg_pool x =
       let base = ((ni * c) + ci) * spatial in
       let acc = ref 0.0 in
       for s = 0 to spatial - 1 do
-        acc := !acc +. src.(base + s)
+        acc := !acc +. fget src (base + s)
       done;
       dst.((ni * c) + ci) <- !acc /. float_of_int spatial
     done

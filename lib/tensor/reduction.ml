@@ -10,11 +10,38 @@ let normalize_axes r axes =
   let axes = if axes = [] then List.init r Fun.id else axes in
   List.sort_uniq compare (List.map (fun a -> if a < 0 then a + r else a) axes)
 
+(* Element access for the loops below.  Defined here rather than taken
+   from [Tensor] so they inline: dev-profile builds are [-opaque],
+   and a float returned from a call into another module is boxed. *)
+let[@inline] fget buf i =
+  match buf with
+  | Tensor.FB32 b -> Bigarray.Array1.get b i
+  | Tensor.FB64 b -> Bigarray.Array1.get b i
+
+let[@inline] fset buf i v =
+  match buf with
+  | Tensor.FB32 b -> Bigarray.Array1.set b i v
+  | Tensor.FB64 b -> Bigarray.Array1.set b i v
+
+(* [rnd f32 v] mirrors an intermediate tensor store: an f32 store rounds
+   (as [Tensor.round_f32]), an f64 one keeps the double. *)
+let[@inline] rnd f32 v = if f32 then Int32.float_of_bits (Int32.bits_of_float v) else v
+
+let[@inline] step kind acc v =
+  match kind with
+  | Sum | Mean -> acc +. v
+  | L2 -> acc +. (v *. v)
+  | Max -> Float.max acc v
+  | Min -> Float.min acc v
+  | Prod -> acc *. v
+
 (* Reductions accumulate in a plain [float array] scratch (double
    precision) in ascending flat order of the source and store into the
    output once — the store is the only rounding point for f32 tensors,
    the same contract the GEMM kernels follow.  Outputs preserve the
-   input's float precision. *)
+   input's float precision.  The source is read in place by a stride
+   walk whose output strides are 0 on the reduced axes, so a reduction
+   allocates its output and O(rank), never O(input). *)
 let reduce kind t ~axes ~keepdims =
   let d = Tensor.dims_arr t in
   let r = Array.length d in
@@ -31,26 +58,24 @@ let reduce kind t ~axes ~keepdims =
   in
   let out_n = Array.fold_left ( * ) 1 out_full in
   let dst = Array.make (max 1 out_n) init in
-  let src = Tensor.data_f t in
-  let n = Tensor.numel t in
-  for flat = 0 to n - 1 do
-    let ix = Tensor.unravel d flat in
-    let out_ix = Array.mapi (fun i v -> if reduced.(i) then 0 else v) ix in
-    let o = Tensor.ravel out_full out_ix in
-    let v = src.(flat) in
-    dst.(o) <-
-      (match kind with
-      | Sum | Mean -> dst.(o) +. v
-      | L2 -> dst.(o) +. (v *. v)
-      | Max -> Float.max dst.(o) v
-      | Min -> Float.min dst.(o) v
-      | Prod -> dst.(o) *. v)
-  done;
+  let ostr = Tensor.broadcast_strides out_full r in
+  let len = Tensor.innermost d and l = Tensor.innermost ostr in
+  let src = Tensor.storage_f t in
+  Tensor.iter_rows d ostr ostr (fun base o _ ->
+      for j = 0 to len - 1 do
+        let o = o + (j * l) in
+        Array.unsafe_set dst o (step kind (Array.unsafe_get dst o) (fget src (base + j)))
+      done);
   (match kind with
   | Mean ->
     let c = float_of_int (max 1 count) in
-    Array.iteri (fun i v -> dst.(i) <- v /. c) dst
-  | L2 -> Array.iteri (fun i v -> dst.(i) <- sqrt v) dst
+    for i = 0 to out_n - 1 do
+      dst.(i) <- dst.(i) /. c
+    done
+  | L2 ->
+    for i = 0 to out_n - 1 do
+      dst.(i) <- sqrt dst.(i)
+    done
   | Sum | Max | Min | Prod -> ());
   let acc_t =
     Tensor.of_floats (Tensor.dtype t) (Array.to_list out_full)
@@ -107,13 +132,53 @@ let log_softmax t ~axis =
   let s = reduce Sum (Tensor.map_f exp shifted) ~axes:[ axis ] ~keepdims:true in
   Tensor.map2 (fun x lse -> x -. log lse) shifted s
 
+let is_f32 dt = dt = Tensor.F32
+
+(* The normalizations below are direct row and channel loops, but they
+   reproduce the op-by-op chain of broadcasting maps they replace exactly:
+   every intermediate that the chain stored as a tensor is rounded at the
+   same point, in the dtype that tensor had (operands promote to the
+   wider kind), and sums accumulate in ascending order in double
+   precision as {!reduce} does. *)
+
+(* One pass per last-axis row, walked with each parameter's broadcast
+   strides. *)
 let layer_norm t ~gamma ~beta ~eps =
-  let r = Tensor.rank t in
-  let mean = reduce Mean t ~axes:[ r - 1 ] ~keepdims:true in
-  let centered = Tensor.map2 ( -. ) t mean in
-  let var = reduce Mean (Tensor.map_f (fun v -> v *. v) centered) ~axes:[ r - 1 ] ~keepdims:true in
-  let normed = Tensor.map2 (fun c v -> c /. sqrt (v +. eps)) centered var in
-  Tensor.map2 ( +. ) (Tensor.map2 ( *. ) normed gamma) beta
+  let d = Tensor.dims_arr t in
+  let r = Array.length d in
+  let covers v =
+    try Tensor.broadcast_dims d (Tensor.dims_arr v) = d with Invalid_argument _ -> false
+  in
+  if r = 0 || not (covers gamma && covers beta) then
+    invalid_arg "Reduction.layer_norm: parameters must broadcast to the input's shape"
+  else begin
+    let dt = Tensor.dtype t in
+    let dg = Tensor.promote_f dt (Tensor.dtype gamma) in
+    let out = Tensor.empty (Tensor.promote_f dg (Tensor.dtype beta)) (Tensor.dims t) in
+    let x = Tensor.storage_f t and g = Tensor.storage_f gamma and b = Tensor.storage_f beta in
+    let o = Tensor.storage_f out in
+    let sg = Tensor.broadcast_strides (Tensor.dims_arr gamma) r in
+    let sb = Tensor.broadcast_strides (Tensor.dims_arr beta) r in
+    let dim = d.(r - 1) and lg = Tensor.innermost sg and lb = Tensor.innermost sb in
+    let rt = is_f32 dt and rg = is_f32 dg and c = float_of_int (max 1 dim) in
+    Tensor.iter_rows d sg sb (fun base og ob ->
+        let sum = ref 0.0 in
+        for j = base to base + dim - 1 do
+          sum := !sum +. fget x j
+        done;
+        let mean = rnd rt (!sum /. c) in
+        let sq = ref 0.0 in
+        for j = base to base + dim - 1 do
+          let cj = rnd rt (fget x j -. mean) in
+          sq := !sq +. rnd rt (cj *. cj)
+        done;
+        let sd = sqrt (rnd rt (!sq /. c) +. eps) in
+        for j = 0 to dim - 1 do
+          let nj = rnd rt (rnd rt (fget x (base + j) -. mean) /. sd) in
+          fset o (base + j) (rnd rg (nj *. fget g (og + (j * lg))) +. fget b (ob + (j * lb)))
+        done);
+    out
+  end
 
 let channel_shape t v =
   (* Reshape a per-channel vector to broadcast over axis 1 of [t]. *)
@@ -121,12 +186,54 @@ let channel_shape t v =
   let c = Tensor.numel v in
   Tensor.reshape v (1 :: c :: List.init (r - 2) (fun _ -> 1))
 
+(* One BatchNorm loop for the boxed kernel and the arena executor's
+   destination-passing path: per channel, [((x - mean) / sqrt(var + eps)
+   * scale) + bias] with the rounding points of the four-[map2] chain
+   (each step stored in the promotion of its operands' dtypes); the store
+   into [c] is the last one. *)
+let batch_norm_into ~(x : Tensor.view) ~(scale : Tensor.view) ~(bias : Tensor.view)
+    ~(mean : Tensor.view) ~(var : Tensor.view) ~eps ~c ~co =
+  let n, ch, sp =
+    match x.Tensor.vdims with
+    | n :: ch :: rest -> n, ch, List.fold_left ( * ) 1 rest
+    | _ -> invalid_arg "Reduction.batch_norm_into: rank below 2"
+  in
+  let param (v : Tensor.view) =
+    match Tensor.view_numel v with
+    | 1 -> 0
+    | k when k = ch -> 1
+    | _ -> invalid_arg "Reduction.batch_norm_into: parameter is not per-channel"
+  in
+  let ps = param scale and pb = param bias and pm = param mean and pv = param var in
+  let get (v : Tensor.view) i = fget v.Tensor.vbuf (v.Tensor.voff + i) in
+  let d1 = Tensor.promote_f (Tensor.view_dtype x) (Tensor.view_dtype mean) in
+  let d2 = Tensor.promote_f d1 (Tensor.view_dtype var) in
+  let d3 = Tensor.promote_f d2 (Tensor.view_dtype scale) in
+  let r1 = is_f32 d1 and r2 = is_f32 d2 and r3 = is_f32 d3 in
+  let xb = x.Tensor.vbuf and xo = x.Tensor.voff in
+  for ni = 0 to n - 1 do
+    for chn = 0 to ch - 1 do
+      let m = get mean (chn * pm) and s = get scale (chn * ps) and b = get bias (chn * pb) in
+      let sd = sqrt (get var (chn * pv) +. eps) in
+      let base = ((ni * ch) + chn) * sp in
+      for i = base to base + sp - 1 do
+        let v = rnd r1 (fget xb (xo + i) -. m) in
+        fset c (co + i) (rnd r3 (rnd r2 (v /. sd) *. s) +. b)
+      done
+    done
+  done
+
 let batch_norm t ~scale ~bias ~mean ~var ~eps =
-  let scale = channel_shape t scale and bias = channel_shape t bias in
-  let mean = channel_shape t mean and var = channel_shape t var in
-  let normed = Tensor.map2 (fun x m -> x -. m) t mean in
-  let normed = Tensor.map2 (fun x v -> x /. sqrt (v +. eps)) normed var in
-  Tensor.map2 ( +. ) (Tensor.map2 ( *. ) normed scale) bias
+  let dt =
+    List.fold_left
+      (fun acc v -> Tensor.promote_f acc (Tensor.dtype v))
+      (Tensor.dtype t) [ mean; var; scale; bias ]
+  in
+  let out = Tensor.empty dt (Tensor.dims t) in
+  let v = Tensor.view_f in
+  batch_norm_into ~x:(v t) ~scale:(v scale) ~bias:(v bias) ~mean:(v mean) ~var:(v var)
+    ~eps ~c:(Tensor.storage_f out) ~co:0;
+  out
 
 let group_norm t ~groups ~gamma ~beta ~eps =
   let d = Tensor.dims_arr t in

@@ -66,16 +66,30 @@ let fbuf_create dtype n =
 
 let fbuf_len = function FB32 b -> BA1.dim b | FB64 b -> BA1.dim b
 let fbuf_dtype = function FB32 _ -> F32 | FB64 _ -> F64
-let fbuf_get buf i = match buf with FB32 b -> BA1.get b i | FB64 b -> BA1.get b i
+(* Inlined, so the loops of this module keep their elements unboxed: the
+   match is one predictable branch, and each arm a direct load or store. *)
+let[@inline] fbuf_get buf i =
+  match buf with FB32 b -> BA1.get b i | FB64 b -> BA1.get b i
 
-let fbuf_set buf i v =
+let[@inline] fbuf_set buf i v =
   match buf with FB32 b -> BA1.set b i v | FB64 b -> BA1.set b i v
 
+(* A loop rather than [BA1.fill] on a [BA1.sub]: the sub-array proxy is an
+   allocation per call. *)
 let fbuf_fill buf off len v =
-  if len > 0 then
+  if len > 0 then begin
+    if off < 0 || off + len > fbuf_len buf then
+      invalid_arg "Tensor.fbuf_fill: window out of bounds";
     match buf with
-    | FB32 b -> BA1.fill (BA1.sub b off len) v
-    | FB64 b -> BA1.fill (BA1.sub b off len) v
+    | FB32 b ->
+      for i = off to off + len - 1 do
+        BA1.unsafe_set b i v
+      done
+    | FB64 b ->
+      for i = off to off + len - 1 do
+        BA1.unsafe_set b i v
+      done
+  end
 
 let fbuf_blit ~src ~soff ~dst ~doff ~len =
   if len > 0 then
@@ -260,13 +274,101 @@ let of_view v =
     { shape = Array.of_list v.vdims; data = Fd v.vbuf }
   else copy_view v
 
-let strides t =
-  let r = Array.length t.shape in
+let contiguous_strides dims =
+  let r = Array.length dims in
   let s = Array.make r 1 in
   for i = r - 2 downto 0 do
-    s.(i) <- s.(i + 1) * t.shape.(i + 1)
+    s.(i) <- s.(i + 1) * dims.(i + 1)
   done;
   s
+
+let strides t = contiguous_strides t.shape
+
+(* Strides of [src] right-aligned in a rank-[r] broadcast: 0 on every
+   size-1 axis (and on the missing leading ones), so one stride table
+   walks [src] as if it had been expanded. *)
+let broadcast_strides src r =
+  let rs = Array.length src in
+  let s = Array.make r 0 in
+  let acc = ref 1 in
+  for i = rs - 1 downto 0 do
+    s.(i + r - rs) <- (if src.(i) = 1 then 0 else !acc);
+    acc := !acc * src.(i)
+  done;
+  s
+
+(* ---------------------------------------------------------------- *)
+(* Stride walking                                                    *)
+
+(* Every element-rearranging kernel reduces to one walk: visit the
+   [dims]-shaped index space in row-major order, one last-axis row at a
+   time, carrying the row's flat position and its offset under two stride
+   tables.  An odometer advances the offsets by addition, so a walk
+   allocates one index array, not one per element. *)
+let iter_rows dims sa sb f =
+  let r = Array.length dims in
+  if r = 0 then f 0 0 0
+  else begin
+    let len = dims.(r - 1) in
+    let n = product dims in
+    if n > 0 then begin
+      let idx = Array.make r 0 in
+      let oa = ref 0 and ob = ref 0 in
+      for q = 0 to (n / len) - 1 do
+        f (q * len) !oa !ob;
+        let ax = ref (r - 2) in
+        while !ax >= 0 do
+          let a = !ax in
+          let i = idx.(a) + 1 in
+          if i < dims.(a) then begin
+            idx.(a) <- i;
+            oa := !oa + sa.(a);
+            ob := !ob + sb.(a);
+            ax := -1
+          end
+          else begin
+            idx.(a) <- 0;
+            oa := !oa - ((i - 1) * sa.(a));
+            ob := !ob - ((i - 1) * sb.(a));
+            ax := a - 1
+          end
+        done
+      done
+    end
+  end
+
+let innermost a = if Array.length a = 0 then 1 else a.(Array.length a - 1)
+
+(* Copy the [dims]-shaped box at [soff] under strides [sstr] in [src] to
+   [doff] under [dstr] in [dst].  Float kinds convert through the store
+   (an f32 store rounds); the inlined accessors keep elements unboxed. *)
+let blit_strided ~src ~soff ~sstr ~dst ~doff ~dstr dims =
+  let len = innermost dims and ls = innermost sstr and ld = innermost dstr in
+  match src.data, dst.data with
+  | Fd s, Fd d ->
+    iter_rows dims sstr dstr (fun _ os od ->
+        for j = 0 to len - 1 do
+          fbuf_set d (doff + od + (j * ld)) (fbuf_get s (soff + os + (j * ls)))
+        done)
+  | Id s, Id d ->
+    iter_rows dims sstr dstr (fun _ os od ->
+        for j = 0 to len - 1 do
+          ibuf_set d (doff + od + (j * ld)) (ibuf_get s (soff + os + (j * ls)))
+        done)
+  | Fd _, Id _ | Id _, Fd _ -> invalid_arg "Tensor.blit_strided: float/integer mismatch"
+
+let empty dtype dims =
+  let shape = Array.of_list dims in
+  let n = product shape in
+  match dtype with
+  | F32 | F64 -> { shape; data = Fd (fbuf_create dtype n) }
+  | I8 | I64 -> { shape; data = Id (ibuf_create dtype n) }
+
+let strided t ~off ~strides dims =
+  let out = empty (dtype t) dims in
+  blit_strided ~src:t ~soff:off ~sstr:strides ~dst:out ~doff:0
+    ~dstr:(contiguous_strides out.shape) out.shape;
+  out
 
 let ravel dims ix =
   if Array.length ix <> Array.length dims then
@@ -353,39 +455,11 @@ let broadcast_dims a b =
         invalid_arg
           (Printf.sprintf "Tensor.broadcast_dims: %d vs %d at axis %d" x y i))
 
-(* Flat offset of [ix] (an index into the broadcast shape [out]) within a
-   tensor of shape [src], applying stride-0 semantics on size-1 axes. *)
-let broadcast_offset src out ix =
-  let rs = Array.length src and ro = Array.length out in
-  let off = ref 0 in
-  let stride = ref 1 in
-  for i = rs - 1 downto 0 do
-    let oi = i + (ro - rs) in
-    let v = if src.(i) = 1 then 0 else ix.(oi) in
-    off := !off + (v * !stride);
-    stride := !stride * src.(i)
-  done;
-  !off
-
 let broadcast_to t dims =
   let out = Array.of_list dims in
-  let _check = broadcast_dims t.shape out in
-  if Array.length _check <> Array.length out || _check <> out then
+  if broadcast_dims t.shape out <> out then
     invalid_arg "Tensor.broadcast_to: shape is not a broadcast target";
-  let n = product out in
-  match t.data with
-  | Fd src ->
-    let buf = fbuf_create (fbuf_dtype src) n in
-    for flat = 0 to n - 1 do
-      fbuf_set buf flat (fbuf_get src (broadcast_offset t.shape out (unravel out flat)))
-    done;
-    { shape = out; data = Fd buf }
-  | Id src ->
-    let buf = ibuf_create (ibuf_dtype src) n in
-    for flat = 0 to n - 1 do
-      ibuf_set buf flat (ibuf_get src (broadcast_offset t.shape out (unravel out flat)))
-    done;
-    { shape = out; data = Id buf }
+  strided t ~off:0 ~strides:(broadcast_strides t.shape (Array.length out)) dims
 
 (* Monomorphic map loops: the kind is statically known inside each arm, so
    element access is a direct load/store rather than the generic accessor. *)
@@ -429,12 +503,31 @@ let fdata t =
 let idata t =
   match t.data with Id b -> b | Fd _ -> invalid_arg "Tensor.map2i: float tensor"
 
+(* The broadcasting binary map over views, into [dst] at [doff]: one
+   stride-walk over the output shape, stride 0 on each operand's
+   broadcast axes.  [f] sees the stored operand values, and the
+   destination store is the single rounding point.  Returns the output
+   dims. *)
+let broadcast2_into f (x : view) (y : view) dst doff =
+  let dx = Array.of_list x.vdims and dy = Array.of_list y.vdims in
+  let od = broadcast_dims dx dy in
+  let r = Array.length od in
+  let sx = broadcast_strides dx r and sy = broadcast_strides dy r in
+  let len = innermost od and lx = innermost sx and ly = innermost sy in
+  let bx = x.vbuf and by = y.vbuf and ox = x.voff and oy = y.voff in
+  iter_rows od sx sy (fun o ix iy ->
+      for j = 0 to len - 1 do
+        fbuf_set dst (doff + o + j)
+          (f (fbuf_get bx (ox + ix + (j * lx))) (fbuf_get by (oy + iy + (j * ly))))
+      done);
+  od
+
 let map2 f a b =
   let out = broadcast_dims a.shape b.shape in
   let n = product out in
   let da = fdata a and db = fdata b in
   if a.shape = b.shape then begin
-    (* Same-shape fast path: flat indices line up, no per-element unravel;
+    (* Same-shape fast path: flat indices line up, no stride walk;
        same-kind operands additionally get a monomorphic loop. *)
     match da, db with
     | FB32 x, FB32 y ->
@@ -458,13 +551,7 @@ let map2 f a b =
   end
   else begin
     let dst = fbuf_create (promote_f (fbuf_dtype da) (fbuf_dtype db)) n in
-    for flat = 0 to n - 1 do
-      let ix = unravel out flat in
-      fbuf_set dst flat
-        (f
-           (fbuf_get da (broadcast_offset a.shape out ix))
-           (fbuf_get db (broadcast_offset b.shape out ix)))
-    done;
+    ignore (broadcast2_into f (view_f a) (view_f b) dst 0);
     { shape = out; data = Fd dst }
   end
 
@@ -477,14 +564,15 @@ let map2i f a b =
     for i = 0 to n - 1 do
       ibuf_set dst i (f (ibuf_get da i) (ibuf_get db i))
     done
-  else
-    for flat = 0 to n - 1 do
-      let ix = unravel out flat in
-      ibuf_set dst flat
-        (f
-           (ibuf_get da (broadcast_offset a.shape out ix))
-           (ibuf_get db (broadcast_offset b.shape out ix)))
-    done;
+  else begin
+    let r = Array.length out in
+    let sa = broadcast_strides a.shape r and sb = broadcast_strides b.shape r in
+    let len = innermost out and la = innermost sa and lb = innermost sb in
+    iter_rows out sa sb (fun o ia ib ->
+        for j = 0 to len - 1 do
+          ibuf_set dst (o + j) (f (ibuf_get da (ia + (j * la))) (ibuf_get db (ib + (j * lb))))
+        done)
+  end;
   { shape = out; data = Id dst }
 
 let cast t target =

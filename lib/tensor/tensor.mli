@@ -176,9 +176,58 @@ val copy_view : view -> t
 (** Box a view as a tensor, always copying — a snapshot independent of the
     backing buffer (arena slots get recycled). *)
 
+val broadcast2_into :
+  (float -> float -> float) -> view -> view -> fbuf -> int -> int array
+(** [broadcast2_into f x y dst doff] writes the broadcasting binary map of
+    [f] over the views into [dst] at element offset [doff] by one stride
+    walk, and returns the output dims.  [f] sees the stored operand values;
+    the store into [dst] is the single rounding point. *)
+
 (** {1 Indexing} *)
 
 val strides : t -> int array
+
+val broadcast_strides : int array -> int -> int array
+(** [broadcast_strides src r] are the strides of shape [src] right-aligned
+    in a rank-[r] broadcast, 0 on every size-1 and missing axis. *)
+
+val innermost : int array -> int
+(** Last entry, or 1 of an empty array: the row length of a shape, or the
+    innermost stride of a stride table, for {!iter_rows} (a rank-0 walk
+    is one row of length 1). *)
+
+(** {1 Stride walking}
+
+    Element-rearranging kernels (reductions, broadcasts, transposes,
+    slices, concatenation) read and write storage in place through
+    stride tables rather than per-element index arrays. *)
+
+val iter_rows : int array -> int array -> int array -> (int -> int -> int -> unit) -> unit
+(** [iter_rows dims sa sb f] visits the [dims]-shaped index space in
+    row-major order one last-axis row at a time, calling [f flat oa ob]
+    with the row's flat position and its offsets under the stride tables
+    [sa] and [sb].  A rank-0 space is one row of length 1.  It allocates
+    one index array per call. *)
+
+val strided : t -> off:int -> strides:int array -> int list -> t
+(** [strided t ~off ~strides dims] is a fresh tensor of shape [dims] and
+    [t]'s dtype whose element at index [ix] is [t]'s storage element
+    [off + Σ ix.(i) · strides.(i)] (bounds-checked). *)
+
+val blit_strided :
+  src:t -> soff:int -> sstr:int array -> dst:t -> doff:int -> dstr:int array ->
+  int array -> unit
+(** [blit_strided ~src ~soff ~sstr ~dst ~doff ~dstr dims] copies the
+    [dims]-shaped box at storage offset [soff] under strides [sstr] in
+    [src] to [doff] under [dstr] in [dst] (bounds-checked).  Float kinds
+    convert through the store; float into integer storage or back raises
+    [Invalid_argument]. *)
+
+val empty : dtype -> int list -> t
+(** An uninitialized tensor, for kernels that write every element. *)
+
+val promote_f : dtype -> dtype -> dtype
+(** The float dtype a binary map of the two kinds stores in. *)
 
 val ravel : int array -> int array -> int
 (** [ravel dims ix] is the flat offset of multi-index [ix].  Raises a
@@ -203,7 +252,7 @@ val broadcast_dims : int array -> int array -> int array
     incompatible. *)
 
 val broadcast_to : t -> int list -> t
-(** Materialized broadcast. *)
+(** Materialized broadcast (one stride walk). *)
 
 (** {1 Elementwise operations} *)
 

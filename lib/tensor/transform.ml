@@ -1,7 +1,9 @@
-(* Shape/movement ops for the reference path.  Element access goes through
-   the generic getters — these ops are O(n) shuffles, not hot kernels — but
-   outputs preserve the input's dtype: a float input of either precision
-   maps to the same precision, integers stay integers. *)
+(* Shape/movement ops.  Outputs preserve the input's dtype: a float input
+   of either precision maps to the same precision, integers stay
+   integers.  Transpose, slice, concat and split sit on the serving path
+   (a Conformer request runs dozens of them), so they copy by stride
+   through {!Tensor.strided} and {!Tensor.blit_strided}; the rarer ops
+   below them still go through the generic per-element getters. *)
 
 (* [init_fd dt dims f] is [Tensor.init_f] with an explicit float dtype. *)
 let init_fd dt dims f =
@@ -16,26 +18,10 @@ let transpose t perm =
   let r = Array.length d in
   if List.length perm <> r || List.sort compare perm <> List.init r Fun.id then
     invalid_arg "Transform.transpose: perm must be a permutation of axes";
-  let perm = Array.of_list perm in
-  let out_dims = Array.to_list (Array.map (fun p -> d.(p)) perm) in
-  let remap ix =
-    (* ix indexes the output; map back to source coordinates. *)
-    let src_ix = Array.make r 0 in
-    Array.iteri (fun i p -> src_ix.(p) <- ix.(i)) perm;
-    src_ix
-  in
-  if Tensor.is_float_dtype (Tensor.dtype t) then
-    init_like t out_dims (fun ix -> Tensor.get_f t (remap ix))
-  else begin
-    let out = Tensor.zeros (Tensor.dtype t) out_dims in
-    let n = Tensor.numel out in
-    let od = Array.of_list out_dims in
-    for flat = 0 to n - 1 do
-      let ix = Tensor.unravel od flat in
-      Tensor.set_i out ix (Tensor.get_i t (remap ix))
-    done;
-    out
-  end
+  let st = Tensor.strides t in
+  Tensor.strided t ~off:0
+    ~strides:(Array.of_list (List.map (fun p -> st.(p)) perm))
+    (List.map (fun p -> d.(p)) perm)
 
 let normalize_slice_bound dim v ~is_end ~step =
   let v = if v < 0 then v + dim else v in
@@ -64,18 +50,12 @@ let slice t ~starts ~ends ~axes ?steps () =
       step_arr.(axis) <- step;
       len_arr.(axis) <- max 0 count)
     axes;
-  let out_dims = Array.to_list len_arr in
-  let src_ix ix = Array.mapi (fun i v -> start_arr.(i) + (v * step_arr.(i))) ix in
-  if Tensor.is_float_dtype (Tensor.dtype t) then
-    init_like t out_dims (fun ix -> Tensor.get_f t (src_ix ix))
-  else begin
-    let out = Tensor.zeros (Tensor.dtype t) out_dims in
-    for flat = 0 to Tensor.numel out - 1 do
-      let ix = Tensor.unravel len_arr flat in
-      Tensor.set_i out ix (Tensor.get_i t (src_ix ix))
-    done;
-    out
-  end
+  let st = Tensor.strides t in
+  let off = ref 0 in
+  Array.iteri (fun i s -> off := !off + (s * st.(i))) start_arr;
+  Tensor.strided t ~off:!off
+    ~strides:(Array.mapi (fun i s -> s * st.(i)) step_arr)
+    (Array.to_list len_arr)
 
 let concat ts ~axis =
   match ts with
@@ -83,25 +63,24 @@ let concat ts ~axis =
   | first :: _ ->
     let r = Tensor.rank first in
     let axis = if axis < 0 then axis + r else axis in
+    (* Operands must agree off the axis: the strided copy itself would
+       not notice. *)
+    let off_axis t = List.filteri (fun i _ -> i <> axis) (Tensor.dims t) in
+    if List.exists (fun t -> Tensor.rank t <> r || off_axis t <> off_axis first) ts then
+      Sod2_error.failf Sod2_error.Shape_mismatch
+        "Transform.concat: operand dims differ off axis %d" axis;
     let out_axis = List.fold_left (fun acc t -> acc + (Tensor.dims_arr t).(axis)) 0 ts in
     let out_dims =
       List.mapi (fun i v -> if i = axis then out_axis else v) (Tensor.dims first)
     in
-    let out = Tensor.zeros (Tensor.dtype first) out_dims in
-    let as_float = Tensor.is_float_dtype (Tensor.dtype first) in
+    let out = Tensor.empty (Tensor.dtype first) out_dims in
+    let ost = Tensor.strides out in
     let offset = ref 0 in
     List.iter
       (fun t ->
-        let d = Tensor.dims_arr t in
-        let n = Tensor.numel t in
-        for flat = 0 to n - 1 do
-          let ix = Tensor.unravel d flat in
-          let out_ix = Array.copy ix in
-          out_ix.(axis) <- ix.(axis) + !offset;
-          if as_float then Tensor.set_f out out_ix (Tensor.get_f t ix)
-          else Tensor.set_i out out_ix (Tensor.get_i t ix)
-        done;
-        offset := !offset + d.(axis))
+        Tensor.blit_strided ~src:t ~soff:0 ~sstr:(Tensor.strides t) ~dst:out
+          ~doff:(!offset * ost.(axis)) ~dstr:ost (Tensor.dims_arr t);
+        offset := !offset + (Tensor.dims_arr t).(axis))
       ts;
     out
 

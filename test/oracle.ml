@@ -1,0 +1,202 @@
+(* Index-walking reference implementations of the stride-walking kernels
+   in [Tensor], [Reduction] and [Transform]: every element is visited
+   through an unravelled multi-index, and normalizations are chains of
+   broadcasting maps that store (and, in f32, round) each intermediate.
+   The library's [Reference] interpreter calls the same kernels as the
+   optimized backends, so differential tests against it cannot see a
+   numerics drift in them; these can.  Test-only, and deliberately slow. *)
+
+(* Flat offset of [ix] (an index into the broadcast shape [out]) within a
+   tensor of shape [src], applying stride-0 semantics on size-1 axes. *)
+let broadcast_offset src out ix =
+  let rs = Array.length src and ro = Array.length out in
+  let off = ref 0 in
+  let stride = ref 1 in
+  for i = rs - 1 downto 0 do
+    let oi = i + (ro - rs) in
+    let v = if src.(i) = 1 then 0 else ix.(oi) in
+    off := !off + (v * !stride);
+    stride := !stride * src.(i)
+  done;
+  !off
+
+let promote a b = if a = Tensor.F64 || b = Tensor.F64 then Tensor.F64 else Tensor.F32
+
+let map2 f a b =
+  let da = Tensor.dims_arr a and db = Tensor.dims_arr b in
+  let out = Tensor.broadcast_dims da db in
+  let n = Array.fold_left ( * ) 1 out in
+  let xa = Tensor.data_f a and xb = Tensor.data_f b in
+  let dst = Array.make n 0.0 in
+  for flat = 0 to n - 1 do
+    let ix = Tensor.unravel out flat in
+    dst.(flat) <-
+      f xa.(broadcast_offset da out ix) xb.(broadcast_offset db out ix)
+  done;
+  Tensor.of_floats
+    (promote (Tensor.dtype a) (Tensor.dtype b))
+    (Array.to_list out) dst
+
+let map_f f t = Tensor.of_floats (Tensor.dtype t) (Tensor.dims t) (Array.map f (Tensor.data_f t))
+
+let reduce kind t ~axes ~keepdims =
+  let d = Tensor.dims_arr t in
+  let r = Array.length d in
+  let axes =
+    let axes = if axes = [] then List.init r Fun.id else axes in
+    List.sort_uniq compare (List.map (fun a -> if a < 0 then a + r else a) axes)
+  in
+  let reduced = Array.make r false in
+  List.iter (fun a -> reduced.(a) <- true) axes;
+  let out_full = Array.mapi (fun i v -> if reduced.(i) then 1 else v) d in
+  let count = List.fold_left (fun acc a -> acc * d.(a)) 1 axes in
+  let init =
+    match kind with
+    | Reduction.Sum | Reduction.Mean | Reduction.L2 -> 0.0
+    | Reduction.Max -> neg_infinity
+    | Reduction.Min -> infinity
+    | Reduction.Prod -> 1.0
+  in
+  let out_n = Array.fold_left ( * ) 1 out_full in
+  let dst = Array.make (max 1 out_n) init in
+  let src = Tensor.data_f t in
+  for flat = 0 to Tensor.numel t - 1 do
+    let ix = Tensor.unravel d flat in
+    let out_ix = Array.mapi (fun i v -> if reduced.(i) then 0 else v) ix in
+    let o = Tensor.ravel out_full out_ix in
+    let v = src.(flat) in
+    dst.(o) <-
+      (match kind with
+      | Reduction.Sum | Reduction.Mean -> dst.(o) +. v
+      | Reduction.L2 -> dst.(o) +. (v *. v)
+      | Reduction.Max -> Float.max dst.(o) v
+      | Reduction.Min -> Float.min dst.(o) v
+      | Reduction.Prod -> dst.(o) *. v)
+  done;
+  (match kind with
+  | Reduction.Mean ->
+    let c = float_of_int (max 1 count) in
+    Array.iteri (fun i v -> dst.(i) <- v /. c) dst
+  | Reduction.L2 -> Array.iteri (fun i v -> dst.(i) <- sqrt v) dst
+  | _ -> ());
+  let acc_t =
+    Tensor.of_floats (Tensor.dtype t) (Array.to_list out_full) (Array.sub dst 0 out_n)
+  in
+  if keepdims then acc_t
+  else
+    Tensor.reshape acc_t
+      (List.filteri (fun i _ -> not reduced.(i)) (Array.to_list out_full))
+
+let layer_norm t ~gamma ~beta ~eps =
+  let r = Tensor.rank t in
+  let mean = reduce Reduction.Mean t ~axes:[ r - 1 ] ~keepdims:true in
+  let centered = map2 ( -. ) t mean in
+  let var =
+    reduce Reduction.Mean (map_f (fun v -> v *. v) centered) ~axes:[ r - 1 ] ~keepdims:true
+  in
+  let normed = map2 (fun c v -> c /. sqrt (v +. eps)) centered var in
+  map2 ( +. ) (map2 ( *. ) normed gamma) beta
+
+let channel_shape t v =
+  let r = Tensor.rank t in
+  Tensor.reshape v (1 :: Tensor.numel v :: List.init (r - 2) (fun _ -> 1))
+
+let batch_norm t ~scale ~bias ~mean ~var ~eps =
+  let scale = channel_shape t scale and bias = channel_shape t bias in
+  let mean = channel_shape t mean and var = channel_shape t var in
+  let normed = map2 (fun x m -> x -. m) t mean in
+  let normed = map2 (fun x v -> x /. sqrt (v +. eps)) normed var in
+  map2 ( +. ) (map2 ( *. ) normed scale) bias
+
+let group_norm t ~groups ~gamma ~beta ~eps =
+  let d = Tensor.dims_arr t in
+  let n = d.(0) and c = d.(1) in
+  let spatial = Array.to_list (Array.sub d 2 (Array.length d - 2)) in
+  let sp = List.fold_left ( * ) 1 spatial in
+  let grouped = Tensor.reshape t [ n; groups; c / groups * sp ] in
+  let mean = reduce Reduction.Mean grouped ~axes:[ 2 ] ~keepdims:true in
+  let centered = map2 ( -. ) grouped mean in
+  let var =
+    reduce Reduction.Mean (map_f (fun v -> v *. v) centered) ~axes:[ 2 ] ~keepdims:true
+  in
+  let normed = map2 (fun x v -> x /. sqrt (v +. eps)) centered var in
+  let normed = Tensor.reshape normed (n :: c :: spatial) in
+  map2 ( +. ) (map2 ( *. ) normed (channel_shape t gamma)) (channel_shape t beta)
+
+(* [init_like t dims f]: a tensor of [t]'s dtype whose element at index
+   [ix] is [f ix] — float or int by [t]'s kind. *)
+let init_like t dims f_float f_int =
+  let od = Array.of_list dims in
+  let n = Array.fold_left ( * ) 1 od in
+  if Tensor.is_float_dtype (Tensor.dtype t) then
+    Tensor.of_floats (Tensor.dtype t) dims
+      (Array.init n (fun flat -> f_float (Tensor.unravel od flat)))
+  else
+    Tensor.of_ints (Tensor.dtype t) dims
+      (Array.init n (fun flat -> f_int (Tensor.unravel od flat)))
+
+let gather t dims remap =
+  init_like t dims (fun ix -> Tensor.get_f t (remap ix)) (fun ix -> Tensor.get_i t (remap ix))
+
+let transpose t perm =
+  let d = Tensor.dims_arr t in
+  let r = Array.length d in
+  let perm = Array.of_list perm in
+  gather t
+    (Array.to_list (Array.map (fun p -> d.(p)) perm))
+    (fun ix ->
+      let src_ix = Array.make r 0 in
+      Array.iteri (fun i p -> src_ix.(p) <- ix.(i)) perm;
+      src_ix)
+
+let normalize_slice_bound dim v ~is_end ~step =
+  let v = if v < 0 then v + dim else v in
+  if step > 0 then max 0 (min v dim)
+  else if is_end then max (-1) (min v (dim - 1))
+  else max 0 (min v (dim - 1))
+
+let slice t ~starts ~ends ~axes ~steps =
+  let d = Tensor.dims_arr t in
+  let r = Array.length d in
+  let start_arr = Array.make r 0 and step_arr = Array.make r 1 in
+  let len_arr = Array.copy d in
+  List.iteri
+    (fun i axis ->
+      let axis = if axis < 0 then axis + r else axis in
+      let step = List.nth steps i in
+      let s = normalize_slice_bound d.(axis) (List.nth starts i) ~is_end:false ~step in
+      let e = normalize_slice_bound d.(axis) (List.nth ends i) ~is_end:true ~step in
+      let count =
+        if step > 0 then (e - s + step - 1) / step else (s - e + -step - 1) / -step
+      in
+      start_arr.(axis) <- s;
+      step_arr.(axis) <- step;
+      len_arr.(axis) <- max 0 count)
+    axes;
+  gather t (Array.to_list len_arr) (fun ix ->
+      Array.mapi (fun i v -> start_arr.(i) + (v * step_arr.(i))) ix)
+
+let concat ts ~axis =
+  let first = List.hd ts in
+  let r = Tensor.rank first in
+  let axis = if axis < 0 then axis + r else axis in
+  let out_axis = List.fold_left (fun acc t -> acc + (Tensor.dims_arr t).(axis)) 0 ts in
+  let out =
+    Tensor.zeros (Tensor.dtype first)
+      (List.mapi (fun i v -> if i = axis then out_axis else v) (Tensor.dims first))
+  in
+  let as_float = Tensor.is_float_dtype (Tensor.dtype first) in
+  let offset = ref 0 in
+  List.iter
+    (fun t ->
+      let d = Tensor.dims_arr t in
+      for flat = 0 to Tensor.numel t - 1 do
+        let ix = Tensor.unravel d flat in
+        let out_ix = Array.copy ix in
+        out_ix.(axis) <- ix.(axis) + !offset;
+        if as_float then Tensor.set_f out out_ix (Tensor.get_f t ix)
+        else Tensor.set_i out out_ix (Tensor.get_i t ix)
+      done;
+      offset := !offset + d.(axis))
+    ts;
+  out

@@ -116,6 +116,29 @@ let prop_gemm_blocked_random =
       in
       max_abs_diff want got = 0.0)
 
+(* Odd widths and widths spanning several packed column blocks: a block
+   holds 32K elements of full depth, so at k ≈ 2000 one is ~16 columns
+   wide and n up to 90 crosses up to six block edges, in either kind. *)
+let prop_gemm_blocked_blocks =
+  QCheck2.Test.make ~name:"blocked gemm matches naive across column blocks" ~count:40
+    QCheck2.Gen.(
+      tup4 (int_range 1 13) (map (fun n -> (2 * n) + 1) (int_range 0 45))
+        (oneof [ int_range 1 70; int_range 1000 2600 ])
+        bool)
+    (fun (m, n, k, f64) ->
+      let dt = if f64 then Tensor.F64 else Tensor.F32 in
+      let rng = Rng.create (m + (97 * n) + (389 * k)) in
+      let a = fill_buf ~dt rng (m * k) and b = fill_buf ~dt rng (k * n) in
+      let c0 = fill_buf ~dt rng (m * n) in
+      let want = run_gemm Linalg.naive_kernel ~m ~n ~k ~a ~b ~c0 in
+      let got =
+        run_gemm
+          (fun ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ->
+            Blocked.gemm ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ())
+          ~m ~n ~k ~a ~b ~c0
+      in
+      max_abs_diff want got = 0.0)
+
 (* ------------------------------------------------------------------ *)
 (* Convolution equivalence                                             *)
 (* ------------------------------------------------------------------ *)
@@ -147,6 +170,28 @@ let check_conv name conv =
 
 let test_conv_im2col_matches_naive () =
   check_conv "im2col" (Blocked.conv2d_im2col ?par:None ?tiles:None ?epilogue:None)
+
+(* Random geometry, bit for bit: odd output widths, padding wider than
+   the kernel's reach, and images big enough (oh·ow past 1200 at kernel
+   volume 27) that the column matrix spans several packed blocks. *)
+let prop_conv_im2col_random =
+  QCheck2.Test.make ~name:"im2col conv matches naive on random geometry" ~count:40
+    QCheck2.Gen.(
+      pair
+        (tup4 (int_range 1 3) (int_range 1 3) (int_range 1 3) (int_range 1 2))
+        (tup4 (int_range 1 2) (int_range 0 3) (int_range 1 2) (int_range 1 45)))
+    (fun ((cg, kh, kw, groups), (stride, pad, dil, hw)) ->
+      let rng = Rng.create (cg + (7 * kh) + (31 * hw) + (101 * pad)) in
+      let dt = if hw mod 2 = 0 then Tensor.F64 else Tensor.F32 in
+      let x = Tensor.cast (Tensor.rand_uniform rng [ 1; cg * groups; hw; hw + 2 ]) dt in
+      let w = Tensor.cast (Tensor.rand_uniform rng [ 2 * groups; cg; kh; kw ]) dt in
+      let bias = Some (Tensor.cast (Tensor.rand_uniform rng [ 2 * groups ]) dt) in
+      let stride = stride, 1 and pad = pad, pad, 1, pad and dilation = dil, 1 in
+      match Linalg.conv2d ~stride ~pad ~dilation ~groups x w bias with
+      | exception Invalid_argument _ -> true
+      | want ->
+        Tensor.equal want
+          (Blocked.conv2d_im2col ~stride ~pad ~dilation ~groups x w bias))
 
 let test_conv_im2col_parallel_matches_naive () =
   let pool = RT.Domain_pool.create 3 in
@@ -354,6 +399,17 @@ let test_conv_group_check () =
   let x8 = Tensor.rand_uniform rng [ 1; 8; 5; 5 ] in
   expect_shape_error "cg mismatch" (fun () -> Linalg.conv2d ~groups:2 x8 w None)
 
+(* Concat copies by stride, so operands that disagree off the axis must
+   be refused up front rather than written to the wrong offsets. *)
+let test_concat_shape_check () =
+  let rng = Rng.create 6 in
+  let a = Tensor.rand_uniform rng [ 2; 3 ] and b = Tensor.rand_uniform rng [ 2; 4 ] in
+  expect_shape_error "off-axis dims differ" (fun () -> Transform.concat [ a; b ] ~axis:0);
+  expect_shape_error "ranks differ" (fun () ->
+      Transform.concat [ a; Tensor.rand_uniform rng [ 2; 3; 1 ] ] ~axis:0);
+  Alcotest.(check (list int)) "axis 1 joins" [ 2; 7 ]
+    (Tensor.dims (Transform.concat [ a; b ] ~axis:1))
+
 let suite =
   [
     Alcotest.test_case "gemm: blocked = naive" `Quick test_gemm_blocked_matches_naive;
@@ -374,5 +430,8 @@ let suite =
     Alcotest.test_case "mod: float follows divisor sign" `Quick test_mod_float_semantics;
     Alcotest.test_case "reshape: dim resolution" `Quick test_reshape_resolution;
     Alcotest.test_case "conv: group check" `Quick test_conv_group_check;
+    Alcotest.test_case "concat: operand dims checked" `Quick test_concat_shape_check;
     QCheck_alcotest.to_alcotest prop_gemm_blocked_random;
+    QCheck_alcotest.to_alcotest prop_gemm_blocked_blocks;
+    QCheck_alcotest.to_alcotest prop_conv_im2col_random;
   ]

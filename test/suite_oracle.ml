@@ -1,0 +1,246 @@
+(* Bit-identity of the stride-walking kernels against the index-walking
+   oracle in [Oracle], over generated shapes: ranks 0–5 with size-0 and
+   size-1 axes, every subset of reduced axes, broadcast pairs, and every
+   mix of f32/f64 operands.  Floats compare by their bit patterns, so a
+   changed rounding point, summation order or NaN choice fails. *)
+
+let bits_equal a b =
+  Tensor.dims a = Tensor.dims b
+  && Tensor.dtype a = Tensor.dtype b
+  &&
+  if Tensor.is_float_dtype (Tensor.dtype a) then
+    let x = Tensor.data_f a and y = Tensor.data_f b in
+    let ok = ref true in
+    Array.iteri
+      (fun i v -> if Int64.bits_of_float v <> Int64.bits_of_float y.(i) then ok := false)
+      x;
+    !ok
+  else Tensor.data_i a = Tensor.data_i b
+
+let show t = Tensor.to_string t
+let dims_s d = "[" ^ String.concat ";" (List.map string_of_int d) ^ "]"
+
+let check what ~want ~got =
+  bits_equal want got
+  || QCheck2.Test.fail_reportf "%s\nwant %s\ngot  %s" what (show want) (show got)
+
+(* Every property draws one seed and builds its case from it, so a failure
+   report names the case it found. *)
+let prop ?(count = 300) name f =
+  QCheck2.Test.make ~name ~count QCheck2.Gen.int (fun seed ->
+      f (Random.State.make [| seed |]))
+
+let pick st l = List.nth l (Random.State.int st (List.length l))
+let dtype st = pick st [ Tensor.F32; Tensor.F64 ]
+let dim st = pick st [ 0; 1; 1; 2; 3; 3 ]
+let shape st ~min_rank =
+  List.init (min_rank + Random.State.int st (6 - min_rank)) (fun _ -> dim st)
+
+(* Values in [-2, 2), with exact zeros and repeats mixed in so max/min
+   ties and signed zeros occur. *)
+let tensor st dt dims =
+  let n = List.fold_left ( * ) 1 dims in
+  Tensor.of_floats dt dims
+    (Array.init n (fun _ ->
+         match Random.State.int st 8 with
+         | 0 -> 0.0
+         | 1 -> -0.0
+         | 2 -> 1.0
+         | _ -> Random.State.float st 4.0 -. 2.0))
+
+let prop_reduce =
+  prop "reduce = oracle (every axis subset, rank 0-5)" (fun st ->
+      let dims = shape st ~min_rank:0 in
+      let r = List.length dims in
+      (* a random subset; the empty subset means every axis *)
+      let axes =
+        List.filter_map
+          (fun a ->
+            if Random.State.bool st then Some (if Random.State.bool st then a else a - r)
+            else None)
+          (List.init r Fun.id)
+      in
+      let kind =
+        pick st Reduction.[ Sum; Mean; Max; Min; Prod; L2 ]
+      in
+      let keepdims = Random.State.bool st in
+      let t = tensor st (dtype st) dims in
+      check
+        (Printf.sprintf "reduce %s axes %s keepdims %b" (dims_s dims) (dims_s axes) keepdims)
+        ~want:(Oracle.reduce kind t ~axes ~keepdims)
+        ~got:(Reduction.reduce kind t ~axes ~keepdims))
+
+(* A broadcast partner of [dims]: some leading axes dropped, some axes
+   collapsed to 1. *)
+let partner st dims =
+  let drop = Random.State.int st (List.length dims + 1) in
+  List.filteri (fun i _ -> i >= drop) dims
+  |> List.map (fun d -> if Random.State.int st 3 = 0 then 1 else d)
+
+let prop_map2 =
+  prop "map2 = oracle (broadcast pairs, mixed kinds)" (fun st ->
+      let dims = shape st ~min_rank:0 in
+      let da, db =
+        if Random.State.bool st then dims, partner st dims else partner st dims, dims
+      in
+      let a = tensor st (dtype st) da and b = tensor st (dtype st) db in
+      let f =
+        pick st [ ( +. ); ( -. ); ( *. ); ( /. ); Float.max; (fun x y -> x -. (2.0 *. y)) ]
+      in
+      check
+        (Printf.sprintf "map2 %s %s" (dims_s da) (dims_s db))
+        ~want:(Oracle.map2 f a b) ~got:(Tensor.map2 f a b))
+
+let eps st = pick st [ 1e-5; 1e-3; 0.0 ]
+
+let prop_layer_norm =
+  prop "layer_norm = oracle" (fun st ->
+      let dims = shape st ~min_rank:1 in
+      let d = List.nth dims (List.length dims - 1) in
+      (* last-axis vectors (the direct loop), broadcast scalars, and
+         full-shape parameters (the chain) *)
+      let param () =
+        tensor st (dtype st)
+          (pick st [ [ d ]; [ 1 ]; [ 1; d ]; []; dims ])
+      in
+      let x = tensor st (dtype st) dims in
+      let gamma = param () and beta = param () in
+      let eps = eps st in
+      let what =
+        Printf.sprintf "layer_norm %s gamma %s beta %s" (dims_s dims)
+          (dims_s (Tensor.dims gamma)) (dims_s (Tensor.dims beta))
+      in
+      (* the kernel refuses exactly the parameters that would broadcast the
+         input to a larger shape *)
+      match Oracle.layer_norm x ~gamma ~beta ~eps, Reduction.layer_norm x ~gamma ~beta ~eps with
+      | want, got -> check what ~want ~got
+      | exception Invalid_argument _ -> (
+        match Oracle.layer_norm x ~gamma ~beta ~eps with
+        | want when Tensor.dims want = dims -> QCheck2.Test.fail_reportf "%s: refused" what
+        | _ | (exception Invalid_argument _) -> true))
+
+let prop_batch_norm =
+  prop "batch_norm = oracle (boxed and into an arena window)" (fun st ->
+      let dims = shape st ~min_rank:2 in
+      let c = List.nth dims 1 in
+      let param () = tensor st (dtype st) [ (if Random.State.int st 4 = 0 then 1 else c) ] in
+      let x = tensor st (dtype st) dims in
+      let scale = param () and bias = param () and mean = param () and var = param () in
+      let var = Tensor.map_f Float.abs var in
+      let eps = eps st in
+      let want = Oracle.batch_norm x ~scale ~bias ~mean ~var ~eps in
+      let what = Printf.sprintf "batch_norm %s" (dims_s dims) in
+      check what ~want ~got:(Reduction.batch_norm x ~scale ~bias ~mean ~var ~eps)
+      &&
+      (* the destination-passing form writes at an offset into a larger
+         buffer of the result's kind *)
+      let n = Tensor.numel x and off = 3 in
+      let buf = Tensor.fbuf_create (Tensor.dtype want) (n + off + 2) in
+      let v = Tensor.view_f in
+      Reduction.batch_norm_into ~x:(v x) ~scale:(v scale) ~bias:(v bias) ~mean:(v mean)
+        ~var:(v var) ~eps ~c:buf ~co:off;
+      check (what ^ " (into)") ~want
+        ~got:(Tensor.of_view (Tensor.sub_view ~buf ~off ~dims)))
+
+let prop_group_norm =
+  prop "group_norm = oracle" (fun st ->
+      let groups = 1 + Random.State.int st 3 in
+      let c = groups * (1 + Random.State.int st 2) in
+      let dims = dim st :: c :: List.init (Random.State.int st 3) (fun _ -> dim st) in
+      let x = tensor st (dtype st) dims in
+      let gamma = tensor st (dtype st) [ c ] and beta = tensor st (dtype st) [ c ] in
+      let eps = eps st in
+      check
+        (Printf.sprintf "group_norm %s groups %d" (dims_s dims) groups)
+        ~want:(Oracle.group_norm x ~groups ~gamma ~beta ~eps)
+        ~got:(Reduction.group_norm x ~groups ~gamma ~beta ~eps))
+
+(* Shuffles run on every storage kind. *)
+let any_tensor st dims =
+  match Random.State.int st 4 with
+  | 0 -> tensor st Tensor.F32 dims
+  | 1 -> tensor st Tensor.F64 dims
+  | k ->
+    let n = List.fold_left ( * ) 1 dims in
+    Tensor.of_ints
+      (if k = 2 then Tensor.I8 else Tensor.I64)
+      dims
+      (Array.init n (fun _ -> Random.State.int st 255 - 127))
+
+let shuffle st l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  Array.to_list a
+
+let prop_transpose =
+  prop "transpose = oracle" (fun st ->
+      let dims = shape st ~min_rank:0 in
+      let perm = shuffle st (List.init (List.length dims) Fun.id) in
+      let t = any_tensor st dims in
+      check
+        (Printf.sprintf "transpose %s perm %s" (dims_s dims) (dims_s perm))
+        ~want:(Oracle.transpose t perm) ~got:(Transform.transpose t perm))
+
+let prop_slice =
+  prop "slice = oracle (negative bounds and steps)" (fun st ->
+      let dims = shape st ~min_rank:1 in
+      let r = List.length dims in
+      let axes = List.filter (fun _ -> Random.State.bool st) (List.init r Fun.id) in
+      let bound () = Random.State.int st 9 - 4 in
+      let starts = List.map (fun _ -> bound ()) axes in
+      let ends = List.map (fun _ -> bound ()) axes in
+      let steps = List.map (fun _ -> pick st [ 1; 1; 2; -1; -2; 3 ]) axes in
+      let t = any_tensor st dims in
+      (* A negative-step slice of an empty axis counts one element and
+         reads out of range unless another axis is empty: both sides must
+         then refuse. *)
+      match Oracle.slice t ~starts ~ends ~axes ~steps with
+      | exception Sod2_error.Error _ -> (
+        match Transform.slice t ~starts ~ends ~axes ~steps () with
+        | exception Invalid_argument _ -> true
+        | _ -> QCheck2.Test.fail_reportf "slice %s: read out of range" (dims_s dims))
+      | want ->
+        check
+          (Printf.sprintf "slice %s axes %s starts %s ends %s steps %s" (dims_s dims)
+             (dims_s axes) (dims_s starts) (dims_s ends) (dims_s steps))
+          ~want ~got:(Transform.slice t ~starts ~ends ~axes ~steps ()))
+
+let prop_concat =
+  prop "concat and split = oracle" (fun st ->
+      let dims = shape st ~min_rank:1 in
+      let r = List.length dims in
+      let axis = Random.State.int st r in
+      let kind = any_tensor st [] in
+      let part () =
+        let dims = List.mapi (fun i d -> if i = axis then dim st else d) dims in
+        if Tensor.is_float_dtype (Tensor.dtype kind) then tensor st (Tensor.dtype kind) dims
+        else Tensor.cast (tensor st Tensor.F64 dims) (Tensor.dtype kind)
+      in
+      let parts = List.init (1 + Random.State.int st 3) (fun _ -> part ()) in
+      let axis_arg = if Random.State.bool st then axis else axis - r in
+      let joined = Transform.concat parts ~axis:axis_arg in
+      let what = Printf.sprintf "concat of %d on axis %d" (List.length parts) axis in
+      check what ~want:(Oracle.concat parts ~axis:axis_arg) ~got:joined
+      && List.for_all2
+           (fun want got -> check (what ^ " (split back)") ~want ~got)
+           parts
+           (Transform.split joined ~axis
+              ~sizes:(List.map (fun p -> (Tensor.dims_arr p).(axis)) parts)))
+
+let suite =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      prop_reduce;
+      prop_map2;
+      prop_layer_norm;
+      prop_batch_norm;
+      prop_group_norm;
+      prop_transpose;
+      prop_slice;
+      prop_concat;
+    ]

@@ -14,6 +14,8 @@ let () =
       "tune", Suite_tune.suite;
       "runtime", Suite_runtime.suite;
       "kernels", Suite_kernels.suite;
+      "alloc", Suite_alloc.suite;
+      "oracle", Suite_oracle.suite;
       "fused", Suite_fused.suite;
       "guard", Suite_guard.suite;
       "engine", Suite_engine.suite;
