@@ -385,26 +385,63 @@ let live_peak_bytes t =
              lt_elem = a.elem;
            }))
 
+type defect =
+  | Out_of_arena of alloc
+  | Wrong_size of alloc * int list
+  | Overlap of alloc * alloc
+
+let has_slot ~elem a = a.size > 0 && a.elem = elem
+
+(* The one well-formedness rule for instantiated plans.  Only allocations
+   an executor would give a slot are vetted (all non-empty ones when no
+   [elem] is given); overlap is checked pairwise among the in-bounds ones,
+   O(n²) — callers cache the verdict per binding. *)
+let vet ?elem ?(predicted = fun _ -> None) t =
+  let grid = Option.value elem ~default:1 in
+  let slotted =
+    Array.to_list t.allocs
+    |> List.filter (fun a ->
+           match elem with Some elem -> has_slot ~elem a | None -> a.size > 0)
+  in
+  let in_arena a =
+    a.offset >= 0 && a.offset + a.size <= t.arena_bytes
+    && a.offset mod grid = 0 && a.size mod grid = 0
+  in
+  let placed, stray = List.partition in_arena slotted in
+  let wrong_size a =
+    match predicted a.tid with
+    | Some dims when a.size <> a.elem * List.fold_left (fun n d -> n * max 1 d) 1 dims ->
+      Some (Wrong_size (a, dims))
+    | _ -> None
+  in
+  let rec overlaps acc = function
+    | [] -> List.rev acc
+    | a :: rest ->
+      let clash b =
+        a.first_step <= b.last_step && b.first_step <= a.last_step
+        && a.offset < b.offset + b.size && b.offset < a.offset + a.size
+      in
+      let found = List.filter_map (fun b -> if clash b then Some (Overlap (a, b)) else None) rest in
+      overlaps (List.rev_append found acc) rest
+  in
+  List.map (fun a -> Out_of_arena a) stray
+  @ List.filter_map wrong_size slotted
+  @ overlaps [] placed
+
+let defect_message = function
+  | Out_of_arena a ->
+    Printf.sprintf "tensor %d: allocation [%d, %d) outside the arena or off its element grid"
+      a.tid a.offset (a.offset + a.size)
+  | Wrong_size (a, dims) ->
+    Printf.sprintf "tensor %d: planned %d bytes, RDP predicts %s" a.tid a.size
+      (String.concat "x" (List.map string_of_int dims))
+  | Overlap (a, b) ->
+    Printf.sprintf "tensors %d and %d overlap in the arena while both live" a.tid b.tid
+
 let validate t =
-  let n = Array.length t.allocs in
-  let result = ref (Ok ()) in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let a = t.allocs.(i) and b = t.allocs.(j) in
-      let time_overlap = a.first_step <= b.last_step && b.first_step <= a.last_step in
-      let space_overlap = a.offset < b.offset + b.size && b.offset < a.offset + a.size in
-      if time_overlap && space_overlap && !result = Ok () then
-        result :=
-          Error
-            (Printf.sprintf "tensors %d and %d overlap in time and space" a.tid b.tid)
-    done
-  done;
-  (match !result with
-  | Ok () ->
-    if Array.exists (fun a -> a.offset + a.size > t.arena_bytes) t.allocs then
-      result := Error "allocation exceeds arena"
-  | Error _ -> ());
-  !result
+  match vet t with
+  | [] -> Ok ()
+  | d :: _ -> Error (defect_message d)
 
 let arena_for strategy ~lifetimes =
   let lts =

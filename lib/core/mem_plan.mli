@@ -67,8 +67,7 @@ val slot_bytes : plan_elem:int -> elem:int -> int -> int
     [numel]-element tensor: exactly [elem × numel] when [elem] is the
     plan's float element size, padded up to an 8-byte multiple otherwise
     so dtype-override slots never knock later offsets off the float
-    grid.  Exposed so vetting layers ({!Guarded_exec}) recompute the very
-    size the plan used. *)
+    grid. *)
 
 (** {1 Symbolic plans (§4.4.1, static half)}
 
@@ -131,9 +130,36 @@ val live_peak_bytes : t -> int
 (** Sum of sizes of simultaneously-live tensors at the worst step — the
     lower bound any placement must reach. *)
 
+(** {1 Vetting} *)
+
+type defect =
+  | Out_of_arena of alloc
+      (** lies outside [\[0, arena_bytes)], or its offset or size is off
+          the plan's element grid *)
+  | Wrong_size of alloc * int list
+      (** planned bytes disagree with the RDP-predicted dims *)
+  | Overlap of alloc * alloc  (** share bytes while both are live *)
+
+val has_slot : elem:int -> alloc -> bool
+(** Does an executor place this allocation in the arena?  Exactly the
+    non-empty allocations sized in the plan's float element size [elem];
+    zero-size allocations and dtype-override ones (I64 values on an f32
+    plan) are not defects, they simply run boxed. *)
+
+val vet : ?elem:int -> ?predicted:(Graph.tensor_id -> int list option) -> t -> defect list
+(** The one rule for a well-formed instantiated plan.  With [elem] (the
+    plan's float element size) only {!has_slot} allocations are vetted
+    and must sit on the [elem] grid; without it every non-empty
+    allocation is.  [predicted tid] (default: none) supplies RDP dims to
+    check planned sizes against.  Overlap is checked pairwise among the
+    in-bounds allocations — O(n²), so callers cache the verdict
+    ({!Pipeline.vetted_plan}).  [[]] means well-formed. *)
+
+val defect_message : defect -> string
+
 val validate : t -> (unit, string) result
-(** Check the no-overlap invariant: any two allocations overlapping in
-    both lifetime and address range make the plan invalid. *)
+(** [vet] without element size or predictions, as a result: the first
+    defect's message, if any. *)
 
 val arena_for :
   strategy -> lifetimes:(int * int * int) list -> int

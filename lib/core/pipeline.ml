@@ -17,7 +17,11 @@ type variant = {
   v_mem_symbolic : Mem_plan.symbolic;  (** slots over live tensors only *)
   v_alias : int array;  (** tid -> aliased source tid, [-1] = none *)
   v_fused : Fused_compile.template option array;
-  v_vetted : (string, bool) Hashtbl.t;  (** per plan-cache key; see [variant_vetted] *)
+}
+
+type plan_entry = {
+  pe_plan : Mem_plan.t;
+  mutable pe_defects : Mem_plan.defect list option;  (** [None] until vetted *)
 }
 
 type compiled = {
@@ -36,7 +40,7 @@ type compiled = {
       (** per-weight-tensor int8 payloads; read-only after compile *)
   mem_symbolic : Mem_plan.symbolic;
   plan_syms : string list;
-  plan_cache : (string, Mem_plan.t) Hashtbl.t;
+  plan_cache : (string, plan_entry) Hashtbl.t;
   plan_lock : Mutex.t;
   control : Control_region.t;
   variant_budget : int;
@@ -210,7 +214,6 @@ let build_variant c outcome =
     v_mem_symbolic;
     v_alias;
     v_fused = Fused_compile.restrict c.fused ~live:(fun gid -> live_group.(gid));
-    v_vetted = Hashtbl.create 4;
   }
 
 (* Lookup-or-specialize, bounded by the budget.  Outcomes with open gates
@@ -366,67 +369,56 @@ let plan_key c env =
        c.plan_syms)
 
 (* Engine workers share one [compiled] artifact across domains, so the
-   cache lookup-or-instantiate must be a critical section: two workers
-   arriving with the same fresh binding would otherwise both instantiate
-   (double-counting the miss) and race the Hashtbl.  Instantiation runs
-   under the lock deliberately — it is a short linear pass, and holding the
-   lock gives concurrent same-binding requests a guaranteed single miss. *)
-let instantiated_plan c env =
-  let key = plan_key c env in
-  Mutex.protect c.plan_lock (fun () ->
-      match Hashtbl.find_opt c.plan_cache key with
-      | Some p ->
-        Profile.Counters.record ~profile:c.profile.Profile.name ~kind:"plan-cache-hit";
-        p
-      | None ->
-        Profile.Counters.record ~profile:c.profile.Profile.name ~kind:"plan-cache-miss";
-        let p = Mem_plan.instantiate c.mem_symbolic ~env in
-        Hashtbl.replace c.plan_cache key p;
-        p)
+   cache lookup-or-instantiate must be a critical section (callers hold
+   [plan_lock]): two workers arriving with the same fresh binding would
+   otherwise both instantiate (double-counting the miss) and race the
+   Hashtbl.  Instantiation runs under the lock deliberately — it is a short
+   linear pass, and holding the lock gives concurrent same-binding requests
+   a guaranteed single miss.  Variant plans live in the same cache under a
+   compound key, so the steady-state zero-miss property (and its counters)
+   covers them too. *)
+let cached_entry c ?variant env =
+  let key, sym =
+    match variant with
+    | None -> plan_key c env, c.mem_symbolic
+    | Some v -> plan_key c env ^ "|v=" ^ v.v_key, v.v_mem_symbolic
+  in
+  match Hashtbl.find_opt c.plan_cache key with
+  | Some e ->
+    Profile.Counters.record ~profile:c.profile.Profile.name ~kind:"plan-cache-hit";
+    e
+  | None ->
+    Profile.Counters.record ~profile:c.profile.Profile.name ~kind:"plan-cache-miss";
+    let e = { pe_plan = Mem_plan.instantiate sym ~env; pe_defects = None } in
+    Hashtbl.replace c.plan_cache key e;
+    e
 
-(* Variant plans live in the same cache under a compound key, so the
-   steady-state zero-miss property (and its counters) covers them too. *)
-let variant_plan c v env =
-  let key = plan_key c env ^ "|v=" ^ v.v_key in
-  Mutex.protect c.plan_lock (fun () ->
-      match Hashtbl.find_opt c.plan_cache key with
-      | Some p ->
-        Profile.Counters.record ~profile:c.profile.Profile.name ~kind:"plan-cache-hit";
-        p
-      | None ->
-        Profile.Counters.record ~profile:c.profile.Profile.name ~kind:"plan-cache-miss";
-        let p = Mem_plan.instantiate v.v_mem_symbolic ~env in
-        Hashtbl.replace c.plan_cache key p;
-        p)
+let instantiated_plan c env =
+  Mutex.protect c.plan_lock (fun () -> (cached_entry c env).pe_plan)
 
 let plan_cache_keys c =
   Mutex.protect c.plan_lock (fun () ->
       Hashtbl.fold (fun k _ acc -> k :: acc) c.plan_cache [])
 
-(* Compile-time (well, first-use-time) vetting of a variant plan under one
-   binding: the overlap/bounds checks [Guarded_exec] would otherwise run on
-   every request, plus the slot sanity the arena builder enforces.  Cached
-   per (variant × binding), so steady-state variant execution skips
-   per-run vetting entirely. *)
-let variant_vetted c v env =
-  let key = plan_key c env in
-  match Mutex.protect c.plan_lock (fun () -> Hashtbl.find_opt v.v_vetted key) with
-  | Some ok -> ok
-  | None ->
-    let p = variant_plan c v env in
-    let elem = Tensor.bytes_per_elem c.fdtype in
-    let slots_ok =
-      Array.for_all
-        (fun (a : Mem_plan.alloc) ->
-          a.Mem_plan.size > 0 && a.Mem_plan.offset >= 0
-          && a.Mem_plan.offset mod elem = 0
-          && a.Mem_plan.offset + a.Mem_plan.size <= p.Mem_plan.arena_bytes)
-        p.Mem_plan.allocs
-    in
-    let ok = slots_ok && Result.is_ok (Mem_plan.validate p) in
-    Profile.Counters.record ~profile:c.profile.Profile.name ~kind:"variant-vet";
-    Mutex.protect c.plan_lock (fun () -> Hashtbl.replace v.v_vetted key ok);
-    ok
+let vet_plan c env p =
+  Mem_plan.vet
+    ~elem:(Tensor.bytes_per_elem c.fdtype)
+    ~predicted:(fun tid -> Shape.eval env (Rdp.shape c.rdp tid))
+    p
+
+(* First-use vetting: the verdict rides in the plan-cache entry, so each
+   (binding × plan) pays the O(n²) sweep once ("plan-vet") and every later
+   run reads it for free. *)
+let vetted_plan c ?variant env =
+  Mutex.protect c.plan_lock (fun () ->
+      let e = cached_entry c ?variant env in
+      match e.pe_defects with
+      | Some d -> e.pe_plan, d
+      | None ->
+        let d = vet_plan c env e.pe_plan in
+        Profile.Counters.record ~profile:c.profile.Profile.name ~kind:"plan-vet";
+        e.pe_defects <- Some d;
+        e.pe_plan, d)
 
 let mem_plan_for c env =
   (* Defensive copy of the alloc array: callers (fault-injection tests) may

@@ -44,8 +44,12 @@ type variant = {
   v_fused : Fused_compile.template option array;
       (** base fused templates masked to live groups (shared values, so
           kernel caches keyed by template identity span variants) *)
-  v_vetted : (string, bool) Hashtbl.t;
-      (** plan-cache key → vetting verdict; written by {!variant_vetted} *)
+}
+
+type plan_entry = {
+  pe_plan : Mem_plan.t;
+  mutable pe_defects : Mem_plan.defect list option;
+      (** the plan's vetting verdict, filled on first {!vetted_plan} *)
 }
 
 type compiled = {
@@ -82,7 +86,7 @@ type compiled = {
           compile time; {!instantiated_plan} binds them per inference *)
   plan_syms : string list;
       (** shape variables the symbolic plan depends on (cache-key basis) *)
-  plan_cache : (string, Mem_plan.t) Hashtbl.t;
+  plan_cache : (string, plan_entry) Hashtbl.t;
       (** instantiated plans per symbol binding; hits/misses are recorded
           in {!Profile.Counters} as ["plan-cache-hit"]/["plan-cache-miss"].
           Guarded by [plan_lock] — access through {!instantiated_plan} *)
@@ -158,17 +162,21 @@ val variant : compiled -> outcome:int array -> variant option
     ["variant-overflow"]).  Fresh specializations count
     ["variant-specialize"].  Thread-safe. *)
 
-val variant_plan : compiled -> variant -> Env.t -> Mem_plan.t
-(** {!instantiated_plan} for a variant: served from the same per-binding
-    cache under the compound key [plan_key ^ "|v=" ^ v_key], with the same
-    hit/miss counters.  The returned plan is shared — treat as read-only. *)
+val vetted_plan : compiled -> ?variant:variant -> Env.t -> Mem_plan.t * Mem_plan.defect list
+(** The base plan ({!instantiated_plan}) or [variant]'s plan for one
+    binding, with its {!vet_plan} verdict.  Variant plans share the
+    per-binding cache under the compound key [plan_key ^ "|v=" ^ v_key],
+    with the same hit/miss counters.  The verdict is computed on the
+    first query per (binding × plan), counted as ["plan-vet"], and cached
+    beside the plan, so steady-state runs pay a lookup, not an O(n²)
+    sweep.  Executors run a plan only when its defect list is empty.
+    The returned plan is shared — treat it as read-only. *)
 
-val variant_vetted : compiled -> variant -> Env.t -> bool
-(** Vet the variant's instantiated plan under one binding — the
-    overlap/bounds checks {!Guarded_exec} runs per request, done once and
-    cached per (variant × binding), counted as ["variant-vet"].  [true]
-    means the runtime may execute this variant without per-run plan
-    vetting. *)
+val vet_plan : compiled -> Env.t -> Mem_plan.t -> Mem_plan.defect list
+(** Uncached {!Mem_plan.vet} of any plan for this artifact: the
+    artifact's float element size, and sizes checked against the RDP
+    dims instantiated under [env].  {!Guarded_exec} uses it on injected
+    plans. *)
 
 val plan_cache_keys : compiled -> string list
 (** Snapshot of the plan-cache keys currently instantiated (base bindings

@@ -92,8 +92,8 @@ val conv1d :
     into the micro-tile write-back — the output is float again, so
     quantized nodes compose with the arena/engine machinery unchanged.
     These paths run the blocked int8 kernels for every backend kind and
-    shape class; use [config.quant = false] (or {!Executor.degraded}) for
-    bit-exact float execution. *)
+    shape class; use [config.quant = false] (or the
+    {!Reference} fallback) for bit-exact float execution. *)
 
 val matmul_q8 :
   ?cls:Multi_version.shape_class -> t -> Tensor.t -> Quant.qtensor -> Tensor.t

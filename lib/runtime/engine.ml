@@ -221,7 +221,7 @@ let breaker_for_locked t key =
 
 (* Routing decision for one request: [`Normal] (breaker closed), [`Probe]
    (open, cooldown elapsed — this request re-tests the normal path) or
-   [`Fallback] (open — run the guarded/reference path). *)
+   [`Fallback] (open — run the reference path). *)
 let route_locked t key now =
   if t.breaker_threshold <= 0 then `Normal
   else
@@ -412,11 +412,9 @@ let outcome_of_observations t obs =
     in
     if Array.exists (fun o -> o < 0) v then None else Some v
 
-let run_fallback t req =
-  (Guarded_exec.run
-     ~config:(Executor.degraded t.cfg)
-     t.compiled ~env:req.r_env ~inputs:req.r_inputs)
-    .Guarded_exec.outputs
+(* The one fallback: the reference interpreter, which depends on nothing
+   the optimizer produced and always answers in float. *)
+let run_fallback t req = Reference.run t.compiled.Pipeline.graph ~inputs:req.r_inputs
 
 (* Execute one request on worker [w]'s private resources.  The engine
    lock is NOT held here — only the settle step takes it.
@@ -452,52 +450,40 @@ let execute t ~w ~arena ~backend req ~batched =
       (match !For_testing.inject with
       | Some f when not via_fallback -> f ~worker:w ~plan_key:req.r_key
       | _ -> ());
+      (* Both planned paths go through the config entry points so
+         [cfg.quant] reaches the executor; this worker's arena and backend
+         win over the config fields they subsume. *)
       let outputs =
         if via_fallback then run_fallback t req
+        else if t.cfg.Executor.guarded then begin
+          let report =
+            Guarded_exec.run ~config:t.cfg
+              ?arena:(if t.cfg.Executor.memory = Executor.Mem_arena then Some arena else None)
+              ?backend ?outcomes:predicted_outcome t.compiled ~env:req.r_env
+              ~inputs:req.r_inputs
+          in
+          gate_obs := report.Guarded_exec.gate_outcomes;
+          (* A fallback observes no outcomes, and a mispredicted gate
+             re-runs on the base plan, whose observed outcomes then differ
+             from the prediction. *)
+          (match variant with
+          | Some v when outcome_of_observations t !gate_obs = Some v.Pipeline.v_outcome ->
+            counter t "engine-variant-direct"
+          | _ -> ());
+          report.Guarded_exec.outputs
+        end
         else begin
           let memory =
             match t.cfg.Executor.memory with
             | Executor.Mem_malloc -> Executor.Malloc
             | Executor.Mem_arena -> Executor.Arena { arena; env = req.r_env }
           in
-          (* Through the config entry point so [cfg.quant] reaches the
-             executor; the explicit [memory] (this worker's arena) and
-             [backend] (this worker's pool slice) still win over the
-             config fields they subsume. *)
-          let run_direct ?check_env ?outcomes () =
-            let tr, outs =
-              Executor.run_real ~config:t.cfg ?backend ~memory ?check_env
-                ?outcomes t.compiled ~inputs:req.r_inputs
-            in
-            gate_obs := tr.Executor.gate_outcomes;
-            outs
+          let tr, outs =
+            Executor.run_real ~config:t.cfg ?backend ~memory ?outcomes:predicted_outcome
+              t.compiled ~inputs:req.r_inputs
           in
-          if t.cfg.Executor.guarded then
-            match variant with
-            | Some v when Pipeline.variant_vetted t.compiled v req.r_env ->
-              (* Vet-once fast path: this variant's instantiated plan was
-                 vetted when the (binding x outcome) pair first appeared,
-                 so steady-state requests skip the per-run Guarded_exec
-                 sweep and boundary cross-checks entirely and run the
-                 pruned plan directly.  The prediction itself is still
-                 verified once per gate at its Switch — a mispredicted
-                 gate falls back inside {!Executor.run_real} — and
-                 anything that raises lands in this key's breaker like
-                 any other failure. *)
-              counter t "engine-variant-direct";
-              run_direct ~outcomes:v.Pipeline.v_outcome ()
-            | _ ->
-              let report =
-                Guarded_exec.run
-                  ?arena:
-                    (if t.cfg.Executor.memory = Executor.Mem_arena then
-                       Some arena
-                     else None)
-                  ?backend t.compiled ~env:req.r_env ~inputs:req.r_inputs
-              in
-              gate_obs := report.Guarded_exec.gate_outcomes;
-              report.Guarded_exec.outputs
-          else run_direct ?outcomes:predicted_outcome ()
+          gate_obs := tr.Executor.gate_outcomes;
+          outs
         end
       in
       let now = Unix.gettimeofday () in
@@ -633,8 +619,8 @@ let worker_body t w =
   release ()
 
 (* Degraded-mode inline execution: no worker domains are left, so the
-   calling domain runs the request synchronously through the guarded
-   reference fallback and settles the ticket before returning. *)
+   calling domain runs the request synchronously through the reference
+   fallback and settles the ticket before returning. *)
 let run_degraded_inline t req =
   let now = Unix.gettimeofday () in
   match req.r_deadline with

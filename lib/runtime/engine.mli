@@ -37,11 +37,11 @@
       fresh backend — under [restart_budget].  When the budget is spent
       and the last worker is gone the engine enters {e degraded mode}:
       queued and subsequent requests run synchronously in the calling
-      domain through the guarded reference fallback
-      ({!Executor.degraded}) instead of deadlocking.
+      domain on the reference fallback ({!Reference.run}, always float)
+      instead of deadlocking.
     - {b Circuit breaker}: [breaker_threshold] consecutive failures on
       one plan key trip a per-key breaker; while open, same-key requests
-      route through the guarded fallback path (results carry
+      route through the same reference fallback (results carry
       [degraded = true]).  After [breaker_cooldown_us] one probe request
       re-tests the normal path — success closes the breaker, failure
       re-opens it.
@@ -56,11 +56,11 @@
     ({!Pipeline.variant}): pruned straight-line order, live-tensor-only
     memory plan, no per-node branch resolution.  A mispredicted gate is
     detected once at its Switch and transparently re-runs on the any-path
-    base plan inside {!Executor.run_real}.  Under a guarded config, a
-    variant whose instantiated plan has been vetted once
-    ({!Pipeline.variant_vetted}) skips the per-run {!Guarded_exec} sweep
-    and runs the executor directly with fail-fast cross-checks — the
-    vet-once fast path, counted as ["engine-variant-direct"].  Breakers
+    base plan inside {!Executor.run_real}.  A guarded config runs every
+    request through {!Guarded_exec.run} with the same prediction; plans
+    are vetted once per binding ({!Pipeline.vetted_plan}), and guarded
+    requests that ran the predicted variant without falling back count
+    ["engine-variant-direct"].  Breakers
     and the drift detector key on the variant-qualified plan key
     (["<binding>|v=<outcome>"]), so a misbehaving specialized plan is
     isolated from its siblings; {!stats} aggregates cache cardinality
@@ -81,7 +81,7 @@ type result = {
   latency_us : float;  (** submit-to-completion, queue wait included *)
   worker : int;  (** worker slot that executed the request; [-1] = inline degraded *)
   batched : bool;  (** ran as a follower inside a micro-batch *)
-  degraded : bool;  (** ran on the guarded fallback path (breaker open or
+  degraded : bool;  (** ran on the reference fallback (breaker open or
                         degraded mode) rather than the configured backend *)
 }
 
@@ -114,7 +114,7 @@ type stats = {
   shed : int;  (** evicted from a full queue under {!Shed_oldest} *)
   expired : int;  (** deadline passed before execution *)
   batched : int;  (** requests that rode along in a micro-batch *)
-  degraded_runs : int;  (** requests served via the guarded fallback path *)
+  degraded_runs : int;  (** requests served via the reference fallback *)
   worker_restarts : int;  (** crashed worker domains replaced so far *)
   breaker_open : int;  (** circuit-breaker trip events (incl. re-opens) *)
   queue_depth : int;  (** requests currently waiting, at snapshot time *)

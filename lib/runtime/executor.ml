@@ -106,15 +106,6 @@ let config_to_string cfg =
           ]
      @ Compile_opts.to_tokens cfg.compile)
 
-(* The most conservative execution of a config: drop the suspect
-   specialized backend, keep the control policy, and run guarded so plan
-   trouble demotes to the reference sweep instead of raising.  Quantized
-   dispatch is dropped with it — degraded mode answers in bit-exact float
-   semantics.  The engine routes breaker-open plan keys and degraded-mode
-   requests through this. *)
-let degraded cfg =
-  { cfg with backend = Backend.Naive; memory = Mem_malloc; guarded = true; quant = false }
-
 exception Unresolved of string
 
 exception Variant_mispredict of int * int * int
@@ -255,8 +246,8 @@ let dry_forward ctx st (nd : Graph.node) =
 
 (* --- shared driver ------------------------------------------------ *)
 
-let run_engine ~mode ~control ~gate ?(verify = fun _ _ -> ()) ?backend ?arena
-    ?(quant = false) ?variant ctx st =
+let run_engine ~mode ~control ~gate ?(verify = fun _ _ -> ()) ?kernel_hook ?backend
+    ?arena ?(quant = false) ?variant ctx st =
   let c = ctx.c in
   let g = c.graph in
   let counter kind =
@@ -632,6 +623,10 @@ let run_engine ~mode ~control ~gate ?(verify = fun _ _ -> ()) ?backend ?arena
       (* Combine fires when its selected branch arrived even though other
          branch inputs are missing; plain nodes need everything. *)
       if ready then begin
+        (match kernel_hook with
+        | Some hook ->
+          List.iter (fun (nd : Graph.node) -> hook ~gid ~node:nd.Graph.nid) members
+        | None -> ());
         (* A multi-member group first offers itself to the fused backend:
            one compiled kernel, internal tensors never materialized.  Any
            refusal (no template, shape not specializable, non-fused
@@ -848,7 +843,7 @@ let run_dry ?(control = Selected_only) ?(gate = fun _ -> 0) (c : Pipeline.compil
   run_engine ~mode:Dry ~control ~gate ctx st
 
 let run_real_opts ?(control = Selected_only) ?check_env ?backend ?(memory = Malloc)
-    ?(quant = false) ?outcomes (c : Pipeline.compiled) ~inputs =
+    ?(quant = false) ?outcomes ?plan ?kernel_hook (c : Pipeline.compiled) ~inputs =
   let ctx = make_ctx c in
   let attempt variant =
   let st = init_state c ~keep_tensors:true in
@@ -860,48 +855,49 @@ let run_real_opts ?(control = Selected_only) ?check_env ?backend ?(memory = Mall
       then st.ivals.(tid) <- Some (Tensor.to_int_list t);
       st.avail.(tid) <- true)
     inputs;
-  (* Arena mode: fetch the binding's instantiated plan (cached — affine
-     evaluation only after the first inference per binding) and lay its
-     slots over the grow-only buffer.  Ill-formed entries are dropped to
-     malloc silently; {!Guarded_exec} is the vetting path. *)
+  (* Arena mode: fetch the binding's instantiated plan and its vetting
+     verdict (both cached — affine evaluation and vetting only on the
+     first inference per binding) and lay the slots over the grow-only
+     buffer.  A plan with defects is not trusted at all: the run goes
+     boxed and counts ["arena-fallback-malloc"]. *)
   let arena =
     match memory with
     | Malloc -> None
     | Arena { arena; env } ->
-      let plan =
-        match variant with
-        | Some v -> Pipeline.variant_plan c v env
-        | None -> Pipeline.instantiated_plan c env
+      let plan, defects =
+        match variant, plan with
+        | None, Some p -> p
+        | _ -> Pipeline.vetted_plan c ?variant env
       in
-      (* The plan sized every slot in [fdtype] elements, so byte offsets
-         divide exactly by its element size — which is also the kind the
-         arena buffer is allocated in.  No 4-vs-8 mismatch is possible:
-         both sides derive from the same [bytes_per_elem fdtype]. *)
-      let elem = Tensor.bytes_per_elem c.Pipeline.fdtype in
-      let buf =
-        Arena.ensure arena c.Pipeline.fdtype
-          (max 1 ((plan.Mem_plan.arena_bytes + elem - 1) / elem))
-      in
-      let n = Graph.tensor_count c.graph in
-      let slot = Array.make n None in
-      Array.iter
-        (fun (a : Mem_plan.alloc) ->
-          if
-            a.Mem_plan.size > 0 && a.offset >= 0 && a.offset mod elem = 0
-            && a.Mem_plan.size mod elem = 0
-            && a.Mem_plan.elem = elem
-            && a.offset + a.size <= plan.Mem_plan.arena_bytes
-            && a.tid >= 0 && a.tid < n
-          then slot.(a.tid) <- Some (a.offset / elem, a.size / elem))
-        plan.Mem_plan.allocs;
-      Some
-        {
-          ar_buf = buf;
-          ar_slot = slot;
-          ar_loc = Array.make n false;
-          ar_resident = 0;
-          ar_bytes = plan.Mem_plan.arena_bytes;
-        }
+      if defects <> [] then begin
+        Profile.Counters.record ~profile:c.Pipeline.profile.Profile.name
+          ~kind:"arena-fallback-malloc";
+        None
+      end
+      else
+        (* A clean verdict puts every slotted allocation inside the arena
+           on the [fdtype] element grid — the kind the buffer is
+           allocated in — so byte offsets divide exactly. *)
+        let elem = Tensor.bytes_per_elem c.Pipeline.fdtype in
+        let buf =
+          Arena.ensure arena c.Pipeline.fdtype
+            (max 1 ((plan.Mem_plan.arena_bytes + elem - 1) / elem))
+        in
+        let n = Graph.tensor_count c.graph in
+        let slot = Array.make n None in
+        Array.iter
+          (fun (a : Mem_plan.alloc) ->
+            if Mem_plan.has_slot ~elem a then
+              slot.(a.tid) <- Some (a.offset / elem, a.size / elem))
+          plan.Mem_plan.allocs;
+        Some
+          {
+            ar_buf = buf;
+            ar_slot = slot;
+            ar_loc = Array.make n false;
+            ar_resident = 0;
+            ar_bytes = plan.Mem_plan.arena_bytes;
+          }
   in
   let verify =
     match check_env with
@@ -917,8 +913,8 @@ let run_real_opts ?(control = Selected_only) ?check_env ?backend ?(memory = Mall
         | _ -> ())
   in
   let trace =
-    run_engine ~mode:Real ~control ~gate:(fun _ -> 0) ~verify ?backend ?arena ~quant
-      ?variant ctx st
+    run_engine ~mode:Real ~control ~gate:(fun _ -> 0) ~verify ?kernel_hook ?backend
+      ?arena ~quant ?variant ctx st
   in
   (* Model outputs must outlive the arena (its slots are overwritten by the
      next inference), so arena-resident outputs are boxed at the boundary.
@@ -968,10 +964,12 @@ let run_real_opts ?(control = Selected_only) ?check_env ?backend ?(memory = Mall
    no caller-supplied instance creates a transient backend for this one
    run and shuts it down afterwards; callers with steady traffic should
    pass their own long-lived [?backend] (or use {!Engine}). *)
-let run_real ?config ?env ?control ?check_env ?backend ?memory ?outcomes
-    (c : Pipeline.compiled) ~inputs =
+let run_real ?config ?env ?control ?check_env ?backend ?memory ?outcomes ?plan
+    ?kernel_hook (c : Pipeline.compiled) ~inputs =
   match config with
-  | None -> run_real_opts ?control ?check_env ?backend ?memory ?outcomes c ~inputs
+  | None ->
+    run_real_opts ?control ?check_env ?backend ?memory ?outcomes ?plan ?kernel_hook c
+      ~inputs
   | Some cfg ->
     let control = Option.value control ~default:cfg.control in
     let memory =
@@ -996,7 +994,7 @@ let run_real ?config ?env ?control ?check_env ?backend ?memory ?outcomes
       ~finally:(fun () -> Option.iter Backend.shutdown owned)
       (fun () ->
         run_real_opts ~control ?check_env ?backend ~memory ~quant:cfg.quant
-          ?outcomes c ~inputs)
+          ?outcomes ?plan ?kernel_hook c ~inputs)
 
 let peak_live_bytes trace =
   let last =

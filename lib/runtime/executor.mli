@@ -102,7 +102,7 @@ type config = {
   memory : mem_kind;
   guarded : bool;
       (** in {!run_real}: fail-fast RDP cross-checks ([check_env] = the
-          binding); in {!Engine}/{!Guarded_exec}: graceful degradation *)
+          binding); in {!Engine}: serve through {!Guarded_exec} *)
   control : control;
   quant : bool;
       (** run int8 weight-quantized kernels for nodes whose weights were
@@ -133,14 +133,6 @@ val config_to_string : config -> string
     non-default compile tokens); [config_of_string (config_to_string c)]
     is [Ok c] for any [c] built by {!config_of_string}. *)
 
-val degraded : config -> config
-(** The graceful-fallback variant of a config: naive backend, malloc
-    memory, [guarded = true], [quant = false] (degraded answers are
-    bit-exact float), control policy preserved.  {!Engine} runs
-    breaker-open plan keys and degraded-mode requests under this so a
-    misbehaving specialized path can never take the serving layer down
-    with it. *)
-
 exception Unresolved of string
 (** Raised in [Dry] mode when a shape could not be resolved concretely —
     indicates a gap in the operator's transfer function. *)
@@ -163,6 +155,8 @@ val run_real :
   ?config:config -> ?env:Env.t ->
   ?control:control -> ?check_env:Env.t -> ?backend:Backend.t -> ?memory:memory ->
   ?outcomes:int array ->
+  ?plan:Mem_plan.t * Mem_plan.defect list ->
+  ?kernel_hook:(gid:int -> node:Graph.node_id -> unit) ->
   Pipeline.compiled -> inputs:(Graph.tensor_id * Tensor.t) list ->
   trace * (Graph.tensor_id * Tensor.t) list
 (** Full interpretation; returns the trace and the graph output tensors.
@@ -190,7 +184,16 @@ val run_real :
     [memory] (default [Malloc]) selects the allocation discipline — see
     {!memory}.  Under [Arena], graph outputs are boxed copies taken at the
     run boundary (["arena-out-materialize"]), so they stay valid across
-    later inferences over the same arena.
+    later inferences over the same arena.  An arena run follows a plan
+    only when its vetting verdict ({!Pipeline.vetted_plan}, cached per
+    binding) is clean; a plan with defects runs boxed and counts
+    ["arena-fallback-malloc"].
+
+    [plan] and [kernel_hook] are {!Guarded_exec}'s seams.  [plan]
+    replaces the base plan and its verdict for an [Arena] run (variant
+    attempts keep their own cached plans).  [kernel_hook] runs before each
+    executed group's members, fused or not, and may raise to simulate a
+    faulty kernel.
 
     [backend] routes heavy operators through the blocked/parallel kernel
     backend, with each node's shape class taken from the compile-time
@@ -200,8 +203,8 @@ val run_real :
     With [check_env], every tensor materialized at a fused-group boundary
     is cross-checked against its RDP-predicted dims instantiated under the
     valuation; a disagreement raises [Sod2_error.Error] (class
-    [Shape_mismatch]) — the fail-fast guard.  For the graceful-degradation
-    variant see {!Guarded_exec}. *)
+    [Shape_mismatch]) — the fail-fast guard.  {!Guarded_exec} turns that
+    raise into a re-run on {!Reference}. *)
 
 (** {1 Accounting helpers} *)
 

@@ -16,8 +16,6 @@ let fault_name = function
 
 type incident = {
   kind : fault_kind;
-  gid : int;
-  step : int;
   detail : string;
 }
 
@@ -31,397 +29,72 @@ type report = {
   gate_outcomes : (Graph.tensor_id * int) list;
 }
 
-type location =
-  | In_arena of int * int list  (** float offset, dims *)
-  | Boxed of Tensor.t
+let kind_of_defect = function
+  | Mem_plan.Out_of_arena _ -> Arena_bounds
+  | Mem_plan.Wrong_size _ -> Size_mismatch
+  | Mem_plan.Overlap _ -> Plan_overlap
 
-let dims_str dims = String.concat "x" (List.map string_of_int dims)
-
-let branch_of_pred ~tensor t =
-  match Tensor.to_int_list (Tensor.cast t Tensor.I64) with
-  | b :: _ -> b
-  | [] ->
-    Sod2_error.failf ~tensor Sod2_error.Shape_mismatch
-      "Guarded_exec: control-flow predicate tensor t%d is empty" tensor
-
-let run_opts ?mem_plan ?arena ?(kernel_hook = fun ~gid:_ ~node:_ -> ()) ?backend
-    (c : Pipeline.compiled) ~env ~inputs =
+(* Vet once, run the executor, else re-run Reference.  The plan attempt
+   is the ordinary executor with the RDP cross-check on; whatever it
+   leaves behind when it raises or comes up short is discarded, so no
+   state from a failed attempt reaches the fallback answer. *)
+let run ?(config = Executor.default_config) ?mem_plan ?arena ?kernel_hook ?backend
+    ?outcomes (c : Pipeline.compiled) ~env ~inputs =
   let g = c.Pipeline.graph in
-  let mp =
-    match mem_plan with
-    | Some mp -> mp
-    | None -> (
-      match arena with
-      (* Persistent-arena mode reuses the binding-cached symbolic
-         instantiation (read-only here — vetting builds its own list). *)
-      | Some _ -> Pipeline.instantiated_plan c env
-      | None -> Pipeline.mem_plan_for c env)
-  in
   let incidents = ref [] in
-  let incident ?(gid = -1) ?(step = -1) kind detail =
-    incidents := { kind; gid; step; detail } :: !incidents;
+  let incident kind detail =
+    incidents := { kind; detail } :: !incidents;
     Profile.Counters.record ~profile:c.Pipeline.profile.Profile.name
       ~kind:(fault_name kind)
   in
-  (* RDP-predicted dims instantiated under the valuation, where resolvable. *)
-  let predicted =
-    Array.init (Graph.tensor_count g) (fun tid ->
-        Shape.eval env (Rdp.shape c.Pipeline.rdp tid))
+  let plan =
+    match mem_plan with
+    | Some p -> p, Pipeline.vet_plan c env p
+    | None -> Pipeline.vetted_plan c env
   in
-  let materialized = Array.make (Graph.tensor_count g) true in
-  Array.iter
-    (fun (grp : Fusion.group) ->
-      List.iter (fun tid -> materialized.(tid) <- false) grp.Fusion.internal)
-    c.Pipeline.fusion_plan.Fusion.groups;
-  (* --- static plan vetting: evict allocations the guards cannot trust --- *)
-  let arena_bytes = mp.Mem_plan.arena_bytes in
-  (* All byte arithmetic below uses the artifact's planned element size:
-     alignment, slot sizing and offset→element conversion must agree with
-     what [Mem_plan] reserved, for f32 and f64 artifacts alike. *)
-  let elem = Tensor.bytes_per_elem c.Pipeline.fdtype in
-  let vetted =
-    Array.to_list mp.Mem_plan.allocs
-    |> List.filter (fun (a : Mem_plan.alloc) ->
-           if a.Mem_plan.offset < 0 || a.Mem_plan.size < 0
-              || a.Mem_plan.offset + a.Mem_plan.size > arena_bytes
-              || a.Mem_plan.offset mod elem <> 0
-           then begin
-             incident Arena_bounds
-               (Printf.sprintf "tensor %d: allocation [%d, %d) outside %d-byte arena"
-                  a.Mem_plan.tid a.Mem_plan.offset
-                  (a.Mem_plan.offset + a.Mem_plan.size)
-                  arena_bytes);
-             false
-           end
-           else
-             match predicted.(a.Mem_plan.tid) with
-             | Some dims
-               when a.Mem_plan.size
-                    <> Mem_plan.slot_bytes ~plan_elem:elem ~elem:a.Mem_plan.elem
-                         (List.fold_left (fun n d -> n * max 1 d) 1 dims) ->
-               incident Size_mismatch
-                 (Printf.sprintf "tensor %d: planned %d bytes, RDP predicts %s"
-                    a.Mem_plan.tid a.Mem_plan.size (dims_str dims));
-               false
-             | _ -> true)
+  List.iter (fun d -> incident (kind_of_defect d) (Mem_plan.defect_message d)) (snd plan);
+  let arena = match arena with Some a -> a | None -> Arena.create () in
+  let attempt =
+    match
+      Executor.run_real ~config ~check_env:env ?backend
+        ~memory:(Executor.Arena { arena; env })
+        ?outcomes ~plan ?kernel_hook c ~inputs
+    with
+    | trace, outputs when List.length outputs = List.length (Graph.outputs g) ->
+      Some (trace, outputs)
+    | _, outputs ->
+      incident Truncated_plan
+        (Printf.sprintf "plan left %d of %d graph outputs unproduced"
+           (List.length (Graph.outputs g) - List.length outputs)
+           (List.length (Graph.outputs g)));
+      None
+    (* [check_env]'s boundary cross-check raises [Shape_mismatch]. *)
+    | exception Sod2_error.Error ({ cls = Sod2_error.Shape_mismatch; _ } as e) ->
+      incident Dim_mismatch (Sod2_error.to_string e);
+      None
+    | exception ((Sod2_error.Error _ | Invalid_argument _ | Failure _) as e) ->
+      incident Kernel_fault (Printexc.to_string e);
+      None
   in
-  (* Pairwise live-range × address-range overlap: evict the later tensor. *)
-  let overlapping (a : Mem_plan.alloc) (b : Mem_plan.alloc) =
-    a.Mem_plan.first_step <= b.Mem_plan.last_step
-    && b.Mem_plan.first_step <= a.Mem_plan.last_step
-    && a.Mem_plan.offset < b.Mem_plan.offset + b.Mem_plan.size
-    && b.Mem_plan.offset < a.Mem_plan.offset + a.Mem_plan.size
-  in
-  let vetted =
-    List.fold_left
-      (fun kept (a : Mem_plan.alloc) ->
-        match List.find_opt (fun k -> overlapping k a) kept with
-        | Some clash ->
-          incident Plan_overlap
-            (Printf.sprintf
-               "tensors %d and %d overlap in the arena while both live"
-               clash.Mem_plan.tid a.Mem_plan.tid);
-          kept
-        | None -> a :: kept)
-      [] vetted
-  in
-  let alloc_of = Hashtbl.create 64 in
-  List.iter
-    (fun (a : Mem_plan.alloc) -> Hashtbl.replace alloc_of a.Mem_plan.tid a)
-    vetted;
-  (* Plan-coverage check: the memory plan's lifetimes only account for the
-     consumers the execution order reaches.  A tensor consumed by a node
-     the plan never executes would be considered dead early and its arena
-     slot reused — so such tensors (and, with incomplete coverage, the
-     graph outputs) must stay boxed for the fallback sweep to read. *)
-  let covered = Array.make (Graph.node_count g) false in
-  List.iter
-    (fun gid ->
-      List.iter
-        (fun nid -> covered.(nid) <- true)
-        c.Pipeline.fusion_plan.Fusion.groups.(gid).Fusion.members)
-    c.Pipeline.exec.Exec_plan.order;
-  if Array.exists not covered then begin
-    for tid = 0 to Graph.tensor_count g - 1 do
-      if List.exists (fun nid -> not covered.(nid)) (Graph.consumers g tid) then
-        Hashtbl.remove alloc_of tid
-    done;
-    List.iter (fun tid -> Hashtbl.remove alloc_of tid) (Graph.outputs g)
-  end;
-  (* Persistent-arena mode: any vetting incident means the shared,
-     binding-cached plan cannot be trusted as a whole — demote the entire
-     run to malloc (boxed) storage rather than patch around a plan other
-     inferences are reusing. *)
-  (match arena with
-  | Some _ when !incidents <> [] ->
-    Hashtbl.reset alloc_of;
-    Profile.Counters.record ~profile:c.Pipeline.profile.Profile.name
-      ~kind:"arena-fallback-malloc"
-  | _ -> ());
-  (* --- storage --- *)
-  let arena_elems = max 1 ((arena_bytes + elem - 1) / elem) in
-  let arena_buf =
-    match arena with
-    | Some a -> Arena.ensure a c.Pipeline.fdtype arena_elems
-    | None ->
-      let b = Tensor.fbuf_create c.Pipeline.fdtype arena_elems in
-      Tensor.fbuf_fill b 0 arena_elems 0.0;
-      b
-  in
-  let resident = ref 0 in
-  let loc : location option array = Array.make (Graph.tensor_count g) None in
-  for tid = 0 to Graph.tensor_count g - 1 do
-    match (Graph.tensor g tid).Graph.kind with
-    | Graph.Const t -> loc.(tid) <- Some (Boxed t)
-    | Graph.Input _ | Graph.Activation -> ()
-  done;
-  List.iter (fun (tid, t) -> loc.(tid) <- Some (Boxed t)) inputs;
-  let available tid = loc.(tid) <> None in
-  let fetch tid =
-    match loc.(tid) with
-    | Some (Boxed t) -> t
-    | Some (In_arena (off, dims)) ->
-      Tensor.copy_view (Tensor.sub_view ~buf:arena_buf ~off ~dims)
-    | None ->
-      Sod2_error.failf ~tensor:tid Sod2_error.Plan_violation
-        "Guarded_exec: tensor %d not available" tid
-  in
-  (* Guarded store: cross-check dims against the RDP prediction at every
-     fused-group boundary; on any disagreement the planned offset cannot be
-     trusted, so the tensor is demoted to boxed storage and the run keeps
-     going. *)
-  (* Once any group is skipped or any node faults, the plan's lifetime
-     assumptions no longer hold: the fallback sweep will need tensors the
-     plan considers dead, and further arena stores could reuse their
-     slots.  From that point on everything is stored boxed. *)
-  let degraded = ref false in
-  let store ~gid ~step tid (t : Tensor.t) =
-    let dims = Tensor.dims t in
-    (match predicted.(tid) with
-    | Some pdims when materialized.(tid) && pdims <> dims ->
-      incident ~gid ~step Dim_mismatch
-        (Printf.sprintf "tensor %d: executed %s, RDP predicted %s" tid
-           (dims_str dims) (dims_str pdims));
-      Hashtbl.remove alloc_of tid
-    | _ -> ());
-    match Hashtbl.find_opt alloc_of tid with
-    | Some _ when !degraded -> loc.(tid) <- Some (Boxed t)
-    | Some a when Tensor.dtype t = c.Pipeline.fdtype && a.Mem_plan.elem = elem ->
-      let bytes = Tensor.byte_size t in
-      if bytes <> a.Mem_plan.size then begin
-        incident ~gid ~step Size_mismatch
-          (Printf.sprintf "tensor %d: %d bytes into a %d-byte slot" tid bytes
-             a.Mem_plan.size);
-        Hashtbl.remove alloc_of tid;
-        loc.(tid) <- Some (Boxed t)
-      end
-      else begin
-        let off = a.Mem_plan.offset / elem in
-        Tensor.fbuf_blit ~src:(Tensor.storage_f t) ~soff:0 ~dst:arena_buf
-          ~doff:off ~len:(Tensor.numel t);
-        incr resident;
-        loc.(tid) <- Some (In_arena (off, dims))
-      end
-    | _ -> loc.(tid) <- Some (Boxed t)
-  in
-  (* Tensors proven unreachable under the executed routing: unselected
-     Switch outputs and everything that only depends on them.  Lets a
-     skipped group be recognized as the routing semantics rather than a
-     plan defect. *)
-  let dead = Array.make (Graph.tensor_count g) false in
-  (* Execute one node; [store] decides arena vs boxed placement.
-     [backend] (used by the planned sweep only — the fallback sweep stays
-     on the bit-exact naive reference) selects the optimized kernels, with
-     the node's compile-time shape class when resolved. *)
-  let gate_obs = ref [] in
-  let exec_node ?backend store (nd : Graph.node) =
-    match nd.Graph.op with
-    | Op.Switch { branches } ->
-      let data = List.hd nd.Graph.inputs in
-      let pred = List.nth nd.Graph.inputs 1 in
-      let b = max 0 (min (branches - 1) (branch_of_pred ~tensor:pred (fetch pred))) in
-      if not (List.mem_assoc pred !gate_obs) then gate_obs := (pred, b) :: !gate_obs;
-      List.iteri
-        (fun i tid -> if i = b then store tid (fetch data) else dead.(tid) <- true)
-        nd.Graph.outputs
-    | Op.Combine { branches } ->
-      let src =
-        match
-          List.find_opt available
-            (List.filteri (fun i _ -> i < branches) nd.Graph.inputs)
-        with
-        | Some src -> src
-        | None ->
-          Sod2_error.fail ~op:"Combine" ~node:nd.Graph.nname
-            Sod2_error.Plan_violation "Guarded_exec: no Combine branch available"
-      in
-      store (List.hd nd.Graph.outputs) (fetch src)
-    | op ->
-      let cls =
-        match backend with
-        | Some _ when nd.Graph.nid < Array.length c.Pipeline.kernel_classes ->
-          c.Pipeline.kernel_classes.(nd.Graph.nid)
-        | _ -> None
-      in
-      let outs = Kernels.run ?backend ?cls op (List.map fetch nd.Graph.inputs) in
-      List.iter2 store nd.Graph.outputs outs
-  in
-  (* --- planned sweep: fusion groups in the static execution order --- *)
-  let executed = Array.make (Graph.node_count g) false in
-  let faulted = Array.make (Graph.node_count g) false in
-  let planned_groups = ref 0 in
-  List.iteri
-    (fun step gid ->
-      let grp = c.Pipeline.fusion_plan.Fusion.groups.(gid) in
-      let members = List.map (Graph.node g) grp.Fusion.members in
-      let member_tids =
-        List.concat_map (fun (nd : Graph.node) -> nd.Graph.outputs) members
-      in
-      let ready =
-        List.for_all
-          (fun (nd : Graph.node) ->
-            match nd.Graph.op with
-            | Op.Combine { branches } ->
-              available (List.nth nd.Graph.inputs branches)
-              && List.exists available
-                   (List.filteri (fun i _ -> i < branches) nd.Graph.inputs)
-            | _ ->
-              List.for_all
-                (fun tid -> available tid || List.mem tid member_tids)
-                nd.Graph.inputs)
-          members
-      in
-      if ready then begin
-        incr planned_groups;
-        (* Multi-member groups first try the fused backend: one compiled
-           kernel materializing only the terminal output.  Any exception —
-           from the hook or the kernel itself — abandons the attempt, and
-           the op-by-op loop below records the fault per node. *)
-        let fused_done =
-          match backend with
-          | Some be when List.length members > 1 -> (
-            try
-              match Backend.fused_run be c ~gid ~fetch with
-              | Some fr ->
-                List.iter
-                  (fun (nd : Graph.node) -> kernel_hook ~gid ~node:nd.Graph.nid)
-                  members;
-                store ~gid ~step fr.Backend.fr_out fr.Backend.fr_tensor;
-                List.iter
-                  (fun (nd : Graph.node) -> executed.(nd.Graph.nid) <- true)
-                  members;
-                true
-              | None -> false
-            with Sod2_error.Error _ | Invalid_argument _ | Failure _ -> false)
-          | _ -> false
-        in
-        if not fused_done then
-          List.iter
-            (fun (nd : Graph.node) ->
-              try
-                kernel_hook ~gid ~node:nd.Graph.nid;
-                exec_node ?backend (store ~gid ~step) nd;
-                executed.(nd.Graph.nid) <- true
-              with
-              | Sod2_error.Error _ | Invalid_argument _ | Failure _ ->
-                (* A fused/specialized kernel misbehaved: leave the node for
-                   the reference fallback sweep. *)
-                faulted.(nd.Graph.nid) <- true;
-                degraded := true;
-                incident ~gid ~step Kernel_fault
-                  (Printf.sprintf "node %d (%s) raised during planned execution"
-                     nd.Graph.nid nd.Graph.nname))
-            members
-      end
-      else begin
-        (* A group whose missing inputs are all provably dead sits on an
-           unselected branch: skipping it is the routing semantics, and its
-           own outputs become dead in turn.  Any other missing input means
-           the plan expected data that never appeared — from here on the
-           plan's lifetime assumptions cannot be trusted, so downstream
-           stores are demoted to boxed (handled via [degraded]). *)
-        let dead_branch =
-          List.for_all
-            (fun (nd : Graph.node) ->
-              List.for_all
-                (fun tid -> available tid || List.mem tid member_tids || dead.(tid))
-                nd.Graph.inputs)
-            members
-        in
-        if dead_branch then
-          List.iter
-            (fun (nd : Graph.node) ->
-              List.iter
-                (fun tid -> if not (available tid) then dead.(tid) <- true)
-                nd.Graph.outputs)
-            members
-        else degraded := true
-      end)
-    c.Pipeline.exec.Exec_plan.order;
-  (* --- fallback sweep: reference topological interpretation of whatever
-     the plan failed to cover.  Nodes whose inputs never became available
-     sit on an unselected branch — skipping them is the routing semantics,
-     not a fault. --- *)
-  let boxed_store tid t = loc.(tid) <- Some (Boxed t) in
-  let demoted = ref 0 in
-  let truncated = ref 0 in
-  Array.iter
-    (fun (nd : Graph.node) ->
-      if not executed.(nd.Graph.nid) then begin
-        let ready =
-          match nd.Graph.op with
-          | Op.Combine { branches } ->
-            available (List.nth nd.Graph.inputs branches)
-            && List.exists available
-                 (List.filteri (fun i _ -> i < branches) nd.Graph.inputs)
-          | _ -> List.for_all available nd.Graph.inputs
-        in
-        if ready then begin
-          exec_node boxed_store nd;
-          executed.(nd.Graph.nid) <- true;
-          incr demoted;
-          if not faulted.(nd.Graph.nid) then incr truncated
-        end
-      end)
-    (Graph.nodes g);
-  if !truncated > 0 then
-    incident Truncated_plan
-      (Printf.sprintf "plan skipped %d executable node%s" !truncated
-         (if !truncated = 1 then "" else "s"));
-  let outputs = List.map (fun tid -> tid, fetch tid) (Graph.outputs g) in
-  {
-    outputs;
-    incidents = List.rev !incidents;
-    planned_groups = !planned_groups;
-    demoted_nodes = !demoted;
-    arena_bytes;
-    arena_resident = !resident;
-    gate_outcomes = List.rev !gate_obs;
-  }
-
-(* Config-driven wrapper mirroring {!Executor.run_real}: explicit optional
-   arguments win over config fields.  Guarded execution is graceful by
-   construction, so [config.guarded] is implied, and control flow is
-   always selected-only here — [config.control] does not apply. *)
-let run ?config ?mem_plan ?arena ?kernel_hook ?backend (c : Pipeline.compiled) ~env
-    ~inputs =
-  match config with
-  | None -> run_opts ?mem_plan ?arena ?kernel_hook ?backend c ~env ~inputs
-  | Some (cfg : Executor.config) ->
-    let arena =
-      match arena, cfg.Executor.memory with
-      | (Some _ as a), _ -> a
-      | None, Executor.Mem_arena -> Some (Arena.create ())
-      | None, Executor.Mem_malloc -> None
-    in
-    let owned, backend =
-      match backend, cfg.Executor.backend with
-      | (Some _ as be), _ -> None, be
-      | None, Backend.Naive -> None, None
-      | None, k ->
-        let be = Backend.for_compiled k c in
-        Some be, Some be
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Backend.shutdown owned)
-      (fun () -> run_opts ?mem_plan ?arena ?kernel_hook ?backend c ~env ~inputs)
+  let incidents = List.rev !incidents in
+  match attempt with
+  | Some (trace, outputs) ->
+    {
+      outputs;
+      incidents;
+      planned_groups = List.length trace.Executor.steps;
+      demoted_nodes = 0;
+      arena_bytes = trace.Executor.arena_bytes;
+      arena_resident = trace.Executor.arena_resident;
+      gate_outcomes = trace.Executor.gate_outcomes;
+    }
+  | None ->
+    {
+      outputs = Reference.run g ~inputs;
+      incidents;
+      planned_groups = 0;
+      demoted_nodes = Graph.node_count g;
+      arena_bytes = 0;
+      arena_resident = 0;
+      gate_outcomes = [];
+    }

@@ -2,23 +2,21 @@
 
     SoD²'s fusion, execution and memory plans are all derived from the RDP
     facts, so one wrong dimension prediction — or a corrupted plan — would
-    silently corrupt an arena execution.  This executor runs the compiled
-    plan under runtime guards and, when a guard fires, {e demotes} the
-    affected work from fused/planned execution to the reference
-    topological interpreter instead of crashing:
+    silently corrupt an arena execution.  Guarded execution is a policy
+    over the one plan-following interpreter ({!Executor}), with
+    {!Reference} as the one fallback:
 
-    - {b before execution} the instantiated memory plan is vetted: every
-      allocation must lie inside the arena, agree with its RDP-predicted
-      size, and never overlap another allocation whose lifetime it
-      intersects.  Offending allocations are evicted to boxed storage.
-    - {b at each fused-group boundary} every produced tensor's actual dims
-      are cross-checked against the RDP prediction instantiated from the
-      symbol {!Env}; a mismatch boxes the tensor (the planned offset can no
-      longer be trusted) and records an incident.
-    - {b after the planned sweep} any node the plan failed to execute —
-      truncated groups, truncated order, cascading skips — is picked up by
-      a reference topological sweep over boxed tensors, so outputs are
-      still produced and still correct.
+    - {b vet}: the instantiated memory plan is vetted ({!Mem_plan.vet},
+      cached per binding by {!Pipeline.vetted_plan}).  Each defect is an
+      incident, and a plan with defects runs boxed
+      (["arena-fallback-malloc"]) instead of on the arena.
+    - {b run}: the executor follows the plan with the RDP cross-check on:
+      every tensor produced at a fused-group boundary must have the dims
+      RDP predicts under the symbol {!Env}.
+    - {b else re-run}: if the attempt raises (a dims disagreement, a
+      faulty kernel) or leaves a graph output unproduced (a truncated
+      plan), the whole request re-runs on {!Reference.run}; nothing from
+      the failed attempt leaks into the answer.
 
     Every incident is recorded in the report and in the process-global
     {!Profile.Counters}, giving production monitoring a fallback-health
@@ -29,31 +27,31 @@
 type fault_kind =
   | Arena_bounds  (** allocation outside the arena (or misaligned) *)
   | Plan_overlap  (** two allocations overlap in space while both live *)
-  | Size_mismatch  (** planned byte size disagrees with the RDP size / actual tensor *)
+  | Size_mismatch  (** planned byte size disagrees with the RDP size *)
   | Dim_mismatch  (** executed dims disagree with the RDP prediction under [env] *)
-  | Truncated_plan  (** the plan never executed nodes that were executable *)
-  | Kernel_fault  (** a kernel raised while executing a planned group *)
+  | Truncated_plan  (** the plan left a graph output unproduced *)
+  | Kernel_fault  (** a kernel raised while executing the plan *)
 
 val fault_name : fault_kind -> string
 
 type incident = {
   kind : fault_kind;
-  gid : int;  (** fusion group id, [-1] for plan-level incidents *)
-  step : int;  (** plan-order position, [-1] when not applicable *)
   detail : string;
 }
 
 type report = {
   outputs : (Graph.tensor_id * Tensor.t) list;
   incidents : incident list;  (** in detection order *)
-  planned_groups : int;  (** groups executed through the plan *)
-  demoted_nodes : int;  (** nodes executed by the fallback sweep *)
+  planned_groups : int;  (** groups executed through the plan; 0 after a fallback *)
+  demoted_nodes : int;
+      (** nodes of the graph re-run by {!Reference} — the whole graph
+          after a fallback, 0 on a clean run *)
   arena_bytes : int;
   arena_resident : int;  (** tensors that lived in the arena *)
   gate_outcomes : (Graph.tensor_id * int) list;
       (** branch taken per Switch predicate tensor, in first-observation
-          order — lets {!Engine} learn outcome vectors from guarded
-          warm-up runs and predict plan variants for later requests *)
+          order, from the plan attempt ([[]] after a fallback) — lets
+          {!Engine} learn outcome vectors and predict plan variants *)
 }
 
 val run :
@@ -62,34 +60,24 @@ val run :
   ?arena:Arena.t ->
   ?kernel_hook:(gid:int -> node:Graph.node_id -> unit) ->
   ?backend:Backend.t ->
+  ?outcomes:int array ->
   Pipeline.compiled ->
   env:Env.t ->
   inputs:(Graph.tensor_id * Tensor.t) list ->
   report
 (** Execute under guards.
 
-    [config] is the consolidated spelling: [config.memory = Mem_arena]
-    allocates a fresh transient arena and a non-naive [config.backend]
-    creates (and shuts down) a transient backend for the planned sweep.
-    Explicit optional arguments win over the config fields.  Guarded
-    execution is graceful by construction, so [config.guarded] is implied
-    and [config.control] does not apply (predicates always route
-    selected-only here).
+    [config] (default {!Executor.default_config}) supplies the backend
+    (a non-naive one is created and shut down per run unless [backend]
+    is given), [quant] and [control]; its [memory] and [guarded] fields
+    do not apply — guarded runs always follow the plan over an arena
+    ([arena], persistent across calls, or a fresh one) with the
+    cross-check on.  [outcomes] predicts the gate outcomes as in
+    {!Executor.run_real}; a variant attempt follows its own cached plan.
 
-    [mem_plan] overrides the plan instantiated from
-    [env] (used by the fault-injection harness to feed corrupted plans).
-    [arena] switches to persistent-arena storage: the plan comes from the
-    binding cache ({!Pipeline.instantiated_plan}) and tensor slots live in
-    the grow-only buffer, so steady-state runs reuse storage.  Because that
-    plan is shared across inferences, {e any} vetting incident demotes the
-    whole run to boxed (malloc) storage — recorded as an
-    ["arena-fallback-malloc"] counter — instead of the per-allocation
-    eviction used in the default mode.
-    [kernel_hook] runs before each {e planned} node execution and may raise
-    to simulate a faulty specialized kernel version; the fallback sweep
-    does not call it (the fallback runs reference kernels).  [backend]
-    applies to the planned sweep only — demoted nodes always re-execute on
-    the naive reference kernels, so a misbehaving optimized kernel version
-    is contained by the same demotion path as a corrupt plan.  Never raises
-    on plan corruption; raises [Sod2_error.Error] only when a graph output
-    is genuinely uncomputable (malformed graph). *)
+    [mem_plan] replaces the base plan instantiated from [env] and is
+    vetted afresh (the fault-injection seam).  [kernel_hook] runs before
+    each executed group's members and may raise to simulate a faulty
+    specialized kernel.  Never raises on plan corruption; raises
+    [Sod2_error.Error] only when {!Reference.run} cannot compute a graph
+    output either (malformed graph). *)

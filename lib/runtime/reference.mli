@@ -2,10 +2,10 @@
 
     Executes a graph directly — no fusion, no execution plan, no arena:
     nodes run in insertion (topological) order, every tensor is boxed, and
-    [<Switch, Combine>] routes the selected branch only.  This is the
-    ground truth the guarded executor ({!Guarded_exec}) demotes to when a
-    runtime guard fires, and the oracle the fault-injection tests compare
-    against: it depends on nothing the optimizer produced, so a corrupted
+    [<Switch, Combine>] routes the selected branch only.  This is the one
+    fallback — {!Guarded_exec} re-runs a request here when a runtime guard
+    fires, and {!Engine} when a breaker is open — and the oracle the
+    fault-injection tests compare against: it depends on nothing the optimizer produced, so a corrupted
     plan cannot corrupt it. *)
 
 (** {1 Scalar int8 reference}

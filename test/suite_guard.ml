@@ -110,17 +110,33 @@ let corrupt_alloc c env ~f =
   allocs.(i) <- f allocs.(i);
   { mp with Sod2.Mem_plan.allocs = allocs }
 
-let run_fault name kind ?mem_plan ?kernel_hook c env inputs expected =
+let count kind = Profile.Counters.count ~profile:cpu.Profile.name ~kind
+
+let run_fault name kind ?arena ?mem_plan ?kernel_hook c env inputs expected =
   Profile.Counters.reset ();
-  let r = Sod2_runtime.Guarded_exec.run ?mem_plan ?kernel_hook c ~env ~inputs in
+  let r = Sod2_runtime.Guarded_exec.run ?arena ?mem_plan ?kernel_hook c ~env ~inputs in
   require_kind name kind r;
   check_outputs name expected r;
   Alcotest.(check bool)
     (name ^ ": incident counted") true
-    (Profile.Counters.count ~profile:cpu.Profile.name
-       ~kind:(Sod2_runtime.Guarded_exec.fault_name kind)
-    > 0);
+    (count (Sod2_runtime.Guarded_exec.fault_name kind) > 0);
   r
+
+(* Every fault test runs twice: over a fresh arena per call, and over a
+   persistent one as an engine worker holds it. *)
+let arena_modes () =
+  [ None, ""; Some (Sod2_runtime.Arena.create ()), " (persistent arena)" ]
+
+(* A vetting fault: the defective plan is not followed at all. *)
+let run_vetting_fault name kind ~mem_plan c env inputs expected =
+  List.iter
+    (fun (arena, mode) ->
+      let name = name ^ mode in
+      ignore (run_fault name kind ?arena ~mem_plan c env inputs expected);
+      Alcotest.(check bool)
+        (name ^ ": ran boxed") true
+        (count "arena-fallback-malloc" > 0))
+    (arena_modes ())
 
 let test_fault_arena_bounds () =
   let c, env, inputs, expected = compiled_with_reference () in
@@ -128,11 +144,11 @@ let test_fault_arena_bounds () =
     corrupt_alloc c env ~f:(fun a ->
         { a with Sod2.Mem_plan.offset = a.Sod2.Mem_plan.offset + 1_000_000_000 })
   in
-  ignore (run_fault "oob offset" Sod2_runtime.Guarded_exec.Arena_bounds ~mem_plan:mp
-            c env inputs expected);
+  run_vetting_fault "oob offset" Sod2_runtime.Guarded_exec.Arena_bounds ~mem_plan:mp
+    c env inputs expected;
   let mp = corrupt_alloc c env ~f:(fun a -> { a with Sod2.Mem_plan.offset = -64 }) in
-  ignore (run_fault "negative offset" Sod2_runtime.Guarded_exec.Arena_bounds
-            ~mem_plan:mp c env inputs expected)
+  run_vetting_fault "negative offset" Sod2_runtime.Guarded_exec.Arena_bounds
+    ~mem_plan:mp c env inputs expected
 
 let test_fault_plan_overlap () =
   let c, env, inputs, expected = compiled_with_reference () in
@@ -148,16 +164,16 @@ let test_fault_plan_overlap () =
       last_step = a0.Sod2.Mem_plan.last_step
     };
   let mp = { mp with Sod2.Mem_plan.allocs = allocs } in
-  ignore (run_fault "overlapping allocs" Sod2_runtime.Guarded_exec.Plan_overlap
-            ~mem_plan:mp c env inputs expected)
+  run_vetting_fault "overlapping allocs" Sod2_runtime.Guarded_exec.Plan_overlap
+    ~mem_plan:mp c env inputs expected
 
 let test_fault_wrong_size () =
   let c, env, inputs, expected = compiled_with_reference () in
   let mp =
     corrupt_alloc c env ~f:(fun a -> { a with Sod2.Mem_plan.size = a.Sod2.Mem_plan.size / 2 })
   in
-  ignore (run_fault "undersized alloc" Sod2_runtime.Guarded_exec.Size_mismatch
-            ~mem_plan:mp c env inputs expected)
+  run_vetting_fault "undersized alloc" Sod2_runtime.Guarded_exec.Size_mismatch
+    ~mem_plan:mp c env inputs expected
 
 let test_fault_wrong_predicted_dims () =
   let c, env, inputs, expected = compiled_with_reference () in
@@ -183,12 +199,15 @@ let test_fault_wrong_predicted_dims () =
   (* instantiate the memory plan from the UNcorrupted facts so only the
      dim prediction is wrong, not the allocation sizes *)
   let mp = Sod2.Pipeline.mem_plan_for c env in
-  let r =
-    run_fault "wrong RDP prediction" Sod2_runtime.Guarded_exec.Dim_mismatch
-      ~mem_plan:mp c' env inputs expected
-  in
-  Alcotest.(check bool) "tensor was demoted to boxed storage" true
-    (r.Sod2_runtime.Guarded_exec.incidents <> [])
+  List.iter
+    (fun (arena, mode) ->
+      let r =
+        run_fault ("wrong RDP prediction" ^ mode) Sod2_runtime.Guarded_exec.Dim_mismatch
+          ?arena ~mem_plan:mp c' env inputs expected
+      in
+      Alcotest.(check bool) "tensor was demoted to boxed storage" true
+        (r.Sod2_runtime.Guarded_exec.incidents <> []))
+    (arena_modes ())
 
 let test_fault_truncated_order () =
   let c, env, inputs, expected = compiled_with_reference () in
@@ -199,12 +218,15 @@ let test_fault_truncated_order () =
   let c' =
     { c with Sod2.Pipeline.exec = { c.Sod2.Pipeline.exec with Sod2.Exec_plan.order = keep } }
   in
-  let r =
-    run_fault "truncated order" Sod2_runtime.Guarded_exec.Truncated_plan c' env
-      inputs expected
-  in
-  Alcotest.(check bool) "fallback executed nodes" true
-    (r.Sod2_runtime.Guarded_exec.demoted_nodes > 0)
+  List.iter
+    (fun (arena, mode) ->
+      let r =
+        run_fault ("truncated order" ^ mode) Sod2_runtime.Guarded_exec.Truncated_plan
+          ?arena c' env inputs expected
+      in
+      Alcotest.(check bool) "fallback executed nodes" true
+        (r.Sod2_runtime.Guarded_exec.demoted_nodes > 0))
+    (arena_modes ())
 
 let test_fault_truncated_group () =
   let c, env, inputs, expected = compiled_with_reference () in
@@ -229,12 +251,15 @@ let test_fault_truncated_group () =
         { c.Sod2.Pipeline.fusion_plan with Sod2.Fusion.groups = groups }
     }
   in
-  let r =
-    run_fault "truncated group" Sod2_runtime.Guarded_exec.Truncated_plan c' env
-      inputs expected
-  in
-  Alcotest.(check bool) "fallback executed the amputated nodes" true
-    (r.Sod2_runtime.Guarded_exec.demoted_nodes > 0)
+  List.iter
+    (fun (arena, mode) ->
+      let r =
+        run_fault ("truncated group" ^ mode) Sod2_runtime.Guarded_exec.Truncated_plan
+          ?arena c' env inputs expected
+      in
+      Alcotest.(check bool) "fallback executed the amputated nodes" true
+        (r.Sod2_runtime.Guarded_exec.demoted_nodes > 0))
+    (arena_modes ())
 
 let test_fault_kernel_raises () =
   let c, env, inputs, expected = compiled_with_reference () in
@@ -254,12 +279,39 @@ let test_fault_kernel_raises () =
   let kernel_hook ~gid:_ ~node =
     if node = victim then failwith "injected kernel fault"
   in
-  let r =
-    run_fault "kernel fault" Sod2_runtime.Guarded_exec.Kernel_fault ~kernel_hook c
-      env inputs expected
+  List.iter
+    (fun (arena, mode) ->
+      let r =
+        run_fault ("kernel fault" ^ mode) Sod2_runtime.Guarded_exec.Kernel_fault ?arena
+          ~kernel_hook c env inputs expected
+      in
+      Alcotest.(check bool) "faulted node re-ran in fallback" true
+        (r.Sod2_runtime.Guarded_exec.demoted_nodes > 0))
+    (arena_modes ())
+
+let test_run_real_vets_cached_plan () =
+  let c, env, inputs, expected = compiled_with_reference () in
+  (* Corrupt the binding's cached plan before its first vetting: the
+     unguarded arena run must notice, run boxed and still answer right. *)
+  let mp = Sod2.Pipeline.instantiated_plan c env in
+  let i = Array.length mp.Sod2.Mem_plan.allocs / 2 in
+  let a = mp.Sod2.Mem_plan.allocs.(i) in
+  mp.Sod2.Mem_plan.allocs.(i) <-
+    { a with Sod2.Mem_plan.offset = a.Sod2.Mem_plan.offset + 1_000_000_000 };
+  Profile.Counters.reset ();
+  let trace, outputs =
+    Sod2_runtime.Executor.run_real
+      ~memory:(Sod2_runtime.Executor.Arena { arena = Sod2_runtime.Arena.create (); env })
+      c ~inputs
   in
-  Alcotest.(check bool) "faulted node re-ran in fallback" true
-    (r.Sod2_runtime.Guarded_exec.demoted_nodes > 0)
+  Alcotest.(check int) "fell back to malloc once" 1 (count "arena-fallback-malloc");
+  Alcotest.(check int) "no arena residents" 0 trace.Sod2_runtime.Executor.arena_resident;
+  List.iter2
+    (fun (t1, v1) (t2, v2) ->
+      Alcotest.(check int) "output id" t1 t2;
+      Alcotest.(check bool) "boxed run = reference, bit for bit" true
+        (Tensor.dims v1 = Tensor.dims v2 && Tensor.data_f v1 = Tensor.data_f v2))
+    expected outputs
 
 let test_counters_aggregate () =
   Profile.Counters.reset ();
@@ -285,5 +337,7 @@ let suite =
     Alcotest.test_case "fault: truncated order" `Quick test_fault_truncated_order;
     Alcotest.test_case "fault: truncated group" `Quick test_fault_truncated_group;
     Alcotest.test_case "fault: kernel raises" `Quick test_fault_kernel_raises;
+    Alcotest.test_case "fault: run_real vets its cached plan" `Quick
+      test_run_real_vets_cached_plan;
     Alcotest.test_case "incident counters" `Quick test_counters_aggregate;
   ]

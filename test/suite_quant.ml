@@ -396,9 +396,7 @@ let test_config_int8_syntax () =
   | Ok cfg ->
     Alcotest.(check bool) "int8 parses to quant" true cfg.RT.Executor.quant;
     Alcotest.(check string) "canonical rendering round-trips" "blocked,arena,int8"
-      (RT.Executor.config_to_string cfg);
-    Alcotest.(check bool) "degraded drops quant" false
-      (RT.Executor.degraded cfg).RT.Executor.quant
+      (RT.Executor.config_to_string cfg)
   | Error e -> Alcotest.fail e);
   match RT.Executor.config_of_string "naive" with
   | Ok cfg -> Alcotest.(check bool) "quant defaults off" false cfg.RT.Executor.quant
@@ -473,6 +471,79 @@ let test_engine_quant () =
   Alcotest.(check bool) "int8 kernels ran in the engine worker" true
     (counter_count "quant-kernel" > 0)
 
+let bit_identical outs outs' =
+  List.length outs = List.length outs'
+  && List.for_all2
+       (fun (ta, va) (tb, vb) ->
+         ta = tb && Tensor.dims va = Tensor.dims vb && Tensor.data_f va = Tensor.data_f vb)
+       outs outs'
+
+let config_of spec =
+  match RT.Executor.config_of_string spec with
+  | Ok cfg -> cfg
+  | Error e -> Alcotest.fail e
+
+let test_engine_guarded_int8_consistent () =
+  (* Planned runs honour [quant] whichever plan serves them: the first
+     request runs the base plan (and learns the gate outcomes), the later
+     ones the predicted variant — same inputs, same int8 answer. *)
+  let sp = Option.get (Zoo.by_name "skipnet") in
+  let g = sp.Zoo.build () in
+  let cfg = config_of "blocked,arena,guarded,int8,variants=8" in
+  let c =
+    Sod2.Pipeline.compile ~quant:true ~opts:cfg.RT.Executor.compile cpu g
+  in
+  let env = Env.of_list [ "H", 64; "W", 64 ] in
+  let inputs = Zoo.make_inputs sp g env (Rng.create 5) in
+  let eng = RT.Engine.create ~workers:1 ~max_batch:1 ~config:cfg c in
+  Fun.protect
+    ~finally:(fun () -> RT.Engine.shutdown eng)
+    (fun () ->
+      let answers =
+        List.init 4 (fun i ->
+            let q0 = counter_count "quant-kernel" in
+            let r = RT.Engine.infer eng ~env ~inputs in
+            Alcotest.(check bool)
+              (Printf.sprintf "request %d engages the int8 kernels" (i + 1))
+              true
+              (counter_count "quant-kernel" > q0);
+            r.RT.Engine.outputs)
+      in
+      List.iteri
+        (fun i outs ->
+          Alcotest.(check bool)
+            (Printf.sprintf "request %d is bit-identical to request 1" (i + 1))
+            true
+            (bit_identical (List.hd answers) outs))
+        answers)
+
+let test_engine_fallback_is_float () =
+  (* Fallbacks answer in float: with the breaker open, an int8 engine's
+     reply is exactly the reference interpreter's. *)
+  let rng = Rng.create 46 in
+  let x, g = matmul_relu_graph rng ~m:6 ~k:24 ~n:10 in
+  let c = Sod2.Pipeline.compile ~quant:true cpu g in
+  let eng =
+    RT.Engine.create ~workers:1 ~breaker_threshold:1 ~breaker_cooldown_us:1e9
+      ~config:(config_of "blocked,arena,int8") c
+  in
+  let inputs = [ x, Tensor.rand_uniform rng [ 6; 24 ] ] in
+  RT.Engine.For_testing.inject :=
+    Some (fun ~worker:_ ~plan_key:_ -> failwith "injected kernel fault");
+  Fun.protect
+    ~finally:(fun () ->
+      RT.Engine.For_testing.inject := None;
+      RT.Engine.shutdown eng)
+    (fun () ->
+      (match RT.Engine.infer eng ~env:Env.empty ~inputs with
+      | _ -> Alcotest.fail "injected fault did not fail the request"
+      | exception Sod2_error.Error _ -> ());
+      let r = RT.Engine.infer eng ~env:Env.empty ~inputs in
+      Alcotest.(check bool) "open breaker routes through the fallback" true
+        r.RT.Engine.degraded;
+      Alcotest.(check bool) "fallback = Reference.run, bit for bit" true
+        (bit_identical (RT.Reference.run g ~inputs) r.RT.Engine.outputs))
+
 let test_memplan_int_elem_override () =
   (* A ShapeOf output holds I64 values: on an f32 plan its slot must be
      sized at 8 bytes/elem (and padded to the 8-byte grid), not 4. *)
@@ -523,6 +594,9 @@ let suite =
     Alcotest.test_case "fused template withheld under quant" `Quick
       test_fused_template_withheld;
     Alcotest.test_case "engine serves int8 via config" `Quick test_engine_quant;
+    Alcotest.test_case "guarded int8 engine answers consistently" `Quick
+      test_engine_guarded_int8_consistent;
+    Alcotest.test_case "int8 engine fallback is float" `Quick test_engine_fallback_is_float;
     Alcotest.test_case "mem-plan I64 elem override" `Quick
       test_memplan_int_elem_override;
   ]

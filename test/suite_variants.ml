@@ -286,22 +286,32 @@ let test_engine_variant_serving () =
         (st.RT.Engine.plan_variants >= 1);
       Alcotest.(check int) "nothing failed" 0 st.RT.Engine.failed)
 
-(* --- Guarded_exec vets variants once at compile/first-use ----------- *)
+(* --- every plan is vetted once per binding ---------------------------- *)
 
 let test_variant_vetted () =
   let branches = [| 2 |] in
-  let g, _, _ = gated_chain ~branches in
+  let g, x, preds = gated_chain ~branches in
   let c = Sod2.Pipeline.compile ~opts:(opts_of "variants=4") cpu g in
   match Sod2.Pipeline.variant c ~outcome:[| 1 |] with
   | None -> Alcotest.fail "expected a variant within budget"
   | Some v ->
-    let vets = count "variant-vet" in
-    Alcotest.(check bool) "variant plan vets clean" true
-      (Sod2.Pipeline.variant_vetted c v Env.empty);
-    Alcotest.(check int) "vetting ran once" (vets + 1) (count "variant-vet");
-    Alcotest.(check bool) "second query is cached" true
-      (Sod2.Pipeline.variant_vetted c v Env.empty);
-    Alcotest.(check int) "no re-vet" (vets + 1) (count "variant-vet")
+    List.iter
+      (fun (what, variant) ->
+        let vets = count "plan-vet" in
+        let clean () = snd (Sod2.Pipeline.vetted_plan c ?variant Env.empty) = [] in
+        Alcotest.(check bool) (what ^ " plan vets clean") true (clean ());
+        Alcotest.(check int) (what ^ ": vetting ran once") (vets + 1) (count "plan-vet");
+        Alcotest.(check bool) (what ^ ": second query is cached") true (clean ());
+        Alcotest.(check int) (what ^ ": no re-vet") (vets + 1) (count "plan-vet"))
+      [ "variant", Some v; "base", None ];
+    (* Runs read the cached verdicts: arena executions of both plans
+       vet nothing new. *)
+    let vets = count "plan-vet" in
+    let inputs = inputs_for g x preds [| 1 |] in
+    let memory = RT.Executor.Arena { arena = RT.Arena.create (); env = Env.empty } in
+    ignore (RT.Executor.run_real ~memory c ~inputs);
+    ignore (RT.Executor.run_real ~memory ~outcomes:[| 1 |] c ~inputs);
+    Alcotest.(check int) "runs reuse the cached verdicts" vets (count "plan-vet")
 
 let suite =
   [
