@@ -558,6 +558,8 @@ let arena_bench ~smoke () =
     "speedup";
   let cases = ref [] in
   let equivalence_ok = ref true in
+  (* Arena runs keep the RDP boundary cross-check on. *)
+  let guarded = { RT.Executor.default_config with guarded = true } in
   let bench_model ?(check = false) name g ~env ~inputs =
     let c = Sod2.Pipeline.compile cpu g in
     let instantiate_us =
@@ -582,9 +584,12 @@ let arena_bench ~smoke () =
                  [time_runs].  Modes are measured in alternating rounds and
                  the minimum kept, so scheduler/GC noise does not land on
                  one mode only. *)
-              let arena = RT.Arena.create () in
+              let memory = RT.Executor.Arena { arena = RT.Arena.create (); env } in
+              let arena_run () =
+                RT.Executor.run_real ~config:guarded ~env ~backend:be ~memory c ~inputs
+              in
               let run_m () = ignore (RT.Executor.run_real ~backend:be c ~inputs) in
-              let run_a () = ignore (RT.Engine.run_arena ~backend:be ~arena c ~env ~inputs) in
+              let run_a () = ignore (arena_run ()) in
               let tm = ref infinity and ta = ref infinity in
               for _ = 1 to 5 do
                 (* Collect before each window so neither mode is billed for
@@ -596,13 +601,13 @@ let arena_bench ~smoke () =
               done;
               let tm = !tm and ta = !ta in
               if check then begin
-                let r = RT.Engine.run_arena ~backend:be ~arena c ~env ~inputs in
+                let _, arena_outs = arena_run () in
                 (match !reference with
                 | None ->
                   let _, outs = RT.Executor.run_real c ~inputs in
                   reference := Some outs
                 | Some _ -> ());
-                let ok = close_outputs (Option.get !reference) r.RT.Engine.outputs in
+                let ok = close_outputs (Option.get !reference) arena_outs in
                 if not ok then begin
                   equivalence_ok := false;
                   Printf.printf "  %-26s EQUIVALENCE FAILURE on %s arena outputs!\n" name
@@ -1219,8 +1224,9 @@ let variant_bench () =
     let single_dt, single_outs =
       timed (fun () ->
           snd
-            (RT.Executor.run_real ~control:RT.Executor.All_paths ~backend:be ~memory c
-               ~inputs))
+            (RT.Executor.run_real
+               ~config:{ RT.Executor.default_config with control = RT.Executor.All_paths }
+               ~backend:be ~memory c ~inputs))
     in
     let runs0 =
       Profile.Counters.count ~profile:cpu.Profile.name ~kind:"variant-run"

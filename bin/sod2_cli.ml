@@ -69,25 +69,17 @@ let exec_config ?(default = Sod2_runtime.Executor.default_config) ~exec ~compile
       Printf.eprintf "bad --compile spec: %s\n" e;
       exit 2)
 
-(* The compile options the config implies: the exec-side int8 modifier
-   also requests weight quantization at compile, so `--exec fused,int8`
-   keeps producing a quantized artifact without a separate --compile. *)
-let compile_opts_of cfg =
-  let opts = cfg.Sod2_runtime.Executor.compile in
-  if cfg.Sod2_runtime.Executor.quant && not opts.Sod2.Compile_opts.quant then
-    { opts with Sod2.Compile_opts.quant = true }
-  else opts
-
 let exec_arg =
   Arg.(value & opt (some string) None
        & info [ "exec" ] ~docv:"SPEC"
            ~doc:"Execution config: naive|blocked|parallel|fused, optionally \
                  followed by comma-separated modifiers arena (planned arena \
                  memory), malloc, guarded (graceful degradation under runtime \
-                 guards), all-paths (execute every control-flow branch) and \
-                 int8 (weight-quantized kernels).  Unrecognized modifiers are \
-                 parsed as --compile tokens, so one spec can carry both \
-                 halves.  Example: --exec fused,arena,variants=8.")
+                 guards) and all-paths (execute every control-flow branch).  \
+                 Unrecognized modifiers are parsed as --compile tokens \
+                 (int8 among them: a quantized artifact runs the int8 \
+                 kernels on every non-naive backend), so one spec can carry \
+                 both halves.  Example: --exec fused,arena,int8,variants=8.")
 
 let compile_arg =
   Arg.(value & opt (some string) None
@@ -241,7 +233,7 @@ let run_cmd =
     let g = sp.build () in
     let env = env_of_dims sp dims in
     let cfg = exec_config ~exec ~compile () in
-    let opts = compile_opts_of cfg in
+    let opts = cfg.Sod2_runtime.Executor.compile in
     let backend_kind = cfg.Sod2_runtime.Executor.backend in
     let arena_mode = cfg.Sod2_runtime.Executor.memory = Sod2_runtime.Executor.Mem_arena in
     if real || arena_mode || cfg.Sod2_runtime.Executor.guarded then begin
@@ -269,8 +261,7 @@ let run_cmd =
             end
             else if arena_mode then begin
               let trace, outs =
-                Sod2_runtime.Executor.run_real ~config:cfg ~env ~check_env:env
-                  ~backend:be c ~inputs
+                Sod2_runtime.Executor.run_real ~config:cfg ~env ~backend:be c ~inputs
               in
               Printf.printf "arena: %d bytes, %d resident tensors (%s backend)\n"
                 trace.Sod2_runtime.Executor.arena_bytes
@@ -490,7 +481,7 @@ let serve_cmd =
         Printf.eprintf "unknown --overload policy %S (expected reject, shed or block)\n" s;
         exit 2
     in
-    let c = Sod2.Pipeline.compile ~opts:(compile_opts_of cfg) profile g in
+    let c = Sod2.Pipeline.compile ~opts:cfg.Executor.compile profile g in
     (* Mixed shape bindings: the workload percentiles, deduplicated by plan
        key, so the request stream genuinely alternates bindings. *)
     let envs =
@@ -591,6 +582,15 @@ let serve_cmd =
       Printf.printf "  variants:      %d direct runs, %d variant runs, %d mispredicts\n"
         (count "engine-variant-direct") (count "variant-run")
         (count "variant-mispredict");
+    (* An int8 artifact on a non-naive backend must have run int8 kernels. *)
+    if c.Sod2.Pipeline.quant then begin
+      Printf.printf "  int8:          %d quantized weights, %d int8 kernel calls\n"
+        (Hashtbl.length c.Sod2.Pipeline.quant_weights) (count "quant-kernel");
+      if cfg.Executor.backend <> Backend.Naive && count "quant-kernel" = 0 then begin
+        Printf.printf "  FAILED:        quantized artifact ran no int8 kernel\n";
+        exit 1
+      end
+    end;
     if st.Engine.failed > 0 then begin
       Printf.printf "  FAILED:        %d requests\n" st.Engine.failed;
       exit 1

@@ -1,12 +1,11 @@
 (** The compile surface as one value.
 
-    {!Pipeline.compile}'s optional arguments sprawled across PRs — float
-    precision, int8 weight quantization, the fusion toggle, the planning
-    symbol value, and now the variant budget — so this record collects
-    them behind a single [?opts] argument with a canonical string form,
-    mirroring {!Executor.config} / [config_of_string] on the execution
-    side.  The historical explicit optional arguments still exist and win
-    over the corresponding field, so no call site changed behavior.
+    Float precision, int8 weight quantization, the fusion toggle, the
+    planning symbol value and the variant budget, collected behind
+    {!Pipeline.compile}'s single [?opts] argument with a canonical string
+    form, mirroring {!Executor.config} / [config_of_string] on the
+    execution side.  Each choice is settable here only; int8 in
+    particular is a property of the compiled artifact, not of execution.
 
     Canonical syntax (comma-separated, order-insensitive):
     ["f32,int8,variants=8"].  Tokens: [f32]|[f64] (float precision),

@@ -111,7 +111,7 @@ let elem_overrides = int_elem_overrides
    kernels' zero-point correction reduces to the activation term.
    Activations are quantized per-tensor at run time by the executor.  The
    float constants stay in the graph untouched: the same artifact serves
-   float execution (guarded fallback, [config.quant = false]) bit-exactly. *)
+   float execution (naive backend, guarded fallback) bit-exactly. *)
 let quant_weight_of g (nd : Graph.node) =
   let const_float tid =
     match Graph.const_value g tid with
@@ -266,21 +266,14 @@ let aot_variants c requested =
     | None -> ()
   end
 
-(* Explicit optional arguments pre-date [Compile_opts] and still win over
-   the corresponding record field, so historical call sites keep their
-   exact behavior while new ones pass a single [?opts]. *)
-let compile ?flags ?plan_sym_value ?float_dtype ?quant
-    ?(opts = Compile_opts.default) profile graph =
+let compile ?flags ?(opts = Compile_opts.default) profile graph =
   let flags =
     match flags with
     | Some f -> f
     | None -> { all_opts with fusion = opts.Compile_opts.fusion }
   in
-  let plan_sym_value =
-    Option.value plan_sym_value ~default:opts.Compile_opts.plan_sym_value
-  in
-  let float_dtype = Option.value float_dtype ~default:opts.Compile_opts.float_dtype in
-  let quant = Option.value quant ~default:opts.Compile_opts.quant in
+  let float_dtype = opts.Compile_opts.float_dtype in
+  let quant = opts.Compile_opts.quant in
   if not (Tensor.is_float_dtype float_dtype) then
     invalid_arg "Pipeline.compile: float_dtype must be F32 or F64";
   Validate.check_exn graph;
@@ -289,7 +282,7 @@ let compile ?flags ?plan_sym_value ?float_dtype ?quant
     Fusion.plan ~mode:(if flags.fusion then Fusion.Rdp_based else Fusion.Static_only)
       graph rdp
   in
-  let env = env_with_all_syms graph plan_sym_value in
+  let env = env_with_all_syms graph opts.Compile_opts.plan_sym_value in
   let exec =
     Exec_plan.plan
       ~strategy:(if flags.sep then Exec_plan.Optimal_small else Exec_plan.Topological)
@@ -351,10 +344,10 @@ let compile ?flags ?plan_sym_value ?float_dtype ?quant
    selection, nothing shape- or memory-plan-relevant. *)
 let with_versions c versions = { c with versions }
 
-let compile_checked ?flags ?plan_sym_value ?float_dtype ?quant ?opts profile graph =
+let compile_checked ?flags ?opts profile graph =
   match Validate.check graph with
   | Error defects -> Error defects
-  | Ok () -> Ok (compile ?flags ?plan_sym_value ?float_dtype ?quant ?opts profile graph)
+  | Ok () -> Ok (compile ?flags ?opts profile graph)
 
 (* Cache key: the binding restricted to the shape variables the plan's
    entries actually mention (canonical order).  Unbound variables render as

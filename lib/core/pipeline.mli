@@ -74,7 +74,9 @@ type compiled = {
           arena in this kind *)
   quant : bool;
       (** int8 weight quantization was requested at compile; implies
-          {!quant_weights} is populated for every eligible heavy node *)
+          {!quant_weights} is populated for every eligible heavy node.
+          The one int8 switch: the executor runs the quantized kernels
+          exactly when this is set and the backend is not naive *)
   quant_weights : (Graph.tensor_id, Quant.qtensor) Hashtbl.t;
       (** int8 payload + scheme per quantized constant weight tensor
           (MatMul: per-tensor symmetric; Conv: per-channel over OIHW axis
@@ -104,21 +106,19 @@ type compiled = {
   variant_lock : Mutex.t;
 }
 
-val compile :
-  ?flags:opt_flags -> ?plan_sym_value:int -> ?float_dtype:Tensor.dtype ->
-  ?quant:bool -> ?opts:Compile_opts.t -> Profile.t -> Graph.t -> compiled
+val compile : ?flags:opt_flags -> ?opts:Compile_opts.t -> Profile.t -> Graph.t -> compiled
 (** Compile [graph] for the device.  [opts] (default
-    {!Compile_opts.default}) is the consolidated compile surface; the
-    historical explicit optional arguments win over the corresponding
-    [opts] field when both are given.  [plan_sym_value] (default 64) is the
+    {!Compile_opts.default}) is the whole compile surface; [flags]
+    (default {!all_opts} with [fusion] from [opts]) picks the
+    optimizations for the ablation studies.  [opts.plan_sym_value] is the
     representative value bound to every shape variable while comparing
-    candidate execution orders.  [float_dtype] (default {!Tensor.F32})
-    selects the float precision the arena plan and executor run in; passing
-    an integer dtype raises [Invalid_argument].  [quant] (default false)
-    additionally quantizes every eligible constant weight (MatMul/Conv) to
-    int8 and withholds fused templates from their groups; the runtime
-    engages the quantized kernels only when {!Executor.config.quant} is
-    also set.  With [opts.variant_budget > 0] and a gated graph, per-branch
+    candidate execution orders.  [opts.float_dtype] selects the float
+    precision the arena plan and executor run in; an integer dtype raises
+    [Invalid_argument].  [opts.quant] quantizes every eligible constant
+    weight (MatMul/Conv) to int8 and withholds fused templates from their
+    groups; the artifact then runs the quantized kernels on every
+    non-naive backend ({!Executor.run_real}) and float on the naive one.
+    With [opts.variant_budget > 0] and a gated graph, per-branch
     plan variants are enumerated ahead of time: [opts.variants_aot] first,
     then the full outcome space when it fits the budget (otherwise the
     remaining outcomes specialize lazily on first observation, still
@@ -127,8 +127,7 @@ val compile :
     malformed graph. *)
 
 val compile_checked :
-  ?flags:opt_flags -> ?plan_sym_value:int -> ?float_dtype:Tensor.dtype ->
-  ?quant:bool -> ?opts:Compile_opts.t -> Profile.t -> Graph.t ->
+  ?flags:opt_flags -> ?opts:Compile_opts.t -> Profile.t -> Graph.t ->
   (compiled, Sod2_error.t list) result
 (** Like {!compile}, but collects {e every} validation defect instead of
     raising on the first — the entry point for untrusted graphs (e.g. ones

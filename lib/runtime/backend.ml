@@ -194,7 +194,7 @@ let conv1d ?cls t ~stride ~pad ~dilation ~groups x w b =
 
 (* The activation side of the TFLite dynamic-range recipe: calibrate and
    quantize the float activation per-tensor (asymmetric) at call time.
-   Weights arrive already quantized from {!Pipeline.compile ~quant}. *)
+   Weights arrive already quantized from an int8 {!Pipeline.compile}. *)
 let dyn_quant_activation x =
   let scheme = Quant.choose_per_tensor ~symmetric:false x in
   let qx = Quant.quantize x scheme in

@@ -92,8 +92,9 @@ val conv1d :
     into the micro-tile write-back — the output is float again, so
     quantized nodes compose with the arena/engine machinery unchanged.
     These paths run the blocked int8 kernels for every backend kind and
-    shape class; use [config.quant = false] (or the
-    {!Reference} fallback) for bit-exact float execution. *)
+    shape class.  The executor calls them only on non-naive backends, so
+    the same quantized artifact runs float, bit-exact against
+    {!Reference}, on the naive backend. *)
 
 val matmul_q8 :
   ?cls:Multi_version.shape_class -> t -> Tensor.t -> Quant.qtensor -> Tensor.t

@@ -450,9 +450,9 @@ let execute t ~w ~arena ~backend req ~batched =
       (match !For_testing.inject with
       | Some f when not via_fallback -> f ~worker:w ~plan_key:req.r_key
       | _ -> ());
-      (* Both planned paths go through the config entry points so
-         [cfg.quant] reaches the executor; this worker's arena and backend
-         win over the config fields they subsume. *)
+      (* Both planned paths go through the config entry points; this
+         worker's arena and backend replace the ones the config would
+         build per run. *)
       let outputs =
         if via_fallback then run_fallback t req
         else if t.cfg.Executor.guarded then begin
@@ -978,25 +978,3 @@ let shutdown t =
     List.iter Domain.join domains;
     List.iter Domain.join retuners
   end
-
-(* ------------------------------------------------------------------ *)
-(* One-shot arena execution (the former Arena_exec body)               *)
-
-type arena_result = {
-  outputs : (Graph.tensor_id * Tensor.t) list;
-  arena_bytes : int;
-  arena_resident : int;
-}
-
-let run_arena ?backend ?arena (c : Pipeline.compiled) ~env ~inputs =
-  let arena = match arena with Some a -> a | None -> Arena.create () in
-  let trace, outputs =
-    Executor.run_real ?backend ~check_env:env
-      ~memory:(Executor.Arena { arena; env })
-      c ~inputs
-  in
-  {
-    outputs;
-    arena_bytes = trace.Executor.arena_bytes;
-    arena_resident = trace.Executor.arena_resident;
-  }

@@ -249,23 +249,3 @@ module For_testing : sig
   val inject : (worker:int -> plan_key:string -> unit) option ref
   (** Global; reset to [None] after use. *)
 end
-
-(** {1 One-shot arena execution}
-
-    One synchronous arena inference without standing up a resident
-    engine — the facade spelling the tests, bench and CLI use for
-    steady-state arena measurements. *)
-
-type arena_result = {
-  outputs : (Graph.tensor_id * Tensor.t) list;
-  arena_bytes : int;  (** size of the linear buffer that was used *)
-  arena_resident : int;  (** tensors that lived in the arena *)
-}
-
-val run_arena :
-  ?backend:Backend.t -> ?arena:Arena.t -> Pipeline.compiled -> env:Env.t ->
-  inputs:(Graph.tensor_id * Tensor.t) list -> arena_result
-(** Single synchronous arena inference with fail-fast RDP cross-checking
-    ([check_env = env]) — {!Executor.run_real} in [Arena] memory mode.
-    [arena] supplies a persistent buffer for steady-state reuse; omitted,
-    a fresh one is created for the call. *)

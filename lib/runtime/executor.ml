@@ -1,7 +1,3 @@
-type mode =
-  | Real
-  | Dry
-
 type control =
   | Selected_only
   | All_paths
@@ -46,7 +42,6 @@ type config = {
   memory : mem_kind;
   guarded : bool;
   control : control;
-  quant : bool;
   compile : Compile_opts.t;
 }
 
@@ -56,14 +51,13 @@ let default_config =
     memory = Mem_malloc;
     guarded = false;
     control = Selected_only;
-    quant = false;
     compile = Compile_opts.default;
   }
 
-(* "<backend>[,arena][,guarded][,all-paths][,int8][,<compile token>…]" —
-   the CLI's --exec syntax.  Modifiers the executor does not recognize are
+(* "<backend>[,arena][,guarded][,all-paths][,<compile token>…]" — the
+   CLI's --exec syntax.  Modifiers the executor does not recognize are
    offered to [Compile_opts.parse_token], so one spec can carry both sides
-   of the surface ("fused,arena,variants=8"). *)
+   of the surface ("fused,arena,int8,variants=8"). *)
 let config_of_string s =
   match String.split_on_char ',' (String.lowercase_ascii (String.trim s)) with
   | [] | [ "" ] -> Error "empty exec spec"
@@ -81,7 +75,6 @@ let config_of_string s =
               | "malloc" -> Ok { cfg with memory = Mem_malloc }
               | "guarded" -> Ok { cfg with guarded = true }
               | "all-paths" -> Ok { cfg with control = All_paths }
-              | "int8" -> Ok { cfg with quant = true }
               | m -> (
                 match Compile_opts.parse_token cfg.compile m with
                 | Ok compile -> Ok { cfg with compile }
@@ -89,8 +82,8 @@ let config_of_string s =
                   Error
                     (Printf.sprintf
                        "unknown exec modifier %S (expected \
-                        arena|malloc|guarded|all-paths|int8, or a compile \
-                        token: f32|f64|nofuse|sym=N|variants=N|aot=VEC)" m))))
+                        arena|malloc|guarded|all-paths, or a compile token: \
+                        f32|f64|int8|nofuse|sym=N|variants=N|aot=VEC)" m))))
         (Ok { default_config with backend })
         mods)
 
@@ -102,10 +95,8 @@ let config_to_string cfg =
             (if cfg.memory = Mem_arena then Some "arena" else None);
             (if cfg.guarded then Some "guarded" else None);
             (if cfg.control = All_paths then Some "all-paths" else None);
-            (if cfg.quant then Some "int8" else None);
           ]
      @ Compile_opts.to_tokens cfg.compile)
-
 exception Unresolved of string
 
 exception Variant_mispredict of int * int * int
@@ -137,6 +128,14 @@ type state = {
 let bytes_of_dims ?(dtype = Tensor.F32) dims =
   Tensor.bytes_per_elem dtype * List.fold_left (fun a d -> a * max 1 d) 1 dims
 
+(* [tid]'s value is [t]; small I64 values also feed shape computations. *)
+let store st tid t =
+  st.tensors.(tid) <- Some t;
+  st.dims.(tid) <- Some (Tensor.dims t);
+  if Tensor.dtype t = Tensor.I64 && Tensor.numel t <= Value_info.max_tracked_elements
+  then st.ivals.(tid) <- Some (Tensor.to_int_list t);
+  st.avail.(tid) <- true
+
 let init_state (c : Pipeline.compiled) ~keep_tensors =
   let g = c.graph in
   let n = Graph.tensor_count g in
@@ -151,11 +150,8 @@ let init_state (c : Pipeline.compiled) ~keep_tensors =
   for tid = 0 to n - 1 do
     match (Graph.tensor g tid).kind with
     | Graph.Const t ->
-      st.dims.(tid) <- Some (Tensor.dims t);
-      st.avail.(tid) <- true;
-      if keep_tensors then st.tensors.(tid) <- Some t;
-      if Tensor.dtype t = Tensor.I64 && Tensor.numel t <= Value_info.max_tracked_elements
-      then st.ivals.(tid) <- Some (Tensor.to_int_list t)
+      store st tid t;
+      if not keep_tensors then st.tensors.(tid) <- None
     | Graph.Input _ | Graph.Activation -> ()
   done;
   st
@@ -191,14 +187,199 @@ let combine_pred_tid (nd : Graph.node) =
     Sod2_error.fail ~op:"Combine" ~node:nd.nname Sod2_error.Arity_mismatch
       "Executor: Combine without inputs"
 
-(* --- dry-mode node execution ------------------------------------- *)
+(* --- routing and readiness, shared by both walkers ----------------- *)
 
-let value_info_of st g tid : Value_info.t =
+let clamp_branch branches b = max 0 (min (branches - 1) b)
+
+(* Switch/Combine outputs alias their routed source's value. *)
+let copy_value st ~dst ~src =
+  st.dims.(dst) <- st.dims.(src);
+  st.ivals.(dst) <- st.ivals.(src);
+  st.tensors.(dst) <- st.tensors.(src);
+  st.avail.(dst) <- true
+
+let node_ready ~control st ~member_tids (nd : Graph.node) =
+  (* Tensors produced by earlier members of the same group become
+     available during group execution. *)
+  let ok tid = st.avail.(tid) || List.mem tid member_tids in
+  match nd.op with
+  | Op.Combine { branches } ->
+    ok (combine_pred_tid nd)
+    && (match control with
+       | Selected_only ->
+         List.exists ok (List.filteri (fun i _ -> i < branches) nd.inputs)
+       | All_paths -> true)
+  | _ -> List.for_all ok nd.inputs
+
+(* --- step recorder, shared by both walkers ------------------------- *)
+
+type recorder = {
+  step_of_group : (int, int) Hashtbl.t;
+  mutable steps : group_exec list;  (* newest first *)
+  mutable produced : (Graph.tensor_id * int * int) list;  (* tid, bytes, step *)
+  mutable nodes_executed : int;
+  mutable n_steps : int;
+  mutable gate_obs : (Graph.tensor_id * int) list;  (* newest first *)
+}
+
+let recorder () =
+  {
+    step_of_group = Hashtbl.create 64;
+    steps = [];
+    produced = [];
+    nodes_executed = 0;
+    n_steps = 0;
+    gate_obs = [];
+  }
+
+let observe_gate rc pred b =
+  if not (List.mem_assoc pred rc.gate_obs) then rc.gate_obs <- (pred, b) :: rc.gate_obs
+
+(* Switch: pick the branch, record it, and route the data input to the
+   taken output (every output under [All_paths]).  Returns the branch. *)
+let route_switch ~control rc ~branch ~route (nd : Graph.node) branches =
+  let data = List.hd nd.inputs in
+  let pred = switch_pred_tid nd in
+  let b = clamp_branch branches (branch pred) in
+  observe_gate rc pred b;
+  List.iteri
+    (fun i tid -> if control = All_paths || i = b then route ~dst:tid ~src:data)
+    nd.outputs;
+  b
+
+(* Combine: [All_paths] reads the predicate; [Selected_only] takes the one
+   branch that arrived.  False when none did. *)
+let route_combine ~control st ~branch ~route (nd : Graph.node) branches =
+  let branch_tids = List.filteri (fun i _ -> i < branches) nd.inputs in
+  let chosen =
+    match control with
+    | All_paths ->
+      List.nth_opt branch_tids (clamp_branch branches (branch (combine_pred_tid nd)))
+    | Selected_only -> List.find_opt (fun tid -> st.avail.(tid)) branch_tids
+  in
+  match chosen with
+  | Some src ->
+    route ~dst:(List.hd nd.outputs) ~src;
+    true
+  | None -> false
+
+(* Element size from the materialized tensor when there is one; otherwise
+   the compiled artifact's float dtype — the kind arena-resident values
+   actually occupy — so Dry and arena traffic figures use the same element
+   size the plan reserved. *)
+let tensor_bytes ctx st tid dims =
+  let dtype =
+    match st.tensors.(tid) with
+    | Some t -> Tensor.dtype t
+    | None -> ctx.c.Pipeline.fdtype
+  in
+  bytes_of_dims ~dtype dims
+
+(* Record one executed group: its extents, traffic and produced tensors. *)
+let record_step ctx st rc ~gid ~member_tids members =
+  let step = rc.n_steps in
+  rc.n_steps <- step + 1;
+  Hashtbl.replace rc.step_of_group gid step;
+  rc.nodes_executed <- rc.nodes_executed + List.length members;
+  let dims_of tid = Option.value ~default:[] st.dims.(tid) in
+  let ops =
+    List.map
+      (fun (nd : Graph.node) ->
+        nd.op, List.map dims_of nd.inputs, List.map dims_of nd.outputs)
+      members
+  in
+  let in_bytes =
+    List.concat_map (fun (nd : Graph.node) -> nd.Graph.inputs) members
+    |> List.sort_uniq compare
+    |> List.fold_left
+         (fun acc tid ->
+           match st.dims.(tid) with
+           | Some d when not (List.mem tid member_tids) -> acc + tensor_bytes ctx st tid d
+           | _ -> acc)
+         0
+  in
+  let out_bytes = ref 0 and internal_bytes = ref 0 in
+  List.iter
+    (fun (nd : Graph.node) ->
+      (* Switch outputs alias their input; they cost no memory. *)
+      if not (Op.is_control_flow nd.Graph.op) then
+        List.iter
+          (fun tid ->
+            match st.dims.(tid) with
+            | Some d ->
+              let b = tensor_bytes ctx st tid d in
+              if is_internal ctx tid then internal_bytes := !internal_bytes + b
+              else begin
+                out_bytes := !out_bytes + b;
+                rc.produced <- (tid, b, step) :: rc.produced
+              end
+            | None -> ())
+          nd.Graph.outputs)
+    members;
+  let gemm =
+    List.find_map
+      (fun (op, ind, outd) -> Multi_version.gemm_dims_of_op op ~in_dims:ind ~out_dims:outd)
+      ops
+  in
+  rc.steps <-
+    {
+      step;
+      gid;
+      ops;
+      external_bytes = in_bytes + !out_bytes;
+      internal_bytes = !internal_bytes;
+      gemm;
+    }
+    :: rc.steps
+
+let finish ctx st rc ~arena_bytes ~arena_resident =
+  let c = ctx.c in
+  (* Lifetime events for materialized tensors. *)
+  let last_step = max 0 (rc.n_steps - 1) in
+  let events =
+    List.rev_map
+      (fun (tid, bytes, alloc) ->
+        let free =
+          if List.mem tid ctx.out_tids then last_step
+          else
+            List.fold_left
+              (fun acc cnid ->
+                match
+                  Hashtbl.find_opt rc.step_of_group c.fusion_plan.group_of.(cnid)
+                with
+                | Some s -> max acc s
+                | None -> acc)
+              alloc
+              (Graph.consumers c.graph tid)
+        in
+        { te_tid = tid; te_bytes = bytes; te_alloc = alloc; te_free = free })
+      rc.produced
+  in
+  let out_dims =
+    List.filter_map
+      (fun tid -> Option.map (fun d -> tid, d) st.dims.(tid))
+      ctx.out_tids
+  in
+  {
+    steps = List.rev rc.steps;
+    events;
+    out_dims;
+    nodes_executed = rc.nodes_executed;
+    arena_bytes;
+    arena_resident;
+    gate_outcomes = List.rev rc.gate_obs;
+  }
+
+let group_members ctx gid =
+  let members = List.map (Graph.node ctx.c.graph) ctx.c.fusion_plan.groups.(gid).members in
+  members, List.concat_map (fun (nd : Graph.node) -> nd.Graph.outputs) members
+
+(* --- dry walker --------------------------------------------------- *)
+
+let value_info_of st tid : Value_info.t =
   match st.ivals.(tid) with
   | Some ints -> Value_info.of_ints ints
-  | None -> (
-    ignore g;
-    if st.avail.(tid) then Lattice.Nac else Value_info.undef)
+  | None -> if st.avail.(tid) then Lattice.Nac else Value_info.undef
 
 let eval_value_info (v : Value_info.t) : int list option =
   match Value_info.as_exprs v with
@@ -207,8 +388,7 @@ let eval_value_info (v : Value_info.t) : int list option =
     if List.for_all Option.is_some ints then Some (List.map Option.get ints) else None
   | None -> None
 
-let dry_forward ctx st (nd : Graph.node) =
-  let g = ctx.c.graph in
+let dry_forward st (nd : Graph.node) =
   let in_dims = List.map (fun tid -> Option.get st.dims.(tid)) nd.inputs in
   match nd.op with
   | Op.NonZero ->
@@ -225,8 +405,7 @@ let dry_forward ctx st (nd : Graph.node) =
       {
         Shape_fn.in_shapes =
           Array.of_list (List.map (fun d -> Shape.of_ints d) in_dims);
-        in_values =
-          Array.of_list (List.map (fun tid -> value_info_of st g tid) nd.inputs);
+        in_values = Array.of_list (List.map (value_info_of st) nd.inputs);
       }
     in
     let out_shapes, out_values = Shape_fn.forward nd.op io in
@@ -244,12 +423,55 @@ let dry_forward ctx st (nd : Graph.node) =
     let vals = Array.to_list out_values |> List.map eval_value_info in
     dims, vals
 
-(* --- shared driver ------------------------------------------------ *)
+(* Shape-only walk over the static order: concrete extents (and the small
+   integer values feeding shape computations) propagate, and [gate]
+   supplies every predicate. *)
+let run_dry ?(control = Selected_only) ?(gate = fun _ -> 0) (c : Pipeline.compiled)
+    ~input_dims =
+  let ctx = make_ctx c in
+  let st = init_state c ~keep_tensors:false in
+  List.iter
+    (fun (tid, dims) ->
+      st.dims.(tid) <- Some dims;
+      st.avail.(tid) <- true)
+    input_dims;
+  List.iter
+    (fun tid ->
+      if not st.avail.(tid) then
+        raise (Unresolved (Printf.sprintf "graph input t%d has no concrete dims" tid)))
+    (Graph.inputs c.graph);
+  let rc = recorder () in
+  let route = copy_value st in
+  List.iter
+    (fun gid ->
+      let members, member_tids = group_members ctx gid in
+      if List.for_all (node_ready ~control st ~member_tids) members
+         && List.for_all
+              (fun (nd : Graph.node) ->
+                match nd.op with
+                | Op.Switch { branches } ->
+                  ignore (route_switch ~control rc ~branch:gate ~route nd branches);
+                  true
+                | Op.Combine { branches } ->
+                  route_combine ~control st ~branch:gate ~route nd branches
+                | _ ->
+                  let dims, vals = dry_forward st nd in
+                  List.iteri
+                    (fun i tid ->
+                      st.dims.(tid) <- Some (List.nth dims i);
+                      st.ivals.(tid) <- List.nth vals i;
+                      st.avail.(tid) <- true)
+                    nd.outputs;
+                  true)
+              members
+      then record_step ctx st rc ~gid ~member_tids members)
+    c.exec.Exec_plan.order;
+  finish ctx st rc ~arena_bytes:0 ~arena_resident:0
 
-let run_engine ~mode ~control ~gate ?(verify = fun _ _ -> ()) ?kernel_hook ?backend
-    ?arena ?(quant = false) ?variant ctx st =
+(* --- real walker -------------------------------------------------- *)
+
+let run_engine ~control ~verify ?kernel_hook ?backend ?arena ?variant ctx st =
   let c = ctx.c in
-  let g = c.graph in
   let counter kind =
     Profile.Counters.record ~profile:c.Pipeline.profile.Profile.name ~kind
   in
@@ -285,81 +507,45 @@ let run_engine ~mode ~control ~gate ?(verify = fun _ _ -> ()) ?kernel_hook ?back
       | Some t when Tensor.is_float_dtype (Tensor.dtype t) -> Some (Tensor.view_f t)
       | _ -> None)
   in
-  (* Aliasing (Switch/Combine) must not alias an arena slot: the alias
-     outlives the slot's planned lifetime.  Box the value first. *)
-  let materialize_for_alias tid =
-    match mode, arena with
-    | Real, Some ar when ar.ar_loc.(tid) && st.tensors.(tid) = None ->
-      ignore (fetch_boxed tid)
-    | _ -> ()
+  (* Routing alias for Switch/Combine.  Variant plans resolved the gate's
+     routing at plan time and kept the source slot live across the alias's
+     consumers (Mem_plan [?alias]), so the alias can point at the source's
+     arena slot directly — no boxed copy out of the arena per gate.
+     Otherwise the alias must not share an arena slot (it would outlive
+     the slot's planned lifetime), so the value is boxed first. *)
+  let route ~dst ~src =
+    (match arena with
+    | Some ar when ar.ar_loc.(src) && st.tensors.(src) = None -> (
+      match variant with
+      | Some v when v.Pipeline.v_alias.(dst) >= 0 ->
+        ar.ar_slot.(dst) <- ar.ar_slot.(src);
+        ar.ar_loc.(dst) <- true
+      | _ -> ignore (fetch_boxed src))
+    | _ -> ());
+    copy_value st ~dst ~src
   in
-  (* Variant plans resolved the gate's routing at plan time and kept the
-     source slot live across the alias's consumers (Mem_plan [?alias]),
-     so the alias can point at the source's arena slot directly — no
-     boxed copy out of the arena per gate.  Returns false when the value
-     is not slot-resident (boxed input, malloc mode, already copied out),
-     in which case the caller boxes as before. *)
-  let alias_slot dst src =
-    match arena, variant with
-    | Some ar, Some v
-      when v.Pipeline.v_alias.(dst) >= 0
-           && ar.ar_loc.(src)
-           && st.tensors.(src) = None ->
-      ar.ar_slot.(dst) <- ar.ar_slot.(src);
-      ar.ar_loc.(dst) <- true;
-      true
-    | _ -> false
-  in
-  (* Element size from the materialized tensor when there is one (Real
-     mode); otherwise the compiled artifact's float dtype — the kind
-     arena-resident values actually occupy — so Dry and arena traffic
-     figures use the same element size the plan reserved. *)
-  let tensor_bytes tid dims =
-    let dtype =
-      match st.tensors.(tid) with
-      | Some t -> Tensor.dtype t
-      | None -> c.Pipeline.fdtype
-    in
-    bytes_of_dims ~dtype dims
-  in
-  let step_of_group = Hashtbl.create 64 in
-  let steps = ref [] in
-  let produced = ref [] in
-  (* (tid, bytes, step) *)
-  let nodes_executed = ref 0 in
-  let step_counter = ref 0 in
+  (* A predicate with no value is a malformed execution, not branch 0. *)
   let branch_of_pred tid =
-    match mode with
-    | Dry -> gate tid
-    | Real -> (
-      let boxed =
-        match st.tensors.(tid) with
-        | Some _ as t -> t
-        | None -> (
-          match arena with
-          | Some ar when ar.ar_loc.(tid) -> Some (fetch_boxed tid)
-          | _ -> None)
-      in
-      match boxed with
-      | Some t -> (
-        match Tensor.to_int_list (Tensor.cast t Tensor.I64) with
-        | b :: _ -> b
-        | [] ->
-          Sod2_error.failf ~tensor:tid Sod2_error.Shape_mismatch
-            "Executor: control-flow predicate tensor t%d is empty" tid)
-      | None -> gate tid)
+    let value =
+      match st.tensors.(tid), arena with
+      | None, Some ar when ar.ar_loc.(tid) -> Some (fetch_boxed tid)
+      | t, _ -> t
+    in
+    match Option.map (fun t -> Tensor.to_int_list (Tensor.cast t Tensor.I64)) value with
+    | Some (b :: _) -> b
+    | Some [] ->
+      Sod2_error.failf ~tensor:tid Sod2_error.Shape_mismatch
+        "Executor: control-flow predicate tensor t%d is empty" tid
+    | None ->
+      Sod2_error.failf ~tensor:tid Sod2_error.Shape_mismatch
+        "Executor: control-flow predicate tensor t%d has no value" tid
   in
-  let gate_obs = ref [] in
-  let exec_switch (nd : Graph.node) branches =
-    let data = List.hd nd.inputs in
-    let pred = switch_pred_tid nd in
-    let b = max 0 (min (branches - 1) (branch_of_pred pred)) in
-    if not (List.mem_assoc pred !gate_obs) then gate_obs := (pred, b) :: !gate_obs;
-    (* Variant runs verify the plan's assumption once per gate, at the
-       Switch — the only branch check left on the specialized path.  A
-       disagreement aborts into the any-path fallback (predict-verify-
-       fallback for data-dependent gates). *)
-    (match variant with
+  (* Variant runs verify the plan's assumption once per gate, at the
+     Switch — the only branch check left on the specialized path.  A
+     disagreement aborts into the any-path fallback (predict-verify-
+     fallback for data-dependent gates). *)
+  let verify_gate (nd : Graph.node) b =
+    match variant with
     | Some v -> (
       match Control_region.gate_of_switch c.Pipeline.control nd.Graph.nid with
       | Some gid
@@ -368,53 +554,9 @@ let run_engine ~mode ~control ~gate ?(verify = fun _ _ -> ()) ?kernel_hook ?back
              && v.Pipeline.v_outcome.(gid) <> b ->
         raise (Variant_mispredict (gid, v.Pipeline.v_outcome.(gid), b))
       | _ -> ())
-    | None -> ());
-    List.iteri
-      (fun i tid ->
-        let route = control = All_paths || i = b in
-        if route then begin
-          if not (alias_slot tid data) then materialize_for_alias data;
-          st.dims.(tid) <- st.dims.(data);
-          st.ivals.(tid) <- st.ivals.(data);
-          st.tensors.(tid) <- st.tensors.(data);
-          st.avail.(tid) <- true
-        end)
-      nd.outputs
+    | None -> ()
   in
-  let exec_combine (nd : Graph.node) branches =
-    let pred = combine_pred_tid nd in
-    let branch_tids = List.filteri (fun i _ -> i < branches) nd.inputs in
-    let chosen =
-      match control with
-      | All_paths ->
-        let b = max 0 (min (branches - 1) (branch_of_pred pred)) in
-        List.nth_opt branch_tids b
-      | Selected_only -> List.find_opt (fun tid -> st.avail.(tid)) branch_tids
-    in
-    match chosen with
-    | Some src ->
-      let dst = List.hd nd.outputs in
-      if not (alias_slot dst src) then materialize_for_alias src;
-      st.dims.(dst) <- st.dims.(src);
-      st.ivals.(dst) <- st.ivals.(src);
-      st.tensors.(dst) <- st.tensors.(src);
-      st.avail.(dst) <- true;
-      true
-    | None -> false
-  in
-  let node_ready ~member_tids (nd : Graph.node) =
-    (* Tensors produced by earlier members of the same group become
-       available during group execution. *)
-    let ok tid = st.avail.(tid) || List.mem tid member_tids in
-    match nd.op with
-    | Op.Combine { branches } ->
-      ok (combine_pred_tid nd)
-      && (match control with
-         | Selected_only ->
-           List.exists ok (List.filteri (fun i _ -> i < branches) nd.inputs)
-         | All_paths -> true)
-    | _ -> List.for_all ok nd.inputs
-  in
+  let rc = recorder () in
   let cls_of (nd : Graph.node) =
     match backend with
     | None -> None
@@ -428,6 +570,28 @@ let run_engine ~mode ~control ~gate ?(verify = fun _ _ -> ()) ?kernel_hook ?back
      which beats both a slot store followed by a boundary copy and a fully
      boxed run that copies every arena-resident input out first. *)
   let is_graph_out tid = List.mem tid ctx.out_tids in
+  let set_dims = List.iter (fun (tid, d) -> st.dims.(tid) <- Some d; st.avail.(tid) <- true) in
+  (* Destination for a float result of [dims] that [write] computes: its
+     planned slot when the capacity matches exactly and it is not a graph
+     output, else a fresh boxed buffer. *)
+  let place otid dims write =
+    let numel = List.fold_left ( * ) 1 dims in
+    match arena with
+    | Some ar
+      when (match ar.ar_slot.(otid) with Some (_, cap) -> cap = numel | None -> false)
+           && not (is_graph_out otid) ->
+      let off, _ = Option.get ar.ar_slot.(otid) in
+      write ~cbuf:ar.ar_buf ~co:off;
+      ar.ar_loc.(otid) <- true;
+      ar.ar_resident <- ar.ar_resident + 1;
+      counter "arena-dest-store"
+    | _ ->
+      let buf = Tensor.fbuf_create c.Pipeline.fdtype numel in
+      Tensor.fbuf_fill buf 0 numel 0.0;
+      write ~cbuf:buf ~co:0;
+      st.tensors.(otid) <- Some (Tensor.of_fbuf dims buf);
+      if Option.is_some arena then counter "arena-out-direct"
+  in
   (* Destination-passing attempt: single-output node whose result has a
      planned slot, all inputs viewable as F32 windows, and the op has a
      [Kernels.run_into] kernel producing exactly the slot's capacity.
@@ -447,7 +611,7 @@ let run_engine ~mode ~control ~gate ?(verify = fun _ _ -> ()) ?kernel_hook ?back
         match views [] nd.Graph.inputs with
         | Some vs ->
           if is_graph_out otid then (
-            let buf = Tensor.fbuf_create (Tensor.fbuf_dtype ar.ar_buf) cap in
+            let buf = Tensor.fbuf_create c.Pipeline.fdtype cap in
             Tensor.fbuf_fill buf 0 cap 0.0;
             match
               Kernels.run_into ?backend ?cls:(cls_of nd) nd.Graph.op vs ~c:buf
@@ -492,369 +656,175 @@ let run_engine ~mode ~control ~gate ?(verify = fun _ _ -> ()) ?kernel_hook ?back
      dims so the slot decision precedes the kernel; any shape the
      quantized kernels cannot take falls through to the float path. *)
   let quant_dispatch (nd : Graph.node) =
-    if not (quant && mode = Real) then None
-    else
-      match backend with
-      | None -> None
-      | Some be -> (
-        match nd.Graph.op, nd.Graph.inputs, nd.Graph.outputs with
-        | Op.MatMul, [ x; w ], [ otid ] -> (
-          match Pipeline.quant_weight c w, st.dims.(x) with
-          | Some qt, Some [ m; k ] -> (
-            match Tensor.dims qt.Quant.q with
-            | [ k'; n ] when k = k' && k > 0 ->
-              Some
-                ( otid,
-                  [ m; n ],
-                  fun ~cbuf ~co ->
-                    ignore
-                      (Backend.matmul_q8_into ?cls:(cls_of nd) be (fetch_boxed x) qt
-                         ~c:cbuf ~co) )
-            | _ -> None)
-          | _ -> None)
-        | Op.Conv { stride; pads; dilation; groups }, x :: w :: rest, [ otid ] -> (
-          let bias = match rest with [ b ] -> Some b | _ -> None in
-          match Pipeline.quant_weight c w, st.dims.(x) with
-          | Some qt, Some [ n; _; h; wd ] -> (
-            match Tensor.dims qt.Quant.q with
-            | [ m; _; kh; kw ] -> (
-              try
-                let sh, sw = stride and dh, dw_ = dilation in
-                let pt, pl, pb, pr = pads in
-                let oh =
-                  Linalg.conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt
-                    ~pad_end:pb ~dilation:dh
-                in
-                let ow =
-                  Linalg.conv2d_out_dim ~in_:wd ~kernel:kw ~stride:sw ~pad_begin:pl
-                    ~pad_end:pr ~dilation:dw_
-                in
-                Some
-                  ( otid,
-                    [ n; m; oh; ow ],
-                    fun ~cbuf ~co ->
-                      ignore
-                        (Backend.conv2d_q8_into ?cls:(cls_of nd) be ~stride ~pad:pads
-                           ~dilation ~groups (fetch_boxed x) qt
-                           (Option.map fetch_boxed bias) ~c:cbuf ~co) )
-              with Sod2_error.Error _ | Invalid_argument _ -> None)
-            | _ -> None)
+    match backend with
+    | Some be when c.Pipeline.quant && Backend.kind_of be <> Backend.Naive -> (
+      match nd.Graph.op, nd.Graph.inputs, nd.Graph.outputs with
+      | Op.MatMul, [ x; w ], [ otid ] -> (
+        match Pipeline.quant_weight c w, st.dims.(x) with
+        | Some qt, Some [ m; k ] -> (
+          match Tensor.dims qt.Quant.q with
+          | [ k'; n ] when k = k' && k > 0 ->
+            Some
+              ( otid,
+                [ m; n ],
+                fun ~cbuf ~co ->
+                  ignore
+                    (Backend.matmul_q8_into ?cls:(cls_of nd) be (fetch_boxed x) qt
+                       ~c:cbuf ~co) )
           | _ -> None)
         | _ -> None)
+      | Op.Conv { stride; pads; dilation; groups }, x :: w :: rest, [ otid ] -> (
+        let bias = match rest with [ b ] -> Some b | _ -> None in
+        match Pipeline.quant_weight c w, st.dims.(x) with
+        | Some qt, Some [ n; _; h; wd ] -> (
+          match Tensor.dims qt.Quant.q with
+          | [ m; _; kh; kw ] -> (
+            try
+              let sh, sw = stride and dh, dw_ = dilation in
+              let pt, pl, pb, pr = pads in
+              let oh =
+                Linalg.conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt
+                  ~pad_end:pb ~dilation:dh
+              in
+              let ow =
+                Linalg.conv2d_out_dim ~in_:wd ~kernel:kw ~stride:sw ~pad_begin:pl
+                  ~pad_end:pr ~dilation:dw_
+              in
+              Some
+                ( otid,
+                  [ n; m; oh; ow ],
+                  fun ~cbuf ~co ->
+                    ignore
+                      (Backend.conv2d_q8_into ?cls:(cls_of nd) be ~stride ~pad:pads
+                         ~dilation ~groups (fetch_boxed x) qt
+                         (Option.map fetch_boxed bias) ~c:cbuf ~co) )
+            with Sod2_error.Error _ | Invalid_argument _ -> None)
+          | _ -> None)
+        | _ -> None)
+      | _ -> None)
+    | _ -> None
   in
   let try_quant (nd : Graph.node) =
     match quant_dispatch nd with
     | None -> false
     | Some (otid, dims, run) ->
-      let numel = List.fold_left ( * ) 1 dims in
-      (match arena with
-      | Some ar
-        when (match ar.ar_slot.(otid) with Some (_, cap) -> cap = numel | None -> false)
-             && not (is_graph_out otid) ->
-        let off, _ = Option.get ar.ar_slot.(otid) in
-        run ~cbuf:ar.ar_buf ~co:off;
-        ar.ar_loc.(otid) <- true;
-        ar.ar_resident <- ar.ar_resident + 1;
-        counter "arena-dest-store"
-      | _ ->
-        let fdt =
-          match arena with
-          | Some ar -> Tensor.fbuf_dtype ar.ar_buf
-          | None -> c.Pipeline.fdtype
-        in
-        let buf = Tensor.fbuf_create fdt numel in
-        run ~cbuf:buf ~co:0;
-        st.tensors.(otid) <- Some (Tensor.of_fbuf dims buf));
-      st.dims.(otid) <- Some dims;
-      st.avail.(otid) <- true;
+      place otid dims run;
+      set_dims [ otid, dims ];
       counter "quant-kernel";
       true
   in
   let exec_plain (nd : Graph.node) =
-    match mode with
-    | Dry ->
-      let dims, vals = dry_forward ctx st nd in
-      List.iteri
-        (fun i tid ->
-          st.dims.(tid) <- Some (List.nth dims i);
-          st.ivals.(tid) <- List.nth vals i;
-          st.avail.(tid) <- true)
-        nd.outputs
-    | Real ->
-      if (not (try_quant nd)) && not (try_dest nd) then begin
-        let inputs = List.map fetch_boxed nd.inputs in
-        let outs = Kernels.run ?backend ?cls:(cls_of nd) nd.op inputs in
-        List.iteri
-          (fun i tid ->
-            let t = List.nth outs i in
-            st.tensors.(tid) <- Some t;
-            st.dims.(tid) <- Some (Tensor.dims t);
-            if Tensor.dtype t = Tensor.I64
-               && Tensor.numel t <= Value_info.max_tracked_elements
-            then st.ivals.(tid) <- Some (Tensor.to_int_list t);
-            st.avail.(tid) <- true)
-          nd.outputs
-      end
+    if not (try_quant nd || try_dest nd) then
+      List.iter2 (store st) nd.outputs
+        (Kernels.run ?backend ?cls:(cls_of nd) nd.op (List.map fetch_boxed nd.inputs))
+  in
+  (* Arena fused path: fetch the group's slot inputs as zero-copy views,
+     resolve the specialized kernel through the backend cache, and drive
+     its destination entry point straight into the terminal output's
+     planned slot. *)
+  let run_fused_arena be ~gid tpl =
+    let n = Array.length tpl.Fused_compile.t_slots in
+    let vs = Array.make n None in
+    Array.iteri (fun i tid -> vs.(i) <- view_of tid) tpl.Fused_compile.t_slots;
+    if Array.exists Option.is_none vs then false
+    else
+      let va = Array.map Option.get vs in
+      let shapes =
+        Array.to_list (Array.map (fun v -> v.Tensor.vdims, Tensor.view_dtype v) va)
+      in
+      match Backend.fused_kernel be ~tpl c ~gid ~args:shapes with
+      | None -> false
+      | Some k ->
+        let out = k.Fused_compile.k_out in
+        place out (List.assoc out k.Fused_compile.k_dims) (fun ~cbuf ~co ->
+            k.Fused_compile.k_run_into ~par:(Backend.par_of be) va ~c:cbuf ~co);
+        set_dims k.Fused_compile.k_dims;
+        true
   in
   (* A variant executes its pruned order with no per-group readiness scan:
      every surviving group is statically known to run, and branch inputs
      were resolved at compile time.  The scan counter makes "zero per-node
      branch resolution in steady state" a testable claim. *)
-  let order =
+  let order, templates =
     match variant with
-    | Some v -> v.Pipeline.v_order
-    | None -> c.exec.Exec_plan.order
+    | Some v -> v.Pipeline.v_order, v.Pipeline.v_fused
+    | None -> c.exec.Exec_plan.order, c.Pipeline.fused
   in
-  let templates =
-    match variant with Some v -> v.Pipeline.v_fused | None -> c.Pipeline.fused
+  (* A multi-member group first offers itself to the fused backend: one
+     compiled kernel, internal tensors never materialized.  Any refusal
+     (no template, shape not specializable, non-fused backend) falls
+     through to the op-by-op loop.  Quantized members never execute
+     fused: compile withheld their groups' templates. *)
+  let run_fused ~gid members =
+    match backend with
+    | Some be when List.length members > 1 -> (
+      (match arena, templates.(gid) with
+      | Some _, Some tpl -> run_fused_arena be ~gid tpl
+      | _ -> false)
+      ||
+      match Backend.fused_run be ?tpl:templates.(gid) c ~gid ~fetch:fetch_boxed with
+      | Some fr ->
+        set_dims fr.Backend.fr_dims;
+        st.tensors.(fr.Backend.fr_out) <- Some fr.Backend.fr_tensor;
+        true
+      | None -> false)
+    | _ -> false
   in
   List.iter
     (fun gid ->
-      let grp = c.fusion_plan.groups.(gid) in
-      let members = List.map (Graph.node g) grp.members in
-      let member_tids = List.concat_map (fun (nd : Graph.node) -> nd.Graph.outputs) members in
+      let members, member_tids = group_members ctx gid in
+      (* Combine fires when its selected branch arrived even though other
+         branch inputs are missing; plain nodes need everything. *)
       let ready =
         match variant with
         | Some _ -> true
         | None ->
           counter "exec-ready-scan";
-          List.for_all (node_ready ~member_tids) members
+          List.for_all (node_ready ~control st ~member_tids) members
       in
-      (* Combine fires when its selected branch arrived even though other
-         branch inputs are missing; plain nodes need everything. *)
       if ready then begin
         (match kernel_hook with
         | Some hook ->
           List.iter (fun (nd : Graph.node) -> hook ~gid ~node:nd.Graph.nid) members
         | None -> ());
-        (* A multi-member group first offers itself to the fused backend:
-           one compiled kernel, internal tensors never materialized.  Any
-           refusal (no template, shape not specializable, non-fused
-           backend) falls through to the op-by-op loop below. *)
-        (* Arena fused path: fetch the group's slot inputs as zero-copy
-           views, resolve the specialized kernel through the backend cache,
-           and drive its destination entry point straight into the terminal
-           output's planned slot. *)
-        let run_fused_arena be ar =
-          match templates.(gid) with
-          | None -> false
-          | Some tpl -> (
-            let n = Array.length tpl.Fused_compile.t_slots in
-            let vs = Array.make n None in
-            Array.iteri
-              (fun i tid -> vs.(i) <- view_of tid)
-              tpl.Fused_compile.t_slots;
-            if Array.exists Option.is_none vs then false
-            else
-              let va = Array.map Option.get vs in
-              let shapes =
-                Array.to_list
-                  (Array.map (fun v -> v.Tensor.vdims, Tensor.view_dtype v) va)
-              in
-              match Backend.fused_kernel be ~tpl c ~gid ~args:shapes with
-              | None -> false
-              | Some k ->
-                let out = k.Fused_compile.k_out in
-                let dims = List.assoc out k.Fused_compile.k_dims in
-                let numel = List.fold_left ( * ) 1 dims in
-                let par = Backend.par_of be in
-                (match ar.ar_slot.(out) with
-                | Some (off, cap) when cap = numel && not (is_graph_out out) ->
-                  k.Fused_compile.k_run_into ~par va ~c:ar.ar_buf ~co:off;
-                  ar.ar_loc.(out) <- true;
-                  ar.ar_resident <- ar.ar_resident + 1;
-                  counter "arena-dest-store"
-                | _ ->
-                  let buf = Tensor.fbuf_create (Tensor.fbuf_dtype ar.ar_buf) numel in
-                  Tensor.fbuf_fill buf 0 numel 0.0;
-                  k.Fused_compile.k_run_into ~par va ~c:buf ~co:0;
-                  st.tensors.(out) <- Some (Tensor.of_fbuf dims buf);
-                  counter "arena-out-direct");
-                List.iter
-                  (fun (tid, d) ->
-                    st.dims.(tid) <- Some d;
-                    st.avail.(tid) <- true)
-                  k.Fused_compile.k_dims;
-                true)
-        in
-        let fused_done =
-          match mode, backend with
-          (* Quantized members never execute fused: compile withheld the
-             group's template (see [Fused_compile.plan ~quantized]), and this
-             runtime guard keeps the invariant even for artifacts compiled
-             without [~quant] paired with a quant-enabled config. *)
-          | Real, Some be
-            when List.length members > 1
-                 && not (quant && List.exists (Pipeline.quant_node c) members) -> (
-            (match arena with Some ar -> run_fused_arena be ar | None -> false)
-            ||
-            match Backend.fused_run be ?tpl:templates.(gid) c ~gid ~fetch:fetch_boxed with
-            | Some fr ->
-              List.iter
-                (fun (tid, d) ->
-                  st.dims.(tid) <- Some d;
-                  st.avail.(tid) <- true)
-                fr.Backend.fr_dims;
-              st.tensors.(fr.Backend.fr_out) <- Some fr.Backend.fr_tensor;
-              true
-            | None -> false)
-          | _ -> false
-        in
         let executed_all =
-          fused_done
+          run_fused ~gid members
           || List.for_all
-               (fun nd ->
-                 match nd.Graph.op with
+               (fun (nd : Graph.node) ->
+                 match nd.op with
                  | Op.Switch { branches } ->
-                   exec_switch nd branches;
+                   verify_gate nd
+                     (route_switch ~control rc ~branch:branch_of_pred ~route nd branches);
                    true
-                 | Op.Combine { branches } -> exec_combine nd branches
+                 | Op.Combine { branches } ->
+                   route_combine ~control st ~branch:branch_of_pred ~route nd branches
                  | _ ->
                    exec_plain nd;
                    true)
                members
         in
         if executed_all then begin
-          let step = !step_counter in
-          incr step_counter;
-          Hashtbl.replace step_of_group gid step;
-          nodes_executed := !nodes_executed + List.length members;
           (* Fused-group boundary guard: hand every produced extent to the
              caller's verifier (no-op unless dims cross-checking is on). *)
           List.iter
-            (fun (nd : Graph.node) ->
-              List.iter
-                (fun tid ->
-                  match st.dims.(tid) with Some d -> verify tid d | None -> ())
-                nd.Graph.outputs)
-            members;
-          (* Record extents, traffic and events. *)
-          let ops =
-            List.map
-              (fun (nd : Graph.node) ->
-                let ind = List.map (fun tid -> Option.value ~default:[] st.dims.(tid)) nd.inputs in
-                let outd =
-                  List.map (fun tid -> Option.value ~default:[] st.dims.(tid)) nd.outputs
-                in
-                nd.op, ind, outd)
-              members
-          in
-          let external_inputs =
-            List.concat_map (fun (nd : Graph.node) -> nd.Graph.inputs) members
-            |> List.sort_uniq compare
-            |> List.filter (fun tid -> not (List.mem tid member_tids))
-          in
-          let in_bytes =
-            List.fold_left
-              (fun acc tid ->
-                match st.dims.(tid) with
-                | Some d -> acc + tensor_bytes tid d
-                | None -> acc)
-              0 external_inputs
-          in
-          let out_bytes = ref 0 and internal_bytes = ref 0 in
-          List.iter
-            (fun (nd : Graph.node) ->
-              (* Switch outputs alias their input; they cost no memory. *)
-              if not (Op.is_control_flow nd.Graph.op) then
-                List.iter
-                  (fun tid ->
-                    match st.dims.(tid) with
-                    | Some d ->
-                      let b = tensor_bytes tid d in
-                      if is_internal ctx tid then internal_bytes := !internal_bytes + b
-                      else begin
-                        out_bytes := !out_bytes + b;
-                        produced := (tid, b, step) :: !produced
-                      end
-                    | None -> ())
-                  nd.Graph.outputs)
-            members;
-          let gemm =
-            List.find_map
-              (fun (op, ind, outd) ->
-                Multi_version.gemm_dims_of_op op ~in_dims:ind ~out_dims:outd)
-              ops
-          in
-          steps :=
-            {
-              step;
-              gid;
-              ops;
-              external_bytes = in_bytes + !out_bytes;
-              internal_bytes = !internal_bytes;
-              gemm;
-            }
-            :: !steps
+            (fun tid -> Option.iter (verify tid) st.dims.(tid))
+            member_tids;
+          record_step ctx st rc ~gid ~member_tids members
         end
       end)
     order;
-  (* Lifetime events for materialized tensors. *)
-  let last_step = max 0 (!step_counter - 1) in
-  let events =
-    List.rev_map
-      (fun (tid, bytes, alloc) ->
-        let free =
-          if List.mem tid ctx.out_tids then last_step
-          else
-            List.fold_left
-              (fun acc cnid ->
-                match
-                  Hashtbl.find_opt step_of_group c.fusion_plan.group_of.(cnid)
-                with
-                | Some s -> max acc s
-                | None -> acc)
-              alloc
-              (Graph.consumers g tid)
-        in
-        { te_tid = tid; te_bytes = bytes; te_alloc = alloc; te_free = free })
-      !produced
-  in
-  let out_dims =
-    List.filter_map
-      (fun tid ->
-        match st.dims.(tid) with Some d -> Some (tid, d) | None -> None)
-      ctx.out_tids
-  in
-  {
-    steps = List.rev !steps;
-    events;
-    out_dims;
-    nodes_executed = !nodes_executed;
-    arena_bytes = (match arena with Some ar -> ar.ar_bytes | None -> 0);
-    arena_resident = (match arena with Some ar -> ar.ar_resident | None -> 0);
-    gate_outcomes = List.rev !gate_obs;
-  }
+  finish ctx st rc
+    ~arena_bytes:(match arena with Some ar -> ar.ar_bytes | None -> 0)
+    ~arena_resident:(match arena with Some ar -> ar.ar_resident | None -> 0)
 
-let run_dry ?(control = Selected_only) ?(gate = fun _ -> 0) (c : Pipeline.compiled)
-    ~input_dims =
-  let ctx = make_ctx c in
-  let st = init_state c ~keep_tensors:false in
-  List.iter
-    (fun (tid, dims) ->
-      st.dims.(tid) <- Some dims;
-      st.avail.(tid) <- true)
-    input_dims;
-  List.iter
-    (fun tid ->
-      if not st.avail.(tid) then
-        raise (Unresolved (Printf.sprintf "graph input t%d has no concrete dims" tid)))
-    (Graph.inputs c.graph);
-  run_engine ~mode:Dry ~control ~gate ctx st
+(* --- run_real ----------------------------------------------------- *)
 
-let run_real_opts ?(control = Selected_only) ?check_env ?backend ?(memory = Malloc)
-    ?(quant = false) ?outcomes ?plan ?kernel_hook (c : Pipeline.compiled) ~inputs =
-  let ctx = make_ctx c in
-  let attempt variant =
+(* One attempt over [variant] (or the base plan): fresh state, the arena
+   laid out, the real walk, then the outputs boxed at the boundary. *)
+let run_attempt ~control ~check_env ?backend ~memory ?plan ?kernel_hook ctx ~inputs variant =
+  let c = ctx.c in
   let st = init_state c ~keep_tensors:true in
-  List.iter
-    (fun (tid, t) ->
-      st.tensors.(tid) <- Some t;
-      st.dims.(tid) <- Some (Tensor.dims t);
-      if Tensor.dtype t = Tensor.I64 && Tensor.numel t <= Value_info.max_tracked_elements
-      then st.ivals.(tid) <- Some (Tensor.to_int_list t);
-      st.avail.(tid) <- true)
-    inputs;
+  List.iter (fun (tid, t) -> store st tid t) inputs;
   (* Arena mode: fetch the binding's instantiated plan and its vetting
      verdict (both cached — affine evaluation and vetting only on the
      first inference per binding) and lay the slots over the grow-only
@@ -912,10 +882,7 @@ let run_real_opts ?(control = Selected_only) ?check_env ?backend ?(memory = Mall
             (String.concat "; " (List.map string_of_int want))
         | _ -> ())
   in
-  let trace =
-    run_engine ~mode:Real ~control ~gate:(fun _ -> 0) ~verify ?kernel_hook ?backend
-      ?arena ~quant ?variant ctx st
-  in
+  let trace = run_engine ~control ~verify ?kernel_hook ?backend ?arena ?variant ctx st in
   (* Model outputs must outlive the arena (its slots are overwritten by the
      next inference), so arena-resident outputs are boxed at the boundary.
      This is the one unavoidable copy of arena mode and is counted
@@ -937,66 +904,58 @@ let run_real_opts ?(control = Selected_only) ?check_env ?backend ?(memory = Mall
       ctx.out_tids
   in
   trace, outs
-  in
-  (* Variant dispatch: resolve the outcome vector to a specialized plan
-     (bounded by the artifact's budget), execute it, and on a per-gate
-     verification failure rerun from scratch on the any-path base plan —
-     mispredicted state never leaks into the fallback. *)
-  match Option.bind outcomes (fun o -> Pipeline.variant c ~outcome:o) with
-  | None -> attempt None
-  | Some v -> (
-    let counter kind =
-      Profile.Counters.record ~profile:c.Pipeline.profile.Profile.name ~kind
-    in
-    try
-      let r = attempt (Some v) in
-      counter "variant-run";
-      r
-    with Variant_mispredict _ ->
-      counter "variant-mispredict";
-      attempt None)
 
-(* Config-driven entry point.  Explicit optional arguments always win over
-   the corresponding [config] field, so the historical call sites keep
-   their exact behavior; [config] only fills what the caller left unset.
-   [Mem_arena] needs a symbol binding ([env]) to instantiate the plan —
-   without one it degrades to [Malloc].  A non-naive [config.backend] with
+(* [Mem_arena] needs a symbol binding ([env]) to instantiate the plan; an
+   explicit [memory] supplies its own.  A non-naive [config.backend] with
    no caller-supplied instance creates a transient backend for this one
    run and shuts it down afterwards; callers with steady traffic should
    pass their own long-lived [?backend] (or use {!Engine}). *)
-let run_real ?config ?env ?control ?check_env ?backend ?memory ?outcomes ?plan
+let run_real ?(config = default_config) ?env ?backend ?memory ?outcomes ?plan
     ?kernel_hook (c : Pipeline.compiled) ~inputs =
-  match config with
-  | None ->
-    run_real_opts ?control ?check_env ?backend ?memory ?outcomes ?plan ?kernel_hook c
+  let memory =
+    match memory, config.memory, env with
+    | Some m, _, _ -> m
+    | None, Mem_malloc, _ -> Malloc
+    | None, Mem_arena, Some env -> Arena { arena = Arena.create (); env }
+    | None, Mem_arena, None ->
+      invalid_arg
+        "Executor.run_real: config.memory = Mem_arena needs ~env (the symbol \
+         binding its plan is instantiated under) or an explicit ~memory"
+  in
+  let check_env = if config.guarded then env else None in
+  let owned, backend =
+    match backend, config.backend with
+    | (Some _ as be), _ -> None, be
+    | None, Backend.Naive -> None, None
+    | None, k ->
+      let be = Backend.for_compiled k c in
+      Some be, Some be
+  in
+  let ctx = make_ctx c in
+  let attempt =
+    run_attempt ~control:config.control ~check_env ?backend ~memory ?plan ?kernel_hook ctx
       ~inputs
-  | Some cfg ->
-    let control = Option.value control ~default:cfg.control in
-    let memory =
-      match memory, cfg.memory, env with
-      | Some m, _, _ -> m
-      | None, Mem_arena, Some env -> Arena { arena = Arena.create (); env }
-      | None, (Mem_malloc | Mem_arena), _ -> Malloc
-    in
-    let check_env = if Option.is_some check_env then check_env
-      else if cfg.guarded then env
-      else None
-    in
-    let owned, backend =
-      match backend, cfg.backend with
-      | (Some _ as be), _ -> None, be
-      | None, Backend.Naive -> None, None
-      | None, k ->
-        let be = Backend.for_compiled k c in
-        Some be, Some be
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Backend.shutdown owned)
-      (fun () ->
-        run_real_opts ~control ?check_env ?backend ~memory ~quant:cfg.quant
-          ?outcomes ?plan ?kernel_hook c ~inputs)
+  in
+  let counter kind = Profile.Counters.record ~profile:c.Pipeline.profile.Profile.name ~kind in
+  Fun.protect
+    ~finally:(fun () -> Option.iter Backend.shutdown owned)
+    (fun () ->
+      (* Variant dispatch: resolve the outcome vector to a specialized plan
+         (bounded by the artifact's budget), execute it, and on a per-gate
+         verification failure rerun from scratch on the any-path base plan —
+         mispredicted state never leaks into the fallback. *)
+      match Option.bind outcomes (fun o -> Pipeline.variant c ~outcome:o) with
+      | None -> attempt None
+      | Some v -> (
+        try
+          let r = attempt (Some v) in
+          counter "variant-run";
+          r
+        with Variant_mispredict _ ->
+          counter "variant-mispredict";
+          attempt None))
 
-let peak_live_bytes trace =
+let peak_live_bytes (trace : trace) =
   let last =
     List.fold_left (fun acc e -> max acc e.te_free) 0 trace.events
   in
@@ -1011,7 +970,7 @@ let peak_live_bytes trace =
   done;
   !peak
 
-let total_flops trace =
+let total_flops (trace : trace) =
   List.fold_left
     (fun acc ge ->
       List.fold_left

@@ -2,14 +2,17 @@
 
     Executes a compiled model over one input sample, following the static
     execution order, the fusion plan (group-internal tensors are never
-    materialized) and the [<Switch, Combine>] routing.  Two modes:
+    materialized) and the [<Switch, Combine>] routing.  Two walkers share
+    one step/event recorder:
 
-    - [Real] — tensors are actually computed with {!Kernels}; used by the
-      correctness tests and the examples;
-    - [Dry] — only concrete shapes (and the small integer values that feed
-      shape computations) propagate; used by the evaluation harness, which
-      sweeps hundreds of (model × sample × framework × device)
-      combinations that would be prohibitively slow to interpret.
+    - {!run_real} interprets the model: tensors are computed with
+      {!Kernels}; used by the correctness tests, the engine and the
+      examples;
+    - {!run_dry} is a shape-only walk: only concrete shapes (and the small
+      integer values that feed shape computations) propagate; used by the
+      evaluation harness, which sweeps hundreds of (model × sample ×
+      framework × device) combinations that would be prohibitively slow
+      to interpret.
 
     Control flow executes either [Selected_only] (SoD²: the predicate
     routes exactly one branch) or [All_paths] (the baseline frameworks'
@@ -20,16 +23,12 @@
     framework simulators turn traces into latency/memory figures under
     their own policies.
 
-    In [Dry] mode, execution-determined extents that depend on tensor
+    In the dry walk, execution-determined extents that depend on tensor
     {e contents} are drawn deterministically: [NonZero] yields half its
     input elements, [NonMaxSuppression] a quarter of its boxes, and
     [Switch] predicates come from the [gate] callback (seeded per sample
     by the workload generator), so input-dependent paths vary across
     samples exactly as real predicates would. *)
-
-type mode =
-  | Real
-  | Dry
 
 type control =
   | Selected_only
@@ -86,10 +85,11 @@ type memory =
 
 (** {1 Execution configuration}
 
-    One record naming the four execution policies that used to travel as
-    separate optional arguments.  [{!Engine.create}], {!run_real} and
-    {!Guarded_exec.run} all accept a [?config]; the CLI's [--exec] flag
-    parses straight into it ({!config_of_string}). *)
+    One record naming the execution policies: each is settable here and
+    nowhere else.  {!Engine.create}, {!run_real} and {!Guarded_exec.run}
+    all accept a [?config]; the CLI's [--exec] flag parses straight into
+    it ({!config_of_string}).  Int8 is not among them: it is a property
+    of the compiled artifact ({!Pipeline.compiled.quant}). *)
 
 type mem_kind =
   | Mem_malloc  (** fresh allocation per tensor *)
@@ -101,14 +101,9 @@ type config = {
   backend : Backend.kind;
   memory : mem_kind;
   guarded : bool;
-      (** in {!run_real}: fail-fast RDP cross-checks ([check_env] = the
-          binding); in {!Engine}: serve through {!Guarded_exec} *)
+      (** in {!run_real}: fail-fast RDP cross-checks under the [env]
+          binding; in {!Engine}: serve through {!Guarded_exec} *)
   control : control;
-  quant : bool;
-      (** run int8 weight-quantized kernels for nodes whose weights were
-          quantized at compile ({!Pipeline.compile} [~quant:true]); a no-op
-          on artifacts compiled without [~quant].  Needs a non-naive
-          [backend] — the naive reference path always runs float. *)
   compile : Compile_opts.t;
       (** the compile-side surface riding along with the exec config, so
           one spec configures both halves ({!Engine.create} and the CLI
@@ -117,16 +112,15 @@ type config = {
 
 val default_config : config
 (** [{ backend = Naive; memory = Mem_malloc; guarded = false;
-      control = Selected_only; quant = false;
-      compile = Compile_opts.default }] — exactly what the bare
-    optional-arg entry points default to. *)
+      control = Selected_only; compile = Compile_opts.default }] — what
+    {!run_real} runs under when no [config] is given. *)
 
 val config_of_string : string -> (config, string) result
 (** Parses the CLI [--exec] syntax
-    ["naive|blocked|parallel|fused[,arena][,malloc][,guarded][,all-paths][,int8]"].
+    ["naive|blocked|parallel|fused[,arena][,malloc][,guarded][,all-paths]"].
     Modifiers the executor does not recognize are folded through
     {!Compile_opts.parse_token} into [compile], so a single spec can carry
-    compile tokens too (["fused,arena,variants=8"]). *)
+    compile tokens too (["fused,arena,int8,variants=8"]). *)
 
 val config_to_string : config -> string
 (** Canonical [--exec] rendering (exec modifiers first, then the
@@ -134,15 +128,14 @@ val config_to_string : config -> string
     is [Ok c] for any [c] built by {!config_of_string}. *)
 
 exception Unresolved of string
-(** Raised in [Dry] mode when a shape could not be resolved concretely —
+(** Raised by {!run_dry} when a shape could not be resolved concretely —
     indicates a gap in the operator's transfer function. *)
 
 exception Variant_mispredict of int * int * int
 (** [(gate, assumed, got)] — a variant run's once-per-gate verification at
     the Switch found the computed predicate selecting a different branch
     than the specialized plan assumed.  {!run_real} catches this
-    internally (falling back to the any-path base plan); it escapes only
-    from a direct [run_engine]-level embedding. *)
+    internally, falling back to the any-path base plan. *)
 
 val run_dry :
   ?control:control -> ?gate:(Graph.tensor_id -> int) ->
@@ -152,15 +145,47 @@ val run_dry :
     branch 0). *)
 
 val run_real :
-  ?config:config -> ?env:Env.t ->
-  ?control:control -> ?check_env:Env.t -> ?backend:Backend.t -> ?memory:memory ->
+  ?config:config -> ?env:Env.t -> ?backend:Backend.t -> ?memory:memory ->
   ?outcomes:int array ->
   ?plan:Mem_plan.t * Mem_plan.defect list ->
   ?kernel_hook:(gid:int -> node:Graph.node_id -> unit) ->
   Pipeline.compiled -> inputs:(Graph.tensor_id * Tensor.t) list ->
   trace * (Graph.tensor_id * Tensor.t) list
 (** Full interpretation; returns the trace and the graph output tensors.
-    Switch predicates are read from the computed predicate tensors.
+    Switch predicates are read from the computed predicate tensors; a
+    predicate that is empty or has no value raises [Sod2_error.Error]
+    (class [Shape_mismatch]).
+
+    [config] (default {!default_config}) carries every execution choice:
+    - [config.control] is the control-flow policy;
+    - [config.memory = Mem_arena] runs over a fresh arena instantiated
+      from [env]; without an [env] (and no explicit [memory]) it raises
+      [Invalid_argument];
+    - [config.guarded] with an [env] turns on the fail-fast RDP
+      cross-check: every tensor materialized at a fused-group boundary is
+      compared with its RDP-predicted dims under [env], and a
+      disagreement raises [Sod2_error.Error] (class [Shape_mismatch]).
+      {!Guarded_exec} turns that raise into a re-run on {!Reference};
+    - a non-naive [config.backend] creates a transient backend for this
+      run.
+
+    Int8 kernels run for the nodes whose weights the artifact quantized
+    ({!Pipeline.compiled.quant}) whenever a non-naive backend is in use;
+    the naive path always runs float, bit-identical to {!Reference}.
+
+    The remaining arguments are resources, not choices.  [backend] is a
+    long-lived kernel backend (it replaces the transient one): heavy
+    operators route through its blocked/parallel kernels, with each
+    node's shape class taken from the compile-time resolution
+    ({!Pipeline.compiled.kernel_classes}) when available.  [memory] is
+    the allocation discipline with its own arena (see {!memory}); it
+    replaces the one [config.memory] would build.  Under [Arena], graph
+    outputs are boxed copies taken at the run boundary
+    (["arena-out-materialize"]), so they stay valid across later
+    inferences over the same arena.  An arena run follows a plan only
+    when its vetting verdict ({!Pipeline.vetted_plan}, cached per
+    binding) is clean; a plan with defects runs boxed and counts
+    ["arena-fallback-malloc"].
 
     [outcomes] predicts the predicate-outcome vector: when the artifact has
     a plan variant for it (within budget — {!Pipeline.variant}), execution
@@ -171,40 +196,11 @@ val run_real :
     falls back to the any-path base plan — results are identical either
     way, only the steady-state cost differs.
 
-    [config] is the consolidated entry point: [config.control] supplies
-    the control policy, [config.memory = Mem_arena] runs over a fresh
-    arena instantiated from [env] (degrading to malloc when no [env] is
-    given), [config.guarded] enables the fail-fast RDP cross-checks under
-    [env], and a non-naive [config.backend] creates a transient backend
-    for this run.  The remaining optional arguments are the historical
-    fine-grained spellings; when both are given the explicit argument
-    wins over the config field.  Prefer [config] (or {!Engine}) in new
-    code.
-
-    [memory] (default [Malloc]) selects the allocation discipline — see
-    {!memory}.  Under [Arena], graph outputs are boxed copies taken at the
-    run boundary (["arena-out-materialize"]), so they stay valid across
-    later inferences over the same arena.  An arena run follows a plan
-    only when its vetting verdict ({!Pipeline.vetted_plan}, cached per
-    binding) is clean; a plan with defects runs boxed and counts
-    ["arena-fallback-malloc"].
-
     [plan] and [kernel_hook] are {!Guarded_exec}'s seams.  [plan]
     replaces the base plan and its verdict for an [Arena] run (variant
     attempts keep their own cached plans).  [kernel_hook] runs before each
     executed group's members, fused or not, and may raise to simulate a
-    faulty kernel.
-
-    [backend] routes heavy operators through the blocked/parallel kernel
-    backend, with each node's shape class taken from the compile-time
-    resolution ({!Pipeline.compiled.kernel_classes}) when available;
-    without it every node runs the naive reference kernels.
-
-    With [check_env], every tensor materialized at a fused-group boundary
-    is cross-checked against its RDP-predicted dims instantiated under the
-    valuation; a disagreement raises [Sod2_error.Error] (class
-    [Shape_mismatch]) — the fail-fast guard.  {!Guarded_exec} turns that
-    raise into a re-run on {!Reference}. *)
+    faulty kernel. *)
 
 (** {1 Accounting helpers} *)
 

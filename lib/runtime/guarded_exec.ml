@@ -56,7 +56,7 @@ let run ?(config = Executor.default_config) ?mem_plan ?arena ?kernel_hook ?backe
   let arena = match arena with Some a -> a | None -> Arena.create () in
   let attempt =
     match
-      Executor.run_real ~config ~check_env:env ?backend
+      Executor.run_real ~config:{ config with Executor.guarded = true } ~env ?backend
         ~memory:(Executor.Arena { arena; env })
         ?outcomes ~plan ?kernel_hook c ~inputs
     with
@@ -68,7 +68,7 @@ let run ?(config = Executor.default_config) ?mem_plan ?arena ?kernel_hook ?backe
            (List.length (Graph.outputs g) - List.length outputs)
            (List.length (Graph.outputs g)));
       None
-    (* [check_env]'s boundary cross-check raises [Shape_mismatch]. *)
+    (* The guarded boundary cross-check raises [Shape_mismatch]. *)
     | exception Sod2_error.Error ({ cls = Sod2_error.Shape_mismatch; _ } as e) ->
       incident Dim_mismatch (Sod2_error.to_string e);
       None

@@ -69,10 +69,10 @@ val run :
 
     [config] (default {!Executor.default_config}) supplies the backend
     (a non-naive one is created and shut down per run unless [backend]
-    is given), [quant] and [control]; its [memory] and [guarded] fields
-    do not apply — guarded runs always follow the plan over an arena
-    ([arena], persistent across calls, or a fresh one) with the
-    cross-check on.  [outcomes] predicts the gate outcomes as in
+    is given) and [control]; its [memory] and [guarded] fields do not
+    apply — guarded runs always follow the plan over an arena ([arena],
+    persistent across calls, or a fresh one) with the cross-check on
+    ({!Executor.run_real} under [{ config with guarded = true }]).  [outcomes] predicts the gate outcomes as in
     {!Executor.run_real}; a variant attempt follows its own cached plan.
 
     [mem_plan] replaces the base plan instantiated from [env] and is

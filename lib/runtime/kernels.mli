@@ -1,6 +1,6 @@
 (** Reference kernels: execute one operator node on concrete tensors.
 
-    This is the interpreter the [Real] execution mode uses; every operator
+    This is the interpreter {!Executor.run_real} uses; every operator
     of the IR has a kernel here with ONNX semantics, built on the
     {!Sod2_tensor} primitives.  Control-flow operators ([Switch],
     [Combine]) are {e not} handled here — the executor routes them. *)

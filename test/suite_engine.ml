@@ -178,11 +178,9 @@ let test_config_parsing () =
     (RT.Executor.default_config = { RT.Executor.backend = RT.Backend.Naive;
                                     memory = RT.Executor.Mem_malloc; guarded = false;
                                     control = RT.Executor.Selected_only;
-                                    quant = false;
                                     compile = Sod2.Compile_opts.default })
 
-(* The config-driven entry points must agree with the historical
-   optional-arg spellings they subsume. *)
+(* Every config-driven entry point must agree with the reference. *)
 let test_config_entry_points () =
   let c = Sod2.Pipeline.compile cpu graph in
   let env = Env.of_list [ "B", 5 ] in
@@ -209,12 +207,29 @@ let test_config_entry_points () =
     (bit_identical report.RT.Guarded_exec.outputs reference);
   Alcotest.(check int) "guarded run is incident-free" 0
     (List.length report.RT.Guarded_exec.incidents);
-  (* One-shot arena execution on the Engine facade. *)
-  let r = RT.Engine.run_arena c ~env ~inputs in
-  Alcotest.(check bool) "Engine.run_arena = reference" true
-    (bit_identical r.RT.Engine.outputs reference);
-  Alcotest.(check bool) "run_arena reports arena residency" true
-    (r.RT.Engine.arena_bytes > 0 && r.RT.Engine.arena_resident > 0)
+  (* One-shot arena execution over a caller-owned arena, read from the
+     trace. *)
+  let tr, outs =
+    RT.Executor.run_real
+      ~config:{ RT.Executor.default_config with RT.Executor.guarded = true }
+      ~env ~memory:(RT.Executor.Arena { arena = RT.Arena.create (); env }) c ~inputs
+  in
+  Alcotest.(check bool) "explicit-arena run_real = reference" true
+    (bit_identical outs reference);
+  Alcotest.(check bool) "the trace reports arena residency" true
+    (tr.RT.Executor.arena_bytes > 0 && tr.RT.Executor.arena_resident > 0)
+
+(* An arena config with no binding to instantiate its plan under is a
+   caller error, not a silent malloc run. *)
+let test_arena_config_needs_env () =
+  let c = Sod2.Pipeline.compile cpu graph in
+  let inputs = input_for 5 11 in
+  match RT.Executor.run_real ~config:arena_config c ~inputs with
+  | _ -> Alcotest.fail "Mem_arena without ~env ran"
+  | exception Invalid_argument msg ->
+    let n = String.length msg in
+    let rec names_env i = i + 4 <= n && (String.sub msg i 4 = "~env" || names_env (i + 1)) in
+    Alcotest.(check bool) "the error names the missing env" true (names_env 0)
 
 (* ------------------------------------------------------------------ *)
 (* Overload, deadlines, supervision, breaker (ISSUE 6)                 *)
@@ -596,6 +611,7 @@ let suite =
     Alcotest.test_case "graceful shutdown" `Quick test_shutdown_semantics;
     Alcotest.test_case "config parsing" `Quick test_config_parsing;
     Alcotest.test_case "config entry points" `Quick test_config_entry_points;
+    Alcotest.test_case "arena config without env raises" `Quick test_arena_config_needs_env;
     Alcotest.test_case "deadline expiry under a stalled worker" `Quick test_deadline_expiry;
     Alcotest.test_case "queue cap: reject policy" `Quick test_queue_cap_reject;
     Alcotest.test_case "queue cap: shed-oldest policy" `Quick test_queue_cap_shed;

@@ -336,21 +336,24 @@ let matmul_relu_graph rng ~m ~k ~n =
   Graph.Builder.set_outputs b [ r ];
   x, Graph.Builder.finish b
 
+(* The compile options of a quantized artifact: int8 is a property of the
+   artifact, and every non-naive backend then runs its int8 kernels. *)
+let int8 = { Sod2.Compile_opts.default with Sod2.Compile_opts.quant = true }
+
 let test_pipeline_quant_matmul () =
   let rng = Rng.create 42 in
   let m, k, n = 7, 33, 12 in
   let x, g = matmul_relu_graph rng ~m ~k ~n in
-  let c = Sod2.Pipeline.compile ~quant:true cpu g in
+  let c = Sod2.Pipeline.compile ~opts:int8 cpu g in
   Alcotest.(check int) "one weight quantized at compile" 1
     (Hashtbl.length c.Sod2.Pipeline.quant_weights);
   Alcotest.(check bool) "artifact is flagged" true c.Sod2.Pipeline.quant;
   let inputs = [ x, Tensor.rand_uniform rng [ m; k ] ] in
-  (* Same artifact, quant off: bit-exact float semantics for the baseline. *)
+  (* Same artifact on the naive backend: bit-exact float semantics for the
+     baseline. *)
   let _, float_outs = RT.Executor.run_real c ~inputs in
   Profile.Counters.reset ();
-  let cfg =
-    { RT.Executor.default_config with backend = RT.Backend.Blocked; quant = true }
-  in
+  let cfg = { RT.Executor.default_config with backend = RT.Backend.Blocked } in
   let _, q_outs = RT.Executor.run_real ~config:cfg c ~inputs in
   Alcotest.(check bool) "int8 kernel engaged" true (counter_count "quant-kernel" > 0);
   List.iter2
@@ -374,7 +377,7 @@ let test_pipeline_quant_conv_arena () =
   let r = Graph.Builder.node1 b (Op.Unary Op.Relu) [ y ] in
   Graph.Builder.set_outputs b [ r ];
   let g = Graph.Builder.finish b in
-  let c = Sod2.Pipeline.compile ~quant:true cpu g in
+  let c = Sod2.Pipeline.compile ~opts:int8 cpu g in
   let inputs = [ x, Tensor.rand_uniform rng [ 1; 4; 8; 8 ] ] in
   let _, float_outs = RT.Executor.run_real c ~inputs in
   (* The full CLI spelling, arena memory included: per-channel conv + bias
@@ -394,21 +397,24 @@ let test_pipeline_quant_conv_arena () =
 let test_config_int8_syntax () =
   (match RT.Executor.config_of_string "blocked,arena,int8" with
   | Ok cfg ->
-    Alcotest.(check bool) "int8 parses to quant" true cfg.RT.Executor.quant;
+    Alcotest.(check bool) "int8 parses to a quantized compile" true
+      cfg.RT.Executor.compile.Sod2.Compile_opts.quant;
     Alcotest.(check string) "canonical rendering round-trips" "blocked,arena,int8"
       (RT.Executor.config_to_string cfg)
   | Error e -> Alcotest.fail e);
   match RT.Executor.config_of_string "naive" with
-  | Ok cfg -> Alcotest.(check bool) "quant defaults off" false cfg.RT.Executor.quant
+  | Ok cfg ->
+    Alcotest.(check bool) "quant defaults off" false
+      cfg.RT.Executor.compile.Sod2.Compile_opts.quant
   | Error e -> Alcotest.fail e
 
 let test_fused_template_withheld () =
   (* Quantized anchors must not reach the fused compiler: the group's
-     template is present on a float compile and withheld under [~quant]. *)
+     template is present on a float compile and withheld under int8. *)
   let rng = Rng.create 44 in
   let _, g = matmul_relu_graph rng ~m:4 ~k:16 ~n:8 in
   let cf = Sod2.Pipeline.compile cpu g in
-  let cq = Sod2.Pipeline.compile ~quant:true cpu g in
+  let cq = Sod2.Pipeline.compile ~opts:int8 cpu g in
   let gid_of c =
     let found = ref None in
     Array.iteri
@@ -431,7 +437,7 @@ let test_fused_template_withheld () =
       (Option.is_none cq.Sod2.Pipeline.fused.(gid))
 
 let test_engine_quant () =
-  (* The serving engine inherits quant through [Executor.config] — no
+  (* The serving engine inherits quant from the artifact — no
      engine-specific plumbing.  Symbolic batch exercises the per-binding
      plan cache together with the dynamic activation quantization. *)
   let rng = Rng.create 45 in
@@ -445,13 +451,12 @@ let test_engine_quant () =
   let r = Graph.Builder.node1 b (Op.Unary Op.Relu) [ y ] in
   Graph.Builder.set_outputs b [ r ];
   let g = Graph.Builder.finish b in
-  let c = Sod2.Pipeline.compile ~quant:true cpu g in
+  let c = Sod2.Pipeline.compile ~opts:int8 cpu g in
   let cfg =
     {
       RT.Executor.default_config with
       backend = RT.Backend.Blocked;
       memory = RT.Executor.Mem_arena;
-      quant = true;
     }
   in
   let eng = RT.Engine.create ~workers:1 ~config:cfg c in
@@ -484,14 +489,14 @@ let config_of spec =
   | Error e -> Alcotest.fail e
 
 let test_engine_guarded_int8_consistent () =
-  (* Planned runs honour [quant] whichever plan serves them: the first
+  (* Planned runs honour the artifact's int8 whichever plan serves them: the first
      request runs the base plan (and learns the gate outcomes), the later
      ones the predicted variant — same inputs, same int8 answer. *)
   let sp = Option.get (Zoo.by_name "skipnet") in
   let g = sp.Zoo.build () in
   let cfg = config_of "blocked,arena,guarded,int8,variants=8" in
   let c =
-    Sod2.Pipeline.compile ~quant:true ~opts:cfg.RT.Executor.compile cpu g
+    Sod2.Pipeline.compile ~opts:cfg.RT.Executor.compile cpu g
   in
   let env = Env.of_list [ "H", 64; "W", 64 ] in
   let inputs = Zoo.make_inputs sp g env (Rng.create 5) in
@@ -517,12 +522,39 @@ let test_engine_guarded_int8_consistent () =
             (bit_identical (List.hd answers) outs))
         answers)
 
+(* The float baseline every quant test leans on: a quantized artifact on
+   the naive backend, with or without an explicit backend instance, runs
+   no int8 kernel and answers exactly as the reference interpreter. *)
+let test_naive_quant_is_reference () =
+  let rng = Rng.create 47 in
+  let x, g = matmul_relu_graph rng ~m:5 ~k:20 ~n:9 in
+  let c = Sod2.Pipeline.compile ~opts:int8 cpu g in
+  let inputs = [ x, Tensor.rand_uniform rng [ 5; 20 ] ] in
+  let reference = RT.Reference.run g ~inputs in
+  let be = RT.Backend.for_compiled RT.Backend.Naive c in
+  Profile.Counters.reset ();
+  Fun.protect
+    ~finally:(fun () -> RT.Backend.shutdown be)
+    (fun () ->
+      List.iter
+        (fun (what, outs) ->
+          Alcotest.(check bool) (what ^ " = Reference.run, bit for bit") true
+            (bit_identical reference outs))
+        [
+          "no backend", snd (RT.Executor.run_real c ~inputs);
+          "naive backend", snd (RT.Executor.run_real ~backend:be c ~inputs);
+          ( "naive arena config",
+            snd (RT.Executor.run_real ~config:(config_of "naive,arena,int8") ~env:Env.empty
+                   c ~inputs) );
+        ]);
+  Alcotest.(check int) "no int8 kernel ran" 0 (counter_count "quant-kernel")
+
 let test_engine_fallback_is_float () =
   (* Fallbacks answer in float: with the breaker open, an int8 engine's
      reply is exactly the reference interpreter's. *)
   let rng = Rng.create 46 in
   let x, g = matmul_relu_graph rng ~m:6 ~k:24 ~n:10 in
-  let c = Sod2.Pipeline.compile ~quant:true cpu g in
+  let c = Sod2.Pipeline.compile ~opts:int8 cpu g in
   let eng =
     RT.Engine.create ~workers:1 ~breaker_threshold:1 ~breaker_cooldown_us:1e9
       ~config:(config_of "blocked,arena,int8") c
@@ -597,6 +629,8 @@ let suite =
     Alcotest.test_case "guarded int8 engine answers consistently" `Quick
       test_engine_guarded_int8_consistent;
     Alcotest.test_case "int8 engine fallback is float" `Quick test_engine_fallback_is_float;
+    Alcotest.test_case "int8 artifact on naive = reference" `Quick
+      test_naive_quant_is_reference;
     Alcotest.test_case "mem-plan I64 elem override" `Quick
       test_memplan_int_elem_override;
   ]

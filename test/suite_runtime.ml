@@ -19,35 +19,62 @@ let tiny_env (sp : Zoo.spec) =
       Env.bind s (if sp.input_desc = "Image" || sp.input_desc = "Text + Image" then 64 else 32) e)
     Env.empty sp.dim_choices
 
-(* Real and dry execution must agree on every materialized extent. *)
+(* One arena run with the RDP cross-check on; the trace carries the arena
+   figures. *)
+let run_arena ?backend ?(arena = Sod2_runtime.Arena.create ()) c ~env ~inputs =
+  Sod2_runtime.Executor.run_real
+    ~config:{ Sod2_runtime.Executor.default_config with guarded = true }
+    ~env ?backend
+    ~memory:(Sod2_runtime.Executor.Arena { arena; env })
+    c ~inputs
+
+(* Real and dry execution must agree on every step: the dry walk, fed the
+   gate outcomes the real run observed, executes the same groups with the
+   same operator extents and records the same tensor lifetimes.  Models
+   with [NonZero]/[NonMaxSuppression] are out of scope: dry mode draws
+   their extents. *)
 let test_real_dry_agreement () =
   List.iter
     (fun name ->
       let sp = spec name in
       let g = graph_of name in
-      let c = Sod2.Pipeline.compile cpu g in
-      let env = tiny_env sp in
-      let inputs = Zoo.make_inputs sp g env (Rng.create 7) in
-      let real_trace, _ = Sod2_runtime.Executor.run_real c ~inputs in
-      (* gates in dry mode must follow the real predicate outcomes; rebuild
-         them from the real trace's executed Switch steps is complex, so we
-         restrict this check to shape-dynamism models with no gates *)
-      if Zoo.gate_count g = 0 then begin
-        let dry_trace =
-          Sod2_runtime.Executor.run_dry c ~input_dims:(Zoo.input_dims sp g env)
+      let drawn (nd : Graph.node) =
+        match nd.Graph.op with
+        | Op.NonZero | Op.NonMaxSuppression _ -> true
+        | _ -> false
+      in
+      if not (Array.exists drawn (Graph.nodes g)) then begin
+        let c = Sod2.Pipeline.compile cpu g in
+        let env = tiny_env sp in
+        let inputs = Zoo.make_inputs sp g env (Rng.create 7) in
+        let real, _ = Sod2_runtime.Executor.run_real c ~inputs in
+        let gate tid =
+          Option.value ~default:0
+            (List.assoc_opt tid real.Sod2_runtime.Executor.gate_outcomes)
         in
-        let dims_of (tr : Sod2_runtime.Executor.trace) =
-          List.map (fun (tid, d) -> tid, d) tr.Sod2_runtime.Executor.out_dims
+        let dry =
+          Sod2_runtime.Executor.run_dry ~gate c ~input_dims:(Zoo.input_dims sp g env)
         in
+        let open Sod2_runtime.Executor in
         Alcotest.(check (list (pair int (list int))))
-          (name ^ ": output extents agree")
-          (dims_of real_trace) (dims_of dry_trace);
-        Alcotest.(check int)
-          (name ^ ": same nodes executed")
-          real_trace.Sod2_runtime.Executor.nodes_executed
-          dry_trace.Sod2_runtime.Executor.nodes_executed
+          (name ^ ": output extents agree") real.out_dims dry.out_dims;
+        Alcotest.(check int) (name ^ ": same nodes executed") real.nodes_executed
+          dry.nodes_executed;
+        let step_shape (s : group_exec) =
+          s.gid, List.map (fun (_, ins, outs) -> ins, outs) s.ops
+        in
+        Alcotest.(check (list (pair int (list (pair (list (list int)) (list (list int)))))))
+          (name ^ ": same groups with the same op extents")
+          (List.map step_shape real.steps) (List.map step_shape dry.steps);
+        let lifetime e = e.te_tid, (e.te_alloc, e.te_free) in
+        Alcotest.(check (list (pair int (pair int int))))
+          (name ^ ": same tensor lifetimes")
+          (List.map lifetime real.events) (List.map lifetime dry.events)
       end)
-    [ "codebert"; "conformer"; "yolov6"; "stable-diffusion-encoder"; "segment-anything" ]
+    [
+      "codebert"; "conformer"; "yolov6"; "stable-diffusion-encoder"; "segment-anything";
+      "skipnet"; "convnet-aig"; "blockdrop"; "ranet";
+    ]
 
 (* Fusion must not change results: interpret with the full fusion plan and
    with no fusion at all, and compare output tensors bitwise-ish. *)
@@ -89,13 +116,12 @@ let test_control_flow_equivalence () =
       let env = tiny_env sp in
       let inputs = Zoo.make_inputs sp g env (Rng.create 5) in
       let c = Sod2.Pipeline.compile cpu g in
-      let sel_trace, sel =
-        Sod2_runtime.Executor.run_real ~control:Sod2_runtime.Executor.Selected_only c
-          ~inputs
+      let run control =
+        Sod2_runtime.Executor.run_real
+          ~config:{ Sod2_runtime.Executor.default_config with control } c ~inputs
       in
-      let all_trace, all =
-        Sod2_runtime.Executor.run_real ~control:Sod2_runtime.Executor.All_paths c ~inputs
-      in
+      let sel_trace, sel = run Sod2_runtime.Executor.Selected_only in
+      let all_trace, all = run Sod2_runtime.Executor.All_paths in
       Alcotest.(check bool)
         (name ^ ": all-paths executes at least as much")
         true
@@ -149,17 +175,17 @@ let test_arena_execution () =
       let env = tiny_env sp in
       let inputs = Zoo.make_inputs sp g env (Rng.create 11) in
       let _, boxed = Sod2_runtime.Executor.run_real c ~inputs in
-      let arena = Sod2_runtime.Engine.run_arena c ~env ~inputs in
+      let arena, arena_outs = run_arena c ~env ~inputs in
       Alcotest.(check bool) (name ^ ": tensors lived in the arena") true
-        (arena.Sod2_runtime.Engine.arena_resident > 0);
+        (arena.Sod2_runtime.Executor.arena_resident > 0);
       Alcotest.(check bool) (name ^ ": arena was sized") true
-        (arena.Sod2_runtime.Engine.arena_bytes > 0);
+        (arena.Sod2_runtime.Executor.arena_bytes > 0);
       List.iter2
         (fun (t1, v1) (t2, v2) ->
           Alcotest.(check int) "same output id" t1 t2;
           if not (Tensor.approx_equal ~eps:1e-4 v1 v2) then
             Alcotest.failf "%s: arena execution corrupted outputs" name)
-        boxed arena.Sod2_runtime.Engine.outputs)
+        boxed arena_outs)
     [ "codebert"; "yolov6"; "skipnet"; "ranet"; "conformer" ]
 
 (* A Sub recurrence where every intermediate keeps two consumers (the last
@@ -187,10 +213,10 @@ let test_arena_steady_state () =
   let c = Sod2.Pipeline.compile cpu g in
   let inputs = [ x, Tensor.rand_uniform (Rng.create 2) [ 4; 64 ] ] in
   let arena = Sod2_runtime.Arena.create () in
-  let run () = Sod2_runtime.Engine.run_arena ~arena c ~env:Env.empty ~inputs in
+  let run () = run_arena ~arena c ~env:Env.empty ~inputs in
   ignore (run ());
   Profile.Counters.reset ();
-  let res = run () in
+  let _, res = run () in
   let count k = Option.value ~default:0 (List.assoc_opt k (Profile.Counters.by_kind ())) in
   Alcotest.(check int) "no replanning in steady state" 0 (count "plan-cache-miss");
   Alcotest.(check bool) "plan served from the binding cache" true (count "plan-cache-hit" >= 1);
@@ -203,7 +229,7 @@ let test_arena_steady_state () =
       Alcotest.(check int) "same output id" t1 t2;
       if not (Tensor.approx_equal ~eps:1e-5 v1 v2) then
         Alcotest.fail "steady-state arena outputs diverged from the reference")
-    boxed res.Sod2_runtime.Engine.outputs
+    boxed res
 
 (* An empty control-flow predicate is a malformed execution, not branch 0:
    both interpreters must raise the structured error. *)
@@ -244,15 +270,15 @@ let test_arena_backends_match () =
         ~finally:(fun () -> Sod2_runtime.Backend.shutdown be)
         (fun () ->
           let arena = Sod2_runtime.Arena.create () in
-          ignore (Sod2_runtime.Engine.run_arena ~backend:be ~arena c ~env ~inputs);
-          let res = Sod2_runtime.Engine.run_arena ~backend:be ~arena c ~env ~inputs in
+          ignore (run_arena ~backend:be ~arena c ~env ~inputs);
+          let _, res = run_arena ~backend:be ~arena c ~env ~inputs in
           List.iter2
             (fun (t1, v1) (t2, v2) ->
               Alcotest.(check int) "same output id" t1 t2;
               if not (Tensor.approx_equal ~eps:1e-3 v1 v2) then
                 Alcotest.failf "arena outputs diverge under the %s backend"
                   (Sod2_runtime.Backend.kind_name kind))
-            boxed res.Sod2_runtime.Engine.outputs))
+            boxed res))
     [
       Sod2_runtime.Backend.Naive; Sod2_runtime.Backend.Blocked;
       Sod2_runtime.Backend.Parallel; Sod2_runtime.Backend.Fused;
@@ -265,7 +291,7 @@ let test_arena_rejects_mismatched_env () =
   let inputs = Zoo.make_inputs sp g (Env.of_list [ "S", 32 ]) (Rng.create 1) in
   (* plan instantiated for a different sequence length than the inputs *)
   try
-    ignore (Sod2_runtime.Engine.run_arena c ~env:(Env.of_list [ "S", 48 ]) ~inputs);
+    ignore (run_arena c ~env:(Env.of_list [ "S", 48 ]) ~inputs);
     Alcotest.fail "plan/input mismatch not detected"
   with Sod2_error.Error { cls = Sod2_error.Shape_mismatch; _ } -> ()
 

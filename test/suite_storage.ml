@@ -145,6 +145,19 @@ let check_bitwise name want got =
         dw)
     want got
 
+(* Compile for one float kind. *)
+let compile_in dt g =
+  Sod2.Pipeline.compile ~opts:{ Sod2.Compile_opts.default with float_dtype = dt } cpu g
+
+(* One arena run with the RDP cross-check on; the trace carries the arena
+   figures. *)
+let run_arena ?(arena = RT.Arena.create ()) c ~inputs =
+  RT.Executor.run_real
+    ~config:{ RT.Executor.default_config with guarded = true }
+    ~env:Env.empty
+    ~memory:(RT.Executor.Arena { arena; env = Env.empty })
+    c ~inputs
+
 let input_for seed dt = Tensor.cast (Tensor.rand_uniform (Rng.create seed) [ 12; 16 ]) dt
 
 let test_backends_bit_identical () =
@@ -152,7 +165,7 @@ let test_backends_bit_identical () =
     (fun dt ->
       let kn = Tensor.dtype_name dt in
       let x, g = mixed_graph dt in
-      let c = Sod2.Pipeline.compile ~float_dtype:dt cpu g in
+      let c = compile_in dt g in
       let inputs = [ x, input_for 11 dt ] in
       let _, want = RT.Executor.run_real c ~inputs in
       List.iter
@@ -170,10 +183,10 @@ let test_backends_bit_identical () =
               check_bitwise (Printf.sprintf "%s backend, %s" bn kn) want got))
         [ RT.Backend.Blocked, "blocked"; RT.Backend.Parallel, "parallel" ];
       (* arena execution: planned slots, destination-passing stores *)
-      let res = RT.Engine.run_arena c ~env:Env.empty ~inputs in
-      check_bitwise (Printf.sprintf "arena, %s" kn) want res.RT.Engine.outputs;
+      let tr, got = run_arena c ~inputs in
+      check_bitwise (Printf.sprintf "arena, %s" kn) want got;
       Alcotest.(check bool) (kn ^ ": tensors lived in the arena") true
-        (res.RT.Engine.arena_resident > 0))
+        (tr.RT.Executor.arena_resident > 0))
     [ Tensor.F32; Tensor.F64 ]
 
 let test_fused_bit_identical () =
@@ -181,7 +194,7 @@ let test_fused_bit_identical () =
     (fun dt ->
       let kn = Tensor.dtype_name dt in
       let x, g = pointwise_graph dt in
-      let c = Sod2.Pipeline.compile ~float_dtype:dt cpu g in
+      let c = compile_in dt g in
       let inputs = [ x, Tensor.cast (Tensor.rand_uniform (Rng.create 13) [ 9; 32 ]) dt ] in
       let _, want = RT.Executor.run_real c ~inputs in
       let be = RT.Backend.for_compiled RT.Backend.Fused c in
@@ -212,7 +225,7 @@ let test_byte_conservation () =
       let elem = Tensor.bytes_per_elem dt in
       let kn = Tensor.dtype_name dt in
       let x, g = mixed_graph dt in
-      let c = Sod2.Pipeline.compile ~float_dtype:dt cpu g in
+      let c = compile_in dt g in
       let inputs = [ x, input_for 23 dt ] in
       let trace, _ = RT.Executor.run_real c ~inputs in
       let executed_bytes tid =
@@ -265,11 +278,11 @@ let test_byte_conservation () =
       (* the arena run reserves exactly the instantiated plan's bytes,
          rounded up to a whole element of the artifact's kind *)
       let arena = RT.Arena.create () in
-      let res = RT.Engine.run_arena ~arena c ~env:Env.empty ~inputs in
+      let tr, _ = run_arena ~arena c ~inputs in
       let plan = Sod2.Pipeline.instantiated_plan c Env.empty in
       Alcotest.(check int)
         (kn ^ ": trace reports the instantiated plan size")
-        plan.MP.arena_bytes res.RT.Engine.arena_bytes;
+        plan.MP.arena_bytes tr.RT.Executor.arena_bytes;
       let cap = RT.Arena.capacity_bytes arena in
       let want_cap = max 1 ((plan.MP.arena_bytes + elem - 1) / elem) * elem in
       Alcotest.(check int) (kn ^ ": arena reserves exactly the planned bytes")

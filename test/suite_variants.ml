@@ -313,6 +313,17 @@ let test_variant_vetted () =
     ignore (RT.Executor.run_real ~memory ~outcomes:[| 1 |] c ~inputs);
     Alcotest.(check int) "runs reuse the cached verdicts" vets (count "plan-vet")
 
+(* A variant run reads no readiness, so a predicate nobody supplied
+   reaches its Switch without a value: that is a malformed execution and
+   raises, rather than routing to branch 0. *)
+let test_missing_predicate_raises () =
+  let g, x, _ = gated_chain ~branches:[| 2 |] in
+  let c = Sod2.Pipeline.compile ~opts:(opts_of "variants=8") cpu g in
+  let inputs = [ List.hd (inputs_for g x [||] [||]) ] in
+  match RT.Executor.run_real ~outcomes:[| 0 |] c ~inputs with
+  | _ -> Alcotest.fail "a Switch with no predicate value ran"
+  | exception Sod2_error.Error { cls = Sod2_error.Shape_mismatch; _ } -> ()
+
 let suite =
   [
     Alcotest.test_case "budget overflow falls back to any-path" `Quick
@@ -328,6 +339,7 @@ let suite =
     Alcotest.test_case "engine predicts, vets once and aggregates stats" `Quick
       test_engine_variant_serving;
     Alcotest.test_case "variant plans are vetted once" `Quick test_variant_vetted;
+    Alcotest.test_case "missing predicate raises" `Quick test_missing_predicate_raises;
     QCheck_alcotest.to_alcotest prop_variant_bit_identical;
     QCheck_alcotest.to_alcotest prop_outcome_key_roundtrip;
     QCheck_alcotest.to_alcotest prop_compile_opts_roundtrip;
