@@ -387,6 +387,10 @@ let gemm_bias_gelu_graph () =
   Graph.Builder.set_outputs b [ out ];
   Graph.Builder.finish b
 
+(* The fused-group gate: each group must run at least this many times
+   faster as one fused kernel than op-by-op on the blocked backend. *)
+let fused_speedup_floor = 1.0
+
 let fused_speedups () =
   Printf.printf
     "\n=== Fused-group execution: per-op blocked vs single fused kernel ===\n";
@@ -436,9 +440,17 @@ let fused_speedups () =
   let chain = bench_case "pointwise-chain 1x64x56x56" (chain_graph [ 1; 64; 56; 56 ]) in
   let conv = bench_case "conv3x3+bn+relu 32->64 28x28" (conv_bn_relu_graph ()) in
   let gemm = bench_case "matmul+bias+gelu 128x256x256" (gemm_bias_gelu_graph ()) in
-  Printf.printf "  geomean speedup (chain, conv): %.2fx   (all three: %.2fx)\n"
-    (geomean [ chain; conv ])
-    (geomean [ chain; conv; gemm ])
+  let rows = [ "pointwise-chain", chain; "conv3x3+bn+relu", conv; "matmul+bias+gelu", gemm ] in
+  Printf.printf "  geomean speedup: %.2fx (floor per group %.2fx)\n"
+    (geomean (List.map snd rows))
+    fused_speedup_floor;
+  match List.filter (fun (_, sp) -> sp < fused_speedup_floor) rows with
+  | [] -> Printf.printf "  every group runs faster fused than op-by-op\n"
+  | slow ->
+    List.iter
+      (fun (name, sp) -> Printf.printf "  %s runs slower fused (%.2fx) — FAIL\n" name sp)
+      slow;
+    exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Arena vs malloc: planned destination-passing execution              *)

@@ -10,26 +10,26 @@
    dims (RDP guarantees those dims satisfy the symbolic facts fusion
    legality was proven against; each still-ambiguous broadcast collapses to
    one concrete variant here — the runtime side of bounded multi-version
-   code generation).  It closure-compiles the member tree into a single
-   per-element function over the terminal output's flat index space:
+   code generation).  It compiles the members into block programs
+   ({!Op_semantics.stage}), one instruction per member:
 
-   - every broadcast/transpose becomes a precomputed index map (identity,
-     table, or strided arithmetic), scalars are hoisted out of the loop,
-     and view ops (reshape/squeeze/…) are free because they preserve flat
-     order — no intermediate tensor is ever allocated;
-   - a heavy anchor runs through the blocked kernels with the compiled
-     element function installed as {!Blocked.gemm}'s write-back [epilogue],
-     so bias/BN/activation/residual chains are applied while the micro-tile
-     result is still in registers.  When the epilogue path cannot legally
-     see the accumulator (the chain transposes or broadcasts the anchor
-     value, or the problem is Tiny), the anchor result is computed first
-     and the chain runs as the elementwise phase over it;
-   - the per-element closures call the exact {!Op_semantics} functions the
-     reference kernels use, which keeps pure pointwise groups bit-for-bit
-     equal to unfused execution.
+   - each register stores in the dtype the op-by-op reference would have
+     stored that member in, so every store rounds exactly where the
+     reference rounds — pure pointwise, mixed-precision and anchored groups
+     alike are bit-for-bit equal to unfused execution;
+   - view ops (reshape/squeeze/…) and same-dtype casts are free: they
+     preserve flat order.  An input read at the consumer's own flat index
+     is read in place; a broadcast or transposed one is gathered through a
+     precomputed index map (table or odometer).  A member whose value is
+     read through a map is first stored by a stage of its own, so maps
+     never compose and nothing is recomputed;
+   - a heavy anchor runs through the blocked kernels first, straight into
+     the destination when the final stage reads it only at its own flat
+     index and the destination has the anchor's dtype (the program then
+     runs over it in place), else into per-call scratch.
 
    Specialized kernels are cached by the runtime backend per
-   (group × concrete shape tuple); this module is purely functional. *)
+   (group × concrete shape tuple); the scratch they run on is pooled. *)
 
 type template = {
   t_gid : int;
@@ -60,7 +60,7 @@ let is_heavy = function
   | Op.MatMul | Op.Gemm _ | Op.Conv _ | Op.Conv1d _ -> true
   | _ -> false
 
-(* Operators the per-element compiler can lower.  Reshape qualifies only
+(* Operators the block compiler can lower.  Reshape qualifies only
    with a constant target: a data-dependent target would need the value
    lattice at run time, and the op-by-op path handles that rarity. *)
 let elementwise_ok g (nd : Graph.node) =
@@ -140,142 +140,47 @@ let restrict templates ~live =
   Array.mapi (fun gid t -> if live gid then t else None) templates
 
 (* ------------------------------------------------------------------ *)
-(* Index maps                                                          *)
-
-(* Maps are from the consumer's flat index space into a source space,
-   described per consumer dim by a source stride.  Small spaces become
-   lookup tables (built with an odometer walk, no div/mod); large ones
-   stay as strided arithmetic so a specialization never allocates O(huge)
-   tables. *)
-type imap =
-  | Id
-  | Tbl of int array
-  | Strided of int array * int array  (* consumer dims, source stride per dim *)
-
-let table_cap = 1 lsl 18
-
-let strides_of (d : int array) =
-  let r = Array.length d in
-  let s = Array.make r 0 in
-  let acc = ref 1 in
-  for i = r - 1 downto 0 do
-    s.(i) <- !acc;
-    acc := !acc * d.(i)
-  done;
-  s
-
-let map_of ~od ~ss =
-  let ostr = strides_of od in
-  let r = Array.length od in
-  let identity = ref true in
-  for d = 0 to r - 1 do
-    if od.(d) > 1 && ss.(d) <> ostr.(d) then identity := false
-  done;
-  if !identity then Id
-  else
-    let n = Array.fold_left ( * ) 1 od in
-    if n <= table_cap then begin
-      let t = Array.make n 0 in
-      let coord = Array.make r 0 in
-      let off = ref 0 in
-      for i = 0 to n - 1 do
-        t.(i) <- !off;
-        let j = ref (r - 1) in
-        let carry = ref true in
-        while !carry && !j >= 0 do
-          let d = !j in
-          coord.(d) <- coord.(d) + 1;
-          off := !off + ss.(d);
-          if coord.(d) = od.(d) then begin
-            coord.(d) <- 0;
-            off := !off - (ss.(d) * od.(d));
-            decr j
-          end
-          else carry := false
-        done
-      done;
-      Tbl t
-    end
-    else Strided (Array.copy od, Array.copy ss)
-
-let strided_index od ss i =
-  let r = Array.length od in
-  let off = ref 0 and rem = ref i in
-  for d = r - 1 downto 0 do
-    let q = !rem mod od.(d) in
-    rem := !rem / od.(d);
-    off := !off + (q * ss.(d))
-  done;
-  !off
-
-(* Numpy-style right-aligned broadcast of [fd] into [od]. *)
-let broadcast_map ~od ~fd =
-  let r = Array.length od in
-  let fr = Array.length fd in
-  let fpad = Array.make r 1 in
-  Array.blit fd 0 fpad (r - fr) fr;
-  let fstr = strides_of fpad in
-  let ss = Array.init r (fun d -> if fpad.(d) = 1 then 0 else fstr.(d)) in
-  map_of ~od ~ss
-
-let transpose_map ~od ~ind ~perm =
-  let instr = strides_of ind in
-  let ss = Array.of_list (List.map (fun p -> instr.(p)) perm) in
-  map_of ~od ~ss
-
-(* ------------------------------------------------------------------ *)
 (* Specialization                                                      *)
 
 exception Spec_fail of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Spec_fail s)) fmt
 
-module BA1 = Bigarray.Array1
-
-(* [acc] holds the anchor's result on the two-phase path — always an f64
-   buffer, so fused intermediates keep full precision and round exactly
-   once, at the terminal store. *)
-type env = { args : Tensor.view array; acc : Tensor.fbuf }
-
-let no_acc = Tensor.fbuf_create Tensor.F64 0
-
-(* One compiled expression node: its concrete dims, whether its subtree
-   reads the anchor accumulator, and a maker that — given the call's
-   runtime environment — hoists whatever it can (data pointers, scalars,
-   per-channel tables) and returns the per-element function.  The float
-   argument threads the anchor's accumulator value through write-back
-   epilogues; it is ignored everywhere else. *)
-type info = {
-  dims : int array;
-  on_acc : bool;
-  mk : env -> int -> float -> float;
-}
+module OS = Op_semantics
 
 let numel_of (d : int array) = Array.fold_left ( * ) 1 d
 
-let grain = 16_384
+(* Per-call storage for the values a program reads through maps: the
+   anchor result on the two-phase path and materialized intermediates.
+   Grow-only, pooled like the register files. *)
+type call_scratch = {
+  mutable s32 : Tensor.fbuf;
+  mutable s64 : Tensor.fbuf;
+}
 
-let fill_into par (dst : Tensor.fbuf) ~off ~n gfn =
-  (* The store is the group's single rounding point: f32 destinations
-     round the double-precision closure result here and nowhere else. *)
-  let body lo hi =
-    match dst with
-    | Tensor.FB32 d ->
-      for i = lo to hi do
-        BA1.unsafe_set d (off + i) (gfn i 0.0)
-      done
-    | Tensor.FB64 d ->
-      for i = lo to hi do
-        BA1.unsafe_set d (off + i) (gfn i 0.0)
-      done
-  in
-  if n >= 2 * grain then
-    par.Blocked.run
-      ((n + grain - 1) / grain)
-      (fun ci ->
-        let lo = ci * grain in
-        body lo (min n (lo + grain) - 1))
-  else body 0 (n - 1)
+let call_pool =
+  Blocked.Pool.create (fun () ->
+      { s32 = Tensor.fbuf_create Tensor.F32 0; s64 = Tensor.fbuf_create Tensor.F64 0 })
+
+(* How a member reads one of its element inputs: at the same flat index,
+   through a broadcast/transpose map, as a one-element broadcast, or as a
+   per-channel BatchNorm parameter.  Every use but the first needs the
+   input in storage. *)
+type use =
+  | Direct
+  | Mapped of OS.imap
+  | Scalar
+  | Param
+
+(* The dtype the op-by-op reference stores each member's output in. *)
+let output_dtype (nd : Graph.node) (dt : Graph.tensor_id -> Tensor.dtype) =
+  match nd.Graph.op, nd.Graph.inputs with
+  | Op.Binary _, [ x; y ] | Op.Where, [ _; x; y ] -> Tensor.promote_f (dt x) (dt y)
+  | Op.Cast d, _ -> d
+  | Op.BatchNorm _, x :: params ->
+    List.fold_left (fun acc p -> Tensor.promote_f acc (dt p)) (dt x) params
+  | _, x :: _ -> dt x
+  | op, [] -> fail "operator %s has no inputs" (Op.name op)
 
 let specialize g (tpl : template) ~(tiles : Multi_version.shape_class -> Blocked.tiles)
     ~(args : (int list * Tensor.dtype) array) : (kernel, string) result =
@@ -288,23 +193,12 @@ let specialize g (tpl : template) ~(tiles : Multi_version.shape_class -> Blocked
           fail "slot %d is %s: integer element semantics stay on the reference path"
             i (Tensor.dtype_name dt))
       args;
-    (* When every slot is f32 (and no member widens via Cast f64), the
-       op-by-op reference materializes an f32 tensor at every member
-       boundary — each store rounds.  The fused closures must reproduce
-       those rounding points exactly or the bit-exactness contract with
-       the reference breaks; each value-producing node therefore rounds
-       its own output below.  Mixed/f64 groups keep full-precision
-       intermediates and round only at the terminal store. *)
-    let all_f32 =
-      Array.for_all (fun (_, dt) -> dt = Tensor.F32) args
-      && not
-           (List.exists
-              (fun nd -> nd.Graph.op = Op.Cast Tensor.F64)
-              tpl.t_members)
-    in
     let dims_tbl : (Graph.tensor_id, int array) Hashtbl.t = Hashtbl.create 16 in
+    let dtype_tbl : (Graph.tensor_id, Tensor.dtype) Hashtbl.t = Hashtbl.create 16 in
     Array.iteri
-      (fun i tid -> Hashtbl.replace dims_tbl tid (Array.of_list (fst args.(i))))
+      (fun i tid ->
+        Hashtbl.replace dims_tbl tid (Array.of_list (fst args.(i)));
+        Hashtbl.replace dtype_tbl tid (snd args.(i)))
       tpl.t_slots;
     (* Concrete shape inference over the members, mirroring what the
        executor's dry pass computes — Shape_fn is the single source of
@@ -343,433 +237,380 @@ let specialize g (tpl : template) ~(tiles : Multi_version.shape_class -> Blocked
       | Some d -> d
       | None -> fail "tensor %d missing from shape table" tid
     in
-    let term_dims = dims_of tpl.t_out in
-    let member_dims =
-      List.map
-        (fun nd ->
-          let o = List.hd nd.Graph.outputs in
-          (o, Array.to_list (dims_of o)))
-        tpl.t_members
+    let dtype_of tid =
+      match Hashtbl.find_opt dtype_tbl tid with
+      | Some d -> d
+      | None -> fail "tensor %d missing from dtype table" tid
     in
-    let slot_idx = Hashtbl.create 8 in
-    Array.iteri (fun i tid -> Hashtbl.replace slot_idx tid i) tpl.t_slots;
-    let anchor_out = Option.map (fun nd -> List.hd nd.Graph.outputs) tpl.t_anchor in
-
-    (* --- closure compilation of the elementwise member tree --- *)
-    let violated = ref false in
-    let infos : (Graph.tensor_id, info) Hashtbl.t = Hashtbl.create 16 in
-    let apply m (mk : env -> int -> float -> float) =
-      match m with
-      | Id -> mk
-      | Tbl t ->
-        fun env ->
-          let gfn = mk env in
-          fun i v -> gfn (Array.unsafe_get t i) v
-      | Strided (od, ss) ->
-        fun env ->
-          let gfn = mk env in
-          fun i v -> gfn (strided_index od ss i) v
+    let out_of (nd : Graph.node) = List.hd nd.Graph.outputs in
+    let is_anchor (nd : Graph.node) =
+      match tpl.t_anchor with Some a -> a.Graph.nid = nd.Graph.nid | None -> false
     in
-    (* Broadcast [x] into the consumer's [od] index space.  A non-identity
-       map on an accumulator-carrying subtree means the write-back epilogue
-       would see a permuted/duplicated accumulator — that disqualifies
-       write-back fusion (two-phase execution handles it instead). *)
-    let with_map od (x : info) =
-      if x.dims = od then x.mk
-      else begin
-        if x.on_acc then violated := true;
-        if numel_of x.dims = 1 && not x.on_acc then
-          fun env ->
-            let gfn = x.mk env in
-            let cst = gfn 0 0.0 in
-            fun _ _ -> cst
-        else apply (broadcast_map ~od ~fd:x.dims) x.mk
-      end
-    in
-    let info_of tid =
-      match Hashtbl.find_opt infos tid with
-      | Some i -> i
-      | None ->
-        let i =
-          match Hashtbl.find_opt slot_idx tid with
-          | Some si ->
-            {
-              dims = dims_of tid;
-              on_acc = false;
-              mk =
-                (fun env ->
-                  let v = env.args.(si) in
-                  let o = v.Tensor.voff in
-                  (* Kind is matched once per kernel call, so the element
-                     loop reads through a monomorphic bigarray access. *)
-                  match v.Tensor.vbuf with
-                  | Tensor.FB32 d ->
-                    if o = 0 then fun i _ -> BA1.unsafe_get d i
-                    else fun i _ -> BA1.unsafe_get d (o + i)
-                  | Tensor.FB64 d ->
-                    if o = 0 then fun i _ -> BA1.unsafe_get d i
-                    else fun i _ -> BA1.unsafe_get d (o + i));
-            }
-          | None -> fail "tensor %d consumed before being produced" tid
-        in
-        Hashtbl.add infos tid i;
-        i
-    in
-    let compile_node (nd : Graph.node) =
-      let od = dims_of (List.hd nd.Graph.outputs) in
-      let child i = info_of (List.nth nd.Graph.inputs i) in
-      match nd.Graph.op with
-      | Op.Unary u ->
-        let x = child 0 in
-        let f = Op_semantics.unary_fn u in
-        let gx = with_map od x in
-        {
-          dims = od;
-          on_acc = x.on_acc;
-          mk =
-            (fun env ->
-              let a = gx env in
-              if all_f32 then fun i v -> Tensor.round_f32 (f (a i v))
-              else fun i v -> f (a i v));
-        }
-      | Op.Binary b ->
-        let x = child 0 and y = child 1 in
-        let f = Op_semantics.float_binary_fn b in
-        let gx = with_map od x and gy = with_map od y in
-        {
-          dims = od;
-          on_acc = x.on_acc || y.on_acc;
-          mk =
-            (fun env ->
-              let a = gx env and b' = gy env in
-              if all_f32 then fun i v -> Tensor.round_f32 (f (a i v) (b' i v))
-              else fun i v -> f (a i v) (b' i v));
-        }
-      | Op.Clip (lo, hi) ->
-        let x = child 0 in
-        let gx = with_map od x in
-        {
-          dims = od;
-          on_acc = x.on_acc;
-          mk =
-            (fun env ->
-              let a = gx env in
-              if all_f32 then
-                fun i v -> Tensor.round_f32 (Float.min hi (Float.max lo (a i v)))
-              else fun i v -> Float.min hi (Float.max lo (a i v)));
-        }
-      | Op.Cast Tensor.F32 ->
-        (* Not the identity it once was: intermediates travel in double
-           precision, so an explicit f32 cast must round here, exactly as
-           the reference materializes an f32 tensor at this point. *)
-        let x = child 0 in
-        let gx = with_map od x in
-        {
-          dims = od;
-          on_acc = x.on_acc;
-          mk =
-            (fun env ->
-              let a = gx env in
-              fun i v -> Tensor.round_f32 (a i v));
-        }
-      | Op.Cast Tensor.F64 ->
-        (* Intermediates are already f64: identity. *)
-        let x = child 0 in
-        { x with dims = od }
-      | Op.Where ->
-        let c = child 0 and x = child 1 and y = child 2 in
-        let gc = with_map od c and gx = with_map od x and gy = with_map od y in
-        {
-          dims = od;
-          on_acc = c.on_acc || x.on_acc || y.on_acc;
-          mk =
-            (fun env ->
-              let cc = gc env and a = gx env and b' = gy env in
-              (* Mirrors the reference: condition is cast to I64
-                 (saturating), then tested against zero. *)
-              fun i v ->
-                if Tensor.saturating_int_of_float (cc i v) <> 0 then a i v
-                else b' i v);
-        }
-      | Op.Transpose perm ->
-        let x = child 0 in
-        let m = transpose_map ~od ~ind:x.dims ~perm in
-        if m <> Id && x.on_acc then violated := true;
-        { dims = od; on_acc = x.on_acc; mk = apply m x.mk }
-      | Op.Reshape | Op.Flatten _ | Op.Squeeze _ | Op.Unsqueeze _ ->
-        (* Views: flat order is preserved, only dims change. *)
-        let x = info_of (List.hd (element_inputs nd)) in
-        { x with dims = od }
-      | Op.BatchNorm { eps } ->
-        let x = child 0 in
-        if Array.length od < 2 then fail "BatchNorm input rank < 2";
-        let cdim = od.(1) in
-        let param i =
-          let p = child i in
-          if numel_of p.dims <> cdim then
-            fail "BatchNorm parameter %d has %d elements for %d channels" i
-              (numel_of p.dims) cdim;
-          if p.on_acc then violated := true;
-          p
-        in
-        let ps = param 1 and pb = param 2 and pm = param 3 and pv = param 4 in
-        let sp = ref 1 in
-        for d = 2 to Array.length od - 1 do
-          sp := !sp * od.(d)
-        done;
-        let sp = !sp in
-        let gx = with_map od x in
-        {
-          dims = od;
-          on_acc = x.on_acc;
-          mk =
-            (fun env ->
-              let a = gx env in
-              (* Per-channel constants hoisted out of the element loop;
-                 sqrt(var + eps) is deterministic per channel, so this
-                 matches the reference's per-element evaluation exactly. *)
-              let hoist (p : info) =
-                let gfn = p.mk env in
-                Array.init cdim (fun c -> gfn c 0.0)
-              in
-              let s = hoist ps and b' = hoist pb and m = hoist pm in
-              let gv = pv.mk env in
-              let sq = Array.init cdim (fun c -> sqrt (gv c 0.0 +. eps)) in
-              if all_f32 then
-                (* Four rounding points, mirroring the reference's four
-                   map2 stores: (x−m), /sqrt(v+eps), ×s, +b. *)
-                fun i v ->
-                  let ch = i / sp mod cdim in
-                  let r = Tensor.round_f32 in
-                  r
-                    (r
-                       (r (r (a i v -. Array.unsafe_get m ch)
-                          /. Array.unsafe_get sq ch)
-                       *. Array.unsafe_get s ch)
-                    +. Array.unsafe_get b' ch)
-              else
-                fun i v ->
-                  let ch = i / sp mod cdim in
-                  ((a i v -. Array.unsafe_get m ch) /. Array.unsafe_get sq ch
-                  *. Array.unsafe_get s ch)
-                  +. Array.unsafe_get b' ch);
-        }
-      | op -> fail "operator %s is not elementwise-compilable" (Op.name op)
-    in
-    let build ~wb =
-      Hashtbl.reset infos;
-      violated := false;
-      (match anchor_out with
-      | Some tid ->
-        let adims = dims_of tid in
-        (* The anchor hands the epilogue its full-precision f64
-           accumulator (in-register for write-back, via the scratch buffer
-           for two-phase).  The reference would have stored it to an f32
-           tensor first, so an all-f32 group rounds it at the leaf. *)
-        let leaf =
-          if wb then
-            {
-              dims = adims;
-              on_acc = true;
-              mk =
-                (if all_f32 then fun _ _ v -> Tensor.round_f32 v
-                 else fun _ _ v -> v);
-            }
-          else
-            {
-              dims = adims;
-              on_acc = true;
-              mk =
-                (fun env ->
-                  match env.acc with
-                  | Tensor.FB64 a ->
-                    if all_f32 then
-                      fun i _ -> Tensor.round_f32 (BA1.unsafe_get a i)
-                    else fun i _ -> BA1.unsafe_get a i
-                  | Tensor.FB32 a -> fun i _ -> BA1.unsafe_get a i);
-            }
-        in
-        Hashtbl.add infos tid leaf
-      | None -> ());
-      List.iter
-        (fun nd ->
-          if not (match tpl.t_anchor with Some a -> a.Graph.nid = nd.Graph.nid | None -> false)
-          then Hashtbl.add infos (List.hd nd.Graph.outputs) (compile_node nd))
-        tpl.t_members;
-      (Hashtbl.find infos tpl.t_out, not !violated)
-    in
-
-    let term_dims_l = Array.to_list term_dims in
-    let mk_kernel k_run_into =
-      let k_run ~par targs =
-        let odt =
-          if Array.exists (fun t -> Tensor.dtype t = Tensor.F64) targs then
-            Tensor.F64
-          else Tensor.F32
-        in
-        let out = Tensor.zeros odt term_dims_l in
-        k_run_into ~par (Array.map Tensor.view_f targs) ~c:(Tensor.storage_f out)
-          ~co:0;
-        out
-      in
-      { k_out = tpl.t_out; k_dims = member_dims; k_run; k_run_into }
-    in
-    match tpl.t_anchor with
-    | None ->
-      let root, _ = build ~wb:false in
-      let n_out = numel_of term_dims in
-      let k_run_into ~par (args : Tensor.view array) ~c ~co =
-        let gfn = root.mk { args; acc = no_acc } in
-        fill_into par c ~off:co ~n:n_out gfn
-      in
-      Ok (mk_kernel k_run_into)
+    (match tpl.t_anchor with
     | Some anc ->
-      let aout = Option.get anchor_out in
-      let adims = dims_of aout in
-      let in_dims = List.map (fun tid -> Array.to_list (dims_of tid)) anc.Graph.inputs in
-      let m, n, k =
-        match
-          Multi_version.gemm_dims_of_op anc.Graph.op ~in_dims
-            ~out_dims:[ Array.to_list adims ]
-        with
-        | Some mnk -> mnk
-        | None -> fail "anchor %s has no GEMM extents" anc.Graph.nname
+      let dt i = dtype_of (List.nth anc.Graph.inputs i) in
+      let d = Tensor.promote_f (dt 0) (dt 1) in
+      (* Gemm's C operand is added after the product is stored: the fused
+         anchor keeps the reference's rounding points only when C shares
+         the product's dtype. *)
+      (match anc.Graph.op, anc.Graph.inputs with
+      | Op.Gemm _, [ _; _; c ] when dtype_of c <> d ->
+        fail "Gemm C operand is %s, its product %s" (Tensor.dtype_name (dtype_of c))
+          (Tensor.dtype_name d)
+      | _ -> ());
+      Hashtbl.replace dtype_tbl (out_of anc) d
+    | None -> ());
+    List.iter
+      (fun nd ->
+        if not (is_anchor nd) then
+          Hashtbl.replace dtype_tbl (out_of nd) (output_dtype nd dtype_of))
+      tpl.t_members;
+    let term_dims = dims_of tpl.t_out and term_dt = dtype_of tpl.t_out in
+    let member_dims =
+      List.map (fun nd -> (out_of nd, Array.to_list (dims_of (out_of nd)))) tpl.t_members
+    in
+    let producer = Hashtbl.create 16 in
+    List.iter (fun nd -> Hashtbl.replace producer (out_of nd) nd) tpl.t_members;
+
+    (* --- leaves: storage a program reads in place --- *)
+    let leaf_of_tid = Hashtbl.create 16 in
+    Array.iteri (fun i tid -> Hashtbl.replace leaf_of_tid tid i) tpl.t_slots;
+    let nleaves = ref nslots in
+    let new_leaf tid =
+      let l = !nleaves in
+      incr nleaves;
+      Hashtbl.replace leaf_of_tid tid l;
+      l
+    in
+    let anchor_leaf =
+      Option.map (fun anc -> new_leaf (out_of anc)) tpl.t_anchor
+    in
+    (* Views and same-dtype casts change no element: a value is its
+       source's. *)
+    let rec source tid =
+      match Hashtbl.find_opt producer tid with
+      | Some nd when not (is_anchor nd) -> (
+        match nd.Graph.op with
+        | Op.Reshape | Op.Flatten _ | Op.Squeeze _ | Op.Unsqueeze _ ->
+          source (List.hd (element_inputs nd))
+        | Op.Cast d when d = dtype_of (List.hd nd.Graph.inputs) ->
+          source (List.hd nd.Graph.inputs)
+        | _ -> tid)
+      | _ -> tid
+    in
+    let uses_tbl = Hashtbl.create 16 in
+    let uses_of (nd : Graph.node) =
+      let od = dims_of (out_of nd) in
+      let broadcast tid =
+        let fd = dims_of tid in
+        if numel_of fd = 1 && numel_of od > 1 then tid, Scalar
+        else
+          match OS.broadcast_map ~tables:true ~od ~fd with
+          | None -> tid, Direct
+          | Some m -> tid, Mapped m
       in
-      let cls = Multi_version.classify_gemm ~m ~n ~k in
-      let tl = tiles cls in
-      let slot tid =
-        match Hashtbl.find_opt slot_idx tid with
-        | Some i -> i
-        | None -> fail "anchor input %d is not an external slot" tid
+      match nd.Graph.op, nd.Graph.inputs with
+      | (Op.Binary _ | Op.Where), ins -> List.map broadcast ins
+      | Op.Transpose perm, [ x ] -> (
+        match OS.transpose_map ~tables:true ~od ~ind:(dims_of x) ~perm with
+        | None -> [ x, Direct ]
+        | Some m -> [ x, Mapped m ])
+      | Op.BatchNorm _, x :: params ->
+        if Array.length od < 2 then fail "BatchNorm input rank < 2";
+        List.iter
+          (fun p ->
+            let k = numel_of (dims_of p) in
+            if k <> 1 && k <> od.(1) then
+              fail "BatchNorm parameter has %d elements for %d channels" k od.(1))
+          params;
+        (x, Direct) :: List.map (fun p -> p, Param) params
+      | _ -> List.map (fun tid -> tid, Direct) (element_inputs nd)
+    in
+    let uses (nd : Graph.node) =
+      match Hashtbl.find_opt uses_tbl nd.Graph.nid with
+      | Some u -> u
+      | None ->
+        let u = uses_of nd in
+        Hashtbl.replace uses_tbl nd.Graph.nid u;
+        u
+    in
+    (* A value read other than at the consumer's own flat index must be in
+       storage: a member whose value is used that way is computed into a
+       scratch buffer by a stage of its own, before the stages reading it. *)
+    let materialized = ref [] in
+    List.iter
+      (fun nd ->
+        if not (is_anchor nd) then
+          List.iter
+            (fun (tid, u) ->
+              let src = source tid in
+              if u <> Direct && not (Hashtbl.mem leaf_of_tid src) then begin
+                ignore (new_leaf src);
+                materialized := src :: !materialized
+              end)
+            (uses nd))
+      tpl.t_members;
+    let materialized = List.rev !materialized in
+    let dest_leaf = !nleaves in
+    let nleaves = dest_leaf + 1 in
+
+    (* --- one stage per stored value --- *)
+    let anchor_read_mapped = ref false in
+    let compile_stage ~target ~target_leaf =
+      let regs32 = ref 0 and regs64 = ref 0 in
+      let code = ref [] in
+      let emit i = code := i :: !code in
+      let fresh tid =
+        match dtype_of tid with
+        | Tensor.F32 ->
+          incr regs32;
+          OS.R32 (!regs32 - 1)
+        | Tensor.F64 ->
+          incr regs64;
+          OS.R64 (!regs64 - 1)
+        | dt -> fail "tensor %d is %s" tid (Tensor.dtype_name dt)
       in
-      let anchor_slots = List.map slot anc.Graph.inputs in
-      let blocked_inner par epilogue ep_off ~m ~n ~k ~a ~ao ~b ~bo ~c ~co =
-        Blocked.gemm ~par ~tiles:tl ?epilogue ~ep_off ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()
+      let memo = Hashtbl.create 8 in
+      let leaf src =
+        if src = target then None
+        else Hashtbl.find_opt leaf_of_tid src
       in
-      (* [run_anchor_into ~par ~ep args ~c ~co] executes the heavy op with
-         the blocked kernels (naive for Tiny problems, exactly like the
-         per-op backend), writing the result into [c] at element offset
-         [co]; [ep], when present, fires once per output element at
-         write-back with output-relative flat indices (the write-back
-         subtracts [co] inline, so arena destinations cost no shim). *)
-      let run_anchor_into =
-        match anc.Graph.op, anchor_slots with
-        | Op.MatMul, [ ia; ib ] ->
-          fun ~par ~ep (args : Tensor.view array) ~c ~co ->
-            if cls = Multi_version.Tiny then
-              ignore (Linalg.matmul_into args.(ia) args.(ib) ~c ~co)
-            else
+      let stored tid =
+        match leaf (source tid) with
+        | Some l ->
+          if Some l = anchor_leaf then anchor_read_mapped := true;
+          l
+        | None -> fail "tensor %d is read through a map but not stored" tid
+      in
+      let rec value tid =
+        let src = source tid in
+        match leaf src with
+        | Some l -> OS.Leaf l
+        | None -> (
+          match Hashtbl.find_opt memo src with
+          | Some loc -> loc
+          | None ->
+            let nd =
+              match Hashtbl.find_opt producer src with
+              | Some nd -> nd
+              | None -> fail "tensor %d has no producer in the group" src
+            in
+            let loc = compute nd in
+            Hashtbl.replace memo src loc;
+            loc)
+      and operand (tid, u) =
+        match u with
+        | Direct -> value tid
+        | Mapped m ->
+          let d = fresh tid in
+          emit (OS.Gather (stored tid, m, d));
+          d
+        | Scalar ->
+          let d = fresh tid in
+          emit (OS.Splat (stored tid, d));
+          d
+        | Param -> OS.Leaf (stored tid)
+      and compute (nd : Graph.node) =
+        match nd.Graph.op, List.map operand (uses nd) with
+        | Op.Transpose _, [ x ] -> x (* its gather is the value *)
+        | op, ops ->
+          let d = fresh (out_of nd) in
+          emit
+            (match op, ops with
+            | Op.Unary u, [ x ] -> OS.Unary (u, x, d)
+            | Op.Binary b, [ x; y ] -> OS.Binary (b, x, y, d)
+            | Op.Clip (lo, hi), [ x ] -> OS.Clip (lo, hi, x, d)
+            | Op.Cast _, [ x ] -> OS.Copy (x, d)
+            | Op.Where, [ c; x; y ] -> OS.Where (c, x, y, d)
+            | Op.BatchNorm { eps }, [ x; OS.Leaf sc; OS.Leaf bi; OS.Leaf me; OS.Leaf va ] ->
+              let ps = Array.of_list (List.tl nd.Graph.inputs) in
+              OS.norm ~x ~dst:d ~eps ~dims:(dims_of (out_of nd))
+                ~xdt:(dtype_of (List.hd nd.Graph.inputs)) ~params:[| sc; bi; me; va |]
+                ~pdts:(Array.map dtype_of ps)
+                ~pnums:(Array.map (fun p -> numel_of (dims_of p)) ps)
+            | op, _ -> fail "operator %s is not block-compilable" (Op.name op));
+          d
+      in
+      let result = compute (Hashtbl.find producer target) in
+      (* The last instruction stores straight into the stage's storage
+         when it produced the result; otherwise copy it there. *)
+      let t = OS.Leaf target_leaf in
+      let retarget = function
+        | OS.Unary (u, x, d) when d = result -> Some (OS.Unary (u, x, t))
+        | OS.Binary (b, x, y, d) when d = result -> Some (OS.Binary (b, x, y, t))
+        | OS.Clip (lo, hi, x, d) when d = result -> Some (OS.Clip (lo, hi, x, t))
+        | OS.Copy (x, d) when d = result -> Some (OS.Copy (x, t))
+        | OS.Where (c, x, y, d) when d = result -> Some (OS.Where (c, x, y, t))
+        | OS.Gather (l, m, d) when d = result -> Some (OS.Gather (l, m, t))
+        | OS.Splat (l, d) when d = result -> Some (OS.Splat (l, t))
+        | OS.Norm nm when nm.OS.n_dst = result -> Some (OS.Norm { nm with OS.n_dst = t })
+        | _ -> None
+      in
+      let code =
+        match !code with
+        | last :: rest -> (
+          match retarget last with
+          | Some i -> i :: rest
+          | None -> OS.Copy (result, t) :: last :: rest)
+        | [] -> [ OS.Copy (result, t) ]
+      in
+      { OS.code = Array.of_list (List.rev code); n = numel_of (dims_of target);
+        regs32 = !regs32; regs64 = !regs64 }
+    in
+    let stages =
+      List.map
+        (fun tid -> compile_stage ~target:tid ~target_leaf:(Hashtbl.find leaf_of_tid tid))
+        materialized
+    in
+    anchor_read_mapped := false;
+    let term_src = source tpl.t_out in
+    let final =
+      if Hashtbl.mem leaf_of_tid term_src then
+        (* The terminal is a view of stored data: one copy. *)
+        { OS.code = [| OS.Copy (OS.Leaf (Hashtbl.find leaf_of_tid term_src),
+                                OS.Leaf dest_leaf) |];
+          n = numel_of term_dims; regs32 = 0; regs64 = 0 }
+      else compile_stage ~target:term_src ~target_leaf:dest_leaf
+    in
+    let stages = stages @ [ final ] in
+
+    (* --- scratch layout: materialized values, then the anchor --- *)
+    let size32 = ref 0 and size64 = ref 0 in
+    let place tid =
+      let n = numel_of (dims_of tid) in
+      match dtype_of tid with
+      | Tensor.F32 ->
+        size32 := !size32 + n;
+        Tensor.F32, !size32 - n
+      | _ ->
+        size64 := !size64 + n;
+        Tensor.F64, !size64 - n
+    in
+    let mat_slots =
+      List.map (fun tid -> Hashtbl.find leaf_of_tid tid, place tid) materialized
+    in
+    let anchor_slot = Option.map (fun anc -> place (out_of anc)) tpl.t_anchor in
+    let size32 = !size32 and size64 = !size64 in
+
+    (* --- the anchor: blocked kernels into its storage --- *)
+    let run_anchor =
+      match tpl.t_anchor with
+      | None -> None
+      | Some anc ->
+        let aout = out_of anc in
+        let adims = dims_of aout in
+        let in_dims = List.map (fun tid -> Array.to_list (dims_of tid)) anc.Graph.inputs in
+        let m, n, k =
+          match
+            Multi_version.gemm_dims_of_op anc.Graph.op ~in_dims
+              ~out_dims:[ Array.to_list adims ]
+          with
+          | Some mnk -> mnk
+          | None -> fail "anchor %s has no GEMM extents" anc.Graph.nname
+        in
+        let cls = Multi_version.classify_gemm ~m ~n ~k in
+        let tiny = cls = Multi_version.Tiny in
+        let tl = tiles cls in
+        let slot tid =
+          match Hashtbl.find_opt leaf_of_tid tid with
+          | Some i when i < nslots -> i
+          | _ -> fail "anchor input %d is not an external slot" tid
+        in
+        let inner par ~m ~n ~k ~a ~ao ~b ~bo ~c ~co =
+          Blocked.gemm ~par ~tiles:tl ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()
+        in
+        (* [run ~par args ~c ~co] writes the anchor's result into [c] at
+           element offset [co], through the naive kernels for Tiny
+           problems, exactly like the per-op backend. *)
+        let run =
+          match anc.Graph.op, List.map slot anc.Graph.inputs with
+          | Op.MatMul, [ ia; ib ] ->
+            fun ~par (args : Tensor.view array) ~c ~co ->
+              if tiny then ignore (Linalg.matmul_into args.(ia) args.(ib) ~c ~co)
+              else ignore (Linalg.matmul_into ~inner:(inner par) args.(ia) args.(ib) ~c ~co)
+          | Op.Gemm { alpha; beta; trans_a; trans_b }, ia :: ib :: rest ->
+            let ic = match rest with [ i ] -> Some i | _ -> None in
+            fun ~par args ~c ~co ->
+              let cv = Option.map (fun i -> args.(i)) ic in
+              let inner = if tiny then None else Some (inner par) in
               ignore
-                (Linalg.matmul_into ~inner:(blocked_inner par ep co) args.(ia)
-                   args.(ib) ~c ~co)
-        | Op.Gemm { alpha; beta; trans_a; trans_b }, ia :: ib :: rest ->
-          let ic = match rest with [ i ] -> Some i | _ -> None in
-          fun ~par ~ep args ~c ~co ->
-            let a = args.(ia) and b = args.(ib) in
-            let cv = Option.map (fun i -> args.(i)) ic in
-            if cls = Multi_version.Tiny then
-              ignore (Linalg.gemm_into ~alpha ~beta ~trans_a ~trans_b a b cv ~c ~co)
-            else (
-              match ep with
-              | None ->
-                ignore
-                  (Linalg.gemm_into ~inner:(blocked_inner par None co) ~alpha ~beta
-                     ~trans_a ~trans_b a b cv ~c ~co)
-              | Some ep ->
-                (* Fold the Gemm post-ops (alpha scale, beta·C add) into
-                   the epilogue in the reference's evaluation order, then
-                   run the bare product.  [ep] and the C-operand broadcast
-                   both use output-relative indices. *)
-                let ep' =
-                  match cv with
-                  | None ->
-                    if alpha = 1.0 then ep else fun ci v -> ep ci (v *. alpha)
-                  | Some ct ->
-                    let cdo = ct.Tensor.voff in
-                    let cget =
-                      match ct.Tensor.vbuf with
-                      | Tensor.FB32 d -> fun i -> BA1.unsafe_get d i
-                      | Tensor.FB64 d -> fun i -> BA1.unsafe_get d i
-                    in
-                    let get =
-                      match
-                        broadcast_map ~od:adims ~fd:(Array.of_list ct.Tensor.vdims)
-                      with
-                      | Id -> fun i -> cget (cdo + i)
-                      | Tbl t -> fun i -> cget (cdo + Array.unsafe_get t i)
-                      | Strided (od, ss) -> fun i -> cget (cdo + strided_index od ss i)
-                    in
-                    let scale v = if alpha = 1.0 then v else v *. alpha in
-                    fun ci v -> ep ci (scale v +. (beta *. get ci))
-                in
-                ignore
-                  (Linalg.gemm_into
-                     ~inner:(blocked_inner par (Some ep') co)
-                     ~alpha:1.0 ~beta:1.0 ~trans_a ~trans_b a b None ~c ~co))
-        | Op.Conv { stride; pads; dilation; groups }, ia :: ib :: rest ->
-          let ibias = match rest with [ i ] -> Some i | _ -> None in
-          fun ~par ~ep args ~c ~co ->
-            let x = args.(ia) and w = args.(ib) in
-            let b = Option.map (fun i -> args.(i)) ibias in
-            if cls = Multi_version.Tiny then
-              ignore (Linalg.conv2d_into ~stride ~pad:pads ~dilation ~groups x w b ~c ~co)
-            else
-              ignore
-                (Blocked.conv2d_im2col_into ~par ~tiles:tl ?epilogue:ep ~ep_off:co
-                   ~stride ~pad:pads ~dilation ~groups x w b ~c ~co)
-        | Op.Conv1d { stride1; pads1; dilation1; groups1 }, ia :: ib :: rest ->
-          let ibias = match rest with [ i ] -> Some i | _ -> None in
-          (match in_dims with
-          | [ _; _; _ ] :: ([ _; _; _ ] :: _) -> ()
-          | _ -> fail "Conv1d anchor expects 3-d operands");
-          fun ~par ~ep args ~c ~co ->
-            let x = args.(ia) and w = args.(ib) in
-            let b = Option.map (fun i -> args.(i)) ibias in
-            (* Unit-height lowering onto conv2d; the 4-d [n;m;1;ol] output
-               is flat-identical to the 3-d result, so epilogue indices
-               carry over. *)
-            (match x.Tensor.vdims, w.Tensor.vdims with
-            | [ nn; cch; l ], [ mm; cg; kk ] ->
-              let x' = Tensor.view_reshape x [ nn; cch; 1; l ] in
-              let w' = Tensor.view_reshape w [ mm; cg; 1; kk ] in
-              let pl, pr = pads1 in
-              if cls = Multi_version.Tiny then
-                ignore
-                  (Linalg.conv2d_into ~stride:(1, stride1) ~pad:(0, pl, 0, pr)
-                     ~dilation:(1, dilation1) ~groups:groups1 x' w' b ~c ~co)
+                (Linalg.gemm_into ?inner ~alpha ~beta ~trans_a ~trans_b args.(ia)
+                   args.(ib) cv ~c ~co)
+          | Op.Conv { stride; pads; dilation; groups }, ia :: ib :: rest ->
+            let ibias = match rest with [ i ] -> Some i | _ -> None in
+            fun ~par args ~c ~co ->
+              let x = args.(ia) and w = args.(ib) in
+              let b = Option.map (fun i -> args.(i)) ibias in
+              if tiny then
+                ignore (Linalg.conv2d_into ~stride ~pad:pads ~dilation ~groups x w b ~c ~co)
               else
                 ignore
-                  (Blocked.conv2d_im2col_into ~par ~tiles:tl ?epilogue:ep
-                     ~ep_off:co ~stride:(1, stride1) ~pad:(0, pl, 0, pr)
-                     ~dilation:(1, dilation1) ~groups:groups1 x' w' b ~c ~co)
-            | _ -> assert false)
-        | op, _ -> fail "unsupported anchor %s" (Op.name op)
-      in
-      let wb_feasible =
-        cls <> Multi_version.Tiny && m > 0 && n > 0 && k > 0
-        && numel_of term_dims = numel_of adims
-      in
-      let root_wb, wb_clean = if wb_feasible then build ~wb:true else (build ~wb:false |> fst, false) in
-      if wb_feasible && wb_clean then begin
-        let k_run_into ~par args ~c ~co =
-          let ep0 = root_wb.mk { args; acc = no_acc } in
-          run_anchor_into ~par ~ep:(Some ep0) args ~c ~co
+                  (Blocked.conv2d_im2col_into ~par ~tiles:tl ~stride ~pad:pads ~dilation
+                     ~groups x w b ~c ~co)
+          | Op.Conv1d { stride1; pads1; dilation1; groups1 }, ia :: ib :: rest ->
+            let ibias = match rest with [ i ] -> Some i | _ -> None in
+            (match in_dims with
+            | [ _; _; _ ] :: [ _; _; _ ] :: _ -> ()
+            | _ -> fail "Conv1d anchor expects 3-d operands");
+            fun ~par args ~c ~co ->
+              let x = args.(ia) and w = args.(ib) in
+              let b = Option.map (fun i -> args.(i)) ibias in
+              (* Unit-height lowering onto conv2d; the 4-d [n;m;1;ol]
+                 output is flat-identical to the 3-d result. *)
+              (match x.Tensor.vdims, w.Tensor.vdims with
+              | [ nn; cch; l ], [ mm; cg; kk ] ->
+                let x' = Tensor.view_reshape x [ nn; cch; 1; l ] in
+                let w' = Tensor.view_reshape w [ mm; cg; 1; kk ] in
+                let pl, pr = pads1 in
+                let stride = 1, stride1 and pad = 0, pl, 0, pr and dilation = 1, dilation1 in
+                if tiny then
+                  ignore
+                    (Linalg.conv2d_into ~stride ~pad ~dilation ~groups:groups1 x' w' b ~c ~co)
+                else
+                  ignore
+                    (Blocked.conv2d_im2col_into ~par ~tiles:tl ~stride ~pad ~dilation
+                       ~groups:groups1 x' w' b ~c ~co)
+              | _ -> assert false)
+          | op, _ -> fail "unsupported anchor %s" (Op.name op)
         in
-        Ok (mk_kernel k_run_into)
-      end
-      else begin
-        let root, _ = build ~wb:false in
-        let n_out = numel_of term_dims in
-        let k_run_into ~par args ~c ~co =
-          (* f64 scratch keeps the anchor result at full precision for the
-             elementwise phase; the terminal fill is the single rounding. *)
-          let scratch = Tensor.fbuf_create Tensor.F64 (max 1 (numel_of adims)) in
-          Tensor.fbuf_fill scratch 0 (Tensor.fbuf_len scratch) 0.0;
-          run_anchor_into ~par ~ep:None args ~c:scratch ~co:0;
-          let gfn = root.mk { args; acc = scratch } in
-          fill_into par c ~off:co ~n:n_out gfn
-        in
-        Ok (mk_kernel k_run_into)
-      end
+        Some run
+    in
+    (* The anchor may write straight into the destination when the final
+       stage reads it only at its own flat index and the destination's
+       kind is the anchor's dtype: then the stored anchor result is the
+       reference's, and the program runs over it in place. *)
+    let in_place_dt =
+      match tpl.t_anchor with
+      | Some anc when not !anchor_read_mapped -> Some (dtype_of (out_of anc))
+      | _ -> None
+    in
+    let k_run_into ~par (args : Tensor.view array) ~c ~co =
+      Blocked.Pool.use call_pool (fun cs ->
+          if Tensor.fbuf_len cs.s32 < size32 then cs.s32 <- Tensor.fbuf_create Tensor.F32 size32;
+          if Tensor.fbuf_len cs.s64 < size64 then cs.s64 <- Tensor.fbuf_create Tensor.F64 size64;
+          let bufs = Array.make nleaves c and offs = Array.make nleaves co in
+          for i = 0 to nslots - 1 do
+            bufs.(i) <- args.(i).Tensor.vbuf;
+            offs.(i) <- args.(i).Tensor.voff
+          done;
+          let store l (dt, off) =
+            bufs.(l) <- (if dt = Tensor.F32 then cs.s32 else cs.s64);
+            offs.(l) <- off
+          in
+          List.iter (fun (l, slot) -> store l slot) mat_slots;
+          (match run_anchor, anchor_leaf, anchor_slot with
+          | Some run, Some l, Some slot ->
+            if in_place_dt <> Some (Tensor.fbuf_dtype c) then store l slot;
+            run ~par args ~c:bufs.(l) ~co:offs.(l)
+          | _ -> ());
+          List.iter (fun st -> OS.run ~par st bufs offs) stages)
+    in
+    let term_dims_l = Array.to_list term_dims in
+    let k_run ~par targs =
+      let out = Tensor.zeros term_dt term_dims_l in
+      k_run_into ~par (Array.map Tensor.view_f targs) ~c:(Tensor.storage_f out) ~co:0;
+      out
+    in
+    Ok { k_out = tpl.t_out; k_dims = member_dims; k_run; k_run_into }
   with
   | Spec_fail msg -> Error msg

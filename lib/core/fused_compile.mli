@@ -1,23 +1,23 @@
 (** Fused-group kernel compilation (§4.2 fused code generation).
 
-    Lowers fusion groups into single executable kernels: pointwise/view
-    chains become one closure-compiled loop over the terminal output's flat
-    index space (no intermediate tensors; broadcasts become precomputed
-    index maps), and heavy anchors (MatMul/Gemm/Conv/Conv1d) run the
-    blocked kernels with the rest of the group installed as the micro-tile
-    write-back epilogue.
+    Lowers fusion groups into single executable kernels: each member
+    becomes one instruction of a block program ({!Op_semantics.stage}) run
+    over blocks of a few hundred elements, with no intermediate tensor and
+    no boxed element; broadcasts and transposes become precomputed index
+    maps, and heavy anchors (MatMul/Gemm/Conv/Conv1d) run the blocked
+    kernels before the program runs over their stored result.
 
     Compile time produces {!template}s (one per eligible group); the first
     execution under concrete dims {!specialize}s a template into a
     {!kernel} — the runtime side of bounded multi-version code generation,
     where each still-ambiguous broadcast collapses to one concrete variant.
-    Kernels are cached by the backend per (group × shape); this module is
-    purely functional.
+    Kernels are cached by the backend per (group × shape).
 
-    Scalar element semantics come from {!Op_semantics}, the same closures
-    the reference kernels use, so pure pointwise groups are bit-for-bit
-    equal to unfused execution (anchored groups differ only by the blocked
-    kernels' summation order). *)
+    Registers store in the dtypes the op-by-op reference stores in, and
+    the block loops inline the {!Op_semantics} scalar functions the
+    reference kernels call, so fused execution is bit-for-bit equal to
+    unfused execution — anchored groups included, since the blocked
+    kernels sum in the naive order. *)
 
 type template = {
   t_gid : int;
@@ -46,7 +46,7 @@ val plan :
   ?quantized:(Graph.node -> bool) -> Graph.t -> Fusion.plan ->
   template option array
 (** Per-group templates, indexed by group id.  [None] for singleton groups
-    and groups containing an operator the per-element compiler cannot
+    and groups containing an operator the block compiler cannot
     lower (reductions terminate groups but are not pointwise; data-
     dependent reshapes; I64-producing casts; …) — those keep op-by-op
     execution.  [quantized] (default: nothing) marks nodes the runtime

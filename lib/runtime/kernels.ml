@@ -1,5 +1,6 @@
-(* Scalar semantics live in [Op_semantics] so the fused-group compiler and
-   these reference kernels evaluate identical closures per element. *)
+(* Scalar semantics live in [Op_semantics], shared with the block
+   evaluator that fused groups and the destination kernels run, so every
+   path computes the same bits per element. *)
 let unary_fn = Op_semantics.unary_fn
 let float_binary_fn = Op_semantics.float_binary_fn
 let int_binary_fn = Op_semantics.int_binary_fn
@@ -47,6 +48,71 @@ let resolve_reshape_dims data target =
     dims
   end
 
+module OS = Op_semantics
+
+let view_dims_arr (v : Tensor.view) = Array.of_list v.Tensor.vdims
+
+(* Run [code] as a one-stage block program over [n] output elements:
+   leaves [0, k) are the operand views [vs], leaf [k] the destination. *)
+let run_program ~par ~n ~regs32 ~regs64 code (vs : Tensor.view array) ~c ~co =
+  let k = Array.length vs in
+  let bufs = Array.make (k + 1) c and offs = Array.make (k + 1) co in
+  Array.iteri
+    (fun i (v : Tensor.view) ->
+      bufs.(i) <- v.Tensor.vbuf;
+      offs.(i) <- v.Tensor.voff)
+    vs;
+  OS.run ~par { OS.code; n; regs32; regs64 } bufs offs
+
+(* An elementwise operator over operands broadcast into [od]: operands
+   of that shape are read in place, the others gathered by stride walk
+   into a register of their kind, and [last] — given the operand
+   locations and the destination — is the operator's instruction.  The
+   store into [c] is the single rounding point, as in [Tensor.map2]. *)
+let elementwise ~par (vs : Tensor.view array) od last ~c ~co =
+  let r32 = ref 0 and r64 = ref 0 and pre = ref [] in
+  let locs =
+    Array.mapi
+      (fun i (v : Tensor.view) ->
+        match OS.broadcast_map ~tables:false ~od ~fd:(view_dims_arr v) with
+        | None -> OS.Leaf i
+        | Some m ->
+          let r =
+            match v.Tensor.vbuf with
+            | Tensor.FB32 _ ->
+              incr r32;
+              OS.R32 (!r32 - 1)
+            | Tensor.FB64 _ ->
+              incr r64;
+              OS.R64 (!r64 - 1)
+          in
+          pre := (if Tensor.view_numel v = 1 then OS.Splat (i, r) else OS.Gather (i, m, r)) :: !pre;
+          r)
+      vs
+  in
+  let code = Array.of_list (List.rev (last locs (OS.Leaf (Array.length vs)) :: !pre)) in
+  run_program ~par ~n:(Array.fold_left ( * ) 1 od) ~regs32:!r32 ~regs64:!r64 code vs ~c
+    ~co;
+  Array.to_list od
+
+(* BatchNorm over [x] (rank ≥ 2, channels on axis 1) into [c] at [co],
+   each parameter one value per channel or one for all; [false] when the
+   shapes do not fit. *)
+let batch_norm_into ~par ~eps (x : Tensor.view) scale bias mean var ~c ~co =
+  let ps = [| scale; bias; mean; var |] in
+  match x.Tensor.vdims with
+  | _ :: ch :: _
+    when Array.for_all (fun v -> Tensor.view_numel v = 1 || Tensor.view_numel v = ch) ps ->
+    let instr =
+      OS.norm ~x:(OS.Leaf 0) ~dst:(OS.Leaf 5) ~eps ~dims:(view_dims_arr x)
+        ~xdt:(Tensor.view_dtype x) ~params:[| 1; 2; 3; 4 |]
+        ~pdts:(Array.map Tensor.view_dtype ps) ~pnums:(Array.map Tensor.view_numel ps)
+    in
+    run_program ~par ~n:(Tensor.view_numel x) ~regs32:0 ~regs64:0 [| instr |]
+      (Array.append [| x |] ps) ~c ~co;
+    true
+  | _ -> false
+
 let run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
   (* Without a backend every path below is the naive reference kernel, so
      golden comparisons and guarded fallback stay bit-exact. *)
@@ -72,7 +138,7 @@ let run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
     | (Tensor.I64 | Tensor.I8), (Tensor.I64 | Tensor.I8) ->
       [ Tensor.map2i (int_binary_fn b) x y ]
     | _ -> [ map2 (float_binary_fn b) (ensure_f x) (ensure_f y) ])
-  | Op.Clip (lo, hi), [ x ] -> [ map_f (fun v -> Float.min hi (Float.max lo v)) x ]
+  | Op.Clip (lo, hi), [ x ] -> [ map_f (Op_semantics.clip_fn lo hi) x ]
   | Op.Cast dt, [ x ] -> [ Tensor.cast x dt ]
   | Op.Where, [ c; a; b ] -> [ Transform.where (Tensor.cast c Tensor.I64) a b ]
   | Op.MatMul, [ a; b ] -> (
@@ -103,7 +169,19 @@ let run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
     [ Linalg.avg_pool2d ~kernel ~stride:pool_stride ~pad:pool_pads x ]
   | Op.GlobalAveragePool, [ x ] -> [ Linalg.global_avg_pool x ]
   | Op.BatchNorm { eps }, [ x; scale; bias; mean; var ] ->
-    [ Reduction.batch_norm x ~scale ~bias ~mean ~var ~eps ]
+    let dt =
+      List.fold_left
+        (fun acc v -> Tensor.promote_f acc (Tensor.dtype v))
+        (Tensor.dtype x) [ mean; var; scale; bias ]
+    in
+    let out = Tensor.empty dt (Tensor.dims x) in
+    let v = Tensor.view_f in
+    if
+      not
+        (batch_norm_into ~par:Blocked.sequential ~eps (v x) (v scale) (v bias) (v mean)
+           (v var) ~c:(Tensor.storage_f out) ~co:0)
+    then arg_err op "BatchNorm needs rank >= 2 and per-channel or scalar parameters";
+    [ out ]
   | Op.LayerNorm { eps }, [ x; gamma; beta ] -> [ Reduction.layer_norm x ~gamma ~beta ~eps ]
   | Op.GroupNorm { num_groups; eps }, [ x; gamma; beta ] ->
     [ Reduction.group_norm x ~groups:num_groups ~gamma ~beta ~eps ]
@@ -243,183 +321,27 @@ let run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
 (* ------------------------------------------------------------------ *)
 (* Destination-passing execution (arena runtime)                       *)
 
-module BA1 = Bigarray.Array1
-
-let view_dims_arr (v : Tensor.view) = Array.of_list v.Tensor.vdims
-
-(* Destination kernels chunk large same-shape loops over the backend's
-   domain pool — the boxed fallbacks get the same treatment from
-   [Backend.map_f]/[map2], so memory mode never changes the parallelism. *)
-let into_grain = 16_384
-
-(* Broadcast-aware binary loop over views, writing into [dst] at [doff].
-   Broadcasting operands take [Tensor.broadcast2_into], the walk behind
-   [Tensor.map2].  The same-shape uniform-kind path dispatches once on the
-   operator and buffer kinds and runs a direct-operator monomorphic loop
-   for the four arithmetic ops: a kind-polymorphic bigarray access is a C
-   call the compiler cannot inline, worth ~5x on this loop, and
-   Add/Sub/Mul/Div dominate the pointwise traffic of streaming workloads.
-   The float semantics are identical — [float_binary_fn] maps them to the
-   same ( +. ) etc., and the destination store is the single f32 rounding
-   point, exactly like [Tensor.map2]'s output store. *)
-let binary_into ~chunked (b : Op.binary) (x : Tensor.view) (y : Tensor.view)
-    (dst : Tensor.fbuf) doff =
-  let dx = view_dims_arr x and dy = view_dims_arr y in
-  let od = Tensor.broadcast_dims dx dy in
-  let n = Array.fold_left ( * ) 1 od in
-  let ox = x.Tensor.voff and oy = y.Tensor.voff in
-  if dx = od && dy = od then begin
-    match x.Tensor.vbuf, y.Tensor.vbuf, dst with
-    | Tensor.FB32 bx, Tensor.FB32 by, Tensor.FB32 d ->
-      chunked n
-        (match b with
-        | Op.Add ->
-          fun lo hi ->
-            for i = lo to hi do
-              BA1.unsafe_set d (doff + i)
-                (BA1.unsafe_get bx (ox + i) +. BA1.unsafe_get by (oy + i))
-            done
-        | Op.Sub ->
-          fun lo hi ->
-            for i = lo to hi do
-              BA1.unsafe_set d (doff + i)
-                (BA1.unsafe_get bx (ox + i) -. BA1.unsafe_get by (oy + i))
-            done
-        | Op.Mul ->
-          fun lo hi ->
-            for i = lo to hi do
-              BA1.unsafe_set d (doff + i)
-                (BA1.unsafe_get bx (ox + i) *. BA1.unsafe_get by (oy + i))
-            done
-        | Op.Div ->
-          fun lo hi ->
-            for i = lo to hi do
-              BA1.unsafe_set d (doff + i)
-                (BA1.unsafe_get bx (ox + i) /. BA1.unsafe_get by (oy + i))
-            done
-        | _ ->
-          let f = float_binary_fn b in
-          fun lo hi ->
-            for i = lo to hi do
-              BA1.unsafe_set d (doff + i)
-                (f (BA1.unsafe_get bx (ox + i)) (BA1.unsafe_get by (oy + i)))
-            done)
-    | Tensor.FB64 bx, Tensor.FB64 by, Tensor.FB64 d ->
-      chunked n
-        (match b with
-        | Op.Add ->
-          fun lo hi ->
-            for i = lo to hi do
-              BA1.unsafe_set d (doff + i)
-                (BA1.unsafe_get bx (ox + i) +. BA1.unsafe_get by (oy + i))
-            done
-        | Op.Sub ->
-          fun lo hi ->
-            for i = lo to hi do
-              BA1.unsafe_set d (doff + i)
-                (BA1.unsafe_get bx (ox + i) -. BA1.unsafe_get by (oy + i))
-            done
-        | Op.Mul ->
-          fun lo hi ->
-            for i = lo to hi do
-              BA1.unsafe_set d (doff + i)
-                (BA1.unsafe_get bx (ox + i) *. BA1.unsafe_get by (oy + i))
-            done
-        | Op.Div ->
-          fun lo hi ->
-            for i = lo to hi do
-              BA1.unsafe_set d (doff + i)
-                (BA1.unsafe_get bx (ox + i) /. BA1.unsafe_get by (oy + i))
-            done
-        | _ ->
-          let f = float_binary_fn b in
-          fun lo hi ->
-            for i = lo to hi do
-              BA1.unsafe_set d (doff + i)
-                (f (BA1.unsafe_get bx (ox + i)) (BA1.unsafe_get by (oy + i)))
-            done)
-    | bx, by, d ->
-      (* Mixed kinds (arena f32 against an f64 constant, say): cold path. *)
-      let f = float_binary_fn b in
-      chunked n (fun lo hi ->
-          for i = lo to hi do
-            Tensor.fbuf_set d (doff + i)
-              (f (Tensor.fbuf_get bx (ox + i)) (Tensor.fbuf_get by (oy + i)))
-          done)
-  end
-  else ignore (Tensor.broadcast2_into (float_binary_fn b) x y dst doff);
-  Array.to_list od
-
 let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
     ~(c : Tensor.fbuf) ~(co : int) ~(cap : int) : int list option =
   let fits dims = List.fold_left ( * ) 1 dims = cap in
   let par =
     match backend with Some be -> Backend.par_of be | None -> Blocked.sequential
   in
-  let chunked n body =
-    if n >= 2 * into_grain then
-      par.Blocked.run
-        ((n + into_grain - 1) / into_grain)
-        (fun ci ->
-          let lo = ci * into_grain in
-          body lo (min n (lo + into_grain) - 1))
-    else if n > 0 then body 0 (n - 1)
-  in
-  (* [f] computes in double precision; the destination store rounds for
-     f32 buffers — same single rounding as the boxed [Tensor.map_f]. *)
-  let pointwise f (x : Tensor.view) =
-    if not (fits x.Tensor.vdims) then None
-    else begin
-      let o = x.Tensor.voff in
-      (match x.Tensor.vbuf, c with
-      | Tensor.FB32 b, Tensor.FB32 d ->
-        chunked cap (fun lo hi ->
-            for i = lo to hi do
-              BA1.unsafe_set d (co + i) (f (BA1.unsafe_get b (o + i)))
-            done)
-      | Tensor.FB64 b, Tensor.FB64 d ->
-        chunked cap (fun lo hi ->
-            for i = lo to hi do
-              BA1.unsafe_set d (co + i) (f (BA1.unsafe_get b (o + i)))
-            done)
-      | b, d ->
-        chunked cap (fun lo hi ->
-            for i = lo to hi do
-              Tensor.fbuf_set d (co + i) (f (Tensor.fbuf_get b (o + i)))
-            done));
-      Some x.Tensor.vdims
-    end
+  let elementwise vs od last =
+    if fits (Array.to_list od) then Some (elementwise ~par vs od last ~c ~co) else None
   in
   match op, inputs with
-  | Op.Unary Op.Relu, [ x ] -> (
-    (* Same direct-loop treatment as the binary arithmetic fast path (a
-       call through [pointwise]'s closure boxes every element);
-       [Float.max 0.0 v] matches [unary_fn Relu] bit-for-bit. *)
-    match x.Tensor.vbuf, c with
-    | Tensor.FB32 b, Tensor.FB32 d when fits x.Tensor.vdims ->
-      let o = x.Tensor.voff in
-      chunked cap (fun lo hi ->
-          for i = lo to hi do
-            BA1.unsafe_set d (co + i) (Float.max 0.0 (BA1.unsafe_get b (o + i)))
-          done);
-      Some x.Tensor.vdims
-    | _ -> pointwise (fun v -> Float.max 0.0 v) x)
-  | Op.Unary u, [ x ] -> pointwise (unary_fn u) x
-  | Op.Clip (lo, hi), [ x ] -> pointwise (fun v -> Float.min hi (Float.max lo v)) x
+  | Op.Unary u, [ x ] -> elementwise [| x |] (view_dims_arr x) (fun l d -> OS.Unary (u, l.(0), d))
+  | Op.Clip (lo, hi), [ x ] ->
+    elementwise [| x |] (view_dims_arr x) (fun l d -> OS.Clip (lo, hi, l.(0), d))
   | Op.Binary b, [ x; y ] ->
-    let od = Tensor.broadcast_dims (view_dims_arr x) (view_dims_arr y) in
-    if not (fits (Array.to_list od)) then None
-    else Some (binary_into ~chunked b x y c co)
-  | Op.BatchNorm { eps }, [ x; scale; bias; mean; var ] -> (
-    match x.Tensor.vdims with
-    | _ :: ch :: _ when fits x.Tensor.vdims
-                        && Tensor.view_numel scale = ch
-                        && Tensor.view_numel bias = ch
-                        && Tensor.view_numel mean = ch
-                        && Tensor.view_numel var = ch ->
-      Reduction.batch_norm_into ~x ~scale ~bias ~mean ~var ~eps ~c ~co;
+    elementwise [| x; y |]
+      (Tensor.broadcast_dims (view_dims_arr x) (view_dims_arr y))
+      (fun l d -> OS.Binary (b, l.(0), l.(1), d))
+  | Op.BatchNorm { eps }, [ x; scale; bias; mean; var ] ->
+    if fits x.Tensor.vdims && batch_norm_into ~par ~eps x scale bias mean var ~c ~co then
       Some x.Tensor.vdims
-    | _ -> None)
+    else None
   | Op.MatMul, [ a; b ] -> (
     match Linalg.matmul_out_dims a.Tensor.vdims b.Tensor.vdims with
     | exception Invalid_argument _ -> None

@@ -314,22 +314,16 @@ let pack_a (a : Tensor.fbuf) ao ~k ~i0 ~mc abuf =
 
 (* Add a finished micro-tile into C (rows × cols of it; [ci] is its
    top-left flat index), matching the destination kind per element so
-   every value stays unboxed.  [epilogue] sees the double-precision
-   pre-store value at destination-relative index [ci - ep_off] — a plain
-   subtraction keeps arena callers (ep_off = their slot base) off a
-   per-element shift closure — and the store is still the single
-   rounding point. *)
-let write_back (c : Tensor.fbuf) epilogue ~ep_off (acc : float array) ~ci ~n ~rows
-    ~cols =
+   every value stays unboxed; the store is the single rounding point. *)
+let write_back (c : Tensor.fbuf) (acc : float array) ~ci ~n ~rows ~cols =
   for r = 0 to rows - 1 do
     for jj = 0 to cols - 1 do
       let ci = ci + (r * n) + jj in
-      let v = fget c ci +. Array.unsafe_get acc ((r * 2) + jj) in
-      match epilogue with None -> fset c ci v | Some f -> fset c ci (f (ci - ep_off) v)
+      fset c ci (fget c ci +. Array.unsafe_get acc ((r * 2) + jj))
     done
   done
 
-let gemm ?(par = sequential) ?(tiles = default_tiles) ?epilogue ?(ep_off = 0) ~m ~n ~k
+let gemm ?(par = sequential) ?(tiles = default_tiles) ~m ~n ~k
     ~(a : Tensor.fbuf) ~ao ~(b : Tensor.fbuf) ~bo ~(c : Tensor.fbuf) ~co () =
   if m > 0 && n > 0 && k > 0 then begin
     let mt = row_tile tiles.tm ~group:4 ~group_words:(4 * k) in
@@ -366,7 +360,7 @@ let gemm ?(par = sequential) ?(tiles = default_tiles) ?epilogue ?(ep_off = 0) ~m
             for jp = jt * jpt to min npairs ((jt + 1) * jpt) - 1 do
               micro4x2 s.fa s.fb (ip * k * 4) (jp * k * 2) k s.facc;
               let j = j0 + (jp * 2) in
-              write_back c epilogue ~ep_off s.facc
+              write_back c s.facc
                 ~ci:(co + (i * n) + j)
                 ~n ~rows
                 ~cols:(if j + 1 < n then 2 else 1)
@@ -441,6 +435,14 @@ let conv_geom ~stride ~pad ~dilation ~groups (dx : int array) (dw : int array) =
     dw = dw_;
   }
 
+(* Output column [ox] of kernel column [kx] reads source column
+   [ox·sw + off] with [off = kx·dw − pl]; it is in bounds for [ox] in
+   [[col_lo, col_hi)]. *)
+let col_lo (q : conv_geom) off = if off >= 0 then 0 else min q.ow (ceil_div (-off) q.sw)
+
+let col_hi (q : conv_geom) off lo =
+  if off >= q.wd then lo else max lo (min q.ow (((q.wd - 1 - off) / q.sw) + 1))
+
 (* The im2col column matrix of image [ni], group [g] ([cg·kh·kw] rows of
    [oh·ow] output pixels) is written one output row at a time:
    [row o soff lo hi] must fill the [ow] elements at [o] with the source
@@ -455,10 +457,9 @@ let iter_col_rows (q : conv_geom) ~xoff ~ni ~g row =
     for ky = 0 to q.kh - 1 do
       for kx = 0 to q.kw - 1 do
         let rbase = ((((ci * q.kh) + ky) * q.kw) + kx) * ndim in
-        (* source column of output column ox is [ox·sw + off] *)
         let off = (kx * q.dw) - q.pl in
-        let lo = if off >= 0 then 0 else min q.ow (ceil_div (-off) q.sw) in
-        let hi = if off >= q.wd then lo else max lo (min q.ow (((q.wd - 1 - off) / q.sw) + 1)) in
+        let lo = col_lo q off in
+        let hi = col_hi q off lo in
         for oy = 0 to q.oh - 1 do
           let iy = (oy * q.sh) - q.pt + (ky * q.dh) in
           if iy >= 0 && iy < q.h then
@@ -469,9 +470,62 @@ let iter_col_rows (q : conv_geom) ~xoff ~ni ~g row =
     done
   done
 
-let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ?epilogue
-    ?(ep_off = 0) ~stride ~pad ~dilation ~groups (vx : Tensor.view)
-    (vw : Tensor.view) (vbias : Tensor.view option) ~c:dst ~co =
+(* Depthwise convolution (one output channel per group) as a direct tap
+   loop: a GEMM per channel with m = 1 spends its time in dispatch and
+   packing.  Each output row accumulates in double precision over
+   (ci, ky, kx) ascending from zero, skipping out-of-bounds taps, and the
+   bias is added at the store — {!Linalg.conv2d}'s order, bit for bit.
+   One task covers whole channel planes, about [16k] taps' worth. *)
+let conv2d_depthwise par (q : conv_geom) (vx : Tensor.view) (vw : Tensor.view)
+    (vbias : Tensor.view option) dst co =
+  let planes = q.n * q.m in
+  let per_task = max 1 (16_384 / max 1 (q.oh * q.ow * q.cg * q.kh * q.kw)) in
+  let xb = vx.Tensor.vbuf and wb = vw.Tensor.vbuf in
+  run_tasks par (ceil_div planes per_task) (fun s t ->
+      (* The row accumulators borrow the A panel, so the panel no longer
+         holds any GEMM's packed tile. *)
+      s.fa <- fgrow s.fa q.ow;
+      s.a_call <- -1;
+      let acc = s.fa in
+      for p = t * per_task to min planes ((t + 1) * per_task) - 1 do
+        let ni = p / q.m and mi = p mod q.m in
+        let bias =
+          match vbias with
+          | None -> 0.0
+          | Some v -> fget v.Tensor.vbuf (v.Tensor.voff + mi)
+        in
+        for oy = 0 to q.oh - 1 do
+          Array.fill acc 0 q.ow 0.0;
+          for ci = 0 to q.cg - 1 do
+            let plane = vx.Tensor.voff + (((ni * q.c) + (mi * q.cg) + ci) * q.h * q.wd) in
+            for ky = 0 to q.kh - 1 do
+              let iy = (oy * q.sh) - q.pt + (ky * q.dh) in
+              if iy >= 0 && iy < q.h then
+                for kx = 0 to q.kw - 1 do
+                  let wv =
+                    fget wb (vw.Tensor.voff + (((((mi * q.cg) + ci) * q.kh) + ky) * q.kw) + kx)
+                  in
+                  let off = (kx * q.dw) - q.pl in
+                  let lo = col_lo q off in
+                  let hi = col_hi q off lo in
+                  let src = plane + (iy * q.wd) + off in
+                  for ox = lo to hi - 1 do
+                    Array.unsafe_set acc ox
+                      (Array.unsafe_get acc ox +. (fget xb (src + (ox * q.sw)) *. wv))
+                  done
+                done
+            done
+          done;
+          let o = co + (((p * q.oh) + oy) * q.ow) in
+          for ox = 0 to q.ow - 1 do
+            fset dst (o + ox) (bias +. Array.unsafe_get acc ox)
+          done
+        done
+      done)
+
+let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ~stride ~pad
+    ~dilation ~groups (vx : Tensor.view) (vw : Tensor.view) (vbias : Tensor.view option)
+    ~c:dst ~co =
   let q =
     conv_geom ~stride ~pad ~dilation ~groups (Array.of_list vx.Tensor.vdims)
       (Array.of_list vw.Tensor.vdims)
@@ -481,69 +535,71 @@ let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ?epilogue
   let ndim = q.oh * q.ow in
   if co < 0 || co + (q.n * q.m * ndim) > Tensor.fbuf_len dst then
     invalid_arg "Blocked.conv2d_im2col_into: destination window out of bounds";
-  (* The gemm accumulates into its destination window, so it must start
-     from the bias value (or zero) regardless of what the buffer held. *)
-  for ni = 0 to q.n - 1 do
-    for mi = 0 to q.m - 1 do
-      let v =
-        match vbias with
-        | None -> 0.0
-        | Some { Tensor.vbuf = Tensor.FB32 b; voff; _ } -> BA1.get b (voff + mi)
-        | Some { Tensor.vbuf = Tensor.FB64 b; voff; _ } -> BA1.get b (voff + mi)
-      in
-      let o = co + (((ni * q.m) + mi) * ndim) in
-      match dst with
-      | Tensor.FB32 d ->
-        for i = o to o + ndim - 1 do
-          BA1.unsafe_set d i v
-        done
-      | Tensor.FB64 d ->
-        for i = o to o + ndim - 1 do
-          BA1.unsafe_set d i v
-        done
-    done
-  done;
-  if ndim > 0 && kdim > 0 then
-    Pool.use col_pool (fun cs ->
-        (* One column buffer in the input's precision (the copy is
-           lossless), rebuilt per (image, group); gemm completes before the
-           next rebuild, so reuse is safe even under the parallel runner. *)
-        let len = kdim * ndim and sw = q.sw and ow = q.ow in
-        let col =
-          match vx.Tensor.vbuf with
-          | Tensor.FB32 _ ->
-            cs.c32 <- bgrow Bigarray.float32 cs.c32 len;
-            Tensor.FB32 cs.c32
-          | Tensor.FB64 _ ->
-            cs.c64 <- bgrow Bigarray.float64 cs.c64 len;
-            Tensor.FB64 cs.c64
+  if mg = 1 && groups > 1 then conv2d_depthwise par q vx vw vbias dst co
+  else begin
+    (* The gemm accumulates into its destination window, so it must start
+       from the bias value (or zero) regardless of what the buffer held. *)
+    for ni = 0 to q.n - 1 do
+      for mi = 0 to q.m - 1 do
+        let v =
+          match vbias with
+          | None -> 0.0
+          | Some { Tensor.vbuf = Tensor.FB32 b; voff; _ } -> BA1.get b (voff + mi)
+          | Some { Tensor.vbuf = Tensor.FB64 b; voff; _ } -> BA1.get b (voff + mi)
         in
-        let src = vx.Tensor.vbuf in
-        let row o soff lo hi =
-          for ox = 0 to lo - 1 do
-            fset col (o + ox) 0.0
-          done;
-          for ox = lo to hi - 1 do
-            fset col (o + ox) (fget src (soff + (ox * sw)))
-          done;
-          for ox = hi to ow - 1 do
-            fset col (o + ox) 0.0
+        let o = co + (((ni * q.m) + mi) * ndim) in
+        match dst with
+        | Tensor.FB32 d ->
+          for i = o to o + ndim - 1 do
+            BA1.unsafe_set d i v
           done
-        in
-        for ni = 0 to q.n - 1 do
-          for g = 0 to groups - 1 do
-            iter_col_rows q ~xoff:vx.Tensor.voff ~ni ~g row;
-            (* [co] makes the gemm's write indices global flat offsets into
-               the destination buffer; [ep_off] carries the caller's
-               epilogue base through unchanged so epilogue indices stay
-               relative to it. *)
-            gemm ~par ~tiles ?epilogue ~ep_off ~m:mg ~n:ndim ~k:kdim ~a:vw.Tensor.vbuf
-              ~ao:(vw.Tensor.voff + (g * mg * kdim))
-              ~b:col ~bo:0 ~c:dst
-              ~co:(co + (((ni * q.m) + (g * mg)) * ndim))
-              ()
+        | Tensor.FB64 d ->
+          for i = o to o + ndim - 1 do
+            BA1.unsafe_set d i v
           done
-        done);
+      done
+    done;
+    if ndim > 0 && kdim > 0 then
+      Pool.use col_pool (fun cs ->
+          (* One column buffer in the input's precision (the copy is
+             lossless), rebuilt per (image, group); gemm completes before
+             the next rebuild, so reuse is safe even under the parallel
+             runner. *)
+          let len = kdim * ndim and sw = q.sw and ow = q.ow in
+          let col =
+            match vx.Tensor.vbuf with
+            | Tensor.FB32 _ ->
+              cs.c32 <- bgrow Bigarray.float32 cs.c32 len;
+              Tensor.FB32 cs.c32
+            | Tensor.FB64 _ ->
+              cs.c64 <- bgrow Bigarray.float64 cs.c64 len;
+              Tensor.FB64 cs.c64
+          in
+          let src = vx.Tensor.vbuf in
+          let row o soff lo hi =
+            for ox = 0 to lo - 1 do
+              fset col (o + ox) 0.0
+            done;
+            for ox = lo to hi - 1 do
+              fset col (o + ox) (fget src (soff + (ox * sw)))
+            done;
+            for ox = hi to ow - 1 do
+              fset col (o + ox) 0.0
+            done
+          in
+          for ni = 0 to q.n - 1 do
+            for g = 0 to groups - 1 do
+              iter_col_rows q ~xoff:vx.Tensor.voff ~ni ~g row;
+              (* [co] makes the gemm's write indices global flat offsets
+                 into the destination buffer. *)
+              gemm ~par ~tiles ~m:mg ~n:ndim ~k:kdim ~a:vw.Tensor.vbuf
+                ~ao:(vw.Tensor.voff + (g * mg * kdim))
+                ~b:col ~bo:0 ~c:dst
+                ~co:(co + (((ni * q.m) + (g * mg)) * ndim))
+                ()
+            done
+          done)
+  end;
   [ q.n; q.m; q.oh; q.ow ]
 
 (* ---------------------------------------------------------------- *)
@@ -928,7 +984,7 @@ let conv2d_i8_dequant_into ?par ?tiles ~zx ~zw ~epilogue ?(ep_off = 0) ~stride
         ~co:(co + (((ni * m) + (g * mg)) * ndim))
         ())
 
-let conv2d_im2col ?par ?tiles ?epilogue ~stride ~pad ~dilation ~groups x w bias =
+let conv2d_im2col ?par ?tiles ~stride ~pad ~dilation ~groups x w bias =
   let dx = Tensor.dims_arr x and dw = Tensor.dims_arr w in
   let sh, sw = stride in
   let pt, pl, pb, pr = pad in
@@ -947,7 +1003,7 @@ let conv2d_im2col ?par ?tiles ?epilogue ~stride ~pad ~dilation ~groups x w bias 
   in
   let out = Tensor.zeros odt [ dx.(0); dw.(0); oh; ow ] in
   ignore
-    (conv2d_im2col_into ?par ?tiles ?epilogue ~stride ~pad ~dilation ~groups
+    (conv2d_im2col_into ?par ?tiles ~stride ~pad ~dilation ~groups
        (Tensor.view_f x) (Tensor.view_f w)
        (Option.map Tensor.view_f bias)
        ~c:(Tensor.storage_f out) ~co:0);

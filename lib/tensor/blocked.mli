@@ -17,8 +17,8 @@
     Packing panels and column buffers are per-participant scratch, taken
     from a shared free list and given back after each task, bounded in
     size and reused across calls: once a shape has been seen, a float
-    {!gemm} or {!conv2d_im2col_into} without an epilogue allocates only a
-    constant few words per call, whatever the extents.
+    {!gemm} or {!conv2d_im2col_into} allocates only a constant few words
+    per call, whatever the extents.
 
     The module is deliberately runtime-agnostic: parallelism arrives
     through the {!par} record so the tensor library does not depend on the
@@ -29,6 +29,23 @@ type par = { run : int -> (int -> unit) -> unit }
     must be independent.  {!sequential} is the inline default. *)
 
 val sequential : par
+
+(** A free list of reusable scratch.  Take-and-return rather than
+    domain-local storage, so systhreads sharing a domain never share a
+    value. *)
+module Pool : sig
+  type 'a t
+
+  val create : (unit -> 'a) -> 'a t
+  (** A pool whose [take] builds a value with the maker when empty. *)
+
+  val take : 'a t -> 'a
+  val give : 'a t -> 'a -> unit
+
+  val use : 'a t -> ('a -> 'b) -> 'b
+  (** [use p f] runs [f] on a taken value and gives it back, also when
+      [f] raises. *)
+end
 
 type tiles = {
   tm : int;  (** macro row-tile height (parallel work unit) *)
@@ -44,34 +61,23 @@ val tiles_of : tile_m:int -> tile_n:int -> tile_k:int -> unroll:int -> tiles
     to sane minima so degenerate configs cannot starve the kernel). *)
 
 val gemm :
-  ?par:par -> ?tiles:tiles -> ?epilogue:(int -> float -> float) ->
-  ?ep_off:int -> m:int -> n:int ->
+  ?par:par -> ?tiles:tiles -> m:int -> n:int ->
   k:int -> a:Tensor.fbuf -> ao:int -> b:Tensor.fbuf -> bo:int ->
   c:Tensor.fbuf -> co:int -> unit -> unit
 (** [gemm ~m ~n ~k ~a ~ao ~b ~bo ~c ~co] accumulates the row-major product
     [A(m×k) · B(k×n)] into [C(m×n)]: [c += a·b], reading each operand at
     its flat offset.  [C] is {e accumulated into}, not overwritten, so
-    callers zero- or bias-initialize it.
-
-    [epilogue ci v] rewrites the finished value [v] of element [ci] during
-    the final k-block's micro-tile write-back — fused-group execution uses
-    it to apply bias/activation chains without a second pass over [C].  It
-    is called exactly once per element, only after the full depth [k] has
-    been accumulated.  [ci] is the element's flat index into [c] minus
-    [ep_off] (default [0], i.e. global): destination-passing callers whose
-    output lives at a nonzero base pass [~ep_off:base] to receive
-    output-relative coordinates without paying a per-element shim. *)
+    callers zero- or bias-initialize it. *)
 
 val conv2d_im2col :
-  ?par:par -> ?tiles:tiles -> ?epilogue:(int -> float -> float) ->
-  stride:int * int -> pad:int * int * int * int -> dilation:int * int ->
+  ?par:par -> ?tiles:tiles -> stride:int * int -> pad:int * int * int * int -> dilation:int * int ->
   groups:int -> Tensor.t -> Tensor.t -> Tensor.t option -> Tensor.t
 (** Drop-in replacement for {!Linalg.conv2d}: same NCHW/OIHW layouts, same
     validation, same output; internally each (image, group) pair becomes a
-    [mg × (oh·ow) × (cg·kh·kw)] GEMM over the packed column matrix.
-    [epilogue] is forwarded to the underlying {!gemm} write-back with flat
-    indices into the NCHW output (it never fires if the output or kernel
-    volume is empty). *)
+    [mg × (oh·ow) × (cg·kh·kw)] GEMM over the packed column matrix —
+    except depthwise convolutions (one output channel per group, more than
+    one group), which run a direct tap loop in {!Linalg.conv2d}'s
+    summation order, bit for bit. *)
 
 (** {1 Int8 path}
 
@@ -98,7 +104,8 @@ val gemm_i8 :
 (** [epilogue ei acc] maps element [ei]'s corrected int32 accumulator to
     its int8 output value (typically {!Quant.requantize_one}); the store
     clamps to [[-128, 127]] regardless, so the rails are authoritative.
-    [ei] is destination-relative, as in {!gemm}. *)
+    [ei] is the element's flat index into [c] minus [ep_off] (default
+    [0]): pass [~ep_off:co] for destination-relative indices. *)
 
 val gemm_i8_dequant :
   ?par:par -> ?tiles:tiles -> za:int -> zb:int ->
@@ -133,12 +140,9 @@ val conv2d_i8_dequant_into :
     dequantization and the (float) bias into the store. *)
 
 val conv2d_im2col_into :
-  ?par:par -> ?tiles:tiles -> ?epilogue:(int -> float -> float) ->
-  ?ep_off:int -> stride:int * int -> pad:int * int * int * int ->
+  ?par:par -> ?tiles:tiles -> stride:int * int -> pad:int * int * int * int ->
   dilation:int * int -> groups:int -> Tensor.view -> Tensor.view ->
   Tensor.view option -> c:Tensor.fbuf -> co:int -> int list
 (** Destination-passing {!conv2d_im2col}: operands arrive as
     offset-carrying views, the [N×M×Oh×Ow] result is written into [c] at
-    element offset [co] (bias- or zero-initialized first) and its dims are
-    returned.  [epilogue] indices are flat offsets into [c] minus [ep_off]
-    (see {!gemm}) — pass [~ep_off:co] for output-relative coordinates. *)
+    element offset [co] and its dims are returned. *)

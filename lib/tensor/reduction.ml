@@ -23,9 +23,19 @@ let[@inline] fset buf i v =
   | Tensor.FB32 b -> Bigarray.Array1.set b i v
   | Tensor.FB64 b -> Bigarray.Array1.set b i v
 
-(* [rnd f32 v] mirrors an intermediate tensor store: an f32 store rounds
-   (as [Tensor.round_f32]), an f64 one keeps the double. *)
-let[@inline] rnd f32 v = if f32 then Int32.float_of_bits (Int32.bits_of_float v) else v
+(* [rnd cell f32 v] mirrors an intermediate tensor store: an f32 store
+   rounds — here by storing into the one-element [cell], two instructions
+   where bit-casting through [Int32] costs two C calls — and an f64 one
+   keeps the double.  Each call takes its own cell, so concurrent kernels
+   never share one. *)
+let[@inline] rnd (cell : Tensor.f32buf) f32 v =
+  if f32 then begin
+    Bigarray.Array1.unsafe_set cell 0 v;
+    Bigarray.Array1.unsafe_get cell 0
+  end
+  else v
+
+let f32_cell () = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1
 
 let[@inline] step kind acc v =
   match kind with
@@ -134,8 +144,9 @@ let log_softmax t ~axis =
 
 let is_f32 dt = dt = Tensor.F32
 
-(* The normalizations below are direct row and channel loops, but they
-   reproduce the op-by-op chain of broadcasting maps they replace exactly:
+(* LayerNorm below is a direct row loop, but it reproduces the op-by-op
+   chain of broadcasting maps it replaces exactly (BatchNorm's channel
+   loop, the same idea, is the block evaluator's [Norm] instruction):
    every intermediate that the chain stored as a tensor is rounded at the
    same point, in the dtype that tensor had (operands promote to the
    wider kind), and sums accumulate in ascending order in double
@@ -161,21 +172,22 @@ let layer_norm t ~gamma ~beta ~eps =
     let sb = Tensor.broadcast_strides (Tensor.dims_arr beta) r in
     let dim = d.(r - 1) and lg = Tensor.innermost sg and lb = Tensor.innermost sb in
     let rt = is_f32 dt and rg = is_f32 dg and c = float_of_int (max 1 dim) in
+    let cell = f32_cell () in
     Tensor.iter_rows d sg sb (fun base og ob ->
         let sum = ref 0.0 in
         for j = base to base + dim - 1 do
           sum := !sum +. fget x j
         done;
-        let mean = rnd rt (!sum /. c) in
+        let mean = rnd cell rt (!sum /. c) in
         let sq = ref 0.0 in
         for j = base to base + dim - 1 do
-          let cj = rnd rt (fget x j -. mean) in
-          sq := !sq +. rnd rt (cj *. cj)
+          let cj = rnd cell rt (fget x j -. mean) in
+          sq := !sq +. rnd cell rt (cj *. cj)
         done;
-        let sd = sqrt (rnd rt (!sq /. c) +. eps) in
+        let sd = sqrt (rnd cell rt (!sq /. c) +. eps) in
         for j = 0 to dim - 1 do
-          let nj = rnd rt (rnd rt (fget x (base + j) -. mean) /. sd) in
-          fset o (base + j) (rnd rg (nj *. fget g (og + (j * lg))) +. fget b (ob + (j * lb)))
+          let nj = rnd cell rt (rnd cell rt (fget x (base + j) -. mean) /. sd) in
+          fset o (base + j) (rnd cell rg (nj *. fget g (og + (j * lg))) +. fget b (ob + (j * lb)))
         done);
     out
   end
@@ -185,55 +197,6 @@ let channel_shape t v =
   let r = Tensor.rank t in
   let c = Tensor.numel v in
   Tensor.reshape v (1 :: c :: List.init (r - 2) (fun _ -> 1))
-
-(* One BatchNorm loop for the boxed kernel and the arena executor's
-   destination-passing path: per channel, [((x - mean) / sqrt(var + eps)
-   * scale) + bias] with the rounding points of the four-[map2] chain
-   (each step stored in the promotion of its operands' dtypes); the store
-   into [c] is the last one. *)
-let batch_norm_into ~(x : Tensor.view) ~(scale : Tensor.view) ~(bias : Tensor.view)
-    ~(mean : Tensor.view) ~(var : Tensor.view) ~eps ~c ~co =
-  let n, ch, sp =
-    match x.Tensor.vdims with
-    | n :: ch :: rest -> n, ch, List.fold_left ( * ) 1 rest
-    | _ -> invalid_arg "Reduction.batch_norm_into: rank below 2"
-  in
-  let param (v : Tensor.view) =
-    match Tensor.view_numel v with
-    | 1 -> 0
-    | k when k = ch -> 1
-    | _ -> invalid_arg "Reduction.batch_norm_into: parameter is not per-channel"
-  in
-  let ps = param scale and pb = param bias and pm = param mean and pv = param var in
-  let get (v : Tensor.view) i = fget v.Tensor.vbuf (v.Tensor.voff + i) in
-  let d1 = Tensor.promote_f (Tensor.view_dtype x) (Tensor.view_dtype mean) in
-  let d2 = Tensor.promote_f d1 (Tensor.view_dtype var) in
-  let d3 = Tensor.promote_f d2 (Tensor.view_dtype scale) in
-  let r1 = is_f32 d1 and r2 = is_f32 d2 and r3 = is_f32 d3 in
-  let xb = x.Tensor.vbuf and xo = x.Tensor.voff in
-  for ni = 0 to n - 1 do
-    for chn = 0 to ch - 1 do
-      let m = get mean (chn * pm) and s = get scale (chn * ps) and b = get bias (chn * pb) in
-      let sd = sqrt (get var (chn * pv) +. eps) in
-      let base = ((ni * ch) + chn) * sp in
-      for i = base to base + sp - 1 do
-        let v = rnd r1 (fget xb (xo + i) -. m) in
-        fset c (co + i) (rnd r3 (rnd r2 (v /. sd) *. s) +. b)
-      done
-    done
-  done
-
-let batch_norm t ~scale ~bias ~mean ~var ~eps =
-  let dt =
-    List.fold_left
-      (fun acc v -> Tensor.promote_f acc (Tensor.dtype v))
-      (Tensor.dtype t) [ mean; var; scale; bias ]
-  in
-  let out = Tensor.empty dt (Tensor.dims t) in
-  let v = Tensor.view_f in
-  batch_norm_into ~x:(v t) ~scale:(v scale) ~bias:(v bias) ~mean:(v mean) ~var:(v var)
-    ~eps ~c:(Tensor.storage_f out) ~co:0;
-  out
 
 let group_norm t ~groups ~gamma ~beta ~eps =
   let d = Tensor.dims_arr t in

@@ -28,23 +28,6 @@ val layer_norm : Tensor.t -> gamma:Tensor.t -> beta:Tensor.t -> eps:float -> Ten
     [* gamma + beta] broadcast against it.  Raises [Invalid_argument] when
     a parameter would broadcast the input to a larger shape. *)
 
-val batch_norm :
-  Tensor.t -> scale:Tensor.t -> bias:Tensor.t -> mean:Tensor.t -> var:Tensor.t ->
-  eps:float -> Tensor.t
-(** Inference-mode batch normalization over the channel axis (axis 1) of
-    a tensor of rank ≥ 2; see {!batch_norm_into} for the parameter
-    shapes. *)
-
-val batch_norm_into :
-  x:Tensor.view -> scale:Tensor.view -> bias:Tensor.view -> mean:Tensor.view ->
-  var:Tensor.view -> eps:float -> c:Tensor.fbuf -> co:int -> unit
-(** The loop behind {!batch_norm}, destination-passing: writes the
-    normalized [x] (rank ≥ 2, channels on axis 1) into [c] at element
-    offset [co].  Every parameter holds one value per channel, or a single
-    value for all; otherwise [Invalid_argument].  Intermediates round
-    exactly where the op-by-op chain of broadcasting maps would store
-    them, so the result is bit-identical to it in every dtype mix. *)
-
 val group_norm : Tensor.t -> groups:int -> gamma:Tensor.t -> beta:Tensor.t ->
   eps:float -> Tensor.t
 

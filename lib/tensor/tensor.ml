@@ -39,8 +39,7 @@ type data =
 type t = { shape : int array; data : data }
 
 (* Rounds a double to the nearest single-precision value — the exact
-   operation an f32 store performs.  Exposed so kernels that keep
-   intermediates in double precision can mirror per-step f32 rounding. *)
+   operation an f32 store performs, by bit-casting rather than storing. *)
 let round_f32 v = Int32.float_of_bits (Int32.bits_of_float v)
 
 (* Saturating float→int conversion: plain [int_of_float] is unspecified on

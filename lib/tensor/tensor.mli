@@ -59,9 +59,8 @@ val fbuf_blit : src:fbuf -> soff:int -> dst:fbuf -> doff:int -> len:int -> unit
 (** Cross-kind blits convert element-wise (f64→f32 rounds). *)
 
 val round_f32 : float -> float
-(** Nearest single-precision value — exactly what an f32 store performs.
-    Kernels accumulating in double precision use this to mirror per-step
-    f32 rounding. *)
+(** Nearest single-precision value — exactly what an f32 store performs,
+    computed independently of any store (kernels round by storing). *)
 
 val saturating_int_of_float : float -> int
 (** NaN → 0; values beyond the [int] range clamp to [min_int]/[max_int];

@@ -94,7 +94,7 @@ let test_norm_alloc () =
     ( steady_alloc (fun () ->
           ignore (Reduction.layer_norm t ~gamma ~beta ~eps:1e-5)),
       steady_alloc (fun () ->
-          ignore (Reduction.batch_norm t ~scale ~bias ~mean ~var ~eps:1e-5)) )
+          ignore (RT.Kernels.run (Op.BatchNorm { eps = 1e-5 }) [ t; scale; bias; mean; var ])) )
   in
   let ln_small, bn_small = norm_alloc [ 1; 4; 8 ] in
   let ln_large, bn_large = norm_alloc [ 1; 4; 512 ] in
@@ -120,6 +120,75 @@ let test_into_alloc () =
       if small <> large then
         Alcotest.failf "%s into a slot: %d words at 2x8, %d at 2x4096" name small large)
     [ "Relu", Op.Unary Op.Relu; "Add", Op.Binary Op.Add; "Mul", Op.Binary Op.Mul ]
+
+(* A warm fused kernel runs its block program over register files taken
+   from a pool: its allocation is per call, not per element or block.
+   [build n] returns a graph whose one fused group yields [n] elements,
+   and its input's dims. *)
+let fused_alloc build n =
+  let g, dims = build n in
+  let c = Sod2.Pipeline.compile Profile.sd888_cpu g in
+  let tpl =
+    match List.filter_map Fun.id (Array.to_list c.Sod2.Pipeline.fused) with
+    | [ t ] -> t
+    | ts -> Alcotest.failf "expected one fused template, got %d" (List.length ts)
+  in
+  (* Slots are the graph input and any weights, in slot order. *)
+  let slot tid =
+    match Graph.const_value g tid with
+    | Some t -> t
+    | None -> Tensor.rand_uniform (Rng.create n) dims
+  in
+  let tensors = Array.map slot tpl.Sod2.Fused_compile.t_slots in
+  let args = Array.map (fun t -> Tensor.dims t, Tensor.dtype t) tensors in
+  let k =
+    match
+      Sod2.Fused_compile.specialize g tpl ~tiles:(fun _ -> Blocked.default_tiles) ~args
+    with
+    | Ok k -> k
+    | Error e -> Alcotest.failf "specialize: %s" e
+  in
+  let views = Array.map Tensor.view_f tensors in
+  let c = Tensor.fbuf_create Tensor.F32 n in
+  steady_alloc (fun () ->
+      k.Sod2.Fused_compile.k_run_into ~par:Blocked.sequential views ~c ~co:0)
+
+(* sigmoid → ×x → ×0.5 → gelu → clip over [n/32 × 32]. *)
+let chain_graph n =
+  let b = Graph.Builder.create () in
+  let dims = [ n / 32; 32 ] in
+  let x = Graph.Builder.input b ~name:"x" (Shape.of_ints dims) in
+  let half = Graph.Builder.const b ~name:"half" (Tensor.scalar_f 0.5) in
+  let s = Graph.Builder.node1 b (Op.Unary Op.Sigmoid) [ x ] in
+  let m = Graph.Builder.node1 b (Op.Binary Op.Mul) [ s; x ] in
+  let m = Graph.Builder.node1 b (Op.Binary Op.Mul) [ m; half ] in
+  let ge = Graph.Builder.node1 b (Op.Unary Op.Gelu) [ m ] in
+  let cl = Graph.Builder.node1 b (Op.Clip (0.05, 0.95)) [ ge ] in
+  Graph.Builder.set_outputs b [ cl ];
+  Graph.Builder.finish b, dims
+
+(* [n/16 × 64] · [64 × 16] + bias, then Gelu: a GEMM anchor whose bias
+   is gathered per block. *)
+let matmul_graph n =
+  let b = Graph.Builder.create () in
+  let rng = Rng.create 4 in
+  let dims = [ n / 16; 64 ] in
+  let x = Graph.Builder.input b ~name:"x" (Shape.of_ints dims) in
+  let w = Graph.Builder.const b ~name:"w" (Tensor.rand_uniform rng [ 64; 16 ]) in
+  let bias = Graph.Builder.const b ~name:"bias" (Tensor.rand_uniform rng [ 16 ]) in
+  let mm = Graph.Builder.node1 b Op.MatMul [ x; w ] in
+  let ad = Graph.Builder.node1 b (Op.Binary Op.Add) [ mm; bias ] in
+  let out = Graph.Builder.node1 b (Op.Unary Op.Gelu) [ ad ] in
+  Graph.Builder.set_outputs b [ out ];
+  Graph.Builder.finish b, dims
+
+let test_fused_alloc () =
+  List.iter
+    (fun (name, build) ->
+      let small = fused_alloc build 1024 and large = fused_alloc build 65536 in
+      if small <> large then
+        Alcotest.failf "fused %s: %d words at 1k elements, %d at 64k" name small large)
+    [ "pointwise chain", chain_graph; "matmul+add+gelu", matmul_graph ]
 
 (* ------------------------------------------------------------------ *)
 (* Scratch under concurrency                                           *)
@@ -211,4 +280,5 @@ let suite =
       test_scratch_threads;
     Alcotest.test_case "scratch: concurrent domains match sequential" `Quick
       test_scratch_domains;
+    Alcotest.test_case "fused kernels: allocation is flat" `Quick test_fused_alloc;
   ]

@@ -1,10 +1,10 @@
-(* Fused-group kernel execution: fusion groups compiled to single kernels
-   must be equivalent to op-by-op naive execution — bit-for-bit for
-   pointwise/view chains (the fused closures share {!Op_semantics} with the
-   reference kernels and pair elements identically) and within float
-   tolerance when a blocked GEMM/Conv anchor absorbs its epilogue.  Also
-   covers the per-(group × shape) kernel cache counters and the dtype-aware
-   byte accounting of the execution trace. *)
+(* Fused-group kernel execution: fusion groups compiled to block programs
+   must equal op-by-op naive execution bit for bit — pointwise/view chains
+   and anchored GEMM/Conv groups alike (the block loops inline the
+   {!Op_semantics} scalar functions the reference kernels call, registers
+   store in the reference's dtypes, and the blocked anchors sum in the
+   naive order).  Also covers the per-(group × shape) kernel cache
+   counters and the dtype-aware byte accounting of the execution trace. *)
 
 module RT = Sod2_runtime
 
@@ -27,14 +27,6 @@ let check_bitexact name want got =
           if not (Float.equal v dg.(i)) then
             Alcotest.failf "%s: t%d element %d: %h <> %h" name tid i v dg.(i))
         dw)
-    want got
-
-let check_close name want got =
-  List.iter2
-    (fun (tid, w) (tid', g) ->
-      Alcotest.(check int) (name ^ ": output id") tid tid';
-      if not (Tensor.approx_equal ~eps:1e-5 w g) then
-        Alcotest.failf "%s: t%d differs from reference" name tid)
     want got
 
 (* ------------------------------------------------------------------ *)
@@ -134,8 +126,48 @@ let test_broadcast_cache_and_equivalence () =
         && Profile.Counters.count ~profile:cpu.Profile.name ~kind:"fused-cache-miss"
            >= 2))
 
+(* Mixed precision and values read through maps: a computed [8]-vector
+   broadcast over the rows (stored by a stage of its own), an f64 sum
+   rounded by an explicit f32 cast, and a transpose of a computed value.
+   Each register stores in the dtype the reference would have stored. *)
+let mixed_graph () =
+  let b = Graph.Builder.create () in
+  let x =
+    Graph.Builder.input b ~name:"x" (Shape.of_dims [ Dim.of_sym "N"; Dim.of_int 8 ])
+  in
+  let y = Graph.Builder.input b ~name:"y" (Shape.of_ints [ 8 ]) in
+  let s = Graph.Builder.node1 b (Op.Unary Op.Sqrt) [ y ] in
+  let a = Graph.Builder.node1 b (Op.Binary Op.Add) [ x; s ] in
+  let c = Graph.Builder.node1 b (Op.Cast Tensor.F32) [ a ] in
+  let g = Graph.Builder.node1 b (Op.Unary Op.Sigmoid) [ c ] in
+  let t = Graph.Builder.node1 b (Op.Transpose [ 1; 0 ]) [ g ] in
+  let m = Graph.Builder.node1 b (Op.Binary Op.Mul) [ t; t ] in
+  Graph.Builder.set_outputs b [ m ];
+  (x, y), Graph.Builder.finish b
+
+let test_mixed_groups_bitexact () =
+  let (x, y), g = mixed_graph () in
+  let c = Sod2.Pipeline.compile cpu g in
+  with_fused c (fun be ->
+      List.iter
+        (fun (seed, n) ->
+          let rng = Rng.create seed in
+          let inputs =
+            [
+              x, Tensor.rand_uniform rng [ n; 8 ];
+              y, Tensor.cast (Tensor.rand_uniform rng [ 8 ]) Tensor.F64;
+            ]
+          in
+          let want = outputs_of c inputs in
+          let got = outputs_of ~backend:be c inputs in
+          check_bitexact (Printf.sprintf "mixed n=%d" n) want got)
+        [ 70, 1; 71, 5; 72, 300 ];
+      let fs = RT.Backend.fused_stats be in
+      Alcotest.(check bool) "mixed groups compiled fused" true (fs.RT.Backend.misses >= 1);
+      Alcotest.(check int) "no fused rejections" 0 fs.RT.Backend.rejects)
+
 (* ------------------------------------------------------------------ *)
-(* Anchored groups: GEMM/Conv epilogue fusion                          *)
+(* Anchored groups: GEMM/Conv anchors with a pointwise program        *)
 (* ------------------------------------------------------------------ *)
 
 let test_matmul_epilogue_close () =
@@ -156,7 +188,7 @@ let test_matmul_epilogue_close () =
           let inputs = [ x, Tensor.rand_uniform (Rng.create seed) [ 17; 33 ] ] in
           let want = outputs_of c inputs in
           let got = outputs_of ~backend:be c inputs in
-          check_close (Printf.sprintf "matmul+bias+gelu seed=%d" seed) want got)
+          check_bitexact (Printf.sprintf "matmul+bias+gelu seed=%d" seed) want got)
         [ 40; 41; 42 ];
       let fs = RT.Backend.fused_stats be in
       Alcotest.(check bool) "anchored kernel compiled" true (fs.RT.Backend.misses >= 1);
@@ -183,7 +215,7 @@ let test_gemm_epilogue_close () =
           let inputs = [ x, Tensor.rand_uniform (Rng.create seed) [ 17; 33 ] ] in
           let want = outputs_of c inputs in
           let got = outputs_of ~backend:be c inputs in
-          check_close (Printf.sprintf "gemm+relu seed=%d" seed) want got)
+          check_bitexact (Printf.sprintf "gemm+relu seed=%d" seed) want got)
         [ 50; 51; 52 ])
 
 let test_conv_bn_relu_close () =
@@ -217,7 +249,7 @@ let test_conv_bn_relu_close () =
           let inputs = [ x, Tensor.rand_uniform (Rng.create seed) [ 2; 3; 12; 12 ] ] in
           let want = outputs_of c inputs in
           let got = outputs_of ~backend:be c inputs in
-          check_close (Printf.sprintf "conv+bn+relu seed=%d" seed) want got)
+          check_bitexact (Printf.sprintf "conv+bn+relu seed=%d" seed) want got)
         [ 60; 61; 62 ];
       let fs = RT.Backend.fused_stats be in
       Alcotest.(check bool) "conv group compiled fused" true
@@ -236,7 +268,7 @@ let test_zoo_model_fused_matches_naive () =
   let want = outputs_of c inputs in
   with_fused c (fun be ->
       let got = outputs_of ~backend:be c inputs in
-      check_close "yolov6" want got;
+      check_bitexact "yolov6" want got;
       let fs = RT.Backend.fused_stats be in
       Alcotest.(check bool) "model uses fused kernels" true
         (fs.RT.Backend.misses >= 1))
@@ -304,4 +336,6 @@ let suite =
       test_guarded_fused_clean;
     Alcotest.test_case "trace: I64 tensors count 8 bytes" `Quick test_trace_i64_bytes;
     QCheck_alcotest.to_alcotest prop_pointwise_random;
+    Alcotest.test_case "mixed precision and mapped values: fused = naive" `Quick
+      test_mixed_groups_bitexact;
   ]

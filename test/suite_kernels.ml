@@ -169,7 +169,7 @@ let check_conv name conv =
     conv_cases
 
 let test_conv_im2col_matches_naive () =
-  check_conv "im2col" (Blocked.conv2d_im2col ?par:None ?tiles:None ?epilogue:None)
+  check_conv "im2col" (Blocked.conv2d_im2col ?par:None ?tiles:None)
 
 (* Random geometry, bit for bit: odd output widths, padding wider than
    the kernel's reach, and images big enough (oh·ow past 1200 at kernel
@@ -193,13 +193,201 @@ let prop_conv_im2col_random =
         Tensor.equal want
           (Blocked.conv2d_im2col ~stride ~pad ~dilation ~groups x w bias))
 
+(* Depthwise convolutions (one output channel per group) take a direct
+   tap loop; it must reproduce the naive summation order bit for bit,
+   signed zeros included. *)
+let same_bits want got =
+  Tensor.dims want = Tensor.dims got
+  && Array.for_all2
+       (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+       (Tensor.data_f want) (Tensor.data_f got)
+
+let prop_conv_depthwise_bitexact =
+  QCheck2.Test.make ~name:"depthwise conv matches naive bit for bit" ~count:60
+    QCheck2.Gen.(
+      pair
+        (tup4 (int_range 2 6) (int_range 1 2) (int_range 1 3) (int_range 1 15))
+        (tup4 (int_range 1 2) (int_range 0 7) (int_range 1 2) (int_range 1 40)))
+    (fun ((groups, cg, kh, kw), (stride, pad, dil, len)) ->
+      let rng = Rng.create (groups + (7 * kw) + (31 * len) + (101 * pad)) in
+      let dt = if len mod 2 = 0 then Tensor.F64 else Tensor.F32 in
+      let signed dims = Tensor.map_f (fun v -> v -. 0.5) (Tensor.rand_uniform rng dims) in
+      let x = Tensor.cast (signed [ 2; cg * groups; kh + 2; len ]) dt in
+      let w = Tensor.cast (signed [ groups; cg; kh; kw ]) dt in
+      let bias = if pad mod 2 = 0 then Some (Tensor.cast (signed [ groups ]) dt) else None in
+      let stride = 1, stride and pad = 1, pad, 0, pad and dilation = 1, dil in
+      match Linalg.conv2d ~stride ~pad ~dilation ~groups x w bias with
+      | exception Invalid_argument _ -> true
+      | want ->
+        let pool = RT.Domain_pool.create 2 in
+        Fun.protect
+          ~finally:(fun () -> RT.Domain_pool.shutdown pool)
+          (fun () ->
+            same_bits want
+              (Blocked.conv2d_im2col ~par:(RT.Domain_pool.par pool) ~stride ~pad
+                 ~dilation ~groups x w bias)))
+
+(* ------------------------------------------------------------------ *)
+(* Block evaluator against the scalar semantics                        *)
+(* ------------------------------------------------------------------ *)
+
+let unary_ops =
+  [
+    Op.Relu; Op.LeakyRelu 0.1; Op.Sigmoid; Op.Tanh; Op.Exp; Op.Log; Op.Sqrt; Op.Neg;
+    Op.Abs; Op.Erf; Op.Gelu; Op.HardSwish; Op.Softplus; Op.Floor; Op.Ceil; Op.Round;
+    Op.Not; Op.Identity; Op.Sign; Op.Reciprocal; Op.Softsign;
+  ]
+
+let binary_ops =
+  [
+    Op.Add; Op.Sub; Op.Mul; Op.Div; Op.Pow; Op.Max2; Op.Min2; Op.Mod2; Op.Equal;
+    Op.Less; Op.Greater; Op.And; Op.Or;
+  ]
+
+(* Equal bits, or both NaN. *)
+let same_value a b = Int64.bits_of_float a = Int64.bits_of_float b || (Float.is_nan a && Float.is_nan b)
+
+(* Inputs mixing NaN, signed zeros, infinities and subnormals (in both
+   precisions) with ordinary values, long enough to span several blocks. *)
+let special_values =
+  [ Float.nan; -.Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity; 4.9e-324;
+    -4.9e-324; 1.4e-45; -1.4e-45; 1e-40; 0.5; -0.5; 1.0; -1.0; 2.5; -3.0 ]
+
+let gen_values =
+  QCheck2.Gen.(
+    array_size (int_range 1 700)
+      (frequency [ 1, oneofl special_values; 2, float_range (-4.0) 4.0; 1, float ]))
+
+(* [op] on [xs] run as block programs — operands in place, and again
+   through registers — against the boxed reference map over the same
+   stored operands. *)
+let evaluator_agrees ~dtypes ~want ~instr xs =
+  let n = Array.length xs in
+  let operands =
+    List.mapi
+      (fun i dt ->
+        let rot = Array.init n (fun j -> xs.((j + (i * 7)) mod n)) in
+        Tensor.of_floats dt [ n ] rot)
+      dtypes
+  in
+  let want = want operands in
+  let k = List.length operands in
+  let leaves = Array.of_list (List.map Tensor.storage_f operands) in
+  let run code ~regs32 ~regs64 =
+    let out = Tensor.zeros (Tensor.dtype want) [ n ] in
+    let bufs = Array.append leaves [| Tensor.storage_f out |] in
+    Op_semantics.run ~par:Blocked.sequential
+      { Op_semantics.code; n; regs32; regs64 }
+      bufs (Array.make (k + 1) 0);
+    out
+  in
+  let reg i dt = if dt = Tensor.F32 then Op_semantics.R32 i else Op_semantics.R64 i in
+  let direct = run [| instr (List.init k (fun i -> Op_semantics.Leaf i)) (Op_semantics.Leaf k) |] ~regs32:0 ~regs64:0 in
+  (* every operand copied into a register of its kind first, the result
+     computed into a register of the output's kind, then stored *)
+  let regs = List.mapi (fun i dt -> reg i dt) dtypes in
+  let out_reg = reg k (Tensor.dtype want) in
+  let code =
+    Array.of_list
+      (List.mapi (fun i r -> Op_semantics.Copy (Op_semantics.Leaf i, r)) regs
+      @ [ instr regs out_reg; Op_semantics.Copy (out_reg, Op_semantics.Leaf k) ])
+  in
+  let registered = run code ~regs32:(k + 1) ~regs64:(k + 1) in
+  let agree got =
+    Array.for_all2 same_value (Tensor.data_f want) (Tensor.data_f got)
+  in
+  agree direct && agree registered
+
+(* A strided map walked by odometer must gather exactly what its
+   precomputed table does: random broadcasts and transposes of up to 13^4
+   elements, so blocks start mid-row and carries cross several dims. *)
+let prop_gather_odometer =
+  QCheck2.Test.make ~name:"odometer gathers match precomputed tables" ~count:60
+    QCheck2.Gen.(pair (list_size (int_range 1 4) (int_range 1 13)) int)
+    (fun (dims, seed) ->
+      let st = Random.State.make [| seed |] in
+      let od = Array.of_list dims in
+      let r = Array.length od in
+      let src_dims, map =
+        if Random.State.bool st then begin
+          let perm = Array.init r Fun.id in
+          for i = r - 1 downto 1 do
+            let j = Random.State.int st (i + 1) in
+            let t = perm.(i) in
+            perm.(i) <- perm.(j);
+            perm.(j) <- t
+          done;
+          let ind = Array.make r 0 in
+          Array.iteri (fun i p -> ind.(p) <- od.(i)) perm;
+          ind, fun tables -> Op_semantics.transpose_map ~tables ~od ~ind ~perm:(Array.to_list perm)
+        end
+        else
+          let fd = Array.map (fun d -> if Random.State.bool st then 1 else d) od in
+          fd, fun tables -> Op_semantics.broadcast_map ~tables ~od ~fd
+      in
+      let n = Array.fold_left ( * ) 1 od in
+      let src = Tensor.storage_f (Tensor.rand_uniform (Rng.create seed) [ Array.fold_left ( * ) 1 src_dims ]) in
+      let gather m =
+        let dst = Tensor.fbuf_create Tensor.F32 n in
+        Op_semantics.run ~par:Blocked.sequential
+          {
+            Op_semantics.code =
+              [| Op_semantics.Gather (0, m, Op_semantics.R32 0);
+                 Op_semantics.Copy (Op_semantics.R32 0, Op_semantics.Leaf 1) |];
+            n;
+            regs32 = 1;
+            regs64 = 0;
+          }
+          [| src; dst |] [| 0; 0 |];
+        Array.init n (Tensor.fbuf_get dst)
+      in
+      match map false, map true with
+      | None, None -> true
+      | Some odometer, Some table -> gather odometer = gather table
+      | _ -> false)
+
+let prop_block_unary =
+  QCheck2.Test.make ~name:"block evaluator matches scalar unary semantics" ~count:30
+    gen_values (fun xs ->
+      List.for_all
+        (fun dt ->
+          List.for_all
+            (fun u ->
+              evaluator_agrees ~dtypes:[ dt ] xs
+                ~want:(fun ops -> Tensor.map_f (Op_semantics.unary_fn u) (List.hd ops))
+                ~instr:(fun ls d -> Op_semantics.Unary (u, List.hd ls, d)))
+            unary_ops
+          && evaluator_agrees ~dtypes:[ dt ] xs
+               ~want:(fun ops -> Tensor.map_f (Op_semantics.clip_fn (-0.0) 1.5) (List.hd ops))
+               ~instr:(fun ls d -> Op_semantics.Clip (-0.0, 1.5, List.hd ls, d)))
+        [ Tensor.F32; Tensor.F64 ])
+
+let prop_block_binary =
+  QCheck2.Test.make ~name:"block evaluator matches scalar binary semantics" ~count:30
+    gen_values (fun xs ->
+      List.for_all
+        (fun dtypes ->
+          List.for_all
+            (fun b ->
+              evaluator_agrees ~dtypes xs
+                ~want:(fun ops ->
+                  Tensor.map2 (Op_semantics.float_binary_fn b) (List.nth ops 0)
+                    (List.nth ops 1))
+                ~instr:(fun ls d -> Op_semantics.Binary (b, List.nth ls 0, List.nth ls 1, d)))
+            binary_ops
+          && evaluator_agrees ~dtypes:(Tensor.F64 :: dtypes) xs
+               ~want:(fun ops -> List.hd (RT.Kernels.run Op.Where ops))
+               ~instr:(fun ls d ->
+                 Op_semantics.Where (List.nth ls 0, List.nth ls 1, List.nth ls 2, d)))
+        [ [ Tensor.F32; Tensor.F32 ]; [ Tensor.F64; Tensor.F64 ]; [ Tensor.F32; Tensor.F64 ] ])
+
 let test_conv_im2col_parallel_matches_naive () =
   let pool = RT.Domain_pool.create 3 in
   Fun.protect
     ~finally:(fun () -> RT.Domain_pool.shutdown pool)
     (fun () ->
       let par = RT.Domain_pool.par pool in
-      check_conv "im2col/parallel" (Blocked.conv2d_im2col ~par ?tiles:None ?epilogue:None))
+      check_conv "im2col/parallel" (Blocked.conv2d_im2col ~par ?tiles:None))
 
 (* ------------------------------------------------------------------ *)
 (* Backend dispatch                                                    *)
@@ -434,4 +622,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_gemm_blocked_random;
     QCheck_alcotest.to_alcotest prop_gemm_blocked_blocks;
     QCheck_alcotest.to_alcotest prop_conv_im2col_random;
+    QCheck_alcotest.to_alcotest prop_conv_depthwise_bitexact;
+    QCheck_alcotest.to_alcotest prop_block_unary;
+    QCheck_alcotest.to_alcotest prop_block_binary;
+    QCheck_alcotest.to_alcotest prop_gather_odometer;
   ]

@@ -87,9 +87,21 @@ let prop_map2 =
       let f =
         pick st [ ( +. ); ( -. ); ( *. ); ( /. ); Float.max; (fun x y -> x -. (2.0 *. y)) ]
       in
-      check
-        (Printf.sprintf "map2 %s %s" (dims_s da) (dims_s db))
-        ~want:(Oracle.map2 f a b) ~got:(Tensor.map2 f a b))
+      let what = Printf.sprintf "map2 %s %s" (dims_s da) (dims_s db) in
+      check what ~want:(Oracle.map2 f a b) ~got:(Tensor.map2 f a b)
+      &&
+      (* the arena's destination kernel, a block program gathering the
+         broadcast operand, into an offset window *)
+      let op = pick st [ Op.Add; Op.Sub; Op.Mul; Op.Div; Op.Max2; Op.Min2 ] in
+      let want = Oracle.map2 (Op_semantics.float_binary_fn op) a b in
+      let dims = Tensor.dims want in
+      let n = Tensor.numel want and off = 3 in
+      let buf = Tensor.fbuf_create (Tensor.dtype want) (n + off + 2) in
+      Sod2_runtime.Kernels.run_into (Op.Binary op) [ Tensor.view_f a; Tensor.view_f b ]
+        ~c:buf ~co:off ~cap:n
+      = Some dims
+      && check (what ^ " (into)") ~want
+           ~got:(Tensor.of_view (Tensor.sub_view ~buf ~off ~dims)))
 
 let eps st = pick st [ 1e-5; 1e-3; 0.0 ]
 
@@ -130,17 +142,21 @@ let prop_batch_norm =
       let eps = eps st in
       let want = Oracle.batch_norm x ~scale ~bias ~mean ~var ~eps in
       let what = Printf.sprintf "batch_norm %s" (dims_s dims) in
-      check what ~want ~got:(Reduction.batch_norm x ~scale ~bias ~mean ~var ~eps)
+      let op = Op.BatchNorm { eps } in
+      check what ~want
+        ~got:(List.hd (Sod2_runtime.Kernels.run op [ x; scale; bias; mean; var ]))
       &&
       (* the destination-passing form writes at an offset into a larger
          buffer of the result's kind *)
       let n = Tensor.numel x and off = 3 in
       let buf = Tensor.fbuf_create (Tensor.dtype want) (n + off + 2) in
       let v = Tensor.view_f in
-      Reduction.batch_norm_into ~x:(v x) ~scale:(v scale) ~bias:(v bias) ~mean:(v mean)
-        ~var:(v var) ~eps ~c:buf ~co:off;
-      check (what ^ " (into)") ~want
-        ~got:(Tensor.of_view (Tensor.sub_view ~buf ~off ~dims)))
+      Sod2_runtime.Kernels.run_into op
+        [ v x; v scale; v bias; v mean; v var ]
+        ~c:buf ~co:off ~cap:n
+      = Some dims
+      && check (what ^ " (into)") ~want
+           ~got:(Tensor.of_view (Tensor.sub_view ~buf ~off ~dims)))
 
 let prop_group_norm =
   prop "group_norm = oracle" (fun st ->
