@@ -23,7 +23,7 @@ let engine_smoke = ref false
 let engine_overload_smoke = ref false
 let int8_smoke = ref false
 let tune_smoke = ref false
-let variant_smoke = ref false
+let gate_smoke = ref false
 let smoke_backend = ref None
 
 let () =
@@ -87,12 +87,11 @@ let () =
       run_kernels := false;
       run_arena := false;
       parse rest
-    | "--variant-smoke" :: rest ->
-      (* CI mode: guarded single-plan serving vs ahead-of-time multi-version
-         plan serving (vet-once + pruned per-outcome plans) on the gated
-         models, gated on a >=1.15x gated-path geomean; writes
-         BENCH_variants.json. *)
-      variant_smoke := true;
+    | "--gate-smoke" :: rest ->
+      (* CI mode: all-paths vs selected-only execution of the one plan on
+         the gated models, gated on a >=1.15x selected-only geomean;
+         writes BENCH_gates.json. *)
+      gate_smoke := true;
       run_bechamel := false;
       run_tables := false;
       run_kernels := false;
@@ -276,8 +275,8 @@ let kernel_speedups () =
         Printf.printf "  %-26s %10.3f %10.3f %10.3f %6.2fx %6.2fx\n" case
           (tn *. 1e3) (tb *. 1e3) (tp *. 1e3) (tn /. tb) (tn /. tp)
       in
-      let time_gemm ?dt be m n k =
-        let a = filled ?dt (m * k) and b = filled ?dt (k * n) in
+      let time_gemm be m n k =
+        let a = filled (m * k) and b = filled (k * n) in
         let c = Tensor.fbuf_create (Tensor.fbuf_dtype a) (m * n) in
         time_runs (fun () ->
             Tensor.fbuf_fill c 0 (m * n) 0.0;
@@ -295,10 +294,29 @@ let kernel_speedups () =
       gemm_case "gemm/tiny" 16 16 16;
       (* f32 vs f64 storage on the blocked kernel: halving the element size
          must not cost throughput (the packed inner loops are unchanged);
-         the ratio is asserted and recorded in BENCH_f32.json. *)
+         the ratio is asserted and recorded in BENCH_f32.json.  Noise only
+         ever adds time, so each dtype scores its fastest single call over
+         7 alternating rounds of 15 calls (each dtype leads every other
+         round): neighbour load on a shared host swings one call by 50%.
+         Every round allocates fresh operands, because one allocation's
+         placement can slow a dtype by 40% for the whole process. *)
       let m, n, k = 256, 256, 256 in
-      let t32 = time_gemm ~dt:Tensor.F32 blocked m n k in
-      let t64 = time_gemm ~dt:Tensor.F64 blocked m n k in
+      let fastest dt best =
+        let a = filled ~dt (m * k) and b = filled ~dt (k * n) in
+        let c = Tensor.fbuf_create dt (m * n) in
+        for _ = 1 to 15 do
+          let t0 = Unix.gettimeofday () in
+          Tensor.fbuf_fill c 0 (m * n) 0.0;
+          RT.Backend.gemm_kernel blocked ~m ~n ~k ~a ~ao:0 ~b ~bo:0 ~c ~co:0;
+          best := Float.min !best (Unix.gettimeofday () -. t0)
+        done
+      in
+      let t32 = ref infinity and t64 = ref infinity in
+      for r = 1 to 7 do
+        if r mod 2 = 1 then (fastest Tensor.F32 t32; fastest Tensor.F64 t64)
+        else (fastest Tensor.F64 t64; fastest Tensor.F32 t32)
+      done;
+      let t32 = !t32 and t64 = !t64 in
       Printf.printf "  %-26s %10s %10.3f %10.3f %6.2fx\n"
         "gemm/f32-vs-f64 256^3" "" (t64 *. 1e3) (t32 *. 1e3) (t64 /. t32);
       let oc = open_out "BENCH_f32.json" in
@@ -1167,52 +1185,42 @@ let tune_bench () =
   Printf.printf "  measured pick holds the geomean against both static configs\n"
 
 (* ------------------------------------------------------------------ *)
-(* Multi-version plans: single-plan (all-paths) vs variant execution   *)
+(* Gated execution: all-paths vs selected-only over the one plan        *)
 (* ------------------------------------------------------------------ *)
 
-(* What a single ahead-of-time plan means for a gated model: one exec
-   order and one memory plan covering every branch, so every request
-   executes all paths and lets each Combine pick the surviving value --
-   the operator-level baseline of the paper's Fig. 7 (and the situation
-   DyCL/Nimble motivate multi-versioning from).  The multi-version side
-   compiles per-outcome variants ahead of time (--compile variants=8),
-   so the realized outcome vector selects a pruned straight-line plan
-   with dead branches absent and zero per-node branch resolution.
-   Both sides run the same blocked kernels over the same persistent
-   arena; outputs must agree bit-for-bit between them and within float
-   tolerance of the scalar reference interpreter. *)
-let variant_bench () =
-  Printf.printf "\n=== Multi-version plans: single-plan (all-paths) vs variant execution ===\n";
-  let requests = 8 and warmup = 2 in
+(* What a single static plan costs a gated model when it ignores the
+   predicates: every request executes all paths and lets each Combine
+   pick the surviving value -- the operator-level baseline of the paper's
+   Fig. 7.  Selected-only runs the same plan and lets each computed
+   predicate pick the groups that run (DESIGN.md §17).  Both sides run
+   the same blocked kernels over the same persistent arena, in
+   alternating rounds; outputs must agree bit-for-bit between them and
+   within float tolerance of the scalar reference interpreter, and every
+   selected-only trace must execute exactly the groups live under the
+   branches it observed. *)
+let gate_bench () =
+  Printf.printf "\n=== Gated execution: all-paths vs selected-only over one plan ===\n";
+  let requests = 4 and warmup = 2 and rounds = 3 in
   let run_model name =
     let sp = fixture name in
     let g = graph_of sp in
     let env = Zoo.min_env sp in
     let inputs = Zoo.make_inputs sp g env (Rng.create 42) in
     let reference = RT.Reference.run g ~inputs in
-    let opts =
-      match Sod2.Compile_opts.of_string "variants=8" with
-      | Ok o -> o
-      | Error e -> invalid_arg e
-    in
-    let c = Sod2.Pipeline.compile ~opts cpu g in
+    let c = Sod2.Pipeline.compile cpu g in
     let be = RT.Backend.for_compiled RT.Backend.Blocked c in
     Fun.protect ~finally:(fun () -> RT.Backend.shutdown be) @@ fun () ->
-    let arena = RT.Arena.create () in
-    let memory = RT.Executor.Arena { arena; env } in
-    (* Learn the realized outcome vector from one any-path run, exactly
-       as the serving layer does from trace gate observations. *)
-    let tr, selected = RT.Executor.run_real ~backend:be ~memory c ~inputs in
-    let gates = c.Sod2.Pipeline.control.Control_region.gates in
-    let outcome =
-      Array.map
-        (fun gt ->
-          match List.assoc_opt gt.Control_region.g_pred tr.RT.Executor.gate_outcomes with
-          | Some b -> b
-          | None -> -1)
-        gates
-    in
+    let memory = RT.Executor.Arena { arena = RT.Arena.create (); env } in
+    let ctrl = c.Sod2.Pipeline.control in
+    let gates = ctrl.Control_region.gates in
     let ok = ref true in
+    let fail fmt =
+      Printf.ksprintf
+        (fun msg ->
+          ok := false;
+          Printf.printf "  %s: %s\n" name msg)
+        fmt
+    in
     let check tag outs want ~eps =
       List.iter2
         (fun (ta, va) (tb, vb) ->
@@ -1220,91 +1228,92 @@ let variant_bench () =
             ta = tb
             && (if eps > 0.0 then Tensor.approx_equal ~eps va vb else Tensor.equal va vb)
           in
-          if not agree then begin
-            ok := false;
-            Printf.printf "  %s: %s outputs DIVERGE!\n" name tag
-          end)
+          if not agree then fail "%s outputs DIVERGE!" tag)
         outs want
     in
-    let timed f =
-      for _ = 1 to warmup do ignore (f ()) done;
+    (* The groups a selected-only run must execute: the static order
+       filtered by the branch constraints under the observed outcomes. *)
+    let check_live_groups (tr : RT.Executor.trace) =
+      let outcome =
+        Array.map
+          (fun gt ->
+            Option.value ~default:(-1)
+              (List.assoc_opt gt.Control_region.g_pred tr.RT.Executor.gate_outcomes))
+          gates
+      in
+      let live =
+        List.filter
+          (fun gid ->
+            List.for_all
+              (Control_region.live_node ctrl ~outcome)
+              c.Sod2.Pipeline.fusion_plan.Sod2.Fusion.groups.(gid).Sod2.Fusion.members)
+          c.Sod2.Pipeline.exec.Sod2.Exec_plan.order
+      in
+      if List.map (fun s -> s.RT.Executor.gid) tr.RT.Executor.steps <> live then
+        fail "selected-only trace ran %d groups, %d are live under its outcomes"
+          (List.length tr.RT.Executor.steps) (List.length live)
+    in
+    let run control =
+      RT.Executor.run_real ~config:{ RT.Executor.default_config with control } ~backend:be
+        ~memory c ~inputs
+    in
+    (* Mean time per request over one batch, the batch's traces and the
+       last outputs; traces are checked outside the timed region. *)
+    let batch control =
       let t0 = Unix.gettimeofday () in
-      let last = ref [] in
-      for _ = 1 to requests do last := f () done;
-      (Unix.gettimeofday () -. t0, !last)
+      let runs = List.init requests (fun _ -> run control) in
+      let dt = (Unix.gettimeofday () -. t0) /. float_of_int requests in
+      dt, List.map fst runs, snd (List.nth runs (requests - 1))
     in
-    let single_dt, single_outs =
-      timed (fun () ->
-          snd
-            (RT.Executor.run_real
-               ~config:{ RT.Executor.default_config with control = RT.Executor.All_paths }
-               ~backend:be ~memory c ~inputs))
-    in
-    let runs0 =
-      Profile.Counters.count ~profile:cpu.Profile.name ~kind:"variant-run"
-    in
-    let scans0 =
-      Profile.Counters.count ~profile:cpu.Profile.name ~kind:"exec-ready-scan"
-    in
-    let variant_dt, variant_outs =
-      timed (fun () ->
-          snd (RT.Executor.run_real ~backend:be ~memory ~outcomes:outcome c ~inputs))
-    in
-    let variant_runs =
-      Profile.Counters.count ~profile:cpu.Profile.name ~kind:"variant-run" - runs0
-    in
-    let ready_scans =
-      Profile.Counters.count ~profile:cpu.Profile.name ~kind:"exec-ready-scan" - scans0
-    in
-    check "single-plan vs selected" single_outs selected ~eps:0.0;
-    check "variant vs single-plan" variant_outs single_outs ~eps:0.0;
-    check "variant vs reference" variant_outs reference ~eps:1e-4;
-    if variant_runs <> warmup + requests then begin
-      ok := false;
-      Printf.printf "  %s: only %d/%d runs took the variant plan!\n" name variant_runs
-        (warmup + requests)
-    end;
-    if ready_scans <> 0 then begin
-      ok := false;
-      Printf.printf "  %s: variant runs performed %d readiness scans!\n" name ready_scans
-    end;
+    for _ = 1 to warmup do
+      ignore (run RT.Executor.All_paths);
+      ignore (run RT.Executor.Selected_only)
+    done;
+    let all_dt = ref infinity and sel_dt = ref infinity in
+    let all_outs = ref [] and sel_outs = ref [] in
+    for _ = 1 to rounds do
+      let dt, _, outs = batch RT.Executor.All_paths in
+      all_dt := Float.min !all_dt dt;
+      all_outs := outs;
+      let dt, traces, outs = batch RT.Executor.Selected_only in
+      List.iter check_live_groups traces;
+      sel_dt := Float.min !sel_dt dt;
+      sel_outs := outs
+    done;
+    check "selected-only vs all-paths" !sel_outs !all_outs ~eps:0.0;
+    check "selected-only vs reference" !sel_outs reference ~eps:1e-4;
     if not !ok then begin
-      Printf.printf "  %s: variant smoke FAILED\n" name;
+      Printf.printf "  %s: gate smoke FAILED\n" name;
       exit 1
     end;
-    let gates_n = Array.length gates in
-    let speedup = single_dt /. variant_dt in
-    let nvariants = Hashtbl.length c.Sod2.Pipeline.variants in
-    Printf.printf
-      "  %-10s %2d gates, %d variant plan%s: all-paths %7.1f ms, variant %7.1f ms  (%.2fx)\n"
-      name gates_n nvariants
-      (if nvariants = 1 then "" else "s")
-      (single_dt *. 1e3) (variant_dt *. 1e3) speedup;
-    name, gates_n, nvariants, single_dt, variant_dt, speedup
+    let speedup = !all_dt /. !sel_dt in
+    Printf.printf "  %-10s %2d gates: all-paths %7.1f ms, selected-only %7.1f ms  (%.2fx)\n"
+      name (Array.length gates) (!all_dt *. 1e3) (!sel_dt *. 1e3) speedup;
+    name, Array.length gates, !all_dt, !sel_dt, speedup
   in
   let rows = List.map run_model [ "skipnet"; "blockdrop" ] in
-  let gm = geomean (List.map (fun (_, _, _, _, _, s) -> s) rows) in
-  Printf.printf "  gated-path geomean: %.2fx (gate: >= 1.15x)\n" gm;
-  let oc = open_out "BENCH_variants.json" in
-  Printf.fprintf oc "{\n  \"requests\": %d, \"warmup\": %d,\n  \"models\": [\n" requests
-    warmup;
+  let gm = geomean (List.map (fun (_, _, _, _, s) -> s) rows) in
+  Printf.printf "  selected-only geomean: %.2fx (gate: >= 1.15x)\n" gm;
+  let oc = open_out "BENCH_gates.json" in
+  Printf.fprintf oc "{\n  \"requests\": %d, \"warmup\": %d, \"rounds\": %d,\n  \"models\": [\n"
+    requests warmup rounds;
   List.iteri
-    (fun i (name, gates, nvariants, single_dt, variant_dt, speedup) ->
+    (fun i (name, gates, all_dt, sel_dt, speedup) ->
       Printf.fprintf oc
-        "    {\"model\": \"%s\", \"gates\": %d, \"variant_plans\": %d, \
-         \"single_plan_ms\": %.3f, \"variant_ms\": %.3f, \"speedup\": %.3f}%s\n"
-        name gates nvariants (single_dt *. 1e3) (variant_dt *. 1e3) speedup
+        "    {\"model\": \"%s\", \"gates\": %d, \"all_paths_ms\": %.3f, \
+         \"selected_only_ms\": %.3f, \"speedup\": %.3f}%s\n"
+        name gates (all_dt *. 1e3) (sel_dt *. 1e3) speedup
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ],\n  \"geomean_speedup\": %.3f, \"gate\": 1.15, \"pass\": %b\n}\n"
     gm (gm >= 1.15);
   close_out oc;
-  Printf.printf "  wrote BENCH_variants.json\n";
+  Printf.printf "  wrote BENCH_gates.json\n";
   if gm < 1.15 then begin
-    Printf.printf "  variant execution LOST the gated-path geomean — FAIL\n";
+    Printf.printf "  selected-only execution LOST the gated-path geomean — FAIL\n";
     exit 1
   end;
-  Printf.printf "  variant execution holds the gated-path geomean\n"
+  Printf.printf "  selected-only execution holds the gated-path geomean\n"
 
 let backend_smoke kind =
   let bert_g = graph_of bert in
@@ -1365,7 +1374,7 @@ let () =
   if !engine_overload_smoke then engine_overload_bench ();
   if !int8_smoke then int8_bench ();
   if !tune_smoke then tune_bench ();
-  if !variant_smoke then variant_bench ();
+  if !gate_smoke then gate_bench ();
   (match !smoke_backend with
   | Some kind -> backend_smoke kind
   | None -> ());

@@ -79,18 +79,17 @@ let exec_arg =
                  Unrecognized modifiers are parsed as --compile tokens \
                  (int8 among them: a quantized artifact runs the int8 \
                  kernels on every non-naive backend), so one spec can carry \
-                 both halves.  Example: --exec fused,arena,int8,variants=8.")
+                 both halves.  Example: --exec fused,arena,int8.")
 
 let compile_arg =
   Arg.(value & opt (some string) None
        & info [ "compile" ] ~docv:"SPEC"
            ~doc:"Compile options: comma-separated f32|f64 (float precision), \
                  int8 (quantize eligible weights), nofuse (static-only \
-                 fusion), sym=N (representative planning value for shape \
-                 variables), variants=N (ahead-of-time per-branch plan \
-                 variants, 0 disables) and aot=VEC (pre-compile one outcome \
-                 vector, e.g. aot=010; repeatable).  Example: --compile \
-                 f32,variants=8.")
+                 fusion) and sym=N (representative planning value for shape \
+                 variables).  variants=N is accepted and ignored: gated \
+                 models run one plan, and each computed predicate picks \
+                 the groups that run.  Example: --compile f64,sym=32.")
 
 (* --- list ---------------------------------------------------------- *)
 
@@ -178,12 +177,7 @@ let compile_cmd =
     Format.printf "%a@." Sod2.Mem_plan.pp mp;
     (match Sod2.Mem_plan.validate mp with
     | Ok () -> print_endline "memory plan: valid (no overlap)"
-    | Error e -> Printf.printf "memory plan INVALID: %s\n" e);
-    let gates = Control_region.gate_count c.Sod2.Pipeline.control in
-    if opts.Sod2.Compile_opts.variant_budget > 0 then
-      Printf.printf "plan variants: %d precompiled over %d gates (budget %d)\n"
-        (Hashtbl.length c.Sod2.Pipeline.variants)
-        gates opts.Sod2.Compile_opts.variant_budget
+    | Error e -> Printf.printf "memory plan INVALID: %s\n" e)
   in
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile a model and print the fusion/execution/memory plans.")
@@ -241,8 +235,6 @@ let run_cmd =
       let c = warm_started_compiled ?tune_cache ~backend_kind c in
       let inputs = Zoo.make_inputs sp g env (Rng.create 42) in
       let be = Sod2_runtime.Backend.for_compiled backend_kind c in
-      (* Gate observations from the first run, for the variant demo below. *)
-      let observed = ref [] in
       Fun.protect
         ~finally:(fun () -> Sod2_runtime.Backend.shutdown be)
         (fun () ->
@@ -256,7 +248,6 @@ let run_cmd =
                 (List.length r.Sod2_runtime.Guarded_exec.incidents)
                 (Sod2_runtime.Backend.kind_name backend_kind)
                 (if arena_mode then ", arena" else "");
-              observed := r.Sod2_runtime.Guarded_exec.gate_outcomes;
               r.Sod2_runtime.Guarded_exec.outputs
             end
             else if arena_mode then begin
@@ -267,7 +258,6 @@ let run_cmd =
                 trace.Sod2_runtime.Executor.arena_bytes
                 trace.Sod2_runtime.Executor.arena_resident
                 (Sod2_runtime.Backend.kind_name backend_kind);
-              observed := trace.Sod2_runtime.Executor.gate_outcomes;
               outs
             end
             else begin
@@ -279,45 +269,9 @@ let run_cmd =
                 (List.length trace.Sod2_runtime.Executor.steps)
                 (Sod2_runtime.Backend.kind_name backend_kind)
                 (Sod2_runtime.Backend.pool_size be);
-              observed := trace.Sod2_runtime.Executor.gate_outcomes;
               outs
             end
           in
-          (* One-shot variant demonstration: replay the request through the
-             plan variant matching the outcomes the first run observed —
-             the same specialization a resident engine would predict. *)
-          (if opts.Sod2.Compile_opts.variant_budget > 0
-              && not cfg.Sod2_runtime.Executor.guarded
-           then
-             let gates = c.Sod2.Pipeline.control.Control_region.gates in
-             if Array.length gates > 0 then begin
-               let outcome =
-                 Array.map
-                   (fun gt ->
-                     Option.value ~default:(-1)
-                       (List.assoc_opt gt.Control_region.g_pred !observed))
-                   gates
-               in
-               match Sod2.Pipeline.variant c ~outcome with
-               | None -> print_endline "variants: outcome outside budget, any-path plan serves it"
-               | Some v ->
-                 let _, vouts =
-                   Sod2_runtime.Executor.run_real ~config:cfg ~backend:be
-                     ?env:(if arena_mode then Some env else None)
-                     ~outcomes:outcome c ~inputs
-                 in
-                 let same =
-                   List.for_all2
-                     (fun (i1, t1) (i2, t2) -> i1 = i2 && Tensor.equal t1 t2)
-                     outs vouts
-                 in
-                 Printf.printf
-                   "variant %s: %d/%d nodes after pruning, outputs %s\n"
-                   v.Sod2.Pipeline.v_key
-                   (List.length v.Sod2.Pipeline.v_order)
-                   (List.length c.Sod2.Pipeline.exec.Sod2.Exec_plan.order)
-                   (if same then "bit-identical" else "DIVERGED")
-             end);
           if backend_kind = Sod2_runtime.Backend.Fused then begin
             let fs = Sod2_runtime.Backend.fused_stats be in
             Printf.printf
@@ -349,8 +303,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Run one inference (simulated by default; --real interprets, --exec \
-             KIND,arena additionally executes the memory plan in place, \
-             --compile variants=N replays through the matching plan variant).")
+             KIND,arena additionally executes the memory plan in place).")
     Term.(const run $ model_arg $ device_arg $ dims_arg $ real $ exec_arg
           $ compile_arg $ tune_cache_arg)
 
@@ -571,17 +524,8 @@ let serve_cmd =
           (st.Engine.busy_us.(w) /. 1000.0))
       st.Engine.worker_runs;
     let count kind = Profile.Counters.count ~profile:profile.Profile.name ~kind in
-    (* Cardinality is aggregated per base binding: outcome-variant plans
-       ("<binding>|v=...") report separately instead of inflating the
-       per-model key count. *)
-    Printf.printf
-      "  plan cache:    %d bindings (+%d variant plans), %d hits, %d misses\n"
-      st.Engine.plan_keys st.Engine.plan_variants (count "plan-cache-hit")
-      (count "plan-cache-miss");
-    if st.Engine.plan_variants > 0 then
-      Printf.printf "  variants:      %d direct runs, %d variant runs, %d mispredicts\n"
-        (count "engine-variant-direct") (count "variant-run")
-        (count "variant-mispredict");
+    Printf.printf "  plan cache:    %d bindings, %d hits, %d misses\n"
+      st.Engine.plan_keys (count "plan-cache-hit") (count "plan-cache-miss");
     (* An int8 artifact on a non-naive backend must have run int8 kernels. *)
     if c.Sod2.Pipeline.quant then begin
       Printf.printf "  int8:          %d quantized weights, %d int8 kernel calls\n"

@@ -3,8 +3,6 @@ type t = {
   quant : bool;
   fusion : bool;
   plan_sym_value : int;
-  variant_budget : int;
-  variants_aot : int array list;
 }
 
 let default =
@@ -13,9 +11,11 @@ let default =
     quant = false;
     fusion = true;
     plan_sym_value = 64;
-    variant_budget = 0;
-    variants_aot = [];
   }
+
+let unknown tok =
+  Error
+    (Printf.sprintf "unknown compile token %S (expected f32|f64|int8|nofuse|sym=N)" tok)
 
 let parse_token opts tok =
   match String.trim tok with
@@ -27,11 +27,7 @@ let parse_token opts tok =
   | "fuse" -> Ok { opts with fusion = true }
   | tok -> (
     match String.index_opt tok '=' with
-    | None ->
-      Error
-        (Printf.sprintf
-           "unknown compile token %S (expected \
-            f32|f64|int8|nofuse|sym=N|variants=N|aot=VEC)" tok)
+    | None -> unknown tok
     | Some i -> (
       let k = String.sub tok 0 i in
       let v = String.sub tok (i + 1) (String.length tok - i - 1) in
@@ -40,23 +36,14 @@ let parse_token opts tok =
         match int_of_string_opt v with
         | Some n when n > 0 -> Ok { opts with plan_sym_value = n }
         | _ -> Error (Printf.sprintf "bad sym=%S (expected a positive integer)" v))
+      (* Compatibility: accepted and ignored.  Gated models run one plan
+         and every computed predicate picks its groups; the token stays
+         parseable because existing specs still carry it. *)
       | "variants" -> (
         match int_of_string_opt v with
-        | Some n when n >= 0 -> Ok { opts with variant_budget = n }
+        | Some n when n >= 0 -> Ok opts
         | _ -> Error (Printf.sprintf "bad variants=%S (expected an integer >= 0)" v))
-      | "aot" -> (
-        match Multi_version.outcome_of_key v with
-        | Some outcome ->
-          if List.exists (fun o -> o = outcome) opts.variants_aot then Ok opts
-          else Ok { opts with variants_aot = opts.variants_aot @ [ outcome ] }
-        | None ->
-          Error
-            (Printf.sprintf "bad aot=%S (expected an outcome key, e.g. aot=010)" v))
-      | _ ->
-        Error
-          (Printf.sprintf
-             "unknown compile token %S (expected \
-              f32|f64|int8|nofuse|sym=N|variants=N|aot=VEC)" tok)))
+      | _ -> unknown tok))
 
 let of_string s =
   List.fold_left
@@ -77,13 +64,7 @@ let to_tokens opts =
       (if opts.plan_sym_value <> default.plan_sym_value then
          Some (Printf.sprintf "sym=%d" opts.plan_sym_value)
        else None);
-      (if opts.variant_budget > 0 then
-         Some (Printf.sprintf "variants=%d" opts.variant_budget)
-       else None);
     ]
-  @ List.map
-      (fun o -> "aot=" ^ Multi_version.outcome_key o)
-      opts.variants_aot
 
 (* Canonical rendering always leads with the dtype, so the string is
    self-describing even for the all-defaults record. *)

@@ -433,11 +433,6 @@ let plan ?(strategy = Optimal_small) (g : Graph.t) rdp (fplan : Fusion.plan) ~en
   in
   { subgraphs = Array.of_list subgraphs; order; strategy }
 
-(* A variant order is a filter, not a re-plan: relative order of the
-   surviving groups is preserved, so every ordering property the planner
-   established (and vetted) carries over to the pruned plan. *)
-let restrict t ~live = List.filter live t.order
-
 let subgraph_kind_counts t =
   let all = ref 0 and m1 = ref 0 and m24 = ref 0 and m58 = ref 0 and nac = ref 0 in
   Array.iter

@@ -66,11 +66,6 @@ val simulate_peak_bytes :
     groups in [order] under valuation [env] — the planner's objective,
     also used by tests to check optimality claims. *)
 
-val restrict : t -> live:(int -> bool) -> int list
-(** The plan's group order with dead groups filtered out — how a
-    per-outcome plan variant prunes branches not taken.  Relative order of
-    surviving groups is unchanged, so topological validity is preserved. *)
-
 val subgraph_kind_counts : t -> (string * int) list
 (** Histogram of sub-graph kinds: all-known / mixed (1, 2–4, 5–8 versions)
     / nac — the Fig. 8 breakdown. *)

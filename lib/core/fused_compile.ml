@@ -131,14 +131,6 @@ let plan ?(quantized = fun (_ : Graph.node) -> false) g (fp : Fusion.plan) =
       | t -> t)
     fp.Fusion.groups
 
-(* Per-variant view of a template array: dead groups lose their template
-   so nothing downstream (backend kernel caches, vetting sweeps) can
-   specialize a kernel the variant never executes.  Group contents are
-   outcome-independent — control-flow ops never fuse — so live groups
-   share the base templates, and with them every cached specialization. *)
-let restrict templates ~live =
-  Array.mapi (fun gid t -> if live gid then t else None) templates
-
 (* ------------------------------------------------------------------ *)
 (* Specialization                                                      *)
 

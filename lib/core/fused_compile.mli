@@ -54,14 +54,6 @@ val plan :
     template, since the fused float kernel would silently bypass
     quantization. *)
 
-val restrict :
-  template option array -> live:(int -> bool) -> template option array
-(** A per-outcome variant's view of the template array: groups the variant
-    prunes map to [None].  Live groups keep the {e same} template values as
-    the base array, so backend kernel caches keyed by template identity are
-    shared across variants — specialization cost is paid once per (group ×
-    shape), not per outcome vector. *)
-
 val specialize :
   Graph.t -> template ->
   tiles:(Multi_version.shape_class -> Blocked.tiles) ->

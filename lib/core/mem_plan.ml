@@ -52,51 +52,17 @@ type symbolic = {
 (* The env-independent part of lifetime analysis: which tensors
    materialize, their symbolic shapes and their step ranges.  Runs once per
    compiled artifact; {!concretize} turns the result into placeable
-   lifetimes by affine evaluation alone.
-
-   [alias tid = Some src] declares [tid] the same value as [src] (variant
-   plans resolve Switch/Combine routing at plan time): the alias gets no
-   slot of its own, and the storage it resolves to — the root of the alias
-   chain — stays live over the alias's consumers (and to the end when the
-   alias is a graph output), so executors may serve the alias straight
-   from the root's slot. *)
-let symbolic_lifetimes (g : Graph.t) rdp (fplan : Fusion.plan) ~order ~elem_of ~live
-    ~alias =
+   lifetimes by affine evaluation alone. *)
+let symbolic_lifetimes (g : Graph.t) rdp (fplan : Fusion.plan) ~order ~elem_of =
   let n_steps = List.length order in
   let step_of_group = Hashtbl.create 64 in
   List.iteri (fun i gid -> Hashtbl.replace step_of_group gid i) order;
   let materialized = Fusion.materialized_tensors g fplan in
   let outs = Graph.outputs g in
-  let rec root tid =
-    match alias tid with Some src -> root src | None -> tid
-  in
-  let consumed_last ~first tid =
-    List.fold_left
-      (fun acc cnid ->
-        match Hashtbl.find_opt step_of_group fplan.group_of.(cnid) with
-        | Some s -> max acc s
-        | None -> acc)
-      first (Graph.consumers g tid)
-  in
-  (* Lifetime pressure each live alias puts on its root's slot. *)
-  let alias_last = Hashtbl.create 8 in
-  let alias_out = Hashtbl.create 8 in
-  List.iter
-    (fun tid ->
-      if live tid && alias tid <> None then begin
-        let r = root tid in
-        if List.mem tid outs then Hashtbl.replace alias_out r ();
-        let last = consumed_last ~first:0 tid in
-        match Hashtbl.find_opt alias_last r with
-        | Some prev when prev >= last -> ()
-        | _ -> Hashtbl.replace alias_last r last
-      end)
-    materialized;
   let entries = ref [] in
   List.iter
     (fun tid ->
       match Graph.producer g tid with
-      | _ when not (live tid) || alias tid <> None -> ()
       | None -> ()
       | Some p ->
         let first =
@@ -105,12 +71,14 @@ let symbolic_lifetimes (g : Graph.t) rdp (fplan : Fusion.plan) ~order ~elem_of ~
           | None -> 0
         in
         let last =
-          if List.mem tid outs || Hashtbl.mem alias_out tid then n_steps - 1
+          if List.mem tid outs then n_steps - 1
           else
-            let own = consumed_last ~first tid in
-            match Hashtbl.find_opt alias_last tid with
-            | Some a -> max own a
-            | None -> own
+            List.fold_left
+              (fun acc cnid ->
+                match Hashtbl.find_opt step_of_group fplan.group_of.(cnid) with
+                | Some s -> max acc s
+                | None -> acc)
+              first (Graph.consumers g tid)
         in
         let shape = Rdp.shape rdp tid in
         entries :=
@@ -358,10 +326,9 @@ let plan_raw strategy ~lifetimes:raw =
   plan_of_lifetimes strategy lts ~dynamic:[]
 
 let plan_symbolic ?(strategy = Peak_first) ?(elem = Tensor.bytes_per_elem Tensor.F32)
-    ?(elem_of = fun _ -> None) ?(live = fun _ -> true) ?(alias = fun _ -> None)
-    (g : Graph.t) rdp fplan ~order =
+    ?(elem_of = fun _ -> None) (g : Graph.t) rdp fplan ~order =
   {
-    sym_entries = symbolic_lifetimes g rdp fplan ~order ~elem_of ~live ~alias;
+    sym_entries = symbolic_lifetimes g rdp fplan ~order ~elem_of;
     sym_strategy = strategy;
     sym_elem = elem;
   }

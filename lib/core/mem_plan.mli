@@ -96,25 +96,12 @@ type symbolic = {
 
 val plan_symbolic :
   ?strategy:strategy -> ?elem:int -> ?elem_of:(Graph.tensor_id -> int option) ->
-  ?live:(Graph.tensor_id -> bool) -> ?alias:(Graph.tensor_id -> Graph.tensor_id option) ->
   Graph.t -> Rdp.t -> Fusion.plan ->
   order:int list -> symbolic
 (** The compile-time half of {!plan}: everything that does not need the
     shape-variable binding.  [elem] (default 4, f32) fixes the element
     size all slot bytes derive from; [elem_of] overrides it per tensor
-    (default: no overrides).  [live] (default: everything) filters the
-    materialized tensors the plan reserves slots for — per-outcome plan
-    variants pass the variant's liveness so dead-branch tensors get no
-    arena space at all (with a pruned [order], an unfiltered plan would
-    instead give them bogus step-0 lifetimes).
-
-    [alias] (default: none) declares value-aliasing tensors: when
-    [alias tid = Some src] the plan reserves no slot for [tid] and instead
-    keeps the alias chain's root slot live across [tid]'s consumers (and
-    to the final step when [tid] is a graph output).  Per-outcome variants
-    resolve Switch/Combine routing at plan time and pass it here, which is
-    what lets executors serve gate aliases from the source slot directly
-    instead of boxing a copy out of the arena on every request. *)
+    (default: no overrides). *)
 
 val instantiate : symbolic -> env:Env.t -> t
 (** The runtime half: evaluate each entry's dims under [env] (entries that

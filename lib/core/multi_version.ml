@@ -113,84 +113,3 @@ let gemm_dims_of_op (op : Op.t) ~in_dims ~out_dims =
     let m = prod out / max 1 n in
     Some (m, n, k)
   | _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* Outcome-vector keys: multi-version code generation applied to whole
-   execution plans.  A predicate outcome vector assigns each control
-   gate its selected branch; rendered canonically it keys the per-branch
-   plan variants {!Pipeline} enumerates ahead of time. *)
-
-let outcome_key (outcome : int array) =
-  let buf = Buffer.create (Array.length outcome) in
-  Array.iter
-    (fun b ->
-      if b < 0 then Buffer.add_char buf '*'
-      else if b < 10 then Buffer.add_char buf (Char.chr (Char.code '0' + b))
-      else begin
-        (* Gates with >= 10 branches keep the key injective via brackets. *)
-        Buffer.add_char buf '(';
-        Buffer.add_string buf (string_of_int b);
-        Buffer.add_char buf ')'
-      end)
-    outcome;
-  Buffer.contents buf
-
-let outcome_of_key s =
-  let n = String.length s in
-  let out = ref [] in
-  let rec go i =
-    if i >= n then Some (Array.of_list (List.rev !out))
-    else
-      match s.[i] with
-      | '*' ->
-        out := -1 :: !out;
-        go (i + 1)
-      | '0' .. '9' ->
-        out := (Char.code s.[i] - Char.code '0') :: !out;
-        go (i + 1)
-      | '(' -> (
-        match String.index_from_opt s i ')' with
-        | Some j -> (
-          match int_of_string_opt (String.sub s (i + 1) (j - i - 1)) with
-          | Some b when b >= 0 ->
-            out := b :: !out;
-            go (j + 1)
-          | _ -> None)
-        | None -> None)
-      | _ -> None
-  in
-  if n = 0 then None else go 0
-
-let enumerate_outcomes ~branches ~budget =
-  let total =
-    Array.fold_left
-      (fun acc b ->
-        if acc < 0 || b <= 0 then -1
-        else if acc > budget then acc (* already over; exact value irrelevant *)
-        else acc * b)
-      1 branches
-  in
-  if total < 0 || total > budget || Array.length branches = 0 then None
-  else begin
-    (* Odometer over the branch digits, last gate fastest. *)
-    let n = Array.length branches in
-    let cur = Array.make n 0 in
-    let acc = ref [] in
-    let rec spin () =
-      acc := Array.copy cur :: !acc;
-      let rec carry i =
-        if i < 0 then false
-        else begin
-          cur.(i) <- cur.(i) + 1;
-          if cur.(i) < branches.(i) then true
-          else begin
-            cur.(i) <- 0;
-            carry (i - 1)
-          end
-        end
-      in
-      if carry (n - 1) then spin ()
-    in
-    spin ();
-    Some (List.rev !acc)
-  end

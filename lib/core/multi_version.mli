@@ -67,26 +67,3 @@ val gemm_dims_of_op :
     [None] for non-heavy operators. *)
 
 val config_for : table -> shape_class -> Autotune.config
-
-(** {1 Plan-level multi-versioning: outcome-vector keys}
-
-    The same §4.4.2 idea lifted from kernels to whole execution plans: a
-    {e predicate outcome vector} fixes the branch every control gate
-    selects, and each realizable vector keys one specialized plan variant
-    in {!Pipeline}.  The helpers below define the canonical key form and
-    the bounded ahead-of-time enumeration. *)
-
-val outcome_key : int array -> string
-(** Canonical rendering of an outcome vector, one digit per gate in gate
-    order; [-1] (gate left open) renders as ['*'].  Injective for any
-    branch count (gates with ≥ 10 branches render bracketed). *)
-
-val outcome_of_key : string -> int array option
-(** Inverse of {!outcome_key}; [None] on malformed keys or [""]. *)
-
-val enumerate_outcomes : branches:int array -> budget:int -> int array list
-  option
-(** Every full outcome vector over gates with the given branch counts, in
-    odometer order — or [None] when the product exceeds [budget] (or
-    overflows, or there are no gates), in which case variants must be
-    specialized lazily from observed vectors instead. *)

@@ -8,17 +8,6 @@ type opt_flags = {
 let all_opts = { fusion = true; sep = true; dmp = true; mvc = true }
 let no_opts = { fusion = false; sep = false; dmp = false; mvc = false }
 
-type variant = {
-  v_outcome : int array;
-  v_key : string;
-  v_order : int list;  (** exec order with dead-branch groups pruned *)
-  v_live_group : bool array;
-  v_live_tensor : bool array;
-  v_mem_symbolic : Mem_plan.symbolic;  (** slots over live tensors only *)
-  v_alias : int array;  (** tid -> aliased source tid, [-1] = none *)
-  v_fused : Fused_compile.template option array;
-}
-
 type plan_entry = {
   pe_plan : Mem_plan.t;
   mutable pe_defects : Mem_plan.defect list option;  (** [None] until vetted *)
@@ -43,10 +32,6 @@ type compiled = {
   plan_cache : (string, plan_entry) Hashtbl.t;
   plan_lock : Mutex.t;
   control : Control_region.t;
-  variant_budget : int;
-  variants : (string, variant) Hashtbl.t;
-      (** per outcome key; guarded by [variant_lock] *)
-  variant_lock : Mutex.t;
 }
 
 let env_with_all_syms g v =
@@ -142,130 +127,6 @@ let quant_table g =
     (Graph.nodes g);
   tbl
 
-(* ------------------------------------------------------------------ *)
-(* Per-outcome plan variants (§4.2/§4.4.2 multi-versioning lifted from
-   kernels to whole execution plans).  A variant is the artifact
-   re-specialized under one predicate-outcome vector: dead-branch groups
-   pruned from the exec order (relative order preserved), the symbolic
-   memory plan recomputed over live tensors only, and the fused-template
-   array masked to live groups.  The base artifact is itself the any-path
-   fallback, so a variant is never required for correctness. *)
-
-let build_variant c outcome =
-  let live_n nid = Control_region.live_node c.control ~outcome nid in
-  let fp = c.fusion_plan in
-  let n_groups = Array.length fp.Fusion.groups in
-  let live_group = Array.make n_groups true in
-  Array.iter
-    (fun (grp : Fusion.group) ->
-      (* Fusion never crosses a Switch/Combine (control flow stays in
-         singleton groups), so all members share one constraint set;
-         [for_all] is the safe reading if that ever changes. *)
-      live_group.(grp.Fusion.gid) <- List.for_all live_n grp.Fusion.members)
-    fp.Fusion.groups;
-  let v_order = Exec_plan.restrict c.exec ~live:(fun gid -> live_group.(gid)) in
-  let live_tensor = Array.make (Graph.tensor_count c.graph) true in
-  Array.iter
-    (fun (nd : Graph.node) ->
-      if not (live_n nd.Graph.nid && live_group.(fp.Fusion.group_of.(nd.Graph.nid)))
-      then List.iter (fun tid -> live_tensor.(tid) <- false) nd.Graph.outputs)
-    (Graph.nodes c.graph);
-  (* With the outcome fixed, Switch/Combine are pure routing: the live
-     Switch output {e is} its data input and each Combine output {e is}
-     its selected branch.  Recording that as an alias map lets the memory
-     plan skip their slots and keep the source slot live across the
-     alias's consumers — the executor then routes gates by slot aliasing
-     with no per-gate copy out of the arena. *)
-  let v_alias = Array.make (Graph.tensor_count c.graph) (-1) in
-  Array.iteri
-    (fun gid (gt : Control_region.gate) ->
-      let b = if gid < Array.length outcome then outcome.(gid) else -1 in
-      if b >= 0 then begin
-        List.iter
-          (fun nid ->
-            let nd = Graph.node c.graph nid in
-            if live_n nid && b < List.length nd.Graph.outputs then
-              v_alias.(List.nth nd.Graph.outputs b) <- List.hd nd.Graph.inputs)
-          gt.Control_region.g_switches;
-        List.iter
-          (fun nid ->
-            let nd = Graph.node c.graph nid in
-            if live_n nid && b < List.length nd.Graph.inputs - 1 then
-              v_alias.(List.hd nd.Graph.outputs) <- List.nth nd.Graph.inputs b)
-          gt.Control_region.g_combines
-      end)
-    c.control.Control_region.gates;
-  let v_mem_symbolic =
-    Mem_plan.plan_symbolic
-      ~strategy:c.mem_symbolic.Mem_plan.sym_strategy
-      ~elem:c.mem_symbolic.Mem_plan.sym_elem
-      ~elem_of:(int_elem_overrides c.graph)
-      ~live:(fun tid -> live_tensor.(tid))
-      ~alias:(fun tid ->
-        match v_alias.(tid) with -1 -> None | src -> Some src)
-      c.graph c.rdp fp ~order:v_order
-  in
-  {
-    v_outcome = Array.copy outcome;
-    v_key = Multi_version.outcome_key outcome;
-    v_order;
-    v_live_group = live_group;
-    v_live_tensor = live_tensor;
-    v_mem_symbolic;
-    v_alias;
-    v_fused = Fused_compile.restrict c.fused ~live:(fun gid -> live_group.(gid));
-  }
-
-(* Lookup-or-specialize, bounded by the budget.  Outcomes with open gates
-   (digit -1) or the wrong arity never specialize — the caller runs the
-   any-path base plan, which is also the budget-overflow answer. *)
-let variant c ~outcome =
-  let n_gates = Control_region.gate_count c.control in
-  if
-    c.variant_budget <= 0 || n_gates = 0
-    || Array.length outcome <> n_gates
-    || Array.exists (fun o -> o < 0) outcome
-    || Array.exists2 (fun o g -> o >= g.Control_region.g_branches) outcome
-         c.control.Control_region.gates
-  then None
-  else
-    let key = Multi_version.outcome_key outcome in
-    Mutex.protect c.variant_lock (fun () ->
-        match Hashtbl.find_opt c.variants key with
-        | Some v -> Some v
-        | None ->
-          if Hashtbl.length c.variants >= c.variant_budget then begin
-            Profile.Counters.record ~profile:c.profile.Profile.name
-              ~kind:"variant-overflow";
-            None
-          end
-          else begin
-            let v = build_variant c outcome in
-            Profile.Counters.record ~profile:c.profile.Profile.name
-              ~kind:"variant-specialize";
-            Hashtbl.replace c.variants key v;
-            Some v
-          end)
-
-(* Ahead-of-time enumeration at compile: explicitly requested vectors
-   first, then the full outcome space when it fits the remaining budget
-   (otherwise variants specialize lazily, per observed outcome). *)
-let aot_variants c requested =
-  if c.variant_budget > 0 && Control_region.gate_count c.control > 0 then begin
-    List.iter (fun o -> ignore (variant c ~outcome:o)) requested;
-    let branches =
-      Array.map (fun g -> g.Control_region.g_branches) c.control.Control_region.gates
-    in
-    match Multi_version.enumerate_outcomes ~branches ~budget:c.variant_budget with
-    | Some outs ->
-      List.iter
-        (fun o ->
-          if Hashtbl.length c.variants < c.variant_budget then
-            ignore (variant c ~outcome:o))
-        outs
-    | None -> ()
-  end
-
 let compile ?flags ?(opts = Compile_opts.default) profile graph =
   let flags =
     match flags with
@@ -312,35 +173,28 @@ let compile ?flags ?(opts = Compile_opts.default) profile graph =
       mem_symbolic.Mem_plan.sym_entries
     |> List.sort_uniq compare
   in
-  let c =
-    {
-      graph;
-      rdp;
-      fusion_plan;
-      exec;
-      versions;
-      kernel_classes;
-      fused;
-      flags;
-      profile;
-      fdtype = float_dtype;
-      quant;
-      quant_weights;
-      mem_symbolic;
-      plan_syms;
-      plan_cache = Hashtbl.create 8;
-      plan_lock = Mutex.create ();
-      control = Control_region.discover graph;
-      variant_budget = opts.Compile_opts.variant_budget;
-      variants = Hashtbl.create 8;
-      variant_lock = Mutex.create ();
-    }
-  in
-  aot_variants c opts.Compile_opts.variants_aot;
-  c
+  {
+    graph;
+    rdp;
+    fusion_plan;
+    exec;
+    versions;
+    kernel_classes;
+    fused;
+    flags;
+    profile;
+    fdtype = float_dtype;
+    quant;
+    quant_weights;
+    mem_symbolic;
+    plan_syms;
+    plan_cache = Hashtbl.create 8;
+    plan_lock = Mutex.create ();
+    control = Control_region.discover graph;
+  }
 
 (* Functional update: the replacement table rides on the same plan cache,
-   lock, variants and fused templates — versions only steer kernel-config
+   lock and fused templates — versions only steer kernel-config
    selection, nothing shape- or memory-plan-relevant. *)
 let with_versions c versions = { c with versions }
 
@@ -367,22 +221,16 @@ let plan_key c env =
    otherwise both instantiate (double-counting the miss) and race the
    Hashtbl.  Instantiation runs under the lock deliberately — it is a short
    linear pass, and holding the lock gives concurrent same-binding requests
-   a guaranteed single miss.  Variant plans live in the same cache under a
-   compound key, so the steady-state zero-miss property (and its counters)
-   covers them too. *)
-let cached_entry c ?variant env =
-  let key, sym =
-    match variant with
-    | None -> plan_key c env, c.mem_symbolic
-    | Some v -> plan_key c env ^ "|v=" ^ v.v_key, v.v_mem_symbolic
-  in
+   a guaranteed single miss. *)
+let cached_entry c env =
+  let key = plan_key c env in
   match Hashtbl.find_opt c.plan_cache key with
   | Some e ->
     Profile.Counters.record ~profile:c.profile.Profile.name ~kind:"plan-cache-hit";
     e
   | None ->
     Profile.Counters.record ~profile:c.profile.Profile.name ~kind:"plan-cache-miss";
-    let e = { pe_plan = Mem_plan.instantiate sym ~env; pe_defects = None } in
+    let e = { pe_plan = Mem_plan.instantiate c.mem_symbolic ~env; pe_defects = None } in
     Hashtbl.replace c.plan_cache key e;
     e
 
@@ -402,9 +250,9 @@ let vet_plan c env p =
 (* First-use vetting: the verdict rides in the plan-cache entry, so each
    (binding × plan) pays the O(n²) sweep once ("plan-vet") and every later
    run reads it for free. *)
-let vetted_plan c ?variant env =
+let vetted_plan c env =
   Mutex.protect c.plan_lock (fun () ->
-      let e = cached_entry c ?variant env in
+      let e = cached_entry c env in
       match e.pe_defects with
       | Some d -> e.pe_plan, d
       | None ->

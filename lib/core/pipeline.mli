@@ -21,31 +21,6 @@ val no_opts : opt_flags
     topological order, first-fit memory, untuned kernels) still apply, as
     in the paper's Fig. 5/6 baseline. *)
 
-type variant = {
-  v_outcome : int array;
-      (** the predicate-outcome vector this plan is specialized for — one
-          digit per gate, in {!Control_region.t} gate order *)
-  v_key : string;  (** {!Multi_version.outcome_key} of [v_outcome] *)
-  v_order : int list;
-      (** the artifact's exec order with dead-branch groups pruned;
-          relative order of survivors unchanged (topologically valid) *)
-  v_live_group : bool array;  (** per fusion-group id *)
-  v_live_tensor : bool array;  (** per tensor id *)
-  v_mem_symbolic : Mem_plan.symbolic;
-      (** symbolic memory plan over live tensors only — dead branches get
-          no arena slots at all *)
-  v_alias : int array;
-      (** per tensor id: the tensor this one is a pure routing alias of
-          ([-1] = none).  With the outcome fixed, the live Switch output
-          is its data input and each Combine output is its selected
-          branch — [v_mem_symbolic] gives such tensors no slot and keeps
-          the source slot live across their consumers, so executors route
-          gates by slot aliasing instead of copying out of the arena *)
-  v_fused : Fused_compile.template option array;
-      (** base fused templates masked to live groups (shared values, so
-          kernel caches keyed by template identity span variants) *)
-}
-
 type plan_entry = {
   pe_plan : Mem_plan.t;
   mutable pe_defects : Mem_plan.defect list option;
@@ -97,13 +72,9 @@ type compiled = {
           artifact can be shared by concurrent {!Engine} workers *)
   control : Control_region.t;
       (** the graph's gates (predicate → Switch/Combine families) and
-          per-node branch constraints, discovered at compile *)
-  variant_budget : int;
-      (** max per-outcome plan variants kept; [0] disables variants *)
-  variants : (string, variant) Hashtbl.t;
-      (** outcome key → specialized plan variant.  Guarded by
-          [variant_lock] — access through {!variant} *)
-  variant_lock : Mutex.t;
+          per-node branch constraints, discovered at compile; the
+          executor reads the constraints to pick the groups each
+          computed predicate selects *)
 }
 
 val compile : ?flags:opt_flags -> ?opts:Compile_opts.t -> Profile.t -> Graph.t -> compiled
@@ -118,11 +89,7 @@ val compile : ?flags:opt_flags -> ?opts:Compile_opts.t -> Profile.t -> Graph.t -
     weight (MatMul/Conv) to int8 and withholds fused templates from their
     groups; the artifact then runs the quantized kernels on every
     non-naive backend ({!Executor.run_real}) and float on the naive one.
-    With [opts.variant_budget > 0] and a gated graph, per-branch
-    plan variants are enumerated ahead of time: [opts.variants_aot] first,
-    then the full outcome space when it fits the budget (otherwise the
-    remaining outcomes specialize lazily on first observation, still
-    bounded by the budget).  The graph is validated first
+    The graph is validated first
     ({!Validate.check}); raises [Sod2_error.Error] on the first defect of a
     malformed graph. *)
 
@@ -152,21 +119,10 @@ val instantiated_plan : compiled -> Env.t -> Mem_plan.t
     ["plan-cache-hit"].  The returned plan is shared — treat it as
     read-only. *)
 
-val variant : compiled -> outcome:int array -> variant option
-(** The plan variant for one full predicate-outcome vector: cached, or
-    specialized on the spot while the variant count is under the budget.
-    [None] — run the any-path base plan — when variants are disabled, the
-    vector has the wrong arity, leaves a gate open ([-1]) or names an
-    out-of-range branch, or the budget is exhausted (counted as
-    ["variant-overflow"]).  Fresh specializations count
-    ["variant-specialize"].  Thread-safe. *)
-
-val vetted_plan : compiled -> ?variant:variant -> Env.t -> Mem_plan.t * Mem_plan.defect list
-(** The base plan ({!instantiated_plan}) or [variant]'s plan for one
-    binding, with its {!vet_plan} verdict.  Variant plans share the
-    per-binding cache under the compound key [plan_key ^ "|v=" ^ v_key],
-    with the same hit/miss counters.  The verdict is computed on the
-    first query per (binding × plan), counted as ["plan-vet"], and cached
+val vetted_plan : compiled -> Env.t -> Mem_plan.t * Mem_plan.defect list
+(** The plan for one binding ({!instantiated_plan}), with its
+    {!vet_plan} verdict.  The verdict is computed on the first query per
+    binding, counted as ["plan-vet"], and cached
     beside the plan, so steady-state runs pay a lookup, not an O(n²)
     sweep.  Executors run a plan only when its defect list is empty.
     The returned plan is shared — treat it as read-only. *)
@@ -178,9 +134,8 @@ val vet_plan : compiled -> Env.t -> Mem_plan.t -> Mem_plan.defect list
     plans. *)
 
 val plan_cache_keys : compiled -> string list
-(** Snapshot of the plan-cache keys currently instantiated (base bindings
-    and ["…|v=…"] variant compounds) — {!Engine.stats} aggregates these
-    per model for the serve report. *)
+(** Snapshot of the plan-cache keys currently instantiated, one per
+    binding — {!Engine.stats} counts them for the serve report. *)
 
 val mem_plan_for : compiled -> Env.t -> Mem_plan.t
 (** Instantiate the memory plan for one concrete input shape.  Served from

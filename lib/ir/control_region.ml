@@ -13,14 +13,6 @@ type t = {
 
 let gate_count t = Array.length t.gates
 
-let outcome_space t =
-  Array.fold_left
-    (fun acc g ->
-      if acc <= 0 then acc
-      else if g.g_branches > 0 && acc <= max_int / g.g_branches then acc * g.g_branches
-      else -1)
-    1 t.gates
-
 (* Merge a constraint into a set.  Two different branches of the same gate
    on one node would mean the node is unreachable under every outcome; the
    zoo builders never produce that, but a hand-built graph could — keep
@@ -30,8 +22,7 @@ let add_constraint cs c = if List.mem c cs then cs else c :: cs
 
 let discover (g : Graph.t) =
   (* One gate per predicate tensor: every Switch (and its paired Combines)
-     driven by the same predicate resolves together, so their branch
-     decisions form one digit of the outcome vector. *)
+     driven by the same predicate resolves together, as one gate. *)
   let by_pred = Hashtbl.create 8 in
   let order = ref [] in
   Array.iter
@@ -118,7 +109,7 @@ let discover (g : Graph.t) =
 let constraints t nid = t.node_constraints.(nid)
 
 (* [outcome.(gid) = -1] means the gate's branch is left open — nodes under
-   it stay live, which is exactly the any-path fallback semantics. *)
+   it stay live. *)
 let live_node t ~outcome (nid : Graph.node_id) =
   List.for_all
     (fun (gid, branch) ->

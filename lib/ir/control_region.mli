@@ -2,20 +2,18 @@
 
     A {e gate} is one run-time branch decision: a predicate tensor together
     with every Switch it drives and every Combine that merges the branches
-    back.  Gates are the digits of a model's {e predicate outcome vector}
-    — the key under which {!Pipeline} enumerates ahead-of-time plan
-    variants (the paper's §4.4.2 multi-version code generation applied to
-    whole execution plans rather than single kernels).
+    back.
 
     Discovery also assigns every node its {e branch constraints}: the set
     of [(gate, branch)] pairs that must all be selected for the node to
     execute.  Constraints propagate forward from Switch outputs and are
     discharged at the gate's Combine, so nodes after the merge are
-    unconditional again.  Constraint sets are what make dead-branch
-    pruning a per-variant filter instead of a re-analysis. *)
+    unconditional again.  The executor checks them ({!live_node}) against
+    the branches its Switches have taken so far, so choosing which groups
+    of the one static order run is a lookup, not a scan of their inputs. *)
 
 type gate = {
-  g_id : int;  (** index of this gate's digit in outcome vectors *)
+  g_id : int;  (** index of this gate in {!t.gates} and in outcome arrays *)
   g_pred : Graph.tensor_id;  (** the predicate tensor all members share *)
   g_branches : int;  (** branch count (max across the gate's Switches) *)
   g_switches : Graph.node_id list;  (** Switch nodes driven by the predicate *)
@@ -36,18 +34,14 @@ val discover : Graph.t -> t
 
 val gate_count : t -> int
 
-val outcome_space : t -> int
-(** Number of distinct full outcome vectors (product of branch counts);
-    [-1] when the product overflows. *)
-
 val constraints : t -> Graph.node_id -> (int * int) list
 (** The node's required [(gate, branch)] selections. *)
 
 val live_node : t -> outcome:int array -> Graph.node_id -> bool
 (** Does the node execute under [outcome]?  [outcome.(g)] is the branch
     gate [g] selects, or [-1] to leave the gate open (the node then counts
-    as live — the any-path semantics).  Gates beyond the array's length
-    are treated as open. *)
+    as live: a gate whose Switch has not run yet constrains nothing).
+    Gates beyond the array's length are treated as open. *)
 
 val gate_of_switch : t -> Graph.node_id -> int option
 (** The gate a Switch node belongs to, when it belongs to one. *)

@@ -176,5 +176,13 @@ let check_exn g =
   | Error (e :: _) -> raise (Sod2_error.Error e)
   | Error [] -> ()
 
+let check_inputs g bindings =
+  match List.find_opt (fun tid -> not (List.mem_assoc tid bindings)) (Graph.inputs g) with
+  | None -> ()
+  | Some tid ->
+    Sod2_error.failf ~tensor:tid Sod2_error.Invalid_graph
+      "graph input t%d (%s) is not bound by the run's inputs" tid
+      (Graph.tensor g tid).Graph.tname
+
 let report errs =
   String.concat "\n" (List.map (fun e -> "  - " ^ Sod2_error.to_string e) errs)

@@ -26,5 +26,13 @@ val check : Graph.t -> (unit, Sod2_error.t list) result
 val check_exn : Graph.t -> unit
 (** Raise [Sod2_error.Error] with the first defect, if any. *)
 
+val check_inputs : Graph.t -> (Graph.tensor_id * 'a) list -> unit
+(** Raise [Sod2_error.Error] (class [Invalid_graph]) naming the first graph
+    input, in {!Graph.inputs} order, that the [(tensor, value)] bindings
+    leave unbound.  The run-time twin of {!check}: {!Executor.run_real}
+    and {!Reference.run} call it before interpreting anything, so a
+    request missing an input fails with a report instead of a partial
+    answer. *)
+
 val report : Sod2_error.t list -> string
 (** Multi-line human-readable rendering of a defect list. *)

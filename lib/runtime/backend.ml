@@ -383,17 +383,14 @@ let counter t kind = Profile.Counters.record ~profile:t.profile_name ~kind
    specialized kernel, compiling at most once per shape and caching
    failures so the op-by-op fallback is taken without recompiling.  Both
    the boxed path ({!fused_run}) and the arena executor's
-   destination-passing path go through here.  [tpl] lets a caller
-   executing under a variant-masked template array
-   ({!Fused_compile.restrict}) name the exact template it consulted;
-   masked arrays share template values with the base plan, so variant
-   runs land on the same cache entries (the [fe_tpl == tpl] identity
-   check below is what enforces this). *)
-let fused_kernel t ?tpl (c : Pipeline.compiled) ~gid
+   destination-passing path go through here.  The [fe_tpl == tpl]
+   identity check keeps a backend from serving a kernel specialized for
+   another artifact's template. *)
+let fused_kernel t (c : Pipeline.compiled) ~gid
     ~(args : (int list * Tensor.dtype) list) =
   if t.kind <> Fused then None
   else
-    match (match tpl with Some _ -> tpl | None -> c.Pipeline.fused.(gid)) with
+    match c.Pipeline.fused.(gid) with
     | None -> None
     | Some tpl ->
       let key = gid, args in
@@ -437,18 +434,18 @@ let fused_kernel t ?tpl (c : Pipeline.compiled) ~gid
         counter t "fused-reject";
         None)
 
-let fused_run t ?tpl (c : Pipeline.compiled) ~gid
+let fused_run t (c : Pipeline.compiled) ~gid
     ~(fetch : Graph.tensor_id -> Tensor.t) =
   if t.kind <> Fused then None
   else
-    match (match tpl with Some _ -> tpl | None -> c.Pipeline.fused.(gid)) with
+    match c.Pipeline.fused.(gid) with
     | None -> None
     | Some tpl ->
       let args_t = Array.map fetch tpl.Fused_compile.t_slots in
       let shapes =
         Array.to_list (Array.map (fun x -> Tensor.dims x, Tensor.dtype x) args_t)
       in
-      (match fused_kernel t ~tpl c ~gid ~args:shapes with
+      (match fused_kernel t c ~gid ~args:shapes with
       | Some k ->
         let out = k.Fused_compile.k_run ~par:(par_of t) args_t in
         Some

@@ -159,24 +159,20 @@ val par_of : t -> Sod2_tensor.Blocked.par
     points obtained from {!fused_kernel}. *)
 
 val fused_kernel :
-  t -> ?tpl:Fused_compile.template -> Pipeline.compiled -> gid:int ->
+  t -> Pipeline.compiled -> gid:int ->
   args:(int list * Tensor.dtype) list -> Fused_compile.kernel option
 (** Resolve fusion group [gid] under the concrete slot shapes [args] to a
     specialized kernel, through the per-(group × shapes) cache —
     compiling on first sight, caching failures.  [None] means op-by-op
     execution (non-[Fused] backend, no template, failed specialization, or
-    variant budget exhausted).  [tpl] overrides the artifact's base
-    template for [gid] — the executor passes the entry it consulted in a
-    plan variant's masked array ({!Fused_compile.restrict}); because
-    masked arrays share template {e values} with the base plan, variant
-    and base runs resolve to the same cache entries (the cache checks
+    the group's live-variant budget exhausted).  The cache checks
     template identity, so a stale template from another artifact can
-    never be served).  The arena executor uses this directly so it can
+    never be served.  The arena executor uses this directly so it can
     drive [k_run_into] with destination slots; {!fused_run} wraps it for
     the boxed path. *)
 
 val fused_run :
-  t -> ?tpl:Fused_compile.template -> Pipeline.compiled -> gid:int ->
+  t -> Pipeline.compiled -> gid:int ->
   fetch:(Graph.tensor_id -> Tensor.t) -> fused_result option
 (** Execute fusion group [gid] as one compiled kernel.  [fetch] supplies
     the group's external input tensors.  Returns [None] — meaning the

@@ -130,9 +130,6 @@ type t = {
   backends : Backend.t option array;  (** live per-worker backends, for in-place swap *)
   predicted : (string, float) Hashtbl.t;  (** plan key -> cost-model service us *)
   observed : (string, drift_obs) Hashtbl.t;
-  outcomes : (string, int array) Hashtbl.t;
-      (** plan key -> last observed predicate-outcome vector; the
-          prediction a variant run verifies per gate *)
   mutable live_workers : int;
   mutable degraded_mode : bool;
   mutable restarts_used : int;
@@ -393,25 +390,6 @@ let spawn_retune t =
 (* ------------------------------------------------------------------ *)
 (* Worker side                                                         *)
 
-(* Outcome prediction: map one run's observed [(pred tid, branch)] pairs
-   to the canonical outcome vector (digit [i] belongs to
-   [control.gates.(i)], matched on [g_pred]).  A run that left any gate
-   unobserved yields no prediction — a partial vector would specialize a
-   gate we know nothing about. *)
-let outcome_of_observations t obs =
-  let gates = t.compiled.Pipeline.control.Control_region.gates in
-  if Array.length gates = 0 || obs = [] then None
-  else
-    let v =
-      Array.map
-        (fun g ->
-          match List.assoc_opt g.Control_region.g_pred obs with
-          | Some b -> b
-          | None -> -1)
-        gates
-    in
-    if Array.exists (fun o -> o < 0) v then None else Some v
-
 (* The one fallback: the reference interpreter, which depends on nothing
    the optimizer produced and always answers in float. *)
 let run_fallback t req = Reference.run t.compiled.Pipeline.graph ~inputs:req.r_inputs
@@ -423,28 +401,9 @@ let run_fallback t req = Reference.run t.compiled.Pipeline.graph ~inputs:req.r_i
 let execute t ~w ~arena ~backend req ~batched =
   let started = Unix.gettimeofday () in
   Mutex.lock t.lock;
-  let predicted_outcome = Hashtbl.find_opt t.outcomes req.r_key in
-  Mutex.unlock t.lock;
-  (* A prediction with a compiled (within-budget) variant routes the
-     breaker and drift accounting under the variant-qualified key, so a
-     misbehaving specialized plan trips its own breaker — and calibrates
-     its own drift baseline — without dragging down the base plan or the
-     key's other variants. *)
-  let variant =
-    match predicted_outcome with
-    | Some o -> Pipeline.variant t.compiled ~outcome:o
-    | None -> None
-  in
-  let vkey =
-    match variant with
-    | Some v -> req.r_key ^ "|v=" ^ v.Pipeline.v_key
-    | None -> req.r_key
-  in
-  Mutex.lock t.lock;
-  let route = route_locked t vkey started in
+  let route = route_locked t req.r_key started in
   Mutex.unlock t.lock;
   let via_fallback = route = `Fallback in
-  let gate_obs = ref [] in
   let outcome =
     try
       (match !For_testing.inject with
@@ -455,35 +414,20 @@ let execute t ~w ~arena ~backend req ~batched =
          build per run. *)
       let outputs =
         if via_fallback then run_fallback t req
-        else if t.cfg.Executor.guarded then begin
-          let report =
-            Guarded_exec.run ~config:t.cfg
-              ?arena:(if t.cfg.Executor.memory = Executor.Mem_arena then Some arena else None)
-              ?backend ?outcomes:predicted_outcome t.compiled ~env:req.r_env
-              ~inputs:req.r_inputs
-          in
-          gate_obs := report.Guarded_exec.gate_outcomes;
-          (* A fallback observes no outcomes, and a mispredicted gate
-             re-runs on the base plan, whose observed outcomes then differ
-             from the prediction. *)
-          (match variant with
-          | Some v when outcome_of_observations t !gate_obs = Some v.Pipeline.v_outcome ->
-            counter t "engine-variant-direct"
-          | _ -> ());
-          report.Guarded_exec.outputs
-        end
+        else if t.cfg.Executor.guarded then
+          (Guarded_exec.run ~config:t.cfg
+             ?arena:(if t.cfg.Executor.memory = Executor.Mem_arena then Some arena else None)
+             ?backend t.compiled ~env:req.r_env ~inputs:req.r_inputs)
+            .Guarded_exec.outputs
         else begin
           let memory =
             match t.cfg.Executor.memory with
             | Executor.Mem_malloc -> Executor.Malloc
             | Executor.Mem_arena -> Executor.Arena { arena; env = req.r_env }
           in
-          let tr, outs =
-            Executor.run_real ~config:t.cfg ?backend ~memory ?outcomes:predicted_outcome
-              t.compiled ~inputs:req.r_inputs
-          in
-          gate_obs := tr.Executor.gate_outcomes;
-          outs
+          snd
+            (Executor.run_real ~config:t.cfg ?backend ~memory t.compiled
+               ~inputs:req.r_inputs)
         end
       in
       let now = Unix.gettimeofday () in
@@ -510,19 +454,16 @@ let execute t ~w ~arena ~backend req ~batched =
     t.busy_us.(w) <- t.busy_us.(w) +. busy;
     record_latency_locked t r.latency_us;
     if batched then t.batched <- t.batched + 1;
-    (match outcome_of_observations t !gate_obs with
-    | Some o -> Hashtbl.replace t.outcomes req.r_key o
-    | None -> ());
     if r.degraded then t.degraded_runs <- t.degraded_runs + 1
     else begin
-      breaker_success_locked t vkey ~probe:(route = `Probe);
-      want_retune := observe_drift_locked t req ~key:vkey busy
+      breaker_success_locked t req.r_key ~probe:(route = `Probe);
+      want_retune := observe_drift_locked t req ~key:req.r_key busy
     end
   | Error (e, busy) ->
     ignore (settle_locked t req (Failed e) V_failed);
     t.busy_us.(w) <- t.busy_us.(w) +. busy;
     if not via_fallback then
-      breaker_failure_locked t vkey ~probe:(route = `Probe) (Unix.gettimeofday ()));
+      breaker_failure_locked t req.r_key ~probe:(route = `Probe) (Unix.gettimeofday ()));
   Mutex.unlock t.lock;
   counter t "engine-request";
   if batched then counter t "engine-batched";
@@ -770,7 +711,6 @@ let create ?(workers = 1) ?(max_batch = 4) ?(config = Executor.default_config)
       backends = Array.make nworkers None;
       predicted = Hashtbl.create 8;
       observed = Hashtbl.create 8;
-      outcomes = Hashtbl.create 8;
       live_workers = nworkers;
       degraded_mode = false;
       restarts_used = 0;
@@ -913,24 +853,7 @@ let await t (req : ticket) =
 let infer ?deadline_us t ~env ~inputs = await t (submit ?deadline_us t ~env ~inputs)
 
 let stats t =
-  (* Variant-keyed plan-cache entries ("<binding>|v=<outcome>") must not
-     inflate the per-model cardinality the serve report shows: count
-     distinct base (binding) keys, and report the variant-qualified
-     entries separately. *)
-  let cache_keys = Pipeline.plan_cache_keys t.compiled in
-  let bases = Hashtbl.create 8 in
-  let nvariants = ref 0 in
-  List.iter
-    (fun k ->
-      let base =
-        match String.index_opt k '|' with
-        | Some i ->
-          incr nvariants;
-          String.sub k 0 i
-        | None -> k
-      in
-      Hashtbl.replace bases base ())
-    cache_keys;
+  let plan_keys = List.length (Pipeline.plan_cache_keys t.compiled) in
   Mutex.protect t.lock (fun () ->
       {
         workers = t.nworkers;
@@ -958,8 +881,8 @@ let stats t =
         warm_classes = t.warm_classes;
         drift_trips = t.drift_trips;
         retunes = t.retunes;
-        plan_keys = Hashtbl.length bases;
-        plan_variants = !nvariants;
+        plan_keys;
+        plan_variants = 0;
       })
 
 let shutdown t =

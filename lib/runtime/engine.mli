@@ -46,25 +46,13 @@
       re-tests the normal path — success closes the breaker, failure
       re-opens it.
 
-    {2 Multi-version plan serving (DESIGN.md §17)}
+    {2 Gated models (DESIGN.md §17)}
 
-    When the artifact carries control flow and a variant budget
-    ({!Compile_opts.t}[.variant_budget]), the engine predicts each
-    request's predicate-outcome vector from the last completed run on the
-    same plan key ([trace.gate_outcomes] / [report.gate_outcomes]) and
-    serves it through the matching precompiled plan variant
-    ({!Pipeline.variant}): pruned straight-line order, live-tensor-only
-    memory plan, no per-node branch resolution.  A mispredicted gate is
-    detected once at its Switch and transparently re-runs on the any-path
-    base plan inside {!Executor.run_real}.  A guarded config runs every
-    request through {!Guarded_exec.run} with the same prediction; plans
-    are vetted once per binding ({!Pipeline.vetted_plan}), and guarded
-    requests that ran the predicted variant without falling back count
-    ["engine-variant-direct"].  Breakers
-    and the drift detector key on the variant-qualified plan key
-    (["<binding>|v=<outcome>"]), so a misbehaving specialized plan is
-    isolated from its siblings; {!stats} aggregates cache cardinality
-    back to base keys ([plan_keys] vs [plan_variants]).
+    A request on a gated model runs the artifact's one plan: each
+    computed predicate picks the groups that run ({!Executor}), so there
+    is nothing to predict and nothing to re-run.  Plans are vetted once
+    per binding ({!Pipeline.vetted_plan}); breakers and the drift detector
+    key on the plain plan key.
 
     Per-request latency lands in a fixed-bucket log histogram (8 buckets
     per octave, no per-request retention) surfaced as p50/p95/p99 in
@@ -132,11 +120,10 @@ type stats = {
   drift_trips : int;  (** drift-detector trips (re-tunes scheduled) *)
   retunes : int;  (** background re-tunes completed and swapped in *)
   plan_keys : int;
-      (** distinct {e base} (shape-binding) keys in the instantiated-plan
-          cache — variant-qualified entries are folded into their base
-          key, so this is the per-model binding cardinality regardless of
-          how many outcome variants each binding fanned out into *)
-  plan_variants : int;  (** variant-qualified (["|v="]) cache entries *)
+      (** distinct shape-binding keys in the instantiated-plan cache *)
+  plan_variants : int;
+      (** always [0]: a compatibility leftover of per-outcome plan
+          variants, kept because existing report readers name it *)
 }
 (** Invariant once every ticket has settled:
     [completed + failed + shed + rejected + expired = submitted], and

@@ -26,7 +26,7 @@ type trace = {
   arena_bytes : int;
   arena_resident : int;
   gate_outcomes : (Graph.tensor_id * int) list;
-      (** branch taken per predicate tensor, in gate order *)
+      (** branch taken per predicate tensor, in first-observation order *)
 }
 
 type memory =
@@ -57,7 +57,7 @@ let default_config =
 (* "<backend>[,arena][,guarded][,all-paths][,<compile token>…]" — the
    CLI's --exec syntax.  Modifiers the executor does not recognize are
    offered to [Compile_opts.parse_token], so one spec can carry both sides
-   of the surface ("fused,arena,int8,variants=8"). *)
+   of the surface ("fused,arena,int8"). *)
 let config_of_string s =
   match String.split_on_char ',' (String.lowercase_ascii (String.trim s)) with
   | [] | [ "" ] -> Error "empty exec spec"
@@ -83,7 +83,7 @@ let config_of_string s =
                     (Printf.sprintf
                        "unknown exec modifier %S (expected \
                         arena|malloc|guarded|all-paths, or a compile token: \
-                        f32|f64|int8|nofuse|sym=N|variants=N|aot=VEC)" m))))
+                        f32|f64|int8|nofuse|sym=N)" m))))
         (Ok { default_config with backend })
         mods)
 
@@ -97,11 +97,8 @@ let config_to_string cfg =
             (if cfg.control = All_paths then Some "all-paths" else None);
           ]
      @ Compile_opts.to_tokens cfg.compile)
-exception Unresolved of string
 
-exception Variant_mispredict of int * int * int
-(** [(gate, assumed, got)] — a variant run's per-gate verification found
-    the computed predicate disagreeing with the plan's assumed branch. *)
+exception Unresolved of string
 
 (* Runtime view of an instantiated memory plan: per-tensor slots (element
    offset and capacity) over one grow-only buffer, plus which tensors
@@ -187,7 +184,16 @@ let combine_pred_tid (nd : Graph.node) =
     Sod2_error.fail ~op:"Combine" ~node:nd.nname Sod2_error.Arity_mismatch
       "Executor: Combine without inputs"
 
-(* --- routing and readiness, shared by both walkers ----------------- *)
+(* A value some executed node consumes but no executed node produced: the
+   plan skipped or lost its producer.  {!Guarded_exec} files it as a
+   truncated plan. *)
+let missing tid =
+  Sod2_error.failf ~tensor:tid Sod2_error.Plan_violation
+    "Executor: t%d is consumed but was never produced" tid
+
+let dims_exn st tid = match st.dims.(tid) with Some d -> d | None -> missing tid
+
+(* --- routing and branch selection, shared by both walkers ---------- *)
 
 let clamp_branch branches b = max 0 (min (branches - 1) b)
 
@@ -198,19 +204,6 @@ let copy_value st ~dst ~src =
   st.tensors.(dst) <- st.tensors.(src);
   st.avail.(dst) <- true
 
-let node_ready ~control st ~member_tids (nd : Graph.node) =
-  (* Tensors produced by earlier members of the same group become
-     available during group execution. *)
-  let ok tid = st.avail.(tid) || List.mem tid member_tids in
-  match nd.op with
-  | Op.Combine { branches } ->
-    ok (combine_pred_tid nd)
-    && (match control with
-       | Selected_only ->
-         List.exists ok (List.filteri (fun i _ -> i < branches) nd.inputs)
-       | All_paths -> true)
-  | _ -> List.for_all ok nd.inputs
-
 (* --- step recorder, shared by both walkers ------------------------- *)
 
 type recorder = {
@@ -220,9 +213,10 @@ type recorder = {
   mutable nodes_executed : int;
   mutable n_steps : int;
   mutable gate_obs : (Graph.tensor_id * int) list;  (* newest first *)
+  taken : int array;  (* per gate: the branch its Switch took, -1 = not yet *)
 }
 
-let recorder () =
+let recorder ctx =
   {
     step_of_group = Hashtbl.create 64;
     steps = [];
@@ -230,38 +224,39 @@ let recorder () =
     nodes_executed = 0;
     n_steps = 0;
     gate_obs = [];
+    taken = Array.make (Control_region.gate_count ctx.c.Pipeline.control) (-1);
   }
 
-let observe_gate rc pred b =
-  if not (List.mem_assoc pred rc.gate_obs) then rc.gate_obs <- (pred, b) :: rc.gate_obs
+(* The one way both walkers decide whether a group runs.  Under
+   [Selected_only] its members' compile-time branch constraints must hold
+   for the branches the Switches have taken so far — a lookup, with no
+   scan of the group's inputs.  Under [All_paths] every group runs. *)
+let group_live ~control ctx rc gid =
+  control = All_paths
+  || List.for_all
+       (Control_region.live_node ctx.c.Pipeline.control ~outcome:rc.taken)
+       ctx.c.fusion_plan.groups.(gid).members
 
 (* Switch: pick the branch, record it, and route the data input to the
-   taken output (every output under [All_paths]).  Returns the branch. *)
-let route_switch ~control rc ~branch ~route (nd : Graph.node) branches =
+   taken output (every output under [All_paths]). *)
+let route_switch ~control ctx rc ~branch ~route (nd : Graph.node) branches =
   let data = List.hd nd.inputs in
   let pred = switch_pred_tid nd in
   let b = clamp_branch branches (branch pred) in
-  observe_gate rc pred b;
+  if not (List.mem_assoc pred rc.gate_obs) then rc.gate_obs <- (pred, b) :: rc.gate_obs;
+  Option.iter
+    (fun gid -> rc.taken.(gid) <- b)
+    (Control_region.gate_of_switch ctx.c.Pipeline.control nd.nid);
   List.iteri
     (fun i tid -> if control = All_paths || i = b then route ~dst:tid ~src:data)
-    nd.outputs;
-  b
+    nd.outputs
 
-(* Combine: [All_paths] reads the predicate; [Selected_only] takes the one
-   branch that arrived.  False when none did. *)
-let route_combine ~control st ~branch ~route (nd : Graph.node) branches =
-  let branch_tids = List.filteri (fun i _ -> i < branches) nd.inputs in
-  let chosen =
-    match control with
-    | All_paths ->
-      List.nth_opt branch_tids (clamp_branch branches (branch (combine_pred_tid nd)))
-    | Selected_only -> List.find_opt (fun tid -> st.avail.(tid)) branch_tids
-  in
-  match chosen with
-  | Some src ->
-    route ~dst:(List.hd nd.outputs) ~src;
-    true
-  | None -> false
+(* Combine: forward the branch its predicate selects — under
+   [Selected_only] the one branch that ran. *)
+let route_combine st ~branch ~route (nd : Graph.node) branches =
+  let src = List.nth nd.inputs (clamp_branch branches (branch (combine_pred_tid nd))) in
+  if not st.avail.(src) then missing src;
+  route ~dst:(List.hd nd.outputs) ~src
 
 (* Element size from the materialized tensor when there is one; otherwise
    the compiled artifact's float dtype — the kind arena-resident values
@@ -389,7 +384,7 @@ let eval_value_info (v : Value_info.t) : int list option =
   | None -> None
 
 let dry_forward st (nd : Graph.node) =
-  let in_dims = List.map (fun tid -> Option.get st.dims.(tid)) nd.inputs in
+  let in_dims = List.map (dims_exn st) nd.inputs in
   match nd.op with
   | Op.NonZero ->
     let d = List.hd in_dims in
@@ -440,37 +435,35 @@ let run_dry ?(control = Selected_only) ?(gate = fun _ -> 0) (c : Pipeline.compil
       if not st.avail.(tid) then
         raise (Unresolved (Printf.sprintf "graph input t%d has no concrete dims" tid)))
     (Graph.inputs c.graph);
-  let rc = recorder () in
+  let rc = recorder ctx in
   let route = copy_value st in
   List.iter
     (fun gid ->
-      let members, member_tids = group_members ctx gid in
-      if List.for_all (node_ready ~control st ~member_tids) members
-         && List.for_all
-              (fun (nd : Graph.node) ->
-                match nd.op with
-                | Op.Switch { branches } ->
-                  ignore (route_switch ~control rc ~branch:gate ~route nd branches);
-                  true
-                | Op.Combine { branches } ->
-                  route_combine ~control st ~branch:gate ~route nd branches
-                | _ ->
-                  let dims, vals = dry_forward st nd in
-                  List.iteri
-                    (fun i tid ->
-                      st.dims.(tid) <- Some (List.nth dims i);
-                      st.ivals.(tid) <- List.nth vals i;
-                      st.avail.(tid) <- true)
-                    nd.outputs;
-                  true)
-              members
-      then record_step ctx st rc ~gid ~member_tids members)
+      if group_live ~control ctx rc gid then begin
+        let members, member_tids = group_members ctx gid in
+        List.iter
+          (fun (nd : Graph.node) ->
+            match nd.op with
+            | Op.Switch { branches } ->
+              route_switch ~control ctx rc ~branch:gate ~route nd branches
+            | Op.Combine { branches } -> route_combine st ~branch:gate ~route nd branches
+            | _ ->
+              let dims, vals = dry_forward st nd in
+              List.iteri
+                (fun i tid ->
+                  st.dims.(tid) <- Some (List.nth dims i);
+                  st.ivals.(tid) <- List.nth vals i;
+                  st.avail.(tid) <- true)
+                nd.outputs)
+          members;
+        record_step ctx st rc ~gid ~member_tids members
+      end)
     c.exec.Exec_plan.order;
   finish ctx st rc ~arena_bytes:0 ~arena_resident:0
 
 (* --- real walker -------------------------------------------------- *)
 
-let run_engine ~control ~verify ?kernel_hook ?backend ?arena ?variant ctx st =
+let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
   let c = ctx.c in
   let counter kind =
     Profile.Counters.record ~profile:c.Pipeline.profile.Profile.name ~kind
@@ -493,7 +486,7 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ?variant ctx st =
         counter "arena-copy-out";
         st.tensors.(tid) <- Some t;
         t
-      | _ -> Option.get st.tensors.(tid))
+      | _ -> missing tid)
   in
   (* Kernel-facing view of [tid]'s value: its arena slot when resident
      (zero-copy), else a whole-tensor view of the boxed F32 tensor. *)
@@ -507,20 +500,12 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ?variant ctx st =
       | Some t when Tensor.is_float_dtype (Tensor.dtype t) -> Some (Tensor.view_f t)
       | _ -> None)
   in
-  (* Routing alias for Switch/Combine.  Variant plans resolved the gate's
-     routing at plan time and kept the source slot live across the alias's
-     consumers (Mem_plan [?alias]), so the alias can point at the source's
-     arena slot directly — no boxed copy out of the arena per gate.
-     Otherwise the alias must not share an arena slot (it would outlive
-     the slot's planned lifetime), so the value is boxed first. *)
+  (* Routing alias for Switch/Combine.  The alias must not share an arena
+     slot (it would outlive the slot's planned lifetime), so an
+     arena-resident source is boxed first. *)
   let route ~dst ~src =
     (match arena with
-    | Some ar when ar.ar_loc.(src) && st.tensors.(src) = None -> (
-      match variant with
-      | Some v when v.Pipeline.v_alias.(dst) >= 0 ->
-        ar.ar_slot.(dst) <- ar.ar_slot.(src);
-        ar.ar_loc.(dst) <- true
-      | _ -> ignore (fetch_boxed src))
+    | Some ar when ar.ar_loc.(src) && st.tensors.(src) = None -> ignore (fetch_boxed src)
     | _ -> ());
     copy_value st ~dst ~src
   in
@@ -536,27 +521,9 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ?variant ctx st =
     | Some [] ->
       Sod2_error.failf ~tensor:tid Sod2_error.Shape_mismatch
         "Executor: control-flow predicate tensor t%d is empty" tid
-    | None ->
-      Sod2_error.failf ~tensor:tid Sod2_error.Shape_mismatch
-        "Executor: control-flow predicate tensor t%d has no value" tid
+    | None -> missing tid
   in
-  (* Variant runs verify the plan's assumption once per gate, at the
-     Switch — the only branch check left on the specialized path.  A
-     disagreement aborts into the any-path fallback (predict-verify-
-     fallback for data-dependent gates). *)
-  let verify_gate (nd : Graph.node) b =
-    match variant with
-    | Some v -> (
-      match Control_region.gate_of_switch c.Pipeline.control nd.Graph.nid with
-      | Some gid
-        when gid < Array.length v.Pipeline.v_outcome
-             && v.Pipeline.v_outcome.(gid) >= 0
-             && v.Pipeline.v_outcome.(gid) <> b ->
-        raise (Variant_mispredict (gid, v.Pipeline.v_outcome.(gid), b))
-      | _ -> ())
-    | None -> ()
-  in
-  let rc = recorder () in
+  let rc = recorder ctx in
   let cls_of (nd : Graph.node) =
     match backend with
     | None -> None
@@ -732,7 +699,7 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ?variant ctx st =
       let shapes =
         Array.to_list (Array.map (fun v -> v.Tensor.vdims, Tensor.view_dtype v) va)
       in
-      match Backend.fused_kernel be ~tpl c ~gid ~args:shapes with
+      match Backend.fused_kernel be c ~gid ~args:shapes with
       | None -> false
       | Some k ->
         let out = k.Fused_compile.k_out in
@@ -740,15 +707,6 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ?variant ctx st =
             k.Fused_compile.k_run_into ~par:(Backend.par_of be) va ~c:cbuf ~co);
         set_dims k.Fused_compile.k_dims;
         true
-  in
-  (* A variant executes its pruned order with no per-group readiness scan:
-     every surviving group is statically known to run, and branch inputs
-     were resolved at compile time.  The scan counter makes "zero per-node
-     branch resolution in steady state" a testable claim. *)
-  let order, templates =
-    match variant with
-    | Some v -> v.Pipeline.v_order, v.Pipeline.v_fused
-    | None -> c.exec.Exec_plan.order, c.Pipeline.fused
   in
   (* A multi-member group first offers itself to the fused backend: one
      compiled kernel, internal tensors never materialized.  Any refusal
@@ -758,11 +716,11 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ?variant ctx st =
   let run_fused ~gid members =
     match backend with
     | Some be when List.length members > 1 -> (
-      (match arena, templates.(gid) with
+      (match arena, c.Pipeline.fused.(gid) with
       | Some _, Some tpl -> run_fused_arena be ~gid tpl
       | _ -> false)
       ||
-      match Backend.fused_run be ?tpl:templates.(gid) c ~gid ~fetch:fetch_boxed with
+      match Backend.fused_run be c ~gid ~fetch:fetch_boxed with
       | Some fr ->
         set_dims fr.Backend.fr_dims;
         st.tensors.(fr.Backend.fr_out) <- Some fr.Backend.fr_tensor;
@@ -772,56 +730,37 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ?variant ctx st =
   in
   List.iter
     (fun gid ->
-      let members, member_tids = group_members ctx gid in
-      (* Combine fires when its selected branch arrived even though other
-         branch inputs are missing; plain nodes need everything. *)
-      let ready =
-        match variant with
-        | Some _ -> true
-        | None ->
-          counter "exec-ready-scan";
-          List.for_all (node_ready ~control st ~member_tids) members
-      in
-      if ready then begin
+      if group_live ~control ctx rc gid then begin
+        let members, member_tids = group_members ctx gid in
         (match kernel_hook with
         | Some hook ->
           List.iter (fun (nd : Graph.node) -> hook ~gid ~node:nd.Graph.nid) members
         | None -> ());
-        let executed_all =
-          run_fused ~gid members
-          || List.for_all
-               (fun (nd : Graph.node) ->
-                 match nd.op with
-                 | Op.Switch { branches } ->
-                   verify_gate nd
-                     (route_switch ~control rc ~branch:branch_of_pred ~route nd branches);
-                   true
-                 | Op.Combine { branches } ->
-                   route_combine ~control st ~branch:branch_of_pred ~route nd branches
-                 | _ ->
-                   exec_plain nd;
-                   true)
-               members
-        in
-        if executed_all then begin
-          (* Fused-group boundary guard: hand every produced extent to the
-             caller's verifier (no-op unless dims cross-checking is on). *)
+        if not (run_fused ~gid members) then
           List.iter
-            (fun tid -> Option.iter (verify tid) st.dims.(tid))
-            member_tids;
-          record_step ctx st rc ~gid ~member_tids members
-        end
+            (fun (nd : Graph.node) ->
+              match nd.op with
+              | Op.Switch { branches } ->
+                route_switch ~control ctx rc ~branch:branch_of_pred ~route nd branches
+              | Op.Combine { branches } ->
+                route_combine st ~branch:branch_of_pred ~route nd branches
+              | _ -> exec_plain nd)
+            members;
+        (* Fused-group boundary guard: hand every produced extent to the
+           caller's verifier (no-op unless dims cross-checking is on). *)
+        List.iter (fun tid -> Option.iter (verify tid) st.dims.(tid)) member_tids;
+        record_step ctx st rc ~gid ~member_tids members
       end)
-    order;
+    c.exec.Exec_plan.order;
   finish ctx st rc
     ~arena_bytes:(match arena with Some ar -> ar.ar_bytes | None -> 0)
     ~arena_resident:(match arena with Some ar -> ar.ar_resident | None -> 0)
 
 (* --- run_real ----------------------------------------------------- *)
 
-(* One attempt over [variant] (or the base plan): fresh state, the arena
-   laid out, the real walk, then the outputs boxed at the boundary. *)
-let run_attempt ~control ~check_env ?backend ~memory ?plan ?kernel_hook ctx ~inputs variant =
+(* Fresh state, the arena laid out, the real walk, then the outputs boxed
+   at the boundary. *)
+let interpret ~control ~check_env ?backend ~memory ?plan ?kernel_hook ctx ~inputs =
   let c = ctx.c in
   let st = init_state c ~keep_tensors:true in
   List.iter (fun (tid, t) -> store st tid t) inputs;
@@ -835,9 +774,9 @@ let run_attempt ~control ~check_env ?backend ~memory ?plan ?kernel_hook ctx ~inp
     | Malloc -> None
     | Arena { arena; env } ->
       let plan, defects =
-        match variant, plan with
-        | None, Some p -> p
-        | _ -> Pipeline.vetted_plan c ?variant env
+        match plan with
+        | Some p -> p
+        | None -> Pipeline.vetted_plan c env
       in
       if defects <> [] then begin
         Profile.Counters.record ~profile:c.Pipeline.profile.Profile.name
@@ -882,7 +821,7 @@ let run_attempt ~control ~check_env ?backend ~memory ?plan ?kernel_hook ctx ~inp
             (String.concat "; " (List.map string_of_int want))
         | _ -> ())
   in
-  let trace = run_engine ~control ~verify ?kernel_hook ?backend ?arena ?variant ctx st in
+  let trace = run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st in
   (* Model outputs must outlive the arena (its slots are overwritten by the
      next inference), so arena-resident outputs are boxed at the boundary.
      This is the one unavoidable copy of arena mode and is counted
@@ -909,9 +848,12 @@ let run_attempt ~control ~check_env ?backend ~memory ?plan ?kernel_hook ctx ~inp
    explicit [memory] supplies its own.  A non-naive [config.backend] with
    no caller-supplied instance creates a transient backend for this one
    run and shuts it down afterwards; callers with steady traffic should
-   pass their own long-lived [?backend] (or use {!Engine}). *)
-let run_real ?(config = default_config) ?env ?backend ?memory ?outcomes ?plan
+   pass their own long-lived [?backend] (or use {!Engine}).  [outcomes]
+   is ignored: a compatibility leftover of outcome-predicted plan
+   variants. *)
+let run_real ?(config = default_config) ?env ?backend ?memory ?outcomes:_ ?plan
     ?kernel_hook (c : Pipeline.compiled) ~inputs =
+  Validate.check_inputs c.graph inputs;
   let memory =
     match memory, config.memory, env with
     | Some m, _, _ -> m
@@ -931,29 +873,11 @@ let run_real ?(config = default_config) ?env ?backend ?memory ?outcomes ?plan
       let be = Backend.for_compiled k c in
       Some be, Some be
   in
-  let ctx = make_ctx c in
-  let attempt =
-    run_attempt ~control:config.control ~check_env ?backend ~memory ?plan ?kernel_hook ctx
-      ~inputs
-  in
-  let counter kind = Profile.Counters.record ~profile:c.Pipeline.profile.Profile.name ~kind in
   Fun.protect
     ~finally:(fun () -> Option.iter Backend.shutdown owned)
     (fun () ->
-      (* Variant dispatch: resolve the outcome vector to a specialized plan
-         (bounded by the artifact's budget), execute it, and on a per-gate
-         verification failure rerun from scratch on the any-path base plan —
-         mispredicted state never leaks into the fallback. *)
-      match Option.bind outcomes (fun o -> Pipeline.variant c ~outcome:o) with
-      | None -> attempt None
-      | Some v -> (
-        try
-          let r = attempt (Some v) in
-          counter "variant-run";
-          r
-        with Variant_mispredict _ ->
-          counter "variant-mispredict";
-          attempt None))
+      interpret ~control:config.control ~check_env ?backend ~memory ?plan ?kernel_hook
+        (make_ctx c) ~inputs)
 
 let peak_live_bytes (trace : trace) =
   let last =

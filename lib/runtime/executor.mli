@@ -16,7 +16,14 @@
 
     Control flow executes either [Selected_only] (SoD²: the predicate
     routes exactly one branch) or [All_paths] (the baseline frameworks'
-    "execute every branch and strip invalid results" strategy).
+    "execute every branch and strip invalid results" strategy).  Both
+    walkers follow the one static order and decide whether a group runs
+    the same way: under [Selected_only] its members' compile-time branch
+    constraints ({!Control_region.live_node}) must hold for the branches
+    the Switches have taken so far; under [All_paths] every group runs.
+    A group that runs but consumes a value no executed group produced (a
+    truncated or corrupted plan) raises [Sod2_error.Error] (class
+    [Plan_violation]).
 
     The result is a {!trace}: per-step operator extents for latency
     costing, and per-tensor allocation events for memory accounting.  The
@@ -61,8 +68,7 @@ type trace = {
       (** tensors computed straight into arena slots this inference *)
   gate_outcomes : (Graph.tensor_id * int) list;
       (** branch taken per Switch predicate tensor, in first-observation
-          order — what {!Engine} feeds its per-model outcome prediction
-          for variant selection *)
+          order *)
 }
 
 type memory =
@@ -120,7 +126,7 @@ val config_of_string : string -> (config, string) result
     ["naive|blocked|parallel|fused[,arena][,malloc][,guarded][,all-paths]"].
     Modifiers the executor does not recognize are folded through
     {!Compile_opts.parse_token} into [compile], so a single spec can carry
-    compile tokens too (["fused,arena,int8,variants=8"]). *)
+    compile tokens too (["fused,arena,int8"]). *)
 
 val config_to_string : config -> string
 (** Canonical [--exec] rendering (exec modifiers first, then the
@@ -130,12 +136,6 @@ val config_to_string : config -> string
 exception Unresolved of string
 (** Raised by {!run_dry} when a shape could not be resolved concretely —
     indicates a gap in the operator's transfer function. *)
-
-exception Variant_mispredict of int * int * int
-(** [(gate, assumed, got)] — a variant run's once-per-gate verification at
-    the Switch found the computed predicate selecting a different branch
-    than the specialized plan assumed.  {!run_real} catches this
-    internally, falling back to the any-path base plan. *)
 
 val run_dry :
   ?control:control -> ?gate:(Graph.tensor_id -> int) ->
@@ -152,9 +152,10 @@ val run_real :
   Pipeline.compiled -> inputs:(Graph.tensor_id * Tensor.t) list ->
   trace * (Graph.tensor_id * Tensor.t) list
 (** Full interpretation; returns the trace and the graph output tensors.
-    Switch predicates are read from the computed predicate tensors; a
-    predicate that is empty or has no value raises [Sod2_error.Error]
-    (class [Shape_mismatch]).
+    A graph input that [inputs] leaves unbound raises [Sod2_error.Error]
+    (class [Invalid_graph], {!Validate.check_inputs}) before anything
+    runs.  Switch predicates are read from the computed predicate tensors;
+    an empty predicate raises [Sod2_error.Error] (class [Shape_mismatch]).
 
     [config] (default {!default_config}) carries every execution choice:
     - [config.control] is the control-flow policy;
@@ -187,20 +188,13 @@ val run_real :
     binding) is clean; a plan with defects runs boxed and counts
     ["arena-fallback-malloc"].
 
-    [outcomes] predicts the predicate-outcome vector: when the artifact has
-    a plan variant for it (within budget — {!Pipeline.variant}), execution
-    runs the variant's pruned straight-line order with no per-group
-    readiness scans (["exec-ready-scan"] stays flat; successful runs count
-    ["variant-run"]), verifying the prediction once per gate at its
-    Switch.  A misprediction (["variant-mispredict"]) or a missing variant
-    falls back to the any-path base plan — results are identical either
-    way, only the steady-state cost differs.
+    [outcomes] is ignored: a compatibility leftover of the
+    outcome-predicted plan variants this executor no longer has.
 
     [plan] and [kernel_hook] are {!Guarded_exec}'s seams.  [plan]
-    replaces the base plan and its verdict for an [Arena] run (variant
-    attempts keep their own cached plans).  [kernel_hook] runs before each
-    executed group's members, fused or not, and may raise to simulate a
-    faulty kernel. *)
+    replaces the cached plan and its verdict for an [Arena] run.
+    [kernel_hook] runs before each executed group's members, fused or
+    not, and may raise to simulate a faulty kernel. *)
 
 (** {1 Accounting helpers} *)
 

@@ -26,7 +26,6 @@ type report = {
   demoted_nodes : int;
   arena_bytes : int;
   arena_resident : int;
-  gate_outcomes : (Graph.tensor_id * int) list;
 }
 
 let kind_of_defect = function
@@ -39,8 +38,10 @@ let kind_of_defect = function
    leaves behind when it raises or comes up short is discarded, so no
    state from a failed attempt reaches the fallback answer. *)
 let run ?(config = Executor.default_config) ?mem_plan ?arena ?kernel_hook ?backend
-    ?outcomes (c : Pipeline.compiled) ~env ~inputs =
+    (c : Pipeline.compiled) ~env ~inputs =
   let g = c.Pipeline.graph in
+  (* A request missing an input is the caller's error, not a plan fault. *)
+  Validate.check_inputs g inputs;
   let incidents = ref [] in
   let incident kind detail =
     incidents := { kind; detail } :: !incidents;
@@ -58,7 +59,7 @@ let run ?(config = Executor.default_config) ?mem_plan ?arena ?kernel_hook ?backe
     match
       Executor.run_real ~config:{ config with Executor.guarded = true } ~env ?backend
         ~memory:(Executor.Arena { arena; env })
-        ?outcomes ~plan ?kernel_hook c ~inputs
+        ~plan ?kernel_hook c ~inputs
     with
     | trace, outputs when List.length outputs = List.length (Graph.outputs g) ->
       Some (trace, outputs)
@@ -68,9 +69,13 @@ let run ?(config = Executor.default_config) ?mem_plan ?arena ?kernel_hook ?backe
            (List.length (Graph.outputs g) - List.length outputs)
            (List.length (Graph.outputs g)));
       None
-    (* The guarded boundary cross-check raises [Shape_mismatch]. *)
+    (* The guarded boundary cross-check raises [Shape_mismatch]; a group
+       consuming a value the plan never produced raises [Plan_violation]. *)
     | exception Sod2_error.Error ({ cls = Sod2_error.Shape_mismatch; _ } as e) ->
       incident Dim_mismatch (Sod2_error.to_string e);
+      None
+    | exception Sod2_error.Error ({ cls = Sod2_error.Plan_violation; _ } as e) ->
+      incident Truncated_plan (Sod2_error.to_string e);
       None
     | exception ((Sod2_error.Error _ | Invalid_argument _ | Failure _) as e) ->
       incident Kernel_fault (Printexc.to_string e);
@@ -86,7 +91,6 @@ let run ?(config = Executor.default_config) ?mem_plan ?arena ?kernel_hook ?backe
       demoted_nodes = 0;
       arena_bytes = trace.Executor.arena_bytes;
       arena_resident = trace.Executor.arena_resident;
-      gate_outcomes = trace.Executor.gate_outcomes;
     }
   | None ->
     {
@@ -96,5 +100,4 @@ let run ?(config = Executor.default_config) ?mem_plan ?arena ?kernel_hook ?backe
       demoted_nodes = Graph.node_count g;
       arena_bytes = 0;
       arena_resident = 0;
-      gate_outcomes = [];
     }

@@ -14,9 +14,10 @@
       every tensor produced at a fused-group boundary must have the dims
       RDP predicts under the symbol {!Env}.
     - {b else re-run}: if the attempt raises (a dims disagreement, a
-      faulty kernel) or leaves a graph output unproduced (a truncated
-      plan), the whole request re-runs on {!Reference.run}; nothing from
-      the failed attempt leaks into the answer.
+      faulty kernel, a group consuming a value the plan never produced)
+      or leaves a graph output unproduced (a truncated plan), the whole
+      request re-runs on {!Reference.run}; nothing from the failed attempt
+      leaks into the answer.
 
     Every incident is recorded in the report and in the process-global
     {!Profile.Counters}, giving production monitoring a fallback-health
@@ -29,7 +30,9 @@ type fault_kind =
   | Plan_overlap  (** two allocations overlap in space while both live *)
   | Size_mismatch  (** planned byte size disagrees with the RDP size *)
   | Dim_mismatch  (** executed dims disagree with the RDP prediction under [env] *)
-  | Truncated_plan  (** the plan left a graph output unproduced *)
+  | Truncated_plan
+      (** the plan left a graph output, or a value an executed group
+          consumes, unproduced *)
   | Kernel_fault  (** a kernel raised while executing the plan *)
 
 val fault_name : fault_kind -> string
@@ -48,10 +51,6 @@ type report = {
           after a fallback, 0 on a clean run *)
   arena_bytes : int;
   arena_resident : int;  (** tensors that lived in the arena *)
-  gate_outcomes : (Graph.tensor_id * int) list;
-      (** branch taken per Switch predicate tensor, in first-observation
-          order, from the plan attempt ([[]] after a fallback) — lets
-          {!Engine} learn outcome vectors and predict plan variants *)
 }
 
 val run :
@@ -60,7 +59,6 @@ val run :
   ?arena:Arena.t ->
   ?kernel_hook:(gid:int -> node:Graph.node_id -> unit) ->
   ?backend:Backend.t ->
-  ?outcomes:int array ->
   Pipeline.compiled ->
   env:Env.t ->
   inputs:(Graph.tensor_id * Tensor.t) list ->
@@ -72,12 +70,12 @@ val run :
     is given) and [control]; its [memory] and [guarded] fields do not
     apply — guarded runs always follow the plan over an arena ([arena],
     persistent across calls, or a fresh one) with the cross-check on
-    ({!Executor.run_real} under [{ config with guarded = true }]).  [outcomes] predicts the gate outcomes as in
-    {!Executor.run_real}; a variant attempt follows its own cached plan.
+    ({!Executor.run_real} under [{ config with guarded = true }]).
 
     [mem_plan] replaces the base plan instantiated from [env] and is
     vetted afresh (the fault-injection seam).  [kernel_hook] runs before
     each executed group's members and may raise to simulate a faulty
     specialized kernel.  Never raises on plan corruption; raises
-    [Sod2_error.Error] only when {!Reference.run} cannot compute a graph
-    output either (malformed graph). *)
+    [Sod2_error.Error] only when [inputs] leaves a graph input unbound
+    ({!Validate.check_inputs}, before any attempt) or {!Reference.run}
+    cannot compute a graph output either (malformed graph). *)

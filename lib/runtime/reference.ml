@@ -98,6 +98,7 @@ let branch_of_pred ~tensor t =
       "Reference: control-flow predicate tensor t%d is empty" tensor
 
 let run (g : Graph.t) ~inputs =
+  Validate.check_inputs g inputs;
   let value : Tensor.t option array = Array.make (Graph.tensor_count g) None in
   for tid = 0 to Graph.tensor_count g - 1 do
     match (Graph.tensor g tid).Graph.kind with

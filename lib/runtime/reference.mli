@@ -38,6 +38,8 @@ val run :
   Graph.t -> inputs:(Graph.tensor_id * Tensor.t) list ->
   (Graph.tensor_id * Tensor.t) list
 (** Interpret the graph on the given input tensors and return the graph
-    output tensors.  Raises [Sod2_error.Error] (class [Plan_violation])
-    when a graph output was never produced — e.g. a malformed graph whose
-    selected branch never reaches the output. *)
+    output tensors.  Raises [Sod2_error.Error] (class [Invalid_graph],
+    {!Validate.check_inputs}) when [inputs] leaves a graph input unbound,
+    and (class [Plan_violation]) when a graph output was never produced —
+    e.g. a malformed graph whose selected branch never reaches the
+    output. *)

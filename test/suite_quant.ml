@@ -489,12 +489,11 @@ let config_of spec =
   | Error e -> Alcotest.fail e
 
 let test_engine_guarded_int8_consistent () =
-  (* Planned runs honour the artifact's int8 whichever plan serves them: the first
-     request runs the base plan (and learns the gate outcomes), the later
-     ones the predicted variant — same inputs, same int8 answer. *)
+  (* Planned runs of a gated model honour the artifact's int8 on every
+     request: same inputs, same int8 answer. *)
   let sp = Option.get (Zoo.by_name "skipnet") in
   let g = sp.Zoo.build () in
-  let cfg = config_of "blocked,arena,guarded,int8,variants=8" in
+  let cfg = config_of "blocked,arena,guarded,int8" in
   let c =
     Sod2.Pipeline.compile ~opts:cfg.RT.Executor.compile cpu g
   in

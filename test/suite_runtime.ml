@@ -254,6 +254,53 @@ let test_empty_predicate_raises () =
     Alcotest.fail "executor: empty predicate not rejected"
   with Sod2_error.Error { cls = Sod2_error.Shape_mismatch; _ } -> ()
 
+(* A request that leaves a graph input unbound is refused up front with a
+   structured error naming the input, by both interpreters — never
+   answered with a partial output list. *)
+let two_input_graph () =
+  let b = Graph.Builder.create () in
+  let x = Graph.Builder.input b ~name:"x" (Shape.of_ints [ 2 ]) in
+  let y = Graph.Builder.input b ~name:"y" (Shape.of_ints [ 2 ]) in
+  let sx = Graph.Builder.node1 b (Op.Unary Op.Relu) [ x ] in
+  let sy = Graph.Builder.node1 b (Op.Unary Op.Relu) [ y ] in
+  Graph.Builder.set_outputs b [ sx; sy ];
+  Graph.Builder.finish b, x, y
+
+let expect_unbound name ~tid f =
+  match f () with
+  | _ -> Alcotest.failf "%s: ran with an unbound graph input" name
+  | exception Sod2_error.Error { cls = Sod2_error.Invalid_graph; ctx; msg } ->
+    Alcotest.(check (option int)) (name ^ ": names the input") (Some tid)
+      ctx.Sod2_error.tensor;
+    let n = String.length msg in
+    Alcotest.(check bool) (name ^ ": message names it too") true
+      (List.exists (fun i -> String.sub msg i 3 = "(y)") (List.init (max 0 (n - 2)) Fun.id))
+
+let test_run_real_unbound_input () =
+  let g, x, y = two_input_graph () in
+  let c = Sod2.Pipeline.compile cpu g in
+  let inputs = [ x, Tensor.create_f [ 2 ] [| 1.0; -2.0 |] ] in
+  expect_unbound "run_real" ~tid:y (fun () -> Sod2_runtime.Executor.run_real c ~inputs);
+  expect_unbound "run_real (arena)" ~tid:y (fun () ->
+      Sod2_runtime.Executor.run_real
+        ~memory:(Sod2_runtime.Executor.Arena { arena = Sod2_runtime.Arena.create (); env = Env.empty })
+        c ~inputs);
+  (* The engine settles such a request as failed, not completed. *)
+  let eng = Sod2_runtime.Engine.create ~workers:1 c in
+  Fun.protect
+    ~finally:(fun () -> Sod2_runtime.Engine.shutdown eng)
+    (fun () ->
+      expect_unbound "engine" ~tid:y (fun () ->
+          Sod2_runtime.Engine.infer eng ~env:Env.empty ~inputs);
+      let st = Sod2_runtime.Engine.stats eng in
+      Alcotest.(check int) "engine: counted as failed" 1 st.Sod2_runtime.Engine.failed;
+      Alcotest.(check int) "engine: nothing completed" 0 st.Sod2_runtime.Engine.completed)
+
+let test_reference_unbound_input () =
+  let g, x, y = two_input_graph () in
+  expect_unbound "Reference.run" ~tid:y (fun () ->
+      Sod2_runtime.Reference.run g ~inputs:[ x, Tensor.create_f [ 2 ] [| 1.0; -2.0 |] ])
+
 (* The arena composes with every kernel backend: outputs of steady-state
    (slot-reusing) arena runs agree with the malloc-mode interpreter. *)
 let test_arena_backends_match () =
@@ -365,6 +412,10 @@ let suite =
     Alcotest.test_case "arena steady state re-plans and copies nothing" `Quick
       test_arena_steady_state;
     Alcotest.test_case "empty control-flow predicate raises" `Quick test_empty_predicate_raises;
+    Alcotest.test_case "run_real refuses an unbound graph input" `Quick
+      test_run_real_unbound_input;
+    Alcotest.test_case "Reference.run refuses an unbound graph input" `Quick
+      test_reference_unbound_input;
     Alcotest.test_case "arena composes with every backend" `Slow test_arena_backends_match;
     Alcotest.test_case "event bookkeeping" `Quick test_event_bookkeeping;
     Alcotest.test_case "unresolved dry shapes raise" `Quick test_unresolved_raises;

@@ -1,18 +1,14 @@
-(* Tests for ahead-of-time multi-version plans and the Compile_opts
-   surface.
+(* Tests for gated execution and the Compile_opts surface.
 
-   Correctness: for randomized gated graphs and randomized outcome
-   vectors, a run through the specialized plan variant must be
-   bit-identical to the any-path base plan and to the reference
-   topological interpreter — routing specialization must never change a
-   number.  Budget overflow and gate misprediction both fall back to the
-   base plan transparently.
+   Correctness: for randomized gated graphs and for the gated zoo models
+   over random inputs, selected-only execution (each computed predicate
+   picks the groups that run) must be bit-identical to all-paths
+   execution of the same plan, and both must agree with the reference
+   interpreter — routing must never change a number.
 
-   Performance contract (counter-based, not timed): a variant run
-   performs zero per-group readiness scans ("exec-ready-scan" stays
-   flat), and steady-state variant serving re-instantiates no plans
-   ("plan-cache-miss" stays flat once a (binding × outcome) pair has been
-   seen). *)
+   Steady state (counter-based, not timed): repeated arena runs of a
+   gated model re-instantiate no plans ("plan-cache-miss" stays flat once
+   a binding has been seen). *)
 
 module RT = Sod2_runtime
 
@@ -47,8 +43,8 @@ let gated_chain ~branches =
       in
       y := Graph.Builder.node1 b (Op.Combine { branches = nb }) (results @ [ preds.(i) ]))
     branches;
-  (* A tail op after the last Combine so variants also prune/keep plain
-     nodes downstream of control flow. *)
+  (* A tail op after the last Combine, so runs also keep a plain node
+     downstream of control flow. *)
   y := Graph.Builder.node1 b (Op.Unary Op.Gelu) [ !y ];
   Graph.Builder.set_outputs b [ !y ];
   Graph.Builder.finish b, x, preds
@@ -57,11 +53,6 @@ let inputs_for g x preds outcome =
   ignore g;
   (x, Tensor.create_f [ 8 ] (Array.init 8 (fun i -> float_of_int (i - 3) *. 0.7)))
   :: Array.to_list (Array.map2 (fun p o -> p, Tensor.create_i [ 1 ] [| o |]) preds outcome)
-
-let opts_of spec =
-  match Sod2.Compile_opts.of_string spec with
-  | Ok o -> o
-  | Error e -> Alcotest.failf "bad compile spec %S: %s" spec e
 
 let check_bits name want got =
   List.iter2
@@ -73,133 +64,92 @@ let check_bits name want got =
 
 (* --- randomized correctness --------------------------------------- *)
 
-let prop_variant_bit_identical =
-  QCheck2.Test.make ~name:"variant = any-path = reference (random gated graphs)"
+let run_with control c ~inputs =
+  snd (RT.Executor.run_real ~config:{ RT.Executor.default_config with control } c ~inputs)
+
+let prop_selected_bit_identical =
+  QCheck2.Test.make
+    ~name:"selected-only = all-paths = Reference, bit for bit (random gated chains)"
     ~count:60
     QCheck2.Gen.(tup2 (int_range 1 3) (int_range 0 100000))
     (fun (gates, seed) ->
       let branches = Array.init gates (fun i -> 2 + ((seed / (i + 1)) mod 2)) in
       let outcome = Array.mapi (fun i nb -> (seed / (3 * (i + 1))) mod nb) branches in
       let g, x, preds = gated_chain ~branches in
-      let c = Sod2.Pipeline.compile ~opts:(opts_of "variants=16") cpu g in
+      let c = Sod2.Pipeline.compile cpu g in
       let inputs = inputs_for g x preds outcome in
       let reference = RT.Reference.run g ~inputs in
-      let _, base = RT.Executor.run_real c ~inputs in
-      let runs_before = count "variant-run" in
-      let _, specialized = RT.Executor.run_real ~outcomes:outcome c ~inputs in
-      check_bits "base" reference base;
-      check_bits "variant" reference specialized;
-      Alcotest.(check int) "run went through the variant" (runs_before + 1)
-        (count "variant-run");
+      check_bits "selected-only" reference (run_with RT.Executor.Selected_only c ~inputs);
+      check_bits "all-paths" reference (run_with RT.Executor.All_paths c ~inputs);
       true)
 
-(* --- budget overflow ----------------------------------------------- *)
+(* The same property on the gated zoo models, over random inputs (and so
+   random gate outcomes) on the blocked backend with a persistent arena:
+   per-dtype bit-identity with the reference holds across backends
+   (DESIGN.md §14). *)
+let gated_models = [| "skipnet"; "blockdrop"; "dgnet"; "ranet" |]
 
-let test_budget_overflow_falls_back () =
-  let branches = [| 2; 2; 2 |] in
-  let g, x, preds = gated_chain ~branches in
-  let c = Sod2.Pipeline.compile ~opts:(opts_of "variants=2") cpu g in
-  let all_outcomes =
-    [ [| 0; 0; 0 |]; [| 1; 0; 0 |]; [| 0; 1; 0 |]; [| 1; 1; 1 |] ]
-  in
-  let overflow_before = count "variant-overflow" in
-  List.iter
-    (fun outcome ->
-      let inputs = inputs_for g x preds outcome in
-      let reference = RT.Reference.run g ~inputs in
-      let _, outs = RT.Executor.run_real ~outcomes:outcome c ~inputs in
-      check_bits "overflow fallback" reference outs)
-    all_outcomes;
-  Alcotest.(check int) "budget kept exactly 2 variants" 2
-    (Hashtbl.length c.Sod2.Pipeline.variants);
-  Alcotest.(check bool) "overflow was counted" true
-    (count "variant-overflow" > overflow_before)
+let prop_zoo_selected_bit_identical =
+  QCheck2.Test.make
+    ~name:"gated zoo models (blocked,arena): selected-only = all-paths = Reference"
+    ~count:8
+    QCheck2.Gen.(tup2 (int_range 0 (Array.length gated_models - 1)) (int_range 0 100000))
+    (fun (mi, seed) ->
+      let sp = Option.get (Zoo.by_name gated_models.(mi)) in
+      let g = Sod2_experiments.Harness.graph_of sp in
+      let env = Zoo.min_env sp in
+      let inputs = Zoo.make_inputs sp g env (Rng.create seed) in
+      let c = Sod2.Pipeline.compile cpu g in
+      let be = RT.Backend.for_compiled RT.Backend.Blocked c in
+      Fun.protect
+        ~finally:(fun () -> RT.Backend.shutdown be)
+        (fun () ->
+          let memory = RT.Executor.Arena { arena = RT.Arena.create (); env } in
+          let run control =
+            snd
+              (RT.Executor.run_real
+                 ~config:{ RT.Executor.default_config with control }
+                 ~backend:be ~memory c ~inputs)
+          in
+          let reference = RT.Reference.run g ~inputs in
+          check_bits (sp.Zoo.name ^ ": selected-only") reference (run RT.Executor.Selected_only);
+          check_bits (sp.Zoo.name ^ ": all-paths") reference (run RT.Executor.All_paths);
+          true))
 
-(* --- misprediction -------------------------------------------------- *)
+(* --- only live groups run, zero-miss steady state ------------------ *)
 
-let test_mispredict_falls_back () =
+let test_gated_steady_state () =
   let branches = [| 2; 2 |] in
   let g, x, preds = gated_chain ~branches in
-  let c = Sod2.Pipeline.compile ~opts:(opts_of "variants=8") cpu g in
-  (* The inputs route 1,1 but we predict 0,0: the gate-0 verification must
-     detect the lie and rerun on the any-path plan with fresh state. *)
-  let inputs = inputs_for g x preds [| 1; 1 |] in
-  let reference = RT.Reference.run g ~inputs in
-  let mispred_before = count "variant-mispredict" in
-  let runs_before = count "variant-run" in
-  let _, outs = RT.Executor.run_real ~outcomes:[| 0; 0 |] c ~inputs in
-  check_bits "mispredict fallback" reference outs;
-  Alcotest.(check int) "mispredict counted" (mispred_before + 1)
-    (count "variant-mispredict");
-  Alcotest.(check int) "no variant-run credit for the lie" runs_before
-    (count "variant-run")
-
-(* --- zero per-node branch resolution, zero-miss steady state -------- *)
-
-let test_variant_steady_state_counters () =
-  let branches = [| 2; 2 |] in
-  let g, x, preds = gated_chain ~branches in
-  let c = Sod2.Pipeline.compile ~opts:(opts_of "variants=8") cpu g in
-  let outcome = [| 1; 0 |] in
-  let inputs = inputs_for g x preds outcome in
-  let env = Env.empty in
+  let c = Sod2.Pipeline.compile cpu g in
+  let inputs = inputs_for g x preds [| 1; 0 |] in
   let arena = RT.Arena.create () in
-  let memory = RT.Executor.Arena { arena; env } in
-  let run ?outcomes () = snd (RT.Executor.run_real ~memory ?outcomes c ~inputs) in
+  let memory = RT.Executor.Arena { arena; env = Env.empty } in
+  let run () = RT.Executor.run_real ~memory c ~inputs in
   let reference = RT.Reference.run g ~inputs in
-  (* Base run: readiness scans happen.  Variant run: none. *)
-  let scans0 = count "exec-ready-scan" in
-  check_bits "arena base" reference (run ());
-  let scans_base = count "exec-ready-scan" - scans0 in
-  Alcotest.(check bool) "base plan scans readiness" true (scans_base > 0);
-  let scans1 = count "exec-ready-scan" in
-  check_bits "arena variant" reference (run ~outcomes:outcome ());
-  Alcotest.(check int) "variant run performs zero readiness scans" 0
-    (count "exec-ready-scan" - scans1);
-  (* Steady state: the (binding × outcome) plan is cached — no further
+  let tr, outs = run () in
+  check_bits "arena run" reference outs;
+  (* Each gate's untaken branch is one dead group: two fewer steps than
+     all-paths execution of the same plan. *)
+  let all_paths, _ =
+    RT.Executor.run_real
+      ~config:{ RT.Executor.default_config with control = RT.Executor.All_paths }
+      ~memory c ~inputs
+  in
+  Alcotest.(check int) "dead branches do not run"
+    (List.length all_paths.RT.Executor.steps - 2)
+    (List.length tr.RT.Executor.steps);
+  (* Steady state: the binding's plan is cached — no further
      instantiation, one hit per run. *)
   let misses = count "plan-cache-miss" in
   let hits = count "plan-cache-hit" in
   for _ = 1 to 4 do
-    check_bits "steady variant" reference (run ~outcomes:outcome ())
+    check_bits "steady run" reference (snd (run ()))
   done;
   Alcotest.(check int) "zero plan-cache misses in steady state" misses
     (count "plan-cache-miss");
-  Alcotest.(check int) "every steady run hit the variant plan" (hits + 4)
+  Alcotest.(check int) "every steady run hit the cached plan" (hits + 4)
     (count "plan-cache-hit")
-
-(* --- AOT enumeration ------------------------------------------------ *)
-
-let test_aot_enumeration () =
-  let branches = [| 2; 2 |] in
-  let g, _, _ = gated_chain ~branches in
-  (* Budget covers the full outcome space: all four variants precompiled. *)
-  let c = Sod2.Pipeline.compile ~opts:(opts_of "variants=4") cpu g in
-  Alcotest.(check int) "full space enumerated at compile" 4
-    (Hashtbl.length c.Sod2.Pipeline.variants);
-  (* Budget below the space: nothing enumerated wholesale, explicit AOT
-     vectors still compiled. *)
-  let c2 = Sod2.Pipeline.compile ~opts:(opts_of "variants=2,aot=10") cpu g in
-  Alcotest.(check int) "only the requested vector" 1
-    (Hashtbl.length c2.Sod2.Pipeline.variants);
-  Alcotest.(check bool) "keyed by its outcome key" true
-    (Hashtbl.mem c2.Sod2.Pipeline.variants "10");
-  (* variants=0 disables the machinery entirely. *)
-  let c3 = Sod2.Pipeline.compile cpu g in
-  Alcotest.(check (option unit)) "no budget, no variant"
-    None
-    (Option.map ignore (Sod2.Pipeline.variant c3 ~outcome:[| 0; 0 |]))
-
-(* --- outcome-key round-trip ----------------------------------------- *)
-
-let prop_outcome_key_roundtrip =
-  QCheck2.Test.make ~name:"outcome_key/outcome_of_key round-trip" ~count:200
-    QCheck2.Gen.(list_size (int_range 1 6) (int_range (-1) 12))
-    (fun digits ->
-      let v = Array.of_list digits in
-      match Sod2.Multi_version.outcome_of_key (Sod2.Multi_version.outcome_key v) with
-      | Some w -> w = v
-      | None -> false)
 
 (* --- Compile_opts round-trip ---------------------------------------- *)
 
@@ -215,8 +165,8 @@ let prop_compile_opts_roundtrip =
             (if flags land 1 <> 0 then [ "int8" ] else []);
             (if flags land 2 <> 0 then [ "nofuse" ] else []);
             (if sym > 0 then [ Printf.sprintf "sym=%d" sym ] else []);
+            (* accepted and ignored *)
             (if variants > 0 then [ Printf.sprintf "variants=%d" variants ] else []);
-            (if variants > 2 then [ "aot=010"; "aot=10" ] else []);
           ]
       in
       let s = String.concat "," tokens in
@@ -237,110 +187,70 @@ let test_exec_config_roundtrip () =
         | Error e -> Alcotest.failf "re-parse of %S failed: %s" s e))
     [
       "naive"; "fused,arena"; "fused,arena,guarded,variants=8";
-      "parallel,malloc,all-paths,f64,sym=32"; "blocked,int8,variants=3,aot=01";
+      "parallel,malloc,all-paths,f64,sym=32"; "blocked,int8,variants=3";
     ]
 
-(* --- engine: predicted variants, vet-once, aggregated stats --------- *)
+(* --- engine: one plan, vet-once, aggregated stats ------------------ *)
 
-let test_engine_variant_serving () =
-  let branches = [| 2; 2 |] in
-  let g, x, preds = gated_chain ~branches in
-  let opts = opts_of "variants=8" in
-  let c = Sod2.Pipeline.compile ~opts cpu g in
+let test_engine_gated_serving () =
+  let g, x, preds = gated_chain ~branches:[| 2; 2 |] in
+  let c = Sod2.Pipeline.compile cpu g in
   let cfg =
     {
       RT.Executor.default_config with
       RT.Executor.memory = RT.Executor.Mem_arena;
       guarded = true;
-      compile = opts;
     }
   in
-  let outcome = [| 1; 0 |] in
-  let inputs = inputs_for g x preds outcome in
-  let reference = RT.Reference.run g ~inputs in
   let engine = RT.Engine.create ~workers:1 ~max_batch:1 ~config:cfg c in
   Fun.protect
     ~finally:(fun () -> RT.Engine.shutdown engine)
     (fun () ->
-      let direct0 = count "engine-variant-direct" in
-      (* Request 1 runs the guarded sweep and learns the outcome vector;
-         every later same-key request takes the vet-once direct path. *)
-      for i = 1 to 6 do
+      (* Alternating outcomes on one binding: nothing is predicted, so
+         nothing mispredicts; each request is vetted against one cached
+         verdict. *)
+      let request i =
+        let inputs = inputs_for g x preds [| i mod 2; (i / 2) mod 2 |] in
         let r = RT.Engine.infer engine ~env:Env.empty ~inputs in
-        check_bits (Printf.sprintf "engine request %d" i) reference
+        check_bits (Printf.sprintf "engine request %d" i) (RT.Reference.run g ~inputs)
           r.RT.Engine.outputs
+      in
+      request 0;
+      let misses = count "plan-cache-miss" and vets = count "plan-vet" in
+      for i = 1 to 8 do
+        request i
       done;
-      let misses = count "plan-cache-miss" in
-      for i = 7 to 9 do
-        let r = RT.Engine.infer engine ~env:Env.empty ~inputs in
-        check_bits (Printf.sprintf "engine request %d" i) reference
-          r.RT.Engine.outputs
-      done;
-      Alcotest.(check int) "steady-state serving: zero plan-cache misses"
-        misses (count "plan-cache-miss");
-      Alcotest.(check bool) "vet-once direct path served the repeats" true
-        (count "engine-variant-direct" - direct0 >= 5);
+      Alcotest.(check int) "steady-state serving: zero plan-cache misses" misses
+        (count "plan-cache-miss");
+      Alcotest.(check int) "the plan was vetted once" vets (count "plan-vet");
       let st = RT.Engine.stats engine in
-      Alcotest.(check int) "one base plan key" 1 st.RT.Engine.plan_keys;
-      Alcotest.(check bool) "variant plans reported separately" true
-        (st.RT.Engine.plan_variants >= 1);
+      Alcotest.(check int) "one plan key" 1 st.RT.Engine.plan_keys;
+      Alcotest.(check int) "no variant plans" 0 st.RT.Engine.plan_variants;
+      Alcotest.(check int) "no degraded runs" 0 st.RT.Engine.degraded_runs;
       Alcotest.(check int) "nothing failed" 0 st.RT.Engine.failed)
 
-(* --- every plan is vetted once per binding ---------------------------- *)
-
-let test_variant_vetted () =
-  let branches = [| 2 |] in
-  let g, x, preds = gated_chain ~branches in
-  let c = Sod2.Pipeline.compile ~opts:(opts_of "variants=4") cpu g in
-  match Sod2.Pipeline.variant c ~outcome:[| 1 |] with
-  | None -> Alcotest.fail "expected a variant within budget"
-  | Some v ->
-    List.iter
-      (fun (what, variant) ->
-        let vets = count "plan-vet" in
-        let clean () = snd (Sod2.Pipeline.vetted_plan c ?variant Env.empty) = [] in
-        Alcotest.(check bool) (what ^ " plan vets clean") true (clean ());
-        Alcotest.(check int) (what ^ ": vetting ran once") (vets + 1) (count "plan-vet");
-        Alcotest.(check bool) (what ^ ": second query is cached") true (clean ());
-        Alcotest.(check int) (what ^ ": no re-vet") (vets + 1) (count "plan-vet"))
-      [ "variant", Some v; "base", None ];
-    (* Runs read the cached verdicts: arena executions of both plans
-       vet nothing new. *)
-    let vets = count "plan-vet" in
-    let inputs = inputs_for g x preds [| 1 |] in
-    let memory = RT.Executor.Arena { arena = RT.Arena.create (); env = Env.empty } in
-    ignore (RT.Executor.run_real ~memory c ~inputs);
-    ignore (RT.Executor.run_real ~memory ~outcomes:[| 1 |] c ~inputs);
-    Alcotest.(check int) "runs reuse the cached verdicts" vets (count "plan-vet")
-
-(* A variant run reads no readiness, so a predicate nobody supplied
-   reaches its Switch without a value: that is a malformed execution and
-   raises, rather than routing to branch 0. *)
+(* A predicate nobody supplied is an unbound graph input: the run is
+   refused before anything executes, rather than routing to branch 0. *)
 let test_missing_predicate_raises () =
-  let g, x, _ = gated_chain ~branches:[| 2 |] in
-  let c = Sod2.Pipeline.compile ~opts:(opts_of "variants=8") cpu g in
+  let g, x, preds = gated_chain ~branches:[| 2 |] in
+  let c = Sod2.Pipeline.compile cpu g in
   let inputs = [ List.hd (inputs_for g x [||] [||]) ] in
-  match RT.Executor.run_real ~outcomes:[| 0 |] c ~inputs with
+  match RT.Executor.run_real c ~inputs with
   | _ -> Alcotest.fail "a Switch with no predicate value ran"
-  | exception Sod2_error.Error { cls = Sod2_error.Shape_mismatch; _ } -> ()
+  | exception Sod2_error.Error { cls = Sod2_error.Invalid_graph; ctx; _ } ->
+    Alcotest.(check (option int)) "names the predicate input" (Some preds.(0))
+      ctx.Sod2_error.tensor
 
 let suite =
   [
-    Alcotest.test_case "budget overflow falls back to any-path" `Quick
-      test_budget_overflow_falls_back;
-    Alcotest.test_case "mispredicted gate falls back bit-exactly" `Quick
-      test_mispredict_falls_back;
-    Alcotest.test_case "variant runs: no readiness scans, zero-miss steady state"
-      `Quick test_variant_steady_state_counters;
-    Alcotest.test_case "AOT enumeration honors budget and aot= vectors" `Quick
-      test_aot_enumeration;
+    Alcotest.test_case "gated arena runs: only live groups, zero-miss steady state"
+      `Quick test_gated_steady_state;
     Alcotest.test_case "exec config round-trips with compile tokens" `Quick
       test_exec_config_roundtrip;
-    Alcotest.test_case "engine predicts, vets once and aggregates stats" `Quick
-      test_engine_variant_serving;
-    Alcotest.test_case "variant plans are vetted once" `Quick test_variant_vetted;
+    Alcotest.test_case "engine serves gated requests, vets once and aggregates stats"
+      `Quick test_engine_gated_serving;
     Alcotest.test_case "missing predicate raises" `Quick test_missing_predicate_raises;
-    QCheck_alcotest.to_alcotest prop_variant_bit_identical;
-    QCheck_alcotest.to_alcotest prop_outcome_key_roundtrip;
+    QCheck_alcotest.to_alcotest prop_selected_bit_identical;
+    QCheck_alcotest.to_alcotest prop_zoo_selected_bit_identical;
     QCheck_alcotest.to_alcotest prop_compile_opts_roundtrip;
   ]
