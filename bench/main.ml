@@ -618,7 +618,8 @@ let arena_bench ~smoke () =
               let arena_run () =
                 RT.Executor.run_real ~config:guarded ~env ~backend:be ~memory c ~inputs
               in
-              let run_m () = ignore (RT.Executor.run_real ~backend:be c ~inputs) in
+              let malloc_run () = RT.Executor.run_real ~backend:be c ~inputs in
+              let run_m () = ignore (malloc_run ()) in
               let run_a () = ignore (arena_run ()) in
               let tm = ref infinity and ta = ref infinity in
               for _ = 1 to 5 do
@@ -631,18 +632,19 @@ let arena_bench ~smoke () =
               done;
               let tm = !tm and ta = !ta in
               if check then begin
-                let _, arena_outs = arena_run () in
-                (match !reference with
-                | None ->
-                  let _, outs = RT.Executor.run_real c ~inputs in
-                  reference := Some outs
-                | Some _ -> ());
-                let ok = close_outputs (Option.get !reference) arena_outs in
-                if not ok then begin
-                  equivalence_ok := false;
-                  Printf.printf "  %-26s EQUIVALENCE FAILURE on %s arena outputs!\n" name
-                    (RT.Backend.kind_name kind)
-                end
+                (* The expected side is the reference interpreter: both
+                   memory modes run the executor's destination kernels, so
+                   neither can vouch for the other. *)
+                if !reference = None then
+                  reference := Some (RT.Reference.run c.Sod2.Pipeline.graph ~inputs);
+                List.iter
+                  (fun (mode, run) ->
+                    if not (close_outputs (Option.get !reference) (snd (run ()))) then begin
+                      equivalence_ok := false;
+                      Printf.printf "  %-26s EQUIVALENCE FAILURE on %s %s outputs!\n" name
+                        (RT.Backend.kind_name kind) mode
+                    end)
+                  [ "malloc", malloc_run; "arena", arena_run ]
               end;
               Printf.printf "  %-26s %-8s %10.3f %10.3f %7.2fx\n" name
                 (RT.Backend.kind_name kind) (tm *. 1e3) (ta *. 1e3) (tm /. ta);
@@ -694,10 +696,10 @@ let arena_bench ~smoke () =
   close_out oc;
   Printf.printf "  wrote BENCH_arena.json\n";
   if not !equivalence_ok then begin
-    Printf.printf "  arena equivalence check FAILED\n";
+    Printf.printf "  malloc/arena equivalence check FAILED\n";
     exit 1
   end
-  else Printf.printf "  arena outputs match the reference executor\n"
+  else Printf.printf "  malloc and arena outputs match the reference interpreter\n"
 
 (* ------------------------------------------------------------------ *)
 (* Engine: concurrent serving throughput vs sequential run_real        *)

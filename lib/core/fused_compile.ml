@@ -44,13 +44,11 @@ type kernel = {
   k_out : Graph.tensor_id;
   k_dims : (Graph.tensor_id * int list) list;
       (** concrete output dims of every member, terminal included *)
-  k_run : par:Blocked.par -> Tensor.t array -> Tensor.t;
-      (** args in slot order; returns the terminal tensor *)
+  k_dtype : Tensor.dtype;  (** the terminal output's dtype *)
   k_run_into :
     par:Blocked.par -> Tensor.view array -> c:Tensor.fbuf -> co:int -> unit;
-      (** destination-passing variant: args arrive as offset-carrying
-          views, the terminal result is written into [c] at element offset
-          [co] — the arena executor points this at a planned slot *)
+      (** args arrive as offset-carrying views in slot order; the terminal
+          result is written into [c] at element offset [co] *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -597,12 +595,6 @@ let specialize g (tpl : template) ~(tiles : Multi_version.shape_class -> Blocked
           | _ -> ());
           List.iter (fun st -> OS.run ~par st bufs offs) stages)
     in
-    let term_dims_l = Array.to_list term_dims in
-    let k_run ~par targs =
-      let out = Tensor.zeros term_dt term_dims_l in
-      k_run_into ~par (Array.map Tensor.view_f targs) ~c:(Tensor.storage_f out) ~co:0;
-      out
-    in
-    Ok { k_out = tpl.t_out; k_dims = member_dims; k_run; k_run_into }
+    Ok { k_out = tpl.t_out; k_dims = member_dims; k_dtype = term_dt; k_run_into }
   with
   | Spec_fail msg -> Error msg

@@ -32,14 +32,15 @@ type kernel = {
   k_out : Graph.tensor_id;
   k_dims : (Graph.tensor_id * int list) list;
       (** concrete output dims of every member, terminal included *)
-  k_run : par:Blocked.par -> Tensor.t array -> Tensor.t;
-      (** args in slot order; returns the terminal tensor *)
+  k_dtype : Tensor.dtype;
+      (** the terminal output's dtype: what the op-by-op reference stores
+          it in, and so the dtype of the destination the caller supplies *)
   k_run_into :
     par:Blocked.par -> Tensor.view array -> c:Tensor.fbuf -> co:int -> unit;
-      (** destination-passing variant: args arrive as offset-carrying views
-          (slot order) and the terminal result is written into [c] at
-          element offset [co] — no output allocation.  [k_run] is a wrapper
-          that allocates a fresh tensor and calls this at offset 0. *)
+      (** args arrive as offset-carrying views in slot order; the terminal
+          result is written into [c] at element offset [co] — a planned
+          arena slot or a fresh buffer, whichever the executor chose.  No
+          output allocation happens here. *)
 }
 
 val plan :

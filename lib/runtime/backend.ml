@@ -112,29 +112,22 @@ let gemm ?cls t ~alpha ~beta ~trans_a ~trans_b a b c =
   | Blocked | Parallel | Fused ->
     Linalg.gemm ~inner:(gemm_kernel ?cls t) ~alpha ~beta ~trans_a ~trans_b a b c
 
-let conv_class ?cls ~stride ~pad ~dilation x w =
+(* The GEMM shape class of a conv: [cls] when compile time resolved it,
+   else the im2col extents of the concrete [xdims] × [wdims]. *)
+let conv_class ?cls ~stride ~pad ~dilation xdims wdims =
   match cls with
   | Some c -> c
-  | None ->
-    let dx = Tensor.dims_arr x and dw = Tensor.dims_arr w in
-    let sh, sw = stride and dh, dw_ = dilation in
-    let pt, pl, pb, pr = pad in
-    let oh =
-      Linalg.conv2d_out_dim ~in_:dx.(2) ~kernel:dw.(2) ~stride:sh ~pad_begin:pt
-        ~pad_end:pb ~dilation:dh
-    in
-    let ow =
-      Linalg.conv2d_out_dim ~in_:dx.(3) ~kernel:dw.(3) ~stride:sw ~pad_begin:pl
-        ~pad_end:pr ~dilation:dw_
-    in
-    Multi_version.classify_gemm ~m:dw.(0) ~n:(dx.(0) * oh * ow)
-      ~k:(dw.(1) * dw.(2) * dw.(3))
+  | None -> (
+    match Linalg.conv2d_out_dims ~stride ~pad ~dilation xdims wdims, wdims with
+    | [ n; m; oh; ow ], [ _; cg; kh; kw ] ->
+      Multi_version.classify_gemm ~m ~n:(n * oh * ow) ~k:(cg * kh * kw)
+    | _ -> assert false)
 
 let conv2d ?cls t ~stride ~pad ~dilation ~groups x w b =
   match t.kind with
   | Naive -> Linalg.conv2d ~stride ~pad ~dilation ~groups x w b
   | Blocked | Parallel | Fused -> (
-    match conv_class ?cls ~stride ~pad ~dilation x w with
+    match conv_class ?cls ~stride ~pad ~dilation (Tensor.dims x) (Tensor.dims w) with
     | Multi_version.Tiny -> Linalg.conv2d ~stride ~pad ~dilation ~groups x w b
     | c ->
       Sod2_tensor.Blocked.conv2d_im2col ~par:(par_of t) ~tiles:(tiles_for t c) ~stride
@@ -144,25 +137,7 @@ let conv2d_into ?cls t ~stride ~pad ~dilation ~groups vx vw vb ~c ~co =
   match t.kind with
   | Naive -> Linalg.conv2d_into ~stride ~pad ~dilation ~groups vx vw vb ~c ~co
   | Blocked | Parallel | Fused -> (
-    let dx = Array.of_list vx.Tensor.vdims and dw = Array.of_list vw.Tensor.vdims in
-    let cl =
-      match cls with
-      | Some cl -> cl
-      | None ->
-        let sh, sw = stride and dh, dw_ = dilation in
-        let pt, pl, pb, pr = pad in
-        let oh =
-          Linalg.conv2d_out_dim ~in_:dx.(2) ~kernel:dw.(2) ~stride:sh ~pad_begin:pt
-            ~pad_end:pb ~dilation:dh
-        in
-        let ow =
-          Linalg.conv2d_out_dim ~in_:dx.(3) ~kernel:dw.(3) ~stride:sw ~pad_begin:pl
-            ~pad_end:pr ~dilation:dw_
-        in
-        Multi_version.classify_gemm ~m:dw.(0) ~n:(dx.(0) * oh * ow)
-          ~k:(dw.(1) * dw.(2) * dw.(3))
-    in
-    match cl with
+    match conv_class ?cls ~stride ~pad ~dilation vx.Tensor.vdims vw.Tensor.vdims with
     | Multi_version.Tiny ->
       Linalg.conv2d_into ~stride ~pad ~dilation ~groups vx vw vb ~c ~co
     | cl ->
@@ -222,18 +197,7 @@ let matmul_q8_into ?cls t x (qw : Quant.qtensor) ~c ~co =
     [ m; n ]
   | _ ->
     Sod2_error.failf ~op:"MatMul" Sod2_error.Shape_mismatch
-      "Backend.matmul_q8: expects float x [m;k] against int8 weight [k;n]"
-
-let matmul_q8 ?cls t x qw =
-  let fdt = if Tensor.dtype x = Tensor.F64 then Tensor.F64 else Tensor.F32 in
-  match Tensor.dims x, Tensor.dims qw.Quant.q with
-  | [ m; _ ], [ _; n ] ->
-    let buf = Tensor.fbuf_create fdt (m * n) in
-    let dims = matmul_q8_into ?cls t x qw ~c:buf ~co:0 in
-    Tensor.of_fbuf dims buf
-  | _ ->
-    Sod2_error.failf ~op:"MatMul" Sod2_error.Shape_mismatch
-      "Backend.matmul_q8: expects float x [m;k] against int8 weight [k;n]"
+      "Backend.matmul_q8_into: expects float x [m;k] against int8 weight [k;n]"
 
 (* Quantized NCHW convolution into a float destination.  Per-channel
    weight scales (and the float bias, when present) are folded into the
@@ -243,20 +207,14 @@ let matmul_q8 ?cls t x qw =
 let conv2d_q8_into ?cls t ~stride ~pad ~dilation ~groups x (qw : Quant.qtensor) bias
     ~c ~co =
   match Tensor.dims x, Tensor.dims qw.Quant.q with
-  | [ n; ch; h; w ], [ m; cg; kh; kw ] ->
+  | ([ n; ch; h; w ] as xdims), ([ m; cg; kh; kw ] as wdims) ->
     let sx, zx, qa = dyn_quant_activation x in
     let wscales = Quant.channel_scales qw.Quant.qscheme in
-    let sh, sw_ = stride and dh, dw_ = dilation in
-    let pt, pl, pb, pr = pad in
-    let oh =
-      Linalg.conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb
-        ~dilation:dh
+    let sp =
+      match Linalg.conv2d_out_dims ~stride ~pad ~dilation xdims wdims with
+      | [ _; _; oh; ow ] -> oh * ow
+      | _ -> assert false
     in
-    let ow =
-      Linalg.conv2d_out_dim ~in_:w ~kernel:kw ~stride:sw_ ~pad_begin:pl ~pad_end:pr
-        ~dilation:dw_
-    in
-    let sp = oh * ow in
     let chscale =
       if Array.length wscales = 1 then
         let s = sx *. wscales.(0) in
@@ -272,80 +230,14 @@ let conv2d_q8_into ?cls t ~stride ~pad ~dilation ~groups x (qw : Quant.qtensor) 
           let chn = ei / sp mod m in
           (float_of_int acc *. chscale chn) +. Array.unsafe_get bv chn
     in
-    let cl =
-      match cls with
-      | Some cl -> cl
-      | None -> Multi_version.classify_gemm ~m ~n:(n * sp) ~k:(cg * kh * kw)
-    in
+    let cl = conv_class ?cls ~stride ~pad ~dilation xdims wdims in
     Sod2_tensor.Blocked.conv2d_i8_dequant_into ~par:(par_of t) ~tiles:(tiles_for t cl)
       ~zx ~zw:0 ~epilogue ~ep_off:co ~stride ~pad ~dilation ~groups
       ~x:(Tensor.storage_i8 qa) ~xoff:0 ~xdims:[| n; ch; h; w |]
       ~w:(Tensor.storage_i8 qw.Quant.q) ~woff:0 ~wdims:[| m; cg; kh; kw |] ~c ~co ()
   | _ ->
     Sod2_error.failf ~op:"Conv" Sod2_error.Shape_mismatch
-      "Backend.conv2d_q8: expects float x NCHW against int8 weight OIHW"
-
-let conv2d_q8 ?cls t ~stride ~pad ~dilation ~groups x (qw : Quant.qtensor) bias =
-  let fdt = if Tensor.dtype x = Tensor.F64 then Tensor.F64 else Tensor.F32 in
-  match Tensor.dims x, Tensor.dims qw.Quant.q with
-  | [ n; _; h; w ], [ m; _; kh; kw ] ->
-    let sh, sw_ = stride and dh, dw_ = dilation in
-    let pt, pl, pb, pr = pad in
-    let oh =
-      Linalg.conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb
-        ~dilation:dh
-    in
-    let ow =
-      Linalg.conv2d_out_dim ~in_:w ~kernel:kw ~stride:sw_ ~pad_begin:pl ~pad_end:pr
-        ~dilation:dw_
-    in
-    let buf = Tensor.fbuf_create fdt (n * m * oh * ow) in
-    let dims =
-      conv2d_q8_into ?cls t ~stride ~pad ~dilation ~groups x qw bias ~c:buf ~co:0
-    in
-    Tensor.of_fbuf dims buf
-  | _ ->
-    Sod2_error.failf ~op:"Conv" Sod2_error.Shape_mismatch
-      "Backend.conv2d_q8: expects float x NCHW against int8 weight OIHW"
-
-(* Data-parallel elementwise maps.  Only same-shape float tensors above the
-   grain size go through the pool; everything else falls back to the
-   sequential {!Tensor} maps (which also own the broadcast/int/mixed-kind
-   cases).  Chunk bodies are matched on the storage kind once per call so
-   the per-element loop is a monomorphic bigarray access; an f32 store
-   rounds exactly like the sequential map's store does. *)
-module BA1 = Bigarray.Array1
-
-let grain = 16_384
-
-let map_f t f x =
-  match t.pool with
-  | Some pool
-    when Domain_pool.size pool > 1
-         && Tensor.is_float_dtype (Tensor.dtype x)
-         && Tensor.numel x >= 2 * grain ->
-    let len = Tensor.numel x in
-    let out = Tensor.zeros (Tensor.dtype x) (Tensor.dims x) in
-    let body : int -> int -> unit =
-      match Tensor.storage_f x, Tensor.storage_f out with
-      | Tensor.FB32 s, Tensor.FB32 d ->
-        fun lo hi ->
-          for i = lo to hi - 1 do
-            BA1.unsafe_set d i (f (BA1.unsafe_get s i))
-          done
-      | Tensor.FB64 s, Tensor.FB64 d ->
-        fun lo hi ->
-          for i = lo to hi - 1 do
-            BA1.unsafe_set d i (f (BA1.unsafe_get s i))
-          done
-      | _ -> assert false
-    in
-    let chunks = (len + grain - 1) / grain in
-    Domain_pool.run pool chunks (fun ci ->
-        let lo = ci * grain in
-        body lo (min len (lo + grain)));
-    out
-  | _ -> Tensor.map_f f x
+      "Backend.conv2d_q8_into: expects float x NCHW against int8 weight OIHW"
 
 (* ------------------------------------------------------------------ *)
 (* Fused-group execution                                               *)
@@ -371,19 +263,12 @@ let fused_stats t =
   in
   { hits = t.fused_hits; misses = t.fused_misses; rejects = t.fused_rejects; variants }
 
-type fused_result = {
-  fr_out : Graph.tensor_id;
-  fr_tensor : Tensor.t;
-  fr_dims : (Graph.tensor_id * int list) list;
-}
-
 let counter t kind = Profile.Counters.record ~profile:t.profile_name ~kind
 
-(* Shared cache lookup: resolve (group × concrete shape tuple) to a
+(* The cache lookup: resolve (group × concrete shape tuple) to a
    specialized kernel, compiling at most once per shape and caching
-   failures so the op-by-op fallback is taken without recompiling.  Both
-   the boxed path ({!fused_run}) and the arena executor's
-   destination-passing path go through here.  The [fe_tpl == tpl]
+   failures so the op-by-op fallback is taken without recompiling.  The
+   executor calls it once per group execution.  The [fe_tpl == tpl]
    identity check keeps a backend from serving a kernel specialized for
    another artifact's template. *)
 let fused_kernel t (c : Pipeline.compiled) ~gid
@@ -433,56 +318,3 @@ let fused_kernel t (c : Pipeline.compiled) ~gid
         t.fused_rejects <- t.fused_rejects + 1;
         counter t "fused-reject";
         None)
-
-let fused_run t (c : Pipeline.compiled) ~gid
-    ~(fetch : Graph.tensor_id -> Tensor.t) =
-  if t.kind <> Fused then None
-  else
-    match c.Pipeline.fused.(gid) with
-    | None -> None
-    | Some tpl ->
-      let args_t = Array.map fetch tpl.Fused_compile.t_slots in
-      let shapes =
-        Array.to_list (Array.map (fun x -> Tensor.dims x, Tensor.dtype x) args_t)
-      in
-      (match fused_kernel t c ~gid ~args:shapes with
-      | Some k ->
-        let out = k.Fused_compile.k_run ~par:(par_of t) args_t in
-        Some
-          {
-            fr_out = k.Fused_compile.k_out;
-            fr_tensor = out;
-            fr_dims = k.Fused_compile.k_dims;
-          }
-      | None -> None)
-
-let map2 t f x y =
-  match t.pool with
-  | Some pool
-    when Domain_pool.size pool > 1
-         && Tensor.is_float_dtype (Tensor.dtype x)
-         && Tensor.dtype x = Tensor.dtype y
-         && Tensor.dims x = Tensor.dims y
-         && Tensor.numel x >= 2 * grain ->
-    let len = Tensor.numel x in
-    let out = Tensor.zeros (Tensor.dtype x) (Tensor.dims x) in
-    let body : int -> int -> unit =
-      match Tensor.storage_f x, Tensor.storage_f y, Tensor.storage_f out with
-      | Tensor.FB32 sx, Tensor.FB32 sy, Tensor.FB32 d ->
-        fun lo hi ->
-          for i = lo to hi - 1 do
-            BA1.unsafe_set d i (f (BA1.unsafe_get sx i) (BA1.unsafe_get sy i))
-          done
-      | Tensor.FB64 sx, Tensor.FB64 sy, Tensor.FB64 d ->
-        fun lo hi ->
-          for i = lo to hi - 1 do
-            BA1.unsafe_set d i (f (BA1.unsafe_get sx i) (BA1.unsafe_get sy i))
-          done
-      | _ -> assert false
-    in
-    let chunks = (len + grain - 1) / grain in
-    Domain_pool.run pool chunks (fun ci ->
-        let lo = ci * grain in
-        body lo (min len (lo + grain)));
-    out
-  | _ -> Tensor.map2 f x y

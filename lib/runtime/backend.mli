@@ -12,7 +12,7 @@
 type kind =
   | Naive  (** reference scalar loop nests *)
   | Blocked  (** packed, register-tiled kernels, single domain *)
-  | Parallel  (** blocked kernels + domain pool + parallel elementwise *)
+  | Parallel  (** blocked kernels and block-program maps over a domain pool *)
   | Fused
       (** Parallel, plus whole fusion groups execute as single compiled
           kernels ({!Fused_compile}) with a per-(group × shape) cache *)
@@ -96,39 +96,23 @@ val conv1d :
     the same quantized artifact runs float, bit-exact against
     {!Reference}, on the naive backend. *)
 
-val matmul_q8 :
-  ?cls:Multi_version.shape_class -> t -> Tensor.t -> Quant.qtensor -> Tensor.t
-(** [matmul_q8 t x qw] — float [x : [m;k]] times int8 weight
-    [qw : [k;n]] (per-tensor symmetric), float result. *)
-
 val matmul_q8_into :
   ?cls:Multi_version.shape_class -> t -> Tensor.t -> Quant.qtensor ->
   c:Tensor.fbuf -> co:int -> int list
-(** Destination-passing {!matmul_q8}: writes into [c] at element offset
-    [co] (every output element is overwritten), returns the dims. *)
-
-val conv2d_q8 :
-  ?cls:Multi_version.shape_class -> t -> stride:int * int ->
-  pad:int * int * int * int -> dilation:int * int -> groups:int ->
-  Tensor.t -> Quant.qtensor -> Tensor.t option -> Tensor.t
-(** Quantized NCHW convolution: float activation, int8 OIHW weight
-    (per-channel symmetric over axis 0), optional float bias folded into
-    the epilogue. *)
+(** [matmul_q8_into t x qw ~c ~co] — float [x : [m;k]] times int8
+    weight [qw : [k;n]] (per-tensor symmetric), written as float into [c]
+    at element offset [co] (every output element is overwritten); returns
+    the dims. *)
 
 val conv2d_q8_into :
   ?cls:Multi_version.shape_class -> t -> stride:int * int ->
   pad:int * int * int * int -> dilation:int * int -> groups:int ->
   Tensor.t -> Quant.qtensor -> Tensor.t option ->
   c:Tensor.fbuf -> co:int -> int list
-(** Destination-passing {!conv2d_q8}. *)
-
-val map_f : t -> (float -> float) -> Tensor.t -> Tensor.t
-(** Elementwise map, chunked over the pool for large float tensors;
-    otherwise {!Tensor.map_f}. *)
-
-val map2 : t -> (float -> float -> float) -> Tensor.t -> Tensor.t -> Tensor.t
-(** Binary elementwise map, parallel for large same-shape float tensors;
-    broadcasts and integer tensors take the sequential path. *)
+(** Quantized NCHW convolution: float activation, int8 OIHW weight
+    (per-channel symmetric over axis 0), optional float bias folded into
+    the epilogue; written as float into [c] at element offset [co],
+    returns the dims. *)
 
 (** {1 Fused-group execution} *)
 
@@ -145,14 +129,6 @@ val fused_stats : t -> fused_stats
     ["fused-cache-hit"], ["fused-cache-miss"], ["fused-reject"] and
     ["fused-variant-overflow"]. *)
 
-type fused_result = {
-  fr_out : Graph.tensor_id;  (** the terminal output tensor's id *)
-  fr_tensor : Tensor.t;  (** its value *)
-  fr_dims : (Graph.tensor_id * int list) list;
-      (** concrete dims of every member output (internal ones are never
-          materialized — these let the executor track dims and traffic) *)
-}
-
 val par_of : t -> Sod2_tensor.Blocked.par
 (** The parallel runner backing this backend's kernels (sequential when it
     has no pool) — what callers pass to {!Fused_compile.kernel} entry
@@ -167,19 +143,8 @@ val fused_kernel :
     execution (non-[Fused] backend, no template, failed specialization, or
     the group's live-variant budget exhausted).  The cache checks
     template identity, so a stale template from another artifact can
-    never be served.  The arena executor uses this directly so it can
-    drive [k_run_into] with destination slots; {!fused_run} wraps it for
-    the boxed path. *)
-
-val fused_run :
-  t -> Pipeline.compiled -> gid:int ->
-  fetch:(Graph.tensor_id -> Tensor.t) -> fused_result option
-(** Execute fusion group [gid] as one compiled kernel.  [fetch] supplies
-    the group's external input tensors.  Returns [None] — meaning the
-    caller must run the group op-by-op — when the backend is not [Fused],
-    the group has no template, specialization failed for these shapes
-    (e.g. I64 element inputs), or the group exhausted its live-variant
-    budget.  Specializations are cached per (group × concrete shapes), so
-    repeated samples skip recompilation.  Only use a backend with the
-    artifact it was created for ({!for_compiled}): kernels are validated
-    against the template by physical identity. *)
+    never be served.  A [None] for a templated group on a [Fused]
+    backend counts one reject, so the executor calls this exactly once
+    per group execution; on
+    [Some k] it writes the terminal result through [k.k_run_into] into
+    the destination it chose for [k.k_out] in [k.k_dtype]. *)

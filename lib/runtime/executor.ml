@@ -489,7 +489,8 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
       | _ -> missing tid)
   in
   (* Kernel-facing view of [tid]'s value: its arena slot when resident
-     (zero-copy), else a whole-tensor view of the boxed F32 tensor. *)
+     (zero-copy), else a whole-tensor view of the boxed float tensor;
+     [None] for an integer value. *)
   let view_of tid =
     match arena with
     | Some ar when ar.ar_loc.(tid) ->
@@ -531,97 +532,41 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
       ctx.c.Pipeline.kernel_classes.(nd.nid)
     | Some _ -> None
   in
-  (* Graph outputs must outlive the arena (slots are recycled next
-     inference), so their destination is a fresh boxed buffer rather than
-     the slot — the kernel still reads its inputs as zero-copy slot views,
-     which beats both a slot store followed by a boundary copy and a fully
-     boxed run that copies every arena-resident input out first. *)
-  let is_graph_out tid = List.mem tid ctx.out_tids in
   let set_dims = List.iter (fun (tid, d) -> st.dims.(tid) <- Some d; st.avail.(tid) <- true) in
-  (* Destination for a float result of [dims] that [write] computes: its
-     planned slot when the capacity matches exactly and it is not a graph
-     output, else a fresh boxed buffer. *)
-  let place otid dims write =
+  (* The one destination rule: where a float result of [dtype] × [dims]
+     for [otid] lands.  Its planned slot when the arena has one of exactly
+     that capacity in that kind and [otid] is not a graph output (outputs
+     must outlive the arena, whose slots are recycled next inference);
+     otherwise a fresh buffer, boxed as [otid]'s value.  [Malloc] simply
+     has no slots.  Every writer of a float result asks here, once, right
+     before it writes. *)
+  let destination otid dtype dims =
     let numel = List.fold_left ( * ) 1 dims in
+    let is_graph_out = List.mem otid ctx.out_tids in
     match arena with
     | Some ar
       when (match ar.ar_slot.(otid) with Some (_, cap) -> cap = numel | None -> false)
-           && not (is_graph_out otid) ->
-      let off, _ = Option.get ar.ar_slot.(otid) in
-      write ~cbuf:ar.ar_buf ~co:off;
+           && Tensor.fbuf_dtype ar.ar_buf = dtype
+           && not is_graph_out ->
       ar.ar_loc.(otid) <- true;
       ar.ar_resident <- ar.ar_resident + 1;
-      counter "arena-dest-store"
+      counter "arena-dest-store";
+      ar.ar_buf, fst (Option.get ar.ar_slot.(otid))
     | _ ->
-      let buf = Tensor.fbuf_create c.Pipeline.fdtype numel in
+      let buf = Tensor.fbuf_create dtype numel in
       Tensor.fbuf_fill buf 0 numel 0.0;
-      write ~cbuf:buf ~co:0;
       st.tensors.(otid) <- Some (Tensor.of_fbuf dims buf);
-      if Option.is_some arena then counter "arena-out-direct"
-  in
-  (* Destination-passing attempt: single-output node whose result has a
-     planned slot, all inputs viewable as F32 windows, and the op has a
-     [Kernels.run_into] kernel producing exactly the slot's capacity.
-     Writes straight into the arena — no output allocation, no blit. *)
-  let try_dest (nd : Graph.node) =
-    match arena, nd.Graph.outputs with
-    | Some ar, [ otid ] -> (
-      match ar.ar_slot.(otid) with
-      | Some (off, cap) -> (
-        let rec views acc = function
-          | [] -> Some (List.rev acc)
-          | tid :: rest -> (
-            match view_of tid with
-            | Some v -> views (v :: acc) rest
-            | None -> None)
-        in
-        match views [] nd.Graph.inputs with
-        | Some vs ->
-          if is_graph_out otid then (
-            let buf = Tensor.fbuf_create c.Pipeline.fdtype cap in
-            Tensor.fbuf_fill buf 0 cap 0.0;
-            match
-              Kernels.run_into ?backend ?cls:(cls_of nd) nd.Graph.op vs ~c:buf
-                ~co:0 ~cap
-            with
-            | Some dims ->
-              let numel = List.fold_left ( * ) 1 dims in
-              let t =
-                if numel = cap then Tensor.of_fbuf dims buf
-                else Tensor.copy_view (Tensor.sub_view ~buf ~off:0 ~dims)
-              in
-              st.tensors.(otid) <- Some t;
-              st.dims.(otid) <- Some dims;
-              st.avail.(otid) <- true;
-              counter "arena-out-direct";
-              true
-            | None -> false)
-          else (
-            match
-              Kernels.run_into ?backend ?cls:(cls_of nd) nd.Graph.op vs
-                ~c:ar.ar_buf ~co:off ~cap
-            with
-            | Some dims ->
-              ar.ar_loc.(otid) <- true;
-              ar.ar_resident <- ar.ar_resident + 1;
-              st.dims.(otid) <- Some dims;
-              st.avail.(otid) <- true;
-              counter "arena-dest-store";
-              true
-            | None -> false)
-        | None -> false)
-      | None -> false)
-    | _ -> false
+      if is_graph_out && Option.is_some arena then counter "arena-out-direct";
+      buf, 0
   in
   (* Int8 weight-quantized dispatch (dynamic-range): a node whose constant
      weight was quantized at compile runs the packed int8 kernel with the
      dequantization epilogue folded into the write-back.  The result is
-     float, so it lands in the output's arena slot when the capacity
-     matches (dest-passing, same as [try_dest]) or a fresh boxed buffer
-     otherwise.  The activation is fetched boxed — calibration reads every
-     element anyway.  Output dims are computed up front from the operand
-     dims so the slot decision precedes the kernel; any shape the
-     quantized kernels cannot take falls through to the float path. *)
+     float and goes where [destination] says.  The activation is fetched
+     boxed — calibration reads every element anyway.  Output dims are
+     computed up front from the operand dims so the destination is chosen
+     before the kernel; any shape the quantized kernels cannot take falls
+     through to the float path. *)
   let quant_dispatch (nd : Graph.node) =
     match backend with
     | Some be when c.Pipeline.quant && Backend.kind_of be <> Backend.Naive -> (
@@ -634,39 +579,25 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
             Some
               ( otid,
                 [ m; n ],
-                fun ~cbuf ~co ->
-                  ignore
-                    (Backend.matmul_q8_into ?cls:(cls_of nd) be (fetch_boxed x) qt
-                       ~c:cbuf ~co) )
+                fun ~c ~co ->
+                  Backend.matmul_q8_into ?cls:(cls_of nd) be (fetch_boxed x) qt ~c ~co )
           | _ -> None)
         | _ -> None)
       | Op.Conv { stride; pads; dilation; groups }, x :: w :: rest, [ otid ] -> (
         let bias = match rest with [ b ] -> Some b | _ -> None in
         match Pipeline.quant_weight c w, st.dims.(x) with
-        | Some qt, Some [ n; _; h; wd ] -> (
-          match Tensor.dims qt.Quant.q with
-          | [ m; _; kh; kw ] -> (
-            try
-              let sh, sw = stride and dh, dw_ = dilation in
-              let pt, pl, pb, pr = pads in
-              let oh =
-                Linalg.conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt
-                  ~pad_end:pb ~dilation:dh
-              in
-              let ow =
-                Linalg.conv2d_out_dim ~in_:wd ~kernel:kw ~stride:sw ~pad_begin:pl
-                  ~pad_end:pr ~dilation:dw_
-              in
-              Some
-                ( otid,
-                  [ n; m; oh; ow ],
-                  fun ~cbuf ~co ->
-                    ignore
-                      (Backend.conv2d_q8_into ?cls:(cls_of nd) be ~stride ~pad:pads
-                         ~dilation ~groups (fetch_boxed x) qt
-                         (Option.map fetch_boxed bias) ~c:cbuf ~co) )
-            with Sod2_error.Error _ | Invalid_argument _ -> None)
-          | _ -> None)
+        | Some qt, Some xdims -> (
+          match
+            Linalg.conv2d_out_dims ~stride ~pad:pads ~dilation xdims (Tensor.dims qt.Quant.q)
+          with
+          | exception Invalid_argument _ -> None
+          | dims ->
+            Some
+              ( otid,
+                dims,
+                fun ~c ~co ->
+                  Backend.conv2d_q8_into ?cls:(cls_of nd) be ~stride ~pad:pads ~dilation
+                    ~groups (fetch_boxed x) qt (Option.map fetch_boxed bias) ~c ~co ))
         | _ -> None)
       | _ -> None)
     | _ -> None
@@ -675,57 +606,73 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
     match quant_dispatch nd with
     | None -> false
     | Some (otid, dims, run) ->
-      place otid dims run;
+      let buf, off = destination otid c.Pipeline.fdtype dims in
+      ignore (run ~c:buf ~co:off);
       set_dims [ otid, dims ];
       counter "quant-kernel";
       true
+  in
+  (* Every input of a single-output node viewable as a float window (slot
+     or boxed), and the op has a [Kernels.run_into] kernel that fits: the
+     result is written once, straight into its destination. *)
+  let try_dest (nd : Graph.node) =
+    let vs = List.map view_of nd.Graph.inputs in
+    match nd.Graph.outputs with
+    | [ otid ] when List.for_all Option.is_some vs -> (
+      match
+        Kernels.run_into ?backend ?cls:(cls_of nd) nd.Graph.op (List.map Option.get vs)
+          ~dest:(destination otid)
+      with
+      | Some dims ->
+        set_dims [ otid, dims ];
+        true
+      | None -> false)
+    | _ -> false
   in
   let exec_plain (nd : Graph.node) =
     if not (try_quant nd || try_dest nd) then
       List.iter2 (store st) nd.outputs
         (Kernels.run ?backend ?cls:(cls_of nd) nd.op (List.map fetch_boxed nd.inputs))
   in
-  (* Arena fused path: fetch the group's slot inputs as zero-copy views,
-     resolve the specialized kernel through the backend cache, and drive
-     its destination entry point straight into the terminal output's
-     planned slot. *)
-  let run_fused_arena be ~gid tpl =
-    let n = Array.length tpl.Fused_compile.t_slots in
-    let vs = Array.make n None in
-    Array.iteri (fun i tid -> vs.(i) <- view_of tid) tpl.Fused_compile.t_slots;
-    if Array.exists Option.is_none vs then false
-    else
-      let va = Array.map Option.get vs in
-      let shapes =
-        Array.to_list (Array.map (fun v -> v.Tensor.vdims, Tensor.view_dtype v) va)
-      in
-      match Backend.fused_kernel be c ~gid ~args:shapes with
-      | None -> false
-      | Some k ->
-        let out = k.Fused_compile.k_out in
-        place out (List.assoc out k.Fused_compile.k_dims) (fun ~cbuf ~co ->
-            k.Fused_compile.k_run_into ~par:(Backend.par_of be) va ~c:cbuf ~co);
-        set_dims k.Fused_compile.k_dims;
-        true
-  in
-  (* A multi-member group first offers itself to the fused backend: one
-     compiled kernel, internal tensors never materialized.  Any refusal
-     (no template, shape not specializable, non-fused backend) falls
-     through to the op-by-op loop.  Quantized members never execute
-     fused: compile withheld their groups' templates. *)
+  (* A multi-member group with a template first offers itself to the
+     backend's fused-kernel cache — one lookup per execution: one compiled
+     kernel reads the group's inputs as views and writes its terminal
+     result to [destination]; internal tensors never materialize.  Any
+     refusal (shape not specializable, variant budget spent, non-fused
+     backend) falls through to the op-by-op loop.  Quantized members never
+     execute fused: compile withheld their groups' templates. *)
   let run_fused ~gid members =
     match backend with
-    | Some be when List.length members > 1 -> (
-      (match arena, c.Pipeline.fused.(gid) with
-      | Some _, Some tpl -> run_fused_arena be ~gid tpl
-      | _ -> false)
-      ||
-      match Backend.fused_run be c ~gid ~fetch:fetch_boxed with
-      | Some fr ->
-        set_dims fr.Backend.fr_dims;
-        st.tensors.(fr.Backend.fr_out) <- Some fr.Backend.fr_tensor;
-        true
-      | None -> false)
+    | Some be when Backend.kind_of be = Backend.Fused && List.length members > 1 -> (
+      match c.Pipeline.fused.(gid) with
+      | None -> false
+      | Some tpl -> (
+        let slots = tpl.Fused_compile.t_slots in
+        let vs = Array.map view_of slots in
+        (* a slot with no view holds an integer tensor: specialization
+           rejects it, and counts the reject *)
+        let args =
+          Array.to_list
+            (Array.mapi
+               (fun i v ->
+                 match v with
+                 | Some v -> v.Tensor.vdims, Tensor.view_dtype v
+                 | None ->
+                   let t = fetch_boxed slots.(i) in
+                   Tensor.dims t, Tensor.dtype t)
+               vs)
+        in
+        match Backend.fused_kernel be c ~gid ~args with
+        | None -> false
+        | Some k ->
+          let out = k.Fused_compile.k_out in
+          let buf, off =
+            destination out k.Fused_compile.k_dtype (List.assoc out k.Fused_compile.k_dims)
+          in
+          k.Fused_compile.k_run_into ~par:(Backend.par_of be) (Array.map Option.get vs)
+            ~c:buf ~co:off;
+          set_dims k.Fused_compile.k_dims;
+          true))
     | _ -> false
   in
   List.iter
@@ -758,8 +705,7 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
 
 (* --- run_real ----------------------------------------------------- *)
 
-(* Fresh state, the arena laid out, the real walk, then the outputs boxed
-   at the boundary. *)
+(* Fresh state, the arena laid out, the real walk, then the outputs. *)
 let interpret ~control ~check_env ?backend ~memory ?plan ?kernel_hook ctx ~inputs =
   let c = ctx.c in
   let st = init_state c ~keep_tensors:true in
@@ -822,27 +768,10 @@ let interpret ~control ~check_env ?backend ~memory ?plan ?kernel_hook ctx ~input
         | _ -> ())
   in
   let trace = run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st in
-  (* Model outputs must outlive the arena (its slots are overwritten by the
-     next inference), so arena-resident outputs are boxed at the boundary.
-     This is the one unavoidable copy of arena mode and is counted
-     separately from intermediate copy-outs. *)
-  let outs =
-    List.filter_map
-      (fun tid ->
-        match st.tensors.(tid) with
-        | Some t -> Some (tid, t)
-        | None -> (
-          match arena with
-          | Some ar when ar.ar_loc.(tid) ->
-            let off, _ = Option.get ar.ar_slot.(tid) in
-            let dims = Option.get st.dims.(tid) in
-            Profile.Counters.record ~profile:c.Pipeline.profile.Profile.name
-              ~kind:"arena-out-materialize";
-            Some (tid, Tensor.copy_view (Tensor.sub_view ~buf:ar.ar_buf ~off ~dims))
-          | _ -> None))
-      ctx.out_tids
-  in
-  trace, outs
+  (* [destination] never gives a graph output a slot, so every produced
+     output is already boxed and outlives the arena. *)
+  ( trace,
+    List.filter_map (fun tid -> Option.map (fun t -> tid, t) st.tensors.(tid)) ctx.out_tids )
 
 (* [Mem_arena] needs a symbol binding ([env]) to instantiate the plan; an
    explicit [memory] supplies its own.  A non-naive [config.backend] with

@@ -72,22 +72,27 @@ type trace = {
 }
 
 type memory =
-  | Malloc  (** every tensor is a fresh allocation (the default) *)
+  | Malloc  (** an arena with no slots: every result gets a fresh buffer (the default) *)
   | Arena of { arena : Arena.t; env : Env.t }
       (** §4.4 planned execution: the binding's instantiated memory plan
           ({!Pipeline.instantiated_plan} under [env]) lays tensor slots over
-          [arena]'s grow-only buffer, and destination-passing kernels write
-          results straight into their slots — steady state performs no plan
-          recomputation and no intermediate-tensor allocation or copy.
-          Graph outputs run their destination kernels into fresh boxed
-          buffers instead (slot inputs still read as zero-copy views;
-          counted as ["arena-out-direct"]), so they survive slot recycling
-          without a boundary copy.
-          Composes with any [backend].  Ops without a destination kernel
-          (or with non-F32/dynamic operands) transparently fall back to
-          boxed execution for that node; arena-resident values they consume
-          are copied out once and memoized (counted as ["arena-copy-out"]
-          in {!Profile.Counters}). *)
+          [arena]'s grow-only buffer.
+
+          Both modes run the same walker and the same kernels; they differ
+          only in where a float result lands.  One rule decides it: a
+          result goes to its planned slot when the arena has one of
+          exactly its size and kind and the tensor is not a graph output,
+          and to a fresh buffer otherwise ([Malloc] has no slots).  Every
+          destination kernel ({!Kernels.run_into}), fused group
+          ({!Backend.fused_kernel}) and int8 node asks that rule once, just
+          before it writes — so steady-state arena execution performs no
+          plan recomputation and no intermediate-tensor allocation.  Graph
+          outputs get fresh buffers so they survive slot recycling without
+          a boundary copy (counted as ["arena-out-direct"]).  Composes with
+          any [backend].  Ops with no destination kernel, or with integer
+          operands, run boxed; arena-resident values they consume are
+          copied out once and memoized (counted as ["arena-copy-out"] in
+          {!Profile.Counters}). *)
 
 (** {1 Execution configuration}
 
@@ -180,10 +185,9 @@ val run_real :
     node's shape class taken from the compile-time resolution
     ({!Pipeline.compiled.kernel_classes}) when available.  [memory] is
     the allocation discipline with its own arena (see {!memory}); it
-    replaces the one [config.memory] would build.  Under [Arena], graph
-    outputs are boxed copies taken at the run boundary
-    (["arena-out-materialize"]), so they stay valid across later
-    inferences over the same arena.  An arena run follows a plan only
+    replaces the one [config.memory] would build.  Graph outputs never
+    live in arena slots, so they stay valid across later inferences over
+    the same arena.  An arena run follows a plan only
     when its vetting verdict ({!Pipeline.vetted_plan}, cached per
     binding) is clean; a plan with defects runs boxed and counts
     ["arena-fallback-malloc"].

@@ -92,34 +92,37 @@ let elementwise ~par (vs : Tensor.view array) od last ~c ~co =
   in
   let code = Array.of_list (List.rev (last locs (OS.Leaf (Array.length vs)) :: !pre)) in
   run_program ~par ~n:(Array.fold_left ( * ) 1 od) ~regs32:!r32 ~regs64:!r64 code vs ~c
-    ~co;
-  Array.to_list od
+    ~co
 
-(* BatchNorm over [x] (rank ≥ 2, channels on axis 1) into [c] at [co],
-   each parameter one value per channel or one for all; [false] when the
-   shapes do not fit. *)
-let batch_norm_into ~par ~eps (x : Tensor.view) scale bias mean var ~c ~co =
-  let ps = [| scale; bias; mean; var |] in
+(* BatchNorm's parameters fit [x] (rank ≥ 2, channels on axis 1) when
+   each holds one value per channel or one for all. *)
+let batch_norm_fits (x : Tensor.view) ps =
   match x.Tensor.vdims with
-  | _ :: ch :: _
-    when Array.for_all (fun v -> Tensor.view_numel v = 1 || Tensor.view_numel v = ch) ps ->
-    let instr =
-      OS.norm ~x:(OS.Leaf 0) ~dst:(OS.Leaf 5) ~eps ~dims:(view_dims_arr x)
-        ~xdt:(Tensor.view_dtype x) ~params:[| 1; 2; 3; 4 |]
-        ~pdts:(Array.map Tensor.view_dtype ps) ~pnums:(Array.map Tensor.view_numel ps)
-    in
-    run_program ~par ~n:(Tensor.view_numel x) ~regs32:0 ~regs64:0 [| instr |]
-      (Array.append [| x |] ps) ~c ~co;
-    true
+  | _ :: ch :: _ ->
+    List.for_all (fun v -> Tensor.view_numel v = 1 || Tensor.view_numel v = ch) ps
   | _ -> false
+
+(* BatchNorm over [x] into [c] at [co]; the shapes must fit. *)
+let batch_norm_into ~par ~eps (x : Tensor.view) ps ~c ~co =
+  let ps = Array.of_list ps in
+  let instr =
+    OS.norm ~x:(OS.Leaf 0) ~dst:(OS.Leaf 5) ~eps ~dims:(view_dims_arr x)
+      ~xdt:(Tensor.view_dtype x) ~params:[| 1; 2; 3; 4 |]
+      ~pdts:(Array.map Tensor.view_dtype ps) ~pnums:(Array.map Tensor.view_numel ps)
+  in
+  run_program ~par ~n:(Tensor.view_numel x) ~regs32:0 ~regs64:0 [| instr |]
+    (Array.append [| x |] ps) ~c ~co
+
+(* The float dtype an operator over [vs] stores its result in: the widest
+   operand kind, as the boxed kernels promote. *)
+let promoted (vs : Tensor.view list) =
+  List.fold_left (fun acc v -> Tensor.promote_f acc (Tensor.view_dtype v)) Tensor.F32 vs
 
 let run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
   (* Without a backend every path below is the naive reference kernel, so
-     golden comparisons and guarded fallback stay bit-exact. *)
-  let map_f f x = match backend with Some be -> Backend.map_f be f x | None -> Tensor.map_f f x in
-  let map2 f x y = match backend with Some be -> Backend.map2 be f x y | None -> Tensor.map2 f x y in
-  (* Integer operands promote to F32 for float semantics; float operands
-     keep their own precision (an F64 input must not silently narrow). *)
+     golden comparisons and guarded fallback stay bit-exact.  Integer
+     operands promote to F32 for float semantics; float operands keep
+     their own precision (an F64 input must not silently narrow). *)
   let ensure_f t =
     if Tensor.is_float_dtype (Tensor.dtype t) then t else Tensor.cast t Tensor.F32
   in
@@ -131,14 +134,14 @@ let run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
     | (Tensor.I64 | Tensor.I8), Op.Abs -> [ Tensor.map_i abs x ]
     | (Tensor.I64 | Tensor.I8), Op.Not ->
       [ Tensor.map_i (fun v -> if v = 0 then 1 else 0) x ]
-    | (Tensor.I64 | Tensor.I8), _ -> [ map_f (unary_fn u) (Tensor.cast x Tensor.F32) ]
-    | (Tensor.F32 | Tensor.F64), _ -> [ map_f (unary_fn u) x ])
+    | (Tensor.I64 | Tensor.I8), _ -> [ Tensor.map_f (unary_fn u) (Tensor.cast x Tensor.F32) ]
+    | (Tensor.F32 | Tensor.F64), _ -> [ Tensor.map_f (unary_fn u) x ])
   | Op.Binary b, [ x; y ] -> (
     match Tensor.dtype x, Tensor.dtype y with
     | (Tensor.I64 | Tensor.I8), (Tensor.I64 | Tensor.I8) ->
       [ Tensor.map2i (int_binary_fn b) x y ]
-    | _ -> [ map2 (float_binary_fn b) (ensure_f x) (ensure_f y) ])
-  | Op.Clip (lo, hi), [ x ] -> [ map_f (Op_semantics.clip_fn lo hi) x ]
+    | _ -> [ Tensor.map2 (float_binary_fn b) (ensure_f x) (ensure_f y) ])
+  | Op.Clip (lo, hi), [ x ] -> [ Tensor.map_f (Op_semantics.clip_fn lo hi) x ]
   | Op.Cast dt, [ x ] -> [ Tensor.cast x dt ]
   | Op.Where, [ c; a; b ] -> [ Transform.where (Tensor.cast c Tensor.I64) a b ]
   | Op.MatMul, [ a; b ] -> (
@@ -169,18 +172,11 @@ let run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
     [ Linalg.avg_pool2d ~kernel ~stride:pool_stride ~pad:pool_pads x ]
   | Op.GlobalAveragePool, [ x ] -> [ Linalg.global_avg_pool x ]
   | Op.BatchNorm { eps }, [ x; scale; bias; mean; var ] ->
-    let dt =
-      List.fold_left
-        (fun acc v -> Tensor.promote_f acc (Tensor.dtype v))
-        (Tensor.dtype x) [ mean; var; scale; bias ]
-    in
-    let out = Tensor.empty dt (Tensor.dims x) in
-    let v = Tensor.view_f in
-    if
-      not
-        (batch_norm_into ~par:Blocked.sequential ~eps (v x) (v scale) (v bias) (v mean)
-           (v var) ~c:(Tensor.storage_f out) ~co:0)
-    then arg_err op "BatchNorm needs rank >= 2 and per-channel or scalar parameters";
+    let vx = Tensor.view_f x and vps = List.map Tensor.view_f [ scale; bias; mean; var ] in
+    if not (batch_norm_fits vx vps) then
+      arg_err op "BatchNorm needs rank >= 2 and per-channel or scalar parameters";
+    let out = Tensor.empty (promoted (vx :: vps)) (Tensor.dims x) in
+    batch_norm_into ~par:Blocked.sequential ~eps vx vps ~c:(Tensor.storage_f out) ~co:0;
     [ out ]
   | Op.LayerNorm { eps }, [ x; gamma; beta ] -> [ Reduction.layer_norm x ~gamma ~beta ~eps ]
   | Op.GroupNorm { num_groups; eps }, [ x; gamma; beta ] ->
@@ -319,16 +315,21 @@ let run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
   | _, _ -> arg_err op (Printf.sprintf "arity %d not supported" (List.length inputs))
 
 (* ------------------------------------------------------------------ *)
-(* Destination-passing execution (arena runtime)                       *)
+(* Destination-passing execution (the executor's kernels)             *)
 
 let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
-    ~(c : Tensor.fbuf) ~(co : int) ~(cap : int) : int list option =
-  let fits dims = List.fold_left ( * ) 1 dims = cap in
+    ~(dest : Tensor.dtype -> int list -> Tensor.fbuf * int) : int list option =
   let par =
     match backend with Some be -> Backend.par_of be | None -> Blocked.sequential
   in
+  (* The one call to [dest]: every shape check has passed by now. *)
+  let write ?(dt = promoted inputs) dims run =
+    let c, co = dest dt dims in
+    run ~c ~co;
+    Some dims
+  in
   let elementwise vs od last =
-    if fits (Array.to_list od) then Some (elementwise ~par vs od last ~c ~co) else None
+    write (Array.to_list od) (elementwise ~par vs od last)
   in
   match op, inputs with
   | Op.Unary u, [ x ] -> elementwise [| x |] (view_dims_arr x) (fun l d -> OS.Unary (u, l.(0), d))
@@ -338,40 +339,31 @@ let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
     elementwise [| x; y |]
       (Tensor.broadcast_dims (view_dims_arr x) (view_dims_arr y))
       (fun l d -> OS.Binary (b, l.(0), l.(1), d))
-  | Op.BatchNorm { eps }, [ x; scale; bias; mean; var ] ->
-    if fits x.Tensor.vdims && batch_norm_into ~par ~eps x scale bias mean var ~c ~co then
-      Some x.Tensor.vdims
-    else None
+  | Op.BatchNorm { eps }, [ x; scale; bias; mean; var ]
+    when batch_norm_fits x [ scale; bias; mean; var ] ->
+    write x.Tensor.vdims (batch_norm_into ~par ~eps x [ scale; bias; mean; var ])
   | Op.MatMul, [ a; b ] -> (
     match Linalg.matmul_out_dims a.Tensor.vdims b.Tensor.vdims with
     | exception Invalid_argument _ -> None
-    | od when fits od -> (
-      match backend with
-      | Some be -> Some (Backend.matmul_into ?cls be a b ~c ~co)
-      | None -> Some (Linalg.matmul_into a b ~c ~co))
-    | _ -> None)
-  | Op.Conv { stride; pads; dilation; groups }, (x :: w :: rest) -> (
+    | od ->
+      write od (fun ~c ~co ->
+          ignore
+            (match backend with
+            | Some be -> Backend.matmul_into ?cls be a b ~c ~co
+            | None -> Linalg.matmul_into a b ~c ~co)))
+  | Op.Conv { stride; pads; dilation; groups }, x :: w :: rest -> (
     let b = match rest with [ b ] -> Some b | _ -> None in
-    match x.Tensor.vdims, w.Tensor.vdims with
-    | [ n; _; h; wd ], [ m; _; kh; kw ] ->
-      let sh, sw = stride and dh, dw_ = dilation in
-      let pt, pl, pb, pr = pads in
-      let oh =
-        Linalg.conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb
-          ~dilation:dh
-      in
-      let ow =
-        Linalg.conv2d_out_dim ~in_:wd ~kernel:kw ~stride:sw ~pad_begin:pl ~pad_end:pr
-          ~dilation:dw_
-      in
-      if not (fits [ n; m; oh; ow ]) then None
-      else (
-        match backend with
-        | Some be ->
-          Some
-            (Backend.conv2d_into ?cls be ~stride ~pad:pads ~dilation ~groups x w b ~c
-               ~co)
-        | None ->
-          Some (Linalg.conv2d_into ~stride ~pad:pads ~dilation ~groups x w b ~c ~co))
-    | _ -> None)
+    match
+      Linalg.conv2d_out_dims ~stride ~pad:pads ~dilation x.Tensor.vdims w.Tensor.vdims
+    with
+    | exception Invalid_argument _ -> None
+    | od when List.exists (fun d -> d < 0) od -> None
+    | od ->
+      (* the bias does not widen the result, as in [Linalg.conv2d] *)
+      write ~dt:(promoted [ x; w ]) od (fun ~c ~co ->
+          ignore
+            (match backend with
+            | Some be ->
+              Backend.conv2d_into ?cls be ~stride ~pad:pads ~dilation ~groups x w b ~c ~co
+            | None -> Linalg.conv2d_into ~stride ~pad:pads ~dilation ~groups x w b ~c ~co)))
   | _ -> None

@@ -17,21 +17,27 @@ val run :
 
     Without [backend] every operator runs the naive reference kernel
     (bit-exact, the fallback/golden path).  With one, the heavy operators
-    (MatMul, Gemm, Conv, Conv1d) and large elementwise maps dispatch to
-    the blocked/parallel variants; [cls] pins the GEMM shape class when
-    the caller resolved it at compile time. *)
+    (MatMul, Gemm, Conv, Conv1d) dispatch to the blocked/parallel
+    variants; [cls] pins the GEMM shape class when the caller resolved it
+    at compile time.  Elementwise maps are sequential here; the executor
+    runs float ones through {!run_into}, whose block programs split over
+    the backend's pool. *)
 
 val run_into :
   ?backend:Backend.t -> ?cls:Multi_version.shape_class -> Op.t ->
-  Tensor.view list -> c:Tensor.fbuf -> co:int -> cap:int -> int list option
-(** Destination-passing execution for the arena runtime: evaluate [op]
-    over view inputs, writing the single output into [c] at element offset
-    [co], and return its dims — but only when the operator has a
-    destination-passing kernel {e and} the result occupies exactly [cap]
-    elements (the planned slot's capacity).  [None] means nothing was
-    written and the caller must run the boxed {!run} path instead.
+  Tensor.view list -> dest:(Tensor.dtype -> int list -> Tensor.fbuf * int) ->
+  int list option
+(** Destination-passing execution: evaluate [op] over view inputs and
+    return the output dims.  It first checks that the operator has a
+    destination kernel and that the operand shapes fit it; [None] means
+    that check failed, [dest] was never called and nothing was written —
+    the caller runs the boxed {!run} instead.  Otherwise it computes the
+    output dims, calls [dest dtype dims] exactly once for a buffer and an
+    element offset to write the single output to ([dtype] is the float
+    kind {!run} would store it in), writes every element there, and
+    returns the dims.  [dest] owns the choice of where results go.
 
     Covered operators: Unary, Binary (broadcasting), Clip, BatchNorm,
     MatMul and Conv — the ops that dominate steady-state inference
     traffic.  Everything else (views, reductions, Gemm's transpose
-    scratch, I64 semantics) stays on the boxed path by design. *)
+    scratch, I64 semantics) stays on the boxed path. *)

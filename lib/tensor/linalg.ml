@@ -1,6 +1,17 @@
 let conv2d_out_dim ~in_ ~kernel ~stride ~pad_begin ~pad_end ~dilation =
   ((in_ + pad_begin + pad_end - (((kernel - 1) * dilation) + 1)) / stride) + 1
 
+let conv2d_out_dims ~stride:(sh, sw) ~pad:(pt, pl, pb, pr) ~dilation:(dh, dw) xdims wdims =
+  match xdims, wdims with
+  | [ n; _; h; wd ], [ m; _; kh; kw ] ->
+    [
+      n;
+      m;
+      conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb ~dilation:dh;
+      conv2d_out_dim ~in_:wd ~kernel:kw ~stride:sw ~pad_begin:pl ~pad_end:pr ~dilation:dw;
+    ]
+  | _ -> invalid_arg "Linalg.conv2d_out_dims: expects N×C×H×W input and M×C×KH×KW weight"
+
 module BA1 = Bigarray.Array1
 
 (* GEMM kernels operate on raw float storage ({!Tensor.fbuf}) so the same
@@ -332,13 +343,14 @@ let conv2d_into ?(stride = (1, 1)) ?(pad = (0, 0, 0, 0)) ?(dilation = (1, 1)) ?(
 let conv2d ?stride ?pad ?dilation ?groups x w b =
   let vx = Tensor.view_f x and vw = Tensor.view_f w in
   let vb = Option.map Tensor.view_f b in
-  let dx = Tensor.dims_arr x and dw = Tensor.dims_arr w in
-  let sh, sw = Option.value stride ~default:(1, 1) in
-  let pt, pl, pb, pr = Option.value pad ~default:(0, 0, 0, 0) in
-  let dh, dw_ = Option.value dilation ~default:(1, 1) in
-  let oh = conv2d_out_dim ~in_:dx.(2) ~kernel:dw.(2) ~stride:sh ~pad_begin:pt ~pad_end:pb ~dilation:dh in
-  let ow = conv2d_out_dim ~in_:dx.(3) ~kernel:dw.(3) ~stride:sw ~pad_begin:pl ~pad_end:pr ~dilation:dw_ in
-  let out = Tensor.zeros (out_dtype x w) [ dx.(0); dw.(0); oh; ow ] in
+  let od =
+    conv2d_out_dims
+      ~stride:(Option.value stride ~default:(1, 1))
+      ~pad:(Option.value pad ~default:(0, 0, 0, 0))
+      ~dilation:(Option.value dilation ~default:(1, 1))
+      (Tensor.dims x) (Tensor.dims w)
+  in
+  let out = Tensor.zeros (out_dtype x w) od in
   ignore (conv2d_into ?stride ?pad ?dilation ?groups vx vw vb ~c:(Tensor.storage_f out) ~co:0);
   out
 

@@ -104,3 +104,10 @@ val conv2d_out_dim : in_:int -> kernel:int -> stride:int -> pad_begin:int ->
   pad_end:int -> dilation:int -> int
 (** The ONNX output-extent formula shared by conv and pooling:
     [floor ((in + pads - ((k-1)*d + 1)) / stride) + 1]. *)
+
+val conv2d_out_dims :
+  stride:int * int -> pad:int * int * int * int -> dilation:int * int -> int list ->
+  int list -> int list
+(** [conv2d_out_dims ~stride ~pad ~dilation xdims wdims] — the output dims
+    [[N; M; OH; OW]] of an NCHW input against an OIHW weight.  Raises
+    [Invalid_argument] when either is not rank 4. *)

@@ -102,8 +102,8 @@ let test_norm_alloc () =
     Alcotest.failf "layer_norm %d vs %d words, batch_norm %d vs %d words (1x4x8 vs 1x4x512)"
       ln_small ln_large bn_small bn_large
 
-(* The arena executor's destination kernels for the hottest pointwise ops
-   write straight into the slot without boxing an element. *)
+(* The executor's destination kernels for the hottest pointwise ops
+   write straight into their destination without boxing an element. *)
 let test_into_alloc () =
   let rng = Rng.create 8 in
   let alloc op n =
@@ -112,7 +112,7 @@ let test_into_alloc () =
     let inputs = match op with Op.Unary _ -> [ x ] | _ -> [ x; y ] in
     let c = Tensor.fbuf_create Tensor.F32 (2 * n) in
     steady_alloc (fun () ->
-        ignore (Sod2_runtime.Kernels.run_into op inputs ~c ~co:0 ~cap:(2 * n)))
+        ignore (Sod2_runtime.Kernels.run_into op inputs ~dest:(fun _ _ -> c, 0)))
   in
   List.iter
     (fun (name, op) ->

@@ -80,6 +80,66 @@ let prop_pointwise_random =
           check_bitexact (Printf.sprintf "random chain n=%d" n) want got;
           true))
 
+(* A pointwise chain over an arena-resident value: [y = x + c] has
+   consumers in two groups (the chain and a Neg), so it materializes in
+   its planned slot, and the chain is the one templated group. *)
+let slot_fed_chain_graph () =
+  let b = Graph.Builder.create () in
+  let x =
+    Graph.Builder.input b ~name:"x" (Shape.of_dims [ Dim.of_sym "N"; Dim.of_int 32 ])
+  in
+  let k = Graph.Builder.const b ~name:"k" (Tensor.full_f [ 32 ] 0.25) in
+  let y = Graph.Builder.node1 b (Op.Binary Op.Add) [ x; k ] in
+  let z = Graph.Builder.node1 b (Op.Unary Op.Neg) [ y ] in
+  let s = Graph.Builder.node1 b (Op.Unary Op.Sigmoid) [ y ] in
+  let m = Graph.Builder.node1 b (Op.Binary Op.Mul) [ s; y ] in
+  let ge = Graph.Builder.node1 b (Op.Unary Op.Gelu) [ m ] in
+  let cl = Graph.Builder.node1 b (Op.Clip (0.05, 0.95)) [ ge ] in
+  Graph.Builder.set_outputs b [ cl; z ];
+  x, Graph.Builder.finish b
+
+(* Past its live-variant budget a group runs op-by-op.  Each such
+   execution consults the kernel cache once — one reject — and its
+   op-by-op members read the arena-resident input as a view, never a
+   copy. *)
+let test_overflow_rejects_once () =
+  let x, g = slot_fed_chain_graph () in
+  let c = Sod2.Pipeline.compile cpu g in
+  let templated =
+    Array.to_list c.Sod2.Pipeline.fused |> List.filter Option.is_some |> List.length
+  in
+  Alcotest.(check int) "one templated group" 1 templated;
+  let count kind = Profile.Counters.count ~profile:cpu.Profile.name ~kind in
+  let arena = RT.Arena.create () in
+  with_fused c (fun be ->
+      let run n =
+        let env = Env.of_list [ "N", n ] in
+        let inputs = [ x, Tensor.rand_uniform (Rng.create n) [ n; 32 ] ] in
+        let _, got =
+          RT.Executor.run_real
+            ~config:{ RT.Executor.default_config with memory = RT.Executor.Mem_arena }
+            ~env ~backend:be ~memory:(RT.Executor.Arena { arena; env }) c ~inputs
+        in
+        check_bitexact (Printf.sprintf "slot-fed chain n=%d" n)
+          (RT.Reference.run c.Sod2.Pipeline.graph ~inputs) got
+      in
+      for n = 1 to 32 do
+        run n
+      done;
+      Alcotest.(check int) "the budget is full" 32
+        (RT.Backend.fused_stats be).RT.Backend.variants;
+      for n = 33 to 36 do
+        let r0 = (RT.Backend.fused_stats be).RT.Backend.rejects in
+        let copies0 = count "arena-copy-out" in
+        run n;
+        Alcotest.(check int)
+          (Printf.sprintf "n=%d: one reject per execution" n)
+          (r0 + 1) (RT.Backend.fused_stats be).RT.Backend.rejects;
+        Alcotest.(check int)
+          (Printf.sprintf "n=%d: no arena copy-out" n)
+          copies0 (count "arena-copy-out")
+      done)
+
 (* ------------------------------------------------------------------ *)
 (* Broadcast groups and the per-shape cache                            *)
 (* ------------------------------------------------------------------ *)
@@ -336,6 +396,8 @@ let suite =
       test_guarded_fused_clean;
     Alcotest.test_case "trace: I64 tensors count 8 bytes" `Quick test_trace_i64_bytes;
     QCheck_alcotest.to_alcotest prop_pointwise_random;
+    Alcotest.test_case "variant overflow: one reject, no arena copy-out" `Quick
+      test_overflow_rejects_once;
     Alcotest.test_case "mixed precision and mapped values: fused = naive" `Quick
       test_mixed_groups_bitexact;
   ]

@@ -428,20 +428,44 @@ let test_backend_ops_match_reference () =
             (RT.Backend.matmul ~cls:Sod2.Multi_version.Skinny be a b)))
     [ RT.Backend.Naive; RT.Backend.Blocked; RT.Backend.Parallel ]
 
+(* Elementwise maps on a Parallel backend run as destination kernels:
+   block programs chunked over the pool.  They must match the sequential
+   [Tensor] maps bit for bit, same-shape and broadcast alike. *)
 let test_backend_elementwise () =
   with_backend RT.Backend.Parallel (fun be ->
       let rng = Rng.create 21 in
-      (* big enough to take the chunked-parallel path *)
+      let into op inputs =
+        let out = ref None in
+        let dest dt dims =
+          let t = Tensor.zeros dt dims in
+          out := Some t;
+          Tensor.storage_f t, 0
+        in
+        match RT.Kernels.run_into ~backend:be op (List.map Tensor.view_f inputs) ~dest with
+        | Some _ -> Option.get !out
+        | None -> Alcotest.failf "%s has no destination kernel" (Op.name op)
+      in
+      let check_bits name want got =
+        Alcotest.(check (list int)) (name ^ ": dims") (Tensor.dims want) (Tensor.dims got);
+        Alcotest.(check bool) (name ^ ": bit-identical") true
+          (Array.for_all2
+             (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+             (Tensor.data_f want) (Tensor.data_f got))
+      in
+      (* big enough to split into chunks *)
       let x = Tensor.rand_uniform rng [ 50_000 ] in
       let y = Tensor.rand_uniform rng [ 50_000 ] in
-      check_close "map_f" (Tensor.map_f sqrt x) (RT.Backend.map_f be sqrt x);
-      check_close "map2" (Tensor.map2 ( *. ) x y) (RT.Backend.map2 be ( *. ) x y);
-      (* broadcasting stays on the sequential path but must still work *)
+      check_bits "sqrt"
+        (Tensor.map_f (Op_semantics.unary_fn Op.Sqrt) x)
+        (into (Op.Unary Op.Sqrt) [ x ]);
+      check_bits "mul"
+        (Tensor.map2 (Op_semantics.float_binary_fn Op.Mul) x y)
+        (into (Op.Binary Op.Mul) [ x; y ]);
       let row = Tensor.rand_uniform rng [ 10 ] in
       let mat = Tensor.rand_uniform rng [ 200; 10 ] in
-      check_close "map2/broadcast"
-        (Tensor.map2 ( +. ) mat row)
-        (RT.Backend.map2 be ( +. ) mat row))
+      check_bits "add/broadcast"
+        (Tensor.map2 (Op_semantics.float_binary_fn Op.Add) mat row)
+        (into (Op.Binary Op.Add) [ mat; row ]))
 
 let test_backend_kind_names () =
   List.iter

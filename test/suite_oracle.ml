@@ -24,6 +24,26 @@ let check what ~want ~got =
   bits_equal want got
   || QCheck2.Test.fail_reportf "%s\nwant %s\ngot  %s" what (show want) (show got)
 
+(* A destination for [Kernels.run_into]: a buffer of the kind it asks
+   for, with room on both sides of the window at element offset 3.  The
+   window read back as a tensor carries that kind, so [check] also tests
+   the dtype the kernel reported. *)
+let window_off = 3
+
+let into_window ~dims =
+  let buf = ref None in
+  let dest dt got =
+    if got <> dims then
+      QCheck2.Test.fail_reportf "destination asked for %s, want %s" (dims_s got) (dims_s dims);
+    let b = Tensor.fbuf_create dt (List.fold_left ( * ) 1 dims + window_off + 2) in
+    buf := Some b;
+    b, window_off
+  in
+  buf, dest
+
+let window_tensor buf ~dims =
+  Tensor.of_view (Tensor.sub_view ~buf:(Option.get !buf) ~off:window_off ~dims)
+
 (* Every property draws one seed and builds its case from it, so a failure
    report names the case it found. *)
 let prop ?(count = 300) name f =
@@ -95,13 +115,11 @@ let prop_map2 =
       let op = pick st [ Op.Add; Op.Sub; Op.Mul; Op.Div; Op.Max2; Op.Min2 ] in
       let want = Oracle.map2 (Op_semantics.float_binary_fn op) a b in
       let dims = Tensor.dims want in
-      let n = Tensor.numel want and off = 3 in
-      let buf = Tensor.fbuf_create (Tensor.dtype want) (n + off + 2) in
+      let buf, dest = into_window ~dims in
       Sod2_runtime.Kernels.run_into (Op.Binary op) [ Tensor.view_f a; Tensor.view_f b ]
-        ~c:buf ~co:off ~cap:n
+        ~dest
       = Some dims
-      && check (what ^ " (into)") ~want
-           ~got:(Tensor.of_view (Tensor.sub_view ~buf ~off ~dims)))
+      && check (what ^ " (into)") ~want ~got:(window_tensor buf ~dims))
 
 let eps st = pick st [ 1e-5; 1e-3; 0.0 ]
 
@@ -148,15 +166,11 @@ let prop_batch_norm =
       &&
       (* the destination-passing form writes at an offset into a larger
          buffer of the result's kind *)
-      let n = Tensor.numel x and off = 3 in
-      let buf = Tensor.fbuf_create (Tensor.dtype want) (n + off + 2) in
+      let buf, dest = into_window ~dims in
       let v = Tensor.view_f in
-      Sod2_runtime.Kernels.run_into op
-        [ v x; v scale; v bias; v mean; v var ]
-        ~c:buf ~co:off ~cap:n
+      Sod2_runtime.Kernels.run_into op [ v x; v scale; v bias; v mean; v var ] ~dest
       = Some dims
-      && check (what ^ " (into)") ~want
-           ~got:(Tensor.of_view (Tensor.sub_view ~buf ~off ~dims)))
+      && check (what ^ " (into)") ~want ~got:(window_tensor buf ~dims))
 
 let prop_group_norm =
   prop "group_norm = oracle" (fun st ->

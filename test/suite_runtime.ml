@@ -164,7 +164,7 @@ let test_dry_gates_route () =
     (Sod2_runtime.Executor.total_flops cheap < Sod2_runtime.Executor.total_flops expensive)
 
 (* Arena execution: interpreting with every planned tensor at its memory-
-   plan offset must produce the same outputs as the boxed interpreter — an
+   plan offset must produce the same outputs as the reference interpreter — an
    end-to-end proof that the plan's lifetimes and placement are sound. *)
 let test_arena_execution () =
   List.iter
@@ -174,7 +174,7 @@ let test_arena_execution () =
       let c = Sod2.Pipeline.compile cpu g in
       let env = tiny_env sp in
       let inputs = Zoo.make_inputs sp g env (Rng.create 11) in
-      let _, boxed = Sod2_runtime.Executor.run_real c ~inputs in
+      let boxed = Sod2_runtime.Reference.run c.Sod2.Pipeline.graph ~inputs in
       let arena, arena_outs = run_arena c ~env ~inputs in
       Alcotest.(check bool) (name ^ ": tensors lived in the arena") true
         (arena.Sod2_runtime.Executor.arena_resident > 0);
@@ -309,7 +309,7 @@ let test_arena_backends_match () =
   let c = Sod2.Pipeline.compile cpu g in
   let env = tiny_env sp in
   let inputs = Zoo.make_inputs sp g env (Rng.create 17) in
-  let _, boxed = Sod2_runtime.Executor.run_real c ~inputs in
+  let boxed = Sod2_runtime.Reference.run c.Sod2.Pipeline.graph ~inputs in
   List.iter
     (fun kind ->
       let be = Sod2_runtime.Backend.for_compiled kind c in

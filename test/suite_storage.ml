@@ -167,12 +167,14 @@ let test_backends_bit_identical () =
       let x, g = mixed_graph dt in
       let c = compile_in dt g in
       let inputs = [ x, input_for 11 dt ] in
-      let _, want = RT.Executor.run_real c ~inputs in
+      let want = RT.Reference.run c.Sod2.Pipeline.graph ~inputs in
       List.iter
         (fun (_, t) ->
           Alcotest.(check string) (kn ^ ": reference output dtype") kn
             (Tensor.dtype_name (Tensor.dtype t)))
         want;
+      let _, got = RT.Executor.run_real c ~inputs in
+      check_bitwise (Printf.sprintf "naive executor, %s" kn) want got;
       List.iter
         (fun (kind, bn) ->
           let be = RT.Backend.for_compiled kind c in
@@ -196,7 +198,7 @@ let test_fused_bit_identical () =
       let x, g = pointwise_graph dt in
       let c = compile_in dt g in
       let inputs = [ x, Tensor.cast (Tensor.rand_uniform (Rng.create 13) [ 9; 32 ]) dt ] in
-      let _, want = RT.Executor.run_real c ~inputs in
+      let want = RT.Reference.run c.Sod2.Pipeline.graph ~inputs in
       let be = RT.Backend.for_compiled RT.Backend.Fused c in
       Fun.protect
         ~finally:(fun () -> RT.Backend.shutdown be)
