@@ -470,7 +470,7 @@ let serve_cmd =
       if arrival_rate <= 0.0 then 0.0
       else -.log (max 1e-12 (Rng.uniform arrival_rng)) /. arrival_rate
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Sod2.Clock.now_us () in
     let tickets =
       List.map
         (fun (env, inputs) ->
@@ -490,7 +490,7 @@ let serve_cmd =
           | _ -> incr completed
           | exception Sod2_error.Error _ -> ()))
       tickets;
-    let elapsed = Unix.gettimeofday () -. t0 in
+    let elapsed = (Sod2.Clock.now_us () -. t0) /. 1e6 in
     Engine.shutdown engine;
     let st = Engine.stats engine in
     Printf.printf "served %d/%d requests over %d distinct bindings on %d workers (--exec %s)\n"

@@ -6,7 +6,7 @@
     µs — exactly the [?measure] callback {!Autotune.tune} wants for its
     [Measured]/[Hybrid] objectives.  Timing discipline: warmup run, repeat
     count calibrated so every sample spans ≳200 µs, minimum over
-    [rounds], on a monotonized wall clock.
+    [rounds], on the monotonized {!Clock}.
 
     Every candidate measurement is recorded in {!Profile.Counters} under
     the kind ["tune-measurement"] — the counter the engine's
@@ -22,13 +22,6 @@ val counter_kind : string
 val measurement_count : unit -> int
 (** Process-global number of candidate measurements so far (all profiles),
     from {!Profile.Counters}. *)
-
-val now_us : unit -> float
-(** The harness clock: [Unix.gettimeofday] in µs, clamped non-decreasing. *)
-
-val time_us : rounds:int -> (unit -> unit) -> float
-(** [time_us ~rounds f] — µs per invocation of [f], min-of-[rounds] with
-    warmup and calibrated inner repeats. *)
 
 val gemm_measurer :
   ?dt:Tensor.dtype -> ?par:Blocked.par -> ?rounds:int -> ?profile:string ->

@@ -16,8 +16,8 @@ type request = {
   r_env : Env.t;
   r_key : string;  (** {!Pipeline.plan_key} of [r_env] — micro-batch key *)
   r_inputs : (Graph.tensor_id * Tensor.t) list;
-  r_submitted : float;  (** [Unix.gettimeofday] at submit *)
-  r_deadline : float option;  (** absolute [gettimeofday] expiry, from [?deadline_us] *)
+  r_submitted : float;  (** [Clock.now_us] at submit *)
+  r_deadline : float option;  (** absolute [Clock.now_us] expiry, from [?deadline_us] *)
   mutable r_worker : int;  (** worker slot that last touched it; -1 = none *)
   mutable r_state : state;
 }
@@ -226,7 +226,7 @@ let route_locked t key now =
     | None -> `Normal
     | Some b ->
       if b.opened_at = 0.0 then `Normal
-      else if (now -. b.opened_at) *. 1e6 >= t.breaker_cooldown_us && not b.probing
+      else if now -. b.opened_at >= t.breaker_cooldown_us && not b.probing
       then begin
         b.probing <- true;
         `Probe
@@ -399,7 +399,7 @@ let run_fallback t req = Reference.run t.compiled.Pipeline.graph ~inputs:req.r_i
    {!For_testing.Crash_worker} escapes on purpose: it simulates an
    exception that takes the whole worker domain down. *)
 let execute t ~w ~arena ~backend req ~batched =
-  let started = Unix.gettimeofday () in
+  let started = Clock.now_us () in
   Mutex.lock t.lock;
   let route = route_locked t req.r_key started in
   Mutex.unlock t.lock;
@@ -430,19 +430,19 @@ let execute t ~w ~arena ~backend req ~batched =
                ~inputs:req.r_inputs)
         end
       in
-      let now = Unix.gettimeofday () in
+      let now = Clock.now_us () in
       Ok
         ( {
             outputs;
-            latency_us = (now -. req.r_submitted) *. 1e6;
+            latency_us = now -. req.r_submitted;
             worker = w;
             batched;
             degraded = via_fallback;
           },
-          (now -. started) *. 1e6 )
+          now -. started )
     with
     | For_testing.Crash_worker as e -> raise e
-    | e -> Error (e, (Unix.gettimeofday () -. started) *. 1e6)
+    | e -> Error (e, Clock.now_us () -. started)
   in
   let want_retune = ref false in
   Mutex.lock t.lock;
@@ -463,7 +463,7 @@ let execute t ~w ~arena ~backend req ~batched =
     ignore (settle_locked t req (Failed e) V_failed);
     t.busy_us.(w) <- t.busy_us.(w) +. busy;
     if not via_fallback then
-      breaker_failure_locked t req.r_key ~probe:(route = `Probe) (Unix.gettimeofday ()));
+      breaker_failure_locked t req.r_key ~probe:(route = `Probe) (Clock.now_us ()));
   Mutex.unlock t.lock;
   counter t "engine-request";
   if batched then counter t "engine-batched";
@@ -475,13 +475,13 @@ let expired_error req now =
   Sod2_error.Error
     (Sod2_error.make ~key:req.r_key Sod2_error.Deadline_expired
        (Printf.sprintf "deadline exceeded %.0f us before execution"
-          ((now -. Option.get req.r_deadline) *. 1e6)))
+          (now -. Option.get req.r_deadline)))
 
 (* One claimed request: shed it if its deadline already passed (checked
    at dequeue and again before each micro-batch follower runs), else
    execute it. *)
 let process t ~w ~arena ~backend (req, batched) =
-  let now = Unix.gettimeofday () in
+  let now = Clock.now_us () in
   match req.r_deadline with
   | Some d when now > d ->
     Mutex.lock t.lock;
@@ -563,7 +563,7 @@ let worker_body t w =
    calling domain runs the request synchronously through the reference
    fallback and settles the ticket before returning. *)
 let run_degraded_inline t req =
-  let now = Unix.gettimeofday () in
+  let now = Clock.now_us () in
   match req.r_deadline with
   | Some d when now > d ->
     Mutex.lock t.lock;
@@ -572,14 +572,14 @@ let run_degraded_inline t req =
     counter t "engine-expired"
   | _ ->
     let outcome = try Ok (run_fallback t req) with e -> Error e in
-    let settled = Unix.gettimeofday () in
+    let settled = Clock.now_us () in
     Mutex.lock t.lock;
     (match outcome with
     | Ok outputs ->
       let r =
         {
           outputs;
-          latency_us = (settled -. req.r_submitted) *. 1e6;
+          latency_us = settled -. req.r_submitted;
           worker = -1;
           batched = false;
           degraded = true;
@@ -599,7 +599,7 @@ let run_degraded_inline t req =
 
 let rec spawn_worker t w =
   Domain.spawn (fun () ->
-      let born = Unix.gettimeofday () in
+      let born = Clock.now_us () in
       try worker_body t w with e -> on_worker_crash t w ~born e)
 
 (* Runs inside the dying worker domain.  Fails the crashed worker's
@@ -608,8 +608,8 @@ let rec spawn_worker t w =
    budget is spent and this was the last live worker — flips the engine
    into degraded mode and drains the queue inline so nothing deadlocks. *)
 and on_worker_crash t w ~born e =
-  let now = Unix.gettimeofday () in
-  let uptime_ms = (now -. born) *. 1e3 in
+  let now = Clock.now_us () in
+  let uptime_ms = (now -. born) /. 1e3 in
   Mutex.lock t.lock;
   let victims =
     List.filter (fun r -> match r.r_state with Pending -> true | _ -> false) t.inflight.(w)
@@ -739,14 +739,14 @@ let create ?(workers = 1) ?(max_batch = 4) ?(config = Executor.default_config)
   t
 
 let submit ?deadline_us t ~env ~inputs =
-  let now = Unix.gettimeofday () in
+  let now = Clock.now_us () in
   let req =
     {
       r_env = env;
       r_key = Pipeline.plan_key t.compiled env;
       r_inputs = inputs;
       r_submitted = now;
-      r_deadline = Option.map (fun us -> now +. (us *. 1e-6)) deadline_us;
+      r_deadline = Option.map (fun us -> now +. us) deadline_us;
       r_worker = -1;
       r_state = Pending;
     }
@@ -786,7 +786,7 @@ let submit ?deadline_us t ~env ~inputs =
       ignore (settle_locked t victim (Failed (Sod2_error.Error err)) V_shed);
       counter t "engine-shed"
     | Block timeout_us ->
-      let give_up = Option.map (fun us -> now +. (us *. 1e-6)) timeout_us in
+      let give_up = Option.map (fun us -> now +. us) timeout_us in
       let rec wait () =
         if Queue.length t.queue < t.queue_cap || t.stopping || t.degraded_mode then ()
         else
@@ -795,7 +795,7 @@ let submit ?deadline_us t ~env ~inputs =
             Condition.wait t.room t.lock;
             wait ()
           | Some g ->
-            if Unix.gettimeofday () >= g then
+            if Clock.now_us () >= g then
               reject Sod2_error.Overload
                 (Printf.sprintf "queue full (cap %d); blocked past the %.0f us timeout"
                    t.queue_cap

@@ -631,13 +631,17 @@ let approx_equal ?(eps = 1e-5) a b =
       i >= n
       ||
       let v = fbuf_get x i and w = fbuf_get y i in
-      (* Matching NaNs count as equal (kernels legitimately produce them,
-         e.g. sqrt of a negative); a one-sided NaN is a real mismatch. *)
-      ((Float.is_nan v && Float.is_nan w)
+      (* Equal values (infinities included) and matching NaNs count as
+         equal (kernels legitimately produce them, e.g. sqrt of a
+         negative); a one-sided NaN or infinity is a real mismatch, which
+         the finite-distance test catches before the scale (itself
+         infinite then) could excuse it. *)
+      (v = w
+      || (Float.is_nan v && Float.is_nan w)
       ||
       let d = Float.abs (v -. w) in
       let scale = Float.max 1.0 (Float.max (Float.abs v) (Float.abs w)) in
-      d <= eps *. scale)
+      Float.is_finite d && d <= eps *. scale)
       && go (i + 1)
     in
     go 0

@@ -283,8 +283,10 @@ val equal : t -> t -> bool
 
 val approx_equal : ?eps:float -> t -> t -> bool
 (** Float comparison within absolute/relative tolerance [eps]
-    (default 1e-5), exiting on the first mismatch; integer tensors compare
-    exactly.  Float tensors of different precision compare by value. *)
+    (default 1e-5), exiting on the first mismatch; equal values
+    (infinities included) and matching NaNs agree, a one-sided NaN or
+    infinity does not, and integer tensors compare exactly.  Float tensors of different precision compare by
+    value. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints dtype, shape and (for small tensors) elements. *)

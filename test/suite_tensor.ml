@@ -283,6 +283,18 @@ let prop_matmul_identity =
       Tensor.approx_equal a (Linalg.matmul a id)
       && Tensor.approx_equal a (Linalg.matmul id a))
 
+(* Equal infinities and matching NaNs agree; a one-sided NaN or
+   infinity does not, however large the finite side. *)
+let test_approx_nonfinite () =
+  let t = t_f [ 4 ] [ infinity; neg_infinity; nan; 1.0 ] in
+  let agree want what other =
+    Alcotest.(check bool) what want (Tensor.approx_equal t (t_f [ 4 ] other))
+  in
+  agree true "itself" [ infinity; neg_infinity; nan; 1.0 ];
+  agree false "one-sided nan" [ infinity; neg_infinity; 0.0; 1.0 ];
+  agree false "infinity vs finite" [ 1e30; neg_infinity; nan; 1.0 ];
+  agree false "opposite infinities" [ neg_infinity; neg_infinity; nan; 1.0 ]
+
 let suite =
   [
     Alcotest.test_case "creation" `Quick test_creation;
@@ -304,6 +316,7 @@ let suite =
     Alcotest.test_case "topk/nonzero/cumsum" `Quick test_topk_nonzero_cumsum;
     Alcotest.test_case "depth<->space" `Quick test_depth_space;
     Alcotest.test_case "casting" `Quick test_cast_int;
+    Alcotest.test_case "approx_equal: non-finite values" `Quick test_approx_nonfinite;
     QCheck_alcotest.to_alcotest prop_transpose_involution;
     QCheck_alcotest.to_alcotest prop_concat_split_roundtrip;
     QCheck_alcotest.to_alcotest prop_reduce_sum_total;
