@@ -105,13 +105,18 @@ let fused ~rounds =
 (* --- arena: planned destination-passing execution vs malloc ----------- *)
 
 let arena_wrong = gate "malloc/arena outputs off Reference by > 1e-4" 0.0 At_most
+let arena_dest_malloc = gate "arena-dest-malloc per arena run" 0.0 At_most
+
+(* SkipNet's 12 gate ArgMax reads of arena-resident logits: ArgMax has no
+   destination kernel, and nothing else may read a slot boxed. *)
+let arena_copy_out = gate "arena-copy-out per arena run" 12.0 At_most
 
 let arena ~rounds =
-  let wrong = ref 0 in
+  let wrong = ref 0 and mallocs = ref 0 and copies = ref 0 in
   (* Arena runs keep the RDP boundary cross-check on. *)
   let guarded = { RT.Executor.default_config with guarded = true } in
-  let model (name, g, dims) =
-    let inputs = [ 0, Tensor.rand_uniform (Rng.create 3) dims ] and env = Env.empty in
+  let counter kind = Profile.Counters.count ~profile:cpu.Profile.name ~kind in
+  let model (name, g, env, inputs, kinds) =
     let c = Sod2.Pipeline.compile cpu g in
     (* The expected side is the reference interpreter: both memory modes
        run the executor's destination kernels, so neither can vouch for
@@ -123,25 +128,41 @@ let arena ~rounds =
       (* Steady state: one persistent grow-only arena, the plan served
          from the binding cache. *)
       let memory = RT.Executor.Arena { arena = RT.Arena.create (); env } in
-      let runs =
-        [ (fun () -> RT.Executor.run_real ~backend:be c ~inputs);
-          (fun () -> RT.Executor.run_real ~config:guarded ~env ~backend:be ~memory c ~inputs) ]
-      in
-      let tm, ta = pair (time ~calls:5 ~rounds (List.map (fun run () () -> ignore (run ())) runs)) in
-      List.iter (fun run -> wrong := !wrong + mismatches (Within 1e-4) (snd (run ())) reference) runs;
+      let malloc () = RT.Executor.run_real ~backend:be c ~inputs in
+      let arena () = RT.Executor.run_real ~config:guarded ~env ~backend:be ~memory c ~inputs in
+      let tm, ta = pair (time ~calls:5 ~rounds (List.map (fun run () () -> ignore (run ())) [ malloc; arena ])) in
+      let m0 = counter "arena-dest-malloc" and c0 = counter "arena-copy-out" in
+      let _, arena_out = arena () in
+      let m = counter "arena-dest-malloc" - m0 and k = counter "arena-copy-out" - c0 in
+      mallocs := max !mallocs m;
+      copies := max !copies k;
+      wrong := !wrong + mismatches (Within 1e-4) (snd (malloc ())) reference
+               + mismatches (Within 1e-4) arena_out reference;
       row (name ^ " " ^ RT.Backend.kind_name kind) [ "malloc", tm; "arena", ta ]
-        ~fields:[ "speedup", tm.best /. ta.best; "arena_bytes", count bytes ]
+        ~fields:[ "speedup", tm.best /. ta.best; "arena_bytes", count bytes;
+                  "dest_malloc", count m; "copy_out", count k ]
     in
-    List.map backend RT.Backend.[ Naive; Blocked; Fused ]
+    List.map backend kinds
+  in
+  let stream (name, g, dims) =
+    name, g, Env.empty, [ 0, Tensor.rand_uniform (Rng.create 3) dims ], RT.Backend.[ Naive; Blocked; Fused ]
+  in
+  let skipnet =
+    let sp = fixture "skipnet" in
+    let g = sp.Zoo.build () and env = Env.of_list [ "H", 128; "W", 128 ] in
+    "skipnet-128x128", g, env, Zoo.make_inputs sp g env (Rng.create 3), RT.Backend.[ Blocked; Fused ]
   in
   let dims = [ 256; 1024 ] in
   let rows =
     List.concat_map model
-      [ "chain-stream-256x1024", Graphs.sub_stream ~steps:16 (Shape.of_ints dims) dims, dims;
-        "chain-ladder-256x1024", Graphs.ladder ~layers:8 dims, dims;
-        "conv1x1-stream-4x64x64", Graphs.conv_stream ~layers:5 ~subs:28 ~ch:4 ~hw:64, [ 1; 4; 64; 64 ] ]
+      (List.map stream
+         [ "chain-stream-256x1024", Graphs.sub_stream ~steps:16 (Shape.of_ints dims) dims, dims;
+           "chain-ladder-256x1024", Graphs.ladder ~layers:8 dims, dims;
+           "conv1x1-stream-4x64x64", Graphs.conv_stream ~layers:5 ~subs:28 ~ch:4 ~hw:64, [ 1; 4; 64; 64 ] ]
+      @ [ skipnet ])
   in
-  { rows; values = [ arena_wrong, count !wrong ] }
+  { rows;
+    values = [ arena_wrong, count !wrong; arena_dest_malloc, count !mallocs; arena_copy_out, count !copies ] }
 
 (* --- engine and overload: concurrent serving -------------------------- *)
 
@@ -502,8 +523,8 @@ let () =
         doc = "GEMM/conv per shape class on naive, blocked and parallel kernels; f32 vs f64 GEMM" };
       { name = "fused"; rounds = 7; run = fused; gates = [ fused_floor ];
         doc = "each fusion group op by op on blocked vs as one fused kernel" };
-      { name = "arena"; rounds = 5; run = arena; gates = [ arena_wrong ];
-        doc = "malloc vs arena on three stream graphs x naive/blocked/fused" };
+      { name = "arena"; rounds = 5; run = arena; gates = [ arena_wrong; arena_dest_malloc; arena_copy_out ];
+        doc = "malloc vs arena on three stream graphs x naive/blocked/fused and SkipNet 128^2 x blocked/fused" };
       { name = "engine"; rounds = 3; run = engine; gates = [ engine_wrong; engine_misses; engine_floor ];
         doc = "resident Engine at 1..host-cores workers vs sequential run_real" };
       { name = "overload"; rounds = 1; run = overload;

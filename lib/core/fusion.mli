@@ -53,7 +53,10 @@ val layer_count : plan -> int
 (** Number of groups — the "layer count" metric of Fig. 7. *)
 
 val materialized_tensors : Graph.t -> plan -> Graph.tensor_id list
-(** Activation tensors that still have to be written to memory. *)
+(** Activation tensors that still have to be written to memory when every
+    group runs as one fused kernel — the accounting of the dry and
+    simulated paths.  The real memory plan ({!Mem_plan}) also gives group
+    internals a slot, since a group run op by op writes them. *)
 
 val intermediate_bytes : Graph.t -> plan -> Env.t -> Rdp.t -> int
 (** Total bytes of materialized intermediate results under a concrete

@@ -45,41 +45,69 @@ type sym_entry = {
 
 type symbolic = {
   sym_entries : sym_entry list;  (** in materialization order *)
+  sym_alias : (Graph.tensor_id * Graph.tensor_id) list;
   sym_strategy : strategy;
   sym_elem : int;  (** bytes per element of the float dtype planned for *)
 }
 
+(* The inputs whose storage a node's outputs share: a view's data input,
+   a Switch's routed data, every branch a Combine may forward. *)
+let aliased (nd : Graph.node) =
+  match nd.op, nd.inputs with
+  | Op.Switch _, data :: _ -> [ data ]
+  | op, data :: _ when Op.is_view op -> [ data ]
+  | Op.Combine _, ins -> List.filteri (fun i _ -> i < List.length ins - 1) ins
+  | _ -> []
+
 (* The env-independent part of lifetime analysis: which tensors
-   materialize, their symbolic shapes and their step ranges.  Runs once per
-   compiled artifact; {!concretize} turns the result into placeable
-   lifetimes by affine evaluation alone. *)
+   materialize, their symbolic shapes and their step ranges.  Every float
+   activation gets an entry, group internals included: a group that runs
+   op by op (any backend but [fused], or a fused group whose kernel is
+   refused) writes them, each live for its group's step.  Aliases get no
+   entry; each of their roots (the non-alias tensors whose storage they
+   share, through alias chains) lives on until the aliases' last
+   consumer.  Runs once per compiled artifact; {!concretize} turns the
+   result into placeable lifetimes by affine evaluation alone. *)
 let symbolic_lifetimes (g : Graph.t) rdp (fplan : Fusion.plan) ~order ~elem_of =
   let n_steps = List.length order in
   let step_of_group = Hashtbl.create 64 in
   List.iteri (fun i gid -> Hashtbl.replace step_of_group gid i) order;
-  let materialized = Fusion.materialized_tensors g fplan in
+  let step_of_node nid = Hashtbl.find_opt step_of_group fplan.group_of.(nid) in
   let outs = Graph.outputs g in
-  let entries = ref [] in
-  List.iter
-    (fun tid ->
-      match Graph.producer g tid with
-      | None -> ()
-      | Some p ->
-        let first =
-          match Hashtbl.find_opt step_of_group fplan.group_of.(p.nid) with
-          | Some s -> s
-          | None -> 0
-        in
-        let last =
-          if List.mem tid outs then n_steps - 1
-          else
-            List.fold_left
-              (fun acc cnid ->
-                match Hashtbl.find_opt step_of_group fplan.group_of.(cnid) with
-                | Some s -> max acc s
-                | None -> acc)
-              first (Graph.consumers g tid)
-        in
+  let aliases tid = Option.fold ~none:[] ~some:aliased (Graph.producer g tid) in
+  let roots_memo = Hashtbl.create 64 in
+  let rec roots tid =
+    match Hashtbl.find_opt roots_memo tid, aliases tid with
+    | Some r, _ -> r
+    | None, [] -> [ tid ]
+    | None, srcs ->
+      let r = List.sort_uniq compare (List.concat_map roots srcs) in
+      Hashtbl.replace roots_memo tid r;
+      r
+  in
+  let last_use tid first =
+    List.fold_left
+      (fun acc cnid -> match step_of_node cnid with Some s -> max acc s | None -> acc)
+      first (Graph.consumers g tid)
+  in
+  let extended = Hashtbl.create 64 and entries = ref [] and alias = ref [] in
+  for tid = Graph.tensor_count g - 1 downto 0 do
+    match (Graph.tensor g tid).kind, Graph.producer g tid with
+    | Graph.Activation, Some p ->
+      let first = Option.value (step_of_node p.nid) ~default:0 in
+      if aliases tid <> [] then begin
+        let until = last_use tid first in
+        let rs = roots tid in
+        List.iter
+          (fun r ->
+            let prev = Option.value (Hashtbl.find_opt extended r) ~default:until in
+            Hashtbl.replace extended r (max until prev))
+          rs;
+        match rs with
+        | [ r ] when (Graph.tensor g r).kind = Graph.Activation -> alias := (tid, r) :: !alias
+        | _ -> ()
+      end
+      else
         let shape = Rdp.shape rdp tid in
         entries :=
           {
@@ -87,12 +115,19 @@ let symbolic_lifetimes (g : Graph.t) rdp (fplan : Fusion.plan) ~order ~elem_of =
             se_shape = shape;
             se_numel = Shape.numel shape;
             se_first = first;
-            se_last = last;
+            se_last = (if List.mem tid outs then n_steps - 1 else last_use tid first);
             se_elem = elem_of tid;
           }
-          :: !entries)
-    materialized;
-  List.rev !entries
+          :: !entries
+    | _ -> ()
+  done;
+  ( List.map
+      (fun e ->
+        match Hashtbl.find_opt extended e.se_tid with
+        | Some until -> { e with se_last = max e.se_last until }
+        | None -> e)
+      !entries,
+    !alias )
 
 (* Affine instantiation of the symbolic lifetimes: evaluate each entry's
    dims under [env]; entries whose shapes stay unresolved are
@@ -327,8 +362,10 @@ let plan_raw strategy ~lifetimes:raw =
 
 let plan_symbolic ?(strategy = Peak_first) ?(elem = Tensor.bytes_per_elem Tensor.F32)
     ?(elem_of = fun _ -> None) (g : Graph.t) rdp fplan ~order =
+  let sym_entries, sym_alias = symbolic_lifetimes g rdp fplan ~order ~elem_of in
   {
-    sym_entries = symbolic_lifetimes g rdp fplan ~order ~elem_of;
+    sym_entries;
+    sym_alias;
     sym_strategy = strategy;
     sym_elem = elem;
   }

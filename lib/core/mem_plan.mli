@@ -73,7 +73,12 @@ val slot_bytes : plan_elem:int -> elem:int -> int -> int
 
     The env-independent product of lifetime analysis: per materialized
     tensor, its RDP shape (dims as affine {!Expr}s over the shape
-    variables) and its execution-step live range.  Computed once at
+    variables) and its execution-step live range.  Every activation
+    materializes except an alias (the output of a view, Switch or
+    Combine), which shares its source's storage: group-internal tensors
+    are planned too, live for their group's step, because a group that
+    runs op by op writes them.  Each alias root lives until the last
+    consumer of any alias reaching it.  Computed once at
     compile time; {!instantiate} turns it into a concrete {!t} by affine
     evaluation of the dims followed by the placement pass — no graph
     traversal, no re-analysis.  {!Pipeline} caches the instantiation per
@@ -90,6 +95,10 @@ type sym_entry = {
 
 type symbolic = {
   sym_entries : sym_entry list;  (** in materialization order *)
+  sym_alias : (Graph.tensor_id * Graph.tensor_id) list;
+      (** [(alias, root)] for every alias with exactly one root entry: the
+          alias's value sits in [root]'s slot.  An alias reaching several
+          roots (through a Combine) takes its slot at run time. *)
   sym_strategy : strategy;
   sym_elem : int;  (** bytes per element of the float dtype planned for *)
 }

@@ -237,4 +237,8 @@ let is_control_flow = function
   | Switch _ | Combine _ | If | Loop -> true
   | _ -> false
 
+let is_view = function
+  | Reshape | Flatten _ | Squeeze _ | Unsqueeze _ -> true
+  | _ -> false
+
 let pp ppf op = Format.pp_print_string ppf (name op)

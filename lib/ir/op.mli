@@ -152,4 +152,8 @@ val is_heavy : t -> bool
 
 val is_control_flow : t -> bool
 
+val is_view : t -> bool
+(** Reshape, Flatten, Squeeze, Unsqueeze: the output is the data input
+    (input 0) under new dims, element for element in the same order. *)
+
 val pp : Format.formatter -> t -> unit

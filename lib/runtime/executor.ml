@@ -270,8 +270,10 @@ let tensor_bytes ctx st tid dims =
   in
   bytes_of_dims ~dtype dims
 
-(* Record one executed group: its extents, traffic and produced tensors. *)
-let record_step ctx st rc ~gid ~member_tids members =
+(* Record one executed group: its extents, traffic and produced tensors.
+   A group-internal tensor counts as internal traffic only when the group
+   ran as one fused kernel ([fused]); a group run op by op wrote it. *)
+let record_step ctx st rc ~fused ~gid ~member_tids members =
   let step = rc.n_steps in
   rc.n_steps <- step + 1;
   Hashtbl.replace rc.step_of_group gid step;
@@ -303,11 +305,12 @@ let record_step ctx st rc ~gid ~member_tids members =
             match st.dims.(tid) with
             | Some d ->
               let b = tensor_bytes ctx st tid d in
-              if is_internal ctx tid then internal_bytes := !internal_bytes + b
-              else begin
+              if not (is_internal ctx tid) then begin
                 out_bytes := !out_bytes + b;
                 rc.produced <- (tid, b, step) :: rc.produced
               end
+              else if fused then internal_bytes := !internal_bytes + b
+              else out_bytes := !out_bytes + b
             | None -> ())
           nd.Graph.outputs)
     members;
@@ -456,7 +459,7 @@ let run_dry ?(control = Selected_only) ?(gate = fun _ -> 0) (c : Pipeline.compil
                   st.avail.(tid) <- true)
                 nd.outputs)
           members;
-        record_step ctx st rc ~gid ~member_tids members
+        record_step ctx st rc ~fused:true ~gid ~member_tids members
       end)
     c.exec.Exec_plan.order;
   finish ctx st rc ~arena_bytes:0 ~arena_resident:0
@@ -468,10 +471,10 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
   let counter kind =
     Profile.Counters.record ~profile:c.Pipeline.profile.Profile.name ~kind
   in
-  (* Boxed tensor for [tid].  An arena-resident value is copied out on its
-     first boxed use and memoized — the only intermediate-tensor copy the
-     arena mode ever performs (counted, so tests can assert zero on
-     dest-capable graphs). *)
+  (* Boxed tensor for [tid], for an op with no destination kernel.  An
+     arena-resident value is copied out on its first boxed use and
+     memoized (counted, so tests can assert zero on dest-capable
+     graphs). *)
   let fetch_boxed tid =
     match st.tensors.(tid) with
     | Some t -> t
@@ -501,14 +504,30 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
       | Some t when Tensor.is_float_dtype (Tensor.dtype t) -> Some (Tensor.view_f t)
       | _ -> None)
   in
-  (* Routing alias for Switch/Combine.  The alias must not share an arena
-     slot (it would outlive the slot's planned lifetime), so an
-     arena-resident source is boxed first. *)
+  (* [dst] (a view or route output) aliases [src]'s value under [dims].
+     An arena-resident source lends [dst] its slot, which the plan keeps
+     live until [dst]'s last consumer — no copy — unless [dst] is a graph
+     output, which must outlive the arena and is copied out.  A boxed
+     source is shared by the caller. *)
+  let alias ~dst ~src dims =
+    st.dims.(dst) <- Some dims;
+    st.avail.(dst) <- true;
+    match arena with
+    | Some ar when ar.ar_loc.(src) ->
+      if List.mem dst ctx.out_tids then begin
+        let off, _ = Option.get ar.ar_slot.(src) in
+        st.tensors.(dst) <- Some (Tensor.copy_view (Tensor.sub_view ~buf:ar.ar_buf ~off ~dims));
+        counter "arena-copy-out"
+      end
+      else begin
+        ar.ar_slot.(dst) <- ar.ar_slot.(src);
+        ar.ar_loc.(dst) <- true
+      end
+    | _ -> ()
+  in
   let route ~dst ~src =
-    (match arena with
-    | Some ar when ar.ar_loc.(src) && st.tensors.(src) = None -> ignore (fetch_boxed src)
-    | _ -> ());
-    copy_value st ~dst ~src
+    copy_value st ~dst ~src;
+    alias ~dst ~src (dims_exn st src)
   in
   (* A predicate with no value is a malformed execution, not branch 0. *)
   let branch_of_pred tid =
@@ -537,9 +556,11 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
      for [otid] lands.  Its planned slot when the arena has one of exactly
      that capacity in that kind and [otid] is not a graph output (outputs
      must outlive the arena, whose slots are recycled next inference);
-     otherwise a fresh buffer, boxed as [otid]'s value.  [Malloc] simply
-     has no slots.  Every writer of a float result asks here, once, right
-     before it writes. *)
+     otherwise a fresh buffer, boxed as [otid]'s value — counted in arena
+     mode as ["arena-out-direct"] for a graph output and
+     ["arena-dest-malloc"] for anything else.  [Malloc] simply has no
+     slots.  Every writer of a float result asks here, once, right before
+     it writes. *)
   let destination otid dtype dims =
     let numel = List.fold_left ( * ) 1 dims in
     let is_graph_out = List.mem otid ctx.out_tids in
@@ -556,7 +577,8 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
       let buf = Tensor.fbuf_create dtype numel in
       Tensor.fbuf_fill buf 0 numel 0.0;
       st.tensors.(otid) <- Some (Tensor.of_fbuf dims buf);
-      if is_graph_out && Option.is_some arena then counter "arena-out-direct";
+      if Option.is_some arena then
+        counter (if is_graph_out then "arena-out-direct" else "arena-dest-malloc");
       buf, 0
   in
   (* Int8 weight-quantized dispatch (dynamic-range): a node whose constant
@@ -629,8 +651,17 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
       | None -> false)
     | _ -> false
   in
+  (* A view of an arena-resident value writes nothing: it aliases the
+     slot. *)
+  let try_view (nd : Graph.node) =
+    match nd.Graph.inputs, nd.Graph.outputs, arena with
+    | src :: rest, [ dst ], Some ar when Op.is_view nd.Graph.op && ar.ar_loc.(src) ->
+      alias ~dst ~src (Kernels.view_dims nd.Graph.op (dims_exn st src) (List.map fetch_boxed rest));
+      true
+    | _ -> false
+  in
   let exec_plain (nd : Graph.node) =
-    if not (try_quant nd || try_dest nd) then
+    if not (try_view nd || try_quant nd || try_dest nd) then
       List.iter2 (store st) nd.outputs
         (Kernels.run ?backend ?cls:(cls_of nd) nd.op (List.map fetch_boxed nd.inputs))
   in
@@ -683,7 +714,8 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
         | Some hook ->
           List.iter (fun (nd : Graph.node) -> hook ~gid ~node:nd.Graph.nid) members
         | None -> ());
-        if not (run_fused ~gid members) then
+        let fused = run_fused ~gid members in
+        if not fused then
           List.iter
             (fun (nd : Graph.node) ->
               match nd.op with
@@ -696,7 +728,7 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
         (* Fused-group boundary guard: hand every produced extent to the
            caller's verifier (no-op unless dims cross-checking is on). *)
         List.iter (fun tid -> Option.iter (verify tid) st.dims.(tid)) member_tids;
-        record_step ctx st rc ~gid ~member_tids members
+        record_step ctx st rc ~fused ~gid ~member_tids members
       end)
     c.exec.Exec_plan.order;
   finish ctx st rc
@@ -745,6 +777,11 @@ let interpret ~control ~check_env ?backend ~memory ?plan ?kernel_hook ctx ~input
             if Mem_plan.has_slot ~elem a then
               slot.(a.tid) <- Some (a.offset / elem, a.size / elem))
           plan.Mem_plan.allocs;
+        (* an alias with one root shares the root's slot, so a fused
+           kernel whose result is a view writes straight into it *)
+        List.iter
+          (fun (a, root) -> slot.(a) <- slot.(root))
+          c.Pipeline.mem_symbolic.Mem_plan.sym_alias;
         Some
           {
             ar_buf = buf;

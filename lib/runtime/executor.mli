@@ -1,8 +1,9 @@
 (** Plan executor.
 
     Executes a compiled model over one input sample, following the static
-    execution order, the fusion plan (group-internal tensors are never
-    materialized) and the [<Switch, Combine>] routing.  Two walkers share
+    execution order, the fusion plan (a group that runs as one fused
+    kernel never materializes its internal tensors) and the
+    [<Switch, Combine>] routing.  Two walkers share
     one step/event recorder:
 
     - {!run_real} interprets the model: tensors are computed with
@@ -46,8 +47,12 @@ type group_exec = {
   gid : int;
   ops : (Op.t * int list list * int list list) list;
       (** member ops with concrete input/output extents *)
-  external_bytes : int;  (** traffic: materialized inputs + outputs *)
-  internal_bytes : int;  (** traffic avoided by fusion *)
+  external_bytes : int;
+      (** traffic: materialized inputs + outputs, and the group's internal
+          tensors when it ran op by op *)
+  internal_bytes : int;
+      (** traffic avoided by fusion: the group's internal tensors when it
+          ran as one fused kernel (the dry walk assumes it always does) *)
   gemm : (int * int * int) option;  (** implicit-GEMM extents of the heavy member *)
 }
 
@@ -88,11 +93,16 @@ type memory =
           before it writes — so steady-state arena execution performs no
           plan recomputation and no intermediate-tensor allocation.  Graph
           outputs get fresh buffers so they survive slot recycling without
-          a boundary copy (counted as ["arena-out-direct"]).  Composes with
-          any [backend].  Ops with no destination kernel, or with integer
-          operands, run boxed; arena-resident values they consume are
-          copied out once and memoized (counted as ["arena-copy-out"] in
-          {!Profile.Counters}). *)
+          a boundary copy (counted as ["arena-out-direct"]); any other
+          result with no slot is counted as ["arena-dest-malloc"].  Views
+          (Reshape, Flatten, Squeeze, Unsqueeze) and Switch/Combine
+          outputs of an arena-resident value point at its slot and write
+          nothing; the plan keeps that slot live until their last
+          consumer.  Composes with any [backend].  Ops with no destination
+          kernel, or with integer operands, run boxed; arena-resident
+          values they consume are copied out once and memoized (counted
+          as ["arena-copy-out"] in {!Profile.Counters}), as is a view or
+          route output that is a graph output. *)
 
 (** {1 Execution configuration}
 

@@ -18,9 +18,8 @@ let arg_err op msg =
 
 let reshape_err fmt = Sod2_error.failf ~op:"Reshape" Sod2_error.Shape_mismatch fmt
 
-let resolve_reshape_dims data target =
-  let total = Tensor.numel data in
-  let in_dims = Tensor.dims data in
+let resolve_reshape_dims in_dims target =
+  let total = List.fold_left ( * ) 1 in_dims in
   let in_rank = List.length in_dims in
   let dims =
     List.mapi
@@ -31,7 +30,7 @@ let resolve_reshape_dims data target =
             reshape_err "dim %d is 0 (copy input dim) but input rank is only %d" i in_rank
         else if d < -1 then reshape_err "invalid target dim %d" d
         else d)
-      (Tensor.to_int_list target)
+      target
   in
   if List.length (List.filter (fun d -> d = -1) dims) > 1 then
     reshape_err "at most one target dim may be -1";
@@ -47,6 +46,31 @@ let resolve_reshape_dims data target =
       reshape_err "cannot reshape %d elements into %d" total prod;
     dims
   end
+
+let view_dims (op : Op.t) d rest =
+  match op, rest with
+  | Op.Reshape, [ target ] -> resolve_reshape_dims d (Tensor.to_int_list target)
+  | Op.Flatten { axis }, [] ->
+    let axis = if axis < 0 then axis + List.length d else axis in
+    let pre = List.filteri (fun i _ -> i < axis) d |> List.fold_left ( * ) 1 in
+    [ pre; List.fold_left ( * ) 1 d / max 1 pre ]
+  | Op.Squeeze axes, [] ->
+    let r = List.length d in
+    let axes = List.map (fun a -> if a < 0 then a + r else a) axes in
+    List.filteri (fun i _ -> not (List.mem i axes)) d
+  | Op.Unsqueeze axes, [] ->
+    let r = List.length d + List.length axes in
+    let axes = List.map (fun a -> if a < 0 then a + r else a) axes in
+    let rec weave i src =
+      if i >= r then []
+      else if List.mem i axes then 1 :: weave (i + 1) src
+      else
+        match src with
+        | d :: rest -> d :: weave (i + 1) rest
+        | [] -> 1 :: weave (i + 1) []
+    in
+    weave 0 d
+  | _ -> arg_err op (Printf.sprintf "arity %d not supported" (1 + List.length rest))
 
 module OS = Op_semantics
 
@@ -193,30 +217,8 @@ let run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
   | Op.ArgMin { axis; keepdims }, [ x ] -> [ Reduction.argmin x ~axis ~keepdims ]
   | Op.CumSum { axis }, [ x ] -> [ Reduction.cumsum x ~axis ]
   | Op.Transpose perm, [ x ] -> [ Transform.transpose x perm ]
-  | Op.Reshape, [ x; target ] -> [ Tensor.reshape x (resolve_reshape_dims x target) ]
-  | Op.Flatten { axis }, [ x ] ->
-    let d = Tensor.dims x in
-    let r = List.length d in
-    let axis = if axis < 0 then axis + r else axis in
-    let pre = List.filteri (fun i _ -> i < axis) d |> List.fold_left ( * ) 1 in
-    [ Tensor.reshape x [ pre; Tensor.numel x / max 1 pre ] ]
-  | Op.Squeeze axes, [ x ] ->
-    let d = Tensor.dims x in
-    let r = List.length d in
-    let axes = List.map (fun a -> if a < 0 then a + r else a) axes in
-    [ Tensor.reshape x (List.filteri (fun i _ -> not (List.mem i axes)) d) ]
-  | Op.Unsqueeze axes, [ x ] ->
-    let r = Tensor.rank x + List.length axes in
-    let axes = List.map (fun a -> if a < 0 then a + r else a) axes in
-    let rec weave i src =
-      if i >= r then []
-      else if List.mem i axes then 1 :: weave (i + 1) src
-      else
-        match src with
-        | d :: rest -> d :: weave (i + 1) rest
-        | [] -> 1 :: weave (i + 1) []
-    in
-    [ Tensor.reshape x (weave 0 (Tensor.dims x)) ]
+  | (Op.Reshape | Op.Flatten _ | Op.Squeeze _ | Op.Unsqueeze _), x :: rest ->
+    [ Tensor.reshape x (view_dims op (Tensor.dims x) rest) ]
   | Op.Concat { axis }, (_ :: _ as xs) -> [ Transform.concat xs ~axis ]
   | Op.Split { axis; sizes }, [ x ] -> Transform.split x ~axis ~sizes
   | Op.Slice, [ x; starts; ends; axes; steps ] ->
@@ -366,4 +368,17 @@ let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
             | Some be ->
               Backend.conv2d_into ?cls be ~stride ~pad:pads ~dilation ~groups x w b ~c ~co
             | None -> Linalg.conv2d_into ~stride ~pad:pads ~dilation ~groups x w b ~c ~co)))
+  | (Op.MaxPool { kernel; pool_stride; pool_pads } | Op.AveragePool { kernel; pool_stride; pool_pads }),
+    [ x ] -> (
+    let kind = match op with Op.MaxPool _ -> `Max | _ -> `Avg in
+    match Linalg.pool2d_out_dims ~kernel ~stride:pool_stride ~pad:pool_pads x.Tensor.vdims with
+    | exception Invalid_argument _ -> None
+    | od when List.exists (fun d -> d < 0) od -> None
+    | od ->
+      write od (fun ~c ~co ->
+          ignore (Linalg.pool2d_into ~kind ~kernel ~stride:pool_stride ~pad:pool_pads x ~c ~co)))
+  | Op.GlobalAveragePool, [ x ] -> (
+    match Linalg.global_pool_out_dims x.Tensor.vdims with
+    | exception Invalid_argument _ -> None
+    | od -> write od (fun ~c ~co -> ignore (Linalg.global_avg_pool_into x ~c ~co)))
   | _ -> None

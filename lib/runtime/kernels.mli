@@ -38,6 +38,13 @@ val run_into :
     returns the dims.  [dest] owns the choice of where results go.
 
     Covered operators: Unary, Binary (broadcasting), Clip, BatchNorm,
-    MatMul and Conv — the ops that dominate steady-state inference
-    traffic.  Everything else (views, reductions, Gemm's transpose
-    scratch, I64 semantics) stays on the boxed path. *)
+    MatMul, Conv, MaxPool, AveragePool and GlobalAveragePool — the ops
+    that dominate steady-state inference traffic.  Views write nothing
+    (see {!view_dims}); everything else (reductions, shuffles, Gemm's
+    transpose scratch, I64 semantics) stays on the boxed path. *)
+
+val view_dims : Op.t -> int list -> Tensor.t list -> int list
+(** [view_dims op dims rest] — the output dims of a view operator
+    (Reshape, Flatten, Squeeze, Unsqueeze) over a data input of [dims];
+    [rest] holds its other operands (Reshape's target).  A view shares
+    its input's storage, so these dims are all it computes. *)

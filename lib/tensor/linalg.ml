@@ -373,71 +373,102 @@ let conv1d ?(stride = 1) ?(pad = (0, 0)) ?(dilation = 1) ?(groups = 1) x w b =
   | [ n; m; 1; ol ] -> Tensor.reshape out [ n; m; ol ]
   | _ -> assert false
 
-(* The pools read their input in place: [Tensor.data_f] would copy it. *)
+(* The pools read their input window in place and store each result once,
+   so the store is the single rounding point. *)
 let[@inline] fget buf i =
   match buf with Tensor.FB32 b -> BA1.get b i | Tensor.FB64 b -> BA1.get b i
 
-let pool2d ~kind ~kernel ?(stride = (1, 1)) ?(pad = (0, 0, 0, 0)) x =
-  let dx = Tensor.dims_arr x in
-  let n = dx.(0) and c = dx.(1) and h = dx.(2) and w = dx.(3) in
-  let kh, kw = kernel in
-  let sh, sw = stride in
-  let pt, pl, pb, pr = pad in
-  let oh = conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb ~dilation:1 in
-  let ow = conv2d_out_dim ~in_:w ~kernel:kw ~stride:sw ~pad_begin:pl ~pad_end:pr ~dilation:1 in
-  let src = Tensor.storage_f x in
-  let dst = Array.make (n * c * oh * ow) 0.0 in
-  for ni = 0 to n - 1 do
-    for ci = 0 to c - 1 do
+let[@inline] fset buf i v =
+  match buf with Tensor.FB32 b -> BA1.set b i v | Tensor.FB64 b -> BA1.set b i v
+
+let pool2d_out_dims ~kernel:(kh, kw) ?stride:((sh, sw) = (1, 1))
+    ?pad:((pt, pl, pb, pr) = (0, 0, 0, 0)) = function
+  | [ n; c; h; w ] ->
+    [
+      n;
+      c;
+      conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb ~dilation:1;
+      conv2d_out_dim ~in_:w ~kernel:kw ~stride:sw ~pad_begin:pl ~pad_end:pr ~dilation:1;
+    ]
+  | _ -> invalid_arg "Linalg.pool2d_out_dims: expects an N×C×H×W input"
+
+(* Each window is walked ky then kx over its in-bounds taps: max keeps a
+   tap only when [v > acc], average divides the sum by the tap count, and
+   a window wholly in padding yields 0. *)
+let pool2d_into ~kind ~kernel ?(stride = (1, 1)) ?(pad = (0, 0, 0, 0)) (x : Tensor.view)
+    ~c:dst ~co =
+  let od = pool2d_out_dims ~kernel ~stride ~pad x.Tensor.vdims in
+  (match x.Tensor.vdims, od with
+  | [ n; c; h; w ], [ _; _; oh; ow ] ->
+    let kh, kw = kernel and sh, sw = stride in
+    let pt, pl, _, _ = pad in
+    let src = x.Tensor.vbuf and is_max = kind = `Max in
+    for plane = 0 to (n * c) - 1 do
+      let ib = x.Tensor.voff + (plane * h * w) and ob = co + (plane * oh * ow) in
       for oy = 0 to oh - 1 do
+        (* the window's in-bounds rows [ky0, ky1) and columns [kx0, kx1) *)
+        let y0 = (oy * sh) - pt in
+        let ky0 = Int.max 0 (-y0) and ky1 = Int.min kh (h - y0) in
         for ox = 0 to ow - 1 do
-          let acc = ref (if kind = `Max then neg_infinity else 0.0) in
-          let count = ref 0 in
-          for ky = 0 to kh - 1 do
-            let iy = (oy * sh) - pt + ky in
-            if iy >= 0 && iy < h then
-              for kx = 0 to kw - 1 do
-                let ix = (ox * sw) - pl + kx in
-                if ix >= 0 && ix < w then begin
-                  let v = fget src ((((((ni * c) + ci) * h) + iy) * w) + ix) in
-                  (match kind with
-                  | `Max -> if v > !acc then acc := v
-                  | `Avg -> acc := !acc +. v);
-                  incr count
-                end
+          let x0 = (ox * sw) - pl and o = ob + (oy * ow) + ox in
+          let kx0 = Int.max 0 (-x0) and kx1 = Int.min kw (w - x0) in
+          if ky1 <= ky0 || kx1 <= kx0 then fset dst o 0.0
+          else if is_max then begin
+            let acc = ref neg_infinity in
+            for ky = ky0 to ky1 - 1 do
+              let row = ib + ((y0 + ky) * w) + x0 in
+              for kx = kx0 to kx1 - 1 do
+                let v = fget src (row + kx) in
+                if v > !acc then acc := v
               done
-          done;
-          let v =
-            match kind with
-            | `Max -> if !count = 0 then 0.0 else !acc
-            | `Avg -> if !count = 0 then 0.0 else !acc /. float_of_int !count
-          in
-          dst.((((((ni * c) + ci) * oh) + oy) * ow) + ox) <- v
+            done;
+            fset dst o !acc
+          end
+          else begin
+            let acc = ref 0.0 in
+            for ky = ky0 to ky1 - 1 do
+              let row = ib + ((y0 + ky) * w) + x0 in
+              for kx = kx0 to kx1 - 1 do
+                acc := !acc +. fget src (row + kx)
+              done
+            done;
+            fset dst o (!acc /. float_of_int ((ky1 - ky0) * (kx1 - kx0)))
+          end
         done
       done
     done
-  done;
-  Tensor.of_floats (Tensor.dtype x) [ n; c; oh; ow ] dst
+  | _ -> assert false);
+  od
 
-let max_pool2d ~kernel ?stride ?pad x = pool2d ~kind:`Max ~kernel ?stride ?pad x
-let avg_pool2d ~kernel ?stride ?pad x = pool2d ~kind:`Avg ~kernel ?stride ?pad x
+let global_pool_out_dims = function
+  | n :: c :: (_ :: _ as sp) -> n :: c :: List.map (fun _ -> 1) sp
+  | _ -> invalid_arg "Linalg.global_avg_pool: rank must be >= 3"
 
-let global_avg_pool x =
-  let d = Tensor.dims_arr x in
-  if Array.length d < 3 then invalid_arg "Linalg.global_avg_pool: rank must be >= 3";
-  let n = d.(0) and c = d.(1) in
-  let spatial = Array.fold_left ( * ) 1 (Array.sub d 2 (Array.length d - 2)) in
-  let src = Tensor.storage_f x in
-  let out_dims = n :: c :: List.init (Array.length d - 2) (fun _ -> 1) in
-  let dst = Array.make (n * c) 0.0 in
-  for ni = 0 to n - 1 do
-    for ci = 0 to c - 1 do
-      let base = ((ni * c) + ci) * spatial in
-      let acc = ref 0.0 in
-      for s = 0 to spatial - 1 do
-        acc := !acc +. fget src (base + s)
-      done;
-      dst.((ni * c) + ci) <- !acc /. float_of_int spatial
-    done
+let global_avg_pool_into (x : Tensor.view) ~c:dst ~co =
+  let od = global_pool_out_dims x.Tensor.vdims in
+  let planes = List.fold_left ( * ) 1 od in
+  let spatial = List.fold_left ( * ) 1 (List.tl (List.tl x.Tensor.vdims)) in
+  for plane = 0 to planes - 1 do
+    let base = x.Tensor.voff + (plane * spatial) in
+    let acc = ref 0.0 in
+    for s = 0 to spatial - 1 do
+      acc := !acc +. fget x.Tensor.vbuf (base + s)
+    done;
+    fset dst (co + plane) (!acc /. float_of_int spatial)
   done;
-  Tensor.of_floats (Tensor.dtype x) out_dims dst
+  od
+
+(* The boxed pools: a result buffer of the input's kind, filled by the
+   destination kernels above. *)
+let pooled out_dims into x =
+  let out = Tensor.empty (Tensor.dtype x) (out_dims (Tensor.dims x)) in
+  ignore (into (Tensor.view_f x) ~c:(Tensor.storage_f out) ~co:0);
+  out
+
+let max_pool2d ~kernel ?stride ?pad x =
+  pooled (pool2d_out_dims ~kernel ?stride ?pad) (pool2d_into ~kind:`Max ~kernel ?stride ?pad) x
+
+let avg_pool2d ~kernel ?stride ?pad x =
+  pooled (pool2d_out_dims ~kernel ?stride ?pad) (pool2d_into ~kind:`Avg ~kernel ?stride ?pad) x
+
+let global_avg_pool x = pooled global_pool_out_dims global_avg_pool_into x

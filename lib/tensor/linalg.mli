@@ -100,6 +100,27 @@ val avg_pool2d :
 val global_avg_pool : Tensor.t -> Tensor.t
 (** [N×C×spatial…] → [N×C×1×…×1]. *)
 
+val pool2d_out_dims :
+  kernel:int * int -> ?stride:int * int -> ?pad:int * int * int * int -> int list ->
+  int list
+(** Output dims of a 2-d pool over an [N×C×H×W] input; raises
+    [Invalid_argument] on any other rank. *)
+
+val pool2d_into :
+  kind:[ `Max | `Avg ] -> kernel:int * int -> ?stride:int * int ->
+  ?pad:int * int * int * int -> Tensor.view -> c:Tensor.fbuf -> co:int -> int list
+(** Destination-passing {!max_pool2d}/{!avg_pool2d}: writes the pooled
+    view into [c] at element offset [co] and returns the output dims.
+    Each window is walked ky then kx over its in-bounds taps; max keeps a
+    tap when [v > acc], average divides by the in-bounds tap count, and a
+    window wholly in padding yields 0.  The boxed pools call this. *)
+
+val global_pool_out_dims : int list -> int list
+(** [N×C×spatial…] → [N×C×1×…×1]; raises [Invalid_argument] below rank 3. *)
+
+val global_avg_pool_into : Tensor.view -> c:Tensor.fbuf -> co:int -> int list
+(** Destination-passing {!global_avg_pool}. *)
+
 val conv2d_out_dim : in_:int -> kernel:int -> stride:int -> pad_begin:int ->
   pad_end:int -> dilation:int -> int
 (** The ONNX output-extent formula shared by conv and pooling:

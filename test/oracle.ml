@@ -200,3 +200,45 @@ let concat ts ~axis =
       offset := !offset + d.(axis))
     ts;
   out
+
+(* Pools by output multi-index: a window's in-bounds taps are read ky
+   then kx through [Tensor.get_f]; max keeps a tap when [v > acc],
+   average divides the sum by the tap count, and a window with no tap
+   (wholly in padding) is 0.  The result has the input's dtype. *)
+let pool2d kind t ~kernel:(kh, kw) ~stride:(sh, sw) ~pad:(pt, pl, pb, pr) =
+  let d = Tensor.dims_arr t in
+  let h = d.(2) and w = d.(3) in
+  let oh = ((h + pt + pb - kh) / sh) + 1 and ow = ((w + pl + pr - kw) / sw) + 1 in
+  let taps ix =
+    List.concat
+      (List.init kh (fun ky ->
+           List.filter_map
+             (fun kx ->
+               let iy = (ix.(2) * sh) - pt + ky and jx = (ix.(3) * sw) - pl + kx in
+               if iy >= 0 && iy < h && jx >= 0 && jx < w then
+                 Some (Tensor.get_f t [| ix.(0); ix.(1); iy; jx |])
+               else None)
+             (List.init kw Fun.id)))
+  in
+  init_like t [ d.(0); d.(1); oh; ow ]
+    (fun ix ->
+      match taps ix, kind with
+      | [], _ -> 0.0
+      | vs, `Max -> List.fold_left (fun acc v -> if v > acc then v else acc) neg_infinity vs
+      | vs, `Avg -> List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs))
+    (fun _ -> assert false)
+
+let global_avg_pool t =
+  let d = Tensor.dims_arr t in
+  let spatial = Array.sub d 2 (Array.length d - 2) in
+  let count = Array.fold_left ( * ) 1 spatial in
+  init_like t
+    (d.(0) :: d.(1) :: List.map (fun _ -> 1) (Array.to_list spatial))
+    (fun ix ->
+      let sum = ref 0.0 in
+      for flat = 0 to count - 1 do
+        let sx = Tensor.unravel spatial flat in
+        sum := !sum +. Tensor.get_f t (Array.append [| ix.(0); ix.(1) |] sx)
+      done;
+      !sum /. float_of_int count)
+    (fun _ -> assert false)

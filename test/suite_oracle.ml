@@ -262,6 +262,52 @@ let prop_concat =
            (Transform.split joined ~axis
               ~sizes:(List.map (fun p -> (Tensor.dims_arr p).(axis)) parts)))
 
+(* [x]'s elements copied into a larger buffer of its kind, as a view at a
+   non-zero offset — where an arena slot puts a pool's input. *)
+let offset_view st x =
+  let off = 1 + Random.State.int st 5 and n = Tensor.numel x in
+  let buf = Tensor.fbuf_create (Tensor.dtype x) (n + off + 2) in
+  Tensor.fbuf_fill buf 0 (n + off + 2) 7.0;
+  Array.iteri (fun i v -> Tensor.fbuf_set buf (off + i) v) (Tensor.data_f x);
+  Tensor.sub_view ~buf ~off ~dims:(Tensor.dims x)
+
+(* Boxed [Kernels.run] and [run_into] from and to windows at non-zero
+   offsets, against the index-walking oracle.  Pads reach past the kernel,
+   so some windows lie wholly in padding. *)
+let prop_pool =
+  prop "max/avg/global-avg pool = oracle (boxed and between arena windows)" (fun st ->
+      let dt = dtype st in
+      let x = tensor st dt [ 1 + Random.State.int st 2; 1 + Random.State.int st 3;
+                             1 + Random.State.int st 6; 1 + Random.State.int st 6 ] in
+      let h = List.nth (Tensor.dims x) 2 and w = List.nth (Tensor.dims x) 3 in
+      let pad () = Random.State.int st 4 in
+      let pt = pad () and pl = pad () and pb = pad () and pr = pad () in
+      let kernel = 1 + Random.State.int st (min 4 (h + pt + pb)),
+                   1 + Random.State.int st (min 4 (w + pl + pr)) in
+      let stride = 1 + Random.State.int st 3, 1 + Random.State.int st 3 in
+      let pads = pt, pl, pb, pr in
+      let op, want =
+        match Random.State.int st 3 with
+        | 0 ->
+          Op.MaxPool { kernel; pool_stride = stride; pool_pads = pads },
+          Oracle.pool2d `Max x ~kernel ~stride ~pad:pads
+        | 1 ->
+          Op.AveragePool { kernel; pool_stride = stride; pool_pads = pads },
+          Oracle.pool2d `Avg x ~kernel ~stride ~pad:pads
+        | _ -> Op.GlobalAveragePool, Oracle.global_avg_pool x
+      in
+      let dims = Tensor.dims want in
+      let what =
+        Printf.sprintf "%s %s kernel %dx%d stride %dx%d pads %d,%d,%d,%d" (Op.name op)
+          (dims_s (Tensor.dims x)) (fst kernel) (snd kernel) (fst stride) (snd stride)
+          pt pl pb pr
+      in
+      check what ~want ~got:(List.hd (Sod2_runtime.Kernels.run op [ x ]))
+      &&
+      let buf, dest = into_window ~dims in
+      Sod2_runtime.Kernels.run_into op [ offset_view st x ] ~dest = Some dims
+      && check (what ^ " (into)") ~want ~got:(window_tensor buf ~dims))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -273,4 +319,5 @@ let suite =
       prop_transpose;
       prop_slice;
       prop_concat;
+      prop_pool;
     ]

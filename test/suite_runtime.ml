@@ -231,6 +231,126 @@ let test_arena_steady_state () =
         Alcotest.fail "steady-state arena outputs diverged from the reference")
     boxed res
 
+(* Views and routes alias their source's arena slot, so the planner keeps
+   the source live until the aliases' last consumer.  [a]'s Flatten and
+   its Switch→Combine route are read only after [a]'s last direct
+   consumer (the row max), and a larger tensor ([big], then its Exp) is
+   produced in between: had the aliases not extended [a]'s lifetime, its
+   bytes would be free for reuse there. *)
+let alias_graph () =
+  let open Graph.Builder in
+  let b = create () in
+  let n = Dim.of_sym "N" in
+  let x = input b ~name:"x" (Shape.of_dims [ n; Dim.of_int 16 ]) in
+  let y = input b ~name:"y" (Shape.of_dims [ n; Dim.of_int 64 ]) in
+  let w = const b ~name:"w" (Tensor.rand_uniform (Rng.create 5) [ 16; 2 ]) in
+  let reduce rkind axes t = node1 b (Op.Reduce { rkind; axes; keepdims = true }) [ t ] in
+  let a = node1 b (Op.Unary Op.Relu) [ x ] in
+  let flat = node1 b (Op.Flatten { axis = 0 }) [ a ] in
+  let logits = node1 b Op.MatMul [ reduce Op.Rsum [ 0 ] x; w ] in
+  let pred = node1 b (Op.ArgMax { axis = 1; keepdims = false }) [ logits ] in
+  let routed =
+    match node b (Op.Switch { branches = 2 }) [ a; pred ] with
+    | [ s0; s1 ] ->
+      node1 b (Op.Combine { branches = 2 }) [ s0; node1 b (Op.Unary Op.Neg) [ s1 ]; pred ]
+    | _ -> assert false
+  in
+  let big = node1 b (Op.Binary Op.Mul) [ y; reduce Op.Rmax [ 1 ] a ] in
+  let rows = reduce Op.Rsum [ 1 ] (node1 b (Op.Unary Op.Exp) [ big ]) in
+  let o1 = node1 b (Op.Binary Op.Add) [ routed; rows ] in
+  let o2 = node1 b (Op.Binary Op.Mul) [ flat; reduce Op.Rsum [ 0 ] rows ] in
+  set_outputs b [ o1; o2 ];
+  finish b, x, y, a, [ o1; o2 ]
+
+let test_alias_lifetimes () =
+  let g, x, y, a, outs = alias_graph () in
+  let c = Sod2.Pipeline.compile cpu g in
+  let bits t = Array.map Int64.bits_of_float (Tensor.data_f t) in
+  let step_of tid =
+    let gid = c.Sod2.Pipeline.fusion_plan.Sod2.Fusion.group_of.((Option.get (Graph.producer g tid)).nid) in
+    let rec find i = function
+      | [] -> Alcotest.failf "group %d is not in the order" gid
+      | g' :: rest -> if g' = gid then i else find (i + 1) rest
+    in
+    find 0 c.Sod2.Pipeline.exec.Sod2.Exec_plan.order
+  in
+  List.iter
+    (fun n ->
+      let env = Env.of_list [ "N", n ] in
+      let plan = Sod2.Pipeline.instantiated_plan c env in
+      Alcotest.(check (list string))
+        (Printf.sprintf "N=%d: plan vets clean" n)
+        [] (List.map Sod2.Mem_plan.defect_message (Sod2.Pipeline.vet_plan c env plan));
+      match Array.find_opt (fun (al : Sod2.Mem_plan.alloc) -> al.tid = a) plan.allocs with
+      | None -> Alcotest.failf "N=%d: the aliased source has no slot" n
+      | Some al ->
+        List.iter
+          (fun o ->
+            if al.last_step < step_of o then
+              Alcotest.failf "N=%d: source slot dies at step %d, before its alias is read at %d"
+                n al.last_step (step_of o))
+          outs)
+    [ 1; 3; 1 lsl 20 ];
+  List.iter
+    (fun kind ->
+      let be = Sod2_runtime.Backend.for_compiled kind c in
+      let arena = Sod2_runtime.Arena.create () in
+      Fun.protect ~finally:(fun () -> Sod2_runtime.Backend.shutdown be) @@ fun () ->
+      List.iter
+        (fun (n, seed) ->
+          let env = Env.of_list [ "N", n ] in
+          let rng = Rng.create seed in
+          let inputs =
+            [ x, Tensor.rand_uniform rng [ n; 16 ]; y, Tensor.rand_uniform rng [ n; 64 ] ]
+          in
+          let want = Sod2_runtime.Reference.run g ~inputs in
+          let _, got = run_arena ~backend:be ~arena c ~env ~inputs in
+          List.iter2
+            (fun (t, w) (t', v) ->
+              let what =
+                Printf.sprintf "%s,arena N=%d seed %d: t%d" (Sod2_runtime.Backend.kind_name kind)
+                  n seed t
+              in
+              Alcotest.(check int) what t t';
+              Alcotest.(check (list int)) (what ^ " dims") (Tensor.dims w) (Tensor.dims v);
+              if bits w <> bits v then Alcotest.failf "%s differs from Reference" what)
+            want got)
+        (List.concat_map (fun n -> List.init 4 (fun s -> n, s)) [ 1; 5; 48 ]))
+    Sod2_runtime.Backend.[ Blocked; Fused ]
+
+(* On both serving workloads' configurations every float result lands in
+   a planned slot once the arena is warm: no slotless result gets a fresh
+   buffer, and SkipNet reads a slot boxed only for its 12 gate ArgMaxes
+   (ArgMax has no destination kernel). *)
+let test_serving_path_stays_in_arena () =
+  List.iter
+    (fun (name, kind, env, max_copies) ->
+      let sp = spec name in
+      let g = sp.Zoo.build () in
+      let c = Sod2.Pipeline.compile cpu g in
+      let inputs = Zoo.make_inputs sp g env (Rng.create 11) in
+      let be = Sod2_runtime.Backend.for_compiled kind c in
+      Fun.protect ~finally:(fun () -> Sod2_runtime.Backend.shutdown be) @@ fun () ->
+      let arena = Sod2_runtime.Arena.create () in
+      ignore (run_arena ~backend:be ~arena c ~env ~inputs);
+      Profile.Counters.reset ();
+      let _, got = run_arena ~backend:be ~arena c ~env ~inputs in
+      let count k = Profile.Counters.count ~profile:cpu.Profile.name ~kind:k in
+      let what = name ^ " " ^ Sod2_runtime.Backend.kind_name kind ^ ",arena" in
+      Alcotest.(check int) (what ^ ": arena-dest-malloc") 0 (count "arena-dest-malloc");
+      if count "arena-copy-out" > max_copies then
+        Alcotest.failf "%s: %d arena-copy-out, want at most %d" what (count "arena-copy-out")
+          max_copies;
+      List.iter2
+        (fun (_, w) (_, v) ->
+          if not (Tensor.approx_equal ~eps:1e-4 w v) then
+            Alcotest.failf "%s: output differs from Reference" what)
+        (Sod2_runtime.Reference.run g ~inputs) got)
+    [
+      "skipnet", Sod2_runtime.Backend.Blocked, Env.of_list [ "H", 64; "W", 64 ], 12;
+      "conformer", Sod2_runtime.Backend.Fused, Env.of_list [ "T", 128 ], max_int;
+    ]
+
 (* An empty control-flow predicate is a malformed execution, not branch 0:
    both interpreters must raise the structured error. *)
 let test_empty_predicate_raises () =
@@ -412,6 +532,10 @@ let suite =
     Alcotest.test_case "arena steady state re-plans and copies nothing" `Quick
       test_arena_steady_state;
     Alcotest.test_case "empty control-flow predicate raises" `Quick test_empty_predicate_raises;
+    Alcotest.test_case "views and routes keep their source's slot live" `Quick
+      test_alias_lifetimes;
+    Alcotest.test_case "serving path writes every float result to its slot" `Quick
+      test_serving_path_stays_in_arena;
     Alcotest.test_case "run_real refuses an unbound graph input" `Quick
       test_run_real_unbound_input;
     Alcotest.test_case "Reference.run refuses an unbound graph input" `Quick
