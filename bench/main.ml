@@ -39,6 +39,50 @@ let blocked_gemm tiles ~m ~n ~k ~a ~b ~c = Blocked.gemm ?tiles ~m ~n ~k ~a ~ao:0
    loops are the same for both dtypes. *)
 let f32_vs_f64 = gate "f32 / f64 GEMM 256^3 time" 1.15 At_most
 
+(* The element loops of the serving path through [Kernels.run_into] on
+   the (one-thread) blocked backend, f32 against f64 on the same values.
+   An f32 load merges into its register (DESIGN.md §9), so f32 loops that
+   take one element at a time ran no faster than f64 ones; loading four
+   ahead must make them clearly faster. *)
+let f32_loops = gate "geomean f32 / f64 time: Relu, Add, MaxPool, LayerNorm" 0.8 At_most
+
+let element_loops ~rounds blocked =
+  let tensor dt dims = Tensor.of_fbuf dims (filled ~dt (List.fold_left ( * ) 1 dims)) in
+  let positive dt dims = Tensor.map_f (fun v -> v +. 1.0) (tensor dt dims) in
+  let side op inputs dt () =
+    let vs = List.map (fun f -> Tensor.view_f (f dt)) inputs in
+    let out = ref None in
+    let dest _ dt dims =
+      match !out with
+      | Some b -> b, 0
+      | None ->
+        let b = Tensor.fbuf_create dt (List.fold_left ( * ) 1 dims) in
+        out := Some b;
+        b, 0
+    in
+    fun () ->
+      if RT.Kernels.run_into ~backend:blocked op vs ~dest = None then
+        failwith ("no destination kernel for " ^ Op.name op)
+  in
+  let image = [ 1; 32; 64; 64 ] and ch = [ 32 ] in
+  let case (label, op, inputs) =
+    let sides = [ side op inputs Tensor.F32; side op inputs Tensor.F64 ] in
+    let t32, t64 = pair (time ~calls:15 ~rounds sides) in
+    row label [ "f32", t32; "f64", t64 ] ~fields:[ "f32_over_f64", t32.best /. t64.best ]
+  in
+  List.map case
+    [ "relu", Op.Unary Op.Relu, [ (fun dt -> tensor dt image) ];
+      "add", Op.Binary Op.Add, [ (fun dt -> tensor dt image); (fun dt -> tensor dt image) ];
+      "batchnorm", Op.BatchNorm { eps = 1e-5 },
+      [ (fun dt -> tensor dt image); (fun dt -> tensor dt ch); (fun dt -> tensor dt ch);
+        (fun dt -> tensor dt ch); (fun dt -> positive dt ch) ];
+      "maxpool 3x3/2", Op.MaxPool { kernel = 3, 3; pool_stride = 2, 2; pool_pads = 1, 1, 1, 1 },
+      [ (fun dt -> tensor dt image) ];
+      "layernorm", Op.LayerNorm { eps = 1e-5 },
+      [ (fun dt -> tensor dt [ 1; 32; 128 ]); (fun dt -> tensor dt [ 128 ]);
+        (fun dt -> tensor dt [ 128 ]) ];
+      "softmax", Op.Softmax { axis = -1 }, [ (fun dt -> tensor dt [ 1; 4; 32; 32 ]) ] ]
+
 let kernels ~rounds =
   let versions = Sod2.Multi_version.build cpu in
   let naive = RT.Backend.create ~versions RT.Backend.Naive in
@@ -70,8 +114,12 @@ let kernels ~rounds =
      host swings one call by 50%. *)
   let side dt = gemm_side ~dt (256, 256, 256) (on blocked) in
   let t32, t64 = pair (time ~calls:15 ~rounds [ side Tensor.F32; side Tensor.F64 ]) in
-  { rows = rows @ [ row "gemm/f32-vs-f64 256^3" [ "f32", t32; "f64", t64 ] ];
-    values = [ f32_vs_f64, t32.best /. t64.best ] }
+  let loops = element_loops ~rounds blocked in
+  let ratio label = List.assoc "f32_over_f64" (List.find (fun r -> r.label = label) loops).fields in
+  { rows = rows @ [ row "gemm/f32-vs-f64 256^3" [ "f32", t32; "f64", t64 ] ] @ loops;
+    values =
+      [ f32_vs_f64, t32.best /. t64.best;
+        f32_loops, geomean (List.map ratio [ "relu"; "add"; "maxpool 3x3/2"; "layernorm" ]) ] }
 
 (* --- fused: whole fusion groups as single kernels --------------------- *)
 
@@ -111,8 +159,12 @@ let arena_dest_malloc = gate "arena-dest-malloc per arena run" 0.0 At_most
    destination kernel, and nothing else may read a slot boxed. *)
 let arena_copy_out = gate "arena-copy-out per arena run" 12.0 At_most
 
+(* Conformer's LayerNorm, Softmax, Transpose, Split and Conv1d all write
+   their slots, and Shape reads only dims: nothing reads a slot boxed. *)
+let arena_conformer_copy_out = gate "arena-copy-out per Conformer run" 0.0 At_most
+
 let arena ~rounds =
-  let wrong = ref 0 and mallocs = ref 0 and copies = ref 0 in
+  let wrong = ref 0 and mallocs = ref 0 and copies = ref 0 and conformer_copies = ref 0 in
   (* Arena runs keep the RDP boundary cross-check on. *)
   let guarded = { RT.Executor.default_config with guarded = true } in
   let counter kind = Profile.Counters.count ~profile:cpu.Profile.name ~kind in
@@ -136,6 +188,8 @@ let arena ~rounds =
       let m = counter "arena-dest-malloc" - m0 and k = counter "arena-copy-out" - c0 in
       mallocs := max !mallocs m;
       copies := max !copies k;
+      if String.starts_with ~prefix:"conformer" name then
+        conformer_copies := max !conformer_copies k;
       wrong := !wrong + mismatches (Within 1e-4) (snd (malloc ())) reference
                + mismatches (Within 1e-4) arena_out reference;
       row (name ^ " " ^ RT.Backend.kind_name kind) [ "malloc", tm; "arena", ta ]
@@ -152,6 +206,11 @@ let arena ~rounds =
     let g = sp.Zoo.build () and env = Env.of_list [ "H", 128; "W", 128 ] in
     "skipnet-128x128", g, env, Zoo.make_inputs sp g env (Rng.create 3), RT.Backend.[ Blocked; Fused ]
   in
+  let conformer =
+    let sp = fixture "conformer" in
+    let g = sp.Zoo.build () and env = Env.of_list [ "T", 128 ] in
+    "conformer-T128", g, env, Zoo.make_inputs sp g env (Rng.create 3), RT.Backend.[ Fused ]
+  in
   let dims = [ 256; 1024 ] in
   let rows =
     List.concat_map model
@@ -159,10 +218,12 @@ let arena ~rounds =
          [ "chain-stream-256x1024", Graphs.sub_stream ~steps:16 (Shape.of_ints dims) dims, dims;
            "chain-ladder-256x1024", Graphs.ladder ~layers:8 dims, dims;
            "conv1x1-stream-4x64x64", Graphs.conv_stream ~layers:5 ~subs:28 ~ch:4 ~hw:64, [ 1; 4; 64; 64 ] ]
-      @ [ skipnet ])
+      @ [ skipnet; conformer ])
   in
   { rows;
-    values = [ arena_wrong, count !wrong; arena_dest_malloc, count !mallocs; arena_copy_out, count !copies ] }
+    values =
+      [ arena_wrong, count !wrong; arena_dest_malloc, count !mallocs; arena_copy_out, count !copies;
+        arena_conformer_copy_out, count !conformer_copies ] }
 
 (* --- engine and overload: concurrent serving -------------------------- *)
 
@@ -519,12 +580,15 @@ let micro ~rounds =
 let () =
   main
     [
-      { name = "kernels"; rounds = 7; run = kernels; gates = [ f32_vs_f64 ];
-        doc = "GEMM/conv per shape class on naive, blocked and parallel kernels; f32 vs f64 GEMM" };
+      { name = "kernels"; rounds = 7; run = kernels; gates = [ f32_vs_f64; f32_loops ];
+        doc = "GEMM/conv per shape class on naive, blocked and parallel kernels; f32 vs f64 GEMM \
+               and element loops" };
       { name = "fused"; rounds = 7; run = fused; gates = [ fused_floor ];
         doc = "each fusion group op by op on blocked vs as one fused kernel" };
-      { name = "arena"; rounds = 5; run = arena; gates = [ arena_wrong; arena_dest_malloc; arena_copy_out ];
-        doc = "malloc vs arena on three stream graphs x naive/blocked/fused and SkipNet 128^2 x blocked/fused" };
+      { name = "arena"; rounds = 5; run = arena;
+        gates = [ arena_wrong; arena_dest_malloc; arena_copy_out; arena_conformer_copy_out ];
+        doc = "malloc vs arena on three stream graphs x naive/blocked/fused, SkipNet 128^2 x \
+               blocked/fused and Conformer T=128 fused" };
       { name = "engine"; rounds = 3; run = engine; gates = [ engine_wrong; engine_misses; engine_floor ];
         doc = "resident Engine at 1..host-cores workers vs sequential run_real" };
       { name = "overload"; rounds = 1; run = overload;

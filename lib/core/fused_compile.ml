@@ -295,14 +295,14 @@ let specialize g (tpl : template) ~(tiles : Multi_version.shape_class -> Blocked
         let fd = dims_of tid in
         if numel_of fd = 1 && numel_of od > 1 then tid, Scalar
         else
-          match OS.broadcast_map ~tables:true ~od ~fd with
+          match OS.broadcast_map ~od ~fd with
           | None -> tid, Direct
           | Some m -> tid, Mapped m
       in
       match nd.Graph.op, nd.Graph.inputs with
       | (Op.Binary _ | Op.Where), ins -> List.map broadcast ins
       | Op.Transpose perm, [ x ] -> (
-        match OS.transpose_map ~tables:true ~od ~ind:(dims_of x) ~perm with
+        match OS.transpose_map ~od ~ind:(dims_of x) ~perm with
         | None -> [ x, Direct ]
         | Some m -> [ x, Mapped m ])
       | Op.BatchNorm _, x :: params ->

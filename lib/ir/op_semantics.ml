@@ -106,15 +106,15 @@ let int_binary_fn : Op.binary -> int -> int -> int = function
 (* Index maps                                                          *)
 
 (* A map sends a consumer's flat index to a flat source offset.  It is
-   described per consumer dim by a source stride: [Strided] walks it with
-   an odometer — O(rank) per block, nothing per element but the carry
-   between runs of the innermost dim — and [Tbl] is the same map
-   precomputed, for callers that compile once and run many times. *)
-type imap =
-  | Tbl of int array
-  | Strided of int array * int array  (** consumer dims, source stride per dim *)
-
-let table_cap = 1 lsl 18
+   described per consumer dim by a source stride and walked with an
+   odometer: O(rank) per block, nothing per element but the carry
+   between runs of the innermost dim.  No offset table is precomputed:
+   the load-ahead strided copy below reads runs as fast, and resident
+   tables would be most of a serving process's live heap. *)
+type imap = {
+  m_dims : int array;  (** consumer dims, none of them 1 *)
+  m_strides : int array;  (** source stride per consumer dim *)
+}
 
 let strides_of (d : int array) =
   let r = Array.length d in
@@ -126,60 +126,33 @@ let strides_of (d : int array) =
   done;
   s
 
-(* The table of a strided map, built by an odometer walk (no div/mod). *)
-let table ~od ~ss =
-  let r = Array.length od in
-  let n = Array.fold_left ( * ) 1 od in
-  let t = Array.make n 0 in
-  let coord = Array.make r 0 in
-  let off = ref 0 in
-  for i = 0 to n - 1 do
-    t.(i) <- !off;
-    let j = ref (r - 1) in
-    let carry = ref true in
-    while !carry && !j >= 0 do
-      let d = !j in
-      coord.(d) <- coord.(d) + 1;
-      off := !off + ss.(d);
-      if coord.(d) = od.(d) then begin
-        coord.(d) <- 0;
-        off := !off - (ss.(d) * od.(d));
-        decr j
-      end
-      else carry := false
-    done
-  done;
-  t
-
-(* [None] when the map is the identity on flat order.  [tables] asks for
-   maps of up to [table_cap] elements precomputed.  Unit dims carry no
+(* [None] when the map is the identity on flat order.  Unit dims carry no
    coordinate, so an odometer drops them and its innermost run is a real
    one. *)
-let map_of ~tables ~od ~ss =
+let stride_map ~od ~ss =
   let ostr = strides_of od in
   let identity = ref true in
   Array.iteri (fun d e -> if e > 1 && ss.(d) <> ostr.(d) then identity := false) od;
   if !identity then None
-  else if tables && Array.fold_left ( * ) 1 od <= table_cap then Some (Tbl (table ~od ~ss))
   else
     let keep = List.filter (fun d -> od.(d) > 1) (List.init (Array.length od) Fun.id) in
     let pick a = Array.of_list (List.map (fun d -> a.(d)) keep) in
-    Some (Strided (pick od, pick ss))
+    Some { m_dims = pick od; m_strides = pick ss }
 
 (* Numpy-style right-aligned broadcast of [fd] into [od]. *)
-let broadcast_map ~tables ~od ~fd =
+let broadcast_map ~od ~fd =
   let r = Array.length od in
   let fr = Array.length fd in
   let fpad = Array.make r 1 in
   Array.blit fd 0 fpad (r - fr) fr;
   let fstr = strides_of fpad in
   let ss = Array.init r (fun d -> if fpad.(d) = 1 then 0 else fstr.(d)) in
-  map_of ~tables ~od ~ss
+  stride_map ~od ~ss
 
-let transpose_map ~tables ~od ~ind ~perm =
+let transpose_map ~od ~ind ~perm =
   let instr = strides_of ind in
   let ss = Array.of_list (List.map (fun p -> instr.(p)) perm) in
-  map_of ~tables ~od ~ss
+  stride_map ~od ~ss
 
 (* ------------------------------------------------------------------ *)
 (* Block programs                                                      *)
@@ -255,7 +228,7 @@ type scratch = {
   mutable b32 : Tensor.fbuf;
   mutable r64 : Tensor.f64buf;
   mutable b64 : Tensor.fbuf;
-  cell : Tensor.f32buf;  (** one f32 element: store-based rounding *)
+  cell : Tensor.f32buf;  (** four f32 lanes: store-based rounding *)
   mutable coord : int array;  (** odometer state of a strided gather *)
 }
 
@@ -268,7 +241,7 @@ let pool =
         b32 = Tensor.FB32 r32;
         r64;
         b64 = Tensor.FB64 r64;
-        cell = BA1.create Bigarray.float32 Bigarray.c_layout 1;
+        cell = BA1.create Bigarray.float32 Bigarray.c_layout 4;
         coord = [||];
       })
 
@@ -278,22 +251,66 @@ let[@inline] get (b : Tensor.fbuf) i =
 let[@inline] set (b : Tensor.fbuf) i v =
   match b with Tensor.FB32 a -> BA1.unsafe_set a i v | Tensor.FB64 a -> BA1.unsafe_set a i v
 
-(* Rounds [v] to single precision by storing it: the reference's f32
-   tensor store, as two instructions. *)
-let[@inline] round32 (cell : Tensor.f32buf) v =
-  BA1.unsafe_set cell 0 v;
-  BA1.unsafe_get cell 0
+(* Rounds [v] to single precision by storing it into lane [l] of [cell]:
+   the reference's f32 tensor store, as two instructions. *)
+let[@inline] round32 (cell : Tensor.f32buf) l v =
+  BA1.unsafe_set cell l v;
+  BA1.unsafe_get cell l
 
 (* The loops.  Each matches its buffer kinds once and inlines the scalar
    semantics; same-kind f32/f64 operands get monomorphic loops, mixed
-   kinds take one predictable branch per access. *)
+   kinds take one predictable branch per access.
 
+   The f32/f32 arms load four elements before computing any.  OCaml's
+   amd64 backend loads a single with [cvtss2sd mem, %xmm], which writes
+   only the register's low lane and so waits for its previous value: a
+   loop that loads one element at a time into one register runs each
+   iteration after the whole computation of the one before.  Four loads
+   into four registers, then four computations, then four stores (and a
+   scalar tail) let the iterations overlap.  Every element's operations
+   and rounding points stay as they are, so results are bit-identical;
+   and because each group of four loads all its elements before it
+   stores any, a loop whose destination is its source runs in place.
+   An f32 store converts through one scratch register ([cvtsd2ss] into
+   %xmm15, a merge too), so all f32 stores form one chain: a loop that
+   rounds through memory mid-computation (BatchNorm here, the row
+   kernels of [Reduction]) steps its four elements through each rounding
+   point together.  f64 arms keep one element per step: [movsd] loads
+   carry no merge dependency. *)
+
+(* Relu on an f32 value held in double, without a data-dependent branch:
+   for finite [v], [(v + |v|) / 2] is exactly [max 0 v] (the sum of two
+   singles cannot round or overflow in double, and -0 gives +0).  ±∞ and
+   NaN take [unary]'s form, which is what keeps −∞ at 0. *)
+let[@inline] relu32 v = if v -. v = 0.0 then (v +. Float.abs v) *. 0.5 else unary Op.Relu v
+
+let[@inline] unary32 u v = match u with Op.Relu -> relu32 v | u -> unary u v
+
+let[@inline] unary_loop32 u (x : Tensor.f32buf) xo (d : Tensor.f32buf) o len =
+  let i = ref 0 in
+  while !i + 4 <= len do
+    let k = !i in
+    let v0 = BA1.unsafe_get x (xo + k) and v1 = BA1.unsafe_get x (xo + k + 1) in
+    let v2 = BA1.unsafe_get x (xo + k + 2) and v3 = BA1.unsafe_get x (xo + k + 3) in
+    BA1.unsafe_set d (o + k) (unary32 u v0);
+    BA1.unsafe_set d (o + k + 1) (unary32 u v1);
+    BA1.unsafe_set d (o + k + 2) (unary32 u v2);
+    BA1.unsafe_set d (o + k + 3) (unary32 u v3);
+    i := k + 4
+  done;
+  for k = !i to len - 1 do
+    BA1.unsafe_set d (o + k) (unary32 u (BA1.unsafe_get x (xo + k)))
+  done
+
+(* Matched with a constant operator, an inlined loop carries no
+   per-element match: Relu, the one cheap unary op of real models, gets
+   its own; the rest cost far more than the match. *)
 let unary_block u (x : Tensor.fbuf) xo (d : Tensor.fbuf) o len =
   match x, d with
-  | Tensor.FB32 x, Tensor.FB32 d ->
-    for i = 0 to len - 1 do
-      BA1.unsafe_set d (o + i) (unary u (BA1.unsafe_get x (xo + i)))
-    done
+  | Tensor.FB32 x, Tensor.FB32 d -> (
+    match u with
+    | Op.Relu -> unary_loop32 Op.Relu x xo d o len
+    | u -> unary_loop32 u x xo d o len)
   | Tensor.FB64 x, Tensor.FB64 d ->
     for i = 0 to len - 1 do
       BA1.unsafe_set d (o + i) (unary u (BA1.unsafe_get x (xo + i)))
@@ -303,6 +320,25 @@ let unary_block u (x : Tensor.fbuf) xo (d : Tensor.fbuf) o len =
       set d (o + i) (unary u (get x (xo + i)))
     done
 
+let[@inline] binary_loop32 b (x : Tensor.f32buf) xo (y : Tensor.f32buf) yo
+    (d : Tensor.f32buf) o len =
+  let i = ref 0 in
+  while !i + 4 <= len do
+    let k = !i in
+    let x0 = BA1.unsafe_get x (xo + k) and x1 = BA1.unsafe_get x (xo + k + 1) in
+    let x2 = BA1.unsafe_get x (xo + k + 2) and x3 = BA1.unsafe_get x (xo + k + 3) in
+    let y0 = BA1.unsafe_get y (yo + k) and y1 = BA1.unsafe_get y (yo + k + 1) in
+    let y2 = BA1.unsafe_get y (yo + k + 2) and y3 = BA1.unsafe_get y (yo + k + 3) in
+    BA1.unsafe_set d (o + k) (binary b x0 y0);
+    BA1.unsafe_set d (o + k + 1) (binary b x1 y1);
+    BA1.unsafe_set d (o + k + 2) (binary b x2 y2);
+    BA1.unsafe_set d (o + k + 3) (binary b x3 y3);
+    i := k + 4
+  done;
+  for k = !i to len - 1 do
+    BA1.unsafe_set d (o + k) (binary b (BA1.unsafe_get x (xo + k)) (BA1.unsafe_get y (yo + k)))
+  done
+
 (* The four arithmetic operators carry the pointwise traffic of real
    (f32) models, so they get a loop each; the rest share one loop with
    the operator matched per element. *)
@@ -310,27 +346,11 @@ let binary_block b (x : Tensor.fbuf) xo (y : Tensor.fbuf) yo (d : Tensor.fbuf) o
   match x, y, d with
   | Tensor.FB32 x, Tensor.FB32 y, Tensor.FB32 d -> (
     match b with
-    | Op.Add ->
-      for i = 0 to len - 1 do
-        BA1.unsafe_set d (o + i) (BA1.unsafe_get x (xo + i) +. BA1.unsafe_get y (yo + i))
-      done
-    | Op.Sub ->
-      for i = 0 to len - 1 do
-        BA1.unsafe_set d (o + i) (BA1.unsafe_get x (xo + i) -. BA1.unsafe_get y (yo + i))
-      done
-    | Op.Mul ->
-      for i = 0 to len - 1 do
-        BA1.unsafe_set d (o + i) (BA1.unsafe_get x (xo + i) *. BA1.unsafe_get y (yo + i))
-      done
-    | Op.Div ->
-      for i = 0 to len - 1 do
-        BA1.unsafe_set d (o + i) (BA1.unsafe_get x (xo + i) /. BA1.unsafe_get y (yo + i))
-      done
-    | b ->
-      for i = 0 to len - 1 do
-        BA1.unsafe_set d (o + i)
-          (binary b (BA1.unsafe_get x (xo + i)) (BA1.unsafe_get y (yo + i)))
-      done)
+    | Op.Add -> binary_loop32 Op.Add x xo y yo d o len
+    | Op.Sub -> binary_loop32 Op.Sub x xo y yo d o len
+    | Op.Mul -> binary_loop32 Op.Mul x xo y yo d o len
+    | Op.Div -> binary_loop32 Op.Div x xo y yo d o len
+    | b -> binary_loop32 b x xo y yo d o len)
   | Tensor.FB64 x, Tensor.FB64 y, Tensor.FB64 d ->
     for i = 0 to len - 1 do
       BA1.unsafe_set d (o + i)
@@ -349,28 +369,61 @@ let clip_block lo hi (x : Tensor.fbuf) xo (d : Tensor.fbuf) o len =
   let lo = lo *. 1.0 and hi = hi *. 1.0 in
   match x, d with
   | Tensor.FB32 x, Tensor.FB32 d ->
-    for i = 0 to len - 1 do
-      BA1.unsafe_set d (o + i) (clip lo hi (BA1.unsafe_get x (xo + i)))
+    let i = ref 0 in
+    while !i + 4 <= len do
+      let k = !i in
+      let v0 = BA1.unsafe_get x (xo + k) and v1 = BA1.unsafe_get x (xo + k + 1) in
+      let v2 = BA1.unsafe_get x (xo + k + 2) and v3 = BA1.unsafe_get x (xo + k + 3) in
+      BA1.unsafe_set d (o + k) (clip lo hi v0);
+      BA1.unsafe_set d (o + k + 1) (clip lo hi v1);
+      BA1.unsafe_set d (o + k + 2) (clip lo hi v2);
+      BA1.unsafe_set d (o + k + 3) (clip lo hi v3);
+      i := k + 4
+    done;
+    for k = !i to len - 1 do
+      BA1.unsafe_set d (o + k) (clip lo hi (BA1.unsafe_get x (xo + k)))
     done
   | x, d ->
     for i = 0 to len - 1 do
       set d (o + i) (clip lo hi (get x (xo + i)))
     done
 
+(* [len] source elements [ist] apart, from [so], into [d] at [o]: a copy
+   when [ist = 1]. *)
+let strided_copy (s : Tensor.fbuf) so ist (d : Tensor.fbuf) o len =
+  match s, d with
+  | Tensor.FB32 s, Tensor.FB32 d ->
+    let i = ref 0 in
+    while !i + 4 <= len do
+      let k = !i in
+      let p = so + (k * ist) in
+      let v0 = BA1.unsafe_get s p and v1 = BA1.unsafe_get s (p + ist) in
+      let v2 = BA1.unsafe_get s (p + (2 * ist)) and v3 = BA1.unsafe_get s (p + (3 * ist)) in
+      BA1.unsafe_set d (o + k) v0;
+      BA1.unsafe_set d (o + k + 1) v1;
+      BA1.unsafe_set d (o + k + 2) v2;
+      BA1.unsafe_set d (o + k + 3) v3;
+      i := k + 4
+    done;
+    for k = !i to len - 1 do
+      BA1.unsafe_set d (o + k) (BA1.unsafe_get s (so + (k * ist)))
+    done
+  | Tensor.FB64 s, Tensor.FB64 d ->
+    for i = 0 to len - 1 do
+      BA1.unsafe_set d (o + i) (BA1.unsafe_get s (so + (i * ist)))
+    done
+  | s, d ->
+    for i = 0 to len - 1 do
+      set d (o + i) (get s (so + (i * ist)))
+    done
+
 let copy_block (x : Tensor.fbuf) xo (d : Tensor.fbuf) o len =
   match x, d with
-  | Tensor.FB32 x, Tensor.FB32 d ->
-    for i = 0 to len - 1 do
-      BA1.unsafe_set d (o + i) (BA1.unsafe_get x (xo + i))
-    done
   | Tensor.FB64 x, Tensor.FB32 d ->
     for i = 0 to len - 1 do
       BA1.unsafe_set d (o + i) (BA1.unsafe_get x (xo + i))
     done
-  | x, d ->
-    for i = 0 to len - 1 do
-      set d (o + i) (get x (xo + i))
-    done
+  | x, d -> strided_copy x xo 1 d o len
 
 let where_block (c : Tensor.fbuf) co (x : Tensor.fbuf) xo (y : Tensor.fbuf) yo
     (d : Tensor.fbuf) o len =
@@ -390,69 +443,42 @@ let splat_block (src : Tensor.fbuf) so (d : Tensor.fbuf) o len =
       BA1.unsafe_set d i v
     done
 
-(* [len] source elements [ist] apart, from [so], into [d] at [o]. *)
-let strided_copy (s : Tensor.fbuf) so ist (d : Tensor.fbuf) o len =
-  match s, d with
-  | Tensor.FB32 s, Tensor.FB32 d ->
-    for i = 0 to len - 1 do
-      BA1.unsafe_set d (o + i) (BA1.unsafe_get s (so + (i * ist)))
-    done
-  | Tensor.FB64 s, Tensor.FB64 d ->
-    for i = 0 to len - 1 do
-      BA1.unsafe_set d (o + i) (BA1.unsafe_get s (so + (i * ist)))
-    done
-  | s, d ->
-    for i = 0 to len - 1 do
-      set d (o + i) (get s (so + (i * ist)))
-    done
-
 (* Flat indices [lo, lo+len) of the consumer, read through [m] from the
-   source at [so].  A strided map unravels [lo] once, then copies
-   innermost-dim runs, carrying into the outer dims between runs. *)
+   source at [so]: unravel [lo] once, then copy innermost-dim runs,
+   carrying into the outer dims between runs. *)
 let gather_block (s : Tensor.fbuf) so m coord (d : Tensor.fbuf) o lo len =
-  match m with
-  | Tbl t -> (
-    match s, d with
-    | Tensor.FB32 s, Tensor.FB32 d ->
-      for i = 0 to len - 1 do
-        BA1.unsafe_set d (o + i) (BA1.unsafe_get s (so + Array.unsafe_get t (lo + i)))
+  let dims = m.m_dims and st = m.m_strides in
+  let r = Array.length dims in
+  let rem = ref lo and off = ref so in
+  for k = r - 1 downto 0 do
+    let q = !rem mod dims.(k) in
+    rem := !rem / dims.(k);
+    coord.(k) <- q;
+    off := !off + (q * st.(k))
+  done;
+  let inner = dims.(r - 1) and ist = st.(r - 1) in
+  let i = ref 0 in
+  while !i < len do
+    let run = min (inner - coord.(r - 1)) (len - !i) in
+    strided_copy s !off ist d (o + !i) run;
+    i := !i + run;
+    if !i < len then begin
+      off := !off - (coord.(r - 1) * ist);
+      coord.(r - 1) <- 0;
+      let k = ref (r - 2) in
+      while !k >= 0 do
+        let kk = !k in
+        coord.(kk) <- coord.(kk) + 1;
+        off := !off + st.(kk);
+        if coord.(kk) = dims.(kk) then begin
+          coord.(kk) <- 0;
+          off := !off - (dims.(kk) * st.(kk));
+          decr k
+        end
+        else k := -1
       done
-    | s, d ->
-      for i = 0 to len - 1 do
-        set d (o + i) (get s (so + Array.unsafe_get t (lo + i)))
-      done)
-  | Strided (dims, st) ->
-    let r = Array.length dims in
-    let rem = ref lo and off = ref so in
-    for k = r - 1 downto 0 do
-      let q = !rem mod dims.(k) in
-      rem := !rem / dims.(k);
-      coord.(k) <- q;
-      off := !off + (q * st.(k))
-    done;
-    let inner = dims.(r - 1) and ist = st.(r - 1) in
-    let i = ref 0 in
-    while !i < len do
-      let run = min (inner - coord.(r - 1)) (len - !i) in
-      strided_copy s !off ist d (o + !i) run;
-      i := !i + run;
-      if !i < len then begin
-        off := !off - (coord.(r - 1) * ist);
-        coord.(r - 1) <- 0;
-        let k = ref (r - 2) in
-        while !k >= 0 do
-          let kk = !k in
-          coord.(kk) <- coord.(kk) + 1;
-          off := !off + st.(kk);
-          if coord.(kk) = dims.(kk) then begin
-            coord.(kk) <- 0;
-            off := !off - (dims.(kk) * st.(kk));
-            decr k
-          end
-          else k := -1
-        done
-      end
-    done
+    end
+  done
 
 (* BatchNorm over flat indices [lo, lo+len): per channel run, hoist
    mean, sd = sqrt(var + eps), scale and bias, then apply the reference's
@@ -461,9 +487,20 @@ let[@inline] norm_param (nm : norm) (bufs : Tensor.fbuf array) offs k ch =
   let l = nm.n_params.(k) in
   get bufs.(l) (offs.(l) + if nm.n_per_channel.(k) then ch else 0)
 
+(* The all-f32 chain of one element, rounding through lane [l] of
+   [cell]. *)
+let[@inline] norm32 cell l v m sd s b =
+  let v = round32 cell l (v -. m) in
+  let v = round32 cell l (v /. sd) in
+  round32 cell l (v *. s) +. b
+
 let norm_block (nm : norm) (bufs : Tensor.fbuf array) offs cell (x : Tensor.fbuf) xo
     (d : Tensor.fbuf) o lo len =
   let r1 = nm.n_round.(0) and r2 = nm.n_round.(1) and r3 = nm.n_round.(2) in
+  let all32 = ref (r1 && r2 && r3) in
+  for k = 0 to Array.length nm.n_params - 1 do
+    match bufs.(nm.n_params.(k)) with Tensor.FB32 _ -> () | Tensor.FB64 _ -> all32 := false
+  done;
   let i = ref 0 in
   while !i < len do
     let j = lo + !i in
@@ -472,15 +509,47 @@ let norm_block (nm : norm) (bufs : Tensor.fbuf array) offs cell (x : Tensor.fbuf
     let s = norm_param nm bufs offs 0 ch and b = norm_param nm bufs offs 1 ch in
     let m = norm_param nm bufs offs 2 ch in
     let sd = sqrt (norm_param nm bufs offs 3 ch +. nm.n_eps) in
-    for k = !i to !i + run - 1 do
-      let v = get x (xo + k) -. m in
-      let v = if r1 then round32 cell v else v in
-      let v = v /. sd in
-      let v = if r2 then round32 cell v else v in
-      let v = v *. s in
-      let v = if r3 then round32 cell v else v in
-      set d (o + k) (v +. b)
-    done;
+    (match x, d with
+    | Tensor.FB32 x, Tensor.FB32 d when !all32 ->
+      let xo = xo + !i and o = o + !i in
+      let k = ref 0 in
+      while !k + 4 <= run do
+        let q = !k in
+        let v0 = BA1.unsafe_get x (xo + q) and v1 = BA1.unsafe_get x (xo + q + 1) in
+        let v2 = BA1.unsafe_get x (xo + q + 2) and v3 = BA1.unsafe_get x (xo + q + 3) in
+        (* step by step across the four, so no element's rounding waits
+           behind the whole chain of the element before it *)
+        let v0 = round32 cell 0 (v0 -. m) in
+        let v1 = round32 cell 1 (v1 -. m) in
+        let v2 = round32 cell 2 (v2 -. m) in
+        let v3 = round32 cell 3 (v3 -. m) in
+        let v0 = round32 cell 0 (v0 /. sd) in
+        let v1 = round32 cell 1 (v1 /. sd) in
+        let v2 = round32 cell 2 (v2 /. sd) in
+        let v3 = round32 cell 3 (v3 /. sd) in
+        let v0 = round32 cell 0 (v0 *. s) in
+        let v1 = round32 cell 1 (v1 *. s) in
+        let v2 = round32 cell 2 (v2 *. s) in
+        let v3 = round32 cell 3 (v3 *. s) in
+        BA1.unsafe_set d (o + q) (v0 +. b);
+        BA1.unsafe_set d (o + q + 1) (v1 +. b);
+        BA1.unsafe_set d (o + q + 2) (v2 +. b);
+        BA1.unsafe_set d (o + q + 3) (v3 +. b);
+        k := q + 4
+      done;
+      for q = !k to run - 1 do
+        BA1.unsafe_set d (o + q) (norm32 cell 0 (BA1.unsafe_get x (xo + q)) m sd s b)
+      done
+    | x, d ->
+      for k = !i to !i + run - 1 do
+        let v = get x (xo + k) -. m in
+        let v = if r1 then round32 cell 0 v else v in
+        let v = v /. sd in
+        let v = if r2 then round32 cell 0 v else v in
+        let v = v *. s in
+        let v = if r3 then round32 cell 0 v else v in
+        set d (o + k) (v +. b)
+      done);
     i := !i + run
   done
 
@@ -533,8 +602,8 @@ let grow s (st : stage) =
   end;
   for pc = 0 to Array.length st.code - 1 do
     match st.code.(pc) with
-    | Gather (_, Strided (dims, _), _) when Array.length s.coord < Array.length dims ->
-      s.coord <- Array.make (Array.length dims) 0
+    | Gather (_, m, _) when Array.length s.coord < Array.length m.m_dims ->
+      s.coord <- Array.make (Array.length m.m_dims) 0
     | _ -> ()
   done
 

@@ -27,20 +27,23 @@ val int_binary_fn : Op.binary -> int -> int -> int
 
 (** {1 Index maps} *)
 
-(** A map from a consumer's flat index to a flat source offset. *)
-type imap =
-  | Tbl of int array  (** precomputed offsets *)
-  | Strided of int array * int array
-      (** consumer dims and a source stride per dim, walked by odometer *)
+(** A map from a consumer's flat index to a flat source offset, walked by
+    odometer. *)
+type imap = {
+  m_dims : int array;  (** consumer dims, none of them 1 *)
+  m_strides : int array;  (** source stride per consumer dim *)
+}
 
-val broadcast_map : tables:bool -> od:int array -> fd:int array -> imap option
+val stride_map : od:int array -> ss:int array -> imap option
+(** The map reading consumer index [ix] of the [od] index space at source
+    offset [Σ ix.(d) · ss.(d)]; [None] when it is the identity on flat
+    order. *)
+
+val broadcast_map : od:int array -> fd:int array -> imap option
 (** Numpy-style right-aligned broadcast of a [fd]-shaped source into the
-    [od] index space; [None] when it is the identity on flat order.
-    [tables] precomputes maps of up to 2^18 elements: worth it for
-    callers that compile once and run many times. *)
+    [od] index space; [None] when it is the identity on flat order. *)
 
-val transpose_map :
-  tables:bool -> od:int array -> ind:int array -> perm:int list -> imap option
+val transpose_map : od:int array -> ind:int array -> perm:int list -> imap option
 (** Transpose of an [ind]-shaped source by [perm], read in the output's
     [od] index space. *)
 

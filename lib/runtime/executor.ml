@@ -634,22 +634,21 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
       counter "quant-kernel";
       true
   in
-  (* Every input of a single-output node viewable as a float window (slot
-     or boxed), and the op has a [Kernels.run_into] kernel that fits: the
-     result is written once, straight into its destination. *)
+  (* Every input of a node viewable as a float window (slot or boxed),
+     and the op has a [Kernels.run_into] kernel that fits: each result is
+     written once, straight into its destination. *)
   let try_dest (nd : Graph.node) =
     let vs = List.map view_of nd.Graph.inputs in
-    match nd.Graph.outputs with
-    | [ otid ] when List.for_all Option.is_some vs -> (
-      match
-        Kernels.run_into ?backend ?cls:(cls_of nd) nd.Graph.op (List.map Option.get vs)
-          ~dest:(destination otid)
-      with
-      | Some dims ->
-        set_dims [ otid, dims ];
-        true
-      | None -> false)
-    | _ -> false
+    List.for_all Option.is_some vs
+    &&
+    match
+      Kernels.run_into ?backend ?cls:(cls_of nd) nd.Graph.op (List.map Option.get vs)
+        ~dest:(fun i -> destination (List.nth nd.Graph.outputs i))
+    with
+    | Some dims ->
+      set_dims (List.combine nd.Graph.outputs dims);
+      true
+    | None -> false
   in
   (* A view of an arena-resident value writes nothing: it aliases the
      slot. *)
@@ -660,8 +659,21 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
       true
     | _ -> false
   in
+  (* Shape and Size read their input's dims, never its value. *)
+  let try_shape (nd : Graph.node) =
+    match nd.Graph.op, nd.Graph.inputs, nd.Graph.outputs with
+    | (Op.ShapeOf | Op.SizeOf), [ x ], [ y ] -> (
+      match st.dims.(x) with
+      | Some d ->
+        store st y
+          (if nd.Graph.op = Op.ShapeOf then Tensor.of_int_list d
+           else Tensor.scalar_i (List.fold_left ( * ) 1 d));
+        true
+      | None -> false)
+    | _ -> false
+  in
   let exec_plain (nd : Graph.node) =
-    if not (try_view nd || try_quant nd || try_dest nd) then
+    if not (try_view nd || try_shape nd || try_quant nd || try_dest nd) then
       List.iter2 (store st) nd.outputs
         (Kernels.run ?backend ?cls:(cls_of nd) nd.op (List.map fetch_boxed nd.inputs))
   in

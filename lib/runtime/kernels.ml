@@ -98,7 +98,7 @@ let elementwise ~par (vs : Tensor.view array) od last ~c ~co =
   let locs =
     Array.mapi
       (fun i (v : Tensor.view) ->
-        match OS.broadcast_map ~tables:false ~od ~fd:(view_dims_arr v) with
+        match OS.broadcast_map ~od ~fd:(view_dims_arr v) with
         | None -> OS.Leaf i
         | Some m ->
           let r =
@@ -320,18 +320,47 @@ let run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
 (* Destination-passing execution (the executor's kernels)             *)
 
 let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
-    ~(dest : Tensor.dtype -> int list -> Tensor.fbuf * int) : int list option =
+    ~(dest : int -> Tensor.dtype -> int list -> Tensor.fbuf * int) : int list list option =
   let par =
     match backend with Some be -> Backend.par_of be | None -> Blocked.sequential
   in
-  (* The one call to [dest]: every shape check has passed by now. *)
+  (* The one call to [dest] of a single-output op: every shape check has
+     passed by now. *)
   let write ?(dt = promoted inputs) dims run =
-    let c, co = dest dt dims in
+    let c, co = dest 0 dt dims in
     run ~c ~co;
-    Some dims
+    Some [ dims ]
   in
   let elementwise vs od last =
     write (Array.to_list od) (elementwise ~par vs od last)
+  in
+  (* A 2-d convolution of the views, its result [N×M×OH×OW] reported as
+     [dims_of] those dims. *)
+  let conv ~stride ~pads ~dilation ~groups (x : Tensor.view) (w : Tensor.view) rest dims_of =
+    let b = match rest with [ b ] -> Some b | _ -> None in
+    match
+      Linalg.conv2d_out_dims ~stride ~pad:pads ~dilation x.Tensor.vdims w.Tensor.vdims
+    with
+    | exception Invalid_argument _ -> None
+    | od when List.exists (fun d -> d < 0) od -> None
+    | od ->
+      (* the bias does not widen the result, as in [Linalg.conv2d] *)
+      write ~dt:(promoted [ x; w ]) (dims_of od) (fun ~c ~co ->
+          ignore
+            (match backend with
+            | Some be ->
+              Backend.conv2d_into ?cls be ~stride ~pad:pads ~dilation ~groups x w b ~c ~co
+            | None -> Linalg.conv2d_into ~stride ~pad:pads ~dilation ~groups x w b ~c ~co))
+  in
+  (* [n] elements of [x] read through [map] (in flat order when [None])
+     into [c] at [co]: one Gather or Copy instruction. *)
+  let shuffle x map ~n ~c ~co =
+    let instr =
+      match map with
+      | None -> OS.Copy (OS.Leaf 0, OS.Leaf 1)
+      | Some m -> OS.Gather (0, m, OS.Leaf 1)
+    in
+    run_program ~par ~n ~regs32:0 ~regs64:0 [| instr |] [| x |] ~c ~co
   in
   match op, inputs with
   | Op.Unary u, [ x ] -> elementwise [| x |] (view_dims_arr x) (fun l d -> OS.Unary (u, l.(0), d))
@@ -353,21 +382,57 @@ let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
             (match backend with
             | Some be -> Backend.matmul_into ?cls be a b ~c ~co
             | None -> Linalg.matmul_into a b ~c ~co)))
-  | Op.Conv { stride; pads; dilation; groups }, x :: w :: rest -> (
-    let b = match rest with [ b ] -> Some b | _ -> None in
-    match
-      Linalg.conv2d_out_dims ~stride ~pad:pads ~dilation x.Tensor.vdims w.Tensor.vdims
-    with
-    | exception Invalid_argument _ -> None
-    | od when List.exists (fun d -> d < 0) od -> None
-    | od ->
-      (* the bias does not widen the result, as in [Linalg.conv2d] *)
-      write ~dt:(promoted [ x; w ]) od (fun ~c ~co ->
-          ignore
-            (match backend with
-            | Some be ->
-              Backend.conv2d_into ?cls be ~stride ~pad:pads ~dilation ~groups x w b ~c ~co
-            | None -> Linalg.conv2d_into ~stride ~pad:pads ~dilation ~groups x w b ~c ~co)))
+  | Op.Conv { stride; pads; dilation; groups }, x :: w :: rest ->
+    conv ~stride ~pads ~dilation ~groups x w rest Fun.id
+  | Op.Conv1d { stride1; pads1 = pl, pr; dilation1; groups1 }, x :: w :: rest -> (
+    (* the unit-height lowering of [Backend.conv1d], on views *)
+    match x.Tensor.vdims, w.Tensor.vdims with
+    | [ n; c; l ], [ m; cg; k ] ->
+      conv ~stride:(1, stride1) ~pads:(0, pl, 0, pr) ~dilation:(1, dilation1) ~groups:groups1
+        (Tensor.view_reshape x [ n; c; 1; l ])
+        (Tensor.view_reshape w [ m; cg; 1; k ])
+        rest
+        (function [ n; m; _; ol ] -> [ n; m; ol ] | od -> od)
+    | _ -> None)
+  | Op.LayerNorm { eps }, [ x; gamma; beta ]
+    when Reduction.layer_norm_fits (view_dims_arr x) (view_dims_arr gamma) (view_dims_arr beta)
+    ->
+    write x.Tensor.vdims (Reduction.layer_norm_into ~eps x ~gamma ~beta)
+  | Op.Softmax { axis }, [ x ]
+    when axis >= -List.length x.Tensor.vdims && axis < List.length x.Tensor.vdims ->
+    write x.Tensor.vdims (Reduction.softmax_into ~axis x)
+  | Op.Split { axis; sizes }, [ x ] ->
+    let d = view_dims_arr x in
+    let r = Array.length d in
+    let axis = if axis < 0 then axis + r else axis in
+    if axis < 0 || axis >= r || List.exists (fun s -> s < 0) sizes
+       || List.fold_left ( + ) 0 sizes <> d.(axis)
+    then None
+    else begin
+      (* piece [i] is, in each of the [outer] rows of [x], the run of
+         [size·inner] elements [start·inner] into the row *)
+      let inner = Array.fold_left ( * ) 1 (Array.sub d (axis + 1) (r - axis - 1)) in
+      let outer = Array.fold_left ( * ) 1 (Array.sub d 0 axis) in
+      let start = ref 0 in
+      Some
+        (List.mapi
+           (fun i size ->
+             let dims = Array.to_list (Array.mapi (fun a e -> if a = axis then size else e) d) in
+             let c, co = dest i (promoted inputs) dims in
+             shuffle
+               { x with Tensor.voff = x.Tensor.voff + (!start * inner) }
+               (OS.stride_map ~od:[| outer; size * inner |] ~ss:[| d.(axis) * inner; 1 |])
+               ~n:(outer * size * inner) ~c ~co;
+             start := !start + size;
+             dims)
+           sizes)
+    end
+  | Op.Transpose perm, [ x ]
+    when List.sort compare perm = List.init (List.length x.Tensor.vdims) Fun.id ->
+    let ind = view_dims_arr x in
+    let od = Array.of_list (List.map (fun p -> ind.(p)) perm) in
+    write (Array.to_list od)
+      (shuffle x (OS.transpose_map ~od ~ind ~perm) ~n:(Tensor.view_numel x))
   | (Op.MaxPool { kernel; pool_stride; pool_pads } | Op.AveragePool { kernel; pool_stride; pool_pads }),
     [ x ] -> (
     let kind = match op with Op.MaxPool _ -> `Max | _ -> `Avg in

@@ -25,22 +25,23 @@ val run :
 
 val run_into :
   ?backend:Backend.t -> ?cls:Multi_version.shape_class -> Op.t ->
-  Tensor.view list -> dest:(Tensor.dtype -> int list -> Tensor.fbuf * int) ->
-  int list option
+  Tensor.view list -> dest:(int -> Tensor.dtype -> int list -> Tensor.fbuf * int) ->
+  int list list option
 (** Destination-passing execution: evaluate [op] over view inputs and
-    return the output dims.  It first checks that the operator has a
+    return each output's dims.  It first checks that the operator has a
     destination kernel and that the operand shapes fit it; [None] means
     that check failed, [dest] was never called and nothing was written —
-    the caller runs the boxed {!run} instead.  Otherwise it computes the
-    output dims, calls [dest dtype dims] exactly once for a buffer and an
-    element offset to write the single output to ([dtype] is the float
-    kind {!run} would store it in), writes every element there, and
-    returns the dims.  [dest] owns the choice of where results go.
+    the caller runs the boxed {!run} instead.  Otherwise, for each output
+    [i] in order, it computes the dims, calls [dest i dtype dims] exactly
+    once for a buffer and an element offset to write that output to
+    ([dtype] is the float kind {!run} would store it in) and writes every
+    element there.  [dest] owns the choice of where results go.
 
     Covered operators: Unary, Binary (broadcasting), Clip, BatchNorm,
-    MatMul, Conv, MaxPool, AveragePool and GlobalAveragePool — the ops
-    that dominate steady-state inference traffic.  Views write nothing
-    (see {!view_dims}); everything else (reductions, shuffles, Gemm's
+    LayerNorm, Softmax, MatMul, Conv, Conv1d, MaxPool, AveragePool,
+    GlobalAveragePool, Transpose and Split — the ops that dominate
+    steady-state inference traffic.  Views write nothing (see
+    {!view_dims}); everything else (other reductions and shuffles, Gemm's
     transpose scratch, I64 semantics) stays on the boxed path. *)
 
 val view_dims : Op.t -> int list -> Tensor.t list -> int list

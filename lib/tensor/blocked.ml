@@ -256,7 +256,11 @@ let micro4x2 (ap : float array) (bp : float array) ia ib k (acc : float array) =
    unboxed (a float returned from a call into another module is boxed, and
    dev-profile builds are [-opaque]).  The per-element kind match is one
    predictable branch on loops that are O(n·k) against the O(m·n·k)
-   compute. *)
+   compute.  The loops below load a group of elements into distinct
+   values before they store any: an f32 load writes only the low lane of
+   its register and waits for the register's previous value, so
+   one-at-a-time copies run at the latency of a load each (see
+   [Op_semantics]). *)
 let[@inline] fget (buf : Tensor.fbuf) i =
   match buf with Tensor.FB32 b -> BA1.unsafe_get b i | Tensor.FB64 b -> BA1.unsafe_get b i
 
@@ -266,18 +270,32 @@ let[@inline] fset (buf : Tensor.fbuf) i v =
   | Tensor.FB64 b -> BA1.unsafe_set b i v
 
 (* Pack columns [j0, j0 + 2*npairs) of B (clipped at [n]) into full-depth
-   column pairs, an odd tail column padded with zeros so the micro-kernel
-   never branches on the edge. *)
+   column pairs, two depths per step, an odd tail column padded with
+   zeros so the micro-kernel never branches on the edge. *)
 let pack_b (b : Tensor.fbuf) bo ~n ~k ~j0 ~npairs panel =
   for jp = 0 to npairs - 1 do
     let j = j0 + (jp * 2) in
     let base = jp * k * 2 in
-    if j + 1 < n then
-      for p = 0 to k - 1 do
-        let s = bo + (p * n) + j in
-        Array.unsafe_set panel (base + (p * 2)) (fget b s);
-        Array.unsafe_set panel (base + (p * 2) + 1) (fget b (s + 1))
-      done
+    if j + 1 < n then begin
+      let p = ref 0 in
+      while !p + 2 <= k do
+        let q = !p in
+        let s = bo + (q * n) + j and d = base + (q * 2) in
+        let v0 = fget b s and v1 = fget b (s + 1) in
+        let v2 = fget b (s + n) and v3 = fget b (s + n + 1) in
+        Array.unsafe_set panel d v0;
+        Array.unsafe_set panel (d + 1) v1;
+        Array.unsafe_set panel (d + 2) v2;
+        Array.unsafe_set panel (d + 3) v3;
+        p := q + 2
+      done;
+      if !p < k then begin
+        let s = bo + (!p * n) + j and d = base + (!p * 2) in
+        let v0 = fget b s and v1 = fget b (s + 1) in
+        Array.unsafe_set panel d v0;
+        Array.unsafe_set panel (d + 1) v1
+      end
+    end
     else
       for p = 0 to k - 1 do
         Array.unsafe_set panel (base + (p * 2)) (fget b (bo + (p * n) + j));
@@ -296,10 +314,12 @@ let pack_a (a : Tensor.fbuf) ao ~k ~i0 ~mc abuf =
     if rows = 4 then
       for p = 0 to k - 1 do
         let d = base + (p * 4) and s = r0 + p in
-        Array.unsafe_set abuf d (fget a s);
-        Array.unsafe_set abuf (d + 1) (fget a (s + k));
-        Array.unsafe_set abuf (d + 2) (fget a (s + (2 * k)));
-        Array.unsafe_set abuf (d + 3) (fget a (s + (3 * k)))
+        let v0 = fget a s and v1 = fget a (s + k) in
+        let v2 = fget a (s + (2 * k)) and v3 = fget a (s + (3 * k)) in
+        Array.unsafe_set abuf d v0;
+        Array.unsafe_set abuf (d + 1) v1;
+        Array.unsafe_set abuf (d + 2) v2;
+        Array.unsafe_set abuf (d + 3) v3
       done
     else begin
       Array.fill abuf base (k * 4) 0.0;
@@ -314,14 +334,31 @@ let pack_a (a : Tensor.fbuf) ao ~k ~i0 ~mc abuf =
 
 (* Add a finished micro-tile into C (rows × cols of it; [ci] is its
    top-left flat index), matching the destination kind per element so
-   every value stays unboxed; the store is the single rounding point. *)
+   every value stays unboxed; the store is the single rounding point.  A
+   full 4×2 tile loads its eight elements before it stores any. *)
 let write_back (c : Tensor.fbuf) (acc : float array) ~ci ~n ~rows ~cols =
-  for r = 0 to rows - 1 do
-    for jj = 0 to cols - 1 do
-      let ci = ci + (r * n) + jj in
-      fset c ci (fget c ci +. Array.unsafe_get acc ((r * 2) + jj))
+  if rows = 4 && cols = 2 then begin
+    let c1 = ci + n in
+    let c2 = c1 + n in
+    let c3 = c2 + n in
+    let v0 = fget c ci and v1 = fget c (ci + 1) and v2 = fget c c1 and v3 = fget c (c1 + 1) in
+    let v4 = fget c c2 and v5 = fget c (c2 + 1) and v6 = fget c c3 and v7 = fget c (c3 + 1) in
+    fset c ci (v0 +. Array.unsafe_get acc 0);
+    fset c (ci + 1) (v1 +. Array.unsafe_get acc 1);
+    fset c c1 (v2 +. Array.unsafe_get acc 2);
+    fset c (c1 + 1) (v3 +. Array.unsafe_get acc 3);
+    fset c c2 (v4 +. Array.unsafe_get acc 4);
+    fset c (c2 + 1) (v5 +. Array.unsafe_get acc 5);
+    fset c c3 (v6 +. Array.unsafe_get acc 6);
+    fset c (c3 + 1) (v7 +. Array.unsafe_get acc 7)
+  end
+  else
+    for r = 0 to rows - 1 do
+      for jj = 0 to cols - 1 do
+        let ci = ci + (r * n) + jj in
+        fset c ci (fget c ci +. Array.unsafe_get acc ((r * 2) + jj))
+      done
     done
-  done
 
 let gemm ?(par = sequential) ?(tiles = default_tiles) ~m ~n ~k
     ~(a : Tensor.fbuf) ~ao ~(b : Tensor.fbuf) ~bo ~(c : Tensor.fbuf) ~co () =
@@ -508,10 +545,23 @@ let conv2d_depthwise par (q : conv_geom) (vx : Tensor.view) (vw : Tensor.view)
                   let off = (kx * q.dw) - q.pl in
                   let lo = col_lo q off in
                   let hi = col_hi q off lo in
-                  let src = plane + (iy * q.wd) + off in
-                  for ox = lo to hi - 1 do
+                  let src = plane + (iy * q.wd) + off and sw = q.sw in
+                  (* four output columns per step *)
+                  let ox = ref lo in
+                  while !ox + 4 <= hi do
+                    let c = !ox in
+                    let s0 = src + (c * sw) in
+                    let x0 = fget xb s0 and x1 = fget xb (s0 + sw) in
+                    let x2 = fget xb (s0 + (2 * sw)) and x3 = fget xb (s0 + (3 * sw)) in
+                    Array.unsafe_set acc c (Array.unsafe_get acc c +. (x0 *. wv));
+                    Array.unsafe_set acc (c + 1) (Array.unsafe_get acc (c + 1) +. (x1 *. wv));
+                    Array.unsafe_set acc (c + 2) (Array.unsafe_get acc (c + 2) +. (x2 *. wv));
+                    Array.unsafe_set acc (c + 3) (Array.unsafe_get acc (c + 3) +. (x3 *. wv));
+                    ox := c + 4
+                  done;
+                  for ox = !ox to hi - 1 do
                     Array.unsafe_set acc ox
-                      (Array.unsafe_get acc ox +. (fget xb (src + (ox * q.sw)) *. wv))
+                      (Array.unsafe_get acc ox +. (fget xb (src + (ox * sw)) *. wv))
                   done
                 done
             done
@@ -580,7 +630,19 @@ let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ~stride ~pad
             for ox = 0 to lo - 1 do
               fset col (o + ox) 0.0
             done;
-            for ox = lo to hi - 1 do
+            let ox = ref lo in
+            while !ox + 4 <= hi do
+              let c = !ox in
+              let s0 = soff + (c * sw) in
+              let v0 = fget src s0 and v1 = fget src (s0 + sw) in
+              let v2 = fget src (s0 + (2 * sw)) and v3 = fget src (s0 + (3 * sw)) in
+              fset col (o + c) v0;
+              fset col (o + c + 1) v1;
+              fset col (o + c + 2) v2;
+              fset col (o + c + 3) v3;
+              ox := c + 4
+            done;
+            for ox = !ox to hi - 1 do
               fset col (o + ox) (fget src (soff + (ox * sw)))
             done;
             for ox = hi to ow - 1 do

@@ -394,7 +394,9 @@ let pool2d_out_dims ~kernel:(kh, kw) ?stride:((sh, sw) = (1, 1))
 
 (* Each window is walked ky then kx over its in-bounds taps: max keeps a
    tap only when [v > acc], average divides the sum by the tap count, and
-   a window wholly in padding yields 0. *)
+   a window wholly in padding yields 0.  Interior windows (every column
+   tap in bounds) go four at a time, each with its own accumulator, so
+   the four loads of a tap step issue together. *)
 let pool2d_into ~kind ~kernel ?(stride = (1, 1)) ?(pad = (0, 0, 0, 0)) (x : Tensor.view)
     ~c:dst ~co =
   let od = pool2d_out_dims ~kernel ~stride ~pad x.Tensor.vdims in
@@ -403,36 +405,73 @@ let pool2d_into ~kind ~kernel ?(stride = (1, 1)) ?(pad = (0, 0, 0, 0)) (x : Tens
     let kh, kw = kernel and sh, sw = stride in
     let pt, pl, _, _ = pad in
     let src = x.Tensor.vbuf and is_max = kind = `Max in
+    (* output columns whose windows lie within [0, w) *)
+    let interior ox = ox < ow && (ox * sw) - pl >= 0 && (ox * sw) - pl + kw <= w in
     for plane = 0 to (n * c) - 1 do
       let ib = x.Tensor.voff + (plane * h * w) and ob = co + (plane * oh * ow) in
       for oy = 0 to oh - 1 do
         (* the window's in-bounds rows [ky0, ky1) and columns [kx0, kx1) *)
         let y0 = (oy * sh) - pt in
         let ky0 = Int.max 0 (-y0) and ky1 = Int.min kh (h - y0) in
-        for ox = 0 to ow - 1 do
-          let x0 = (ox * sw) - pl and o = ob + (oy * ow) + ox in
-          let kx0 = Int.max 0 (-x0) and kx1 = Int.min kw (w - x0) in
-          if ky1 <= ky0 || kx1 <= kx0 then fset dst o 0.0
-          else if is_max then begin
-            let acc = ref neg_infinity in
+        let ox = ref 0 in
+        while !ox < ow do
+          let x0 = (!ox * sw) - pl and o = ob + (oy * ow) + !ox in
+          if ky0 < ky1 && interior !ox && interior (!ox + 3) then begin
+            let a0 = ref (if is_max then neg_infinity else 0.0) in
+            let a1 = ref !a0 and a2 = ref !a0 and a3 = ref !a0 in
             for ky = ky0 to ky1 - 1 do
               let row = ib + ((y0 + ky) * w) + x0 in
-              for kx = kx0 to kx1 - 1 do
-                let v = fget src (row + kx) in
-                if v > !acc then acc := v
+              for kx = 0 to kw - 1 do
+                let s0 = row + kx in
+                let v0 = fget src s0 and v1 = fget src (s0 + sw) in
+                let v2 = fget src (s0 + (2 * sw)) and v3 = fget src (s0 + (3 * sw)) in
+                if is_max then begin
+                  if v0 > !a0 then a0 := v0;
+                  if v1 > !a1 then a1 := v1;
+                  if v2 > !a2 then a2 := v2;
+                  if v3 > !a3 then a3 := v3
+                end
+                else begin
+                  a0 := !a0 +. v0;
+                  a1 := !a1 +. v1;
+                  a2 := !a2 +. v2;
+                  a3 := !a3 +. v3
+                end
               done
             done;
-            fset dst o !acc
+            (* a max divides by one, exactly *)
+            let area = if is_max then 1.0 else float_of_int ((ky1 - ky0) * kw) in
+            fset dst o (!a0 /. area);
+            fset dst (o + 1) (!a1 /. area);
+            fset dst (o + 2) (!a2 /. area);
+            fset dst (o + 3) (!a3 /. area);
+            ox := !ox + 4
           end
           else begin
-            let acc = ref 0.0 in
-            for ky = ky0 to ky1 - 1 do
-              let row = ib + ((y0 + ky) * w) + x0 in
-              for kx = kx0 to kx1 - 1 do
-                acc := !acc +. fget src (row + kx)
-              done
-            done;
-            fset dst o (!acc /. float_of_int ((ky1 - ky0) * (kx1 - kx0)))
+            let kx0 = Int.max 0 (-x0) and kx1 = Int.min kw (w - x0) in
+            if ky1 <= ky0 || kx1 <= kx0 then fset dst o 0.0
+            else if is_max then begin
+              let acc = ref neg_infinity in
+              for ky = ky0 to ky1 - 1 do
+                let row = ib + ((y0 + ky) * w) + x0 in
+                for kx = kx0 to kx1 - 1 do
+                  let v = fget src (row + kx) in
+                  if v > !acc then acc := v
+                done
+              done;
+              fset dst o !acc
+            end
+            else begin
+              let acc = ref 0.0 in
+              for ky = ky0 to ky1 - 1 do
+                let row = ib + ((y0 + ky) * w) + x0 in
+                for kx = kx0 to kx1 - 1 do
+                  acc := !acc +. fget src (row + kx)
+                done
+              done;
+              fset dst o (!acc /. float_of_int ((ky1 - ky0) * (kx1 - kx0)))
+            end;
+            incr ox
           end
         done
       done
@@ -444,15 +483,24 @@ let global_pool_out_dims = function
   | n :: c :: (_ :: _ as sp) -> n :: c :: List.map (fun _ -> 1) sp
   | _ -> invalid_arg "Linalg.global_avg_pool: rank must be >= 3"
 
+(* Each plane's sum ascends, four loads ahead. *)
 let global_avg_pool_into (x : Tensor.view) ~c:dst ~co =
   let od = global_pool_out_dims x.Tensor.vdims in
   let planes = List.fold_left ( * ) 1 od in
   let spatial = List.fold_left ( * ) 1 (List.tl (List.tl x.Tensor.vdims)) in
+  let src = x.Tensor.vbuf in
   for plane = 0 to planes - 1 do
     let base = x.Tensor.voff + (plane * spatial) in
-    let acc = ref 0.0 in
-    for s = 0 to spatial - 1 do
-      acc := !acc +. fget x.Tensor.vbuf (base + s)
+    let acc = ref 0.0 and s = ref 0 in
+    while !s + 4 <= spatial do
+      let k = base + !s in
+      let v0 = fget src k and v1 = fget src (k + 1) in
+      let v2 = fget src (k + 2) and v3 = fget src (k + 3) in
+      acc := !acc +. v0 +. v1 +. v2 +. v3;
+      s := !s + 4
+    done;
+    for s = !s to spatial - 1 do
+      acc := !acc +. fget src (base + s)
     done;
     fset dst (co + plane) (!acc /. float_of_int spatial)
   done;

@@ -97,6 +97,13 @@ let layer_norm t ~gamma ~beta ~eps =
   let normed = map2 (fun c v -> c /. sqrt (v +. eps)) centered var in
   map2 ( +. ) (map2 ( *. ) normed gamma) beta
 
+(* The chain the softmax kernel reproduces: max, exp of the shifted
+   input, sum, quotient — each stored in the input's dtype. *)
+let softmax t ~axis =
+  let m = reduce Reduction.Max t ~axes:[ axis ] ~keepdims:true in
+  let e = map2 (fun x mx -> exp (x -. mx)) t m in
+  map2 ( /. ) e (reduce Reduction.Sum e ~axes:[ axis ] ~keepdims:true)
+
 let channel_shape t v =
   let r = Tensor.rank t in
   Tensor.reshape v (1 :: Tensor.numel v :: List.init (r - 2) (fun _ -> 1))

@@ -112,7 +112,7 @@ let test_into_alloc () =
     let inputs = match op with Op.Unary _ -> [ x ] | _ -> [ x; y ] in
     let c = Tensor.fbuf_create Tensor.F32 (2 * n) in
     steady_alloc (fun () ->
-        ignore (Sod2_runtime.Kernels.run_into op inputs ~dest:(fun _ _ -> c, 0)))
+        ignore (Sod2_runtime.Kernels.run_into op inputs ~dest:(fun _ _ _ -> c, 0)))
   in
   List.iter
     (fun (name, op) ->

@@ -179,14 +179,15 @@ let prop_conv_im2col_random =
     QCheck2.Gen.(
       pair
         (tup4 (int_range 1 3) (int_range 1 3) (int_range 1 3) (int_range 1 2))
-        (tup4 (int_range 1 2) (int_range 0 3) (int_range 1 2) (int_range 1 45)))
+        (tup4 (int_range 1 3) (int_range 0 3) (int_range 1 2) (int_range 1 45)))
     (fun ((cg, kh, kw, groups), (stride, pad, dil, hw)) ->
       let rng = Rng.create (cg + (7 * kh) + (31 * hw) + (101 * pad)) in
       let dt = if hw mod 2 = 0 then Tensor.F64 else Tensor.F32 in
       let x = Tensor.cast (Tensor.rand_uniform rng [ 1; cg * groups; hw; hw + 2 ]) dt in
       let w = Tensor.cast (Tensor.rand_uniform rng [ 2 * groups; cg; kh; kw ]) dt in
       let bias = Some (Tensor.cast (Tensor.rand_uniform rng [ 2 * groups ]) dt) in
-      let stride = stride, 1 and pad = pad, pad, 1, pad and dilation = dil, 1 in
+      (* widths stride 1-3 over the row fill's groups of four and tails *)
+      let stride = stride, 1 + (hw mod 3) and pad = pad, pad, 1, pad and dilation = dil, 1 in
       match Linalg.conv2d ~stride ~pad ~dilation ~groups x w bias with
       | exception Invalid_argument _ -> true
       | want ->
@@ -207,7 +208,7 @@ let prop_conv_depthwise_bitexact =
     QCheck2.Gen.(
       pair
         (tup4 (int_range 2 6) (int_range 1 2) (int_range 1 3) (int_range 1 15))
-        (tup4 (int_range 1 2) (int_range 0 7) (int_range 1 2) (int_range 1 40)))
+        (tup4 (int_range 1 3) (int_range 0 7) (int_range 1 2) (int_range 1 40)))
     (fun ((groups, cg, kh, kw), (stride, pad, dil, len)) ->
       let rng = Rng.create (groups + (7 * kw) + (31 * len) + (101 * pad)) in
       let dt = if len mod 2 = 0 then Tensor.F64 else Tensor.F32 in
@@ -253,14 +254,29 @@ let special_values =
   [ Float.nan; -.Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity; 4.9e-324;
     -4.9e-324; 1.4e-45; -1.4e-45; 1e-40; 0.5; -0.5; 1.0; -1.0; 2.5; -3.0 ]
 
+(* Lengths 0-9 (every remainder of the f32 loops' groups of four, and
+   their tails alone) as often as longer ones that span several blocks. *)
 let gen_values =
   QCheck2.Gen.(
-    array_size (int_range 1 700)
+    array_size
+      (frequency [ 1, int_range 0 9; 1, int_range 10 700 ])
       (frequency [ 1, oneofl special_values; 2, float_range (-4.0) 4.0; 1, float ]))
 
-(* [op] on [xs] run as block programs — operands in place, and again
-   through registers — against the boxed reference map over the same
-   stored operands. *)
+(* A buffer of [t]'s kind holding [t]'s elements at element offset
+   [off], surrounded by filler. *)
+let at_offset off t =
+  let n = Tensor.numel t in
+  let buf = Tensor.fbuf_create (Tensor.dtype t) (n + off + 3) in
+  Tensor.fbuf_fill buf 0 (n + off + 3) 7.0;
+  Array.iteri (fun i v -> Tensor.fbuf_set buf (off + i) v) (Tensor.data_f t);
+  buf
+
+let window buf off n = Array.init n (fun i -> Tensor.fbuf_get buf (off + i))
+
+(* [op] on [xs] run as block programs against the boxed reference map
+   over the same stored operands: operands in place at non-zero offsets,
+   again through registers, and — when the result has the first
+   operand's kind — in place over the first operand's window. *)
 let evaluator_agrees ~dtypes ~want ~instr xs =
   let n = Array.length xs in
   let operands =
@@ -272,14 +288,15 @@ let evaluator_agrees ~dtypes ~want ~instr xs =
   in
   let want = want operands in
   let k = List.length operands in
-  let leaves = Array.of_list (List.map Tensor.storage_f operands) in
+  let off i = i + 1 and doff = 2 in
+  let leaves () = Array.of_list (List.mapi (fun i t -> at_offset (off i) t) operands) in
+  let offs = Array.init (k + 1) (fun i -> if i = k then doff else off i) in
   let run code ~regs32 ~regs64 =
-    let out = Tensor.zeros (Tensor.dtype want) [ n ] in
-    let bufs = Array.append leaves [| Tensor.storage_f out |] in
+    let out = at_offset doff want in
     Op_semantics.run ~par:Blocked.sequential
       { Op_semantics.code; n; regs32; regs64 }
-      bufs (Array.make (k + 1) 0);
-    out
+      (Array.append (leaves ()) [| out |]) offs;
+    window out doff n
   in
   let reg i dt = if dt = Tensor.F32 then Op_semantics.R32 i else Op_semantics.R64 i in
   let direct = run [| instr (List.init k (fun i -> Op_semantics.Leaf i)) (Op_semantics.Leaf k) |] ~regs32:0 ~regs64:0 in
@@ -293,22 +310,35 @@ let evaluator_agrees ~dtypes ~want ~instr xs =
       @ [ instr regs out_reg; Op_semantics.Copy (out_reg, Op_semantics.Leaf k) ])
   in
   let registered = run code ~regs32:(k + 1) ~regs64:(k + 1) in
-  let agree got =
-    Array.for_all2 same_value (Tensor.data_f want) (Tensor.data_f got)
+  let in_place () =
+    let bufs = Array.append (leaves ()) [| Tensor.fbuf_create Tensor.F32 0 |] in
+    Op_semantics.run ~par:Blocked.sequential
+      {
+        Op_semantics.code =
+          [| instr (List.init k (fun i -> Op_semantics.Leaf i)) (Op_semantics.Leaf 0) |];
+        n;
+        regs32 = 0;
+        regs64 = 0;
+      }
+      bufs offs;
+    window bufs.(0) (off 0) n
   in
+  let agree got = Array.for_all2 same_value (Tensor.data_f want) got in
   agree direct && agree registered
+  && (Tensor.dtype want <> List.hd dtypes || agree (in_place ()))
 
-(* A strided map walked by odometer must gather exactly what its
-   precomputed table does: random broadcasts and transposes of up to 13^4
+(* A strided map walked by odometer must gather exactly what an
+   index walk does: random broadcasts and transposes of up to 13^4
    elements, so blocks start mid-row and carries cross several dims. *)
 let prop_gather_odometer =
-  QCheck2.Test.make ~name:"odometer gathers match precomputed tables" ~count:60
+  QCheck2.Test.make ~name:"odometer gathers match index walks" ~count:60
     QCheck2.Gen.(pair (list_size (int_range 1 4) (int_range 1 13)) int)
     (fun (dims, seed) ->
       let st = Random.State.make [| seed |] in
       let od = Array.of_list dims in
       let r = Array.length od in
-      let src_dims, map =
+      let x = Tensor.rand_uniform (Rng.create seed) in
+      let src, map, want =
         if Random.State.bool st then begin
           let perm = Array.init r Fun.id in
           for i = r - 1 downto 1 do
@@ -319,32 +349,40 @@ let prop_gather_odometer =
           done;
           let ind = Array.make r 0 in
           Array.iteri (fun i p -> ind.(p) <- od.(i)) perm;
-          ind, fun tables -> Op_semantics.transpose_map ~tables ~od ~ind ~perm:(Array.to_list perm)
+          let src = x (Array.to_list ind) and perm = Array.to_list perm in
+          src, Op_semantics.transpose_map ~od ~ind ~perm, Oracle.transpose src perm
         end
         else
           let fd = Array.map (fun d -> if Random.State.bool st then 1 else d) od in
-          fd, fun tables -> Op_semantics.broadcast_map ~tables ~od ~fd
+          let src = x (Array.to_list fd) in
+          ( src,
+            Op_semantics.broadcast_map ~od ~fd,
+            Oracle.map2 (fun a _ -> a) src (Tensor.zeros Tensor.F32 dims) )
       in
       let n = Array.fold_left ( * ) 1 od in
-      let src = Tensor.storage_f (Tensor.rand_uniform (Rng.create seed) [ Array.fold_left ( * ) 1 src_dims ]) in
-      let gather m =
-        let dst = Tensor.fbuf_create Tensor.F32 n in
+      let soff = 1 + (abs seed mod 4) in
+      let buf = at_offset soff src in
+      (* through a register in blocks, and straight into an offset
+         destination in one block *)
+      let gather m ~via_reg =
+        let dst = Tensor.fbuf_create Tensor.F32 (n + 5) in
+        let code, regs32 =
+          if via_reg then
+            [| Op_semantics.Gather (0, m, Op_semantics.R32 0);
+               Op_semantics.Copy (Op_semantics.R32 0, Op_semantics.Leaf 1) |], 1
+          else [| Op_semantics.Gather (0, m, Op_semantics.Leaf 1) |], 0
+        in
         Op_semantics.run ~par:Blocked.sequential
-          {
-            Op_semantics.code =
-              [| Op_semantics.Gather (0, m, Op_semantics.R32 0);
-                 Op_semantics.Copy (Op_semantics.R32 0, Op_semantics.Leaf 1) |];
-            n;
-            regs32 = 1;
-            regs64 = 0;
-          }
-          [| src; dst |] [| 0; 0 |];
-        Array.init n (Tensor.fbuf_get dst)
+          { Op_semantics.code; n; regs32; regs64 = 0 }
+          [| buf; dst |] [| soff; 2 |];
+        window dst 2 n
       in
-      match map false, map true with
-      | None, None -> true
-      | Some odometer, Some table -> gather odometer = gather table
-      | _ -> false)
+      match map with
+      | None -> Tensor.data_f want = Tensor.data_f src
+      | Some m ->
+        List.for_all
+          (fun got -> Array.for_all2 same_value (Tensor.data_f want) got)
+          [ gather m ~via_reg:true; gather m ~via_reg:false ])
 
 let prop_block_unary =
   QCheck2.Test.make ~name:"block evaluator matches scalar unary semantics" ~count:30
@@ -380,6 +418,45 @@ let prop_block_binary =
                ~instr:(fun ls d ->
                  Op_semantics.Where (List.nth ls 0, List.nth ls 1, List.nth ls 2, d)))
         [ [ Tensor.F32; Tensor.F32 ]; [ Tensor.F64; Tensor.F64 ]; [ Tensor.F32; Tensor.F64 ] ])
+
+(* BatchNorm's block instruction, through the destination kernel: the
+   all-f32 arm and the mixed-kind one, channel runs of 0-9 elements,
+   special values, operands at offsets, and in place. *)
+let prop_block_norm =
+  QCheck2.Test.make ~name:"block evaluator BatchNorm matches the oracle" ~count:100
+    QCheck2.Gen.(pair (tup3 (int_range 1 2) (int_range 1 3) (int_range 0 9)) int)
+    (fun ((nb, ch, inner), seed) ->
+      let st = Random.State.make [| seed |] in
+      let dt () = if Random.State.int st 3 = 0 then Tensor.F64 else Tensor.F32 in
+      let values dt dims =
+        let n = List.fold_left ( * ) 1 dims in
+        Tensor.of_floats dt dims
+          (Array.init n (fun _ ->
+               if Random.State.int st 4 = 0 then
+                 List.nth special_values (Random.State.int st (List.length special_values))
+               else Random.State.float st 4.0 -. 2.0))
+      in
+      let dims = [ nb; ch; inner ] in
+      let x = values (dt ()) dims in
+      let param () = values (dt ()) [ (if Random.State.int st 4 = 0 then 1 else ch) ] in
+      let scale = param () and bias = param () and mean = param () in
+      let var = Tensor.map_f Float.abs (param ()) in
+      let want = Oracle.batch_norm x ~scale ~bias ~mean ~var ~eps:1e-5 in
+      let n = Tensor.numel want in
+      let view off t = Tensor.sub_view ~buf:(at_offset off t) ~off ~dims:(Tensor.dims t) in
+      let ps = List.mapi (fun i p -> view (i + 1) p) [ scale; bias; mean; var ] in
+      let op = Op.BatchNorm { eps = 1e-5 } in
+      let into (vx : Tensor.view) dest =
+        RT.Kernels.run_into op (vx :: ps) ~dest = Some [ dims ]
+      in
+      let out = at_offset 2 want in
+      let agree buf off = Array.for_all2 same_value (Tensor.data_f want) (window buf off n) in
+      into (view 3 x) (fun _ _ _ -> out, 2)
+      && agree out 2
+      && (Tensor.dtype want <> Tensor.dtype x
+         ||
+         let vx = view 3 x in
+         into vx (fun _ _ _ -> vx.Tensor.vbuf, 3) && agree vx.Tensor.vbuf 3))
 
 let test_conv_im2col_parallel_matches_naive () =
   let pool = RT.Domain_pool.create 3 in
@@ -436,7 +513,7 @@ let test_backend_elementwise () =
       let rng = Rng.create 21 in
       let into op inputs =
         let out = ref None in
-        let dest dt dims =
+        let dest _ dt dims =
           let t = Tensor.zeros dt dims in
           out := Some t;
           Tensor.storage_f t, 0
@@ -650,4 +727,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_block_unary;
     QCheck_alcotest.to_alcotest prop_block_binary;
     QCheck_alcotest.to_alcotest prop_gather_odometer;
+    QCheck_alcotest.to_alcotest prop_block_norm;
   ]

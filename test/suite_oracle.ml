@@ -32,7 +32,7 @@ let window_off = 3
 
 let into_window ~dims =
   let buf = ref None in
-  let dest dt got =
+  let dest _ dt got =
     if got <> dims then
       QCheck2.Test.fail_reportf "destination asked for %s, want %s" (dims_s got) (dims_s dims);
     let b = Tensor.fbuf_create dt (List.fold_left ( * ) 1 dims + window_off + 2) in
@@ -43,6 +43,15 @@ let into_window ~dims =
 
 let window_tensor buf ~dims =
   Tensor.of_view (Tensor.sub_view ~buf:(Option.get !buf) ~off:window_off ~dims)
+
+(* [x]'s elements copied into a larger buffer of its kind, as a view at a
+   non-zero offset — where an arena slot puts a pool's input. *)
+let offset_view st x =
+  let off = 1 + Random.State.int st 5 and n = Tensor.numel x in
+  let buf = Tensor.fbuf_create (Tensor.dtype x) (n + off + 2) in
+  Tensor.fbuf_fill buf 0 (n + off + 2) 7.0;
+  Array.iteri (fun i v -> Tensor.fbuf_set buf (off + i) v) (Tensor.data_f x);
+  Tensor.sub_view ~buf ~off ~dims:(Tensor.dims x)
 
 (* Every property draws one seed and builds its case from it, so a failure
    report names the case it found. *)
@@ -118,7 +127,7 @@ let prop_map2 =
       let buf, dest = into_window ~dims in
       Sod2_runtime.Kernels.run_into (Op.Binary op) [ Tensor.view_f a; Tensor.view_f b ]
         ~dest
-      = Some dims
+      = Some [ dims ]
       && check (what ^ " (into)") ~want ~got:(window_tensor buf ~dims))
 
 let eps st = pick st [ 1e-5; 1e-3; 0.0 ]
@@ -149,6 +158,82 @@ let prop_layer_norm =
         | want when Tensor.dims want = dims -> QCheck2.Test.fail_reportf "%s: refused" what
         | _ | (exception Invalid_argument _) -> true))
 
+(* Values for the row kernels' unrolled loops: signed zeros, infinities,
+   NaN and subnormals among ordinary ones. *)
+let special_tensor st dt dims =
+  let n = List.fold_left ( * ) 1 dims in
+  Tensor.of_floats dt dims
+    (Array.init n (fun _ ->
+         match Random.State.int st 12 with
+         | 0 -> 0.0
+         | 1 -> -0.0
+         | 2 -> Float.infinity
+         | 3 -> Float.neg_infinity
+         | 4 -> Float.nan
+         | 5 -> 1e-40
+         | _ -> Random.State.float st 4.0 -. 2.0))
+
+(* Rank 1-3 with a last axis of 1-9 elements: every remainder of the
+   four-element groups. *)
+let row_shape st =
+  List.init (Random.State.int st 3) (fun _ -> 1 + Random.State.int st 3)
+  @ [ 1 + Random.State.int st 9 ]
+
+(* [run ~c ~co] for a row kernel whose result has [x]'s dims and dtype
+   [dt]: into an offset window of a fresh buffer, and — when [dt] is
+   [x]'s own kind — in place over [x]'s window.  Both must be [want]. *)
+let row_kernel_agrees what st ~want ~dt (x : Tensor.view) run =
+  let dims = x.Tensor.vdims in
+  let buf, dest = into_window ~dims in
+  let c, co = dest 0 dt dims in
+  run x ~c ~co;
+  check (what ^ " (into)") ~want ~got:(window_tensor buf ~dims)
+  && (dt <> Tensor.view_dtype x
+     ||
+     let own = offset_view st (Tensor.copy_view x) in
+     run own ~c:own.Tensor.vbuf ~co:own.Tensor.voff;
+     check (what ^ " (in place)") ~want ~got:(Tensor.of_view own))
+
+let prop_layer_norm_into =
+  prop "layer_norm_into = oracle (offset views, specials, in place)" (fun st ->
+      let dims = row_shape st in
+      let d = List.nth dims (List.length dims - 1) in
+      let x = special_tensor st (dtype st) dims in
+      (* shapes that broadcast to exactly [dims] *)
+      let shapes =
+        List.filter
+          (fun p -> List.length p <= List.length dims)
+          [ [ d ]; [ 1 ]; [ 1; d ]; []; dims ]
+      in
+      let param () = special_tensor st (dtype st) (pick st shapes) in
+      let gamma = param () and beta = param () in
+      let eps = eps st in
+      let want = Oracle.layer_norm x ~gamma ~beta ~eps in
+      let what =
+        Printf.sprintf "layer_norm_into %s %s gamma %s beta %s"
+          (Tensor.dtype_name (Tensor.dtype x)) (dims_s dims)
+          (dims_s (Tensor.dims gamma)) (dims_s (Tensor.dims beta))
+      in
+      let gamma = offset_view st gamma and beta = offset_view st beta in
+      row_kernel_agrees what st ~want ~dt:(Tensor.dtype want) (offset_view st x)
+        (fun x ~c ~co -> Reduction.layer_norm_into ~eps x ~gamma ~beta ~c ~co))
+
+let prop_softmax_into =
+  prop "softmax_into = oracle (every axis, offset views, specials, in place)" (fun st ->
+      let dims = row_shape st in
+      let r = List.length dims in
+      let axis = Random.State.int st r in
+      let axis = if Random.State.bool st then axis else axis - r in
+      let x = special_tensor st (dtype st) dims in
+      let want = Oracle.softmax x ~axis in
+      let what =
+        Printf.sprintf "softmax_into %s %s axis %d" (Tensor.dtype_name (Tensor.dtype x))
+          (dims_s dims) axis
+      in
+      check (what ^ " (boxed)") ~want ~got:(Reduction.softmax x ~axis)
+      && row_kernel_agrees what st ~want ~dt:(Tensor.dtype x) (offset_view st x)
+           (fun x ~c ~co -> Reduction.softmax_into ~axis x ~c ~co))
+
 let prop_batch_norm =
   prop "batch_norm = oracle (boxed and into an arena window)" (fun st ->
       let dims = shape st ~min_rank:2 in
@@ -169,7 +254,7 @@ let prop_batch_norm =
       let buf, dest = into_window ~dims in
       let v = Tensor.view_f in
       Sod2_runtime.Kernels.run_into op [ v x; v scale; v bias; v mean; v var ] ~dest
-      = Some dims
+      = Some [ dims ]
       && check (what ^ " (into)") ~want ~got:(window_tensor buf ~dims))
 
 let prop_group_norm =
@@ -212,9 +297,17 @@ let prop_transpose =
       let dims = shape st ~min_rank:0 in
       let perm = shuffle st (List.init (List.length dims) Fun.id) in
       let t = any_tensor st dims in
-      check
-        (Printf.sprintf "transpose %s perm %s" (dims_s dims) (dims_s perm))
-        ~want:(Oracle.transpose t perm) ~got:(Transform.transpose t perm))
+      let what = Printf.sprintf "transpose %s perm %s" (dims_s dims) (dims_s perm) in
+      let want = Oracle.transpose t perm in
+      check what ~want ~got:(Transform.transpose t perm)
+      && ((not (Tensor.is_float_dtype (Tensor.dtype t)))
+         ||
+         (* the destination kernel, between offset windows *)
+         let dims = Tensor.dims want in
+         let buf, dest = into_window ~dims in
+         Sod2_runtime.Kernels.run_into (Op.Transpose perm) [ offset_view st t ] ~dest
+         = Some [ dims ]
+         && check (what ^ " (into)") ~want ~got:(window_tensor buf ~dims)))
 
 let prop_slice =
   prop "slice = oracle (negative bounds and steps)" (fun st ->
@@ -256,20 +349,30 @@ let prop_concat =
       let joined = Transform.concat parts ~axis:axis_arg in
       let what = Printf.sprintf "concat of %d on axis %d" (List.length parts) axis in
       check what ~want:(Oracle.concat parts ~axis:axis_arg) ~got:joined
-      && List.for_all2
-           (fun want got -> check (what ^ " (split back)") ~want ~got)
-           parts
-           (Transform.split joined ~axis
-              ~sizes:(List.map (fun p -> (Tensor.dims_arr p).(axis)) parts)))
-
-(* [x]'s elements copied into a larger buffer of its kind, as a view at a
-   non-zero offset — where an arena slot puts a pool's input. *)
-let offset_view st x =
-  let off = 1 + Random.State.int st 5 and n = Tensor.numel x in
-  let buf = Tensor.fbuf_create (Tensor.dtype x) (n + off + 2) in
-  Tensor.fbuf_fill buf 0 (n + off + 2) 7.0;
-  Array.iteri (fun i v -> Tensor.fbuf_set buf (off + i) v) (Tensor.data_f x);
-  Tensor.sub_view ~buf ~off ~dims:(Tensor.dims x)
+      &&
+      let sizes = List.map (fun p -> (Tensor.dims_arr p).(axis)) parts in
+      List.for_all2
+        (fun want got -> check (what ^ " (split back)") ~want ~got)
+        parts
+        (Transform.split joined ~axis ~sizes)
+      && ((not (Tensor.is_float_dtype (Tensor.dtype joined)))
+         ||
+         (* the destination kernel: each piece into its own offset window *)
+         let wins = ref [] in
+         let dest i dt dims =
+           let buf, dest = into_window ~dims in
+           wins := (i, (buf, dims)) :: !wins;
+           dest i dt dims
+         in
+         Sod2_runtime.Kernels.run_into (Op.Split { axis = axis_arg; sizes })
+           [ offset_view st joined ] ~dest
+         = Some (List.map Tensor.dims parts)
+         && List.for_all2
+              (fun i want ->
+                let buf, dims = List.assoc i !wins in
+                check (what ^ " (split into)") ~want ~got:(window_tensor buf ~dims))
+              (List.init (List.length parts) Fun.id)
+              parts))
 
 (* Boxed [Kernels.run] and [run_into] from and to windows at non-zero
    offsets, against the index-walking oracle.  Pads reach past the kernel,
@@ -277,8 +380,9 @@ let offset_view st x =
 let prop_pool =
   prop "max/avg/global-avg pool = oracle (boxed and between arena windows)" (fun st ->
       let dt = dtype st in
+      (* widths up to 13: interior windows go four at a time, with tails *)
       let x = tensor st dt [ 1 + Random.State.int st 2; 1 + Random.State.int st 3;
-                             1 + Random.State.int st 6; 1 + Random.State.int st 6 ] in
+                             1 + Random.State.int st 6; 1 + Random.State.int st 13 ] in
       let h = List.nth (Tensor.dims x) 2 and w = List.nth (Tensor.dims x) 3 in
       let pad () = Random.State.int st 4 in
       let pt = pad () and pl = pad () and pb = pad () and pr = pad () in
@@ -305,7 +409,7 @@ let prop_pool =
       check what ~want ~got:(List.hd (Sod2_runtime.Kernels.run op [ x ]))
       &&
       let buf, dest = into_window ~dims in
-      Sod2_runtime.Kernels.run_into op [ offset_view st x ] ~dest = Some dims
+      Sod2_runtime.Kernels.run_into op [ offset_view st x ] ~dest = Some [ dims ]
       && check (what ^ " (into)") ~want ~got:(window_tensor buf ~dims))
 
 let suite =
@@ -314,6 +418,8 @@ let suite =
       prop_reduce;
       prop_map2;
       prop_layer_norm;
+      prop_layer_norm_into;
+      prop_softmax_into;
       prop_batch_norm;
       prop_group_norm;
       prop_transpose;

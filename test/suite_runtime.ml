@@ -320,8 +320,8 @@ let test_alias_lifetimes () =
 
 (* On both serving workloads' configurations every float result lands in
    a planned slot once the arena is warm: no slotless result gets a fresh
-   buffer, and SkipNet reads a slot boxed only for its 12 gate ArgMaxes
-   (ArgMax has no destination kernel). *)
+   buffer, SkipNet reads a slot boxed only for its 12 gate ArgMaxes
+   (ArgMax has no destination kernel), and Conformer never does. *)
 let test_serving_path_stays_in_arena () =
   List.iter
     (fun (name, kind, env, max_copies) ->
@@ -348,7 +348,7 @@ let test_serving_path_stays_in_arena () =
         (Sod2_runtime.Reference.run g ~inputs) got)
     [
       "skipnet", Sod2_runtime.Backend.Blocked, Env.of_list [ "H", 64; "W", 64 ], 12;
-      "conformer", Sod2_runtime.Backend.Fused, Env.of_list [ "T", 128 ], max_int;
+      "conformer", Sod2_runtime.Backend.Fused, Env.of_list [ "T", 128 ], 0;
     ]
 
 (* An empty control-flow predicate is a malformed execution, not branch 0:
