@@ -451,21 +451,18 @@ let gates ~rounds =
       [ gates_paths, sum 0; gates_ref, sum 1; gates_live, sum 2;
         gates_floor, geomean (List.map (fun r -> List.assoc "speedup" r.fields) rows) ] }
 
-(* --- tune: default vs analytical vs measured pick --------------------- *)
+(* --- tune: default vs the analytical GA pick ------------------------- *)
 
-(* The Hybrid tuner's finalist pool held both static configs, so a real
-   loss means its measurement lied; the tolerance absorbs re-measuring. *)
-let tune_default = gate "geomean measured / default time" 1.05 At_most
-let tune_analytic = gate "geomean measured / analytical time" 1.05 At_most
+(* The kernel-version table serving runs ([Multi_version.build]) must not
+   lose to the untuned default on its own class representatives. *)
+let tune_analytic = gate "geomean analytical / default time" 1.05 At_most
 
 let tune ~rounds =
-  let shape (cls, (m, n, k)) =
-    let measure = Sod2.Tune_measure.gemm_measurer ~rounds:3 ~m ~n ~k () in
-    let analytic, _ = Sod2.Autotune.tune cpu (Rng.create 7) ~m ~n ~k in
-    let measured, _ =
-      Sod2.Autotune.tune ~objective:Sod2.Autotune.Hybrid ~measure cpu (Rng.create 7) ~m ~n ~k
-    in
-    (* One operand set for all three configs, as the tuner measured them. *)
+  let versions = Sod2.Multi_version.build cpu in
+  let shape cls =
+    let m, n, k = List.assoc cls Sod2.Multi_version.representatives in
+    let analytic = Sod2.Multi_version.config_for versions cls in
+    (* One operand set for both configs. *)
     let a = filled (m * k) and b = filled (k * n) and c = Tensor.fbuf_create Tensor.F32 (m * n) in
     let side (cfg : Sod2.Autotune.config) () =
       let tiles = Blocked.tiles_of ~tile_m:cfg.tile_m ~tile_n:cfg.tile_n ~tile_k:cfg.tile_k ~unroll:cfg.unroll in
@@ -473,15 +470,16 @@ let tune ~rounds =
         Tensor.fbuf_fill c 0 (m * n) 0.0;
         blocked_gemm (Some tiles) ~m ~n ~k ~a ~b ~c
     in
-    let label = Printf.sprintf "%s %dx%dx%d (%s)" cls m n k (Sod2.Autotune.config_to_string measured) in
-    match time ~rounds (List.map side [ Sod2.Autotune.default_config; analytic; measured ]) with
-    | [ d; a; ms ] -> row label [ "default", d; "analytical", a; "measured", ms ]
-    | _ -> assert false
+    let label =
+      Format.asprintf "%s %dx%dx%d (%a)" (Sod2.Multi_version.class_name cls) m n k
+        Sod2.Autotune.pp_config analytic
+    in
+    let d, a = pair (time ~rounds (List.map side [ Sod2.Autotune.default_config; analytic ])) in
+    row label [ "default", d; "analytical", a ]
   in
-  let rows = List.map shape [ "fat", (512, 512, 256); "skinny", (4, 512, 256) ] in
+  let rows = List.map shape [ Sod2.Multi_version.Fat; Sod2.Multi_version.Skinny ] in
   let gm side = geomean (List.map (fun r -> (List.assoc side r.timings).best) rows) in
-  { rows;
-    values = [ tune_default, gm "measured" /. gm "default"; tune_analytic, gm "measured" /. gm "analytical" ] }
+  { rows; values = [ tune_analytic, gm "analytical" /. gm "default" ] }
 
 (* --- backend: CodeBERT end to end on the pool and on fused kernels ---- *)
 
@@ -598,8 +596,8 @@ let () =
         doc = "int8 GEMM/conv with fused requantization vs f32 blocked" };
       { name = "gates"; rounds = 3; run = gates; gates = [ gates_paths; gates_ref; gates_live; gates_floor ];
         doc = "all-paths vs selected-only execution of one plan on SkipNet and BlockDrop" };
-      { name = "tune"; rounds = 35; run = tune; gates = [ tune_default; tune_analytic ];
-        doc = "GEMM default vs analytical vs measured-tuned config, fat and skinny" };
+      { name = "tune"; rounds = 35; run = tune; gates = [ tune_analytic ];
+        doc = "GEMM default vs the analytical GA config serving runs, fat and skinny" };
       { name = "backend"; rounds = 1; run = backend; gates = [ backend_wrong ];
         doc = "CodeBERT S=32 on the parallel and fused backends vs Reference" };
       { name = "micro"; rounds = 5; run = micro; gates = [];

@@ -183,45 +183,10 @@ let compile_cmd =
     (Cmd.info "compile" ~doc:"Compile a model and print the fusion/execution/memory plans.")
     Term.(const run $ model_arg $ device_arg $ compile_arg)
 
-(* --- tuning-cache plumbing ----------------------------------------- *)
-
-let tune_cache_arg =
-  Arg.(value & opt (some string) None
-       & info [ "tune-cache" ] ~docv:"FILE"
-           ~doc:"Warm-start the kernel version table from a tuning cache \
-                 written by `sod2 tune` (missing or corrupt files degrade to \
-                 the analytical table).")
-
-(* Resolve an artifact's version table against a tuning cache file, for
-   the one-shot entry points (`run`); the engine does the same resolution
-   itself through [Engine.create ?tune_cache]. *)
-let warm_started_compiled ?tune_cache ~backend_kind c =
-  match tune_cache with
-  | None -> c
-  | Some path ->
-    let cache, skipped = Sod2.Tune_cache.load_verbose path in
-    if skipped > 0 then
-      Printf.eprintf "note: %s: skipped %d corrupt tune-cache line%s\n" path skipped
-        (if skipped = 1 then "" else "s");
-    let table, warm =
-      Sod2.Tune_cache.table_for cache
-        ~backend:(Sod2_runtime.Backend.kind_name backend_kind)
-        ~dtype:(Tensor.dtype_name c.Sod2.Pipeline.fdtype)
-        ~fallback:c.Sod2.Pipeline.versions
-    in
-    if warm > 0 then begin
-      Printf.printf "tune cache: warm-started %d/4 shape classes from %s\n" warm path;
-      Sod2.Pipeline.with_versions c table
-    end
-    else begin
-      Printf.printf "tune cache: no entries for this backend/dtype in %s\n" path;
-      c
-    end
-
 (* --- run ----------------------------------------------------------- *)
 
 let run_cmd =
-  let run model device dims real exec compile tune_cache =
+  let run model device dims real exec compile =
     let sp = spec_of_name model in
     let profile = profile_of_name device in
     let g = sp.build () in
@@ -232,7 +197,6 @@ let run_cmd =
     let arena_mode = cfg.Sod2_runtime.Executor.memory = Sod2_runtime.Executor.Mem_arena in
     if real || arena_mode || cfg.Sod2_runtime.Executor.guarded then begin
       let c = Sod2.Pipeline.compile ~opts profile g in
-      let c = warm_started_compiled ?tune_cache ~backend_kind c in
       let inputs = Zoo.make_inputs sp g env (Rng.create 42) in
       let be = Sod2_runtime.Backend.for_compiled backend_kind c in
       Fun.protect
@@ -305,118 +269,13 @@ let run_cmd =
        ~doc:"Run one inference (simulated by default; --real interprets, --exec \
              KIND,arena additionally executes the memory plan in place).")
     Term.(const run $ model_arg $ device_arg $ dims_arg $ real $ exec_arg
-          $ compile_arg $ tune_cache_arg)
-
-(* --- tune ----------------------------------------------------------- *)
-
-let tune_cmd =
-  let run model device exec objective out rounds generations population seed =
-    let sp = spec_of_name model in
-    let profile = profile_of_name device in
-    let g = sp.build () in
-    let objective =
-      match Sod2.Autotune.objective_of_string objective with
-      | Some o -> o
-      | None ->
-        Printf.eprintf "unknown --objective %S (expected analytical|measured|hybrid)\n"
-          objective;
-        exit 2
-    in
-    let cfg = exec_config ~exec ~compile:None () in
-    (* The naive backend has no tunable kernel; tune what the blocked
-       kernels will run as. *)
-    let backend_kind =
-      match cfg.Sod2_runtime.Executor.backend with
-      | Sod2_runtime.Backend.Naive -> Sod2_runtime.Backend.Blocked
-      | k -> k
-    in
-    let c = Sod2.Pipeline.compile profile g in
-    let dt = c.Sod2.Pipeline.fdtype in
-    let be =
-      Sod2_runtime.Backend.create ~versions:c.Sod2.Pipeline.versions
-        ~profile:profile.Profile.name backend_kind
-    in
-    Fun.protect
-      ~finally:(fun () -> Sod2_runtime.Backend.shutdown be)
-      (fun () ->
-        let par = Sod2_runtime.Backend.par_of be in
-        (* Merge into an existing cache so tuning one backend/dtype does
-           not clobber another's entries. *)
-        let cache = Sod2.Tune_cache.load out in
-        Printf.printf
-          "tuning %s for %s (%s backend, %s, objective %s; %d measurement rounds)\n"
-          sp.Zoo.name profile.Profile.name
-          (Sod2_runtime.Backend.kind_name backend_kind)
-          (Tensor.dtype_name dt)
-          (Sod2.Autotune.objective_name objective)
-          rounds;
-        Printf.printf "%-8s %-14s %12s %12s %12s  %s\n" "class" "rep (m,n,k)"
-          "default ms" "analytic ms" "tuned ms" "winner";
-        List.iteri
-          (fun idx (cls, (m, n, k)) ->
-            let measure =
-              Sod2.Tune_measure.gemm_measurer ~dt ~par ~rounds
-                ~profile:profile.Profile.name ~m ~n ~k ()
-            in
-            let default_us = measure Sod2.Autotune.default_config in
-            let analytic_us =
-              measure (Sod2.Multi_version.config_for c.Sod2.Pipeline.versions cls)
-            in
-            let winner, tuned_us =
-              Sod2.Tune_measure.tune_class ~objective ~seed:(seed + idx) ~rounds
-                ~generations ~population ~par profile ~dt cls
-            in
-            Printf.printf "%-8s %-14s %12.3f %12.3f %12.3f  %s\n"
-              (Sod2.Multi_version.class_name cls)
-              (Printf.sprintf "%d,%d,%d" m n k)
-              (default_us /. 1000.0) (analytic_us /. 1000.0) (tuned_us /. 1000.0)
-              (Sod2.Autotune.config_to_string winner);
-            Sod2.Tune_cache.set cache ~op:"gemm" ~cls
-              ~backend:(Sod2_runtime.Backend.kind_name backend_kind)
-              ~dtype:(Tensor.dtype_name dt) ~config:winner ~score_us:tuned_us
-              ~objective:(Sod2.Autotune.objective_name objective))
-          Sod2.Multi_version.representatives;
-        Sod2.Tune_cache.save cache out;
-        Printf.printf "wrote %s (%d entries, %d kernel measurements)\n" out
-          (Sod2.Tune_cache.size cache)
-          (Sod2.Tune_measure.measurement_count ()))
-  in
-  let objective =
-    Arg.(value & opt string "hybrid"
-         & info [ "objective" ] ~docv:"OBJ"
-             ~doc:"Candidate scoring: analytical (cost model only), measured \
-                   (every GA candidate timed) or hybrid (analytical pruning, \
-                   measured finals — the default).")
-  in
-  let out =
-    Arg.(value & opt string "sod2.tune"
-         & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Tuning cache file to write (merged).")
-  in
-  let rounds =
-    Arg.(value & opt int 3
-         & info [ "rounds" ] ~docv:"N" ~doc:"Timing rounds per candidate (min is taken).")
-  in
-  let generations =
-    Arg.(value & opt int 12 & info [ "generations" ] ~docv:"N" ~doc:"GA generations.")
-  in
-  let population =
-    Arg.(value & opt int 16 & info [ "population" ] ~docv:"N" ~doc:"GA population.")
-  in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Search RNG seed.") in
-  Cmd.v
-    (Cmd.info "tune"
-       ~doc:"Tune the heavy-kernel configurations against measured timings \
-             and persist the winners to a tuning cache file, per shape class \
-             — `sod2 run/serve --tune-cache FILE` then warm-starts from it \
-             with zero serving-time measurements.")
-    Term.(const run $ model_arg $ device_arg $ exec_arg $ objective $ out $ rounds
-          $ generations $ population $ seed)
+          $ compile_arg)
 
 (* --- serve ---------------------------------------------------------- *)
 
 let serve_cmd =
   let run model device requests workers max_batch exec compile arrival_rate seed
-      queue_cap deadline_ms overload tune_cache =
+      queue_cap deadline_ms overload =
     let open Sod2_runtime in
     let sp = spec_of_name model in
     let profile = profile_of_name device in
@@ -457,8 +316,7 @@ let serve_cmd =
     let engine =
       Engine.create ~workers ~max_batch ~config:cfg
         ?queue_cap:(Option.map (fun n -> max 1 n) queue_cap)
-        ~overload:overload_policy
-        ?tune_cache:(Option.map Sod2.Tune_cache.load tune_cache) c
+        ~overload:overload_policy c
     in
     let deadline_us = Option.map (fun ms -> ms *. 1000.0) deadline_ms in
     (* Open loop: requests arrive as a Poisson process at --arrival-rate
@@ -511,11 +369,6 @@ let serve_cmd =
        | None -> "");
     Printf.printf "  resilience:    %d worker restarts, %d breaker trips, degraded=%b\n"
       st.Engine.worker_restarts st.Engine.breaker_open st.Engine.degraded;
-    if tune_cache <> None || st.Engine.warm_classes > 0 then
-      Printf.printf
-        "  tuning:        %d classes warm-started, %d serving-time measurements\n"
-        st.Engine.warm_classes
-        (Sod2.Tune_measure.measurement_count ());
     Printf.printf "  micro-batched: %d requests (max batch %d), queue peak %d\n"
       st.Engine.batched max_batch st.Engine.queue_peak;
     Array.iteri
@@ -601,8 +454,7 @@ let serve_cmd =
              report throughput, latency percentiles, shed/reject/expiry \
              counts, micro-batching and plan-cache behavior.")
     Term.(const run $ model_arg $ device_arg $ requests $ workers $ max_batch $ exec_arg
-          $ compile_arg $ arrival_rate $ seed $ queue_cap $ deadline_ms $ overload
-          $ tune_cache_arg)
+          $ compile_arg $ arrival_rate $ seed $ queue_cap $ deadline_ms $ overload)
 
 (* --- compare ------------------------------------------------------- *)
 
@@ -798,5 +650,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; analyze_cmd; compile_cmd; run_cmd; tune_cmd; serve_cmd; compare_cmd;
+          [ list_cmd; analyze_cmd; compile_cmd; run_cmd; serve_cmd; compare_cmd;
             dot_cmd; save_cmd; load_cmd; validate_cmd; decode_cmd; experiments_cmd ]))

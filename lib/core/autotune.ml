@@ -78,37 +78,18 @@ let crossover rng a b =
     vectorize = (if Rng.bool rng 0.5 then a.vectorize else b.vectorize);
   }
 
-type objective =
-  | Analytical
-  | Measured
-  | Hybrid
-
-let objective_name = function
-  | Analytical -> "analytical"
-  | Measured -> "measured"
-  | Hybrid -> "hybrid"
-
-let objective_of_string = function
-  | "analytical" -> Some Analytical
-  | "measured" -> Some Measured
-  | "hybrid" -> Some Hybrid
-  | _ -> None
-
-(* GA over an arbitrary score (higher is better).  [default_config] seeds
-   the incumbent, so the search can never return a config that scores
-   worse than the untuned default under the active objective.  Returns the
-   best point plus the last generation's elite (best-first) — the
-   candidate pool Hybrid mode re-ranks by measurement. *)
-let ga_search ~generations ~population ~score rng =
+(* GA over the analytical score (higher is better).  [default_config]
+   seeds the incumbent, so the search can never return a config that
+   scores worse than the untuned default. *)
+let tune ?(generations = 12) ?(population = 16) p rng ~m ~n ~k =
+  let score c = efficiency p c ~m ~n ~k in
   let pop = ref (Array.init population (fun _ -> random_config rng)) in
   let best = ref (default_config, score default_config) in
-  let elites = ref [] in
   for _gen = 1 to generations do
     let scored = Array.map (fun c -> c, score c) !pop in
     Array.sort (fun (_, a) (_, b) -> compare b a) scored;
     if snd scored.(0) > snd !best then best := scored.(0);
     let elite = Array.sub scored 0 (max 2 (population / 4)) in
-    elites := Array.to_list (Array.map fst elite);
     let next =
       Array.init population (fun i ->
           if i < Array.length elite then fst elite.(i)
@@ -120,50 +101,7 @@ let ga_search ~generations ~population ~score rng =
     in
     pop := next
   done;
-  !best, !elites
-
-let dedup_configs l =
-  List.rev
-    (List.fold_left (fun acc c -> if List.mem c acc then acc else c :: acc) [] l)
-
-let tune ?(generations = 12) ?(population = 16) ?(objective = Analytical) ?measure
-    ?(finalists = 6) p rng ~m ~n ~k =
-  let analytic c = efficiency p c ~m ~n ~k in
-  match objective, measure with
-  | Analytical, _ | (Measured | Hybrid), None ->
-    (* Measured/Hybrid degrade to the analytical search when no measurer
-       is supplied — the objective is advisory, the guarantee (never worse
-       than default) is not. *)
-    fst (ga_search ~generations ~population ~score:analytic rng)
-  | Measured, Some ms ->
-    (* The GA ranks directly by wall time; a memo keeps the measurement
-       count at one per distinct config rather than one per evaluation. *)
-    let memo = Hashtbl.create 64 in
-    let time c =
-      match Hashtbl.find_opt memo c with
-      | Some t -> t
-      | None ->
-        let t = ms c in
-        Hashtbl.add memo c t;
-        t
-    in
-    let (c, _), _ = ga_search ~generations ~population ~score:(fun c -> -.time c) rng in
-    c, analytic c
-  | Hybrid, Some ms ->
-    (* Analytical pruning, measured ranking: the cost model runs the full
-       GA for free, then only the distinct finalists (plus the default, so
-       measurement can always fall back to it) pay for timing. *)
-    let (best, _), elites = ga_search ~generations ~population ~score:analytic rng in
-    let pool = dedup_configs (best :: elites) in
-    let keep = List.filteri (fun i _ -> i < max 1 finalists) pool in
-    let keep = if List.mem default_config keep then keep else keep @ [ default_config ] in
-    let timed = List.map (fun c -> c, ms c) keep in
-    let c, _ =
-      List.fold_left
-        (fun (bc, bt) (c, t) -> if t < bt then c, t else bc, bt)
-        (List.hd timed) (List.tl timed)
-    in
-    c, analytic c
+  !best
 
 let random_search ?(trials = 192) p rng ~m ~n ~k =
   let best = ref (default_config, efficiency p default_config ~m ~n ~k) in
@@ -177,50 +115,3 @@ let random_search ?(trials = 192) p rng ~m ~n ~k =
 let pp_config ppf c =
   Format.fprintf ppf "tile=%dx%dx%d unroll=%d threads=%d vec=%b" c.tile_m c.tile_n
     c.tile_k c.unroll c.threads c.vectorize
-
-(* Compact single-token rendering for the tuning cache file.  Strict
-   inverse: every key appears exactly once, all values are positive ints
-   (v in {0,1}), anything else is a parse error — a corrupt cache line
-   must fall back, not half-load. *)
-let config_to_string c =
-  Printf.sprintf "tm=%d,tn=%d,tk=%d,u=%d,th=%d,v=%d" c.tile_m c.tile_n c.tile_k
-    c.unroll c.threads
-    (if c.vectorize then 1 else 0)
-
-let config_of_string s =
-  let fail () = raise Exit in
-  try
-    let kv =
-      List.map
-        (fun field ->
-          match String.split_on_char '=' field with
-          | [ k; v ] -> (
-            match int_of_string_opt (String.trim v) with
-            | Some n -> String.trim k, n
-            | None -> fail ())
-          | _ -> fail ())
-        (String.split_on_char ',' (String.trim s))
-    in
-    if List.length kv <> 6 then fail ();
-    let get k =
-      match List.filter (fun (k', _) -> k' = k) kv with
-      | [ (_, v) ] -> v
-      | _ -> fail ()
-    in
-    let pos k =
-      let v = get k in
-      if v <= 0 then fail () else v
-    in
-    let vectorize =
-      match get "v" with 0 -> false | 1 -> true | _ -> fail ()
-    in
-    Ok
-      {
-        tile_m = pos "tm";
-        tile_n = pos "tn";
-        tile_k = pos "tk";
-        unroll = pos "u";
-        threads = pos "th";
-        vectorize;
-      }
-  with Exit -> Error (Printf.sprintf "Autotune.config_of_string: unparseable %S" s)

@@ -26,34 +26,12 @@ val efficiency : Profile.t -> config -> m:int -> n:int -> k:int -> float
     (convolutions are lowered to implicit GEMM).  In [\[0.05, 0.95\]];
     deterministic. *)
 
-(** How candidate configurations are scored during the search:
-    - [Analytical]: the {!efficiency} model only (free, but locked to the
-      model's view of the device);
-    - [Measured]: every GA evaluation times the candidate with the
-      supplied [measure] callback (ground truth, expensive — use small
-      populations);
-    - [Hybrid]: the analytical model runs the full GA to prune the space,
-      then only the distinct elite finalists (plus {!default_config}) are
-      measured and the fastest wins — the paper-style compromise. *)
-type objective =
-  | Analytical
-  | Measured
-  | Hybrid
-
-val objective_name : objective -> string
-val objective_of_string : string -> objective option
-
 val tune :
-  ?generations:int -> ?population:int -> ?objective:objective ->
-  ?measure:(config -> float) -> ?finalists:int -> Profile.t -> Rng.t ->
+  ?generations:int -> ?population:int -> Profile.t -> Rng.t ->
   m:int -> n:int -> k:int -> config * float
-(** GA search; returns the best configuration and its {e analytical}
-    efficiency.  [measure c] must return the candidate's wall time in µs
-    (lower is better; see {!Tune_measure}); without it, [Measured]/[Hybrid]
-    degrade to [Analytical].  [finalists] (default 6) bounds the measured
-    pool in [Hybrid] mode.  Under every objective {!default_config}
-    participates in the final ranking, so the winner never scores worse
-    than the untuned default under the active objective. *)
+(** GA search over the {!efficiency} model; returns the best configuration
+    and its efficiency.  {!default_config} seeds the incumbent, so the
+    winner never scores worse than the untuned default. *)
 
 val random_search :
   ?trials:int -> Profile.t -> Rng.t -> m:int -> n:int -> k:int -> config * float
@@ -61,12 +39,3 @@ val random_search :
     default (for comparing search strategies). *)
 
 val pp_config : Format.formatter -> config -> unit
-
-val config_to_string : config -> string
-(** Compact rendering for the tuning cache file
-    (["tm=32,tn=32,tk=32,u=1,th=4,v=0"]). *)
-
-val config_of_string : string -> (config, string) result
-(** Strict inverse of {!config_to_string}: exactly the six keys, positive
-    ints ([v] in [{0,1}]); [Error] otherwise.
-    [config_of_string (config_to_string c) = Ok c]. *)

@@ -10,15 +10,6 @@ let class_name = function
   | Skinny -> "skinny"
   | Tiny -> "tiny"
 
-let class_of_string = function
-  | "fat" -> Some Fat
-  | "regular" -> Some Regular
-  | "skinny" -> Some Skinny
-  | "tiny" -> Some Tiny
-  | _ -> None
-
-let all_classes = [ Fat; Regular; Skinny; Tiny ]
-
 let classify ~m ~n =
   if m <= 8 || n <= 8 then Skinny else if m >= 256 && n >= 256 then Fat else Regular
 
@@ -68,9 +59,6 @@ let single_version ?(seed = 7) p =
     tiny = t.regular;
     versioned = false;
   }
-
-let of_configs ~fat ~regular ~skinny ~tiny =
-  { fat; regular; skinny; tiny; versioned = true }
 
 let untuned =
   {

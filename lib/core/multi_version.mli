@@ -20,14 +20,9 @@ type shape_class =
 
 val class_name : shape_class -> string
 
-val class_of_string : string -> shape_class option
-(** Inverse of {!class_name} (cache-file parsing). *)
-
-val all_classes : shape_class list
-
 val representatives : (shape_class * (int * int * int)) list
 (** The canonical (m, n, k) each class is tuned on — what {!build} hands
-    the autotuner and what measured tuning times candidates against. *)
+    the autotuner. *)
 
 val classify : m:int -> n:int -> shape_class
 (** Shape class of a GEMM (or implicit-GEMM convolution) output. *)
@@ -49,13 +44,6 @@ val single_version : ?seed:int -> Profile.t -> table
 
 val untuned : table
 (** The generic default kernel for every class (no tuning at all). *)
-
-val of_configs :
-  fat:Autotune.config -> regular:Autotune.config -> skinny:Autotune.config ->
-  tiny:Autotune.config -> table
-(** Assemble a versioned table from externally chosen configs — the entry
-    point for measured tuning ({!Tune_measure}) and for warm-starting from
-    a tuning cache file ({!Tune_cache.table_for}). *)
 
 val efficiency_for : Profile.t -> table -> m:int -> n:int -> k:int -> float
 (** Efficiency of the version this table selects for the given problem. *)

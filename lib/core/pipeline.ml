@@ -193,11 +193,6 @@ let compile ?flags ?(opts = Compile_opts.default) profile graph =
     control = Control_region.discover graph;
   }
 
-(* Functional update: the replacement table rides on the same plan cache,
-   lock and fused templates — versions only steer kernel-config
-   selection, nothing shape- or memory-plan-relevant. *)
-let with_versions c versions = { c with versions }
-
 let compile_checked ?flags ?opts profile graph =
   match Validate.check graph with
   | Error defects -> Error defects

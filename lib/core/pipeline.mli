@@ -100,12 +100,6 @@ val compile_checked :
     raising on the first — the entry point for untrusted graphs (e.g. ones
     loaded from disk). *)
 
-val with_versions : compiled -> Multi_version.table -> compiled
-(** The same artifact with a replacement kernel-version table (e.g. one
-    warm-started from a {!Tune_cache} file or re-derived by measured
-    tuning).  Shares the plan cache/lock with the original — version
-    tables steer kernel-config selection only, never shapes or memory. *)
-
 val plan_key : compiled -> Env.t -> string
 (** Canonical rendering of [env] restricted to [plan_syms] — the plan-cache
     key for that binding.  Requests with equal keys share an instantiated

@@ -49,14 +49,10 @@ let flops op ~in_dims ~out_dims =
     match in_dims with x :: _ -> 2.0 *. fnumel x | [] -> out_n)
   | _ -> out_n
 
-(* [elem] is the element width in bytes.  The default stays f32 (4) for
-   callers that predate dtype plumbing; dtype-aware callers pass
-   [Tensor.bytes_per_elem dt] so int8 traffic is no longer overstated 4x
-   nor f64 understated 2x. *)
-let tensor_bytes ?(elem = 4) dims = elem * prod dims
-
-let bytes_moved ?elem ~in_dims ~out_dims () =
-  List.fold_left (fun acc d -> acc + tensor_bytes ?elem d) 0 (in_dims @ out_dims)
+(* Traffic is billed at f32 width, the element kind the device model's
+   profiles are calibrated for. *)
+let bytes_moved ~in_dims ~out_dims =
+  List.fold_left (fun acc d -> acc + (4 * prod d)) 0 (in_dims @ out_dims)
 
 let default_efficiency = 0.45
 
@@ -70,9 +66,9 @@ let roofline (p : Profile.t) ~efficiency ~fl ~bytes =
   let memory_us = float_of_int bytes /. (bw *. 1000.0) in
   Float.max compute_us memory_us
 
-let op_time_us p ?(efficiency = default_efficiency) ?elem op ~in_dims ~out_dims =
+let op_time_us p ?(efficiency = default_efficiency) op ~in_dims ~out_dims =
   let fl = flops op ~in_dims ~out_dims in
-  let bytes = bytes_moved ?elem ~in_dims ~out_dims () in
+  let bytes = bytes_moved ~in_dims ~out_dims in
   roofline p ~efficiency ~fl ~bytes +. p.launch_overhead_us
 
 let group_time_us p ?(efficiency = default_efficiency) members ~external_bytes =

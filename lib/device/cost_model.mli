@@ -15,16 +15,11 @@
 val flops : Op.t -> in_dims:int list list -> out_dims:int list list -> float
 (** Arithmetic work of one operator execution (floating-point ops). *)
 
-val tensor_bytes : ?elem:int -> int list -> int
-(** Bytes of a tensor with the given extents; [elem] is the element width
-    in bytes (default 4, i.e. f32 — pass [Tensor.bytes_per_elem dt] for
-    dtype-accurate accounting). *)
-
 val op_time_us :
-  Profile.t -> ?efficiency:float -> ?elem:int -> Op.t -> in_dims:int list list ->
+  Profile.t -> ?efficiency:float -> Op.t -> in_dims:int list list ->
   out_dims:int list list -> float
-(** Latency of a single (unfused) operator execution.  [elem] sizes the
-    memory traffic (default 4 bytes/element). *)
+(** Latency of a single (unfused) operator execution; memory traffic is
+    billed at 4 bytes per element. *)
 
 val group_time_us :
   Profile.t -> ?efficiency:float ->

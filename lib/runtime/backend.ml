@@ -29,9 +29,7 @@ type fused_entry = {
 
 type t = {
   kind : kind;
-  mutable versions : Multi_version.table;
-      (* swapped atomically (single pointer write) by the engine's drift
-         re-tuner; every kernel call site reads it at most once *)
+  versions : Multi_version.table;
   pool : Domain_pool.t option;
   profile_name : string;
   fused_cache : (int * (int list * Tensor.dtype) list, fused_entry) Hashtbl.t;
@@ -68,8 +66,6 @@ let for_compiled kind (c : Pipeline.compiled) =
     ~profile:c.Pipeline.profile.Profile.name kind
 
 let kind_of t = t.kind
-let versions t = t.versions
-let set_versions t v = t.versions <- v
 let pool_size t = match t.pool with Some p -> Domain_pool.size p | None -> 1
 let shutdown t = Option.iter Domain_pool.shutdown t.pool
 

@@ -33,15 +33,6 @@ val for_compiled : kind -> Pipeline.compiled -> t
 
 val kind_of : t -> kind
 
-val versions : t -> Multi_version.table
-(** The version table kernel call sites currently select from. *)
-
-val set_versions : t -> Multi_version.table -> unit
-(** Swap the version table in place.  The write is a single immutable-
-    record pointer store, so concurrent kernel calls see either the old or
-    the new table wholesale — the engine's drift re-tuner uses this to
-    retarget live workers without stopping them. *)
-
 val pool_size : t -> int
 (** Domains the pool actually uses (1 when no pool). *)
 

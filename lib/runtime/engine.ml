@@ -57,17 +57,6 @@ let bucket_of_latency us =
 
 let latency_of_bucket i = Float.pow 2.0 ((float_of_int i +. 0.5) /. hist_per_octave)
 
-(* Per-plan-key drift tracking: a window of observed service times is
-   compared against the cost model's prediction.  The first full window
-   fixes the key's baseline observed/predicted ratio (absorbing the
-   model's constant bias); later windows exceeding
-   [baseline × drift_threshold] trip a re-tune. *)
-type drift_obs = {
-  mutable o_n : int;
-  mutable o_sum : float;
-  mutable o_baseline : float;  (** 0.0 = not yet calibrated *)
-}
-
 type stats = {
   workers : int;
   live_workers : int;
@@ -91,9 +80,6 @@ type stats = {
   p50_latency_us : float;
   p95_latency_us : float;
   p99_latency_us : float;
-  warm_classes : int;
-  drift_trips : int;
-  retunes : int;
   plan_keys : int;
   plan_variants : int;
 }
@@ -108,10 +94,6 @@ type t = {
   restart_budget : int;
   breaker_threshold : int;  (** <= 0 disables the breaker *)
   breaker_cooldown_us : float;
-  drift_threshold : float;  (** <= 0 disables the drift detector *)
-  drift_window : int;
-  retune_fn : (unit -> Multi_version.table) option;
-  warm_classes : int;  (** shape classes warm-started from the tune cache *)
   lock : Mutex.t;
   work : Condition.t;  (** signaled on submit and on shutdown *)
   finished : Condition.t;  (** broadcast whenever any request settles *)
@@ -122,14 +104,6 @@ type t = {
   mutable stopping : bool;
   mutable joined : bool;
   mutable domains : unit Domain.t list;
-  mutable retune_domains : unit Domain.t list;
-  mutable live_versions : Multi_version.table;
-      (** what (re)spawned workers build their backend from; updated by
-          the re-tuner *)
-  mutable retune_inflight : bool;
-  backends : Backend.t option array;  (** live per-worker backends, for in-place swap *)
-  predicted : (string, float) Hashtbl.t;  (** plan key -> cost-model service us *)
-  observed : (string, drift_obs) Hashtbl.t;
   mutable live_workers : int;
   mutable degraded_mode : bool;
   mutable restarts_used : int;
@@ -144,8 +118,6 @@ type t = {
   mutable degraded_runs : int;
   mutable worker_restarts : int;
   mutable breaker_trips : int;
-  mutable drift_trips : int;
-  mutable retunes : int;
   mutable queue_peak : int;
   worker_runs : int array;
   busy_us : float array;
@@ -263,131 +235,6 @@ let breaker_probing_locked t key =
   match Hashtbl.find_opt t.breakers key with Some b -> b.probing | None -> false
 
 (* ------------------------------------------------------------------ *)
-(* Drift detection and background re-tuning                            *)
-
-(* Cost-model prediction of one request's service time under [env]: the
-   sum of per-node roofline times over RDP-resolved extents, dtype-aware
-   via the artifact's fdtype.  Cached per plan key (same binding → same
-   extents → same prediction).  Called with the lock held — a short
-   linear pass, same discipline as plan instantiation. *)
-let predicted_us_locked t env key =
-  match Hashtbl.find_opt t.predicted key with
-  | Some v -> v
-  | None ->
-    let c = t.compiled in
-    let elem = Tensor.bytes_per_elem c.Pipeline.fdtype in
-    let dims_of tid = Shape.eval env (Rdp.shape c.Pipeline.rdp tid) in
-    let sequence l =
-      List.fold_right
-        (fun x acc ->
-          match x, acc with Some v, Some vs -> Some (v :: vs) | _ -> None)
-        l (Some [])
-    in
-    let v =
-      Array.fold_left
-        (fun acc (nd : Graph.node) ->
-          match
-            ( sequence (List.map dims_of nd.Graph.inputs),
-              sequence (List.map dims_of nd.Graph.outputs) )
-          with
-          | Some in_dims, Some out_dims ->
-            acc
-            +. Cost_model.op_time_us ~elem c.Pipeline.profile nd.Graph.op ~in_dims
-                 ~out_dims
-          | _ -> acc)
-        0.0
-        (Graph.nodes c.Pipeline.graph)
-    in
-    Hashtbl.replace t.predicted key v;
-    v
-
-(* One successfully served request's service time [busy] lands in its
-   key's window; a full window whose mean drifts past the calibrated
-   baseline ratio arms a re-tune.  Returns [true] when the caller (which
-   still holds the lock) must spawn the re-tuner after unlocking. *)
-let observe_drift_locked t req ~key busy =
-  if t.drift_threshold <= 0.0 then false
-  else begin
-    let ob =
-      match Hashtbl.find_opt t.observed key with
-      | Some o -> o
-      | None ->
-        let o = { o_n = 0; o_sum = 0.0; o_baseline = 0.0 } in
-        Hashtbl.add t.observed key o;
-        o
-    in
-    ob.o_n <- ob.o_n + 1;
-    ob.o_sum <- ob.o_sum +. busy;
-    if ob.o_n < t.drift_window then false
-    else begin
-      let mean = ob.o_sum /. float_of_int ob.o_n in
-      ob.o_n <- 0;
-      ob.o_sum <- 0.0;
-      let ratio = mean /. Float.max 1e-9 (predicted_us_locked t req.r_env req.r_key) in
-      if ob.o_baseline = 0.0 then begin
-        ob.o_baseline <- ratio;
-        false
-      end
-      else if
-        ratio > ob.o_baseline *. t.drift_threshold
-        && (not t.retune_inflight) && not t.stopping
-      then begin
-        t.retune_inflight <- true;
-        t.drift_trips <- t.drift_trips + 1;
-        true
-      end
-      else false
-    end
-  end
-
-(* The built-in re-tuner: a quick measured (Hybrid) pass over the class
-   representatives on the device the artifact was compiled for.  Runs in
-   a background domain with sequential kernels — it shares cores with the
-   workers, so the budget is kept small. *)
-let default_retune t () =
-  Tune_measure.tune_table ~objective:Autotune.Hybrid ~rounds:2 ~generations:6
-    ~population:8 ~finalists:4 t.compiled.Pipeline.profile
-    ~dt:t.compiled.Pipeline.fdtype
-
-(* Background re-tune: derive a fresh version table, then — under the
-   lock — swap it into every live worker backend ({!Backend.set_versions}
-   is a single pointer store, so kernels in flight finish on the old
-   table) and into [live_versions] for future (re)spawns.  Baselines
-   reset so the detector re-calibrates against the new configs. *)
-let spawn_retune t =
-  Mutex.lock t.lock;
-  if t.stopping then begin
-    t.retune_inflight <- false;
-    Mutex.unlock t.lock
-  end
-  else begin
-    let d =
-      Domain.spawn (fun () ->
-          let table =
-            match t.retune_fn with Some f -> f () | None -> default_retune t ()
-          in
-          Mutex.lock t.lock;
-          t.live_versions <- table;
-          t.retunes <- t.retunes + 1;
-          Array.iter
-            (function Some be -> Backend.set_versions be table | None -> ())
-            t.backends;
-          Hashtbl.iter
-            (fun _ o ->
-              o.o_n <- 0;
-              o.o_sum <- 0.0;
-              o.o_baseline <- 0.0)
-            t.observed;
-          t.retune_inflight <- false;
-          Mutex.unlock t.lock;
-          counter t "engine-retune")
-    in
-    t.retune_domains <- d :: t.retune_domains;
-    Mutex.unlock t.lock;
-    counter t "engine-drift"
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Worker side                                                         *)
 
 (* The one fallback: the reference interpreter, which depends on nothing
@@ -415,9 +262,7 @@ let execute t ~w ~arena ~backend req ~batched =
       let outputs =
         if via_fallback then run_fallback t req
         else if t.cfg.Executor.guarded then
-          (Guarded_exec.run ~config:t.cfg
-             ?arena:(if t.cfg.Executor.memory = Executor.Mem_arena then Some arena else None)
-             ?backend t.compiled ~env:req.r_env ~inputs:req.r_inputs)
+          (Guarded_exec.run ~config:t.cfg ~arena ?backend t.compiled ~env:req.r_env ~inputs:req.r_inputs)
             .Guarded_exec.outputs
         else begin
           let memory =
@@ -444,7 +289,6 @@ let execute t ~w ~arena ~backend req ~batched =
     | For_testing.Crash_worker as e -> raise e
     | e -> Error (e, Clock.now_us () -. started)
   in
-  let want_retune = ref false in
   Mutex.lock t.lock;
   t.worker_runs.(w) <- t.worker_runs.(w) + 1;
   req.r_worker <- w;
@@ -455,10 +299,7 @@ let execute t ~w ~arena ~backend req ~batched =
     record_latency_locked t r.latency_us;
     if batched then t.batched <- t.batched + 1;
     if r.degraded then t.degraded_runs <- t.degraded_runs + 1
-    else begin
-      breaker_success_locked t req.r_key ~probe:(route = `Probe);
-      want_retune := observe_drift_locked t req ~key:req.r_key busy
-    end
+    else breaker_success_locked t req.r_key ~probe:(route = `Probe)
   | Error (e, busy) ->
     ignore (settle_locked t req (Failed e) V_failed);
     t.busy_us.(w) <- t.busy_us.(w) +. busy;
@@ -468,7 +309,6 @@ let execute t ~w ~arena ~backend req ~batched =
   counter t "engine-request";
   if batched then counter t "engine-batched";
   if via_fallback then counter t "engine-degraded-run";
-  if !want_retune then spawn_retune t;
   match outcome with Error _ -> counter t "engine-failed" | Ok _ -> ()
 
 let expired_error req now =
@@ -523,19 +363,12 @@ let worker_body t w =
     match t.cfg.Executor.backend with
     | Backend.Naive -> None
     | k ->
-      (* [live_versions] rather than the artifact's table: a respawned
-         worker must pick up whatever the re-tuner last installed. *)
-      let versions = Mutex.protect t.lock (fun () -> t.live_versions) in
       Some
-        (Backend.create ~versions
+        (Backend.create ~versions:t.compiled.Pipeline.versions
            ~threads:(max 1 (Domain.recommended_domain_count () / t.nworkers))
            ~profile:t.compiled.Pipeline.profile.Profile.name k)
   in
-  Mutex.protect t.lock (fun () -> t.backends.(w) <- backend);
-  let release () =
-    Mutex.protect t.lock (fun () -> t.backends.(w) <- None);
-    Option.iter Backend.shutdown backend
-  in
+  let release () = Option.iter Backend.shutdown backend in
   let rec loop () =
     Mutex.lock t.lock;
     while Queue.is_empty t.queue && not t.stopping do
@@ -658,28 +491,8 @@ and on_worker_crash t w ~born e =
 
 let create ?(workers = 1) ?(max_batch = 4) ?(config = Executor.default_config)
     ?(queue_cap = max_int) ?(overload = Reject) ?(restart_budget = 3)
-    ?(breaker_threshold = 5) ?(breaker_cooldown_us = 50_000.0) ?tune_cache
-    ?(drift_threshold = 0.0) ?(drift_window = 32) ?retune compiled =
+    ?(breaker_threshold = 5) ?(breaker_cooldown_us = 50_000.0) compiled =
   let nworkers = max 1 workers in
-  (* Warm start: resolve the cache against this engine's backend kind and
-     the artifact's float dtype; a hit replaces the analytically tuned
-     table before any worker spawns — zero tuning measurements at serving
-     time. *)
-  let compiled, warm_classes =
-    match tune_cache with
-    | None -> compiled, 0
-    | Some cache ->
-      let table, warm =
-        Tune_cache.table_for cache
-          ~backend:(Backend.kind_name config.Executor.backend)
-          ~dtype:(Tensor.dtype_name compiled.Pipeline.fdtype)
-          ~fallback:compiled.Pipeline.versions
-      in
-      if warm = 0 then compiled, 0 else Pipeline.with_versions compiled table, warm
-  in
-  if warm_classes > 0 then
-    Profile.Counters.add ~profile:compiled.Pipeline.profile.Profile.name
-      ~kind:"engine-tune-warm-start" warm_classes;
   let t =
     {
       compiled;
@@ -691,10 +504,6 @@ let create ?(workers = 1) ?(max_batch = 4) ?(config = Executor.default_config)
       restart_budget = max 0 restart_budget;
       breaker_threshold;
       breaker_cooldown_us;
-      drift_threshold;
-      drift_window = max 1 drift_window;
-      retune_fn = retune;
-      warm_classes;
       lock = Mutex.create ();
       work = Condition.create ();
       finished = Condition.create ();
@@ -705,12 +514,6 @@ let create ?(workers = 1) ?(max_batch = 4) ?(config = Executor.default_config)
       stopping = false;
       joined = false;
       domains = [];
-      retune_domains = [];
-      live_versions = compiled.Pipeline.versions;
-      retune_inflight = false;
-      backends = Array.make nworkers None;
-      predicted = Hashtbl.create 8;
-      observed = Hashtbl.create 8;
       live_workers = nworkers;
       degraded_mode = false;
       restarts_used = 0;
@@ -724,8 +527,6 @@ let create ?(workers = 1) ?(max_batch = 4) ?(config = Executor.default_config)
       degraded_runs = 0;
       worker_restarts = 0;
       breaker_trips = 0;
-      drift_trips = 0;
-      retunes = 0;
       queue_peak = 0;
       worker_runs = Array.make nworkers 0;
       busy_us = Array.make nworkers 0.0;
@@ -878,9 +679,6 @@ let stats t =
         p50_latency_us = percentile_locked t 0.50;
         p95_latency_us = percentile_locked t 0.95;
         p99_latency_us = percentile_locked t 0.99;
-        warm_classes = t.warm_classes;
-        drift_trips = t.drift_trips;
-        retunes = t.retunes;
         plan_keys;
         plan_variants = 0;
       })
@@ -893,11 +691,5 @@ let shutdown t =
   let join_here = not t.joined in
   t.joined <- true;
   let domains = t.domains in
-  let retuners = t.retune_domains in
   Mutex.unlock t.lock;
-  (* Re-tune spawns check [stopping] under the lock before appending, so
-     this snapshot is complete. *)
-  if join_here then begin
-    List.iter Domain.join domains;
-    List.iter Domain.join retuners
-  end
+  if join_here then List.iter Domain.join domains

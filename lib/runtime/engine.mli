@@ -5,10 +5,10 @@
     call re-threads its options and single-tenant arena.  The engine is
     the serving-side counterpart of SoD²'s compile-once/run-many split
     (§4.4.1): it owns one {!Pipeline.compiled} artifact plus [N] worker
-    slots — each with its own grow-only {!Arena.t}, its own
+    slots — each with its own grow-only {!Arena.t} and its own
     {!Backend.t} (per-worker fused-kernel cache, so cache lookups are
-    lock-free), and a scratch environment — fed from a mutex/condition
-    request queue.
+    lock-free), built from the artifact's kernel-version table — fed from
+    a mutex/condition request queue.
 
     The instantiated-plan cache is the one piece of shared mutable state
     between workers; it lives on the compiled artifact and is
@@ -51,8 +51,8 @@
     A request on a gated model runs the artifact's one plan: each
     computed predicate picks the groups that run ({!Executor}), so there
     is nothing to predict and nothing to re-run.  Plans are vetted once
-    per binding ({!Pipeline.vetted_plan}); breakers and the drift detector
-    key on the plain plan key.
+    per binding ({!Pipeline.vetted_plan}); breakers key on the plain plan
+    key.
 
     Per-request latency lands in a fixed-bucket log histogram (8 buckets
     per octave, no per-request retention) surfaced as p50/p95/p99 in
@@ -116,9 +116,6 @@ type stats = {
                                error, clamped to [max_latency_us]) *)
   p95_latency_us : float;
   p99_latency_us : float;
-  warm_classes : int;  (** shape classes warm-started from [?tune_cache] *)
-  drift_trips : int;  (** drift-detector trips (re-tunes scheduled) *)
-  retunes : int;  (** background re-tunes completed and swapped in *)
   plan_keys : int;
       (** distinct shape-binding keys in the instantiated-plan cache *)
   plan_variants : int;
@@ -138,10 +135,6 @@ val create :
   ?restart_budget:int ->
   ?breaker_threshold:int ->
   ?breaker_cooldown_us:float ->
-  ?tune_cache:Tune_cache.t ->
-  ?drift_threshold:float ->
-  ?drift_window:int ->
-  ?retune:(unit -> Multi_version.table) ->
   Pipeline.compiled ->
   t
 (** [create c] starts the worker domains (default [workers = 1], clamped
@@ -155,25 +148,7 @@ val create :
     the engine degrades; [breaker_threshold] (default 5) consecutive
     same-plan-key failures trip that key's circuit breaker ([<= 0]
     disables it) and [breaker_cooldown_us] (default 50 000) is the
-    open-state cooldown before a probe.
-
-    Tuning knobs (DESIGN.md §16): [tune_cache] warm-starts the kernel
-    version table from persisted measured-tuning winners — resolved
-    against [config]'s backend kind and the artifact's float dtype via
-    {!Tune_cache.table_for} before any worker spawns, so a warm-started
-    engine performs {e zero} tuning measurements at serving time
-    ([stats.warm_classes] reports the coverage).  [drift_threshold]
-    (default 0 = off) arms the online drift detector: per plan key, the
-    mean observed service time over [drift_window] (default 32) completed
-    normal-path requests is compared to the cost model's prediction; the
-    first full window calibrates the key's baseline observed/predicted
-    ratio, and a later window exceeding [baseline × drift_threshold]
-    schedules one background re-tune — [retune] if given (injection point
-    for tests and custom tuners), else a quick measured Hybrid pass over
-    the class representatives ({!Tune_measure.tune_table}).  The new
-    table is swapped into live workers atomically
-    ({!Backend.set_versions}) without pausing them; {!Profile.Counters}
-    records ["engine-drift"] at trip and ["engine-retune"] at swap. *)
+    open-state cooldown before a probe. *)
 
 val submit :
   ?deadline_us:float ->

@@ -4,7 +4,7 @@
    broadcasting maps that store (and, in f32, round) each intermediate.
    The library's [Reference] interpreter calls the same kernels as the
    optimized backends, so differential tests against it cannot see a
-   numerics drift in them; these can.  Test-only, and deliberately slow. *)
+   numerics change in them; these can.  Test-only, and deliberately slow. *)
 
 (* Flat offset of [ix] (an index into the broadcast shape [out]) within a
    tensor of shape [src], applying stride-0 semantics on size-1 axes. *)

@@ -551,6 +551,16 @@ let test_autotune_improves () =
       Alcotest.(check bool) "within range" true (tuned >= 0.05 && tuned <= 0.95))
     cases
 
+let prop_never_worse_than_default =
+  QCheck2.Test.make ~name:"tune: winner never scores worse than default_config" ~count:30
+    QCheck2.Gen.(tup4 (int_range 8 96) (int_range 8 96) (int_range 8 96) (int_range 0 10_000))
+    (fun (m, n, k, seed) ->
+      let best, _ =
+        Sod2.Autotune.tune ~generations:4 ~population:6 cpu (Rng.create seed) ~m ~n ~k
+      in
+      Sod2.Autotune.efficiency cpu best ~m ~n ~k
+      >= Sod2.Autotune.efficiency cpu Sod2.Autotune.default_config ~m ~n ~k -. 1e-9)
+
 let test_autotune_deterministic () =
   let t1 = Sod2.Autotune.tune cpu (Rng.create 5) ~m:128 ~n:128 ~k:128 in
   let t2 = Sod2.Autotune.tune cpu (Rng.create 5) ~m:128 ~n:128 ~k:128 in
@@ -669,6 +679,7 @@ let suite =
     Alcotest.test_case "remat planner basics" `Quick test_remat_basic;
     Alcotest.test_case "autotune improves on default" `Quick test_autotune_improves;
     Alcotest.test_case "autotune deterministic" `Quick test_autotune_deterministic;
+    QCheck_alcotest.to_alcotest prop_never_worse_than_default;
     Alcotest.test_case "multi-version selection" `Quick test_multi_version_selection;
     Alcotest.test_case "classify_gemm: tiny cutoff" `Quick test_classify_gemm_tiny;
     Alcotest.test_case "implicit gemm extraction" `Quick test_gemm_dims_of_op;

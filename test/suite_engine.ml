@@ -219,6 +219,42 @@ let test_config_entry_points () =
   Alcotest.(check bool) "the trace reports arena residency" true
     (tr.RT.Executor.arena_bytes > 0 && tr.RT.Executor.arena_resident > 0)
 
+(* A guarded run always executes on an arena; under [malloc] the engine
+   must still hand it the worker's own, and serving must stay exact and
+   incident-free across bindings. *)
+let test_guarded_malloc_engine () =
+  let cfg =
+    match RT.Executor.config_of_string "blocked,malloc,guarded" with
+    | Ok cfg -> cfg
+    | Error e -> Alcotest.fail e
+  in
+  let c = Sod2.Pipeline.compile cpu graph in
+  let incidents () =
+    List.fold_left
+      (fun acc kind ->
+        acc
+        + Profile.Counters.count ~profile:cpu.Profile.name
+            ~kind:(RT.Guarded_exec.fault_name kind))
+      0
+      RT.Guarded_exec.
+        [ Arena_bounds; Plan_overlap; Size_mismatch; Dim_mismatch; Truncated_plan; Kernel_fault ]
+  in
+  let i0 = incidents () in
+  let eng = RT.Engine.create ~workers:1 ~config:cfg c in
+  List.iteri
+    (fun i bsz ->
+      let inputs = input_for bsz (500 + i) in
+      let r = RT.Engine.infer eng ~env:(Env.of_list [ "B", bsz ]) ~inputs in
+      Alcotest.(check bool)
+        (Printf.sprintf "B=%d bit-identical to reference" bsz)
+        true
+        (bit_identical r.RT.Engine.outputs (RT.Reference.run graph ~inputs));
+      Alcotest.(check bool) "served on the planned path" false r.RT.Engine.degraded)
+    [ 3; 5; 3; 5 ];
+  RT.Engine.shutdown eng;
+  Alcotest.(check int) "zero guard incidents" 0 (incidents () - i0);
+  Alcotest.(check int) "all served" 4 (RT.Engine.stats eng).RT.Engine.completed
+
 (* An arena config with no binding to instantiate its plan under is a
    caller error, not a silent malloc run. *)
 let test_arena_config_needs_env () =
@@ -612,6 +648,7 @@ let suite =
     Alcotest.test_case "config parsing" `Quick test_config_parsing;
     Alcotest.test_case "config entry points" `Quick test_config_entry_points;
     Alcotest.test_case "arena config without env raises" `Quick test_arena_config_needs_env;
+    Alcotest.test_case "guarded malloc engine = reference" `Quick test_guarded_malloc_engine;
     Alcotest.test_case "deadline expiry under a stalled worker" `Quick test_deadline_expiry;
     Alcotest.test_case "queue cap: reject policy" `Quick test_queue_cap_reject;
     Alcotest.test_case "queue cap: shed-oldest policy" `Quick test_queue_cap_shed;

@@ -520,6 +520,29 @@ let test_kernel_coverage () =
   Alcotest.(check bool) "zoo exercises a broad operator set" true
     (Hashtbl.length seen >= 25)
 
+(* Every zoo model's instantiated plan vets clean (no slot out of the
+   arena, no wrong size, no overlap of live slots) at both ends of its
+   shape range and at random bindings between them. *)
+let zoo_compiled =
+  lazy (List.map (fun sp -> sp, Sod2.Pipeline.compile cpu (graph_of sp.Zoo.name)) Zoo.all)
+
+let prop_zoo_plans_vet_clean =
+  QCheck2.Test.make ~name:"plans vet clean across the zoo at min, max and sampled bindings"
+    ~count:10 QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      List.for_all
+        (fun ((sp : Zoo.spec), c) ->
+          List.for_all
+            (fun env ->
+              match Sod2.Pipeline.vet_plan c env (Sod2.Pipeline.instantiated_plan c env) with
+              | [] -> true
+              | d :: _ ->
+                QCheck2.Test.fail_reportf "%s at %a: %s" sp.name Env.pp env
+                  (Sod2.Mem_plan.defect_message d))
+            [ Zoo.min_env sp; Zoo.max_env sp; Zoo.sample_env sp rng ])
+        (Lazy.force zoo_compiled))
+
 let suite =
   [
     Alcotest.test_case "real/dry agreement" `Slow test_real_dry_agreement;
@@ -545,4 +568,5 @@ let suite =
     Alcotest.test_case "unresolved dry shapes raise" `Quick test_unresolved_raises;
     Alcotest.test_case "dry mode deterministic" `Quick test_dry_deterministic;
     Alcotest.test_case "kernel coverage" `Quick test_kernel_coverage;
+    QCheck_alcotest.to_alcotest prop_zoo_plans_vet_clean;
   ]

@@ -11,7 +11,6 @@ let () =
       "graph-io", Suite_graph_io.suite;
       "rdp", Suite_rdp.suite;
       "core", Suite_core.suite;
-      "tune", Suite_tune.suite;
       "runtime", Suite_runtime.suite;
       "kernels", Suite_kernels.suite;
       "alloc", Suite_alloc.suite;
