@@ -163,6 +163,43 @@ let arena_copy_out = gate "arena-copy-out per arena run" 12.0 At_most
    their slots, and Shape reads only dims: nothing reads a slot boxed. *)
 let arena_conformer_copy_out = gate "arena-copy-out per Conformer run" 0.0 At_most
 
+(* Placement runs once, at compile time; serving only evaluates the
+   plan.  The evaluation must cost at most a twentieth of the placement
+   it replaces. *)
+let plan_time = gate "Conformer T=128 plan evaluation / re-placement time" 0.05 At_most
+
+(* Offsets stacked in the compile binding's order, against a full
+   re-placement at each serving binding (both perfbench grids) and at
+   lengths beyond them. *)
+let plan_arena = gate "evaluated / re-planned arena" 1.10 At_most
+
+let replanned (c : Sod2.Pipeline.compiled) env =
+  let g = c.graph in
+  Sod2.Mem_plan.plan ~strategy:c.mem_symbolic.sym_strategy ~elem:(Tensor.bytes_per_elem c.fdtype)
+    ~elem_of:(Sod2.Pipeline.elem_overrides g) g c.rdp c.fusion_plan ~order:c.exec.order ~env
+
+let plan_rows ~rounds =
+  let compiled name = Sod2.Pipeline.compile cpu ((fixture name).Zoo.build ()) in
+  let conformer = compiled "conformer" and skipnet = compiled "skipnet" in
+  let t128 = Env.of_list [ "T", 128 ] in
+  let evaluate () () = ignore (Sod2.Pipeline.instantiated_plan conformer t128) in
+  let replace () () = ignore (replanned conformer t128) in
+  let te, tr = pair (time ~rounds [ evaluate; replace ]) in
+  let ratio c env =
+    count (Sod2.Pipeline.instantiated_plan c env).arena_bytes /. count (replanned c env).arena_bytes
+  in
+  let lengths = 16 :: 512 :: List.init 7 (fun i -> 32 + (16 * i)) in
+  let sizes = List.concat_map (fun h -> List.map (fun w -> h, w) [ 96; 128 ]) [ 96; 128 ] in
+  let worst =
+    List.fold_left Float.max 0.0
+      (List.map (fun t -> ratio conformer (Env.of_list [ "T", t ])) lengths
+      @ List.map (fun (h, w) -> ratio skipnet (Env.of_list [ "H", h; "W", w ])) sizes)
+  in
+  ( [ row "conformer-T128 plan" [ "evaluate", te; "replace", tr ]
+        ~fields:[ "evaluate_over_replace", te.best /. tr.best ];
+      row "worst evaluated / re-planned arena" [] ~fields:[ "ratio", worst ] ],
+    [ plan_time, te.best /. tr.best; plan_arena, worst ] )
+
 let arena ~rounds =
   let wrong = ref 0 and mallocs = ref 0 and copies = ref 0 and conformer_copies = ref 0 in
   (* Arena runs keep the RDP boundary cross-check on. *)
@@ -177,8 +214,8 @@ let arena ~rounds =
     let bytes = (Sod2.Pipeline.instantiated_plan c env).Sod2.Mem_plan.arena_bytes in
     let backend kind =
       with_backend (RT.Backend.for_compiled kind c) @@ fun be ->
-      (* Steady state: one persistent grow-only arena, the plan served
-         from the binding cache. *)
+      (* Steady state: one persistent grow-only arena, the plan evaluated
+         per run. *)
       let memory = RT.Executor.Arena { arena = RT.Arena.create (); env } in
       let malloc () = RT.Executor.run_real ~backend:be c ~inputs in
       let arena () = RT.Executor.run_real ~config:guarded ~env ~backend:be ~memory c ~inputs in
@@ -220,15 +257,17 @@ let arena ~rounds =
            "conv1x1-stream-4x64x64", Graphs.conv_stream ~layers:5 ~subs:28 ~ch:4 ~hw:64, [ 1; 4; 64; 64 ] ]
       @ [ skipnet; conformer ])
   in
-  { rows;
+  let plan_rows, plan_values = plan_rows ~rounds in
+  { rows = rows @ plan_rows;
     values =
       [ arena_wrong, count !wrong; arena_dest_malloc, count !mallocs; arena_copy_out, count !copies;
-        arena_conformer_copy_out, count !conformer_copies ] }
+        arena_conformer_copy_out, count !conformer_copies ]
+      @ plan_values }
 
 (* --- engine and overload: concurrent serving -------------------------- *)
 
 (* A Sub-recurrence stream with a symbolic batch dimension, so requests
-   carry different bindings and exercise the per-binding plan cache.  One
+   carry different bindings and plans of different sizes.  One
    deterministic input per binding, each with its reference output. *)
 let serving ~steps ~requests =
   let cols = 256 in
@@ -246,24 +285,26 @@ let serving ~steps ~requests =
 let arena_config = { RT.Executor.default_config with memory = RT.Executor.Mem_arena }
 let warm eng = List.iter (fun (env, inputs, _) -> ignore (RT.Engine.infer eng ~env ~inputs))
 let engine_wrong = gate "outputs differing from Reference" 0.0 At_most
-let engine_misses = gate "plan-cache misses after warm-up" 0.0 At_most
+let engine_grows = gate "arena grows after warm-up (1 worker)" 0.0 At_most
 let engine_floor = gate "throughput at most workers / sequential" 2.0 At_least
 
 let engine ~rounds =
   let c, samples, stream = serving ~steps:256 ~requests:32 in
   (* Worker counts follow the host: 1, half the cores, all the cores; 2 is
-     always included so the sweep exercises real concurrency (shared plan
-     cache, micro-batching) on a 1-core host too. *)
+     always included so the sweep exercises real concurrency (a shared
+     artifact, micro-batching) on a 1-core host too. *)
   let workers = List.sort_uniq compare [ 1; 2; max 1 (host_cores / 2); host_cores ] in
   let engines =
     List.map (fun w -> RT.Engine.create ~workers:w ~max_batch:4 ~config:arena_config c) workers
   in
   Fun.protect ~finally:(fun () -> List.iter RT.Engine.shutdown engines) @@ fun () ->
-  (* Every binding a few times per worker, so the shared plan cache and
-     each worker's grow-only arena reach steady state. *)
+  (* Every binding a few times per worker, so each worker's grow-only
+     arena reaches steady state.  Only the 1-worker engine is
+     deterministic: with more, a worker may first meet the largest
+     binding after warm-up. *)
   List.iter2 (fun w eng -> for _ = 1 to 2 * w do warm eng samples done) workers engines;
-  let misses () = Profile.Counters.count ~profile:cpu.Profile.name ~kind:"plan-cache-miss" in
-  let miss0 = misses () in
+  let grows () = (RT.Engine.stats (List.hd engines)).arena_grows.(0) in
+  let grows0 = grows () in
   let served = Array.make (List.length engines) [] in
   (* The baseline is the one-shot malloc path, one request at a time. *)
   let sequential () () = List.iter (fun (_, inputs, _) -> ignore (RT.Executor.run_real c ~inputs)) stream in
@@ -272,7 +313,7 @@ let engine ~rounds =
     served.(i) <- List.map (RT.Engine.await eng) tickets
   in
   let timings = time ~rounds (sequential :: List.mapi serve engines) in
-  let fresh_misses = misses () - miss0 in
+  let fresh_grows = grows () - grows0 in
   let wrong = ref 0 in
   let check outs (_, _, reference) = wrong := !wrong + mismatches Exact outs reference in
   List.iter (fun ((_, inputs, _) as s) -> check (snd (RT.Executor.run_real c ~inputs)) s) samples;
@@ -290,7 +331,7 @@ let engine ~rounds =
   in
   { rows = row "32 requests, sequential run_real" [ "wall", seq ] ~fields:[ "req_per_s", req_s seq ] :: rows;
     values =
-      [ engine_wrong, count !wrong; engine_misses, count fresh_misses;
+      [ engine_wrong, count !wrong; engine_grows, count fresh_grows;
         engine_floor, seq.best /. last.best ] }
 
 (* Flood a 1-worker engine far past its queue cap with 10 ms deadlines
@@ -310,7 +351,7 @@ let overload ~rounds:_ =
     RT.Engine.create ~workers:1 ~max_batch:4 ~queue_cap:8 ~overload:RT.Engine.Shed_oldest
       ~config:arena_config c
   in
-  (* A warm plan cache, so service time, not planning, decides what is shed. *)
+  (* A warm arena, so service time, not allocation, decides what is shed. *)
   warm eng samples;
   let tickets =
     List.map
@@ -584,10 +625,12 @@ let () =
       { name = "fused"; rounds = 7; run = fused; gates = [ fused_floor ];
         doc = "each fusion group op by op on blocked vs as one fused kernel" };
       { name = "arena"; rounds = 5; run = arena;
-        gates = [ arena_wrong; arena_dest_malloc; arena_copy_out; arena_conformer_copy_out ];
+        gates =
+          [ arena_wrong; arena_dest_malloc; arena_copy_out; arena_conformer_copy_out; plan_time;
+            plan_arena ];
         doc = "malloc vs arena on three stream graphs x naive/blocked/fused, SkipNet 128^2 x \
-               blocked/fused and Conformer T=128 fused" };
-      { name = "engine"; rounds = 3; run = engine; gates = [ engine_wrong; engine_misses; engine_floor ];
+               blocked/fused and Conformer T=128 fused; plan evaluation vs re-placement" };
+      { name = "engine"; rounds = 3; run = engine; gates = [ engine_wrong; engine_grows; engine_floor ];
         doc = "resident Engine at 1..host-cores workers vs sequential run_real" };
       { name = "overload"; rounds = 1; run = overload;
         gates = [ overload_gap; overload_shed; overload_order; overload_wrong ];

@@ -173,7 +173,7 @@ let compile_cmd =
     Format.printf "%a@." (fun ppf () -> Sod2.Fusion.pp g ppf c.Sod2.Pipeline.fusion_plan) ();
     Format.printf "%a@." Sod2.Exec_plan.pp c.Sod2.Pipeline.exec;
     let env = Zoo.percentile_env sp 0.5 in
-    let mp = Sod2.Pipeline.mem_plan_for c env in
+    let mp = Sod2.Pipeline.instantiated_plan c env in
     Format.printf "%a@." Sod2.Mem_plan.pp mp;
     (match Sod2.Mem_plan.validate mp with
     | Ok () -> print_endline "memory plan: valid (no overlap)"
@@ -377,8 +377,8 @@ let serve_cmd =
           (st.Engine.busy_us.(w) /. 1000.0))
       st.Engine.worker_runs;
     let count kind = Profile.Counters.count ~profile:profile.Profile.name ~kind in
-    Printf.printf "  plan cache:    %d bindings, %d hits, %d misses\n"
-      st.Engine.plan_keys (count "plan-cache-hit") (count "plan-cache-miss");
+    Printf.printf "  arena grows:   %s (per worker)\n"
+      (String.concat ", " (Array.to_list (Array.map string_of_int st.Engine.arena_grows)));
     (* Where results missed the arena: boxed reads of a slot by an op with
        no destination kernel, and slotless results given a fresh buffer. *)
     if cfg.Executor.memory = Executor.Mem_arena then

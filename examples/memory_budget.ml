@@ -17,7 +17,7 @@ let () =
   List.iter
     (fun hw ->
       let env = Env.of_list [ "H", hw; "W", hw ] in
-      let mp = Sod2.Pipeline.mem_plan_for c env in
+      let mp = Sod2.Pipeline.instantiated_plan c env in
       let ok = match Sod2.Mem_plan.validate mp with Ok () -> "valid" | Error e -> e in
       Printf.printf "  %dx%d: arena %6.2f MB over %d allocations (%s), live peak %6.2f MB\n"
         hw hw

@@ -30,10 +30,10 @@ type lifetime = {
 }
 
 (* One symbolic lifetime: the tensor's RDP shape (dims as affine [Expr]s
-   over the shape variables) plus its execution-step live range, both
-   env-independent.  [se_numel] is the affine element count when every dim
-   is symbolically known — the instantiation fast path and what {!pp_symbolic}
-   reports. *)
+   over the shape variables), its affine element count and its
+   execution-step live range, all env-independent, plus the earlier
+   entries (positions in [sym_entries]) whose lifetimes overlap it: the
+   slots it is stacked above at every binding. *)
 type sym_entry = {
   se_tid : Graph.tensor_id;
   se_shape : Shape.t;
@@ -41,10 +41,12 @@ type sym_entry = {
   se_first : int;
   se_last : int;
   se_elem : int option;
+  se_preds : int array;
 }
 
 type symbolic = {
-  sym_entries : sym_entry list;  (** in materialization order *)
+  sym_entries : sym_entry array;  (** by (offset at the compile binding, tid) *)
+  sym_dynamic : sym_entry list;  (** unresolved at the compile binding *)
   sym_alias : (Graph.tensor_id * Graph.tensor_id) list;
   sym_strategy : strategy;
   sym_elem : int;  (** bytes per element of the float dtype planned for *)
@@ -66,8 +68,8 @@ let aliased (nd : Graph.node) =
    refused) writes them, each live for its group's step.  Aliases get no
    entry; each of their roots (the non-alias tensors whose storage they
    share, through alias chains) lives on until the aliases' last
-   consumer.  Runs once per compiled artifact; {!concretize} turns the
-   result into placeable lifetimes by affine evaluation alone. *)
+   consumer.  {!concretize} turns the result into placeable lifetimes by
+   affine evaluation alone. *)
 let symbolic_lifetimes (g : Graph.t) rdp (fplan : Fusion.plan) ~order ~elem_of =
   let n_steps = List.length order in
   let step_of_group = Hashtbl.create 64 in
@@ -117,6 +119,7 @@ let symbolic_lifetimes (g : Graph.t) rdp (fplan : Fusion.plan) ~order ~elem_of =
             se_first = first;
             se_last = (if List.mem tid outs then n_steps - 1 else last_use tid first);
             se_elem = elem_of tid;
+            se_preds = [||];
           }
           :: !entries
     | _ -> ()
@@ -129,10 +132,6 @@ let symbolic_lifetimes (g : Graph.t) rdp (fplan : Fusion.plan) ~order ~elem_of =
       !entries,
     !alias )
 
-(* Affine instantiation of the symbolic lifetimes: evaluate each entry's
-   dims under [env]; entries whose shapes stay unresolved are
-   execution-determined and left to runtime malloc.  This is the only part
-   of planning that looks at the binding. *)
 (* Slot bytes for an entry whose element size may differ from the plan's
    float dtype ([plan_elem]).  Same-dtype entries keep the exact product;
    dtype-override entries (I64 value tensors, int8 payloads) are padded to
@@ -142,19 +141,27 @@ let slot_bytes ~plan_elem ~elem numel =
   let raw = elem * numel in
   if elem = plan_elem then raw else (raw + 7) / 8 * 8
 
+(* An entry's slot, its element count evaluated by [count]: its bytes and
+   element size, or [None] when its shape stays unresolved
+   (execution-determined, left to runtime malloc).  The element size is
+   the plan's float dtype's unless the entry carries its own (a non-float
+   value tensor, sized truthfully instead of as if it held floats).  A
+   degenerate binding can drive a dim to zero or below; such a tensor
+   holds nothing and gets an empty slot. *)
+let entry_slot ~elem count e =
+  Option.map
+    (fun numel ->
+      let eelem = Option.value e.se_elem ~default:elem in
+      slot_bytes ~plan_elem:elem ~elem:eelem (max 0 numel), eelem)
+    (Option.bind e.se_numel count)
+
+(* The entries' lifetimes under [env], and the tensors left dynamic. *)
 let concretize ~elem ~env entries =
   let static = ref [] and dynamic = ref [] in
   List.iter
     (fun e ->
-      match Shape.eval env e.se_shape with
-      | Some dims ->
-        (* Element size comes from the plan's dtype — a hardcoded [4 *]
-           here once under-reserved every f64 slot by half — unless the
-           entry carries its own (a non-float value tensor, sized
-           truthfully instead of as if it held floats). *)
-        let eelem = Option.value e.se_elem ~default:elem in
-        let numel = List.fold_left (fun a d -> a * max 1 d) 1 dims in
-        let size = slot_bytes ~plan_elem:elem ~elem:eelem numel in
+      match entry_slot ~elem (Env.eval env) e with
+      | Some (size, eelem) ->
         static :=
           {
             lt_tid = e.se_tid;
@@ -194,35 +201,19 @@ let place_in_order lts =
 let arena_of placed =
   List.fold_left (fun acc (lt, off) -> max acc (off + lt.lt_size)) 0 placed
 
-let peak_step lts =
-  (* Step with the largest total live bytes. *)
+(* The first step with the most live bytes, and those bytes. *)
+let peak lts =
   let max_step = List.fold_left (fun acc lt -> max acc lt.lt_last) 0 lts in
-  let best = ref 0 and best_bytes = ref (-1) in
+  let best = ref (0, -1) in
   for s = 0 to max_step do
     let live =
       List.fold_left
         (fun acc lt -> if lt.lt_first <= s && s <= lt.lt_last then acc + lt.lt_size else acc)
         0 lts
     in
-    if live > !best_bytes then begin
-      best_bytes := live;
-      best := s
-    end
+    if live > snd !best then best := s, live
   done;
   !best
-
-let live_peak lts =
-  let max_step = List.fold_left (fun acc lt -> max acc lt.lt_last) 0 lts in
-  let peak = ref 0 in
-  for s = 0 to max_step do
-    let live =
-      List.fold_left
-        (fun acc lt -> if lt.lt_first <= s && s <= lt.lt_last then acc + lt.lt_size else acc)
-        0 lts
-    in
-    if live > !peak then peak := live
-  done;
-  !peak
 
 let order_for strategy lts =
   match strategy with
@@ -230,7 +221,7 @@ let order_for strategy lts =
     (* Allocation order = execution order of the producing step. *)
     List.stable_sort (fun a b -> compare (a.lt_first, a.lt_tid) (b.lt_first, b.lt_tid)) lts
   | Peak_first ->
-    let p = peak_step lts in
+    let p = fst (peak lts) in
     let dist lt =
       if lt.lt_first <= p && p <= lt.lt_last then 0
       else min (abs (lt.lt_first - p)) (abs (lt.lt_last - p))
@@ -351,43 +342,105 @@ let plan_of_lifetimes strategy lts ~dynamic =
   in
   { allocs; dynamic; arena_bytes = arena_of placed; strategy }
 
-let plan_raw strategy ~lifetimes:raw =
-  let lts =
-    List.mapi
-      (fun i (size, first, last) ->
-        { lt_tid = i; lt_size = size; lt_first = first; lt_last = last; lt_elem = 1 })
-      raw
-  in
-  plan_of_lifetimes strategy lts ~dynamic:[]
+(* Raw [(bytes, first_step, last_step)] lifetimes, ids by position. *)
+let of_raw lifetimes =
+  List.mapi
+    (fun i (size, first, last) ->
+      { lt_tid = i; lt_size = size; lt_first = first; lt_last = last; lt_elem = 1 })
+    lifetimes
 
+let of_allocs t =
+  Array.to_list t.allocs
+  |> List.map (fun a ->
+         { lt_tid = a.tid; lt_size = a.size; lt_first = a.first_step; lt_last = a.last_step;
+           lt_elem = a.elem })
+
+let plan_raw strategy ~lifetimes = plan_of_lifetimes strategy (of_raw lifetimes) ~dynamic:[]
+
+let plan ?(strategy = Peak_first) ?(elem = Tensor.bytes_per_elem Tensor.F32)
+    ?(elem_of = fun _ -> None) (g : Graph.t) rdp fplan ~order ~env =
+  let entries, _ = symbolic_lifetimes g rdp fplan ~order ~elem_of in
+  let lts, dynamic = concretize ~elem ~env entries in
+  plan_of_lifetimes strategy lts ~dynamic
+
+(* Place once at the compile binding, then turn the placement into an
+   order: entries sorted by (offset there, tid), each remembering every
+   earlier entry whose lifetime overlaps its own.  Every overlapping pair
+   is ordered, so stacking each entry on top of its predecessors keeps
+   live slots apart at any binding, whatever the sizes.  At the compile
+   binding the placement itself satisfies every edge, so the stacked
+   offsets are no higher than the placed ones there.  Entries with equal
+   element counts share one expression, so {!instantiate} evaluates each
+   distinct count once. *)
 let plan_symbolic ?(strategy = Peak_first) ?(elem = Tensor.bytes_per_elem Tensor.F32)
-    ?(elem_of = fun _ -> None) (g : Graph.t) rdp fplan ~order =
-  let sym_entries, sym_alias = symbolic_lifetimes g rdp fplan ~order ~elem_of in
+    ?(elem_of = fun _ -> None) (g : Graph.t) rdp fplan ~order ~env =
+  let entries, sym_alias = symbolic_lifetimes g rdp fplan ~order ~elem_of in
+  let lts, unresolved = concretize ~elem ~env entries in
+  let counts = Hashtbl.create 16 and entry = Hashtbl.create 64 in
+  let shared n =
+    match Hashtbl.find_opt counts n with
+    | Some n -> n
+    | None -> Hashtbl.add counts n n; n
+  in
+  List.iter
+    (fun e -> Hashtbl.replace entry e.se_tid { e with se_numel = Option.map shared e.se_numel })
+    entries;
+  let placed =
+    place strategy lts
+    |> List.sort (fun (a, oa) (b, ob) -> compare (oa, a.lt_tid) (ob, b.lt_tid))
+    |> Array.of_list
+  in
+  let sym_entries =
+    Array.mapi
+      (fun i (lt, _) ->
+        let preds = List.filter (fun j -> overlap (fst placed.(j)) lt) (List.init i Fun.id) in
+        { (Hashtbl.find entry lt.lt_tid) with se_preds = Array.of_list preds })
+      placed
+  in
   {
     sym_entries;
+    sym_dynamic = List.map (Hashtbl.find entry) unresolved;
     sym_alias;
     sym_strategy = strategy;
     sym_elem = elem;
   }
 
+(* One pass in placement order: each entry's offset is the top of its
+   highest predecessor.  An entry unresolved under [env] keeps an empty
+   slot in the order and joins the dynamic list.  Element counts are
+   evaluated once per shared expression. *)
 let instantiate sym ~env =
-  let lts, dynamic = concretize ~elem:sym.sym_elem ~env sym.sym_entries in
-  plan_of_lifetimes sym.sym_strategy lts ~dynamic
+  let n = Array.length sym.sym_entries in
+  let tops = Array.make n 0 in
+  let counts = ref [] in
+  let count e =
+    match List.assq_opt e !counts with
+    | Some v -> v
+    | None ->
+      let v = Env.eval env e in
+      counts := (e, v) :: !counts;
+      v
+  in
+  let allocs = ref [] and arena = ref 0 in
+  let dynamic = ref (List.map (fun e -> e.se_tid) sym.sym_dynamic) in
+  Array.iteri
+    (fun i e ->
+      let offset = Array.fold_left (fun acc p -> max acc tops.(p)) 0 e.se_preds in
+      match entry_slot ~elem:sym.sym_elem count e with
+      | None ->
+        tops.(i) <- offset;
+        dynamic := e.se_tid :: !dynamic
+      | Some (size, elem) ->
+        tops.(i) <- offset + size;
+        arena := max !arena tops.(i);
+        allocs :=
+          { tid = e.se_tid; offset; size; first_step = e.se_first; last_step = e.se_last; elem }
+          :: !allocs)
+    sym.sym_entries;
+  { allocs = Array.of_list (List.rev !allocs); dynamic = !dynamic; arena_bytes = !arena;
+    strategy = sym.sym_strategy }
 
-let plan ?(strategy = Peak_first) ?elem ?elem_of (g : Graph.t) rdp fplan ~order ~env =
-  instantiate (plan_symbolic ~strategy ?elem ?elem_of g rdp fplan ~order) ~env
-
-let live_peak_bytes t =
-  live_peak
-    (Array.to_list t.allocs
-    |> List.map (fun a ->
-           {
-             lt_tid = a.tid;
-             lt_size = a.size;
-             lt_first = a.first_step;
-             lt_last = a.last_step;
-             lt_elem = a.elem;
-           }))
+let live_peak_bytes t = snd (peak (of_allocs t))
 
 type defect =
   | Out_of_arena of alloc
@@ -399,7 +452,7 @@ let has_slot ~elem a = a.size > 0 && a.elem = elem
 (* The one well-formedness rule for instantiated plans.  Only allocations
    an executor would give a slot are vetted (all non-empty ones when no
    [elem] is given); overlap is checked pairwise among the in-bounds ones,
-   O(n²) — callers cache the verdict per binding. *)
+   O(n²), so it guards injected plans and tests, not every request. *)
 let vet ?elem ?(predicted = fun _ -> None) t =
   let grid = Option.value elem ~default:1 in
   let slotted =
@@ -414,7 +467,7 @@ let vet ?elem ?(predicted = fun _ -> None) t =
   let placed, stray = List.partition in_arena slotted in
   let wrong_size a =
     match predicted a.tid with
-    | Some dims when a.size <> a.elem * List.fold_left (fun n d -> n * max 1 d) 1 dims ->
+    | Some dims when a.size <> a.elem * List.fold_left ( * ) 1 dims ->
       Some (Wrong_size (a, dims))
     | _ -> None
   in
@@ -448,38 +501,17 @@ let validate t =
   | d :: _ -> Error (defect_message d)
 
 let arena_for strategy ~lifetimes =
-  let lts =
-    List.mapi
-      (fun i (size, first, last) ->
-        { lt_tid = i; lt_size = size; lt_first = first; lt_last = last; lt_elem = 1 })
-      lifetimes
-  in
-  let lts = List.filter (fun lt -> lt.lt_size > 0) lts in
-  arena_of (place strategy lts)
+  arena_of (place strategy (List.filter (fun lt -> lt.lt_size > 0) (of_raw lifetimes)))
 
 let pack fit ~lifetimes =
-  let lts =
-    List.mapi
-      (fun i (size, first, last) ->
-        { lt_tid = i; lt_size = size; lt_first = first; lt_last = last; lt_elem = 1 })
-      lifetimes
-  in
   let place = match fit with `First_fit -> first_fit | `Best_fit -> best_fit in
-  let placed = List.rev (List.fold_left (fun acc lt -> (lt, place acc lt) :: acc) [] lts) in
+  let placed =
+    List.rev (List.fold_left (fun acc lt -> (lt, place acc lt) :: acc) [] (of_raw lifetimes))
+  in
   List.map snd placed, arena_of placed
 
 let optimal_arena_upper_bound t =
-  let lts =
-    Array.to_list t.allocs
-    |> List.map (fun a ->
-           {
-             lt_tid = a.tid;
-             lt_size = a.size;
-             lt_first = a.first_step;
-             lt_last = a.last_step;
-             lt_elem = a.elem;
-           })
-  in
+  let lts = of_allocs t in
   if List.length lts > 9 then t.arena_bytes
   else
     List.fold_left
@@ -497,14 +529,14 @@ let pp ppf t =
     (Array.length t.allocs) (List.length t.dynamic) t.arena_bytes
 
 let pp_symbolic ppf sym =
-  Format.fprintf ppf "symbolic memory plan (%s): %d entries@."
+  Format.fprintf ppf "symbolic memory plan (%s): %d placed entries, %d dynamic@."
     (strategy_name sym.sym_strategy)
-    (List.length sym.sym_entries);
-  List.iter
+    (Array.length sym.sym_entries) (List.length sym.sym_dynamic);
+  Array.iter
     (fun e ->
-      Format.fprintf ppf "  t%d: %s elems, steps [%d, %d]@." e.se_tid
+      Format.fprintf ppf "  t%d: %s elems, steps [%d, %d], above %d@." e.se_tid
         (match e.se_numel with
         | Some n -> Expr.to_string n
         | None -> "?")
-        e.se_first e.se_last)
+        e.se_first e.se_last (Array.length e.se_preds))
     sym.sym_entries

@@ -3,10 +3,12 @@
     A memory plan places every materialized intermediate tensor at a fixed
     offset of one linear arena such that tensors with overlapping lifetimes
     never overlap in space.  Offsets are computed from the execution order
-    (lifetimes) and the RDP sizes; for sub-graphs whose sizes are symbolic
-    the same placement procedure re-runs at inference time once the shape
-    variables are bound — a cheap pass, unlike the per-tensor dynamic
-    allocation of runtime solutions like Nimble.
+    (lifetimes) and the RDP sizes.  Placement runs once, at compile time,
+    at a representative binding of the shape variables; it leaves an order
+    on the slots, and at inference time each offset is the sum of sizes
+    affine in the shape variables along that order — an evaluation, not a
+    search, unlike the per-tensor dynamic allocation of runtime solutions
+    like Nimble.
 
     Three strategies are provided:
 
@@ -41,6 +43,7 @@ type alloc = {
 
 type t = {
   allocs : alloc array;
+      (** by tensor id from {!plan}, in placement order from {!instantiate} *)
   dynamic : Graph.tensor_id list;
       (** tensors with execution-determined sizes, left to runtime malloc *)
   arena_bytes : int;
@@ -58,9 +61,9 @@ val plan :
     element size for a tensor (statically non-float values — I64 shape
     results, int8 payloads — get truthfully-sized slots instead of
     float-sized ones; see {!slot_bytes} for the padding rule).
-    Equivalent to [instantiate (plan_symbolic …) ~env] — the two share
-    every pass, so symbolic plans instantiated at a binding agree exactly
-    with concrete plans computed there. *)
+    A full placement at one binding: the reference the evaluated
+    {!instantiate} is compared against, and what {!plan_symbolic} runs
+    once at its compile binding. *)
 
 val slot_bytes : plan_elem:int -> elem:int -> int -> int
 (** [slot_bytes ~plan_elem ~elem numel] — the bytes a plan reserves for a
@@ -71,18 +74,22 @@ val slot_bytes : plan_elem:int -> elem:int -> int -> int
 
 (** {1 Symbolic plans (§4.4.1, static half)}
 
-    The env-independent product of lifetime analysis: per materialized
+    The product of lifetime analysis and one placement: per materialized
     tensor, its RDP shape (dims as affine {!Expr}s over the shape
-    variables) and its execution-step live range.  Every activation
-    materializes except an alias (the output of a view, Switch or
-    Combine), which shares its source's storage: group-internal tensors
-    are planned too, live for their group's step, because a group that
-    runs op by op writes them.  Each alias root lives until the last
-    consumer of any alias reaching it.  Computed once at
-    compile time; {!instantiate} turns it into a concrete {!t} by affine
-    evaluation of the dims followed by the placement pass — no graph
-    traversal, no re-analysis.  {!Pipeline} caches the instantiation per
-    symbol binding, so steady-state inference re-plans nothing. *)
+    variables), its execution-step live range and the earlier slots it
+    sits above.  Every activation materializes except an alias (the
+    output of a view, Switch or Combine), which shares its source's
+    storage: group-internal tensors are planned too, live for their
+    group's step, because a group that runs op by op writes them.  Each
+    alias root lives until the last consumer of any alias reaching it.
+
+    Computed once at compile time by placing the entries at a
+    representative binding; every pair of entries whose lifetimes overlap
+    is then ordered by that placement's offsets.  {!instantiate} turns it
+    into a concrete {!t} by affine evaluation of the sizes and one
+    longest-path pass over that order — no placement, no graph traversal,
+    no re-analysis.  Because every lifetime-overlapping pair is ordered,
+    no binding can put two live slots on the same bytes. *)
 
 type sym_entry = {
   se_tid : Graph.tensor_id;
@@ -91,10 +98,18 @@ type sym_entry = {
   se_first : int;
   se_last : int;
   se_elem : int option;  (** element-size override; [None] = [sym_elem] *)
+  se_preds : int array;
+      (** positions in [sym_entries] of the earlier entries whose lifetimes
+          overlap this one: the slots it is stacked above *)
 }
 
 type symbolic = {
-  sym_entries : sym_entry list;  (** in materialization order *)
+  sym_entries : sym_entry array;
+      (** the entries resolved at the compile binding, sorted by (offset
+          there, tensor id) *)
+  sym_dynamic : sym_entry list;
+      (** entries unresolved at the compile binding: left to runtime
+          malloc at every binding *)
   sym_alias : (Graph.tensor_id * Graph.tensor_id) list;
       (** [(alias, root)] for every alias with exactly one root entry: the
           alias's value sits in [root]'s slot.  An alias reaching several
@@ -106,16 +121,20 @@ type symbolic = {
 val plan_symbolic :
   ?strategy:strategy -> ?elem:int -> ?elem_of:(Graph.tensor_id -> int option) ->
   Graph.t -> Rdp.t -> Fusion.plan ->
-  order:int list -> symbolic
-(** The compile-time half of {!plan}: everything that does not need the
-    shape-variable binding.  [elem] (default 4, f32) fixes the element
-    size all slot bytes derive from; [elem_of] overrides it per tensor
-    (default: no overrides). *)
+  order:int list -> env:Env.t -> symbolic
+(** The compile-time half: lifetimes, one placement with [strategy] at the
+    representative binding [env], and the order it induces.  [elem]
+    (default 4, f32) fixes the element size all slot bytes derive from;
+    [elem_of] overrides it per tensor (default: no overrides). *)
 
 val instantiate : symbolic -> env:Env.t -> t
-(** The runtime half: evaluate each entry's dims under [env] (entries that
-    stay unresolved become the plan's [dynamic] list) and place the
-    resulting lifetimes with the plan's strategy. *)
+(** The runtime half, O(entries + order edges): each entry's size is the
+    {!slot_bytes} of its element count under [env] (zero when a
+    degenerate binding drives it to zero or below), its offset the
+    highest [offset + size] among its predecessors (0 with none), and
+    the arena the highest [offset + size] overall.  Entries that stay
+    unresolved under [env] join the plan's [dynamic] list.  Every call
+    returns a fresh plan. *)
 
 val plan_raw : strategy -> lifetimes:(int * int * int) list -> t
 (** Place raw [(bytes, first_step, last_step)] lifetimes (tensor ids are
@@ -148,8 +167,8 @@ val vet : ?elem:int -> ?predicted:(Graph.tensor_id -> int list option) -> t -> d
     and must sit on the [elem] grid; without it every non-empty
     allocation is.  [predicted tid] (default: none) supplies RDP dims to
     check planned sizes against.  Overlap is checked pairwise among the
-    in-bounds allocations — O(n²), so callers cache the verdict
-    ({!Pipeline.vetted_plan}).  [[]] means well-formed. *)
+    in-bounds allocations — O(n²), so it guards injected plans and
+    guarded runs rather than every request.  [[]] means well-formed. *)
 
 val defect_message : defect -> string
 

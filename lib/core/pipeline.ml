@@ -8,11 +8,6 @@ type opt_flags = {
 let all_opts = { fusion = true; sep = true; dmp = true; mvc = true }
 let no_opts = { fusion = false; sep = false; dmp = false; mvc = false }
 
-type plan_entry = {
-  pe_plan : Mem_plan.t;
-  mutable pe_defects : Mem_plan.defect list option;  (** [None] until vetted *)
-}
-
 type compiled = {
   graph : Graph.t;
   rdp : Rdp.t;
@@ -29,8 +24,6 @@ type compiled = {
       (** per-weight-tensor int8 payloads; read-only after compile *)
   mem_symbolic : Mem_plan.symbolic;
   plan_syms : string list;
-  plan_cache : (string, plan_entry) Hashtbl.t;
-  plan_lock : Mutex.t;
   control : Control_region.t;
 }
 
@@ -165,12 +158,12 @@ let compile ?flags ?(opts = Compile_opts.default) profile graph =
       ~strategy:(if flags.dmp then Mem_plan.Peak_first else Mem_plan.Greedy_first_fit)
       ~elem:(Tensor.bytes_per_elem float_dtype)
       ~elem_of:(int_elem_overrides graph) graph rdp fusion_plan
-      ~order:exec.Exec_plan.order
+      ~order:exec.Exec_plan.order ~env
   in
   let plan_syms =
     List.concat_map
       (fun (e : Mem_plan.sym_entry) -> Shape.free_syms e.Mem_plan.se_shape)
-      mem_symbolic.Mem_plan.sym_entries
+      (Array.to_list mem_symbolic.Mem_plan.sym_entries @ mem_symbolic.Mem_plan.sym_dynamic)
     |> List.sort_uniq compare
   in
   {
@@ -188,8 +181,6 @@ let compile ?flags ?(opts = Compile_opts.default) profile graph =
     quant_weights;
     mem_symbolic;
     plan_syms;
-    plan_cache = Hashtbl.create 8;
-    plan_lock = Mutex.create ();
     control = Control_region.discover graph;
   }
 
@@ -198,9 +189,9 @@ let compile_checked ?flags ?opts profile graph =
   | Error defects -> Error defects
   | Ok () -> Ok (compile ?flags ?opts profile graph)
 
-(* Cache key: the binding restricted to the shape variables the plan's
-   entries actually mention (canonical order).  Unbound variables render as
-   "?" so partial bindings with different unresolved sets never collide. *)
+(* The binding restricted to the shape variables the plan's entries
+   actually mention (canonical order).  Unbound variables render as "?"
+   so partial bindings with different unresolved sets never collide. *)
 let plan_key c env =
   String.concat ";"
     (List.map
@@ -210,57 +201,13 @@ let plan_key c env =
          | None -> s ^ "=?")
        c.plan_syms)
 
-(* Engine workers share one [compiled] artifact across domains, so the
-   cache lookup-or-instantiate must be a critical section (callers hold
-   [plan_lock]): two workers arriving with the same fresh binding would
-   otherwise both instantiate (double-counting the miss) and race the
-   Hashtbl.  Instantiation runs under the lock deliberately — it is a short
-   linear pass, and holding the lock gives concurrent same-binding requests
-   a guaranteed single miss. *)
-let cached_entry c env =
-  let key = plan_key c env in
-  match Hashtbl.find_opt c.plan_cache key with
-  | Some e ->
-    Profile.Counters.record ~profile:c.profile.Profile.name ~kind:"plan-cache-hit";
-    e
-  | None ->
-    Profile.Counters.record ~profile:c.profile.Profile.name ~kind:"plan-cache-miss";
-    let e = { pe_plan = Mem_plan.instantiate c.mem_symbolic ~env; pe_defects = None } in
-    Hashtbl.replace c.plan_cache key e;
-    e
-
-let instantiated_plan c env =
-  Mutex.protect c.plan_lock (fun () -> (cached_entry c env).pe_plan)
-
-let plan_cache_keys c =
-  Mutex.protect c.plan_lock (fun () ->
-      Hashtbl.fold (fun k _ acc -> k :: acc) c.plan_cache [])
+let instantiated_plan c env = Mem_plan.instantiate c.mem_symbolic ~env
 
 let vet_plan c env p =
   Mem_plan.vet
     ~elem:(Tensor.bytes_per_elem c.fdtype)
     ~predicted:(fun tid -> Shape.eval env (Rdp.shape c.rdp tid))
     p
-
-(* First-use vetting: the verdict rides in the plan-cache entry, so each
-   (binding × plan) pays the O(n²) sweep once ("plan-vet") and every later
-   run reads it for free. *)
-let vetted_plan c env =
-  Mutex.protect c.plan_lock (fun () ->
-      let e = cached_entry c env in
-      match e.pe_defects with
-      | Some d -> e.pe_plan, d
-      | None ->
-        let d = vet_plan c env e.pe_plan in
-        Profile.Counters.record ~profile:c.profile.Profile.name ~kind:"plan-vet";
-        e.pe_defects <- Some d;
-        e.pe_plan, d)
-
-let mem_plan_for c env =
-  (* Defensive copy of the alloc array: callers (fault-injection tests) may
-     rewrite allocations, and the cached plan must stay pristine. *)
-  let p = instantiated_plan c env in
-  { p with Mem_plan.allocs = Array.copy p.Mem_plan.allocs }
 
 let plan_env c v = env_with_all_syms c.graph v
 

@@ -4,9 +4,11 @@
 
     Compilation is shape-generic: it runs once per model and device, and
     the resulting artifact executes any concrete input shape without
-    re-initialization.  Only the memory plan has a per-inference component
-    ({!mem_plan_for}): offsets are re-derived from the symbolic plan once
-    the shape variables are bound — a linear-time pass, not a search. *)
+    re-initialization.  The artifact is read-only after compile, so engine
+    workers share it without a lock.  Only the memory plan has a
+    per-inference component ({!instantiated_plan}): the slots were placed
+    once at compile time, and their offsets are evaluated from the bound
+    shape variables — a linear-time pass, not a search. *)
 
 type opt_flags = {
   fusion : bool;  (** RDP-based operator fusion (§4.2) *)
@@ -20,12 +22,6 @@ val no_opts : opt_flags
 (** Baseline "No opt": general static optimizations (static fusion,
     topological order, first-fit memory, untuned kernels) still apply, as
     in the paper's Fig. 5/6 baseline. *)
-
-type plan_entry = {
-  pe_plan : Mem_plan.t;
-  mutable pe_defects : Mem_plan.defect list option;
-      (** the plan's vetting verdict, filled on first {!vetted_plan} *)
-}
 
 type compiled = {
   graph : Graph.t;
@@ -59,17 +55,12 @@ type compiled = {
           of the same artifact is unchanged.  Read-only after compile —
           safe to share across engine workers *)
   mem_symbolic : Mem_plan.symbolic;
-      (** env-independent memory plan: symbolic lifetimes computed once at
-          compile time; {!instantiated_plan} binds them per inference *)
+      (** env-independent memory plan: lifetimes placed once at compile
+          time, at the [plan_sym_value] binding; {!instantiated_plan}
+          evaluates its offsets per inference *)
   plan_syms : string list;
-      (** shape variables the symbolic plan depends on (cache-key basis) *)
-  plan_cache : (string, plan_entry) Hashtbl.t;
-      (** instantiated plans per symbol binding; hits/misses are recorded
-          in {!Profile.Counters} as ["plan-cache-hit"]/["plan-cache-miss"].
-          Guarded by [plan_lock] — access through {!instantiated_plan} *)
-  plan_lock : Mutex.t;
-      (** serializes plan-cache lookups/instantiations so one [compiled]
-          artifact can be shared by concurrent {!Engine} workers *)
+      (** shape variables the symbolic plan depends on ({!plan_key}'s
+          basis) *)
   control : Control_region.t;
       (** the graph's gates (predicate → Switch/Combine families) and
           per-node branch constraints, discovered at compile; the
@@ -83,7 +74,8 @@ val compile : ?flags:opt_flags -> ?opts:Compile_opts.t -> Profile.t -> Graph.t -
     (default {!all_opts} with [fusion] from [opts]) picks the
     optimizations for the ablation studies.  [opts.plan_sym_value] is the
     representative value bound to every shape variable while comparing
-    candidate execution orders.  [opts.float_dtype] selects the float
+    candidate execution orders, resolving kernel shape classes and
+    placing the memory plan's slots.  [opts.float_dtype] selects the float
     precision the arena plan and executor run in; an integer dtype raises
     [Invalid_argument].  [opts.quant] quantizes every eligible constant
     weight (MatMul/Conv) to int8 and withholds fused templates from their
@@ -101,41 +93,19 @@ val compile_checked :
     loaded from disk). *)
 
 val plan_key : compiled -> Env.t -> string
-(** Canonical rendering of [env] restricted to [plan_syms] — the plan-cache
-    key for that binding.  Requests with equal keys share an instantiated
-    plan (and may be micro-batched onto one engine worker). *)
+(** Canonical rendering of [env] restricted to [plan_syms].  Requests
+    with equal keys get the same memory plan, so {!Engine} micro-batches
+    them onto one worker and keys its circuit breakers on it. *)
 
 val instantiated_plan : compiled -> Env.t -> Mem_plan.t
-(** The memory plan for one symbol binding, served from the per-binding
-    cache: the first call per binding runs {!Mem_plan.instantiate} (affine
-    evaluation + placement) and is counted as a ["plan-cache-miss"]; every
-    later call with the same binding returns the cached plan and counts a
-    ["plan-cache-hit"].  The returned plan is shared — treat it as
-    read-only. *)
-
-val vetted_plan : compiled -> Env.t -> Mem_plan.t * Mem_plan.defect list
-(** The plan for one binding ({!instantiated_plan}), with its
-    {!vet_plan} verdict.  The verdict is computed on the first query per
-    binding, counted as ["plan-vet"], and cached
-    beside the plan, so steady-state runs pay a lookup, not an O(n²)
-    sweep.  Executors run a plan only when its defect list is empty.
-    The returned plan is shared — treat it as read-only. *)
+(** The memory plan for one symbol binding: {!Mem_plan.instantiate} of
+    {!mem_symbolic} under [env], one O(entries + edges) evaluation with no
+    placement.  Every call returns a fresh plan, which the caller owns. *)
 
 val vet_plan : compiled -> Env.t -> Mem_plan.t -> Mem_plan.defect list
-(** Uncached {!Mem_plan.vet} of any plan for this artifact: the
-    artifact's float element size, and sizes checked against the RDP
-    dims instantiated under [env].  {!Guarded_exec} uses it on injected
-    plans. *)
-
-val plan_cache_keys : compiled -> string list
-(** Snapshot of the plan-cache keys currently instantiated, one per
-    binding — {!Engine.stats} counts them for the serve report. *)
-
-val mem_plan_for : compiled -> Env.t -> Mem_plan.t
-(** Instantiate the memory plan for one concrete input shape.  Served from
-    the same cache as {!instantiated_plan} but with a fresh allocation
-    array, so callers may rewrite it (fault injection) without poisoning
-    the cache. *)
+(** {!Mem_plan.vet} of any plan for this artifact: the artifact's float
+    element size, and sizes checked against the RDP dims instantiated
+    under [env].  {!Guarded_exec} runs it on every plan it follows. *)
 
 val plan_env : compiled -> int -> Env.t
 (** [plan_env c v] binds every shape variable of the model to [v]. *)

@@ -80,7 +80,7 @@ type stats = {
   p50_latency_us : float;
   p95_latency_us : float;
   p99_latency_us : float;
-  plan_keys : int;
+  arena_grows : int array;
   plan_variants : int;
 }
 
@@ -121,6 +121,7 @@ type t = {
   mutable queue_peak : int;
   worker_runs : int array;
   busy_us : float array;
+  arena_grows : int array;  (** per worker slot, summed across restarts *)
   hist : int array;
   mutable hist_total : int;
   mutable total_latency_us : float;
@@ -247,6 +248,7 @@ let run_fallback t req = Reference.run t.compiled.Pipeline.graph ~inputs:req.r_i
    exception that takes the whole worker domain down. *)
 let execute t ~w ~arena ~backend req ~batched =
   let started = Clock.now_us () in
+  let grows = Arena.grows arena in
   Mutex.lock t.lock;
   let route = route_locked t req.r_key started in
   Mutex.unlock t.lock;
@@ -291,6 +293,7 @@ let execute t ~w ~arena ~backend req ~batched =
   in
   Mutex.lock t.lock;
   t.worker_runs.(w) <- t.worker_runs.(w) + 1;
+  t.arena_grows.(w) <- t.arena_grows.(w) + Arena.grows arena - grows;
   req.r_worker <- w;
   (match outcome with
   | Ok (r, busy) ->
@@ -530,6 +533,7 @@ let create ?(workers = 1) ?(max_batch = 4) ?(config = Executor.default_config)
       queue_peak = 0;
       worker_runs = Array.make nworkers 0;
       busy_us = Array.make nworkers 0.0;
+      arena_grows = Array.make nworkers 0;
       hist = Array.make hist_buckets 0;
       hist_total = 0;
       total_latency_us = 0.0;
@@ -654,7 +658,6 @@ let await t (req : ticket) =
 let infer ?deadline_us t ~env ~inputs = await t (submit ?deadline_us t ~env ~inputs)
 
 let stats t =
-  let plan_keys = List.length (Pipeline.plan_cache_keys t.compiled) in
   Mutex.protect t.lock (fun () ->
       {
         workers = t.nworkers;
@@ -679,7 +682,7 @@ let stats t =
         p50_latency_us = percentile_locked t 0.50;
         p95_latency_us = percentile_locked t 0.95;
         p99_latency_us = percentile_locked t 0.99;
-        plan_keys;
+        arena_grows = Array.copy t.arena_grows;
         plan_variants = 0;
       })
 

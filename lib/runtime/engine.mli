@@ -10,12 +10,13 @@
     lock-free), built from the artifact's kernel-version table — fed from
     a mutex/condition request queue.
 
-    The instantiated-plan cache is the one piece of shared mutable state
-    between workers; it lives on the compiled artifact and is
-    lock-protected ({!Pipeline.compiled.plan_lock}), so steady-state
-    concurrent traffic over already-seen shape bindings performs {e zero}
-    replanning.  Requests that carry the same symbol binding (equal
-    {!Pipeline.plan_key}) may be {e micro-batched}: a worker that
+    The compiled artifact is read-only, so workers share it without a
+    lock: each request evaluates its binding's memory plan from the
+    slots placed at compile time ({!Pipeline.instantiated_plan}), with
+    no placement at serving time.  A worker's arena grows only
+    when a request needs more bytes than any before it
+    ([stats.arena_grows]).  Requests that carry the same symbol binding
+    (equal {!Pipeline.plan_key}) may be {e micro-batched}: a worker that
     dequeues a request also claims up to [max_batch - 1] queued
     same-binding requests and runs them back-to-back.
 
@@ -50,8 +51,8 @@
 
     A request on a gated model runs the artifact's one plan: each
     computed predicate picks the groups that run ({!Executor}), so there
-    is nothing to predict and nothing to re-run.  Plans are vetted once
-    per binding ({!Pipeline.vetted_plan}); breakers key on the plain plan
+    is nothing to predict and nothing to re-run.  A guarded engine vets
+    every plan it runs ({!Guarded_exec}); breakers key on the plain plan
     key.
 
     Per-request latency lands in a fixed-bucket log histogram (8 buckets
@@ -116,8 +117,9 @@ type stats = {
                                error, clamped to [max_latency_us]) *)
   p95_latency_us : float;
   p99_latency_us : float;
-  plan_keys : int;
-      (** distinct shape-binding keys in the instantiated-plan cache *)
+  arena_grows : int array;
+      (** arena (re)allocations per worker slot ({!Arena.grows}), summed
+          across the slot's restarts; steady-state serving adds none *)
   plan_variants : int;
       (** always [0]: a compatibility leftover of per-outcome plan
           variants, kept because existing report readers name it *)
@@ -157,7 +159,7 @@ val submit :
   inputs:(Graph.tensor_id * Tensor.t) list ->
   ticket
 (** Enqueue one inference.  [env] must bind the model's shape variables
-    consistently with [inputs] — it keys the plan cache, the
+    consistently with [inputs] — it sizes the memory plan and keys the
     micro-batcher and the circuit breaker.  [deadline_us] is relative to
     now; once it passes the request is shed without executing
     ({!await} raises {!Sod2_error.Deadline_expired}).

@@ -102,8 +102,8 @@ exception Unresolved of string
 
 (* Runtime view of an instantiated memory plan: per-tensor slots (element
    offset and capacity) over one grow-only buffer, plus which tensors
-   currently live in it.  Built per inference from the binding-cached
-   plan; the buffer is shared and persists across inferences. *)
+   currently live in it.  Built per inference from the binding's
+   evaluated plan; the buffer is shared and persists across inferences. *)
 type arena_rt = {
   ar_buf : Tensor.fbuf;
   ar_slot : (int * int) option array;  (* tid -> (elem offset, capacity) *)
@@ -754,11 +754,11 @@ let interpret ~control ~check_env ?backend ~memory ?plan ?kernel_hook ctx ~input
   let c = ctx.c in
   let st = init_state c ~keep_tensors:true in
   List.iter (fun (tid, t) -> store st tid t) inputs;
-  (* Arena mode: fetch the binding's instantiated plan and its vetting
-     verdict (both cached — affine evaluation and vetting only on the
-     first inference per binding) and lay the slots over the grow-only
-     buffer.  A plan with defects is not trusted at all: the run goes
-     boxed and counts ["arena-fallback-malloc"]. *)
+  (* Arena mode: evaluate the binding's plan (placed at compile time, so
+     no two live slots can overlap) and lay the slots over the grow-only
+     buffer.  A caller-supplied plan comes with its vetting verdict; one
+     with defects is not trusted at all: the run goes boxed and counts
+     ["arena-fallback-malloc"]. *)
   let arena =
     match memory with
     | Malloc -> None
@@ -766,7 +766,7 @@ let interpret ~control ~check_env ?backend ~memory ?plan ?kernel_hook ctx ~input
       let plan, defects =
         match plan with
         | Some p -> p
-        | None -> Pipeline.vetted_plan c env
+        | None -> Pipeline.instantiated_plan c env, []
       in
       if defects <> [] then begin
         Profile.Counters.record ~profile:c.Pipeline.profile.Profile.name
@@ -774,9 +774,10 @@ let interpret ~control ~check_env ?backend ~memory ?plan ?kernel_hook ctx ~input
         None
       end
       else
-        (* A clean verdict puts every slotted allocation inside the arena
-           on the [fdtype] element grid — the kind the buffer is
-           allocated in — so byte offsets divide exactly. *)
+        (* An evaluated plan, like a clean verdict, puts every slotted
+           allocation inside the arena on the [fdtype] element grid — the
+           kind the buffer is allocated in — so byte offsets divide
+           exactly. *)
         let elem = Tensor.bytes_per_elem c.Pipeline.fdtype in
         let buf =
           Arena.ensure arena c.Pipeline.fdtype

@@ -197,16 +197,18 @@ val run_real :
     the allocation discipline with its own arena (see {!memory}); it
     replaces the one [config.memory] would build.  Graph outputs never
     live in arena slots, so they stay valid across later inferences over
-    the same arena.  An arena run follows a plan only
-    when its vetting verdict ({!Pipeline.vetted_plan}, cached per
-    binding) is clean; a plan with defects runs boxed and counts
-    ["arena-fallback-malloc"].
+    the same arena.  An arena run evaluates the binding's plan
+    ({!Pipeline.instantiated_plan}) and follows it unvetted: its slots
+    were placed at compile time so that no binding can overlap two live
+    ones.
 
     [outcomes] is ignored: a compatibility leftover of the
     outcome-predicted plan variants this executor no longer has.
 
     [plan] and [kernel_hook] are {!Guarded_exec}'s seams.  [plan]
-    replaces the cached plan and its verdict for an [Arena] run.
+    replaces the evaluated plan for an [Arena] run and carries its
+    vetting verdict; a plan with defects runs boxed and counts
+    ["arena-fallback-malloc"].
     [kernel_hook] runs before each executed group's members, fused or
     not, and may raise to simulate a faulty kernel. *)
 

@@ -33,7 +33,7 @@ let kind_of_defect = function
   | Mem_plan.Wrong_size _ -> Size_mismatch
   | Mem_plan.Overlap _ -> Plan_overlap
 
-(* Vet once, run the executor, else re-run Reference.  The plan attempt
+(* Vet the plan, run the executor, else re-run Reference.  The plan attempt
    is the ordinary executor with the RDP cross-check on; whatever it
    leaves behind when it raises or comes up short is discarded, so no
    state from a failed attempt reaches the fallback answer. *)
@@ -50,9 +50,10 @@ let run ?(config = Executor.default_config) ?mem_plan ?arena ?kernel_hook ?backe
   in
   let plan =
     match mem_plan with
-    | Some p -> p, Pipeline.vet_plan c env p
-    | None -> Pipeline.vetted_plan c env
+    | Some p -> p
+    | None -> Pipeline.instantiated_plan c env
   in
+  let plan = plan, Pipeline.vet_plan c env plan in
   List.iter (fun d -> incident (kind_of_defect d) (Mem_plan.defect_message d)) (snd plan);
   let arena = match arena with Some a -> a | None -> Arena.create () in
   let attempt =

@@ -6,10 +6,11 @@
     over the one plan-following interpreter ({!Executor}), with
     {!Reference} as the one fallback:
 
-    - {b vet}: the instantiated memory plan is vetted ({!Mem_plan.vet},
-      cached per binding by {!Pipeline.vetted_plan}).  Each defect is an
-      incident, and a plan with defects runs boxed
-      (["arena-fallback-malloc"]) instead of on the arena.
+    - {b vet}: every plan a guarded run follows — evaluated from [env]
+      or injected — is vetted ({!Pipeline.vet_plan}, O(n²) per run: this
+      is the opt-in checked mode).  Each defect is an incident, and a
+      plan with defects runs boxed (["arena-fallback-malloc"]) instead of
+      on the arena.
     - {b run}: the executor follows the plan with the RDP cross-check on:
       every tensor produced at a fused-group boundary must have the dims
       RDP predicts under the symbol {!Env}.
@@ -72,8 +73,8 @@ val run :
     persistent across calls, or a fresh one) with the cross-check on
     ({!Executor.run_real} under [{ config with guarded = true }]).
 
-    [mem_plan] replaces the base plan instantiated from [env] and is
-    vetted afresh (the fault-injection seam).  [kernel_hook] runs before
+    [mem_plan] replaces the plan evaluated from [env] and is vetted like
+    it (the fault-injection seam).  [kernel_hook] runs before
     each executed group's members and may raise to simulate a faulty
     specialized kernel.  Never raises on plan corruption; raises
     [Sod2_error.Error] only when [inputs] leaves a graph input unbound

@@ -249,3 +249,13 @@ let global_avg_pool t =
       done;
       !sum /. float_of_int count)
     (fun _ -> assert false)
+
+(* The memory plan a full placement reaches at [env], with the artifact's
+   strategy, element size and overrides: the re-plan an evaluated plan
+   ({!Sod2.Pipeline.instantiated_plan}) is measured against. *)
+let replanned (c : Sod2.Pipeline.compiled) env =
+  let g = c.Sod2.Pipeline.graph in
+  Sod2.Mem_plan.plan ~strategy:c.Sod2.Pipeline.mem_symbolic.Sod2.Mem_plan.sym_strategy
+    ~elem:(Tensor.bytes_per_elem c.Sod2.Pipeline.fdtype)
+    ~elem_of:(Sod2.Pipeline.elem_overrides g) g c.Sod2.Pipeline.rdp
+    c.Sod2.Pipeline.fusion_plan ~order:c.Sod2.Pipeline.exec.Sod2.Exec_plan.order ~env

@@ -1,8 +1,8 @@
 (* Tests for the resident concurrent inference engine and the
    consolidated Executor.config record: concurrent mixed-binding traffic
-   must be bit-identical to the reference interpreter, the shared plan
-   cache must miss exactly once per distinct binding, and the historical
-   optional-arg entry points must keep their behavior. *)
+   must be bit-identical to the reference interpreter, a worker's arena
+   must stop growing once it has served the largest binding, and the
+   historical optional-arg entry points must keep their behavior. *)
 
 module RT = Sod2_runtime
 
@@ -41,17 +41,13 @@ let bit_identical outs ref_outs =
          && Tensor.data_f va = Tensor.data_f vb)
        outs ref_outs
 
-let misses () = Profile.Counters.count ~profile:cpu.Profile.name ~kind:"plan-cache-miss"
-
 let arena_config =
   { RT.Executor.default_config with RT.Executor.memory = RT.Executor.Mem_arena }
 
 (* qcheck: K concurrent inferences with mixed shape bindings through the
-   engine are bit-identical to Reference.run, and a fresh compile's plan
-   cache misses exactly once per distinct binding no matter how many
-   concurrent requests carry it. *)
+   engine are bit-identical to Reference.run. *)
 let prop_concurrent_matches_reference =
-  QCheck2.Test.make ~name:"engine: concurrent mixed bindings = reference, one miss per binding"
+  QCheck2.Test.make ~name:"engine: concurrent mixed bindings = reference"
     ~count:15
     QCheck2.Gen.(tup3 (int_range 1 4) (int_range 2 14) (int_range 0 1000))
     (fun (workers, nreq, seed) ->
@@ -65,10 +61,6 @@ let prop_concurrent_matches_reference =
             let inputs = input_for bsz (seed + i) in
             env, inputs, RT.Reference.run graph ~inputs)
       in
-      let distinct =
-        List.sort_uniq compare (List.map (fun (env, _, _) -> Sod2.Pipeline.plan_key c env) reqs)
-      in
-      let m0 = misses () in
       let eng = RT.Engine.create ~workers ~max_batch:3 ~config:arena_config c in
       let tickets = List.map (fun (env, inputs, _) -> RT.Engine.submit eng ~env ~inputs) reqs in
       let results = List.map (RT.Engine.await eng) tickets in
@@ -78,9 +70,6 @@ let prop_concurrent_matches_reference =
           if not (bit_identical r.RT.Engine.outputs reference) then
             QCheck2.Test.fail_report "engine outputs differ from Reference.run")
         reqs results;
-      if misses () - m0 <> List.length distinct then
-        QCheck2.Test.fail_reportf "expected %d plan-cache misses, saw %d"
-          (List.length distinct) (misses () - m0);
       true)
 
 let test_stats_and_occupancy () =
@@ -254,6 +243,50 @@ let test_guarded_malloc_engine () =
   RT.Engine.shutdown eng;
   Alcotest.(check int) "zero guard incidents" 0 (incidents () - i0);
   Alcotest.(check int) "all served" 4 (RT.Engine.stats eng).RT.Engine.completed
+
+(* A worker's arena grows only for a binding larger than any it has
+   served: a grid served in ascending size grows it at most once per
+   binding, and serving the grid again grows it no further. *)
+let test_arena_grows_once_per_size () =
+  let cfg =
+    match RT.Executor.config_of_string "blocked,arena" with
+    | Ok cfg -> cfg
+    | Error e -> Alcotest.fail e
+  in
+  let c = Sod2.Pipeline.compile cpu graph in
+  let eng = RT.Engine.create ~workers:1 ~max_batch:1 ~config:cfg c in
+  Fun.protect ~finally:(fun () -> RT.Engine.shutdown eng) @@ fun () ->
+  let pass seed =
+    List.iter
+      (fun bsz ->
+        let inputs = input_for bsz (seed + bsz) in
+        let r = RT.Engine.infer eng ~env:(Env.of_list [ "B", bsz ]) ~inputs in
+        if not (bit_identical r.RT.Engine.outputs (RT.Reference.run graph ~inputs)) then
+          Alcotest.failf "B=%d differs from the reference" bsz)
+      [ 3; 5; 8 ];
+    (RT.Engine.stats eng).RT.Engine.arena_grows.(0)
+  in
+  let first = pass 700 in
+  Alcotest.(check bool) "the first pass grows the arena, at most once per binding" true
+    (first >= 1 && first <= 3);
+  Alcotest.(check int) "the second pass grows it no further" first (pass 800)
+
+(* A guarded engine runs over its worker's arena in every memory mode: one
+   allocation serves every request on a binding, not one per request. *)
+let test_guarded_malloc_arena_reused () =
+  let cfg =
+    match RT.Executor.config_of_string "blocked,malloc,guarded" with
+    | Ok cfg -> cfg
+    | Error e -> Alcotest.fail e
+  in
+  let c = Sod2.Pipeline.compile cpu graph in
+  let eng = RT.Engine.create ~workers:1 ~config:cfg c in
+  Fun.protect ~finally:(fun () -> RT.Engine.shutdown eng) @@ fun () ->
+  for i = 1 to 5 do
+    ignore (RT.Engine.infer eng ~env:(Env.of_list [ "B", 5 ]) ~inputs:(input_for 5 (900 + i)))
+  done;
+  Alcotest.(check (array int)) "one arena allocation for five requests" [| 1 |]
+    (RT.Engine.stats eng).RT.Engine.arena_grows
 
 (* An arena config with no binding to instantiate its plan under is a
    caller error, not a silent malloc run. *)
@@ -649,6 +682,10 @@ let suite =
     Alcotest.test_case "config entry points" `Quick test_config_entry_points;
     Alcotest.test_case "arena config without env raises" `Quick test_arena_config_needs_env;
     Alcotest.test_case "guarded malloc engine = reference" `Quick test_guarded_malloc_engine;
+    Alcotest.test_case "arena grows once per larger binding, then never" `Quick
+      test_arena_grows_once_per_size;
+    Alcotest.test_case "guarded malloc engine reuses its arena" `Quick
+      test_guarded_malloc_arena_reused;
     Alcotest.test_case "deadline expiry under a stalled worker" `Quick test_deadline_expiry;
     Alcotest.test_case "queue cap: reject policy" `Quick test_queue_cap_reject;
     Alcotest.test_case "queue cap: shed-oldest policy" `Quick test_queue_cap_shed;

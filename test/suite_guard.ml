@@ -103,12 +103,17 @@ let compiled_with_reference () =
   c, env, inputs, expected
 
 let corrupt_alloc c env ~f =
-  (* functional copy of the instantiated plan with one allocation rewritten *)
-  let mp = Sod2.Pipeline.mem_plan_for c env in
-  let allocs = Array.copy mp.Sod2.Mem_plan.allocs in
-  let i = Array.length allocs / 2 in
+  (* the evaluated plan with its middle slotted allocation rewritten *)
+  let mp = Sod2.Pipeline.instantiated_plan c env in
+  let allocs = mp.Sod2.Mem_plan.allocs in
+  let slotted =
+    List.filter
+      (fun i -> Sod2.Mem_plan.has_slot ~elem:(Tensor.bytes_per_elem c.Sod2.Pipeline.fdtype) allocs.(i))
+      (List.init (Array.length allocs) Fun.id)
+  in
+  let i = List.nth slotted (List.length slotted / 2) in
   allocs.(i) <- f allocs.(i);
-  { mp with Sod2.Mem_plan.allocs = allocs }
+  mp
 
 let count kind = Profile.Counters.count ~profile:cpu.Profile.name ~kind
 
@@ -153,7 +158,7 @@ let test_fault_arena_bounds () =
 let test_fault_plan_overlap () =
   let c, env, inputs, expected = compiled_with_reference () in
   (* force two long-lived allocations onto the same bytes *)
-  let mp = Sod2.Pipeline.mem_plan_for c env in
+  let mp = Sod2.Pipeline.instantiated_plan c env in
   let allocs = Array.copy mp.Sod2.Mem_plan.allocs in
   if Array.length allocs < 2 then Alcotest.fail "plan too small to corrupt";
   let a0 = allocs.(0) in
@@ -198,7 +203,7 @@ let test_fault_wrong_predicted_dims () =
   in
   (* instantiate the memory plan from the UNcorrupted facts so only the
      dim prediction is wrong, not the allocation sizes *)
-  let mp = Sod2.Pipeline.mem_plan_for c env in
+  let mp = Sod2.Pipeline.instantiated_plan c env in
   List.iter
     (fun (arena, mode) ->
       let r =
@@ -289,29 +294,18 @@ let test_fault_kernel_raises () =
         (r.Sod2_runtime.Guarded_exec.demoted_nodes > 0))
     (arena_modes ())
 
-let test_run_real_vets_cached_plan () =
+(* Guarded runs vet every plan they follow, with no verdict remembered
+   between runs: a corrupted evaluation is caught on each run, and each
+   answer still equals the reference. *)
+let test_guarded_run_vets_evaluated_plan () =
   let c, env, inputs, expected = compiled_with_reference () in
-  (* Corrupt the binding's cached plan before its first vetting: the
-     unguarded arena run must notice, run boxed and still answer right. *)
-  let mp = Sod2.Pipeline.instantiated_plan c env in
-  let i = Array.length mp.Sod2.Mem_plan.allocs / 2 in
-  let a = mp.Sod2.Mem_plan.allocs.(i) in
-  mp.Sod2.Mem_plan.allocs.(i) <-
-    { a with Sod2.Mem_plan.offset = a.Sod2.Mem_plan.offset + 1_000_000_000 };
-  Profile.Counters.reset ();
-  let trace, outputs =
-    Sod2_runtime.Executor.run_real
-      ~memory:(Sod2_runtime.Executor.Arena { arena = Sod2_runtime.Arena.create (); env })
-      c ~inputs
-  in
-  Alcotest.(check int) "fell back to malloc once" 1 (count "arena-fallback-malloc");
-  Alcotest.(check int) "no arena residents" 0 trace.Sod2_runtime.Executor.arena_resident;
-  List.iter2
-    (fun (t1, v1) (t2, v2) ->
-      Alcotest.(check int) "output id" t1 t2;
-      Alcotest.(check bool) "boxed run = reference, bit for bit" true
-        (Tensor.dims v1 = Tensor.dims v2 && Tensor.data_f v1 = Tensor.data_f v2))
-    expected outputs
+  let arena = Sod2_runtime.Arena.create () in
+  for run = 1 to 2 do
+    let mp = corrupt_alloc c env ~f:(fun a -> { a with Sod2.Mem_plan.size = a.Sod2.Mem_plan.size * 2 }) in
+    ignore
+      (run_fault (Printf.sprintf "corrupted evaluation, run %d" run)
+         Sod2_runtime.Guarded_exec.Size_mismatch ~arena ~mem_plan:mp c env inputs expected)
+  done
 
 let test_counters_aggregate () =
   Profile.Counters.reset ();
@@ -337,7 +331,7 @@ let suite =
     Alcotest.test_case "fault: truncated order" `Quick test_fault_truncated_order;
     Alcotest.test_case "fault: truncated group" `Quick test_fault_truncated_group;
     Alcotest.test_case "fault: kernel raises" `Quick test_fault_kernel_raises;
-    Alcotest.test_case "fault: run_real vets its cached plan" `Quick
-      test_run_real_vets_cached_plan;
+    Alcotest.test_case "a guarded run vets the plan it evaluates" `Quick
+      test_guarded_run_vets_evaluated_plan;
     Alcotest.test_case "incident counters" `Quick test_counters_aggregate;
   ]

@@ -588,7 +588,7 @@ let test_memplan_int_elem_override () =
   Graph.Builder.set_outputs b [ y ];
   let g = Graph.Builder.finish b in
   let c = Sod2.Pipeline.compile cpu g in
-  let mp = Sod2.Pipeline.mem_plan_for c Env.empty in
+  let mp = Sod2.Pipeline.instantiated_plan c Env.empty in
   match
     Array.to_list mp.Sod2.Mem_plan.allocs
     |> List.find_opt (fun (a : Sod2.Mem_plan.alloc) -> a.Sod2.Mem_plan.tid = s)

@@ -204,10 +204,9 @@ let stream_graph ~steps dims =
   Graph.Builder.set_outputs b [ !cur; !prev ];
   x, Graph.Builder.finish b
 
-(* Steady state (satellite of the zero-copy arena work): the second arena
-   inference over the same binding must re-plan nothing (plan served from
-   the per-binding cache) and copy nothing (every intermediate written
-   straight into its slot). *)
+(* Steady state: the second arena inference over the same binding must
+   allocate no arena (the buffer already fits the plan) and copy nothing
+   (every intermediate written straight into its slot). *)
 let test_arena_steady_state () =
   let x, g = stream_graph ~steps:8 [ 4; 64 ] in
   let c = Sod2.Pipeline.compile cpu g in
@@ -216,10 +215,10 @@ let test_arena_steady_state () =
   let run () = run_arena ~arena c ~env:Env.empty ~inputs in
   ignore (run ());
   Profile.Counters.reset ();
+  let grows = Sod2_runtime.Arena.grows arena in
   let _, res = run () in
   let count k = Option.value ~default:0 (List.assoc_opt k (Profile.Counters.by_kind ())) in
-  Alcotest.(check int) "no replanning in steady state" 0 (count "plan-cache-miss");
-  Alcotest.(check bool) "plan served from the binding cache" true (count "plan-cache-hit" >= 1);
+  Alcotest.(check int) "no arena growth in steady state" grows (Sod2_runtime.Arena.grows arena);
   Alcotest.(check int) "no intermediate copies" 0 (count "arena-copy-out");
   Alcotest.(check bool) "kernels wrote straight into slots" true
     (count "arena-dest-store" > 0);
@@ -520,19 +519,25 @@ let test_kernel_coverage () =
   Alcotest.(check bool) "zoo exercises a broad operator set" true
     (Hashtbl.length seen >= 25)
 
-(* Every zoo model's instantiated plan vets clean (no slot out of the
-   arena, no wrong size, no overlap of live slots) at both ends of its
-   shape range and at random bindings between them. *)
+(* Every zoo model's evaluated plan vets clean (no slot out of the arena,
+   no wrong size, no overlap of live slots) at both ends of its shape
+   range, at random bindings between them, and with every shape variable
+   at the extremes 0, 1 and 2^20, where the stacked offsets are furthest
+   from the compile binding they were ordered at. *)
 let zoo_compiled =
   lazy (List.map (fun sp -> sp, Sod2.Pipeline.compile cpu (graph_of sp.Zoo.name)) Zoo.all)
 
 let prop_zoo_plans_vet_clean =
-  QCheck2.Test.make ~name:"plans vet clean across the zoo at min, max and sampled bindings"
+  QCheck2.Test.make ~name:"plans vet clean across the zoo at min, max, sampled and extreme bindings"
     ~count:10 QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
       let rng = Rng.create seed in
       List.for_all
         (fun ((sp : Zoo.spec), c) ->
+          let extreme v =
+            List.fold_left (fun env s -> Env.bind s v env) Env.empty
+              (Graph.free_syms c.Sod2.Pipeline.graph)
+          in
           List.for_all
             (fun env ->
               match Sod2.Pipeline.vet_plan c env (Sod2.Pipeline.instantiated_plan c env) with
@@ -540,7 +545,28 @@ let prop_zoo_plans_vet_clean =
               | d :: _ ->
                 QCheck2.Test.fail_reportf "%s at %a: %s" sp.name Env.pp env
                   (Sod2.Mem_plan.defect_message d))
-            [ Zoo.min_env sp; Zoo.max_env sp; Zoo.sample_env sp rng ])
+            [ Zoo.min_env sp; Zoo.max_env sp; Zoo.sample_env sp rng; extreme 0; extreme 1;
+              extreme (1 lsl 20) ])
+        (Lazy.force zoo_compiled))
+
+(* Offsets stacked in the compile binding's order may leave holes a
+   re-placement would fill; across each model's shape range they may cost
+   at most 25% of arena over a full re-placement at the same binding. *)
+let prop_zoo_arena_near_replan =
+  QCheck2.Test.make ~name:"evaluated arena <= 1.25x re-plan across the zoo" ~count:1
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      List.for_all
+        (fun ((sp : Zoo.spec), c) ->
+          List.for_all
+            (fun env ->
+              let evaluated = (Sod2.Pipeline.instantiated_plan c env).Sod2.Mem_plan.arena_bytes
+              and replanned = (Oracle.replanned c env).Sod2.Mem_plan.arena_bytes in
+              float_of_int evaluated <= 1.25 *. float_of_int replanned
+              || QCheck2.Test.fail_reportf "%s at %a: arena %d bytes, re-plan %d" sp.name Env.pp
+                   env evaluated replanned)
+            (Zoo.min_env sp :: Zoo.max_env sp :: List.init 20 (fun _ -> Zoo.sample_env sp rng)))
         (Lazy.force zoo_compiled))
 
 let suite =
@@ -569,4 +595,5 @@ let suite =
     Alcotest.test_case "dry mode deterministic" `Quick test_dry_deterministic;
     Alcotest.test_case "kernel coverage" `Quick test_kernel_coverage;
     QCheck_alcotest.to_alcotest prop_zoo_plans_vet_clean;
+    QCheck_alcotest.to_alcotest prop_zoo_arena_near_replan;
   ]
