@@ -9,7 +9,8 @@ type direction = At_least | At_most
 
 type gate = { gate : string; bound : float; dir : direction }
 
-type timing = { best : float; q1 : float; median : float; q3 : float }  (* ms *)
+(* ms; [per_round] holds each round's fastest sample, in round order *)
+type timing = { best : float; q1 : float; median : float; q3 : float; per_round : float list }
 
 type row = { label : string; timings : (string * timing) list; fields : (string * float) list }
 
@@ -52,7 +53,7 @@ let time ?(calls = 1) ~rounds (sides : (unit -> unit -> unit) list) =
         max 1 (min 1000 (int_of_float (200.0 /. Float.max 0.2 t))))
       sides
   in
-  let samples = Array.make n [] in
+  let samples = Array.make n [] and round_best = Array.make_matrix n rounds infinity in
   for r = 0 to rounds - 1 do
     let fs = Array.map (fun prepare -> prepare ()) sides in
     for c = 0 to calls - 1 do
@@ -60,15 +61,18 @@ let time ?(calls = 1) ~rounds (sides : (unit -> unit -> unit) list) =
         let i = ((r * calls) + c + j) mod n in
         Gc.full_major ();
         let us = span (fun () -> for _ = 1 to reps.(i) do fs.(i) () done) in
-        samples.(i) <- (us /. float_of_int reps.(i) /. 1e3) :: samples.(i)
+        let ms = us /. float_of_int reps.(i) /. 1e3 in
+        samples.(i) <- ms :: samples.(i);
+        round_best.(i).(r) <- Float.min round_best.(i).(r) ms
       done
     done
   done;
   Array.to_list
-    (Array.map
-       (fun xs ->
+    (Array.mapi
+       (fun i xs ->
          let q1, median, q3 = Stats.quartiles xs in
-         { best = List.fold_left Float.min infinity xs; q1; median; q3 })
+         { best = List.fold_left Float.min infinity xs; q1; median; q3;
+           per_round = Array.to_list round_best.(i) })
        samples)
 
 let row ?(fields = []) label timings = { label; timings; fields }

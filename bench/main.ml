@@ -91,11 +91,14 @@ let kernels ~rounds =
   @@ fun parallel ->
   let on be ~m ~n ~k ~a ~b ~c = RT.Backend.gemm_kernel be ~m ~n ~k ~a ~ao:0 ~b ~bo:0 ~c ~co:0 in
   let gemm name (m, n, k) = Printf.sprintf "%s %dx%dx%d" name m n k, fun be -> gemm_side (m, n, k) (on be) in
+  (* the serving path's conv entry, into a buffer allocated once per round *)
   let conv be () =
     let rng = Rng.create 17 in
     let x = Tensor.rand_uniform rng [ 1; 64; 28; 28 ] and w = Tensor.rand_uniform rng [ 64; 64; 3; 3 ] in
+    let op = Op.Conv { stride = 1, 1; pads = 1, 1, 1, 1; dilation = 1, 1; groups = 1 } in
+    let out = Tensor.fbuf_create Tensor.F32 (64 * 28 * 28) in
     fun () ->
-      ignore (RT.Backend.conv2d be ~stride:(1, 1) ~pad:(1, 1, 1, 1) ~dilation:(1, 1) ~groups:1 x w None)
+      ignore (RT.Kernels.run_into ~backend:be op [ Tensor.view_f x; Tensor.view_f w ] ~dest:(fun _ _ _ -> out, 0))
   in
   let case (name, side) =
     match time ~rounds (List.map side [ naive; blocked; parallel ]) with
@@ -114,9 +117,16 @@ let kernels ~rounds =
      host swings one call by 50%. *)
   let side dt = gemm_side ~dt (256, 256, 256) (on blocked) in
   let t32, t64 = pair (time ~calls:15 ~rounds [ side Tensor.F32; side Tensor.F64 ]) in
+  (* the spread of the per-round f32/f64 ratios behind the gate's best-of
+     score: host noise widens it, a regression moves it *)
+  let q1, median, q3 = Stats.quartiles (List.map2 ( /. ) t32.per_round t64.per_round) in
   let loops = element_loops ~rounds blocked in
   let ratio label = List.assoc "f32_over_f64" (List.find (fun r -> r.label = label) loops).fields in
-  { rows = rows @ [ row "gemm/f32-vs-f64 256^3" [ "f32", t32; "f64", t64 ] ] @ loops;
+  { rows =
+      rows
+      @ [ row "gemm/f32-vs-f64 256^3" [ "f32", t32; "f64", t64 ]
+            ~fields:[ "ratio_q1", q1; "ratio_median", median; "ratio_q3", q3 ] ]
+      @ loops;
     values =
       [ f32_vs_f64, t32.best /. t64.best;
         f32_loops, geomean (List.map ratio [ "relu"; "add"; "maxpool 3x3/2"; "layernorm" ]) ] }
@@ -420,9 +430,12 @@ let int8 ~rounds =
   let rng = Rng.create 29 in
   let x = Tensor.rand_uniform rng (Array.to_list xd) and w = Tensor.rand_uniform rng (Array.to_list wd) in
   let qx = i8 (Tensor.numel x) 31 and qw = i8 (Tensor.numel w) 37 and qo = out (64 * 28 * 28) in
+  let fo = Tensor.fbuf_create Tensor.F32 (64 * 28 * 28) in
   let conv =
     [ (fun () () ->
-        ignore (Blocked.conv2d_im2col ~stride:(1, 1) ~pad:(1, 1, 1, 1) ~dilation:(1, 1) ~groups:1 x w None));
+        ignore
+          (Blocked.conv2d_im2col_into ~stride:(1, 1) ~pad:(1, 1, 1, 1) ~dilation:(1, 1) ~groups:1
+             (Tensor.view_f x) (Tensor.view_f w) None ~c:fo ~co:0));
       (fun () () ->
         ignore
           (Blocked.conv2d_i8_into ~zx:za ~zw:0 ~epilogue ~stride:(1, 1) ~pad:(1, 1, 1, 1)

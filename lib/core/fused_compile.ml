@@ -23,10 +23,11 @@
      precomputed index map (table or odometer).  A member whose value is
      read through a map is first stored by a stage of its own, so maps
      never compose and nothing is recomputed;
-   - a heavy anchor runs through the blocked kernels first, straight into
-     the destination when the final stage reads it only at its own flat
-     index and the destination has the anchor's dtype (the program then
-     runs over it in place), else into per-call scratch.
+   - a heavy anchor runs first, through {!Multi_version.heavy_into} (the
+     kernel op-by-op execution runs), straight into the destination when
+     the final stage reads it only at its own flat index and the
+     destination has the anchor's dtype (the program then runs over it in
+     place), else into per-call scratch.
 
    Specialized kernels are cached by the runtime backend per
    (group × concrete shape tuple); the scratch they run on is pooled. *)
@@ -172,7 +173,7 @@ let output_dtype (nd : Graph.node) (dt : Graph.tensor_id -> Tensor.dtype) =
   | _, x :: _ -> dt x
   | op, [] -> fail "operator %s has no inputs" (Op.name op)
 
-let specialize g (tpl : template) ~(tiles : Multi_version.shape_class -> Blocked.tiles)
+let specialize g (tpl : template) ~(versions : Multi_version.table)
     ~(args : (int list * Tensor.dtype) array) : (kernel, string) result =
   try
     let nslots = Array.length tpl.t_slots in
@@ -482,88 +483,33 @@ let specialize g (tpl : template) ~(tiles : Multi_version.shape_class -> Blocked
     let anchor_slot = Option.map (fun anc -> place (out_of anc)) tpl.t_anchor in
     let size32 = !size32 and size64 = !size64 in
 
-    (* --- the anchor: blocked kernels into its storage --- *)
+    (* --- the anchor: the heavy kernel into its storage --- *)
     let run_anchor =
       match tpl.t_anchor with
       | None -> None
       | Some anc ->
-        let aout = out_of anc in
-        let adims = dims_of aout in
         let in_dims = List.map (fun tid -> Array.to_list (dims_of tid)) anc.Graph.inputs in
-        let m, n, k =
+        (* the class of the concrete extents *)
+        let cls =
           match
             Multi_version.gemm_dims_of_op anc.Graph.op ~in_dims
-              ~out_dims:[ Array.to_list adims ]
+              ~out_dims:[ Array.to_list (dims_of (out_of anc)) ]
           with
-          | Some mnk -> mnk
+          | Some (m, n, k) -> Multi_version.classify_gemm ~m ~n ~k
           | None -> fail "anchor %s has no GEMM extents" anc.Graph.nname
         in
-        let cls = Multi_version.classify_gemm ~m ~n ~k in
-        let tiny = cls = Multi_version.Tiny in
-        let tl = tiles cls in
-        let slot tid =
-          match Hashtbl.find_opt leaf_of_tid tid with
-          | Some i when i < nslots -> i
-          | _ -> fail "anchor input %d is not an external slot" tid
+        let slots =
+          List.map
+            (fun tid ->
+              match Hashtbl.find_opt leaf_of_tid tid with
+              | Some i when i < nslots -> i
+              | _ -> fail "anchor input %d is not an external slot" tid)
+            anc.Graph.inputs
         in
-        let inner par ~m ~n ~k ~a ~ao ~b ~bo ~c ~co =
-          Blocked.gemm ~par ~tiles:tl ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()
-        in
-        (* [run ~par args ~c ~co] writes the anchor's result into [c] at
-           element offset [co], through the naive kernels for Tiny
-           problems, exactly like the per-op backend. *)
-        let run =
-          match anc.Graph.op, List.map slot anc.Graph.inputs with
-          | Op.MatMul, [ ia; ib ] ->
-            fun ~par (args : Tensor.view array) ~c ~co ->
-              if tiny then ignore (Linalg.matmul_into args.(ia) args.(ib) ~c ~co)
-              else ignore (Linalg.matmul_into ~inner:(inner par) args.(ia) args.(ib) ~c ~co)
-          | Op.Gemm { alpha; beta; trans_a; trans_b }, ia :: ib :: rest ->
-            let ic = match rest with [ i ] -> Some i | _ -> None in
-            fun ~par args ~c ~co ->
-              let cv = Option.map (fun i -> args.(i)) ic in
-              let inner = if tiny then None else Some (inner par) in
-              ignore
-                (Linalg.gemm_into ?inner ~alpha ~beta ~trans_a ~trans_b args.(ia)
-                   args.(ib) cv ~c ~co)
-          | Op.Conv { stride; pads; dilation; groups }, ia :: ib :: rest ->
-            let ibias = match rest with [ i ] -> Some i | _ -> None in
-            fun ~par args ~c ~co ->
-              let x = args.(ia) and w = args.(ib) in
-              let b = Option.map (fun i -> args.(i)) ibias in
-              if tiny then
-                ignore (Linalg.conv2d_into ~stride ~pad:pads ~dilation ~groups x w b ~c ~co)
-              else
-                ignore
-                  (Blocked.conv2d_im2col_into ~par ~tiles:tl ~stride ~pad:pads ~dilation
-                     ~groups x w b ~c ~co)
-          | Op.Conv1d { stride1; pads1; dilation1; groups1 }, ia :: ib :: rest ->
-            let ibias = match rest with [ i ] -> Some i | _ -> None in
-            (match in_dims with
-            | [ _; _; _ ] :: [ _; _; _ ] :: _ -> ()
-            | _ -> fail "Conv1d anchor expects 3-d operands");
-            fun ~par args ~c ~co ->
-              let x = args.(ia) and w = args.(ib) in
-              let b = Option.map (fun i -> args.(i)) ibias in
-              (* Unit-height lowering onto conv2d; the 4-d [n;m;1;ol]
-                 output is flat-identical to the 3-d result. *)
-              (match x.Tensor.vdims, w.Tensor.vdims with
-              | [ nn; cch; l ], [ mm; cg; kk ] ->
-                let x' = Tensor.view_reshape x [ nn; cch; 1; l ] in
-                let w' = Tensor.view_reshape w [ mm; cg; 1; kk ] in
-                let pl, pr = pads1 in
-                let stride = 1, stride1 and pad = 0, pl, 0, pr and dilation = 1, dilation1 in
-                if tiny then
-                  ignore
-                    (Linalg.conv2d_into ~stride ~pad ~dilation ~groups:groups1 x' w' b ~c ~co)
-                else
-                  ignore
-                    (Blocked.conv2d_im2col_into ~par ~tiles:tl ~stride ~pad ~dilation
-                       ~groups:groups1 x' w' b ~c ~co)
-              | _ -> assert false)
-          | op, _ -> fail "unsupported anchor %s" (Op.name op)
-        in
-        Some run
+        Some
+          (fun ~par (args : Tensor.view array) ~c ~co ->
+            Multi_version.heavy_into ~cls ~par (Some versions) anc.Graph.op
+              (List.map (fun i -> args.(i)) slots) ~c ~co)
     in
     (* The anchor may write straight into the destination when the final
        stage reads it only at its own flat index and the destination's

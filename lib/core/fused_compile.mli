@@ -57,11 +57,11 @@ val plan :
 
 val specialize :
   Graph.t -> template ->
-  tiles:(Multi_version.shape_class -> Blocked.tiles) ->
+  versions:Multi_version.table ->
   args:(int list * Tensor.dtype) array ->
   (kernel, string) result
 (** Compile the template against concrete slot dims/dtypes (slot order).
-    [tiles] resolves the anchor's shape class to blocked tile extents
-    (normally the autotuner table's choice).  [Error] means this shape
+    The anchor runs {!Multi_version.heavy_into} with [versions] and the
+    shape class of its concrete extents.  [Error] means this shape
     cannot be fused soundly (I64 element inputs, non-concrete member
     shapes, …) and the caller should fall back to op-by-op execution. *)

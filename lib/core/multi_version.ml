@@ -101,3 +101,95 @@ let gemm_dims_of_op (op : Op.t) ~in_dims ~out_dims =
     let m = prod out / max 1 n in
     Some (m, n, k)
   | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* The heavy-operator kernels                                          *)
+
+let tiles t cls =
+  let cfg = config_for t cls in
+  Blocked.tiles_of ~tile_m:cfg.Autotune.tile_m ~tile_n:cfg.Autotune.tile_n
+    ~tile_k:cfg.Autotune.tile_k ~unroll:cfg.Autotune.unroll
+
+(* The dispatch rule, the one place it is written: a problem runs the
+   blocked kernel of its class's version, except on a naive backend
+   ([versions = None]) and for Tiny problems, where packing would cost
+   more than the whole product — both take the naive loop ([None]). *)
+let kernel_tiles versions cls =
+  match versions, cls with
+  | None, _ | _, Tiny -> None
+  | Some t, cls -> Some (tiles t cls)
+
+let gemm_kernel ?cls ~par versions : Linalg.gemm_kernel =
+ fun ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ->
+  let cls = match cls with Some c -> c | None -> classify_gemm ~m ~n ~k in
+  match kernel_tiles versions cls with
+  | None -> Linalg.naive_kernel ~m ~n ~k ~a ~ao ~b ~bo ~c ~co
+  | Some tiles -> Blocked.gemm ~par ~tiles ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()
+
+let conv_class ~stride ~pad ~dilation xdims wdims =
+  match Linalg.conv2d_out_dims ~stride ~pad ~dilation xdims wdims, wdims with
+  | [ n; m; oh; ow ], [ _; cg; kh; kw ] -> classify_gemm ~m ~n:(n * oh * ow) ~k:(cg * kh * kw)
+  | _ -> assert false
+
+(* Conv and Conv1d as one 2-d convolution: a Conv1d is a Conv of unit
+   height, its operands [a; b; l] read as [a; b; 1; l]. *)
+let conv2d_of (op : Op.t) =
+  match op with
+  | Op.Conv { stride; pads; dilation; groups } -> Some (stride, pads, dilation, groups, false)
+  | Op.Conv1d { stride1; pads1 = pl, pr; dilation1; groups1 } ->
+    Some ((1, stride1), (0, pl, 0, pr), (1, dilation1), groups1, true)
+  | _ -> None
+
+let unit_height one_d d =
+  match one_d, d with
+  | false, d -> d
+  | true, [ a; b; l ] -> [ a; b; 1; l ]
+  | true, _ -> invalid_arg "Conv1d: expects an N×C×L input and an M×C×K weight"
+
+let promoted = List.fold_left (fun acc v -> Tensor.promote_f acc (Tensor.view_dtype v)) Tensor.F32
+let bias_of = function [ b ] -> Some b | _ -> None
+
+let heavy_result (op : Op.t) (vs : Tensor.view list) =
+  match op, vs, conv2d_of op with
+  | Op.MatMul, [ a; b ], _ -> Some (Linalg.matmul_out_dims a.Tensor.vdims b.Tensor.vdims, promoted vs)
+  | Op.Gemm { trans_a; trans_b; _ }, a :: b :: rest, _
+    when promoted (a :: b :: Option.to_list (bias_of rest)) = promoted [ a; b ] ->
+    let op_of tr (v : Tensor.view) =
+      match tr, v.Tensor.vdims with
+      | false, d -> d
+      | true, d0 :: d1 :: _ -> [ d1; d0 ]
+      | true, _ -> invalid_arg "Gemm: a transposed operand must be 2-d"
+    in
+    Some (Linalg.matmul_out_dims (op_of trans_a a) (op_of trans_b b), promoted [ a; b ])
+  | _, x :: w :: _, Some (stride, pad, dilation, _, one_d) -> (
+    match
+      Linalg.conv2d_out_dims ~stride ~pad ~dilation
+        (unit_height one_d x.Tensor.vdims) (unit_height one_d w.Tensor.vdims)
+    with
+    | od when List.exists (fun d -> d < 0) od ->
+      invalid_arg (Op.name op ^ ": the kernel window exceeds the padded input")
+    | [ n; m; _; ol ] when one_d -> Some ([ n; m; ol ], promoted [ x; w ])
+    | od -> Some (od, promoted [ x; w ]))
+  | _ -> None
+
+let heavy_into ?cls ~par versions (op : Op.t) (vs : Tensor.view list) ~c ~co =
+  let inner = gemm_kernel ?cls ~par versions in
+  match op, vs, conv2d_of op with
+  | Op.MatMul, [ a; b ], _ -> ignore (Linalg.matmul_into ~inner a b ~c ~co)
+  | Op.Gemm { alpha; beta; trans_a; trans_b }, a :: b :: rest, _ ->
+    ignore (Linalg.gemm_into ~inner ~alpha ~beta ~trans_a ~trans_b a b (bias_of rest) ~c ~co)
+  | _, x :: w :: rest, Some (stride, pad, dilation, groups, one_d) ->
+    let x = Tensor.view_reshape x (unit_height one_d x.Tensor.vdims) in
+    let w = Tensor.view_reshape w (unit_height one_d w.Tensor.vdims) in
+    let cls =
+      match cls with
+      | Some c -> c
+      | None -> conv_class ~stride ~pad ~dilation x.Tensor.vdims w.Tensor.vdims
+    in
+    ignore
+      (match kernel_tiles versions cls with
+      | None -> Linalg.conv2d_into ~stride ~pad ~dilation ~groups x w (bias_of rest) ~c ~co
+      | Some tiles ->
+        Blocked.conv2d_im2col_into ~par ~tiles ~stride ~pad ~dilation ~groups x w (bias_of rest)
+          ~c ~co)
+  | _ -> invalid_arg ("Multi_version.heavy_into: no heavy kernel for " ^ Op.name op)

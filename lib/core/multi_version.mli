@@ -55,3 +55,42 @@ val gemm_dims_of_op :
     [None] for non-heavy operators. *)
 
 val config_for : table -> shape_class -> Autotune.config
+
+(** {1 The heavy-operator kernels}
+
+    MatMul, Gemm, Conv and Conv1d have one destination-passing entry,
+    {!heavy_into}, which op-by-op execution ([Kernels.run_into]) and a
+    fused group's anchor ({!Fused_compile}) both call, so the kernel
+    a problem runs does not depend on the path that reached it.  A
+    problem runs the blocked kernel tuned for its shape class, except
+    that a naive backend ([versions = None]) and a {!Tiny} problem take
+    the naive reference loop. *)
+
+val tiles : table -> shape_class -> Blocked.tiles
+(** The blocked tile extents of the version [table] holds for a class. *)
+
+val gemm_kernel : ?cls:shape_class -> par:Blocked.par -> table option -> Linalg.gemm_kernel
+(** The inner GEMM of that rule; [cls] pins the class (compile-time
+    resolution), otherwise the extents of each product classify it. *)
+
+val conv_class :
+  stride:int * int -> pad:int * int * int * int -> dilation:int * int -> int list ->
+  int list -> shape_class
+(** The class of a 2-d convolution's im2col GEMM over NCHW input dims
+    against OIHW weight dims. *)
+
+val heavy_result : Op.t -> Tensor.view list -> (int list * Tensor.dtype) option
+(** The dims and float dtype of a heavy operator's result over the
+    operands (the bias does not widen a convolution).
+    [None] for any other operator, and for a Gemm whose [C] is wider than
+    [A·B], which rounds [A·B] to its own kind first.  Raises
+    [Invalid_argument] on shapes the kernels cannot take. *)
+
+val heavy_into :
+  ?cls:shape_class -> par:Blocked.par -> table option -> Op.t -> Tensor.view list ->
+  c:Tensor.fbuf -> co:int -> unit
+(** [heavy_into ~par versions op args ~c ~co] writes the result of the
+    heavy operator [op] over [args] into [c] at element offset [co]
+    (every element is overwritten).  [cls] pins the shape class;
+    otherwise the concrete extents classify the problem.  A Conv1d runs
+    as a Conv of unit height. *)

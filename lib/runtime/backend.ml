@@ -72,93 +72,11 @@ let shutdown t = Option.iter Domain_pool.shutdown t.pool
 let par_of t =
   match t.pool with Some p -> Domain_pool.par p | None -> Sod2_tensor.Blocked.sequential
 
-let tiles_for t cls =
-  let cfg = Multi_version.config_for t.versions cls in
-  Sod2_tensor.Blocked.tiles_of ~tile_m:cfg.Autotune.tile_m ~tile_n:cfg.Autotune.tile_n
-    ~tile_k:cfg.Autotune.tile_k ~unroll:cfg.Autotune.unroll
+(* The kernel versions a heavy op dispatches on; [None] on a naive
+   backend, where every heavy op takes the naive reference loop. *)
+let versions t = match t.kind with Naive -> None | Blocked | Parallel | Fused -> Some t.versions
 
-(* One GEMM call site: the static class (from compile-time RDP resolution)
-   wins when present; otherwise the observed extents classify the problem.
-   Tiny problems always take the naive reference loop — packing would cost
-   more than the whole product. *)
-let gemm_kernel ?cls t : Linalg.gemm_kernel =
- fun ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ->
-  let cls = match cls with Some c -> c | None -> Multi_version.classify_gemm ~m ~n ~k in
-  match t.kind, cls with
-  | Naive, _ | _, Multi_version.Tiny ->
-    Linalg.naive_kernel ~m ~n ~k ~a ~ao ~b ~bo ~c ~co
-  | (Blocked | Parallel | Fused), _ ->
-    Sod2_tensor.Blocked.gemm ~par:(par_of t) ~tiles:(tiles_for t cls) ~m ~n ~k ~a ~ao ~b
-      ~bo ~c ~co ()
-
-let matmul ?cls t a b =
-  match t.kind with
-  | Naive -> Linalg.matmul a b
-  | Blocked | Parallel | Fused -> Linalg.matmul ~inner:(gemm_kernel ?cls t) a b
-
-let matmul_into ?cls t va vb ~c ~co =
-  match t.kind with
-  | Naive -> Linalg.matmul_into va vb ~c ~co
-  | Blocked | Parallel | Fused ->
-    Linalg.matmul_into ~inner:(gemm_kernel ?cls t) va vb ~c ~co
-
-let gemm ?cls t ~alpha ~beta ~trans_a ~trans_b a b c =
-  match t.kind with
-  | Naive -> Linalg.gemm ~alpha ~beta ~trans_a ~trans_b a b c
-  | Blocked | Parallel | Fused ->
-    Linalg.gemm ~inner:(gemm_kernel ?cls t) ~alpha ~beta ~trans_a ~trans_b a b c
-
-(* The GEMM shape class of a conv: [cls] when compile time resolved it,
-   else the im2col extents of the concrete [xdims] × [wdims]. *)
-let conv_class ?cls ~stride ~pad ~dilation xdims wdims =
-  match cls with
-  | Some c -> c
-  | None -> (
-    match Linalg.conv2d_out_dims ~stride ~pad ~dilation xdims wdims, wdims with
-    | [ n; m; oh; ow ], [ _; cg; kh; kw ] ->
-      Multi_version.classify_gemm ~m ~n:(n * oh * ow) ~k:(cg * kh * kw)
-    | _ -> assert false)
-
-let conv2d ?cls t ~stride ~pad ~dilation ~groups x w b =
-  match t.kind with
-  | Naive -> Linalg.conv2d ~stride ~pad ~dilation ~groups x w b
-  | Blocked | Parallel | Fused -> (
-    match conv_class ?cls ~stride ~pad ~dilation (Tensor.dims x) (Tensor.dims w) with
-    | Multi_version.Tiny -> Linalg.conv2d ~stride ~pad ~dilation ~groups x w b
-    | c ->
-      Sod2_tensor.Blocked.conv2d_im2col ~par:(par_of t) ~tiles:(tiles_for t c) ~stride
-        ~pad ~dilation ~groups x w b)
-
-let conv2d_into ?cls t ~stride ~pad ~dilation ~groups vx vw vb ~c ~co =
-  match t.kind with
-  | Naive -> Linalg.conv2d_into ~stride ~pad ~dilation ~groups vx vw vb ~c ~co
-  | Blocked | Parallel | Fused -> (
-    match conv_class ?cls ~stride ~pad ~dilation vx.Tensor.vdims vw.Tensor.vdims with
-    | Multi_version.Tiny ->
-      Linalg.conv2d_into ~stride ~pad ~dilation ~groups vx vw vb ~c ~co
-    | cl ->
-      Sod2_tensor.Blocked.conv2d_im2col_into ~par:(par_of t) ~tiles:(tiles_for t cl)
-        ~stride ~pad ~dilation ~groups vx vw vb ~c ~co)
-
-let conv1d ?cls t ~stride ~pad ~dilation ~groups x w b =
-  match t.kind with
-  | Naive -> Linalg.conv1d ~stride ~pad ~dilation ~groups x w b
-  | Blocked | Parallel | Fused -> (
-    (* Same unit-height lowering as {!Linalg.conv1d}, but through the
-       backend's conv2d so the blocked path applies. *)
-    match Tensor.dims x, Tensor.dims w with
-    | [ n; c; l ], [ m; cg; k ] ->
-      let x' = Tensor.reshape x [ n; c; 1; l ] in
-      let w' = Tensor.reshape w [ m; cg; 1; k ] in
-      let pl, pr = pad in
-      let out =
-        conv2d ?cls t ~stride:(1, stride) ~pad:(0, pl, 0, pr) ~dilation:(1, dilation)
-          ~groups x' w' b
-      in
-      (match Tensor.dims out with
-      | [ n'; m'; 1; ol ] -> Tensor.reshape out [ n'; m'; ol ]
-      | _ -> assert false)
-    | _ -> Linalg.conv1d ~stride ~pad ~dilation ~groups x w b)
+let gemm_kernel ?cls t = Multi_version.gemm_kernel ?cls ~par:(par_of t) (versions t)
 
 (* ------------------------------------------------------------------ *)
 (* Int8 weight-quantized execution (dynamic-range quantization)        *)
@@ -185,7 +103,7 @@ let matmul_q8_into ?cls t x (qw : Quant.qtensor) ~c ~co =
     let sw = Quant.scale_of qw.Quant.qscheme in
     let scale = sx *. sw in
     let cls = match cls with Some c -> c | None -> Multi_version.classify_gemm ~m ~n ~k in
-    Sod2_tensor.Blocked.gemm_i8_dequant ~par:(par_of t) ~tiles:(tiles_for t cls)
+    Sod2_tensor.Blocked.gemm_i8_dequant ~par:(par_of t) ~tiles:(Multi_version.tiles t.versions cls)
       ~za:zx ~zb:0
       ~epilogue:(fun _ acc -> float_of_int acc *. scale)
       ~ep_off:co ~m ~n ~k ~a:(Tensor.storage_i8 qa) ~ao:0
@@ -226,8 +144,13 @@ let conv2d_q8_into ?cls t ~stride ~pad ~dilation ~groups x (qw : Quant.qtensor) 
           let chn = ei / sp mod m in
           (float_of_int acc *. chscale chn) +. Array.unsafe_get bv chn
     in
-    let cl = conv_class ?cls ~stride ~pad ~dilation xdims wdims in
-    Sod2_tensor.Blocked.conv2d_i8_dequant_into ~par:(par_of t) ~tiles:(tiles_for t cl)
+    let cl =
+      match cls with
+      | Some c -> c
+      | None -> Multi_version.conv_class ~stride ~pad ~dilation xdims wdims
+    in
+    Sod2_tensor.Blocked.conv2d_i8_dequant_into ~par:(par_of t)
+      ~tiles:(Multi_version.tiles t.versions cl)
       ~zx ~zw:0 ~epilogue ~ep_off:co ~stride ~pad ~dilation ~groups
       ~x:(Tensor.storage_i8 qa) ~xoff:0 ~xdims:[| n; ch; h; w |]
       ~w:(Tensor.storage_i8 qw.Quant.q) ~woff:0 ~wdims:[| m; cg; kh; kw |] ~c ~co ()
@@ -296,7 +219,7 @@ let fused_kernel t (c : Pipeline.compiled) ~gid
             counter t "fused-cache-miss";
             let kernel =
               match
-                Fused_compile.specialize c.Pipeline.graph tpl ~tiles:(tiles_for t)
+                Fused_compile.specialize c.Pipeline.graph tpl ~versions:t.versions
                   ~args:(Array.of_list args)
               with
               | Ok k -> Some k

@@ -1,13 +1,13 @@
 (** Kernel-backend selection: naive reference loops, cache-blocked
     kernels, or blocked kernels driven by the domain pool.
 
-    A backend bundles the autotuner's per-shape-class configurations
-    ({!Multi_version.table}) with an optional {!Domain_pool.t}; each heavy
-    call site resolves a shape class (preferring the compile-time RDP
-    resolution when the caller has one) and runs the matching kernel
-    variant.  [Naive] reproduces the reference interpreter bit-exactly and
-    is what {!Kernels.run} uses when no backend is given, so guarded
-    fallback and golden comparisons stay byte-stable. *)
+    A backend bundles the per-shape-class kernel versions
+    ({!Multi_version.table}) with an optional {!Domain_pool.t}.  It owns
+    no float kernels: {!Kernels.run_into} runs every operator, heavy ones
+    through {!Multi_version.heavy_into} with {!versions} and {!par_of}.
+    [Naive] reproduces the reference interpreter bit-exactly and is what
+    {!Kernels.run} uses when no backend is given, so guarded fallback and
+    golden comparisons stay byte-stable. *)
 
 type kind =
   | Naive  (** reference scalar loop nests *)
@@ -39,39 +39,14 @@ val pool_size : t -> int
 val shutdown : t -> unit
 (** Joins the pool's worker domains, if any. *)
 
+val versions : t -> Multi_version.table option
+(** The version table heavy operators dispatch on
+    ({!Multi_version.heavy_into}); [None] on a [Naive] backend. *)
+
 val gemm_kernel : ?cls:Multi_version.shape_class -> t -> Linalg.gemm_kernel
-(** The inner GEMM this backend selects; [cls] pins the shape class
-    (compile-time resolution), otherwise the observed extents classify. *)
-
-val matmul : ?cls:Multi_version.shape_class -> t -> Tensor.t -> Tensor.t -> Tensor.t
-
-val matmul_into :
-  ?cls:Multi_version.shape_class -> t -> Tensor.view -> Tensor.view ->
-  c:Tensor.fbuf -> co:int -> int list
-(** Destination-passing {!matmul} through this backend's inner GEMM;
-    writes into [c] at element offset [co], returns the result dims. *)
-
-val gemm :
-  ?cls:Multi_version.shape_class -> t -> alpha:float -> beta:float -> trans_a:bool ->
-  trans_b:bool -> Tensor.t -> Tensor.t -> Tensor.t option -> Tensor.t
-
-val conv2d :
-  ?cls:Multi_version.shape_class -> t -> stride:int * int ->
-  pad:int * int * int * int -> dilation:int * int -> groups:int ->
-  Tensor.t -> Tensor.t -> Tensor.t option -> Tensor.t
-
-val conv2d_into :
-  ?cls:Multi_version.shape_class -> t -> stride:int * int ->
-  pad:int * int * int * int -> dilation:int * int -> groups:int ->
-  Tensor.view -> Tensor.view -> Tensor.view option ->
-  c:Tensor.fbuf -> co:int -> int list
-(** Destination-passing {!conv2d} (naive loops or blocked im2col by shape
-    class); writes into [c] at element offset [co], returns the result
-    dims. *)
-
-val conv1d :
-  ?cls:Multi_version.shape_class -> t -> stride:int -> pad:int * int ->
-  dilation:int -> groups:int -> Tensor.t -> Tensor.t -> Tensor.t option -> Tensor.t
+(** {!Multi_version.gemm_kernel} for this backend; [cls] pins the shape
+    class (compile-time resolution), otherwise the observed extents
+    classify. *)
 
 (** {1 Int8 weight-quantized execution}
 

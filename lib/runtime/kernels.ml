@@ -1,8 +1,6 @@
 (* Scalar semantics live in [Op_semantics], shared with the block
    evaluator that fused groups and the destination kernels run, so every
    path computes the same bits per element. *)
-let unary_fn = Op_semantics.unary_fn
-let float_binary_fn = Op_semantics.float_binary_fn
 let int_binary_fn = Op_semantics.int_binary_fn
 
 let reduce_kind : Op.reduce_kind -> Reduction.kind = function
@@ -142,85 +140,153 @@ let batch_norm_into ~par ~eps (x : Tensor.view) ps ~c ~co =
 let promoted (vs : Tensor.view list) =
   List.fold_left (fun acc v -> Tensor.promote_f acc (Tensor.view_dtype v)) Tensor.F32 vs
 
-let run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
-  (* Without a backend every path below is the naive reference kernel, so
-     golden comparisons and guarded fallback stay bit-exact.  Integer
-     operands promote to F32 for float semantics; float operands keep
-     their own precision (an F64 input must not silently narrow). *)
-  let ensure_f t =
-    if Tensor.is_float_dtype (Tensor.dtype t) then t else Tensor.cast t Tensor.F32
+(* ------------------------------------------------------------------ *)
+(* Destination-passing execution: every float kernel                   *)
+
+let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
+    ~(dest : int -> Tensor.dtype -> int list -> Tensor.fbuf * int) : int list list option =
+  let par =
+    match backend with Some be -> Backend.par_of be | None -> Blocked.sequential
+  in
+  (* The one call to [dest] of a single-output op: every shape check has
+     passed by now. *)
+  let write ?(dt = promoted inputs) dims run =
+    let c, co = dest 0 dt dims in
+    run ~c ~co;
+    Some [ dims ]
+  in
+  let elementwise vs od last =
+    write (Array.to_list od) (elementwise ~par vs od last)
+  in
+  (* [n] elements of [x] read through [map] (in flat order when [None])
+     into [c] at [co]: one Gather or Copy instruction. *)
+  let shuffle x map ~n ~c ~co =
+    let instr =
+      match map with
+      | None -> OS.Copy (OS.Leaf 0, OS.Leaf 1)
+      | Some m -> OS.Gather (0, m, OS.Leaf 1)
+    in
+    run_program ~par ~n ~regs32:0 ~regs64:0 [| instr |] [| x |] ~c ~co
+  in
+  (* a pool's output dims, which a window larger than its padded input
+     would make negative *)
+  let pooled od =
+    if List.exists (fun d -> d < 0) od then
+      invalid_arg (Op.name op ^ ": the window exceeds the padded input");
+    od
+  in
+  match Multi_version.heavy_result op inputs with
+  | Some (dims, dt) ->
+    write ~dt dims
+      (Multi_version.heavy_into ?cls ~par (Option.bind backend Backend.versions) op inputs)
+  | None -> (
+    match op, inputs with
+    | Op.Unary u, [ x ] -> elementwise [| x |] (view_dims_arr x) (fun l d -> OS.Unary (u, l.(0), d))
+    | Op.Clip (lo, hi), [ x ] ->
+      elementwise [| x |] (view_dims_arr x) (fun l d -> OS.Clip (lo, hi, l.(0), d))
+    | Op.Binary b, [ x; y ] ->
+      elementwise [| x; y |]
+        (Tensor.broadcast_dims (view_dims_arr x) (view_dims_arr y))
+        (fun l d -> OS.Binary (b, l.(0), l.(1), d))
+    | Op.BatchNorm { eps }, [ x; scale; bias; mean; var ] ->
+      let ps = [ scale; bias; mean; var ] in
+      if not (batch_norm_fits x ps) then
+        arg_err op "BatchNorm needs rank >= 2 and per-channel or scalar parameters";
+      write x.Tensor.vdims (batch_norm_into ~par ~eps x ps)
+    | Op.LayerNorm { eps }, [ x; gamma; beta ] ->
+      write x.Tensor.vdims (Reduction.layer_norm_into ~eps x ~gamma ~beta)
+    | Op.Softmax { axis }, [ x ] -> write x.Tensor.vdims (Reduction.softmax_into ~axis x)
+    | Op.Split { axis; sizes }, [ x ] ->
+      let d = view_dims_arr x in
+      let r = Array.length d in
+      let axis = if axis < 0 then axis + r else axis in
+      if axis < 0 || axis >= r || List.exists (fun s -> s < 0) sizes
+         || List.fold_left ( + ) 0 sizes <> d.(axis)
+      then arg_err op "Split needs an axis in range and sizes that sum to its extent";
+      (* piece [i] is, in each of the [outer] rows of [x], the run of
+         [size·inner] elements [start·inner] into the row *)
+      let inner = Array.fold_left ( * ) 1 (Array.sub d (axis + 1) (r - axis - 1)) in
+      let outer = Array.fold_left ( * ) 1 (Array.sub d 0 axis) in
+      let start = ref 0 in
+      Some
+        (List.mapi
+           (fun i size ->
+             let dims = Array.to_list (Array.mapi (fun a e -> if a = axis then size else e) d) in
+             let c, co = dest i (promoted inputs) dims in
+             shuffle
+               { x with Tensor.voff = x.Tensor.voff + (!start * inner) }
+               (OS.stride_map ~od:[| outer; size * inner |] ~ss:[| d.(axis) * inner; 1 |])
+               ~n:(outer * size * inner) ~c ~co;
+             start := !start + size;
+             dims)
+           sizes)
+    | Op.Transpose perm, [ x ] ->
+      if List.sort compare perm <> List.init (List.length x.Tensor.vdims) Fun.id then
+        invalid_arg "Transform.transpose: perm must be a permutation of axes";
+      let ind = view_dims_arr x in
+      let od = Array.of_list (List.map (fun p -> ind.(p)) perm) in
+      write (Array.to_list od)
+        (shuffle x (OS.transpose_map ~od ~ind ~perm) ~n:(Tensor.view_numel x))
+    | ( (Op.MaxPool { kernel; pool_stride; pool_pads } | Op.AveragePool { kernel; pool_stride; pool_pads }),
+        [ x ] ) ->
+      let kind = match op with Op.MaxPool _ -> `Max | _ -> `Avg in
+      write
+        (pooled (Linalg.pool2d_out_dims ~kernel ~stride:pool_stride ~pad:pool_pads x.Tensor.vdims))
+        (fun ~c ~co ->
+          ignore (Linalg.pool2d_into ~kind ~kernel ~stride:pool_stride ~pad:pool_pads x ~c ~co))
+    | Op.GlobalAveragePool, [ x ] ->
+      write (Linalg.global_pool_out_dims x.Tensor.vdims) (fun ~c ~co ->
+          ignore (Linalg.global_avg_pool_into x ~c ~co))
+    | _ -> None)
+
+(* ------------------------------------------------------------------ *)
+(* Execution over boxed tensors                                        *)
+
+let is_int t = not (Tensor.is_float_dtype (Tensor.dtype t))
+
+let rec run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
+  (* The destination kernels over a fresh zeroed buffer per output.
+     Integer operands promote to F32 for float semantics; float operands
+     keep their own precision (an F64 input must not silently narrow). *)
+  let fresh () =
+    let outs = ref [] in
+    let dest _ dt dims =
+      let t = Tensor.zeros dt dims in
+      outs := t :: !outs;
+      Tensor.storage_f t, 0
+    in
+    let ensure_f t = if is_int t then Tensor.cast t Tensor.F32 else t in
+    Option.map
+      (fun _ -> List.rev !outs)
+      (run_into ?backend ?cls op (List.map (fun t -> Tensor.view_f (ensure_f t)) inputs) ~dest)
   in
   match op, inputs with
-  | Op.Unary u, [ x ] -> (
-    match Tensor.dtype x, u with
-    | (Tensor.I64 | Tensor.I8), Op.Identity -> [ x ]
-    | (Tensor.I64 | Tensor.I8), Op.Neg -> [ Tensor.map_i (fun v -> -v) x ]
-    | (Tensor.I64 | Tensor.I8), Op.Abs -> [ Tensor.map_i abs x ]
-    | (Tensor.I64 | Tensor.I8), Op.Not ->
-      [ Tensor.map_i (fun v -> if v = 0 then 1 else 0) x ]
-    | (Tensor.I64 | Tensor.I8), _ -> [ Tensor.map_f (unary_fn u) (Tensor.cast x Tensor.F32) ]
-    | (Tensor.F32 | Tensor.F64), _ -> [ Tensor.map_f (unary_fn u) x ])
-  | Op.Binary b, [ x; y ] -> (
-    match Tensor.dtype x, Tensor.dtype y with
-    | (Tensor.I64 | Tensor.I8), (Tensor.I64 | Tensor.I8) ->
-      [ Tensor.map2i (int_binary_fn b) x y ]
-    | _ -> [ Tensor.map2 (float_binary_fn b) (ensure_f x) (ensure_f y) ])
-  | Op.Clip (lo, hi), [ x ] -> [ Tensor.map_f (Op_semantics.clip_fn lo hi) x ]
+  (* integer Neg, Abs, Not and Identity, integer-by-integer Binary and
+     integer shuffles keep integer values *)
+  | Op.Unary Op.Identity, [ x ] when is_int x -> [ x ]
+  | Op.Unary Op.Neg, [ x ] when is_int x -> [ Tensor.map_i (fun v -> -v) x ]
+  | Op.Unary Op.Abs, [ x ] when is_int x -> [ Tensor.map_i abs x ]
+  | Op.Unary Op.Not, [ x ] when is_int x -> [ Tensor.map_i (fun v -> if v = 0 then 1 else 0) x ]
+  | Op.Binary b, [ x; y ] when is_int x && is_int y -> [ Tensor.map2i (int_binary_fn b) x y ]
+  | Op.Transpose perm, [ x ] when is_int x -> [ Transform.transpose x perm ]
+  | Op.Split { axis; sizes }, [ x ] when is_int x -> Transform.split x ~axis ~sizes
   | Op.Cast dt, [ x ] -> [ Tensor.cast x dt ]
   | Op.Where, [ c; a; b ] -> [ Transform.where (Tensor.cast c Tensor.I64) a b ]
-  | Op.MatMul, [ a; b ] -> (
-    match backend with
-    | Some be -> [ Backend.matmul ?cls be a b ]
-    | None -> [ Linalg.matmul a b ])
-  | Op.Gemm { alpha; beta; trans_a; trans_b }, (a :: b :: rest) -> (
-    let c = match rest with [ c ] -> Some c | _ -> None in
-    match backend with
-    | Some be -> [ Backend.gemm ?cls be ~alpha ~beta ~trans_a ~trans_b a b c ]
-    | None -> [ Linalg.gemm ~alpha ~beta ~trans_a ~trans_b a b c ])
-  | Op.Conv { stride; pads; dilation; groups }, (x :: w :: rest) -> (
-    let b = match rest with [ b ] -> Some b | _ -> None in
-    match backend with
-    | Some be -> [ Backend.conv2d ?cls be ~stride ~pad:pads ~dilation ~groups x w b ]
-    | None -> [ Linalg.conv2d ~stride ~pad:pads ~dilation ~groups x w b ])
-  | Op.Conv1d { stride1; pads1; dilation1; groups1 }, (x :: w :: rest) -> (
-    let b = match rest with [ b ] -> Some b | _ -> None in
-    match backend with
-    | Some be ->
-      [ Backend.conv1d ?cls be ~stride:stride1 ~pad:pads1 ~dilation:dilation1
-          ~groups:groups1 x w b ]
-    | None ->
-      [ Linalg.conv1d ~stride:stride1 ~pad:pads1 ~dilation:dilation1 ~groups:groups1 x w b ])
-  | Op.MaxPool { kernel; pool_stride; pool_pads }, [ x ] ->
-    [ Linalg.max_pool2d ~kernel ~stride:pool_stride ~pad:pool_pads x ]
-  | Op.AveragePool { kernel; pool_stride; pool_pads }, [ x ] ->
-    [ Linalg.avg_pool2d ~kernel ~stride:pool_stride ~pad:pool_pads x ]
-  | Op.GlobalAveragePool, [ x ] -> [ Linalg.global_avg_pool x ]
-  | Op.BatchNorm { eps }, [ x; scale; bias; mean; var ] ->
-    let vx = Tensor.view_f x and vps = List.map Tensor.view_f [ scale; bias; mean; var ] in
-    if not (batch_norm_fits vx vps) then
-      arg_err op "BatchNorm needs rank >= 2 and per-channel or scalar parameters";
-    let out = Tensor.empty (promoted (vx :: vps)) (Tensor.dims x) in
-    batch_norm_into ~par:Blocked.sequential ~eps vx vps ~c:(Tensor.storage_f out) ~co:0;
-    [ out ]
-  | Op.LayerNorm { eps }, [ x; gamma; beta ] -> [ Reduction.layer_norm x ~gamma ~beta ~eps ]
   | Op.GroupNorm { num_groups; eps }, [ x; gamma; beta ] ->
     [ Reduction.group_norm x ~groups:num_groups ~gamma ~beta ~eps ]
   | Op.InstanceNorm { eps }, [ x; gamma; beta ] ->
     (* instance norm = group norm with one group per channel *)
     let channels = List.nth (Tensor.dims x) 1 in
     [ Reduction.group_norm x ~groups:channels ~gamma ~beta ~eps ]
-  | Op.Softmax { axis }, [ x ] -> [ Reduction.softmax x ~axis ]
   | Op.LogSoftmax { axis }, [ x ] -> [ Reduction.log_softmax x ~axis ]
   | Op.Reduce { rkind; axes; keepdims }, [ x ] ->
     [ Reduction.reduce (reduce_kind rkind) x ~axes ~keepdims ]
   | Op.ArgMax { axis; keepdims }, [ x ] -> [ Reduction.argmax x ~axis ~keepdims ]
   | Op.ArgMin { axis; keepdims }, [ x ] -> [ Reduction.argmin x ~axis ~keepdims ]
   | Op.CumSum { axis }, [ x ] -> [ Reduction.cumsum x ~axis ]
-  | Op.Transpose perm, [ x ] -> [ Transform.transpose x perm ]
   | (Op.Reshape | Op.Flatten _ | Op.Squeeze _ | Op.Unsqueeze _), x :: rest ->
     [ Tensor.reshape x (view_dims op (Tensor.dims x) rest) ]
   | Op.Concat { axis }, (_ :: _ as xs) -> [ Transform.concat xs ~axis ]
-  | Op.Split { axis; sizes }, [ x ] -> Transform.split x ~axis ~sizes
   | Op.Slice, [ x; starts; ends; axes; steps ] ->
     [
       Transform.slice x
@@ -314,136 +380,13 @@ let run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
   | (Op.Switch _ | Op.Combine _), _ ->
     Sod2_error.failf ~op:(Op.name op) Sod2_error.Unsupported
       "Kernels.run: control flow is routed by the executor, not evaluated as a kernel"
-  | _, _ -> arg_err op (Printf.sprintf "arity %d not supported" (List.length inputs))
-
-(* ------------------------------------------------------------------ *)
-(* Destination-passing execution (the executor's kernels)             *)
-
-let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
-    ~(dest : int -> Tensor.dtype -> int list -> Tensor.fbuf * int) : int list list option =
-  let par =
-    match backend with Some be -> Backend.par_of be | None -> Blocked.sequential
-  in
-  (* The one call to [dest] of a single-output op: every shape check has
-     passed by now. *)
-  let write ?(dt = promoted inputs) dims run =
-    let c, co = dest 0 dt dims in
-    run ~c ~co;
-    Some [ dims ]
-  in
-  let elementwise vs od last =
-    write (Array.to_list od) (elementwise ~par vs od last)
-  in
-  (* A 2-d convolution of the views, its result [N×M×OH×OW] reported as
-     [dims_of] those dims. *)
-  let conv ~stride ~pads ~dilation ~groups (x : Tensor.view) (w : Tensor.view) rest dims_of =
-    let b = match rest with [ b ] -> Some b | _ -> None in
-    match
-      Linalg.conv2d_out_dims ~stride ~pad:pads ~dilation x.Tensor.vdims w.Tensor.vdims
-    with
-    | exception Invalid_argument _ -> None
-    | od when List.exists (fun d -> d < 0) od -> None
-    | od ->
-      (* the bias does not widen the result, as in [Linalg.conv2d] *)
-      write ~dt:(promoted [ x; w ]) (dims_of od) (fun ~c ~co ->
-          ignore
-            (match backend with
-            | Some be ->
-              Backend.conv2d_into ?cls be ~stride ~pad:pads ~dilation ~groups x w b ~c ~co
-            | None -> Linalg.conv2d_into ~stride ~pad:pads ~dilation ~groups x w b ~c ~co))
-  in
-  (* [n] elements of [x] read through [map] (in flat order when [None])
-     into [c] at [co]: one Gather or Copy instruction. *)
-  let shuffle x map ~n ~c ~co =
-    let instr =
-      match map with
-      | None -> OS.Copy (OS.Leaf 0, OS.Leaf 1)
-      | Some m -> OS.Gather (0, m, OS.Leaf 1)
-    in
-    run_program ~par ~n ~regs32:0 ~regs64:0 [| instr |] [| x |] ~c ~co
-  in
-  match op, inputs with
-  | Op.Unary u, [ x ] -> elementwise [| x |] (view_dims_arr x) (fun l d -> OS.Unary (u, l.(0), d))
-  | Op.Clip (lo, hi), [ x ] ->
-    elementwise [| x |] (view_dims_arr x) (fun l d -> OS.Clip (lo, hi, l.(0), d))
-  | Op.Binary b, [ x; y ] ->
-    elementwise [| x; y |]
-      (Tensor.broadcast_dims (view_dims_arr x) (view_dims_arr y))
-      (fun l d -> OS.Binary (b, l.(0), l.(1), d))
-  | Op.BatchNorm { eps }, [ x; scale; bias; mean; var ]
-    when batch_norm_fits x [ scale; bias; mean; var ] ->
-    write x.Tensor.vdims (batch_norm_into ~par ~eps x [ scale; bias; mean; var ])
-  | Op.MatMul, [ a; b ] -> (
-    match Linalg.matmul_out_dims a.Tensor.vdims b.Tensor.vdims with
-    | exception Invalid_argument _ -> None
-    | od ->
-      write od (fun ~c ~co ->
-          ignore
-            (match backend with
-            | Some be -> Backend.matmul_into ?cls be a b ~c ~co
-            | None -> Linalg.matmul_into a b ~c ~co)))
-  | Op.Conv { stride; pads; dilation; groups }, x :: w :: rest ->
-    conv ~stride ~pads ~dilation ~groups x w rest Fun.id
-  | Op.Conv1d { stride1; pads1 = pl, pr; dilation1; groups1 }, x :: w :: rest -> (
-    (* the unit-height lowering of [Backend.conv1d], on views *)
-    match x.Tensor.vdims, w.Tensor.vdims with
-    | [ n; c; l ], [ m; cg; k ] ->
-      conv ~stride:(1, stride1) ~pads:(0, pl, 0, pr) ~dilation:(1, dilation1) ~groups:groups1
-        (Tensor.view_reshape x [ n; c; 1; l ])
-        (Tensor.view_reshape w [ m; cg; 1; k ])
-        rest
-        (function [ n; m; _; ol ] -> [ n; m; ol ] | od -> od)
-    | _ -> None)
-  | Op.LayerNorm { eps }, [ x; gamma; beta ]
-    when Reduction.layer_norm_fits (view_dims_arr x) (view_dims_arr gamma) (view_dims_arr beta)
-    ->
-    write x.Tensor.vdims (Reduction.layer_norm_into ~eps x ~gamma ~beta)
-  | Op.Softmax { axis }, [ x ]
-    when axis >= -List.length x.Tensor.vdims && axis < List.length x.Tensor.vdims ->
-    write x.Tensor.vdims (Reduction.softmax_into ~axis x)
-  | Op.Split { axis; sizes }, [ x ] ->
-    let d = view_dims_arr x in
-    let r = Array.length d in
-    let axis = if axis < 0 then axis + r else axis in
-    if axis < 0 || axis >= r || List.exists (fun s -> s < 0) sizes
-       || List.fold_left ( + ) 0 sizes <> d.(axis)
-    then None
-    else begin
-      (* piece [i] is, in each of the [outer] rows of [x], the run of
-         [size·inner] elements [start·inner] into the row *)
-      let inner = Array.fold_left ( * ) 1 (Array.sub d (axis + 1) (r - axis - 1)) in
-      let outer = Array.fold_left ( * ) 1 (Array.sub d 0 axis) in
-      let start = ref 0 in
-      Some
-        (List.mapi
-           (fun i size ->
-             let dims = Array.to_list (Array.mapi (fun a e -> if a = axis then size else e) d) in
-             let c, co = dest i (promoted inputs) dims in
-             shuffle
-               { x with Tensor.voff = x.Tensor.voff + (!start * inner) }
-               (OS.stride_map ~od:[| outer; size * inner |] ~ss:[| d.(axis) * inner; 1 |])
-               ~n:(outer * size * inner) ~c ~co;
-             start := !start + size;
-             dims)
-           sizes)
-    end
-  | Op.Transpose perm, [ x ]
-    when List.sort compare perm = List.init (List.length x.Tensor.vdims) Fun.id ->
-    let ind = view_dims_arr x in
-    let od = Array.of_list (List.map (fun p -> ind.(p)) perm) in
-    write (Array.to_list od)
-      (shuffle x (OS.transpose_map ~od ~ind ~perm) ~n:(Tensor.view_numel x))
-  | (Op.MaxPool { kernel; pool_stride; pool_pads } | Op.AveragePool { kernel; pool_stride; pool_pads }),
-    [ x ] -> (
-    let kind = match op with Op.MaxPool _ -> `Max | _ -> `Avg in
-    match Linalg.pool2d_out_dims ~kernel ~stride:pool_stride ~pad:pool_pads x.Tensor.vdims with
-    | exception Invalid_argument _ -> None
-    | od when List.exists (fun d -> d < 0) od -> None
-    | od ->
-      write od (fun ~c ~co ->
-          ignore (Linalg.pool2d_into ~kind ~kernel ~stride:pool_stride ~pad:pool_pads x ~c ~co)))
-  | Op.GlobalAveragePool, [ x ] -> (
-    match Linalg.global_pool_out_dims x.Tensor.vdims with
-    | exception Invalid_argument _ -> None
-    | od -> write od (fun ~c ~co -> ignore (Linalg.global_avg_pool_into x ~c ~co)))
-  | _ -> None
+  | _, _ -> (
+    match fresh () with
+    | Some outs -> outs
+    | None -> (
+      match op, inputs with
+      | Op.Gemm ({ beta; _ } as g), [ a; b; c ] ->
+        (* [C] is wider than [A·B]: [A·B] rounds to its own kind first *)
+        let ab = List.hd (run ?backend ?cls (Op.Gemm g) [ a; b ]) in
+        [ Tensor.map2 (fun x y -> x +. (beta *. y)) ab (Tensor.broadcast_to c (Tensor.dims ab)) ]
+      | _ -> arg_err op (Printf.sprintf "arity %d not supported" (List.length inputs))))

@@ -511,7 +511,7 @@ let iter_col_rows (q : conv_geom) ~xoff ~ni ~g row =
    loop: a GEMM per channel with m = 1 spends its time in dispatch and
    packing.  Each output row accumulates in double precision over
    (ci, ky, kx) ascending from zero, skipping out-of-bounds taps, and the
-   bias is added at the store — {!Linalg.conv2d}'s order, bit for bit.
+   bias is added at the store — {!Linalg.conv2d_into}'s order, bit for bit.
    One task covers whole channel planes, about [16k] taps' worth. *)
 let conv2d_depthwise par (q : conv_geom) (vx : Tensor.view) (vw : Tensor.view)
     (vbias : Tensor.view option) dst co =
@@ -1045,28 +1045,3 @@ let conv2d_i8_dequant_into ?par ?tiles ~zx ~zw ~epilogue ?(ep_off = 0) ~stride
         ~b:col ~bo:0 ~c
         ~co:(co + (((ni * m) + (g * mg)) * ndim))
         ())
-
-let conv2d_im2col ?par ?tiles ~stride ~pad ~dilation ~groups x w bias =
-  let dx = Tensor.dims_arr x and dw = Tensor.dims_arr w in
-  let sh, sw = stride in
-  let pt, pl, pb, pr = pad in
-  let dh, dw_ = dilation in
-  let oh =
-    Linalg.conv2d_out_dim ~in_:dx.(2) ~kernel:dw.(2) ~stride:sh ~pad_begin:pt
-      ~pad_end:pb ~dilation:dh
-  in
-  let ow =
-    Linalg.conv2d_out_dim ~in_:dx.(3) ~kernel:dw.(3) ~stride:sw ~pad_begin:pl
-      ~pad_end:pr ~dilation:dw_
-  in
-  let odt =
-    if Tensor.dtype x = Tensor.F64 || Tensor.dtype w = Tensor.F64 then Tensor.F64
-    else Tensor.F32
-  in
-  let out = Tensor.zeros odt [ dx.(0); dw.(0); oh; ow ] in
-  ignore
-    (conv2d_im2col_into ?par ?tiles ~stride ~pad ~dilation ~groups
-       (Tensor.view_f x) (Tensor.view_f w)
-       (Option.map Tensor.view_f bias)
-       ~c:(Tensor.storage_f out) ~co:0);
-  out

@@ -10,7 +10,7 @@
       micro-tiles whose accumulators are unboxed local floats, and runs
       (row tile × column block) tasks that a parallel runner can execute
       concurrently;
-    - {!conv2d_im2col} lowers convolution (grouped, strided, dilated,
+    - {!conv2d_im2col_into} lowers convolution (grouped, strided, dilated,
       padded) onto that GEMM by materializing the im2col column matrix per
       (image, group).
 
@@ -69,15 +69,17 @@ val gemm :
     its flat offset.  [C] is {e accumulated into}, not overwritten, so
     callers zero- or bias-initialize it. *)
 
-val conv2d_im2col :
-  ?par:par -> ?tiles:tiles -> stride:int * int -> pad:int * int * int * int -> dilation:int * int ->
-  groups:int -> Tensor.t -> Tensor.t -> Tensor.t option -> Tensor.t
-(** Drop-in replacement for {!Linalg.conv2d}: same NCHW/OIHW layouts, same
-    validation, same output; internally each (image, group) pair becomes a
-    [mg × (oh·ow) × (cg·kh·kw)] GEMM over the packed column matrix —
-    except depthwise convolutions (one output channel per group, more than
-    one group), which run a direct tap loop in {!Linalg.conv2d}'s
-    summation order, bit for bit. *)
+val conv2d_im2col_into :
+  ?par:par -> ?tiles:tiles -> stride:int * int -> pad:int * int * int * int ->
+  dilation:int * int -> groups:int -> Tensor.view -> Tensor.view ->
+  Tensor.view option -> c:Tensor.fbuf -> co:int -> int list
+(** The blocked counterpart of {!Linalg.conv2d_into}: same NCHW/OIHW
+    layouts, same validation, same output bits, written into [c] at
+    element offset [co] (its dims are returned).  Internally each (image,
+    group) pair becomes a [mg × (oh·ow) × (cg·kh·kw)] GEMM over the packed
+    column matrix — except depthwise convolutions (one output channel per
+    group, more than one group), which run a direct tap loop in
+    {!Linalg.conv2d_into}'s summation order, bit for bit. *)
 
 (** {1 Int8 path}
 
@@ -138,11 +140,3 @@ val conv2d_i8_dequant_into :
   c:Tensor.fbuf -> co:int -> unit -> int list
 (** Float write-back variant of {!conv2d_i8_into}: the epilogue folds
     dequantization and the (float) bias into the store. *)
-
-val conv2d_im2col_into :
-  ?par:par -> ?tiles:tiles -> stride:int * int -> pad:int * int * int * int ->
-  dilation:int * int -> groups:int -> Tensor.view -> Tensor.view ->
-  Tensor.view option -> c:Tensor.fbuf -> co:int -> int list
-(** Destination-passing {!conv2d_im2col}: operands arrive as
-    offset-carrying views, the [N×M×Oh×Ow] result is written into [c] at
-    element offset [co] and its dims are returned. *)

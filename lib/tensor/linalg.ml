@@ -166,11 +166,6 @@ let matmul_spec adims bdims =
 
 let matmul_out_dims adims bdims = (matmul_spec adims bdims).mm_out
 
-(* Output precision of a float binary kernel: promote to the wider kind. *)
-let out_dtype a b =
-  if Tensor.dtype a = Tensor.F64 || Tensor.dtype b = Tensor.F64 then Tensor.F64
-  else Tensor.F32
-
 (* Matmul on the trailing two axes with broadcast batch dims, written
    directly into [c] at element offset [co] (destination passing — the
    arena executor points this at a planned slot).  [inner] computes one
@@ -209,13 +204,6 @@ let matmul_into ?(inner = naive_kernel) (va : Tensor.view) (vb : Tensor.view) ~c
   done;
   s.mm_out
 
-let matmul ?inner a b =
-  let va = Tensor.view_f a and vb = Tensor.view_f b in
-  let out_dims = matmul_out_dims va.Tensor.vdims vb.Tensor.vdims in
-  let out = Tensor.zeros (out_dtype a b) out_dims in
-  ignore (matmul_into ?inner va vb ~c:(Tensor.storage_f out) ~co:0);
-  out
-
 let transpose2d t =
   let d = Tensor.dims_arr t in
   let m = d.(0) and n = d.(1) in
@@ -227,15 +215,6 @@ let transpose2d t =
     done
   done;
   Tensor.of_floats (Tensor.dtype t) [ n; m ] dst
-
-let gemm ?inner ?(alpha = 1.0) ?(beta = 1.0) ?(trans_a = false) ?(trans_b = false) a b c =
-  let a = if trans_a then transpose2d a else a in
-  let b = if trans_b then transpose2d b else b in
-  let ab = matmul ?inner a b in
-  let ab = if alpha = 1.0 then ab else Tensor.map_f (fun v -> v *. alpha) ab in
-  match c with
-  | None -> ab
-  | Some c -> Tensor.map2 (fun x y -> x +. (beta *. y)) ab (Tensor.broadcast_to c (Tensor.dims ab))
 
 (* Destination-passing GEMM over views: transposes go through small
    scratch tensors, alpha/beta are applied in place on the destination
@@ -339,39 +318,6 @@ let conv2d_into ?(stride = (1, 1)) ?(pad = (0, 0, 0, 0)) ?(dilation = (1, 1)) ?(
     done
   done;
   [ n; m; oh; ow ]
-
-let conv2d ?stride ?pad ?dilation ?groups x w b =
-  let vx = Tensor.view_f x and vw = Tensor.view_f w in
-  let vb = Option.map Tensor.view_f b in
-  let od =
-    conv2d_out_dims
-      ~stride:(Option.value stride ~default:(1, 1))
-      ~pad:(Option.value pad ~default:(0, 0, 0, 0))
-      ~dilation:(Option.value dilation ~default:(1, 1))
-      (Tensor.dims x) (Tensor.dims w)
-  in
-  let out = Tensor.zeros (out_dtype x w) od in
-  ignore (conv2d_into ?stride ?pad ?dilation ?groups vx vw vb ~c:(Tensor.storage_f out) ~co:0);
-  out
-
-let conv1d ?(stride = 1) ?(pad = (0, 0)) ?(dilation = 1) ?(groups = 1) x w b =
-  (* Reuse conv2d by inserting a unit height axis. *)
-  let dx = Tensor.dims x and dw = Tensor.dims w in
-  let x' =
-    match dx with
-    | [ n; c; l ] -> Tensor.reshape x [ n; c; 1; l ]
-    | _ -> invalid_arg "Linalg.conv1d: input must be N×C×L"
-  in
-  let w' =
-    match dw with
-    | [ m; cg; k ] -> Tensor.reshape w [ m; cg; 1; k ]
-    | _ -> invalid_arg "Linalg.conv1d: weight must be M×C×K"
-  in
-  let pl, pr = pad in
-  let out = conv2d ~stride:(1, stride) ~pad:(0, pl, 0, pr) ~dilation:(1, dilation) ~groups x' w' b in
-  match Tensor.dims out with
-  | [ n; m; 1; ol ] -> Tensor.reshape out [ n; m; ol ]
-  | _ -> assert false
 
 (* The pools read their input window in place and store each result once,
    so the store is the single rounding point. *)
@@ -505,18 +451,3 @@ let global_avg_pool_into (x : Tensor.view) ~c:dst ~co =
     fset dst (co + plane) (!acc /. float_of_int spatial)
   done;
   od
-
-(* The boxed pools: a result buffer of the input's kind, filled by the
-   destination kernels above. *)
-let pooled out_dims into x =
-  let out = Tensor.empty (Tensor.dtype x) (out_dims (Tensor.dims x)) in
-  ignore (into (Tensor.view_f x) ~c:(Tensor.storage_f out) ~co:0);
-  out
-
-let max_pool2d ~kernel ?stride ?pad x =
-  pooled (pool2d_out_dims ~kernel ?stride ?pad) (pool2d_into ~kind:`Max ~kernel ?stride ?pad) x
-
-let avg_pool2d ~kernel ?stride ?pad x =
-  pooled (pool2d_out_dims ~kernel ?stride ?pad) (pool2d_into ~kind:`Avg ~kernel ?stride ?pad) x
-
-let global_avg_pool x = pooled global_pool_out_dims global_avg_pool_into x

@@ -1,7 +1,11 @@
-(** Dense linear-algebra and convolution kernels used by the runtime's
-    reference interpreter.  Layouts follow ONNX conventions: matmul uses
-    trailing two axes with numpy-style batch broadcasting, convolutions are
-    NCHW / NCW with OIHW / OIW weights. *)
+(** The naive destination-passing kernels for matmul, Gemm, convolution
+    and pooling, plus their output-shape rules.  Each writes its result
+    into a float buffer at an element offset; the runtime's one entry per
+    operator ([Kernels.run_into], with [Multi_version.heavy_into] choosing
+    between these loops and the blocked ones) is how they run.  Layouts
+    follow ONNX conventions: matmul uses trailing two axes with
+    numpy-style batch broadcasting, convolutions are NCHW with OIHW
+    weights (a 1-d convolution runs as one of unit height). *)
 
 type gemm_kernel =
   m:int -> n:int -> k:int ->
@@ -35,70 +39,40 @@ val check_conv_groups : c:int -> groups:int -> cg:int -> unit
     [c mod groups = 0] and [c / groups = cg].  Raises a structured
     {!Sod2_error.Error} (shape-mismatch) otherwise. *)
 
-val matmul : ?inner:gemm_kernel -> Tensor.t -> Tensor.t -> Tensor.t
-(** [matmul a b] contracts the last axis of [a] with the second-to-last of
-    [b]; leading axes broadcast.  1-d operands are promoted as in numpy.
-    [inner] overrides the per-batch GEMM kernel (default naive). *)
-
 val matmul_out_dims : int list -> int list -> int list
-(** Result dims of {!matmul} for the given operand dims (promotion and
-    batch broadcast applied); raises on incompatible operands.  Lets the
-    arena executor size a destination slot before calling
-    {!matmul_into}. *)
+(** Result dims of a matmul of operands of the given dims (numpy
+    promotion of 1-d operands and batch broadcast applied); raises
+    [Invalid_argument] on incompatible operands.  Sizes the destination
+    before {!matmul_into} runs. *)
 
 val matmul_into :
   ?inner:gemm_kernel -> Tensor.view -> Tensor.view ->
   c:Tensor.fbuf -> co:int -> int list
-(** Destination-passing {!matmul}: writes the product into [c] starting at
-    element offset [co] (the window is zeroed first — [inner]
-    accumulates), reading the operands through offset-carrying views.
-    Returns the result dims. *)
+(** [matmul_into a b ~c ~co] contracts the last axis of [a] with the
+    second-to-last of [b] (leading axes broadcast) and writes the product
+    into [c] starting at element offset [co] (the window is zeroed first
+    — [inner], default {!naive_kernel}, accumulates), reading the operands
+    through offset-carrying views.  Returns the result dims. *)
 
 val gemm_into :
   ?inner:gemm_kernel ->
   ?alpha:float -> ?beta:float -> ?trans_a:bool -> ?trans_b:bool ->
   Tensor.view -> Tensor.view -> Tensor.view option ->
   c:Tensor.fbuf -> co:int -> int list
-(** Destination-passing {!gemm}; transposed operands go through scratch
-    tensors, alpha/beta are folded in place on the destination window. *)
-
-val gemm :
-  ?inner:gemm_kernel ->
-  ?alpha:float -> ?beta:float -> ?trans_a:bool -> ?trans_b:bool ->
-  Tensor.t -> Tensor.t -> Tensor.t option -> Tensor.t
-(** ONNX [Gemm]: [alpha * op(a) @ op(b) + beta * c] on 2-d operands with
-    unidirectional broadcast of [c]. *)
-
-val conv2d :
-  ?stride:int * int -> ?pad:int * int * int * int -> ?dilation:int * int ->
-  ?groups:int -> Tensor.t -> Tensor.t -> Tensor.t option -> Tensor.t
-(** [conv2d x w b] with [x : N×C×H×W], [w : M×(C/g)×Kh×Kw], optional bias
-    [b : M].  [pad] is (top, left, bottom, right). *)
+(** ONNX [Gemm], [alpha * op(a) @ op(b) + beta * c] on 2-d operands with
+    unidirectional broadcast of [c], into [c] at [co]: transposed operands
+    go through scratch tensors, alpha/beta are folded in place on the
+    destination window.  Returns the result dims. *)
 
 val conv2d_into :
   ?stride:int * int -> ?pad:int * int * int * int -> ?dilation:int * int ->
   ?groups:int -> Tensor.view -> Tensor.view -> Tensor.view option ->
   c:Tensor.fbuf -> co:int -> int list
-(** Destination-passing {!conv2d}: writes the [N×M×Oh×Ow] result into [c]
-    at element offset [co] and returns those dims. *)
-
-val conv1d :
-  ?stride:int -> ?pad:int * int -> ?dilation:int -> ?groups:int ->
-  Tensor.t -> Tensor.t -> Tensor.t option -> Tensor.t
-(** [conv1d x w b] with [x : N×C×L], [w : M×(C/g)×K]. *)
-
-val max_pool2d :
-  kernel:int * int -> ?stride:int * int -> ?pad:int * int * int * int ->
-  Tensor.t -> Tensor.t
-
-val avg_pool2d :
-  kernel:int * int -> ?stride:int * int -> ?pad:int * int * int * int ->
-  Tensor.t -> Tensor.t
-(** Average pooling; padded positions are excluded from the divisor
-    (ONNX [count_include_pad = 0]). *)
-
-val global_avg_pool : Tensor.t -> Tensor.t
-(** [N×C×spatial…] → [N×C×1×…×1]. *)
+(** [conv2d_into x w b ~c ~co] with [x : N×C×H×W], [w : M×(C/g)×Kh×Kw]
+    and optional bias [b : M] writes the [N×M×Oh×Ow] result into [c] at
+    element offset [co] and returns those dims.  [pad] is (top, left,
+    bottom, right).  Each element sums its taps in double precision from
+    zero and adds the bias at the one rounding store. *)
 
 val pool2d_out_dims :
   kernel:int * int -> ?stride:int * int -> ?pad:int * int * int * int -> int list ->
@@ -109,17 +83,18 @@ val pool2d_out_dims :
 val pool2d_into :
   kind:[ `Max | `Avg ] -> kernel:int * int -> ?stride:int * int ->
   ?pad:int * int * int * int -> Tensor.view -> c:Tensor.fbuf -> co:int -> int list
-(** Destination-passing {!max_pool2d}/{!avg_pool2d}: writes the pooled
-    view into [c] at element offset [co] and returns the output dims.
-    Each window is walked ky then kx over its in-bounds taps; max keeps a
-    tap when [v > acc], average divides by the in-bounds tap count, and a
-    window wholly in padding yields 0.  The boxed pools call this. *)
+(** Max or average pooling of the view into [c] at element offset [co];
+    returns the output dims.  Each window is walked ky then kx over its
+    in-bounds taps; max keeps a tap when [v > acc], average divides by
+    the in-bounds tap count (ONNX [count_include_pad = 0]), and a window
+    wholly in padding yields 0. *)
 
 val global_pool_out_dims : int list -> int list
 (** [N×C×spatial…] → [N×C×1×…×1]; raises [Invalid_argument] below rank 3. *)
 
 val global_avg_pool_into : Tensor.view -> c:Tensor.fbuf -> co:int -> int list
-(** Destination-passing {!global_avg_pool}. *)
+(** Global average pooling, [N×C×spatial…] → [N×C×1×…×1], into [c] at
+    element offset [co]; returns the output dims. *)
 
 val conv2d_out_dim : in_:int -> kernel:int -> stride:int -> pad_begin:int ->
   pad_end:int -> dilation:int -> int

@@ -270,15 +270,6 @@ let layer_norm_into ~eps (x : Tensor.view) ~(gamma : Tensor.view) ~(beta : Tenso
             (rnd cell rg (nj *. fget g (og + (j * lg))) +. fget b (ob + (j * lb)))
         done)
 
-let layer_norm t ~gamma ~beta ~eps =
-  let dt =
-    Tensor.promote_f (Tensor.promote_f (Tensor.dtype t) (Tensor.dtype gamma)) (Tensor.dtype beta)
-  in
-  let out = Tensor.empty dt (Tensor.dims t) in
-  layer_norm_into ~eps (Tensor.view_f t) ~gamma:(Tensor.view_f gamma) ~beta:(Tensor.view_f beta)
-    ~c:(Tensor.storage_f out) ~co:0;
-  out
-
 (* [Float.max acc v], with the stdlib call only on ties and NaN. *)
 let[@inline] fmax acc v = if v > acc then v else if v < acc then acc else Float.max acc v
 
@@ -378,11 +369,6 @@ let softmax_into ~axis (x : Tensor.view) ~c:o ~co =
         done
     done
   done
-
-let softmax t ~axis =
-  let out = Tensor.empty (Tensor.dtype t) (Tensor.dims t) in
-  softmax_into ~axis (Tensor.view_f t) ~c:(Tensor.storage_f out) ~co:0;
-  out
 
 let channel_shape t v =
   (* Reshape a per-channel vector to broadcast over axis 1 of [t]. *)

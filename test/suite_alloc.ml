@@ -92,7 +92,7 @@ let test_norm_alloc () =
     let scale = vec c and bias = vec c and mean = vec c in
     let var = Tensor.map_f Float.abs (vec c) and gamma = vec d and beta = vec d in
     ( steady_alloc (fun () ->
-          ignore (Reduction.layer_norm t ~gamma ~beta ~eps:1e-5)),
+          ignore (RT.Kernels.run (Op.LayerNorm { eps = 1e-5 }) [ t; gamma; beta ])),
       steady_alloc (fun () ->
           ignore (RT.Kernels.run (Op.BatchNorm { eps = 1e-5 }) [ t; scale; bias; mean; var ])) )
   in
@@ -143,7 +143,7 @@ let fused_alloc build n =
   let args = Array.map (fun t -> Tensor.dims t, Tensor.dtype t) tensors in
   let k =
     match
-      Sod2.Fused_compile.specialize g tpl ~tiles:(fun _ -> Blocked.default_tiles) ~args
+      Sod2.Fused_compile.specialize g tpl ~versions:Sod2.Multi_version.untuned ~args
     with
     | Ok k -> k
     | Error e -> Alcotest.failf "specialize: %s" e
@@ -213,12 +213,14 @@ let jobs () =
   let conv dt xd wd groups =
     let x = Tensor.cast (Tensor.rand_uniform rng xd) dt in
     let w = Tensor.cast (Tensor.rand_uniform rng wd) dt in
+    let stride = 1, 1 and pad = 1, 1, 1, 1 and dilation = 1, 1 in
+    let n = List.fold_left ( * ) 1 (Linalg.conv2d_out_dims ~stride ~pad ~dilation xd wd) in
     fun () ->
-      let out =
-        Blocked.conv2d_im2col ~stride:(1, 1) ~pad:(1, 1, 1, 1) ~dilation:(1, 1) ~groups x w
-          None
-      in
-      bits_of_fbuf (Tensor.storage_f out)
+      let c = Tensor.fbuf_create dt n in
+      ignore
+        (Blocked.conv2d_im2col_into ~stride ~pad ~dilation ~groups (Tensor.view_f x)
+           (Tensor.view_f w) None ~c ~co:0);
+      bits_of_fbuf c
   in
   let gemm_i8 (m, n, k) =
     let i8 len =

@@ -13,6 +13,20 @@ let check_close msg expected actual =
     Alcotest.failf "%s: tensors differ\nexpected %s\nactual   %s" msg
       (Tensor.to_string expected) (Tensor.to_string actual)
 
+(* A convolution into a fresh tensor through [into], one of the two
+   destination kernels: the naive loop by default, or blocked im2col. *)
+let naive_conv ~stride ~pad ~dilation ~groups = Linalg.conv2d_into ~stride ~pad ~dilation ~groups
+
+let conv2d ?(into = naive_conv) ~stride ~pad ~dilation ~groups x w b =
+  let od = Linalg.conv2d_out_dims ~stride ~pad ~dilation (Tensor.dims x) (Tensor.dims w) in
+  let out = Tensor.zeros (Tensor.promote_f (Tensor.dtype x) (Tensor.dtype w)) od in
+  ignore
+    (into ~stride ~pad ~dilation ~groups (Tensor.view_f x) (Tensor.view_f w)
+       (Option.map Tensor.view_f b) ~c:(Tensor.storage_f out) ~co:0);
+  out
+
+let im2col ?par = conv2d ~into:(Blocked.conv2d_im2col_into ?par ?tiles:None)
+
 (* Random operand storage for the raw-kernel tests.  [dt] selects the
    element kind so the same cases exercise both f32 and f64 code paths. *)
 let fill_buf ?(dt = Tensor.F32) rng len =
@@ -163,13 +177,13 @@ let check_conv name conv =
       let bias =
         if with_bias then Some (Tensor.rand_uniform rng [ List.hd wd ]) else None
       in
-      let want = Linalg.conv2d ~stride ~pad ~dilation ~groups x w bias in
+      let want = conv2d ~stride ~pad ~dilation ~groups x w bias in
       let got = conv ~stride ~pad ~dilation ~groups x w bias in
       check_close (name ^ "/" ^ case) want got)
     conv_cases
 
 let test_conv_im2col_matches_naive () =
-  check_conv "im2col" (Blocked.conv2d_im2col ?par:None ?tiles:None)
+  check_conv "im2col" (im2col ?par:None)
 
 (* Random geometry, bit for bit: odd output widths, padding wider than
    the kernel's reach, and images big enough (oh·ow past 1200 at kernel
@@ -188,11 +202,9 @@ let prop_conv_im2col_random =
       let bias = Some (Tensor.cast (Tensor.rand_uniform rng [ 2 * groups ]) dt) in
       (* widths stride 1-3 over the row fill's groups of four and tails *)
       let stride = stride, 1 + (hw mod 3) and pad = pad, pad, 1, pad and dilation = dil, 1 in
-      match Linalg.conv2d ~stride ~pad ~dilation ~groups x w bias with
+      match conv2d ~stride ~pad ~dilation ~groups x w bias with
       | exception Invalid_argument _ -> true
-      | want ->
-        Tensor.equal want
-          (Blocked.conv2d_im2col ~stride ~pad ~dilation ~groups x w bias))
+      | want -> Tensor.equal want (im2col ~stride ~pad ~dilation ~groups x w bias))
 
 (* Depthwise convolutions (one output channel per group) take a direct
    tap loop; it must reproduce the naive summation order bit for bit,
@@ -217,7 +229,7 @@ let prop_conv_depthwise_bitexact =
       let w = Tensor.cast (signed [ groups; cg; kh; kw ]) dt in
       let bias = if pad mod 2 = 0 then Some (Tensor.cast (signed [ groups ]) dt) else None in
       let stride = 1, stride and pad = 1, pad, 0, pad and dilation = 1, dil in
-      match Linalg.conv2d ~stride ~pad ~dilation ~groups x w bias with
+      match conv2d ~stride ~pad ~dilation ~groups x w bias with
       | exception Invalid_argument _ -> true
       | want ->
         let pool = RT.Domain_pool.create 2 in
@@ -225,8 +237,7 @@ let prop_conv_depthwise_bitexact =
           ~finally:(fun () -> RT.Domain_pool.shutdown pool)
           (fun () ->
             same_bits want
-              (Blocked.conv2d_im2col ~par:(RT.Domain_pool.par pool) ~stride ~pad
-                 ~dilation ~groups x w bias)))
+              (im2col ~par:(RT.Domain_pool.par pool) ~stride ~pad ~dilation ~groups x w bias)))
 
 (* ------------------------------------------------------------------ *)
 (* Block evaluator against the scalar semantics                        *)
@@ -464,7 +475,7 @@ let test_conv_im2col_parallel_matches_naive () =
     ~finally:(fun () -> RT.Domain_pool.shutdown pool)
     (fun () ->
       let par = RT.Domain_pool.par pool in
-      check_conv "im2col/parallel" (Blocked.conv2d_im2col ~par ?tiles:None))
+      check_conv "im2col/parallel" (im2col ~par))
 
 (* ------------------------------------------------------------------ *)
 (* Backend dispatch                                                    *)
@@ -479,30 +490,31 @@ let test_backend_ops_match_reference () =
     (fun kind ->
       with_backend kind (fun be ->
           let name op = RT.Backend.kind_name kind ^ "/" ^ op in
+          (* the backend's kernels against the naive ones, both through
+             [Kernels.run] *)
+          let check what ?cls op inputs =
+            check_close (name what)
+              (List.hd (RT.Kernels.run op inputs))
+              (List.hd (RT.Kernels.run ~backend:be ?cls op inputs))
+          in
           let rng = Rng.create 12 in
           (* batched matmul with broadcasting *)
           let a = Tensor.rand_uniform rng [ 2; 33; 65 ] in
           let b = Tensor.rand_uniform rng [ 65; 17 ] in
-          check_close (name "matmul") (Linalg.matmul a b) (RT.Backend.matmul be a b);
+          check "matmul" Op.MatMul [ a; b ];
           (* transposed gemm with bias broadcast *)
           let ga = Tensor.rand_uniform rng [ 40; 30 ] in
           let gb = Tensor.rand_uniform rng [ 50; 40 ] in
-          let gc = Some (Tensor.rand_uniform rng [ 30; 1 ]) in
-          check_close (name "gemm")
-            (Linalg.gemm ~alpha:0.5 ~beta:1.5 ~trans_a:true ~trans_b:true ga gb gc)
-            (RT.Backend.gemm be ~alpha:0.5 ~beta:1.5 ~trans_a:true ~trans_b:true ga gb
-               gc);
+          let gc = Tensor.rand_uniform rng [ 30; 1 ] in
+          check "gemm" (Op.Gemm { alpha = 0.5; beta = 1.5; trans_a = true; trans_b = true })
+            [ ga; gb; gc ];
           (* conv1d lowers through the same backend *)
           let x1 = Tensor.rand_uniform rng [ 2; 4; 19 ] in
           let w1 = Tensor.rand_uniform rng [ 6; 2; 3 ] in
-          check_close (name "conv1d")
-            (Linalg.conv1d ~stride:2 ~pad:(1, 1) ~dilation:1 ~groups:2 x1 w1 None)
-            (RT.Backend.conv1d be ~stride:2 ~pad:(1, 1) ~dilation:1 ~groups:2 x1 w1
-               None);
+          check "conv1d" (Op.Conv1d { stride1 = 2; pads1 = 1, 1; dilation1 = 1; groups1 = 2 })
+            [ x1; w1 ];
           (* a pinned shape class must not change the result *)
-          check_close (name "matmul/pinned-class")
-            (Linalg.matmul a b)
-            (RT.Backend.matmul ~cls:Sod2.Multi_version.Skinny be a b)))
+          check "matmul/pinned-class" ~cls:Sod2.Multi_version.Skinny Op.MatMul [ a; b ]))
     [ RT.Backend.Naive; RT.Backend.Blocked; RT.Backend.Parallel ]
 
 (* Elementwise maps on a Parallel backend run as destination kernels:
@@ -678,15 +690,16 @@ let test_conv_group_check () =
   let rng = Rng.create 4 in
   let x = Tensor.rand_uniform rng [ 1; 7; 5; 5 ] in
   let w = Tensor.rand_uniform rng [ 4; 3; 2; 2 ] in
-  expect_shape_error "naive conv rejects" (fun () ->
-      Linalg.conv2d ~groups:2 x w None);
+  let conv ?(into = naive_conv) ~groups x =
+    conv2d ~into ~stride:(1, 1) ~pad:(0, 0, 0, 0) ~dilation:(1, 1) ~groups x w None
+  in
+  expect_shape_error "naive conv rejects" (fun () -> conv ~groups:2 x);
   expect_shape_error "im2col conv rejects" (fun () ->
-      Blocked.conv2d_im2col ~stride:(1, 1) ~pad:(0, 0, 0, 0) ~dilation:(1, 1) ~groups:2
-        x w None);
-  expect_shape_error "zero groups" (fun () -> Linalg.conv2d ~groups:0 x w None);
+      conv ~into:(Blocked.conv2d_im2col_into ?par:None ?tiles:None) ~groups:2 x);
+  expect_shape_error "zero groups" (fun () -> conv ~groups:0 x);
   (* channels divisible but weight channels-per-group inconsistent *)
   let x8 = Tensor.rand_uniform rng [ 1; 8; 5; 5 ] in
-  expect_shape_error "cg mismatch" (fun () -> Linalg.conv2d ~groups:2 x8 w None)
+  expect_shape_error "cg mismatch" (fun () -> conv ~groups:2 x8)
 
 (* Concat copies by stride, so operands that disagree off the axis must
    be refused up front rather than written to the wrong offsets. *)

@@ -135,6 +135,60 @@ let test_linalg_ops () =
     [ f [ 1; 2; 8; 8 ] ];
   agree "GlobalAveragePool" Op.GlobalAveragePool [ f [ 2; 3; 4; 5 ] ]
 
+(* [Kernels.run] routes each call: integer Neg, Abs and Not stay
+   integer, any other integer operand of a float kernel reads as F32,
+   float operands keep their precision, and a malformed shape raises the
+   error it raised before the destination kernels ran it — on the naive
+   kernels and on a blocked backend alike. *)
+let test_run_routing () =
+  let module K = Sod2_runtime.Kernels in
+  let ints = i [ -2; 0; 3 ] in
+  let out ?backend op inputs = List.hd (K.run ?backend op inputs) in
+  let dtype msg want op inputs =
+    Alcotest.(check string) msg (Tensor.dtype_name want)
+      (Tensor.dtype_name (Tensor.dtype (out op inputs)))
+  in
+  let ints_of msg want op =
+    dtype msg Tensor.I64 op [ ints ];
+    Alcotest.(check (list int)) (msg ^ " values") want (Tensor.to_int_list (out op [ ints ]))
+  in
+  ints_of "I64 Neg" [ 2; 0; -3 ] (Op.Unary Op.Neg);
+  ints_of "I64 Abs" [ 2; 0; 3 ] (Op.Unary Op.Abs);
+  ints_of "I64 Not" [ 0; 1; 0 ] (Op.Unary Op.Not);
+  dtype "I64 Relu" Tensor.F32 (Op.Unary Op.Relu) [ ints ];
+  Alcotest.(check (list (float 0.0))) "I64 Relu values" [ 0.; 0.; 3. ]
+    (Array.to_list (Tensor.data_f (out (Op.Unary Op.Relu) [ ints ])));
+  dtype "I64 x F32 Add" Tensor.F32 (Op.Binary Op.Add) [ ints; f [ 3 ] ];
+  dtype "F32 x F64 Add" Tensor.F64 (Op.Binary Op.Add) [ f [ 3 ]; Tensor.cast (f [ 3 ]) Tensor.F64 ];
+  let raises msg cls run =
+    match run () with
+    | _ -> Alcotest.failf "%s: no error" msg
+    | exception e ->
+      let got =
+        match e with
+        | Invalid_argument _ -> "Invalid_argument"
+        | Sod2_error.Error { cls; _ } -> Sod2_error.class_name cls
+        | e -> Printexc.to_string e
+      in
+      Alcotest.(check string) msg cls got
+  in
+  let blocked = Sod2_runtime.Backend.create Sod2_runtime.Backend.Blocked in
+  List.iter
+    (fun (name, backend) ->
+      let raises msg = raises (name ^ ": " ^ msg) in
+      raises "MatMul inner dims 3 vs 4" "Invalid_argument" (fun () ->
+          out ?backend Op.MatMul [ f [ 2; 3 ]; f [ 4; 5 ] ]);
+      raises "Conv with 3 channels in 2 groups"
+        (Sod2_error.class_name Sod2_error.Shape_mismatch) (fun () ->
+          out ?backend
+            (Op.Conv { stride = (1, 1); pads = (0, 0, 0, 0); dilation = (1, 1); groups = 2 })
+            [ f [ 1; 3; 4; 4 ]; f [ 2; 1; 1; 1 ] ]);
+      raises "BatchNorm with a 2-element scale over 3 channels"
+        (Sod2_error.class_name Sod2_error.Arity_mismatch) (fun () ->
+          out ?backend (Op.BatchNorm { eps = 1e-5 })
+            [ f [ 1; 3; 2; 2 ]; f [ 2 ]; f [ 3 ]; f [ 3 ]; f [ 3 ] ]))
+    [ "naive", None; "blocked", Some blocked ]
+
 let test_norm_ops () =
   let ch = 4 in
   agree "BatchNorm" (Op.BatchNorm { eps = 1e-5 })
@@ -240,6 +294,7 @@ let suite =
   [
     Alcotest.test_case "elementwise operators" `Quick test_elementwise;
     Alcotest.test_case "linear algebra operators" `Quick test_linalg_ops;
+    Alcotest.test_case "Kernels.run routing: dtypes and shape errors" `Quick test_run_routing;
     Alcotest.test_case "normalization operators" `Quick test_norm_ops;
     Alcotest.test_case "reduction operators" `Quick test_reduce_ops;
     Alcotest.test_case "layout operators" `Quick test_layout_ops;

@@ -350,6 +350,44 @@ let test_serving_path_stays_in_arena () =
       "conformer", Sod2_runtime.Backend.Fused, Env.of_list [ "T", 128 ], 0;
     ]
 
+(* Gemm writes its slot like every other float kernel: three chained
+   Gemms covering both transposes, alpha and beta off 1 and a broadcast C
+   run bit for bit as Reference runs them, and each intermediate is
+   stored straight into its slot. *)
+let test_gemm_writes_its_slot () =
+  let b = Graph.Builder.create () in
+  let rng = Rng.create 23 in
+  let const name dims = Graph.Builder.const b ~name (Tensor.rand_uniform rng dims) in
+  let gemm ?(alpha = 1.0) ?(beta = 1.0) ?(trans_a = false) ?(trans_b = false) inputs =
+    Graph.Builder.node1 b (Op.Gemm { alpha; beta; trans_a; trans_b }) inputs
+  in
+  let x = Graph.Builder.input b ~name:"x" (Shape.of_ints [ 8; 16 ]) in
+  (* [8;16]·[24;16]ᵀ + a row C: [8;24] *)
+  let g1 = gemm ~alpha:0.5 ~trans_b:true [ x; const "w1" [ 24; 16 ]; const "c1" [ 24 ] ] in
+  (* [8;24]ᵀ·[8;12] + 2 × a column C: [24;12] *)
+  let g2 = gemm ~beta:2.0 ~trans_a:true [ g1; const "w2" [ 8; 12 ]; const "c2" [ 24; 1 ] ] in
+  (* alpha and beta both off 1, C one element *)
+  let g3 = gemm ~alpha:1.5 ~beta:0.25 [ g2; const "w3" [ 12; 10 ]; const "c3" [ 1 ] ] in
+  Graph.Builder.set_outputs b [ g3 ];
+  let g = Graph.Builder.finish b in
+  let c = Sod2.Pipeline.compile cpu g in
+  let inputs = [ x, Tensor.rand_uniform (Rng.create 5) [ 8; 16 ] ] in
+  let be = Sod2_runtime.Backend.for_compiled Sod2_runtime.Backend.Blocked c in
+  Fun.protect ~finally:(fun () -> Sod2_runtime.Backend.shutdown be) @@ fun () ->
+  let arena = Sod2_runtime.Arena.create () in
+  ignore (run_arena ~backend:be ~arena c ~env:Env.empty ~inputs);
+  Profile.Counters.reset ();
+  let _, got = run_arena ~backend:be ~arena c ~env:Env.empty ~inputs in
+  let count k = Profile.Counters.count ~profile:cpu.Profile.name ~kind:k in
+  Alcotest.(check int) "arena-dest-malloc" 0 (count "arena-dest-malloc");
+  Alcotest.(check int) "arena-copy-out" 0 (count "arena-copy-out");
+  Alcotest.(check int) "both intermediates stored in their slots" 2 (count "arena-dest-store");
+  let bits t = Array.map Int64.bits_of_float (Tensor.data_f t) in
+  List.iter2
+    (fun (_, w) (_, v) ->
+      if bits w <> bits v then Alcotest.fail "the Gemm chain differs from Reference")
+    (Sod2_runtime.Reference.run g ~inputs) got
+
 (* An empty control-flow predicate is a malformed execution, not branch 0:
    both interpreters must raise the structured error. *)
 let test_empty_predicate_raises () =
@@ -590,6 +628,8 @@ let suite =
     Alcotest.test_case "Reference.run refuses an unbound graph input" `Quick
       test_reference_unbound_input;
     Alcotest.test_case "arena composes with every backend" `Slow test_arena_backends_match;
+    Alcotest.test_case "Gemm chain writes its slots, bit-identical to Reference" `Quick
+      test_gemm_writes_its_slot;
     Alcotest.test_case "event bookkeeping" `Quick test_event_bookkeeping;
     Alcotest.test_case "unresolved dry shapes raise" `Quick test_unresolved_raises;
     Alcotest.test_case "dry mode deterministic" `Quick test_dry_deterministic;

@@ -3,6 +3,15 @@
 
 let t_f dims data = Tensor.create_f dims (Array.of_list data)
 
+(* One operator through [Kernels.run], the runtime's one entry per op. *)
+let run1 op inputs = List.hd (Sod2_runtime.Kernels.run op inputs)
+
+let conv ?(stride = 1, 1) ?(pads = 0, 0, 0, 0) ?(groups = 1) x w b =
+  run1 (Op.Conv { stride; pads; dilation = 1, 1; groups }) (x :: w :: Option.to_list b)
+
+let pool ?(stride = 1, 1) ?(pads = 0, 0, 0, 0) make x =
+  run1 (make { Op.kernel = 2, 2; pool_stride = stride; pool_pads = pads }) [ x ]
+
 let check_tensor msg expected actual =
   if not (Tensor.approx_equal expected actual) then
     Alcotest.failf "%s: expected %s, got %s" msg (Tensor.to_string expected)
@@ -39,15 +48,15 @@ let test_broadcast () =
 let test_matmul () =
   let a = t_f [ 2; 3 ] [ 1.; 2.; 3.; 4.; 5.; 6. ] in
   let b = t_f [ 3; 2 ] [ 7.; 8.; 9.; 10.; 11.; 12. ] in
-  check_tensor "2x3 @ 3x2" (t_f [ 2; 2 ] [ 58.; 64.; 139.; 154. ]) (Linalg.matmul a b);
+  check_tensor "2x3 @ 3x2" (t_f [ 2; 2 ] [ 58.; 64.; 139.; 154. ]) (run1 Op.MatMul [ a; b ]);
   (* batched with broadcast *)
   let a3 = Tensor.reshape (Tensor.broadcast_to (Tensor.reshape a [ 1; 2; 3 ]) [ 4; 2; 3 ]) [ 4; 2; 3 ] in
-  let out = Linalg.matmul a3 b in
+  let out = run1 Op.MatMul [ a3; b ] in
   Alcotest.(check (list int)) "batched dims" [ 4; 2; 2 ] (Tensor.dims out);
   (* 1-d promotion *)
   let v = t_f [ 3 ] [ 1.; 0.; 1. ] in
-  check_tensor "mat @ vec" (t_f [ 2 ] [ 4.; 10. ]) (Linalg.matmul a v);
-  check_tensor "vec @ mat" (t_f [ 2 ] [ 18.; 20. ]) (Linalg.matmul v b)
+  check_tensor "mat @ vec" (t_f [ 2 ] [ 4.; 10. ]) (run1 Op.MatMul [ a; v ]);
+  check_tensor "vec @ mat" (t_f [ 2 ] [ 18.; 20. ]) (run1 Op.MatMul [ v; b ])
 
 let test_gemm () =
   let a = t_f [ 2; 2 ] [ 1.; 2.; 3.; 4. ] in
@@ -55,10 +64,10 @@ let test_gemm () =
   let c = t_f [ 2 ] [ 100.; 200. ] in
   check_tensor "alpha/beta/bias"
     (t_f [ 2; 2 ] [ 138.; 244.; 186.; 300. ])
-    (Linalg.gemm ~alpha:2.0 ~beta:1.0 a b (Some c));
+    (run1 (Op.Gemm { alpha = 2.0; beta = 1.0; trans_a = false; trans_b = false }) [ a; b; c ]);
   check_tensor "trans_b"
     (t_f [ 2; 2 ] [ 17.; 23.; 39.; 53. ])
-    (Linalg.gemm ~trans_b:true a b None)
+    (run1 (Op.Gemm { alpha = 1.0; beta = 1.0; trans_a = false; trans_b = true }) [ a; b ])
 
 let test_conv2d () =
   (* 1x1x3x3 input, 1x1x2x2 kernel of ones: sliding sums *)
@@ -66,9 +75,9 @@ let test_conv2d () =
   let w = Tensor.full_f [ 1; 1; 2; 2 ] 1.0 in
   check_tensor "valid conv"
     (t_f [ 1; 1; 2; 2 ] [ 12.; 16.; 24.; 28. ])
-    (Linalg.conv2d x w None);
+    (conv x w None);
   (* stride 2, pad 1 *)
-  let out = Linalg.conv2d ~stride:(2, 2) ~pad:(1, 1, 1, 1) x w None in
+  let out = conv ~stride:(2, 2) ~pads:(1, 1, 1, 1) x w None in
   check_tensor "strided padded"
     (t_f [ 1; 1; 2; 2 ] [ 1.; 5.; 11.; 28. ])
     out;
@@ -76,31 +85,31 @@ let test_conv2d () =
   let x2 = Tensor.full_f [ 1; 2; 2; 2 ] 1.0 in
   let w2 = Tensor.full_f [ 3; 2; 1; 1 ] 1.0 in
   let b = t_f [ 3 ] [ 0.; 10.; 20. ] in
-  let out = Linalg.conv2d x2 w2 (Some b) in
+  let out = conv x2 w2 (Some b) in
   Alcotest.(check (list int)) "dims" [ 1; 3; 2; 2 ] (Tensor.dims out);
   Alcotest.(check (float 1e-6)) "bias applied" 12.0 (Tensor.get_f out [| 0; 1; 0; 0 |]);
   (* grouped = depthwise *)
   let wd = Tensor.full_f [ 2; 1; 1; 1 ] 2.0 in
-  let out = Linalg.conv2d ~groups:2 x2 wd None in
+  let out = conv ~groups:2 x2 wd None in
   Alcotest.(check (float 1e-6)) "depthwise" 2.0 (Tensor.get_f out [| 0; 1; 1; 1 |])
 
 let test_conv1d () =
   let x = t_f [ 1; 1; 4 ] [ 1.; 2.; 3.; 4. ] in
   let w = Tensor.full_f [ 1; 1; 2 ] 1.0 in
-  let out = Linalg.conv1d x w None in
+  let out = run1 (Op.Conv1d { stride1 = 1; pads1 = 0, 0; dilation1 = 1; groups1 = 1 }) [ x; w ] in
   Alcotest.(check (list int)) "dims" [ 1; 1; 3 ] (Tensor.dims out);
   Alcotest.(check (float 1e-6)) "sliding sum" 5.0 (Tensor.get_f out [| 0; 0; 1 |])
 
 let test_pooling () =
   let x = t_f [ 1; 1; 2; 2 ] [ 1.; 2.; 3.; 4. ] in
-  check_tensor "max" (t_f [ 1; 1; 1; 1 ] [ 4. ]) (Linalg.max_pool2d ~kernel:(2, 2) x);
-  check_tensor "avg" (t_f [ 1; 1; 1; 1 ] [ 2.5 ]) (Linalg.avg_pool2d ~kernel:(2, 2) x);
+  check_tensor "max" (t_f [ 1; 1; 1; 1 ] [ 4. ]) (pool (fun a -> Op.MaxPool a) x);
+  check_tensor "avg" (t_f [ 1; 1; 1; 1 ] [ 2.5 ]) (pool (fun a -> Op.AveragePool a) x);
   (* padding excluded from the average divisor *)
-  let out = Linalg.avg_pool2d ~kernel:(2, 2) ~stride:(2, 2) ~pad:(1, 1, 0, 0) x in
+  let out = pool ~stride:(2, 2) ~pads:(1, 1, 0, 0) (fun a -> Op.AveragePool a) x in
   Alcotest.(check (float 1e-6)) "count_include_pad=0" 1.0 (Tensor.get_f out [| 0; 0; 0; 0 |]);
   check_tensor "global"
     (t_f [ 1; 1; 1; 1 ] [ 2.5 ])
-    (Linalg.global_avg_pool x)
+    (run1 Op.GlobalAveragePool [ x ])
 
 let test_reductions () =
   let x = t_f [ 2; 3 ] [ 1.; 2.; 3.; 4.; 5.; 6. ] in
@@ -119,13 +128,13 @@ let test_reductions () =
 
 let test_softmax_norms () =
   let x = t_f [ 2; 3 ] [ 1.; 2.; 3.; 1.; 1.; 1. ] in
-  let s = Reduction.softmax x ~axis:1 in
+  let s = run1 (Op.Softmax { axis = 1 }) [ x ] in
   let sums = Reduction.reduce Reduction.Sum s ~axes:[ 1 ] ~keepdims:false in
   check_tensor "softmax sums to 1" (t_f [ 2 ] [ 1.; 1. ]) sums;
   Alcotest.(check (float 1e-5)) "uniform row" (1.0 /. 3.0) (Tensor.get_f s [| 1; 0 |]);
   (* layer norm: zero mean, unit variance before affine *)
   let g = Tensor.full_f [ 3 ] 1.0 and be = Tensor.full_f [ 3 ] 0.0 in
-  let ln = Reduction.layer_norm x ~gamma:g ~beta:be ~eps:1e-9 in
+  let ln = run1 (Op.LayerNorm { eps = 1e-9 }) [ x; g; be ] in
   let m = Reduction.reduce Reduction.Mean ln ~axes:[ 1 ] ~keepdims:false in
   Alcotest.(check (float 1e-4)) "ln mean 0" 0.0 (Tensor.get_f m [| 0 |]);
   (* batch norm with identity stats is identity *)
@@ -280,8 +289,8 @@ let prop_matmul_identity =
       let rng = Rng.create seed in
       let a = Tensor.rand_uniform rng [ n; n ] in
       let id = Tensor.init_f [ n; n ] (fun ix -> if ix.(0) = ix.(1) then 1.0 else 0.0) in
-      Tensor.approx_equal a (Linalg.matmul a id)
-      && Tensor.approx_equal a (Linalg.matmul id a))
+      Tensor.approx_equal a (run1 Op.MatMul [ a; id ])
+      && Tensor.approx_equal a (run1 Op.MatMul [ id; a ]))
 
 (* Equal infinities and matching NaNs agree; a one-sided NaN or
    infinity does not, however large the finite side. *)
