@@ -519,7 +519,7 @@ let tune ~rounds =
     (* One operand set for both configs. *)
     let a = filled (m * k) and b = filled (k * n) and c = Tensor.fbuf_create Tensor.F32 (m * n) in
     let side (cfg : Sod2.Autotune.config) () =
-      let tiles = Blocked.tiles_of ~tile_m:cfg.tile_m ~tile_n:cfg.tile_n ~tile_k:cfg.tile_k ~unroll:cfg.unroll in
+      let tiles = Blocked.tiles_of ~tile_m:cfg.tile_m ~tile_n:cfg.tile_n in
       fun () ->
         Tensor.fbuf_fill c 0 (m * n) 0.0;
         blocked_gemm (Some tiles) ~m ~n ~k ~a ~b ~c
@@ -529,7 +529,11 @@ let tune ~rounds =
         Sod2.Autotune.pp_config analytic
     in
     let d, a = pair (time ~rounds (List.map side [ Sod2.Autotune.default_config; analytic ])) in
+    (* the spread of the per-round analytical/default ratios behind the
+       gate's best-of score, as in the kernels f32/f64 row *)
+    let q1, median, q3 = Stats.quartiles (List.map2 ( /. ) a.per_round d.per_round) in
     row label [ "default", d; "analytical", a ]
+      ~fields:[ "ratio_q1", q1; "ratio_median", median; "ratio_q3", q3 ]
   in
   let rows = List.map shape [ Sod2.Multi_version.Fat; Sod2.Multi_version.Skinny ] in
   let gm side = geomean (List.map (fun r -> (List.assoc side r.timings).best) rows) in

@@ -23,7 +23,7 @@
      precomputed index map (table or odometer).  A member whose value is
      read through a map is first stored by a stage of its own, so maps
      never compose and nothing is recomputed;
-   - a heavy anchor runs first, through {!Multi_version.heavy_into} (the
+   - a heavy anchor runs first, through {!Multi_version.heavy_kernel} (the
      kernel op-by-op execution runs), straight into the destination when
      the final stage reads it only at its own flat index and the
      destination has the anchor's dtype (the program then runs over it in
@@ -488,16 +488,6 @@ let specialize g (tpl : template) ~(versions : Multi_version.table)
       match tpl.t_anchor with
       | None -> None
       | Some anc ->
-        let in_dims = List.map (fun tid -> Array.to_list (dims_of tid)) anc.Graph.inputs in
-        (* the class of the concrete extents *)
-        let cls =
-          match
-            Multi_version.gemm_dims_of_op anc.Graph.op ~in_dims
-              ~out_dims:[ Array.to_list (dims_of (out_of anc)) ]
-          with
-          | Some (m, n, k) -> Multi_version.classify_gemm ~m ~n ~k
-          | None -> fail "anchor %s has no GEMM extents" anc.Graph.nname
-        in
         let slots =
           List.map
             (fun tid ->
@@ -506,10 +496,16 @@ let specialize g (tpl : template) ~(versions : Multi_version.table)
               | _ -> fail "anchor input %d is not an external slot" tid)
             anc.Graph.inputs
         in
+        (* specialization refused every anchor [heavy_kernel] declines (a
+           Gemm whose C is wider than its product) *)
         Some
           (fun ~par (args : Tensor.view array) ~c ~co ->
-            Multi_version.heavy_into ~cls ~par (Some versions) anc.Graph.op
-              (List.map (fun i -> args.(i)) slots) ~c ~co)
+            let _, _, kernel =
+              Option.get
+                (Multi_version.heavy_kernel ~par (Some versions) anc.Graph.op
+                   (List.map (fun i -> args.(i)) slots))
+            in
+            kernel ~c ~co)
     in
     (* The anchor may write straight into the destination when the final
        stage reads it only at its own flat index and the destination's

@@ -61,7 +61,8 @@ val specialize :
   args:(int list * Tensor.dtype) array ->
   (kernel, string) result
 (** Compile the template against concrete slot dims/dtypes (slot order).
-    The anchor runs {!Multi_version.heavy_into} with [versions] and the
-    shape class of its concrete extents.  [Error] means this shape
+    The anchor runs {!Multi_version.heavy_kernel} with [versions], which
+    classifies the problem by its extents as op-by-op execution does.
+    [Error] means this shape
     cannot be fused soundly (I64 element inputs, non-concrete member
     shapes, …) and the caller should fall back to op-by-op execution. *)

@@ -105,27 +105,26 @@ let gemm_dims_of_op (op : Op.t) ~in_dims ~out_dims =
 (* ------------------------------------------------------------------ *)
 (* The heavy-operator kernels                                          *)
 
-let tiles t cls =
-  let cfg = config_for t cls in
-  Blocked.tiles_of ~tile_m:cfg.Autotune.tile_m ~tile_n:cfg.Autotune.tile_n
-    ~tile_k:cfg.Autotune.tile_k ~unroll:cfg.Autotune.unroll
-
-(* The dispatch rule, the one place it is written: a problem runs the
-   blocked kernel of its class's version, except on a naive backend
-   ([versions = None]) and for Tiny problems, where packing would cost
-   more than the whole product — both take the naive loop ([None]). *)
+(* The dispatch rule, the one place a class becomes a kernel: a problem
+   runs the blocked kernel of its class's version, except on a naive
+   backend ([versions = None]) and for Tiny problems, where packing would
+   cost more than the whole product — both take the naive loop
+   ([None]). *)
 let kernel_tiles versions cls =
   match versions, cls with
   | None, _ | _, Tiny -> None
-  | Some t, cls -> Some (tiles t cls)
+  | Some t, cls ->
+    let cfg = config_for t cls in
+    Some (Blocked.tiles_of ~tile_m:cfg.Autotune.tile_m ~tile_n:cfg.Autotune.tile_n)
 
-let gemm_kernel ?cls ~par versions : Linalg.gemm_kernel =
+let gemm_kernel ~par versions : Linalg.gemm_kernel =
  fun ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ->
-  let cls = match cls with Some c -> c | None -> classify_gemm ~m ~n ~k in
-  match kernel_tiles versions cls with
+  match kernel_tiles versions (classify_gemm ~m ~n ~k) with
   | None -> Linalg.naive_kernel ~m ~n ~k ~a ~ao ~b ~bo ~c ~co
   | Some tiles -> Blocked.gemm ~par ~tiles ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()
 
+(* The class of a 2-d convolution's im2col GEMM over NCHW input dims
+   against OIHW weight dims. *)
 let conv_class ~stride ~pad ~dilation xdims wdims =
   match Linalg.conv2d_out_dims ~stride ~pad ~dilation xdims wdims, wdims with
   | [ n; m; oh; ow ], [ _; cg; kh; kw ] -> classify_gemm ~m ~n:(n * oh * ow) ~k:(cg * kh * kw)
@@ -149,10 +148,105 @@ let unit_height one_d d =
 let promoted = List.fold_left (fun acc v -> Tensor.promote_f acc (Tensor.view_dtype v)) Tensor.F32
 let bias_of = function [ b ] -> Some b | _ -> None
 
-let heavy_result (op : Op.t) (vs : Tensor.view list) =
+(* A Gemm's transposed operands are copied into pooled scratch: per
+   operand, a grow-only buffer under the view the last call needed, so a
+   repeated shape allocates nothing. *)
+type gemm_scratch = { mutable ta : Tensor.view; mutable tb : Tensor.view }
+
+let gemm_pool =
+  Blocked.Pool.create (fun () ->
+      let none = Tensor.sub_view ~buf:(Tensor.fbuf_create Tensor.F32 0) ~off:0 ~dims:[ 0 ] in
+      { ta = none; tb = none })
+
+(* The 2-d [v] transposed by a stride walk into [held]'s storage (regrown
+   when too small or of another kind): the view of the copy. *)
+let transpose_into (held : Tensor.view) (v : Tensor.view) =
+  match v.Tensor.vdims with
+  | [ r; s ] ->
+    let dt = Tensor.view_dtype v in
+    let t =
+      match held.Tensor.vdims with
+      | [ s'; r' ] when s' = s && r' = r && Tensor.view_dtype held = dt -> held
+      | _ ->
+        let fits = Tensor.view_dtype held = dt && Tensor.fbuf_len held.Tensor.vbuf >= r * s in
+        Tensor.sub_view ~off:0 ~dims:[ s; r ]
+          ~buf:(if fits then held.Tensor.vbuf else Tensor.fbuf_create dt (r * s))
+    in
+    let o = v.Tensor.voff in
+    (match v.Tensor.vbuf, t.Tensor.vbuf with
+    | Tensor.FB32 src, Tensor.FB32 dst ->
+      for i = 0 to r - 1 do
+        for j = 0 to s - 1 do
+          Bigarray.Array1.unsafe_set dst ((j * r) + i) (Bigarray.Array1.unsafe_get src (o + (i * s) + j))
+        done
+      done
+    | Tensor.FB64 src, Tensor.FB64 dst ->
+      for i = 0 to r - 1 do
+        for j = 0 to s - 1 do
+          Bigarray.Array1.unsafe_set dst ((j * r) + i) (Bigarray.Array1.unsafe_get src (o + (i * s) + j))
+        done
+      done
+    | _ -> assert false);
+    t
+  | _ -> invalid_arg "Gemm: a transposed operand must be 2-d"
+
+(* The int8 arm (dynamic-range quantization): the activation is
+   calibrated and quantized per tensor at call time, read in place from
+   its view; the packed int8 kernels accumulate in int32 and fold the
+   dequantization — scale product, per output channel for a conv, plus
+   the bias — into the write-back.  The accumulation is exact, so tiles
+   steer only speed: where the rule says naive, the int8 kernels (which
+   have no naive loop) run the default tiles. *)
+let int8_tiles versions cls = Option.value ~default:Blocked.default_tiles (kernel_tiles versions cls)
+let i8 (t : Quant.qtensor) = Tensor.storage_i8 t.Quant.q
+
+let matmul_i8 ~par ~tiles x (qw : Quant.qtensor) ~m ~n ~k ~c ~co =
+  let qx = Quant.quantize_activation x in
+  let scale = Quant.scale_of qx.Quant.qscheme *. Quant.scale_of qw.Quant.qscheme in
+  Blocked.gemm_i8_dequant ~par ~tiles ~za:(Quant.zero_point_of qx.Quant.qscheme) ~zb:0
+    ~epilogue:(fun _ acc -> float_of_int acc *. scale)
+    ~ep_off:co ~m ~n ~k ~a:(i8 qx) ~ao:0 ~b:(i8 qw) ~bo:0 ~c ~co ()
+
+(* the output channel of element [ei] is [ei / (oh·ow) mod m]: [ep_off]
+   makes epilogue indices output-relative *)
+let conv_i8 ~par ~tiles ~stride ~pad ~dilation ~groups x (qw : Quant.qtensor) bias ~dims ~c ~co =
+  let qx = Quant.quantize_activation x in
+  let sx = Quant.scale_of qx.Quant.qscheme and ws = Quant.channel_scales qw.Quant.qscheme in
+  let m, sp = match dims with [ _; m; oh; ow ] -> m, oh * ow | _ -> assert false in
+  let scale = Array.init m (fun ch -> sx *. ws.(if Array.length ws = 1 then 0 else ch)) in
+  let bias =
+    Array.init m (fun ch ->
+        match bias with Some b -> Tensor.fbuf_get b.Tensor.vbuf (b.Tensor.voff + ch) | None -> 0.0)
+  in
+  ignore
+    (Blocked.conv2d_i8_dequant_into ~par ~tiles ~zx:(Quant.zero_point_of qx.Quant.qscheme) ~zw:0
+       ~epilogue:(fun ei acc ->
+         let ch = ei / sp mod m in
+         (float_of_int acc *. scale.(ch)) +. bias.(ch))
+       ~ep_off:co ~stride ~pad ~dilation ~groups ~x:(i8 qx) ~xoff:0
+       ~xdims:(Array.of_list x.Tensor.vdims) ~w:(i8 qw) ~woff:0
+       ~wdims:(Array.of_list (Tensor.dims qw.Quant.q)) ~c ~co ())
+
+let heavy_kernel ?int8 ~par versions (op : Op.t) (vs : Tensor.view list) =
+  let inner = gemm_kernel ~par versions in
+  (* the int8 payload and its per-execution hook, off a naive backend *)
+  let int8 = match versions with None -> None | Some _ -> int8 in
+  let counted ran kernel ~c ~co =
+    kernel ~c ~co;
+    ran ()
+  in
   match op, vs, conv2d_of op with
-  | Op.MatMul, [ a; b ], _ -> Some (Linalg.matmul_out_dims a.Tensor.vdims b.Tensor.vdims, promoted vs)
-  | Op.Gemm { trans_a; trans_b; _ }, a :: b :: rest, _
+  | Op.MatMul, [ a; b ], _ ->
+    let dims = Linalg.matmul_out_dims a.Tensor.vdims b.Tensor.vdims in
+    Some
+      ( dims,
+        promoted vs,
+        match int8, a.Tensor.vdims, dims with
+        | Some (qw, ran), [ m; k ], [ _; n ] when k > 0 && Tensor.dims qw.Quant.q = [ k; n ] ->
+          counted ran
+            (matmul_i8 ~par ~tiles:(int8_tiles versions (classify_gemm ~m ~n ~k)) a qw ~m ~n ~k)
+        | _ -> fun ~c ~co -> ignore (Linalg.matmul_into ~inner a b ~c ~co) )
+  | Op.Gemm { alpha; beta; trans_a; trans_b }, a :: b :: rest, _
     when promoted (a :: b :: Option.to_list (bias_of rest)) = promoted [ a; b ] ->
     let op_of tr (v : Tensor.view) =
       match tr, v.Tensor.vdims with
@@ -160,36 +254,42 @@ let heavy_result (op : Op.t) (vs : Tensor.view list) =
       | true, d0 :: d1 :: _ -> [ d1; d0 ]
       | true, _ -> invalid_arg "Gemm: a transposed operand must be 2-d"
     in
-    Some (Linalg.matmul_out_dims (op_of trans_a a) (op_of trans_b b), promoted [ a; b ])
-  | _, x :: w :: _, Some (stride, pad, dilation, _, one_d) -> (
-    match
-      Linalg.conv2d_out_dims ~stride ~pad ~dilation
-        (unit_height one_d x.Tensor.vdims) (unit_height one_d w.Tensor.vdims)
-    with
-    | od when List.exists (fun d -> d < 0) od ->
-      invalid_arg (Op.name op ^ ": the kernel window exceeds the padded input")
-    | [ n; m; _; ol ] when one_d -> Some ([ n; m; ol ], promoted [ x; w ])
-    | od -> Some (od, promoted [ x; w ]))
-  | _ -> None
-
-let heavy_into ?cls ~par versions (op : Op.t) (vs : Tensor.view list) ~c ~co =
-  let inner = gemm_kernel ?cls ~par versions in
-  match op, vs, conv2d_of op with
-  | Op.MatMul, [ a; b ], _ -> ignore (Linalg.matmul_into ~inner a b ~c ~co)
-  | Op.Gemm { alpha; beta; trans_a; trans_b }, a :: b :: rest, _ ->
-    ignore (Linalg.gemm_into ~inner ~alpha ~beta ~trans_a ~trans_b a b (bias_of rest) ~c ~co)
+    let gemm a b ~c ~co = ignore (Linalg.gemm_into ~inner ~alpha ~beta a b (bias_of rest) ~c ~co) in
+    Some
+      ( Linalg.matmul_out_dims (op_of trans_a a) (op_of trans_b b),
+        promoted [ a; b ],
+        fun ~c ~co ->
+          if not (trans_a || trans_b) then gemm a b ~c ~co
+          else
+            Blocked.Pool.use gemm_pool (fun s ->
+                if trans_a then s.ta <- transpose_into s.ta a;
+                if trans_b then s.tb <- transpose_into s.tb b;
+                gemm (if trans_a then s.ta else a) (if trans_b then s.tb else b) ~c ~co) )
   | _, x :: w :: rest, Some (stride, pad, dilation, groups, one_d) ->
     let x = Tensor.view_reshape x (unit_height one_d x.Tensor.vdims) in
     let w = Tensor.view_reshape w (unit_height one_d w.Tensor.vdims) in
-    let cls =
-      match cls with
-      | Some c -> c
-      | None -> conv_class ~stride ~pad ~dilation x.Tensor.vdims w.Tensor.vdims
+    let dims =
+      match Linalg.conv2d_out_dims ~stride ~pad ~dilation x.Tensor.vdims w.Tensor.vdims with
+      | od when List.exists (fun d -> d < 0) od ->
+        invalid_arg (Op.name op ^ ": the kernel window exceeds the padded input")
+      | [ n; m; _; ol ] when one_d -> [ n; m; ol ]
+      | od -> od
     in
-    ignore
-      (match kernel_tiles versions cls with
-      | None -> Linalg.conv2d_into ~stride ~pad ~dilation ~groups x w (bias_of rest) ~c ~co
-      | Some tiles ->
-        Blocked.conv2d_im2col_into ~par ~tiles ~stride ~pad ~dilation ~groups x w (bias_of rest)
-          ~c ~co)
-  | _ -> invalid_arg ("Multi_version.heavy_into: no heavy kernel for " ^ Op.name op)
+    let cls = conv_class ~stride ~pad ~dilation x.Tensor.vdims w.Tensor.vdims in
+    Some
+      ( dims,
+        promoted [ x; w ],
+        match int8, kernel_tiles versions cls with
+        | Some (qw, ran), _ when not one_d ->
+          counted ran
+            (conv_i8 ~par ~tiles:(int8_tiles versions cls) ~stride ~pad ~dilation ~groups x qw
+               (bias_of rest) ~dims)
+        | _, None ->
+          fun ~c ~co ->
+            ignore (Linalg.conv2d_into ~stride ~pad ~dilation ~groups x w (bias_of rest) ~c ~co)
+        | _, Some tiles ->
+          fun ~c ~co ->
+            ignore
+              (Blocked.conv2d_im2col_into ~par ~tiles ~stride ~pad ~dilation ~groups x w
+                 (bias_of rest) ~c ~co) )
+  | _ -> None

@@ -59,38 +59,40 @@ val config_for : table -> shape_class -> Autotune.config
 (** {1 The heavy-operator kernels}
 
     MatMul, Gemm, Conv and Conv1d have one destination-passing entry,
-    {!heavy_into}, which op-by-op execution ([Kernels.run_into]) and a
-    fused group's anchor ({!Fused_compile}) both call, so the kernel
-    a problem runs does not depend on the path that reached it.  A
-    problem runs the blocked kernel tuned for its shape class, except
-    that a naive backend ([versions = None]) and a {!Tiny} problem take
-    the naive reference loop. *)
+    {!heavy_kernel}, which op-by-op execution ([Kernels.run_into]) and a
+    fused group's anchor ({!Fused_compile}) both call.  Each problem is
+    classified by its own extents when it runs — every GEMM product by
+    {!classify_gemm}, a convolution by its im2col GEMM — and
+    {!kernel_tiles} turns the class into a kernel, so the kernel a
+    problem runs does not depend on the path that reached it. *)
 
-val tiles : table -> shape_class -> Blocked.tiles
-(** The blocked tile extents of the version [table] holds for a class. *)
+val kernel_tiles : table option -> shape_class -> Blocked.tiles option
+(** The one place a shape class becomes a kernel: the blocked tiles of
+    the version [table] holds for the class, or [None] for the naive
+    reference loop — on a naive backend ([None] table) and for a {!Tiny}
+    problem, where packing would cost more than the whole product. *)
 
-val gemm_kernel : ?cls:shape_class -> par:Blocked.par -> table option -> Linalg.gemm_kernel
-(** The inner GEMM of that rule; [cls] pins the class (compile-time
-    resolution), otherwise the extents of each product classify it. *)
+val gemm_kernel : par:Blocked.par -> table option -> Linalg.gemm_kernel
+(** The inner GEMM of that rule: the extents of each product classify
+    it. *)
 
-val conv_class :
-  stride:int * int -> pad:int * int * int * int -> dilation:int * int -> int list ->
-  int list -> shape_class
-(** The class of a 2-d convolution's im2col GEMM over NCHW input dims
-    against OIHW weight dims. *)
+val heavy_kernel :
+  ?int8:Quant.qtensor * (unit -> unit) -> par:Blocked.par -> table option -> Op.t ->
+  Tensor.view list -> (int list * Tensor.dtype * (c:Tensor.fbuf -> co:int -> unit)) option
+(** [heavy_kernel ~par versions op args] — the dims and float dtype of a
+    heavy operator's result over [args] (the bias does not widen a
+    convolution), and its kernel, which writes every element of the
+    result into [c] at element offset [co].  A Conv1d runs as a Conv of
+    unit height; a transposed Gemm operand is copied into pooled scratch
+    first.  [None] for any other operator, and for a Gemm whose [C] is
+    wider than [A·B], which rounds [A·B] to its own kind first.  Raises
+    [Invalid_argument] on shapes the kernels cannot take.
 
-val heavy_result : Op.t -> Tensor.view list -> (int list * Tensor.dtype) option
-(** The dims and float dtype of a heavy operator's result over the
-    operands (the bias does not widen a convolution).
-    [None] for any other operator, and for a Gemm whose [C] is wider than
-    [A·B], which rounds [A·B] to its own kind first.  Raises
-    [Invalid_argument] on shapes the kernels cannot take. *)
-
-val heavy_into :
-  ?cls:shape_class -> par:Blocked.par -> table option -> Op.t -> Tensor.view list ->
-  c:Tensor.fbuf -> co:int -> unit
-(** [heavy_into ~par versions op args ~c ~co] writes the result of the
-    heavy operator [op] over [args] into [c] at element offset [co]
-    (every element is overwritten).  [cls] pins the shape class;
-    otherwise the concrete extents classify the problem.  A Conv1d runs
-    as a Conv of unit height. *)
+    [int8] is the node's compile-time int8 weight payload, with a hook
+    run once per int8 execution.  Off a naive backend, the shapes the
+    int8 kernels take — a 2-d MatMul activation and an NCHW Conv — run
+    them instead (dynamic-range quantization: the activation is
+    quantized per tensor at call time, read in place, and the result is
+    float, in the same dims and dtype); they use the tiles of the
+    problem's class, or the default tiles where {!kernel_tiles} says
+    naive.  Any other shape runs the float kernel. *)

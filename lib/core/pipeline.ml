@@ -14,7 +14,6 @@ type compiled = {
   fusion_plan : Fusion.plan;
   exec : Exec_plan.t;
   versions : Multi_version.table;
-  kernel_classes : Multi_version.shape_class option array;
   fused : Fused_compile.template option array;
   flags : opt_flags;
   profile : Profile.t;
@@ -29,31 +28,6 @@ type compiled = {
 
 let env_with_all_syms g v =
   List.fold_left (fun env s -> Env.bind s v env) Env.empty (Graph.free_syms g)
-
-(* Static shape-class resolution (§4.4.2): the implicit-GEMM extents of
-   every heavy operator, evaluated from the RDP shapes under the planning
-   binding of the shape variables.  Symbolic dims resolve to the
-   representative value, so a matmul whose M is [batch] still lands in a
-   class at compile time; operators whose extents stay unknown get [None]
-   and dispatch on observed extents at run time. *)
-let kernel_classes_of graph rdp ~env =
-  Array.map
-    (fun (nd : Graph.node) ->
-      let dims_of tid = Shape.eval env (Rdp.shape rdp tid) in
-      let all_dims tids = List.map dims_of tids in
-      let sequence l =
-        List.fold_right
-          (fun x acc ->
-            match x, acc with Some v, Some vs -> Some (v :: vs) | _ -> None)
-          l (Some [])
-      in
-      match sequence (all_dims nd.inputs), sequence (all_dims nd.outputs) with
-      | Some in_dims, Some out_dims ->
-        Option.map
-          (fun (m, n, k) -> Multi_version.classify_gemm ~m ~n ~k)
-          (Multi_version.gemm_dims_of_op nd.op ~in_dims ~out_dims)
-      | _ -> None)
-    (Graph.nodes graph)
 
 (* Element-size overrides for the memory plan: tensors whose producer
    statically yields a non-float dtype (shape values, index results,
@@ -87,7 +61,7 @@ let elem_overrides = int_elem_overrides
    — per-tensor symmetric for MatMul, per-channel over the output axis for
    Conv (OIHW axis 0), both with zero points pinned to 0 so the packed
    kernels' zero-point correction reduces to the activation term.
-   Activations are quantized per-tensor at run time by the executor.  The
+   Activations are quantized per-tensor at run time by the int8 kernels.  The
    float constants stay in the graph untouched: the same artifact serves
    float execution (naive backend, guarded fallback) bit-exactly. *)
 let quant_weight_of g (nd : Graph.node) =
@@ -120,6 +94,13 @@ let quant_table g =
     (Graph.nodes g);
   tbl
 
+(* The int8 payload a node runs on: its weight's entry in the table, for
+   the MatMul and Conv nodes {!quant_weight_of} quantizes. *)
+let int8_weight tbl (nd : Graph.node) =
+  match nd.Graph.op, nd.Graph.inputs with
+  | Op.MatMul, [ _; w ] | Op.Conv _, _ :: w :: _ -> Hashtbl.find_opt tbl w
+  | _ -> None
+
 let compile ?flags ?(opts = Compile_opts.default) profile graph =
   let flags =
     match flags with
@@ -145,14 +126,12 @@ let compile ?flags ?(opts = Compile_opts.default) profile graph =
   let versions =
     if flags.mvc then Multi_version.build profile else Multi_version.single_version profile
   in
-  let kernel_classes = kernel_classes_of graph rdp ~env in
   let quant_weights = if quant then quant_table graph else Hashtbl.create 0 in
-  let quantized (nd : Graph.node) =
-    match nd.Graph.op, nd.Graph.inputs with
-    | Op.MatMul, [ _; w ] | Op.Conv _, _ :: w :: _ -> Hashtbl.mem quant_weights w
-    | _ -> false
+  let fused =
+    Fused_compile.plan
+      ~quantized:(fun nd -> Option.is_some (int8_weight quant_weights nd))
+      graph fusion_plan
   in
-  let fused = Fused_compile.plan ~quantized graph fusion_plan in
   let mem_symbolic =
     Mem_plan.plan_symbolic
       ~strategy:(if flags.dmp then Mem_plan.Peak_first else Mem_plan.Greedy_first_fit)
@@ -172,7 +151,6 @@ let compile ?flags ?(opts = Compile_opts.default) profile graph =
     fusion_plan;
     exec;
     versions;
-    kernel_classes;
     fused;
     flags;
     profile;
@@ -210,14 +188,3 @@ let vet_plan c env p =
     p
 
 let plan_env c v = env_with_all_syms c.graph v
-
-(* The executor's dispatch predicate: does this node run on the int8
-   weight-quantized kernels?  Mirrors the membership rule the fused-group
-   filter used at compile time, so a group skipped there is exactly a
-   group with at least one [quant_node] member. *)
-let quant_node c (nd : Graph.node) =
-  match nd.Graph.op, nd.Graph.inputs with
-  | Op.MatMul, [ _; w ] | Op.Conv _, _ :: w :: _ -> Hashtbl.mem c.quant_weights w
-  | _ -> false
-
-let quant_weight c tid = Hashtbl.find_opt c.quant_weights tid

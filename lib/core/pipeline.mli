@@ -29,11 +29,6 @@ type compiled = {
   fusion_plan : Fusion.plan;
   exec : Exec_plan.t;
   versions : Multi_version.table;
-  kernel_classes : Multi_version.shape_class option array;
-      (** per-node GEMM shape class resolved at compile time from the
-          RDP-predicted (possibly symbolic) extents; [None] when the node
-          is not a heavy operator or its extents stay unknown, in which
-          case the runtime classifies from observed extents *)
   fused : Fused_compile.template option array;
       (** per-group fused-kernel templates (indexed by group id); [None]
           when the group stays on op-by-op execution *)
@@ -46,8 +41,8 @@ type compiled = {
   quant : bool;
       (** int8 weight quantization was requested at compile; implies
           {!quant_weights} is populated for every eligible heavy node.
-          The one int8 switch: the executor runs the quantized kernels
-          exactly when this is set and the backend is not naive *)
+          The one int8 switch: a non-naive backend runs the quantized
+          kernels exactly when this is set ({!int8_weight}) *)
   quant_weights : (Graph.tensor_id, Quant.qtensor) Hashtbl.t;
       (** int8 payload + scheme per quantized constant weight tensor
           (MatMul: per-tensor symmetric; Conv: per-channel over OIHW axis
@@ -74,13 +69,12 @@ val compile : ?flags:opt_flags -> ?opts:Compile_opts.t -> Profile.t -> Graph.t -
     (default {!all_opts} with [fusion] from [opts]) picks the
     optimizations for the ablation studies.  [opts.plan_sym_value] is the
     representative value bound to every shape variable while comparing
-    candidate execution orders, resolving kernel shape classes and
-    placing the memory plan's slots.  [opts.float_dtype] selects the float
+    candidate execution orders and placing the memory plan's slots.  [opts.float_dtype] selects the float
     precision the arena plan and executor run in; an integer dtype raises
     [Invalid_argument].  [opts.quant] quantizes every eligible constant
     weight (MatMul/Conv) to int8 and withholds fused templates from their
     groups; the artifact then runs the quantized kernels on every
-    non-naive backend ({!Executor.run_real}) and float on the naive one.
+    non-naive backend ([Kernels.run_into]) and float on the naive one.
     The graph is validated first
     ({!Validate.check}); raises [Sod2_error.Error] on the first defect of a
     malformed graph. *)
@@ -110,13 +104,12 @@ val vet_plan : compiled -> Env.t -> Mem_plan.t -> Mem_plan.defect list
 val plan_env : compiled -> int -> Env.t
 (** [plan_env c v] binds every shape variable of the model to [v]. *)
 
-val quant_node : compiled -> Graph.node -> bool
-(** Does this node dispatch to the int8 weight-quantized kernels?  True
-    exactly when its weight input has an entry in {!quant_weights} — the
-    same membership rule that withheld the node's fused template. *)
-
-val quant_weight : compiled -> Graph.tensor_id -> Quant.qtensor option
-(** The compile-time int8 payload for a weight tensor, when quantized. *)
+val int8_weight :
+  (Graph.tensor_id, Quant.qtensor) Hashtbl.t -> Graph.node -> Quant.qtensor option
+(** [int8_weight c.quant_weights nd] — the int8 payload node [nd] runs
+    on: its weight's entry in the table, for a MatMul or Conv node.  The
+    executor hands it to [Kernels.run_into]; {!compile} withholds the
+    fused template of every group with a member that has one. *)
 
 val elem_overrides : Graph.t -> Graph.tensor_id -> int option
 (** The per-tensor element-size overrides {!compile} hands to

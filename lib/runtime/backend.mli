@@ -4,7 +4,7 @@
     A backend bundles the per-shape-class kernel versions
     ({!Multi_version.table}) with an optional {!Domain_pool.t}.  It owns
     no float kernels: {!Kernels.run_into} runs every operator, heavy ones
-    through {!Multi_version.heavy_into} with {!versions} and {!par_of}.
+    through {!Multi_version.heavy_kernel} with {!versions} and {!par_of}.
     [Naive] reproduces the reference interpreter bit-exactly and is what
     {!Kernels.run} uses when no backend is given, so guarded fallback and
     golden comparisons stay byte-stable. *)
@@ -41,44 +41,16 @@ val shutdown : t -> unit
 
 val versions : t -> Multi_version.table option
 (** The version table heavy operators dispatch on
-    ({!Multi_version.heavy_into}); [None] on a [Naive] backend. *)
+    ({!Multi_version.heavy_kernel}); [None] on a [Naive] backend. *)
 
-val gemm_kernel : ?cls:Multi_version.shape_class -> t -> Linalg.gemm_kernel
-(** {!Multi_version.gemm_kernel} for this backend; [cls] pins the shape
-    class (compile-time resolution), otherwise the observed extents
-    classify. *)
+val gemm_kernel : t -> Linalg.gemm_kernel
+(** {!Multi_version.gemm_kernel} for this backend: the extents of each
+    product classify it. *)
 
-(** {1 Int8 weight-quantized execution}
-
-    The runtime half of dynamic-range quantization: weights arrive as
-    compile-time int8 payloads ({!Pipeline.quant_weights}), the float
-    activation is calibrated and quantized per-tensor at call time, the
-    packed int8 kernels accumulate in int32, and the dequantization
-    epilogue (scale product, per-channel for conv, plus bias) is folded
-    into the micro-tile write-back — the output is float again, so
-    quantized nodes compose with the arena/engine machinery unchanged.
-    These paths run the blocked int8 kernels for every backend kind and
-    shape class.  The executor calls them only on non-naive backends, so
-    the same quantized artifact runs float, bit-exact against
-    {!Reference}, on the naive backend. *)
-
-val matmul_q8_into :
-  ?cls:Multi_version.shape_class -> t -> Tensor.t -> Quant.qtensor ->
-  c:Tensor.fbuf -> co:int -> int list
-(** [matmul_q8_into t x qw ~c ~co] — float [x : [m;k]] times int8
-    weight [qw : [k;n]] (per-tensor symmetric), written as float into [c]
-    at element offset [co] (every output element is overwritten); returns
-    the dims. *)
-
-val conv2d_q8_into :
-  ?cls:Multi_version.shape_class -> t -> stride:int * int ->
-  pad:int * int * int * int -> dilation:int * int -> groups:int ->
-  Tensor.t -> Quant.qtensor -> Tensor.t option ->
-  c:Tensor.fbuf -> co:int -> int list
-(** Quantized NCHW convolution: float activation, int8 OIHW weight
-    (per-channel symmetric over axis 0), optional float bias folded into
-    the epilogue; written as float into [c] at element offset [co],
-    returns the dims. *)
+val record : t -> string -> unit
+(** Count one event of the kind in {!Profile.Counters}, under this
+    backend's profile — how an int8 execution counts its
+    ["quant-kernel"]. *)
 
 (** {1 Fused-group execution} *)
 

@@ -544,13 +544,6 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
     | None -> missing tid
   in
   let rc = recorder ctx in
-  let cls_of (nd : Graph.node) =
-    match backend with
-    | None -> None
-    | Some _ when nd.nid < Array.length ctx.c.Pipeline.kernel_classes ->
-      ctx.c.Pipeline.kernel_classes.(nd.nid)
-    | Some _ -> None
-  in
   let set_dims = List.iter (fun (tid, d) -> st.dims.(tid) <- Some d; st.avail.(tid) <- true) in
   (* The one destination rule: where a float result of [dtype] × [dims]
      for [otid] lands.  Its planned slot when the arena has one of exactly
@@ -581,59 +574,6 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
         counter (if is_graph_out then "arena-out-direct" else "arena-dest-malloc");
       buf, 0
   in
-  (* Int8 weight-quantized dispatch (dynamic-range): a node whose constant
-     weight was quantized at compile runs the packed int8 kernel with the
-     dequantization epilogue folded into the write-back.  The result is
-     float and goes where [destination] says.  The activation is fetched
-     boxed — calibration reads every element anyway.  Output dims are
-     computed up front from the operand dims so the destination is chosen
-     before the kernel; any shape the quantized kernels cannot take falls
-     through to the float path. *)
-  let quant_dispatch (nd : Graph.node) =
-    match backend with
-    | Some be when c.Pipeline.quant && Backend.kind_of be <> Backend.Naive -> (
-      match nd.Graph.op, nd.Graph.inputs, nd.Graph.outputs with
-      | Op.MatMul, [ x; w ], [ otid ] -> (
-        match Pipeline.quant_weight c w, st.dims.(x) with
-        | Some qt, Some [ m; k ] -> (
-          match Tensor.dims qt.Quant.q with
-          | [ k'; n ] when k = k' && k > 0 ->
-            Some
-              ( otid,
-                [ m; n ],
-                fun ~c ~co ->
-                  Backend.matmul_q8_into ?cls:(cls_of nd) be (fetch_boxed x) qt ~c ~co )
-          | _ -> None)
-        | _ -> None)
-      | Op.Conv { stride; pads; dilation; groups }, x :: w :: rest, [ otid ] -> (
-        let bias = match rest with [ b ] -> Some b | _ -> None in
-        match Pipeline.quant_weight c w, st.dims.(x) with
-        | Some qt, Some xdims -> (
-          match
-            Linalg.conv2d_out_dims ~stride ~pad:pads ~dilation xdims (Tensor.dims qt.Quant.q)
-          with
-          | exception Invalid_argument _ -> None
-          | dims ->
-            Some
-              ( otid,
-                dims,
-                fun ~c ~co ->
-                  Backend.conv2d_q8_into ?cls:(cls_of nd) be ~stride ~pad:pads ~dilation
-                    ~groups (fetch_boxed x) qt (Option.map fetch_boxed bias) ~c ~co ))
-        | _ -> None)
-      | _ -> None)
-    | _ -> None
-  in
-  let try_quant (nd : Graph.node) =
-    match quant_dispatch nd with
-    | None -> false
-    | Some (otid, dims, run) ->
-      let buf, off = destination otid c.Pipeline.fdtype dims in
-      ignore (run ~c:buf ~co:off);
-      set_dims [ otid, dims ];
-      counter "quant-kernel";
-      true
-  in
   (* Every input of a node viewable as a float window (slot or boxed),
      and the op has a [Kernels.run_into] kernel that fits: each result is
      written once, straight into its destination. *)
@@ -642,7 +582,9 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
     List.for_all Option.is_some vs
     &&
     match
-      Kernels.run_into ?backend ?cls:(cls_of nd) nd.Graph.op (List.map Option.get vs)
+      Kernels.run_into ?backend
+        ?int8:(Pipeline.int8_weight c.Pipeline.quant_weights nd)
+        nd.Graph.op (List.map Option.get vs)
         ~dest:(fun i -> destination (List.nth nd.Graph.outputs i))
     with
     | Some dims ->
@@ -673,9 +615,9 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
     | _ -> false
   in
   let exec_plain (nd : Graph.node) =
-    if not (try_view nd || try_shape nd || try_quant nd || try_dest nd) then
+    if not (try_view nd || try_shape nd || try_dest nd) then
       List.iter2 (store st) nd.outputs
-        (Kernels.run ?backend ?cls:(cls_of nd) nd.op (List.map fetch_boxed nd.inputs))
+        (Kernels.run ?backend nd.op (List.map fetch_boxed nd.inputs))
   in
   (* A multi-member group with a template first offers itself to the
      backend's fused-kernel cache — one lookup per execution: one compiled

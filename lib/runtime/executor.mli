@@ -88,8 +88,8 @@ type memory =
           result goes to its planned slot when the arena has one of
           exactly its size and kind and the tensor is not a graph output,
           and to a fresh buffer otherwise ([Malloc] has no slots).  Every
-          destination kernel ({!Kernels.run_into}), fused group
-          ({!Backend.fused_kernel}) and int8 node asks that rule once, just
+          destination kernel ({!Kernels.run_into}, int8 arm included) and
+          fused group ({!Backend.fused_kernel}) asks that rule once, just
           before it writes — so steady-state arena execution performs no
           plan recomputation and no intermediate-tensor allocation.  Graph
           outputs get fresh buffers so they survive slot recycling without
@@ -186,14 +186,15 @@ val run_real :
       run.
 
     Int8 kernels run for the nodes whose weights the artifact quantized
-    ({!Pipeline.compiled.quant}) whenever a non-naive backend is in use;
-    the naive path always runs float, bit-identical to {!Reference}.
+    ({!Pipeline.compiled.quant}) whenever a non-naive backend is in use:
+    each node's payload ({!Pipeline.int8_weight}) goes to
+    {!Kernels.run_into}, whose heavy arm runs them; the naive path always
+    runs float, bit-identical to {!Reference}.
 
     The remaining arguments are resources, not choices.  [backend] is a
     long-lived kernel backend (it replaces the transient one): heavy
-    operators route through its blocked/parallel kernels, with each
-    node's shape class taken from the compile-time resolution
-    ({!Pipeline.compiled.kernel_classes}) when available.  [memory] is
+    operators route through its blocked/parallel kernels, each problem
+    classified by its own extents.  [memory] is
     the allocation discipline with its own arena (see {!memory}); it
     replaces the one [config.memory] would build.  Graph outputs never
     live in arena slots, so they stay valid across later inferences over

@@ -143,7 +143,7 @@ let promoted (vs : Tensor.view list) =
 (* ------------------------------------------------------------------ *)
 (* Destination-passing execution: every float kernel                   *)
 
-let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
+let run_into ?backend ?int8 (op : Op.t) (inputs : Tensor.view list)
     ~(dest : int -> Tensor.dtype -> int list -> Tensor.fbuf * int) : int list list option =
   let par =
     match backend with Some be -> Backend.par_of be | None -> Blocked.sequential
@@ -175,10 +175,13 @@ let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
       invalid_arg (Op.name op ^ ": the window exceeds the padded input");
     od
   in
-  match Multi_version.heavy_result op inputs with
-  | Some (dims, dt) ->
-    write ~dt dims
-      (Multi_version.heavy_into ?cls ~par (Option.bind backend Backend.versions) op inputs)
+  let int8 =
+    match backend, int8 with
+    | Some be, Some qw -> Some (qw, fun () -> Backend.record be "quant-kernel")
+    | _ -> None
+  in
+  match Multi_version.heavy_kernel ?int8 ~par (Option.bind backend Backend.versions) op inputs with
+  | Some (dims, dt, kernel) -> write ~dt dims kernel
   | None -> (
     match op, inputs with
     | Op.Unary u, [ x ] -> elementwise [| x |] (view_dims_arr x) (fun l d -> OS.Unary (u, l.(0), d))
@@ -244,7 +247,7 @@ let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
 
 let is_int t = not (Tensor.is_float_dtype (Tensor.dtype t))
 
-let rec run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
+let rec run ?backend (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
   (* The destination kernels over a fresh zeroed buffer per output.
      Integer operands promote to F32 for float semantics; float operands
      keep their own precision (an F64 input must not silently narrow). *)
@@ -258,7 +261,7 @@ let rec run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
     let ensure_f t = if is_int t then Tensor.cast t Tensor.F32 else t in
     Option.map
       (fun _ -> List.rev !outs)
-      (run_into ?backend ?cls op (List.map (fun t -> Tensor.view_f (ensure_f t)) inputs) ~dest)
+      (run_into ?backend op (List.map (fun t -> Tensor.view_f (ensure_f t)) inputs) ~dest)
   in
   match op, inputs with
   (* integer Neg, Abs, Not and Identity, integer-by-integer Binary and
@@ -387,6 +390,6 @@ let rec run ?backend ?cls (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
       match op, inputs with
       | Op.Gemm ({ beta; _ } as g), [ a; b; c ] ->
         (* [C] is wider than [A·B]: [A·B] rounds to its own kind first *)
-        let ab = List.hd (run ?backend ?cls (Op.Gemm g) [ a; b ]) in
+        let ab = List.hd (run ?backend (Op.Gemm g) [ a; b ]) in
         [ Tensor.map2 (fun x y -> x +. (beta *. y)) ab (Tensor.broadcast_to c (Tensor.dims ab)) ]
       | _ -> arg_err op (Printf.sprintf "arity %d not supported" (List.length inputs))))

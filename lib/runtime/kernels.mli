@@ -4,7 +4,7 @@
     {!run_into}; {!run} is the same kernels over a fresh buffer per
     output, so the executor, {!Reference} and guarded fallback compute
     each operator one way.  The heavy operators (MatMul, Gemm, Conv,
-    Conv1d) dispatch through {!Multi_version.heavy_into}, the entry fused
+    Conv1d) dispatch through {!Multi_version.heavy_kernel}, the entry fused
     groups' anchors call too.  The remaining operators (integer
     semantics, data-dependent output shapes, the other reductions and
     shuffles) have boxed kernels with ONNX semantics, built on the
@@ -12,8 +12,7 @@
     [Combine]) are {e not} handled here — the executor routes them. *)
 
 val run :
-  ?backend:Backend.t -> ?cls:Multi_version.shape_class -> Op.t -> Tensor.t list ->
-  Tensor.t list
+  ?backend:Backend.t -> Op.t -> Tensor.t list -> Tensor.t list
 (** [run op inputs] executes the operator.  An operator {!run_into}
     covers runs there, over a fresh zeroed buffer per output: integer
     operands are cast to F32 first, float operands keep their precision.
@@ -31,12 +30,11 @@ val run :
 
     Without [backend] every operator runs the naive reference kernel
     (bit-exact, the fallback/golden path).  With one, the heavy operators
-    take the blocked kernels of their shape class ([cls] pins it when the
-    caller resolved it at compile time) and block programs split over the
-    backend's pool. *)
+    take the kernels of their problem's shape class and block programs
+    split over the backend's pool. *)
 
 val run_into :
-  ?backend:Backend.t -> ?cls:Multi_version.shape_class -> Op.t ->
+  ?backend:Backend.t -> ?int8:Quant.qtensor -> Op.t ->
   Tensor.view list -> dest:(int -> Tensor.dtype -> int list -> Tensor.fbuf * int) ->
   int list list option
 (** Destination-passing execution: evaluate [op] over view inputs and
@@ -53,6 +51,13 @@ val run_into :
     (class [Shape_mismatch]) and for BatchNorm parameters and Split sizes
     that do not fit (class [Arity_mismatch]) — possibly after [dest] was
     called.
+
+    [int8] is the node's int8 weight payload ([Pipeline.int8_weight]): on
+    a non-naive backend a MatMul or Conv whose operands the int8 kernels
+    accept runs them (the int8 arm of {!Multi_version.heavy_kernel}),
+    reading the activation and bias in place and counting one
+    ["quant-kernel"]; any other shape, and every naive run, takes the
+    float kernel.
 
     Covered operators: Unary, Binary (broadcasting), Clip, BatchNorm,
     LayerNorm, Softmax, MatMul, Gemm, Conv, Conv1d, MaxPool, AveragePool,

@@ -14,17 +14,14 @@ let sequential =
 type tiles = {
   tm : int;
   tn : int;
-  tk : int;  (* retained for the autotuner's config space; packing is full-depth *)
-  kunroll : int;  (* likewise retained: the micro-kernel always unrolls by 4 *)
 }
 
-let default_tiles = { tm = 64; tn = 32; tk = 128; kunroll = 4 }
+let default_tiles = { tm = 64; tn = 32 }
 
 (* Floors measured against the real kernel: micro-tiles need at least 8
    quad-rows/pair-columns to amortize the edge guards.  The autotuner
    steers above these floors. *)
-let tiles_of ~tile_m ~tile_n ~tile_k ~unroll =
-  { tm = max 32 tile_m; tn = max 32 tile_n; tk = max 64 tile_k; kunroll = max 4 unroll }
+let tiles_of ~tile_m ~tile_n = { tm = max 32 tile_m; tn = max 32 tile_n }
 
 let ceil_div x y = (x + y - 1) / y
 

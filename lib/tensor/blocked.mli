@@ -50,15 +50,17 @@ end
 type tiles = {
   tm : int;  (** macro row-tile height (parallel work unit) *)
   tn : int;  (** column-tile width within a packed column block *)
-  tk : int;  (** kept for the autotuner's config space; packing is full-depth *)
-  kunroll : int;  (** kept for the autotuner's config space; the micro-kernel always unrolls by 4 *)
 }
+(** The extents the kernels read.  Packing is full-depth and the
+    micro-kernel always unrolls by 4, so an autotuner configuration's
+    depth tile and unroll factor have no counterpart here. *)
 
 val default_tiles : tiles
 
-val tiles_of : tile_m:int -> tile_n:int -> tile_k:int -> unroll:int -> tiles
-(** Sanitize an autotuner configuration into usable tile extents (clamped
-    to sane minima so degenerate configs cannot starve the kernel). *)
+val tiles_of : tile_m:int -> tile_n:int -> tiles
+(** Sanitize an autotuner configuration's tile extents into usable ones
+    (clamped to sane minima so degenerate configs cannot starve the
+    kernel). *)
 
 val gemm :
   ?par:par -> ?tiles:tiles -> m:int -> n:int ->

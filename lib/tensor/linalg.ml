@@ -204,39 +204,52 @@ let matmul_into ?(inner = naive_kernel) (va : Tensor.view) (vb : Tensor.view) ~c
   done;
   s.mm_out
 
-let transpose2d t =
-  let d = Tensor.dims_arr t in
-  let m = d.(0) and n = d.(1) in
-  let src = Tensor.data_f t in
-  let dst = Array.make (m * n) 0.0 in
-  for i = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      dst.((j * m) + i) <- src.((i * n) + j)
+(* [c.[co + j] += beta · src.[so + j·ls]] for [j < len]: one store per
+   element. *)
+let add_scaled_row ~beta src so ls c co len =
+  match src, c with
+  | Tensor.FB32 s, Tensor.FB32 d ->
+    for j = 0 to len - 1 do
+      BA1.unsafe_set d (co + j) (BA1.unsafe_get d (co + j) +. (beta *. BA1.unsafe_get s (so + (j * ls))))
     done
-  done;
-  Tensor.of_floats (Tensor.dtype t) [ n; m ] dst
+  | Tensor.FB64 s, Tensor.FB64 d ->
+    for j = 0 to len - 1 do
+      BA1.unsafe_set d (co + j) (BA1.unsafe_get d (co + j) +. (beta *. BA1.unsafe_get s (so + (j * ls))))
+    done
+  | _ ->
+    for j = 0 to len - 1 do
+      Tensor.fbuf_set c (co + j) (Tensor.fbuf_get c (co + j) +. (beta *. Tensor.fbuf_get src (so + (j * ls))))
+    done
 
-(* Destination-passing GEMM over views: transposes go through small
-   scratch tensors, alpha/beta are applied in place on the destination
-   window.  Returns the result dims. *)
-let gemm_into ?inner ?(alpha = 1.0) ?(beta = 1.0) ?(trans_a = false) ?(trans_b = false)
-    (va : Tensor.view) (vb : Tensor.view) (vc : Tensor.view option) ~c ~co =
-  let va = if trans_a then Tensor.view_f (transpose2d (Tensor.of_view va)) else va in
-  let vb = if trans_b then Tensor.view_f (transpose2d (Tensor.of_view vb)) else vb in
+(* Destination-passing GEMM over views: the product, then alpha scaled in
+   place on the destination window, then [beta · C] added with [C] read
+   through its broadcast strides straight from its view.  Returns the
+   result dims. *)
+let gemm_into ?inner ?(alpha = 1.0) ?(beta = 1.0) (va : Tensor.view) (vb : Tensor.view)
+    (vc : Tensor.view option) ~c ~co =
   let od = matmul_into ?inner va vb ~c ~co in
   let n_out = List.fold_left ( * ) 1 od in
-  if alpha <> 1.0 then
-    for i = co to co + n_out - 1 do
-      Tensor.fbuf_set c i (Tensor.fbuf_get c i *. alpha)
-    done;
-  (match vc with
-  | None -> ()
-  | Some vcv ->
-    let ct = Tensor.broadcast_to (Tensor.of_view vcv) od in
-    let cd = Tensor.data_f ct in
-    for i = 0 to n_out - 1 do
-      Tensor.fbuf_set c (co + i) (Tensor.fbuf_get c (co + i) +. (beta *. cd.(i)))
-    done);
+  if alpha <> 1.0 then begin
+    match c with
+    | Tensor.FB32 cb ->
+      for i = co to co + n_out - 1 do
+        BA1.unsafe_set cb i (BA1.unsafe_get cb i *. alpha)
+      done
+    | Tensor.FB64 cb ->
+      for i = co to co + n_out - 1 do
+        BA1.unsafe_set cb i (BA1.unsafe_get cb i *. alpha)
+      done
+  end;
+  Option.iter
+    (fun (vc : Tensor.view) ->
+      let od = Array.of_list od and cd = Array.of_list vc.Tensor.vdims in
+      if Tensor.broadcast_dims cd od <> od then
+        invalid_arg "Linalg.gemm: C does not broadcast to the product";
+      let sc = Tensor.broadcast_strides cd (Array.length od) in
+      let len = Tensor.innermost od and lc = Tensor.innermost sc in
+      Tensor.iter_rows od sc sc (fun o oc _ ->
+          add_scaled_row ~beta vc.Tensor.vbuf (vc.Tensor.voff + oc) lc c (co + o) len))
+    vc;
   od
 
 let conv2d_into ?(stride = (1, 1)) ?(pad = (0, 0, 0, 0)) ?(dilation = (1, 1)) ?(groups = 1)

@@ -1,7 +1,7 @@
 (** The naive destination-passing kernels for matmul, Gemm, convolution
     and pooling, plus their output-shape rules.  Each writes its result
     into a float buffer at an element offset; the runtime's one entry per
-    operator ([Kernels.run_into], with [Multi_version.heavy_into] choosing
+    operator ([Kernels.run_into], with [Multi_version.heavy_kernel] choosing
     between these loops and the blocked ones) is how they run.  Layouts
     follow ONNX conventions: matmul uses trailing two axes with
     numpy-style batch broadcasting, convolutions are NCHW with OIHW
@@ -55,14 +55,15 @@ val matmul_into :
     through offset-carrying views.  Returns the result dims. *)
 
 val gemm_into :
-  ?inner:gemm_kernel ->
-  ?alpha:float -> ?beta:float -> ?trans_a:bool -> ?trans_b:bool ->
+  ?inner:gemm_kernel -> ?alpha:float -> ?beta:float ->
   Tensor.view -> Tensor.view -> Tensor.view option ->
   c:Tensor.fbuf -> co:int -> int list
-(** ONNX [Gemm], [alpha * op(a) @ op(b) + beta * c] on 2-d operands with
-    unidirectional broadcast of [c], into [c] at [co]: transposed operands
-    go through scratch tensors, alpha/beta are folded in place on the
-    destination window.  Returns the result dims. *)
+(** ONNX [Gemm] on untransposed operands, [alpha * a @ b + beta * c],
+    into [c] at [co]: alpha and beta are folded in place on the
+    destination window, [c] read through its unidirectional broadcast
+    strides (raises [Invalid_argument] when it does not broadcast to the
+    product).  Allocates nothing in proportion to its operands.  Returns
+    the result dims. *)
 
 val conv2d_into :
   ?stride:int * int -> ?pad:int * int * int * int -> ?dilation:int * int ->

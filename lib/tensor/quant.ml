@@ -94,21 +94,19 @@ let requantize_one { qm; shift; zp } acc =
 (* ---------------------------------------------------------------- *)
 (* Choosing schemes from float data                                  *)
 
-let float_data t =
-  match Tensor.dtype t with
-  | Tensor.F32 | Tensor.F64 -> Tensor.data_f t
-  | Tensor.I8 | Tensor.I64 ->
-    invalid_arg "Quant: scheme selection wants a float tensor"
+let float_view t =
+  if Tensor.is_float_dtype (Tensor.dtype t) then Tensor.view_f t
+  else invalid_arg "Quant: scheme selection wants a float tensor"
 
-let range_of data =
-  (* The zero value must stay exactly representable (padding, ReLU
-     cut-offs), so the range always includes 0. *)
+(* Read in place.  The zero value must stay exactly representable
+   (padding, ReLU cut-offs), so the range always includes 0. *)
+let range_of (v : Tensor.view) =
   let mn = ref 0.0 and mx = ref 0.0 in
-  Array.iter
-    (fun v ->
-      if v < !mn then mn := v;
-      if v > !mx then mx := v)
-    data;
+  for i = v.Tensor.voff to v.Tensor.voff + Tensor.view_numel v - 1 do
+    let x = Tensor.fbuf_get v.Tensor.vbuf i in
+    if x < !mn then mn := x;
+    if x > !mx then mx := x
+  done;
   (!mn, !mx)
 
 let per_tensor_of_range ~symmetric mn mx =
@@ -124,7 +122,7 @@ let per_tensor_of_range ~symmetric mn mx =
   end
 
 let choose_per_tensor ?(symmetric = false) t =
-  let mn, mx = range_of (float_data t) in
+  let mn, mx = range_of (float_view t) in
   per_tensor_of_range ~symmetric mn mx
 
 (* Per-channel is symmetric by construction (zero points pinned to 0):
@@ -140,14 +138,13 @@ let choose_per_channel ~axis t =
     inner := !inner * dims.(i)
   done;
   let inner = !inner in
-  let data = float_data t in
+  let v = float_view t in
   let maxabs = Array.make ch 0.0 in
-  Array.iteri
-    (fun flat v ->
-      let c = flat / inner mod ch in
-      let a = Float.abs v in
-      if a > maxabs.(c) then maxabs.(c) <- a)
-    data;
+  for flat = 0 to Tensor.view_numel v - 1 do
+    let c = flat / inner mod ch in
+    let a = Float.abs (Tensor.fbuf_get v.Tensor.vbuf (v.Tensor.voff + flat)) in
+    if a > maxabs.(c) then maxabs.(c) <- a
+  done;
   let scales =
     Array.map (fun a -> if a = 0.0 then 1.0 else a /. 127.0) maxabs
   in
@@ -173,17 +170,23 @@ let channel_params scheme dims =
       let c = flat / inner mod ch in
       (scales.(c), zero_points.(c))
 
-let quantize t scheme =
-  let dims = Tensor.dims_arr t in
-  let params = channel_params scheme dims in
-  let data = float_data t in
-  let n = Array.length data in
-  let out = Array.make n 0 in
+(* A float view quantized under [scheme], read in place. *)
+let quantize_view (v : Tensor.view) scheme =
+  let params = channel_params scheme (Array.of_list v.Tensor.vdims) in
+  let n = Tensor.view_numel v in
+  let q = BA1.create Bigarray.int8_signed Bigarray.c_layout n in
   for i = 0 to n - 1 do
     let scale, zp = params i in
-    out.(i) <- clamp_i8 (Tensor.saturating_int_of_float (Float.round (data.(i) /. scale)) + zp)
+    let x = Tensor.fbuf_get v.Tensor.vbuf (v.Tensor.voff + i) in
+    BA1.unsafe_set q i (clamp_i8 (Tensor.saturating_int_of_float (Float.round (x /. scale)) + zp))
   done;
-  { q = Tensor.of_ints Tensor.I8 (Tensor.dims t) out; qscheme = scheme }
+  { q = Tensor.of_i8buf v.Tensor.vdims q; qscheme = scheme }
+
+let quantize t scheme = quantize_view (float_view t) scheme
+
+let quantize_activation v =
+  let mn, mx = range_of v in
+  quantize_view v (per_tensor_of_range ~symmetric:false mn mx)
 
 let dequantize { q; qscheme } =
   if Tensor.dtype q <> Tensor.I8 then

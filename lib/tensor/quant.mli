@@ -82,6 +82,11 @@ val quantize : Tensor.t -> scheme -> qtensor
 (** Float tensor → {!Tensor.I8} payload under the scheme (round half
     away from zero, clamped). *)
 
+val quantize_activation : Tensor.view -> qtensor
+(** The activation side of dynamic-range quantization: asymmetric
+    {!choose_per_tensor} calibration and {!quantize} of a float view's
+    values, read in place (an arena slot needs no copy-out). *)
+
 val dequantize : qtensor -> Tensor.t
 (** {!Tensor.I8} payload → {!Tensor.F32}: [(q - zp) · scale]. *)
 

@@ -121,6 +121,40 @@ let test_into_alloc () =
         Alcotest.failf "%s into a slot: %d words at 2x8, %d at 2x4096" name small large)
     [ "Relu", Op.Unary Op.Relu; "Add", Op.Binary Op.Add; "Mul", Op.Binary Op.Mul ]
 
+(* Minor and major words of the second of two identical calls. *)
+let steady_words f =
+  f ();
+  let mi0, pr0, ma0 = Gc.counters () in
+  f ();
+  let mi1, pr1, ma1 = Gc.counters () in
+  int_of_float (mi1 -. mi0), int_of_float (ma1 -. ma0 -. (pr1 -. pr0))
+
+(* The Gemm kernel reads C through its broadcast strides and copies a
+   transposed operand into pooled scratch, so nothing it allocates grows
+   with its operands: it allocates about what the same-shape MatMul
+   does. *)
+let test_gemm_into_alloc () =
+  let n = 128 and rng = Rng.create 9 in
+  let view dims = Tensor.view_f (Tensor.rand_uniform rng dims) in
+  let a = view [ n; n ] and b = view [ n; n ] in
+  let c = Tensor.fbuf_create Tensor.F32 (n * n) in
+  let words op args =
+    steady_words (fun () -> ignore (RT.Kernels.run_into op args ~dest:(fun _ _ _ -> c, 0)))
+  in
+  let mm_minor, mm_major = words Op.MatMul [ a; b ] in
+  let gemm trans = Op.Gemm { alpha = 1.0; beta = 1.0; trans_a = trans; trans_b = trans } in
+  List.iter
+    (fun (what, op, args) ->
+      let minor, major = words op args in
+      if minor > 2 * mm_minor || major > mm_major then
+        Alcotest.failf "%s: %d minor and %d major words against the MatMul's %d and %d" what
+          minor major mm_minor mm_major)
+    [
+      "row C", gemm false, [ a; b; view [ 1; n ] ];
+      "column C", gemm false, [ a; b; view [ n; 1 ] ];
+      "both operands transposed", gemm true, [ a; b; view [ 1; n ] ];
+    ]
+
 (* A warm fused kernel runs its block program over register files taken
    from a pool: its allocation is per call, not per element or block.
    [build n] returns a graph whose one fused group yields [n] elements,
@@ -278,6 +312,8 @@ let suite =
     Alcotest.test_case "reduce: allocation follows the output" `Quick test_reduce_alloc;
     Alcotest.test_case "norms: allocation is flat in the input" `Quick test_norm_alloc;
     Alcotest.test_case "arena pointwise: allocation is flat" `Quick test_into_alloc;
+    Alcotest.test_case "gemm into a slot: allocation matches the matmul" `Quick
+      test_gemm_into_alloc;
     Alcotest.test_case "scratch: concurrent systhreads match sequential" `Quick
       test_scratch_threads;
     Alcotest.test_case "scratch: concurrent domains match sequential" `Quick

@@ -96,7 +96,7 @@ let test_gemm_blocked_matches_naive () =
     (fun ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ->
       Blocked.gemm ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ());
   (* degenerate tile configuration goes through the sanitizer *)
-  let tiles = Blocked.tiles_of ~tile_m:1 ~tile_n:1 ~tile_k:1 ~unroll:1 in
+  let tiles = Blocked.tiles_of ~tile_m:1 ~tile_n:1 in
   check_gemm_kernel "blocked/clamped-tiles"
     (fun ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ->
       Blocked.gemm ~tiles ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ())
@@ -108,7 +108,7 @@ let test_gemm_parallel_matches_naive () =
     (fun () ->
       let par = RT.Domain_pool.par pool in
       (* small row-tiles so several macro-tiles actually run per job *)
-      let tiles = Blocked.tiles_of ~tile_m:32 ~tile_n:32 ~tile_k:64 ~unroll:4 in
+      let tiles = Blocked.tiles_of ~tile_m:32 ~tile_n:32 in
       check_gemm_kernel "parallel"
         (fun ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ->
           Blocked.gemm ~par ~tiles ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()))
@@ -492,10 +492,10 @@ let test_backend_ops_match_reference () =
           let name op = RT.Backend.kind_name kind ^ "/" ^ op in
           (* the backend's kernels against the naive ones, both through
              [Kernels.run] *)
-          let check what ?cls op inputs =
+          let check what op inputs =
             check_close (name what)
               (List.hd (RT.Kernels.run op inputs))
-              (List.hd (RT.Kernels.run ~backend:be ?cls op inputs))
+              (List.hd (RT.Kernels.run ~backend:be op inputs))
           in
           let rng = Rng.create 12 in
           (* batched matmul with broadcasting *)
@@ -512,9 +512,7 @@ let test_backend_ops_match_reference () =
           let x1 = Tensor.rand_uniform rng [ 2; 4; 19 ] in
           let w1 = Tensor.rand_uniform rng [ 6; 2; 3 ] in
           check "conv1d" (Op.Conv1d { stride1 = 2; pads1 = 1, 1; dilation1 = 1; groups1 = 2 })
-            [ x1; w1 ];
-          (* a pinned shape class must not change the result *)
-          check "matmul/pinned-class" ~cls:Sod2.Multi_version.Skinny Op.MatMul [ a; b ]))
+            [ x1; w1 ]))
     [ RT.Backend.Naive; RT.Backend.Blocked; RT.Backend.Parallel ]
 
 (* Elementwise maps on a Parallel backend run as destination kernels:

@@ -575,6 +575,40 @@ let test_engine_fallback_is_float () =
       Alcotest.(check bool) "fallback = Reference.run, bit for bit" true
         (bit_identical (RT.Reference.run g ~inputs) r.RT.Engine.outputs))
 
+(* The int8 kernels read their activation and bias as views, so an int8
+   arena run copies no slot out for them: SkipNet's only copy-outs are its
+   12 gate ArgMax reads, Conformer makes none.  The second of two runs
+   over one arena is checked. *)
+let test_int8_arena_in_place () =
+  List.iter
+    (fun (model, spec, env, max_copy_out) ->
+      let sp = Option.get (Zoo.by_name model) in
+      let g = sp.Zoo.build () in
+      let cfg = config_of spec in
+      let c = Sod2.Pipeline.compile ~opts:cfg.RT.Executor.compile cpu g in
+      let inputs = Zoo.make_inputs sp g env (Rng.create 5) in
+      let be = RT.Backend.for_compiled cfg.RT.Executor.backend c in
+      Fun.protect
+        ~finally:(fun () -> RT.Backend.shutdown be)
+        (fun () ->
+          let arena = RT.Arena.create () in
+          let run memory = snd (RT.Executor.run_real ~config:cfg ~backend:be ~memory c ~inputs) in
+          ignore (run (RT.Executor.Arena { arena; env }));
+          Profile.Counters.reset ();
+          let outs = run (RT.Executor.Arena { arena; env }) in
+          let what = Printf.sprintf "%s on %s" model spec in
+          let copy_out = counter_count "arena-copy-out" in
+          if copy_out > max_copy_out then
+            Alcotest.failf "%s: %d arena-copy-out, at most %d" what copy_out max_copy_out;
+          Alcotest.(check int) (what ^ ": arena-dest-malloc") 0 (counter_count "arena-dest-malloc");
+          Alcotest.(check bool) (what ^ ": int8 kernels ran") true (counter_count "quant-kernel" > 0);
+          Alcotest.(check bool) (what ^ ": arena = malloc, bit for bit") true
+            (bit_identical (run RT.Executor.Malloc) outs)))
+    [
+      "skipnet", "blocked,arena,int8", Env.of_list [ "H", 96; "W", 96 ], 12;
+      "conformer", "fused,arena,int8", Env.of_list [ "T", 64 ], 0;
+    ]
+
 let test_memplan_int_elem_override () =
   (* A ShapeOf output holds I64 values: on an f32 plan its slot must be
      sized at 8 bytes/elem (and padded to the 8-byte grid), not 4. *)
@@ -628,6 +662,8 @@ let suite =
     Alcotest.test_case "guarded int8 engine answers consistently" `Quick
       test_engine_guarded_int8_consistent;
     Alcotest.test_case "int8 engine fallback is float" `Quick test_engine_fallback_is_float;
+    Alcotest.test_case "int8 arena runs read activations in place" `Quick
+      test_int8_arena_in_place;
     Alcotest.test_case "int8 artifact on naive = reference" `Quick
       test_naive_quant_is_reference;
     Alcotest.test_case "mem-plan I64 elem override" `Quick
