@@ -163,15 +163,8 @@ let fused ~rounds =
 (* --- arena: planned destination-passing execution vs malloc ----------- *)
 
 let arena_wrong = gate "malloc/arena outputs off Reference by > 1e-4" 0.0 At_most
+(* Every float result, boxed kernels' included, lands in its slot. *)
 let arena_dest_malloc = gate "arena-dest-malloc per arena run" 0.0 At_most
-
-(* SkipNet's 12 gate ArgMax reads of arena-resident logits: ArgMax has no
-   destination kernel, and nothing else may read a slot boxed. *)
-let arena_copy_out = gate "arena-copy-out per arena run" 12.0 At_most
-
-(* Conformer's LayerNorm, Softmax, Transpose, Split and Conv1d all write
-   their slots, and Shape reads only dims: nothing reads a slot boxed. *)
-let arena_conformer_copy_out = gate "arena-copy-out per Conformer run" 0.0 At_most
 
 (* Placement runs once, at compile time; serving only evaluates the
    plan.  The evaluation must cost at most a twentieth of the placement
@@ -211,7 +204,7 @@ let plan_rows ~rounds =
     [ plan_time, te.best /. tr.best; plan_arena, worst ] )
 
 let arena ~rounds =
-  let wrong = ref 0 and mallocs = ref 0 and copies = ref 0 and conformer_copies = ref 0 in
+  let wrong = ref 0 and mallocs = ref 0 in
   (* Arena runs keep the RDP boundary cross-check on. *)
   let guarded = { RT.Executor.default_config with guarded = true } in
   let counter kind = Profile.Counters.count ~profile:cpu.Profile.name ~kind in
@@ -230,18 +223,15 @@ let arena ~rounds =
       let malloc () = RT.Executor.run_real ~backend:be c ~inputs in
       let arena () = RT.Executor.run_real ~config:guarded ~env ~backend:be ~memory c ~inputs in
       let tm, ta = pair (time ~calls:5 ~rounds (List.map (fun run () () -> ignore (run ())) [ malloc; arena ])) in
-      let m0 = counter "arena-dest-malloc" and c0 = counter "arena-copy-out" in
+      let m0 = counter "arena-dest-malloc" in
       let _, arena_out = arena () in
-      let m = counter "arena-dest-malloc" - m0 and k = counter "arena-copy-out" - c0 in
+      let m = counter "arena-dest-malloc" - m0 in
       mallocs := max !mallocs m;
-      copies := max !copies k;
-      if String.starts_with ~prefix:"conformer" name then
-        conformer_copies := max !conformer_copies k;
       wrong := !wrong + mismatches (Within 1e-4) (snd (malloc ())) reference
                + mismatches (Within 1e-4) arena_out reference;
       row (name ^ " " ^ RT.Backend.kind_name kind) [ "malloc", tm; "arena", ta ]
         ~fields:[ "speedup", tm.best /. ta.best; "arena_bytes", count bytes;
-                  "dest_malloc", count m; "copy_out", count k ]
+                  "dest_malloc", count m ]
     in
     List.map backend kinds
   in
@@ -270,9 +260,7 @@ let arena ~rounds =
   let plan_rows, plan_values = plan_rows ~rounds in
   { rows = rows @ plan_rows;
     values =
-      [ arena_wrong, count !wrong; arena_dest_malloc, count !mallocs; arena_copy_out, count !copies;
-        arena_conformer_copy_out, count !conformer_copies ]
-      @ plan_values }
+      [ arena_wrong, count !wrong; arena_dest_malloc, count !mallocs ] @ plan_values }
 
 (* --- engine and overload: concurrent serving -------------------------- *)
 
@@ -642,9 +630,7 @@ let () =
       { name = "fused"; rounds = 7; run = fused; gates = [ fused_floor ];
         doc = "each fusion group op by op on blocked vs as one fused kernel" };
       { name = "arena"; rounds = 5; run = arena;
-        gates =
-          [ arena_wrong; arena_dest_malloc; arena_copy_out; arena_conformer_copy_out; plan_time;
-            plan_arena ];
+        gates = [ arena_wrong; arena_dest_malloc; plan_time; plan_arena ];
         doc = "malloc vs arena on three stream graphs x naive/blocked/fused, SkipNet 128^2 x \
                blocked/fused and Conformer T=128 fused; plan evaluation vs re-placement" };
       { name = "engine"; rounds = 3; run = engine; gates = [ engine_wrong; engine_grows; engine_floor ];

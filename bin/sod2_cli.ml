@@ -379,11 +379,10 @@ let serve_cmd =
     let count kind = Profile.Counters.count ~profile:profile.Profile.name ~kind in
     Printf.printf "  arena grows:   %s (per worker)\n"
       (String.concat ", " (Array.to_list (Array.map string_of_int st.Engine.arena_grows)));
-    (* Where results missed the arena: boxed reads of a slot by an op with
-       no destination kernel, and slotless results given a fresh buffer. *)
+    (* Where results missed the arena: results that got a fresh buffer
+       instead of a planned slot. *)
     if cfg.Executor.memory = Executor.Mem_arena then
-      Printf.printf "  arena:         %d arena-copy-out, %d arena-dest-malloc\n"
-        (count "arena-copy-out") (count "arena-dest-malloc");
+      Printf.printf "  arena:         %d arena-dest-malloc\n" (count "arena-dest-malloc");
     (* An int8 artifact on a non-naive backend must have run int8 kernels. *)
     if c.Sod2.Pipeline.quant then begin
       Printf.printf "  int8:          %d quantized weights, %d int8 kernel calls\n"

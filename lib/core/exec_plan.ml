@@ -21,7 +21,6 @@ type t = {
 }
 
 let exhaustive_limit = 16
-let max_subgraph_groups = 16
 
 (* Fallback size for a tensor whose extent is execution determined: a
    conservative planning estimate (the runtime allocates such tensors

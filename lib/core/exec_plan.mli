@@ -50,9 +50,6 @@ val exhaustive_limit : int
 (** Largest sub-graph (in groups) solved exactly; 16 keeps the subset DP
     at 2^16 states. *)
 
-val max_subgraph_groups : int
-(** Size cap that closes a sub-graph even without a [nac] boundary. *)
-
 val plan :
   ?strategy:strategy -> Graph.t -> Rdp.t -> Fusion.plan -> env:Env.t -> t
 (** Partition and order the fused graph.  [env] supplies representative

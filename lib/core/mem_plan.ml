@@ -48,6 +48,7 @@ type symbolic = {
   sym_entries : sym_entry array;  (** by (offset at the compile binding, tid) *)
   sym_dynamic : sym_entry list;  (** unresolved at the compile binding *)
   sym_alias : (Graph.tensor_id * Graph.tensor_id) list;
+  sym_out_shared : bool array;
   sym_strategy : strategy;
   sym_elem : int;  (** bytes per element of the float dtype planned for *)
 }
@@ -397,10 +398,19 @@ let plan_symbolic ?(strategy = Peak_first) ?(elem = Tensor.bytes_per_elem Tensor
         { (Hashtbl.find entry lt.lt_tid) with se_preds = Array.of_list preds })
       placed
   in
+  let sym_out_shared = Array.make (Graph.tensor_count g) false in
+  let rec mark tid =
+    if not sym_out_shared.(tid) then begin
+      sym_out_shared.(tid) <- true;
+      Option.iter (fun nd -> List.iter mark (aliased nd)) (Graph.producer g tid)
+    end
+  in
+  List.iter mark (Graph.outputs g);
   {
     sym_entries;
     sym_dynamic = List.map (Hashtbl.find entry) unresolved;
     sym_alias;
+    sym_out_shared;
     sym_strategy = strategy;
     sym_elem = elem;
   }
@@ -509,14 +519,6 @@ let pack fit ~lifetimes =
     List.rev (List.fold_left (fun acc lt -> (lt, place acc lt) :: acc) [] (of_raw lifetimes))
   in
   List.map snd placed, arena_of placed
-
-let optimal_arena_upper_bound t =
-  let lts = of_allocs t in
-  if List.length lts > 9 then t.arena_bytes
-  else
-    List.fold_left
-      (fun best perm -> min best (arena_of (place_in_order perm)))
-      max_int (permutations lts)
 
 let strategy_name = function
   | Greedy_first_fit -> "greedy"

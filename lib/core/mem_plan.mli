@@ -114,6 +114,10 @@ type symbolic = {
       (** [(alias, root)] for every alias with exactly one root entry: the
           alias's value sits in [root]'s slot.  An alias reaching several
           roots (through a Combine) takes its slot at run time. *)
+  sym_out_shared : bool array;
+      (** by tensor id: a graph output shares this tensor's storage (the
+          outputs and their view, Switch and Combine alias chains), so
+          the executor gives it a fresh buffer, never a slot *)
   sym_strategy : strategy;
   sym_elem : int;  (** bytes per element of the float dtype planned for *)
 }
@@ -189,10 +193,6 @@ val pack :
     lifetimes in the given order with the chosen hole-selection rule and
     returns the per-tensor offsets (in input order) plus the arena size.
     Exposed so placement policies can be compared directly in tests. *)
-
-val optimal_arena_upper_bound : t -> int
-(** Arena size found by {!Optimal_search} over this plan's lifetimes —
-    exponential, only valid for small allocation counts (≤ 9). *)
 
 val pp : Format.formatter -> t -> unit
 val pp_symbolic : Format.formatter -> symbolic -> unit

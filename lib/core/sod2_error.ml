@@ -28,9 +28,6 @@ type t = {
 
 exception Error of t
 
-let no_context =
-  { op = None; node = None; tensor = None; step = None; worker = None; key = None }
-
 let make ?op ?node ?tensor ?step ?worker ?key cls msg =
   { cls; ctx = { op; node; tensor; step; worker; key }; msg }
 

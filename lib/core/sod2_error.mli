@@ -44,8 +44,6 @@ type t = {
 
 exception Error of t
 
-val no_context : context
-
 val make :
   ?op:string -> ?node:string -> ?tensor:int -> ?step:int -> ?worker:int ->
   ?key:string -> error_class -> string -> t

@@ -31,5 +31,3 @@ val group_time_us :
 val malloc_time_us : Profile.t -> bytes:int -> float
 (** Cost of one dynamic allocation of the given size. *)
 
-val default_efficiency : float
-(** Kernel efficiency of a generic (untuned, single-version) kernel. *)

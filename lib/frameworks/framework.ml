@@ -14,8 +14,6 @@ let kind_name = function
   | Tflite -> "TFLite"
   | Dnnfusion -> "DNNFusion"
 
-let all_kinds = [ Ort; Mnn; Tvm_nimble; Tflite; Dnnfusion; Sod2_fw ]
-
 (* The '-' cells of Tables 5 and 6. *)
 let supports kind ~model (target : Profile.target) =
   match kind with

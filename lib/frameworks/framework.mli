@@ -36,7 +36,6 @@ type kind =
   | Dnnfusion
 
 val kind_name : kind -> string
-val all_kinds : kind list
 
 val supports : kind -> model:string -> Profile.target -> bool
 (** Whether the framework runs the given zoo model on the target — the

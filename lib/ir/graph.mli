@@ -93,8 +93,6 @@ val consumers : t -> tensor_id -> node_id list
 val predecessors : t -> node -> node list
 (** Producing nodes of the node's inputs (deduplicated, in input order). *)
 
-val successors : t -> node -> node list
-
 val free_syms : t -> string list
 (** Shape variables appearing in the declared input shapes. *)
 

@@ -218,17 +218,6 @@ let n_outputs = function
   | Switch { branches } -> branches
   | _ -> 1
 
-let is_elementwise = function
-  | Unary _ | Binary _ | Clip _ | Cast _ | Where -> true
-  | _ -> false
-
-let is_activation = function
-  | Unary
-      ( Relu | LeakyRelu _ | Sigmoid | Tanh | Gelu | HardSwish | Softplus | Erf | Exp
-      | Sqrt | Abs | Neg | Identity )
-  | Clip _ -> true
-  | _ -> false
-
 let is_heavy = function
   | MatMul | Gemm _ | Conv _ | Conv1d _ -> true
   | _ -> false

@@ -138,14 +138,6 @@ val name : t -> string
 val n_outputs : t -> int
 (** Number of output tensors the operator produces. *)
 
-val is_elementwise : t -> bool
-(** Unary/binary/clip/cast/where — operators that map index-space to
-    index-space one-to-one (modulo broadcast), the most fusion-friendly
-    class. *)
-
-val is_activation : t -> bool
-(** Cheap unary nonlinearities typically fused into a preceding heavy op. *)
-
 val is_heavy : t -> bool
 (** Compute-dominant operators (convolutions, matmul, gemm) that anchor
     fusion groups and are candidates for multi-version codegen. *)

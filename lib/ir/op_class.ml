@@ -42,5 +42,3 @@ let category_name = function
   | Isdos -> "Input Shape Determined Output Shape"
   | Isvdos -> "Input Shape & Value Determined Output Shape"
   | Edo -> "Execution Determined Output"
-
-let pp_category ppf c = Format.pp_print_string ppf (category_name c)

@@ -30,4 +30,3 @@ val classify : Op.t -> value_known:(int -> bool) -> category
     [Isdos]. *)
 
 val category_name : category -> string
-val pp_category : Format.formatter -> category -> unit

@@ -2,7 +2,4 @@
     keep/drop predicate for every residual block; dropped blocks are
     bypassed through [<Switch, Combine>].  Symbolic [H]×[W]. *)
 
-val n_gated : int
-(** Number of gated blocks (= predicates the policy emits). *)
-
 val build : unit -> Graph.t

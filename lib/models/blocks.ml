@@ -106,8 +106,6 @@ let reshape_concat t x ~pieces =
   let target = node1 t (Op.Concat { axis = 0 }) pieces in
   node1 t Op.Reshape [ x; target ]
 
-let reshape_static t x dims = node1 t Op.Reshape [ x; const_ints t dims ]
-
 let transpose t x perm = node1 t (Op.Transpose perm) [ x ]
 
 (* Self-attention over [1 × S × hidden]; the sequence extent S is read back

@@ -80,8 +80,6 @@ val reshape_concat :
   t -> Graph.tensor_id -> pieces:Graph.tensor_id list -> Graph.tensor_id
 (** Reshape [x] to the concatenation of 1-d integer pieces. *)
 
-val reshape_static : t -> Graph.tensor_id -> int list -> Graph.tensor_id
-
 (** {1 Attention and transformer blocks} *)
 
 val mha :

@@ -6,6 +6,4 @@
 val vocab : int
 (** Vocabulary size of the (random) token embedding table. *)
 
-val max_positions : int
-
 val build : ?layers:int -> ?hidden:int -> ?heads:int -> unit -> Graph.t

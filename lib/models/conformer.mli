@@ -2,6 +2,4 @@
     convolutional subsampling layers, then blocks of half-FFN /
     self-attention / convolution module / half-FFN. *)
 
-val mel_bins : int
-
 val build : ?blocks:int -> ?hidden:int -> ?heads:int -> unit -> Graph.t

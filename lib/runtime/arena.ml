@@ -16,8 +16,6 @@ let ensure t dtype elems =
   end;
   Option.get t.buf
 
-let capacity t = match t.buf with None -> 0 | Some b -> Tensor.fbuf_len b
-
 let capacity_bytes t =
   match t.buf with
   | None -> 0

@@ -20,9 +20,6 @@ val ensure : t -> Tensor.dtype -> int -> Tensor.fbuf
     from [dtype].  The returned buffer may be larger than requested; a
     fresh buffer is zero-filled. *)
 
-val capacity : t -> int
-(** Current capacity in elements. *)
-
 val capacity_bytes : t -> int
 (** Current capacity in bytes ([capacity × bytes_per_elem kind]); 0 for an
     empty arena. *)

@@ -128,8 +128,6 @@ type t = {
   mutable max_latency_us : float;
 }
 
-let config t = t.cfg
-
 let counter t kind =
   Profile.Counters.record ~profile:t.compiled.Pipeline.profile.Profile.name ~kind
 

@@ -190,8 +190,6 @@ val infer :
 val stats : t -> stats
 (** Consistent snapshot (taken under the engine lock). *)
 
-val config : t -> Executor.config
-
 val shutdown : t -> unit
 (** Graceful drain: workers finish every queued request, then exit and
     release their backends.  Blocks until all worker domains have joined.

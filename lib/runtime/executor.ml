@@ -471,58 +471,44 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
   let counter kind =
     Profile.Counters.record ~profile:c.Pipeline.profile.Profile.name ~kind
   in
-  (* Boxed tensor for [tid], for an op with no destination kernel.  An
-     arena-resident value is copied out on its first boxed use and
-     memoized (counted, so tests can assert zero on dest-capable
-     graphs). *)
-  let fetch_boxed tid =
-    match st.tensors.(tid) with
-    | Some t -> t
-    | None -> (
-      match arena with
-      | Some ar when ar.ar_loc.(tid) ->
-        let off, _ = Option.get ar.ar_slot.(tid) in
-        let dims = Option.get st.dims.(tid) in
-        (* Always a copy, never a shared window: the slot's storage is
-           reused by later tensors once this one's lifetime ends. *)
-        let t = Tensor.copy_view (Tensor.sub_view ~buf:ar.ar_buf ~off ~dims) in
-        counter "arena-copy-out";
-        st.tensors.(tid) <- Some t;
-        t
-      | _ -> missing tid)
-  in
-  (* Kernel-facing view of [tid]'s value: its arena slot when resident
-     (zero-copy), else a whole-tensor view of the boxed float tensor;
-     [None] for an integer value. *)
-  let view_of tid =
+  (* [tid]'s arena window, when its value lives in a slot. *)
+  let slot_view tid =
     match arena with
     | Some ar when ar.ar_loc.(tid) ->
       let off, _ = Option.get ar.ar_slot.(tid) in
       Some (Tensor.sub_view ~buf:ar.ar_buf ~off ~dims:(Option.get st.dims.(tid)))
-    | _ -> (
-      match st.tensors.(tid) with
-      | Some t when Tensor.is_float_dtype (Tensor.dtype t) -> Some (Tensor.view_f t)
-      | _ -> None)
+    | _ -> None
+  in
+  (* Boxed tensor for [tid]: an arena-resident value is boxed as a window
+     of its slot, read in place and never kept. *)
+  let fetch tid =
+    match slot_view tid, st.tensors.(tid) with
+    | Some v, _ -> Tensor.of_view v
+    | None, Some t -> t
+    | None, None -> missing tid
+  in
+  (* Kernel-facing view of [tid]'s value: its arena slot when resident,
+     else a whole-tensor view of the boxed float tensor; [None] for an
+     integer value. *)
+  let view_of tid =
+    match slot_view tid, st.tensors.(tid) with
+    | (Some _ as v), _ -> v
+    | None, Some t when Tensor.is_float_dtype (Tensor.dtype t) -> Some (Tensor.view_f t)
+    | None, _ -> None
   in
   (* [dst] (a view or route output) aliases [src]'s value under [dims].
      An arena-resident source lends [dst] its slot, which the plan keeps
-     live until [dst]'s last consumer — no copy — unless [dst] is a graph
-     output, which must outlive the arena and is copied out.  A boxed
-     source is shared by the caller. *)
+     live until [dst]'s last consumer.  A boxed source is shared by the
+     caller.  No graph output reaches a slot this way: [destination]
+     gives every tensor a graph output shares storage with a fresh
+     buffer. *)
   let alias ~dst ~src dims =
     st.dims.(dst) <- Some dims;
     st.avail.(dst) <- true;
     match arena with
     | Some ar when ar.ar_loc.(src) ->
-      if List.mem dst ctx.out_tids then begin
-        let off, _ = Option.get ar.ar_slot.(src) in
-        st.tensors.(dst) <- Some (Tensor.copy_view (Tensor.sub_view ~buf:ar.ar_buf ~off ~dims));
-        counter "arena-copy-out"
-      end
-      else begin
-        ar.ar_slot.(dst) <- ar.ar_slot.(src);
-        ar.ar_loc.(dst) <- true
-      end
+      ar.ar_slot.(dst) <- ar.ar_slot.(src);
+      ar.ar_loc.(dst) <- true
     | _ -> ()
   in
   let route ~dst ~src =
@@ -531,37 +517,35 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
   in
   (* A predicate with no value is a malformed execution, not branch 0. *)
   let branch_of_pred tid =
-    let value =
-      match st.tensors.(tid), arena with
-      | None, Some ar when ar.ar_loc.(tid) -> Some (fetch_boxed tid)
-      | t, _ -> t
-    in
-    match Option.map (fun t -> Tensor.to_int_list (Tensor.cast t Tensor.I64)) value with
-    | Some (b :: _) -> b
-    | Some [] ->
+    match Tensor.to_int_list (Tensor.cast (fetch tid) Tensor.I64) with
+    | b :: _ -> b
+    | [] ->
       Sod2_error.failf ~tensor:tid Sod2_error.Shape_mismatch
         "Executor: control-flow predicate tensor t%d is empty" tid
-    | None -> missing tid
   in
   let rc = recorder ctx in
   let set_dims = List.iter (fun (tid, d) -> st.dims.(tid) <- Some d; st.avail.(tid) <- true) in
   (* The one destination rule: where a float result of [dtype] × [dims]
      for [otid] lands.  Its planned slot when the arena has one of exactly
-     that capacity in that kind and [otid] is not a graph output (outputs
-     must outlive the arena, whose slots are recycled next inference);
-     otherwise a fresh buffer, boxed as [otid]'s value — counted in arena
-     mode as ["arena-out-direct"] for a graph output and
-     ["arena-dest-malloc"] for anything else.  [Malloc] simply has no
-     slots.  Every writer of a float result asks here, once, right before
-     it writes. *)
+     that capacity in that kind and no graph output shares [otid]'s
+     storage (outputs must outlive the arena, whose slots are recycled
+     next inference); otherwise a fresh buffer, boxed as [otid]'s value —
+     counted in arena mode as ["arena-out-direct"] for a tensor a graph
+     output shares and ["arena-dest-malloc"] for anything else.  [Malloc]
+     simply has no slots.  Every writer of a float result asks here,
+     once, right before it writes. *)
+  let out_shared = c.Pipeline.mem_symbolic.Mem_plan.sym_out_shared in
+  let fresh otid =
+    if Option.is_some arena then
+      counter (if out_shared.(otid) then "arena-out-direct" else "arena-dest-malloc")
+  in
   let destination otid dtype dims =
     let numel = List.fold_left ( * ) 1 dims in
-    let is_graph_out = List.mem otid ctx.out_tids in
     match arena with
     | Some ar
       when (match ar.ar_slot.(otid) with Some (_, cap) -> cap = numel | None -> false)
            && Tensor.fbuf_dtype ar.ar_buf = dtype
-           && not is_graph_out ->
+           && not out_shared.(otid) ->
       ar.ar_loc.(otid) <- true;
       ar.ar_resident <- ar.ar_resident + 1;
       counter "arena-dest-store";
@@ -570,21 +554,21 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
       let buf = Tensor.fbuf_create dtype numel in
       Tensor.fbuf_fill buf 0 numel 0.0;
       st.tensors.(otid) <- Some (Tensor.of_fbuf dims buf);
-      if Option.is_some arena then
-        counter (if is_graph_out then "arena-out-direct" else "arena-dest-malloc");
+      fresh otid;
       buf, 0
   in
-  (* Every input of a node viewable as a float window (slot or boxed),
-     and the op has a [Kernels.run_into] kernel that fits: each result is
-     written once, straight into its destination. *)
+  (* Every data operand of a node viewable as a float window (slot or
+     boxed), and the op has a [Kernels.run_into] kernel that fits: each
+     result is written once, straight into its destination. *)
   let try_dest (nd : Graph.node) =
-    let vs = List.map view_of nd.Graph.inputs in
+    let data, ints = Kernels.split_operands nd.Graph.op nd.Graph.inputs in
+    let vs = List.map view_of data in
     List.for_all Option.is_some vs
     &&
     match
       Kernels.run_into ?backend
         ?int8:(Pipeline.int8_weight c.Pipeline.quant_weights nd)
-        nd.Graph.op (List.map Option.get vs)
+        ~ints:(List.map fetch ints) nd.Graph.op (List.map Option.get vs)
         ~dest:(fun i -> destination (List.nth nd.Graph.outputs i))
     with
     | Some dims ->
@@ -597,27 +581,20 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
   let try_view (nd : Graph.node) =
     match nd.Graph.inputs, nd.Graph.outputs, arena with
     | src :: rest, [ dst ], Some ar when Op.is_view nd.Graph.op && ar.ar_loc.(src) ->
-      alias ~dst ~src (Kernels.view_dims nd.Graph.op (dims_exn st src) (List.map fetch_boxed rest));
+      alias ~dst ~src (Kernels.view_dims nd.Graph.op (dims_exn st src) (List.map fetch rest));
       true
     | _ -> false
   in
-  (* Shape and Size read their input's dims, never its value. *)
-  let try_shape (nd : Graph.node) =
-    match nd.Graph.op, nd.Graph.inputs, nd.Graph.outputs with
-    | (Op.ShapeOf | Op.SizeOf), [ x ], [ y ] -> (
-      match st.dims.(x) with
-      | Some d ->
-        store st y
-          (if nd.Graph.op = Op.ShapeOf then Tensor.of_int_list d
-           else Tensor.scalar_i (List.fold_left ( * ) 1 d));
-        true
-      | None -> false)
-    | _ -> false
-  in
+  (* The boxed path: its float results land in fresh buffers and count as
+     [destination]'s do (a view's result shares its source's storage). *)
   let exec_plain (nd : Graph.node) =
-    if not (try_view nd || try_shape nd || try_dest nd) then
-      List.iter2 (store st) nd.outputs
-        (Kernels.run ?backend nd.op (List.map fetch_boxed nd.inputs))
+    if not (try_view nd || try_dest nd) then
+      List.iter2
+        (fun tid t ->
+          if Tensor.is_float_dtype (Tensor.dtype t) && not (Op.is_view nd.op) then fresh tid;
+          store st tid t)
+        nd.outputs
+        (Kernels.run ?backend nd.op (List.map fetch nd.inputs))
   in
   (* A multi-member group with a template first offers itself to the
      backend's fused-kernel cache — one lookup per execution: one compiled
@@ -643,7 +620,7 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
                  match v with
                  | Some v -> v.Tensor.vdims, Tensor.view_dtype v
                  | None ->
-                   let t = fetch_boxed slots.(i) in
+                   let t = fetch slots.(i) in
                    Tensor.dims t, Tensor.dtype t)
                vs)
         in

@@ -86,23 +86,23 @@ type memory =
           Both modes run the same walker and the same kernels; they differ
           only in where a float result lands.  One rule decides it: a
           result goes to its planned slot when the arena has one of
-          exactly its size and kind and the tensor is not a graph output,
-          and to a fresh buffer otherwise ([Malloc] has no slots).  Every
+          exactly its size and kind and no graph output shares the
+          tensor's storage ({!Mem_plan.symbolic.sym_out_shared}), and to
+          a fresh buffer otherwise ([Malloc] has no slots).  Every
           destination kernel ({!Kernels.run_into}, int8 arm included) and
           fused group ({!Backend.fused_kernel}) asks that rule once, just
           before it writes — so steady-state arena execution performs no
-          plan recomputation and no intermediate-tensor allocation.  Graph
-          outputs get fresh buffers so they survive slot recycling without
+          plan recomputation and no intermediate-tensor allocation.  The
+          fresh buffers that outputs share survive slot recycling without
           a boundary copy (counted as ["arena-out-direct"]); any other
-          result with no slot is counted as ["arena-dest-malloc"].  Views
-          (Reshape, Flatten, Squeeze, Unsqueeze) and Switch/Combine
-          outputs of an arena-resident value point at its slot and write
-          nothing; the plan keeps that slot live until their last
-          consumer.  Composes with any [backend].  Ops with no destination
-          kernel, or with integer operands, run boxed; arena-resident
-          values they consume are copied out once and memoized (counted
-          as ["arena-copy-out"] in {!Profile.Counters}), as is a view or
-          route output that is a graph output. *)
+          result in a fresh buffer, a boxed kernel's float result
+          included, is counted as ["arena-dest-malloc"].  Views (Reshape,
+          Flatten, Squeeze, Unsqueeze) and Switch/Combine outputs of an
+          arena-resident value point at its slot and write nothing; the
+          plan keeps that slot live until their last consumer.  Composes
+          with any [backend].  Every kernel reads arena-resident operands
+          in place: boxed ones (ops with no destination kernel, integer
+          operands) as windows of the slots ({!Tensor.of_view}). *)
 
 (** {1 Execution configuration}
 

@@ -74,6 +74,9 @@ module OS = Op_semantics
 
 let view_dims_arr (v : Tensor.view) = Array.of_list v.Tensor.vdims
 
+(* The element count of axes [lo, hi) of [d]. *)
+let span d lo hi = Array.fold_left ( * ) 1 (Array.sub d lo (hi - lo))
+
 (* Run [code] as a one-stage block program over [n] output elements:
    leaves [0, k) are the operand views [vs], leaf [k] the destination. *)
 let run_program ~par ~n ~regs32 ~regs64 code (vs : Tensor.view array) ~c ~co =
@@ -140,10 +143,17 @@ let batch_norm_into ~par ~eps (x : Tensor.view) ps ~c ~co =
 let promoted (vs : Tensor.view list) =
   List.fold_left (fun acc v -> Tensor.promote_f acc (Tensor.view_dtype v)) Tensor.F32 vs
 
+(* The operands [run_into] takes boxed: the integer parameters after a
+   Slice's, Gather's or Resize's data. *)
+let split_operands (op : Op.t) xs =
+  match op, xs with
+  | (Op.Slice | Op.Gather _ | Op.Resize _), x :: ints -> [ x ], ints
+  | _ -> xs, []
+
 (* ------------------------------------------------------------------ *)
 (* Destination-passing execution: every float kernel                   *)
 
-let run_into ?backend ?int8 (op : Op.t) (inputs : Tensor.view list)
+let run_into ?backend ?int8 ?(ints = []) (op : Op.t) (inputs : Tensor.view list)
     ~(dest : int -> Tensor.dtype -> int list -> Tensor.fbuf * int) : int list list option =
   let par =
     match backend with Some be -> Backend.par_of be | None -> Blocked.sequential
@@ -174,6 +184,48 @@ let run_into ?backend ?int8 (op : Op.t) (inputs : Tensor.view list)
     if List.exists (fun d -> d < 0) od then
       invalid_arg (Op.name op ^ ": the window exceeds the padded input");
     od
+  in
+  (* GroupNorm is BatchNorm's chain per sample, with each channel's mean
+     and variance those of its group *)
+  let group_norm ~groups ~eps (x : Tensor.view) gamma beta =
+    let mean, var = Reduction.group_stats ~groups x in
+    match x.Tensor.vdims with
+    | n :: ch :: sp when batch_norm_fits x [ gamma; beta ] ->
+      let size = Tensor.view_numel x / max 1 n in
+      write x.Tensor.vdims (fun ~c ~co ->
+          for i = 0 to n - 1 do
+            let stat buf = Tensor.sub_view ~buf ~off:(i * ch) ~dims:[ ch ] in
+            batch_norm_into ~par ~eps
+              { x with Tensor.voff = x.Tensor.voff + (i * size); vdims = 1 :: ch :: sp }
+              [ gamma; beta; stat mean; stat var ] ~c ~co:(co + (i * size))
+          done)
+    | _ -> arg_err op "GroupNorm needs per-channel or scalar parameters"
+  in
+  (* Nearest resize of the axes past the first two (NCHW, NCW) to
+     [out]: index [i] of an axis reads source index [i · e / o], [e] and
+     [o] its source and result extents (ONNX's [min (e − 1)] clamp never
+     binds for [i < o], and the first two axes keep their extents).
+     Each row along the last axis is one typed loop. *)
+  let resize (x : Tensor.view) out =
+    let d = view_dims_arr x in
+    let r = Array.length d in
+    if List.length out <> r - 2 then invalid_arg "Resize: spatial rank mismatch";
+    let od = Array.of_list (List.filteri (fun i _ -> i < 2) x.Tensor.vdims @ out) in
+    let ist = Tensor.contiguous_strides d in
+    let near a i = ist.(a) * (i * d.(a) / od.(a)) in
+    write (Array.to_list od) (fun ~c ~co ->
+        let o = ref co and w = od.(r - 1) in
+        let rec rows a so =
+          if a < r - 1 then for i = 0 to od.(a) - 1 do rows (a + 1) (so + near a i) done
+          else begin
+            (match x.Tensor.vbuf, c with
+             | Tensor.FB32 s, Tensor.FB32 t -> for i = 0 to w - 1 do t.{!o + i} <- s.{so + near a i} done
+             | Tensor.FB64 s, Tensor.FB64 t -> for i = 0 to w - 1 do t.{!o + i} <- s.{so + near a i} done
+             | _ -> invalid_arg "Resize: a destination of another kind");
+            o := !o + w
+          end
+        in
+        rows 0 x.Tensor.voff)
   in
   let int8 =
     match backend, int8 with
@@ -208,8 +260,7 @@ let run_into ?backend ?int8 (op : Op.t) (inputs : Tensor.view list)
       then arg_err op "Split needs an axis in range and sizes that sum to its extent";
       (* piece [i] is, in each of the [outer] rows of [x], the run of
          [size·inner] elements [start·inner] into the row *)
-      let inner = Array.fold_left ( * ) 1 (Array.sub d (axis + 1) (r - axis - 1)) in
-      let outer = Array.fold_left ( * ) 1 (Array.sub d 0 axis) in
+      let inner = span d (axis + 1) r and outer = span d 0 axis in
       let start = ref 0 in
       Some
         (List.mapi
@@ -240,6 +291,70 @@ let run_into ?backend ?int8 (op : Op.t) (inputs : Tensor.view list)
     | Op.GlobalAveragePool, [ x ] ->
       write (Linalg.global_pool_out_dims x.Tensor.vdims) (fun ~c ~co ->
           ignore (Linalg.global_avg_pool_into x ~c ~co))
+    | Op.GroupNorm { num_groups; eps }, [ x; gamma; beta ] ->
+      group_norm ~groups:num_groups ~eps x gamma beta
+    | Op.InstanceNorm { eps }, [ x; gamma; beta ] ->
+      (* instance norm = group norm with one group per channel *)
+      group_norm ~groups:(match x.Tensor.vdims with _ :: ch :: _ -> ch | _ -> 0) ~eps x gamma beta
+    | Op.Cast dt, [ x ] when Tensor.is_float_dtype dt ->
+      write ~dt x.Tensor.vdims (shuffle x None ~n:(Tensor.view_numel x))
+    | Op.Concat { axis }, _ :: _ ->
+      let axis, dims = Transform.concat_dims (List.map (fun v -> v.Tensor.vdims) inputs) ~axis in
+      let d = Array.of_list dims in
+      let inner = span d (axis + 1) (Array.length d) in
+      (* operand [v] fills, in each of the result's rows, its
+         [extent·inner] elements after the earlier operands' *)
+      write dims (fun ~c ~co ->
+          ignore
+            (List.fold_left
+               (fun start (v : Tensor.view) ->
+                 let len = List.nth v.Tensor.vdims axis * inner in
+                 for i = 0 to span d 0 axis - 1 do
+                   shuffle { v with Tensor.voff = v.Tensor.voff + (i * len) } None ~n:len ~c
+                     ~co:(co + (i * d.(axis) * inner) + start)
+                 done;
+                 start + len)
+               0 inputs))
+    | Op.Slice, [ x ] -> (
+      match List.map Tensor.to_int_list ints with
+      | [ starts; ends; axes; steps ] ->
+        let off, ss, od = Transform.slice_window (view_dims_arr x) ~starts ~ends ~axes ~steps in
+        write (Array.to_list od)
+          (shuffle { x with Tensor.voff = x.Tensor.voff + off } (OS.stride_map ~od ~ss)
+             ~n:(Array.fold_left ( * ) 1 od))
+      | _ -> None)
+    | Op.Gather { axis }, [ x ] -> (
+      match ints with
+      | [ indices ] ->
+        let d = view_dims_arr x in
+        let r = Array.length d in
+        let axis = if axis < 0 then axis + r else axis in
+        let e = d.(axis) and inner = span d (axis + 1) r in
+        let ids = Tensor.data_i (Tensor.cast indices Tensor.I64) in
+        Array.iter
+          (fun p ->
+            if p < -e || p >= e then
+              Sod2_error.failf Sod2_error.Shape_mismatch "Gather: index %d outside an axis of %d" p e)
+          ids;
+        (* index [j] takes, in each of [x]'s rows, the run of [inner]
+           elements at its position on the axis *)
+        write
+          (Array.to_list (Array.sub d 0 axis) @ Tensor.dims indices
+          @ Array.to_list (Array.sub d (axis + 1) (r - axis - 1)))
+          (fun ~c ~co ->
+            for i = 0 to span d 0 axis - 1 do
+              Array.iteri
+                (fun j p ->
+                  let q = (i * e) + if p < 0 then p + e else p in
+                  shuffle { x with Tensor.voff = x.Tensor.voff + (q * inner) } None ~n:inner ~c
+                    ~co:(co + (((i * Array.length ids) + j) * inner)))
+                ids
+            done)
+      | _ -> None)
+    | Op.Resize Op.Nearest, [ x ] -> (
+      match ints with [ sizes ] -> resize x (Tensor.to_int_list sizes) | _ -> None)
+    | Op.Upsample { scales }, [ x ] ->
+      resize x (List.map2 ( * ) (List.filteri (fun i _ -> i >= 2) x.Tensor.vdims) scales)
     | _ -> None)
 
 (* ------------------------------------------------------------------ *)
@@ -259,9 +374,10 @@ let rec run ?backend (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
       Tensor.storage_f t, 0
     in
     let ensure_f t = if is_int t then Tensor.cast t Tensor.F32 else t in
+    let data, ints = split_operands op inputs in
     Option.map
       (fun _ -> List.rev !outs)
-      (run_into ?backend op (List.map (fun t -> Tensor.view_f (ensure_f t)) inputs) ~dest)
+      (run_into ?backend ~ints op (List.map (fun t -> Tensor.view_f (ensure_f t)) data) ~dest)
   in
   match op, inputs with
   (* integer Neg, Abs, Not and Identity, integer-by-integer Binary and
@@ -273,14 +389,8 @@ let rec run ?backend (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
   | Op.Binary b, [ x; y ] when is_int x && is_int y -> [ Tensor.map2i (int_binary_fn b) x y ]
   | Op.Transpose perm, [ x ] when is_int x -> [ Transform.transpose x perm ]
   | Op.Split { axis; sizes }, [ x ] when is_int x -> Transform.split x ~axis ~sizes
-  | Op.Cast dt, [ x ] -> [ Tensor.cast x dt ]
+  | Op.Cast dt, [ x ] when is_int x || not (Tensor.is_float_dtype dt) -> [ Tensor.cast x dt ]
   | Op.Where, [ c; a; b ] -> [ Transform.where (Tensor.cast c Tensor.I64) a b ]
-  | Op.GroupNorm { num_groups; eps }, [ x; gamma; beta ] ->
-    [ Reduction.group_norm x ~groups:num_groups ~gamma ~beta ~eps ]
-  | Op.InstanceNorm { eps }, [ x; gamma; beta ] ->
-    (* instance norm = group norm with one group per channel *)
-    let channels = List.nth (Tensor.dims x) 1 in
-    [ Reduction.group_norm x ~groups:channels ~gamma ~beta ~eps ]
   | Op.LogSoftmax { axis }, [ x ] -> [ Reduction.log_softmax x ~axis ]
   | Op.Reduce { rkind; axes; keepdims }, [ x ] ->
     [ Reduction.reduce (reduce_kind rkind) x ~axes ~keepdims ]
@@ -289,17 +399,11 @@ let rec run ?backend (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
   | Op.CumSum { axis }, [ x ] -> [ Reduction.cumsum x ~axis ]
   | (Op.Reshape | Op.Flatten _ | Op.Squeeze _ | Op.Unsqueeze _), x :: rest ->
     [ Tensor.reshape x (view_dims op (Tensor.dims x) rest) ]
-  | Op.Concat { axis }, (_ :: _ as xs) -> [ Transform.concat xs ~axis ]
-  | Op.Slice, [ x; starts; ends; axes; steps ] ->
-    [
-      Transform.slice x
-        ~starts:(Tensor.to_int_list starts)
-        ~ends:(Tensor.to_int_list ends)
-        ~axes:(Tensor.to_int_list axes)
-        ~steps:(Tensor.to_int_list steps)
-        ();
-    ]
-  | Op.Gather { axis }, [ x; indices ] ->
+  | Op.Concat { axis }, xs when List.exists is_int xs -> [ Transform.concat xs ~axis ]
+  | Op.Slice, [ x; starts; ends; axes; steps ] when is_int x ->
+    let l = Tensor.to_int_list in
+    [ Transform.slice x ~starts:(l starts) ~ends:(l ends) ~axes:(l axes) ~steps:(l steps) () ]
+  | Op.Gather { axis }, [ x; indices ] when is_int x ->
     [ Transform.gather x ~indices:(Tensor.cast indices Tensor.I64) ~axis ]
   | Op.Pad { pad_value }, [ x; pads ] ->
     let r = Tensor.rank x in
@@ -316,13 +420,6 @@ let rec run ?backend (op : Op.t) (inputs : Tensor.t list) : Tensor.t list =
     let out = Tensor.broadcast_dims (Tensor.dims_arr x) (Array.of_list t) in
     [ Tensor.broadcast_to x (Array.to_list out) ]
   | Op.Tile, [ x; repeats ] -> [ Transform.tile x ~repeats:(Tensor.to_int_list repeats) ]
-  | Op.Resize Op.Nearest, [ x; sizes ] ->
-    [ Transform.resize_nearest x ~out_spatial:(Tensor.to_int_list sizes) ]
-  | Op.Upsample { scales }, [ x ] ->
-    let d = Tensor.dims x in
-    let spatial = List.filteri (fun i _ -> i >= 2) d in
-    let out = List.map2 (fun s sc -> s * sc) spatial scales in
-    [ Transform.resize_nearest x ~out_spatial:out ]
   | Op.DepthToSpace { block }, [ x ] -> [ Transform.depth_to_space x ~block ]
   | Op.SpaceToDepth { block }, [ x ] -> [ Transform.space_to_depth x ~block ]
   | Op.ShapeOf, [ x ] -> [ Tensor.of_int_list (Tensor.dims x) ]

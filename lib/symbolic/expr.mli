@@ -49,8 +49,6 @@ val modulo : t -> t -> t
 val max_ : t -> t -> t
 val min_ : t -> t -> t
 
-val of_list_sum : t list -> t
-(** [of_list_sum es] sums all expressions of [es]. *)
 
 val product : t list -> t
 (** [product es] multiplies all expressions of [es]; [product [] = one]. *)

@@ -7,7 +7,6 @@ let scalar = Ranked [||]
 let of_dims l = Ranked (Array.of_list l)
 let of_ints l = of_dims (List.map Dim.of_int l)
 let of_exprs l = of_dims (List.map Dim.of_expr l)
-let of_syms l = of_dims (List.map Dim.of_sym l)
 
 let rank = function
   | Ranked d -> Some (Array.length d)

@@ -17,9 +17,6 @@ val of_ints : int list -> t
 val of_dims : Dim.t list -> t
 val of_exprs : Expr.t list -> t
 
-val of_syms : string list -> t
-(** Shape whose dimensions are the given fresh shape variables. *)
-
 val rank : t -> int option
 
 val dims : t -> Dim.t array option

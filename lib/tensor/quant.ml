@@ -16,12 +16,6 @@ type scheme =
   | Per_tensor of { scale : float; zero_point : int }
   | Per_channel of { axis : int; scales : float array; zero_points : int array }
 
-let scheme_to_string = function
-  | Per_tensor { scale; zero_point } ->
-    Printf.sprintf "per-tensor(scale=%g zp=%d)" scale zero_point
-  | Per_channel { axis; scales; zero_points = _ } ->
-    Printf.sprintf "per-channel(axis=%d channels=%d)" axis (Array.length scales)
-
 type qtensor = { q : Tensor.t; qscheme : scheme }
 
 (* ---------------------------------------------------------------- *)
@@ -98,12 +92,19 @@ let float_view t =
   if Tensor.is_float_dtype (Tensor.dtype t) then Tensor.view_f t
   else invalid_arg "Quant: scheme selection wants a float tensor"
 
+(* Element access for the loops below, defined here so it inlines: a
+   float returned from a call into another module is boxed. *)
+let[@inline] fget buf i =
+  match buf with
+  | Tensor.FB32 b -> BA1.unsafe_get b i
+  | Tensor.FB64 b -> BA1.unsafe_get b i
+
 (* Read in place.  The zero value must stay exactly representable
    (padding, ReLU cut-offs), so the range always includes 0. *)
 let range_of (v : Tensor.view) =
   let mn = ref 0.0 and mx = ref 0.0 in
   for i = v.Tensor.voff to v.Tensor.voff + Tensor.view_numel v - 1 do
-    let x = Tensor.fbuf_get v.Tensor.vbuf i in
+    let x = fget v.Tensor.vbuf i in
     if x < !mn then mn := x;
     if x > !mx then mx := x
   done;
@@ -153,32 +154,37 @@ let choose_per_channel ~axis t =
 (* ---------------------------------------------------------------- *)
 (* Applying schemes                                                  *)
 
-let channel_params scheme dims =
+(* The scheme's scales and zero points, and how a flat index finds its
+   entry: [flat / inner mod channels] (a per-tensor scheme is one channel
+   that every index finds). *)
+let channels scheme dims =
   match scheme with
-  | Per_tensor { scale; zero_point } -> fun _ -> (scale, zero_point)
+  | Per_tensor { scale; zero_point } -> [| scale |], [| zero_point |], 1, 1
   | Per_channel { axis; scales; zero_points } ->
     if axis < 0 || axis >= Array.length dims then
       invalid_arg "Quant: scheme axis out of range for tensor";
     if Array.length scales <> dims.(axis) then
       invalid_arg "Quant: scheme channel count mismatches tensor";
-    let inner = ref 1 in
-    for i = axis + 1 to Array.length dims - 1 do
-      inner := !inner * dims.(i)
-    done;
-    let inner = !inner and ch = dims.(axis) in
-    fun flat ->
-      let c = flat / inner mod ch in
-      (scales.(c), zero_points.(c))
+    let inner = Array.fold_left ( * ) 1 (Array.sub dims (axis + 1) (Array.length dims - axis - 1)) in
+    scales, zero_points, inner, dims.(axis)
 
-(* A float view quantized under [scheme], read in place. *)
+(* [Tensor.saturating_int_of_float], inlined for the loop below. *)
+let[@inline] sat_int v =
+  if Float.is_nan v then 0
+  else if v >= float_of_int max_int then max_int
+  else if v <= float_of_int min_int then min_int
+  else int_of_float v
+
+(* A float view quantized under [scheme], read in place; the loop reads
+   the buffer and the scale without boxing either. *)
 let quantize_view (v : Tensor.view) scheme =
-  let params = channel_params scheme (Array.of_list v.Tensor.vdims) in
-  let n = Tensor.view_numel v in
+  let scales, zps, inner, ch = channels scheme (Array.of_list v.Tensor.vdims) in
+  let n = Tensor.view_numel v and xb = v.Tensor.vbuf and xo = v.Tensor.voff in
   let q = BA1.create Bigarray.int8_signed Bigarray.c_layout n in
   for i = 0 to n - 1 do
-    let scale, zp = params i in
-    let x = Tensor.fbuf_get v.Tensor.vbuf (v.Tensor.voff + i) in
-    BA1.unsafe_set q i (clamp_i8 (Tensor.saturating_int_of_float (Float.round (x /. scale)) + zp))
+    let c = i / inner mod ch in
+    let x = Float.round (fget xb (xo + i) /. Array.unsafe_get scales c) in
+    BA1.unsafe_set q i (clamp_i8 (sat_int x + Array.unsafe_get zps c))
   done;
   { q = Tensor.of_i8buf v.Tensor.vdims q; qscheme = scheme }
 
@@ -191,15 +197,11 @@ let quantize_activation v =
 let dequantize { q; qscheme } =
   if Tensor.dtype q <> Tensor.I8 then
     invalid_arg "Quant.dequantize: expected an i8 tensor";
-  let dims = Tensor.dims_arr q in
-  let params = channel_params qscheme dims in
+  let scales, zps, inner, ch = channels qscheme (Tensor.dims_arr q) in
   let data = Tensor.data_i q in
-  let n = Array.length data in
-  let out = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    let scale, zp = params i in
-    out.(i) <- float_of_int (data.(i) - zp) *. scale
-  done;
+  let out =
+    Array.mapi (fun i v -> float_of_int (v - zps.(i / inner mod ch)) *. scales.(i / inner mod ch)) data
+  in
   Tensor.of_floats Tensor.F32 (Tensor.dims q) out
 
 let scale_of = function

@@ -19,8 +19,6 @@ type scheme =
   | Per_tensor of { scale : float; zero_point : int }
   | Per_channel of { axis : int; scales : float array; zero_points : int array }
 
-val scheme_to_string : scheme -> string
-
 type qtensor = { q : Tensor.t; qscheme : scheme }
 (** A quantized payload ({!Tensor.I8}) carrying the scheme that decodes
     it — the currency of the pipeline's weight-quantization table. *)
@@ -85,7 +83,8 @@ val quantize : Tensor.t -> scheme -> qtensor
 val quantize_activation : Tensor.view -> qtensor
 (** The activation side of dynamic-range quantization: asymmetric
     {!choose_per_tensor} calibration and {!quantize} of a float view's
-    values, read in place (an arena slot needs no copy-out). *)
+    values, read in place; the scale and zero point are hoisted out of
+    the element loop, so it allocates only its int8 payload. *)
 
 val dequantize : qtensor -> Tensor.t
 (** {!Tensor.I8} payload → {!Tensor.F32}: [(q - zp) · scale]. *)

@@ -270,6 +270,34 @@ let layer_norm_into ~eps (x : Tensor.view) ~(gamma : Tensor.view) ~(beta : Tenso
             (rnd cell rg (nj *. fget g (og + (j * lg))) +. fget b (ob + (j * lb)))
         done)
 
+(* GroupNorm's statistics, the chain the reference stores: per group of
+   consecutive channels, the mean, and the mean of the squares of the
+   centred values, each stored in [x]'s kind. *)
+let group_stats ~groups (x : Tensor.view) =
+  let d = Array.of_list x.Tensor.vdims in
+  if Array.length d < 2 || groups <= 0 || d.(1) mod groups <> 0 then
+    invalid_arg "Reduction.group_stats: the channels must split into the groups";
+  let dt = Tensor.view_dtype x and rows = d.(0) * d.(1) and cg = d.(1) / groups in
+  let len = cg * Array.fold_left ( * ) 1 (Array.sub d 2 (Array.length d - 2)) in
+  let mean = Tensor.fbuf_create dt rows and var = Tensor.fbuf_create dt rows in
+  let rt = is_f32 dt and c = float_of_int (max 1 len) and cell = f32_cell () in
+  for g = 0 to (rows / max 1 cg) - 1 do
+    let xo = x.Tensor.voff + (g * len) in
+    let sum = ref 0.0 in
+    for j = xo to xo + len - 1 do
+      sum := !sum +. fget x.Tensor.vbuf j
+    done;
+    let m = rnd cell rt (!sum /. c) in
+    let sq = ref 0.0 in
+    for j = xo to xo + len - 1 do
+      let cj = rnd cell rt (fget x.Tensor.vbuf j -. m) in
+      sq := !sq +. rnd cell rt (cj *. cj)
+    done;
+    Tensor.fbuf_fill mean (g * cg) cg m;
+    Tensor.fbuf_fill var (g * cg) cg (!sq /. c)
+  done;
+  mean, var
+
 (* [Float.max acc v], with the stdlib call only on ties and NaN. *)
 let[@inline] fmax acc v = if v > acc then v else if v < acc then acc else Float.max acc v
 
@@ -369,26 +397,6 @@ let softmax_into ~axis (x : Tensor.view) ~c:o ~co =
         done
     done
   done
-
-let channel_shape t v =
-  (* Reshape a per-channel vector to broadcast over axis 1 of [t]. *)
-  let r = Tensor.rank t in
-  let c = Tensor.numel v in
-  Tensor.reshape v (1 :: c :: List.init (r - 2) (fun _ -> 1))
-
-let group_norm t ~groups ~gamma ~beta ~eps =
-  let d = Tensor.dims_arr t in
-  let n = d.(0) and c = d.(1) in
-  let spatial = Array.to_list (Array.sub d 2 (Array.length d - 2)) in
-  let sp = List.fold_left ( * ) 1 spatial in
-  let grouped = Tensor.reshape t [ n; groups; c / groups * sp ] in
-  let mean = reduce Mean grouped ~axes:[ 2 ] ~keepdims:true in
-  let centered = Tensor.map2 ( -. ) grouped mean in
-  let var = reduce Mean (Tensor.map_f (fun v -> v *. v) centered) ~axes:[ 2 ] ~keepdims:true in
-  let normed = Tensor.map2 (fun x v -> x /. sqrt (v +. eps)) centered var in
-  let normed = Tensor.reshape normed (n :: c :: spatial) in
-  let gamma = channel_shape t gamma and beta = channel_shape t beta in
-  Tensor.map2 ( +. ) (Tensor.map2 ( *. ) normed gamma) beta
 
 let top_k t ~k ~axis ~largest =
   let d = Tensor.dims_arr t in

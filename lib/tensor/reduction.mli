@@ -36,8 +36,11 @@ val layer_norm_into :
     Raises [Invalid_argument] unless both parameter shapes broadcast to
     exactly the input's. *)
 
-val group_norm : Tensor.t -> groups:int -> gamma:Tensor.t -> beta:Tensor.t ->
-  eps:float -> Tensor.t
+val group_stats : groups:int -> Tensor.view -> Tensor.fbuf * Tensor.fbuf
+(** Per (sample, channel) of an N × C × spatial view, the mean and
+    variance of the channel's group (of [groups] consecutive channels),
+    stored in the view's kind as GroupNorm's reference chain stores them.
+    Raises [Invalid_argument] unless [groups] divides C. *)
 
 val top_k : Tensor.t -> k:int -> axis:int -> largest:bool -> Tensor.t * Tensor.t
 (** [(values, indices)] of the [k] largest (or smallest) elements along

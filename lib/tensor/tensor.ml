@@ -234,8 +234,8 @@ let byte_size t = numel t * bytes_per_elem (dtype t)
 (* Offset-carrying float views: the destination-passing kernels' currency.
    A view is a window of contiguous elements of [vbuf] starting at [voff],
    interpreted with shape [vdims] — what an arena slot (or a whole boxed
-   tensor, at offset 0) looks like to a kernel.  Views share storage;
-   nothing is copied until {!of_view} has to box a proper sub-window. *)
+   tensor, at offset 0) looks like to a kernel.  Views share storage,
+   and so does the tensor {!of_view} boxes one as. *)
 type view = { vbuf : fbuf; voff : int; vdims : int list }
 
 let view_numel v = List.fold_left ( * ) 1 v.vdims
@@ -260,18 +260,16 @@ let view_reshape v dims =
     invalid_arg "Tensor.view_reshape: element counts differ";
   { v with vdims = dims }
 
-let copy_view v =
-  let n = view_numel v in
-  let dst = fbuf_create (view_dtype v) n in
-  fbuf_blit ~src:v.vbuf ~soff:v.voff ~dst ~doff:0 ~len:n;
-  { shape = Array.of_list v.vdims; data = Fd dst }
-
 let of_view v =
   let n = view_numel v in
-  if v.voff = 0 && n = fbuf_len v.vbuf then
-    (* The view spans its whole buffer: wrap without copying. *)
-    { shape = Array.of_list v.vdims; data = Fd v.vbuf }
-  else copy_view v
+  let buf =
+    if v.voff = 0 && n = fbuf_len v.vbuf then v.vbuf
+    else
+      match v.vbuf with
+      | FB32 b -> FB32 (BA1.sub b v.voff n)
+      | FB64 b -> FB64 (BA1.sub b v.voff n)
+  in
+  { shape = Array.of_list v.vdims; data = Fd buf }
 
 let contiguous_strides dims =
   let r = Array.length dims in

@@ -87,7 +87,6 @@ val of_ints : dtype -> int list -> int array -> t
 
 val zeros : dtype -> int list -> t
 val full_f : int list -> float -> t
-val full_i : int list -> int -> t
 val scalar_f : float -> t
 val scalar_i : int -> t
 
@@ -143,8 +142,8 @@ val byte_size : t -> int
 
     The destination-passing kernels' currency: a window of a float buffer —
     an arena slot, or a whole boxed tensor at offset 0 — with its own
-    shape.  Views share storage; nothing is copied until {!of_view} has to
-    box a proper sub-window. *)
+    shape.  Views share storage, and so does the tensor {!of_view} boxes
+    one as. *)
 
 type view = {
   vbuf : fbuf;  (** backing storage, shared *)
@@ -168,23 +167,18 @@ val view_reshape : view -> int list -> view
 val view_numel : view -> int
 
 val of_view : view -> t
-(** Box a view as a tensor.  Shares the buffer when the view spans it
-    entirely (offset 0, full length); copies the window otherwise. *)
-
-val copy_view : view -> t
-(** Box a view as a tensor, always copying — a snapshot independent of the
-    backing buffer (arena slots get recycled). *)
-
-val broadcast2_into :
-  (float -> float -> float) -> view -> view -> fbuf -> int -> int array
-(** [broadcast2_into f x y dst doff] writes the broadcasting binary map of
-    [f] over the views into [dst] at element offset [doff] by one stride
-    walk, and returns the output dims.  [f] sees the stored operand values;
-    the store into [dst] is the single rounding point. *)
+(** Box a view as a tensor over the same storage, never copying: the
+    buffer itself when the view spans it, else a [Bigarray.Array1.sub]
+    window of it.  Writes through either are visible through both, so a
+    boxed window of an arena slot is only valid while the slot holds its
+    value. *)
 
 (** {1 Indexing} *)
 
 val strides : t -> int array
+
+val contiguous_strides : int array -> int array
+(** The row-major strides of a contiguous tensor of these dims. *)
 
 val broadcast_strides : int array -> int -> int array
 (** [broadcast_strides src r] are the strides of shape [src] right-aligned

@@ -29,60 +29,69 @@ let normalize_slice_bound dim v ~is_end ~step =
   else if is_end then max (-1) (min v (dim - 1))
   else max 0 (min v (dim - 1))
 
-let slice t ~starts ~ends ~axes ?steps () =
-  let d = Tensor.dims_arr t in
+let slice_window d ~starts ~ends ~axes ~steps =
   let r = Array.length d in
-  let steps = match steps with Some s -> s | None -> List.map (fun _ -> 1) axes in
-  let start_arr = Array.make r 0 in
-  let step_arr = Array.make r 1 in
-  let len_arr = Array.copy d in
+  let start = Array.make r 0 and step = Array.make r 1 and dims = Array.copy d in
   List.iteri
     (fun i axis ->
       let axis = if axis < 0 then axis + r else axis in
-      let step = List.nth steps i in
-      if step = 0 then invalid_arg "Transform.slice: step 0";
-      let s = normalize_slice_bound d.(axis) (List.nth starts i) ~is_end:false ~step in
-      let e = normalize_slice_bound d.(axis) (List.nth ends i) ~is_end:true ~step in
-      let count =
-        if step > 0 then (e - s + step - 1) / step else (s - e + (-step) - 1) / -step
-      in
-      start_arr.(axis) <- s;
-      step_arr.(axis) <- step;
-      len_arr.(axis) <- max 0 count)
+      let st = List.nth steps i in
+      if st = 0 then invalid_arg "Transform.slice: step 0";
+      let s = normalize_slice_bound d.(axis) (List.nth starts i) ~is_end:false ~step:st in
+      let e = normalize_slice_bound d.(axis) (List.nth ends i) ~is_end:true ~step:st in
+      start.(axis) <- s;
+      step.(axis) <- st;
+      dims.(axis) <- max 0 (if st > 0 then (e - s + st - 1) / st else (s - e - st - 1) / -st))
     axes;
-  let st = Tensor.strides t in
+  let strides = Tensor.contiguous_strides d in
   let off = ref 0 in
-  Array.iteri (fun i s -> off := !off + (s * st.(i))) start_arr;
-  Tensor.strided t ~off:!off
-    ~strides:(Array.mapi (fun i s -> s * st.(i)) step_arr)
-    (Array.to_list len_arr)
+  Array.iteri (fun i s -> off := !off + (s * strides.(i))) start;
+  let steps = Array.mapi (fun i s -> s * strides.(i)) step in
+  (* the farthest reads down and up; a negative step over an empty axis
+     still counts one element *)
+  let reach sign =
+    Array.fold_left ( + ) !off
+      (Array.mapi (fun i e -> if sign * steps.(i) > 0 then (e - 1) * steps.(i) else 0) dims)
+  in
+  if Array.for_all (fun e -> e > 0) dims && (reach (-1) < 0 || reach 1 >= Array.fold_left ( * ) 1 d)
+  then invalid_arg "Transform.slice: the window reads outside the input";
+  !off, steps, dims
 
-let concat ts ~axis =
-  match ts with
+let slice t ~starts ~ends ~axes ?steps () =
+  let steps = match steps with Some s -> s | None -> List.map (fun _ -> 1) axes in
+  let off, strides, dims = slice_window (Tensor.dims_arr t) ~starts ~ends ~axes ~steps in
+  Tensor.strided t ~off ~strides (Array.to_list dims)
+
+(* The normalized axis and the result dims of concatenating operands of
+   [dims] along [axis]: they must agree off the axis, since the copies
+   would not notice. *)
+let concat_dims dims ~axis =
+  match dims with
   | [] -> invalid_arg "Transform.concat: empty list"
   | first :: _ ->
-    let r = Tensor.rank first in
+    let r = List.length first in
     let axis = if axis < 0 then axis + r else axis in
-    (* Operands must agree off the axis: the strided copy itself would
-       not notice. *)
-    let off_axis t = List.filteri (fun i _ -> i <> axis) (Tensor.dims t) in
-    if List.exists (fun t -> Tensor.rank t <> r || off_axis t <> off_axis first) ts then
+    let off_axis d = List.filteri (fun i _ -> i <> axis) d in
+    if axis < 0 || axis >= r
+       || List.exists (fun d -> List.length d <> r || off_axis d <> off_axis first) dims
+    then
       Sod2_error.failf Sod2_error.Shape_mismatch
         "Transform.concat: operand dims differ off axis %d" axis;
-    let out_axis = List.fold_left (fun acc t -> acc + (Tensor.dims_arr t).(axis)) 0 ts in
-    let out_dims =
-      List.mapi (fun i v -> if i = axis then out_axis else v) (Tensor.dims first)
-    in
-    let out = Tensor.empty (Tensor.dtype first) out_dims in
-    let ost = Tensor.strides out in
-    let offset = ref 0 in
-    List.iter
-      (fun t ->
-        Tensor.blit_strided ~src:t ~soff:0 ~sstr:(Tensor.strides t) ~dst:out
-          ~doff:(!offset * ost.(axis)) ~dstr:ost (Tensor.dims_arr t);
-        offset := !offset + (Tensor.dims_arr t).(axis))
-      ts;
-    out
+    let total = List.fold_left (fun n d -> n + List.nth d axis) 0 dims in
+    axis, List.mapi (fun i e -> if i = axis then total else e) first
+
+let concat ts ~axis =
+  let axis, out_dims = concat_dims (List.map Tensor.dims ts) ~axis in
+  let out = Tensor.empty (Tensor.dtype (List.hd ts)) out_dims in
+  let ost = Tensor.strides out in
+  let offset = ref 0 in
+  List.iter
+    (fun t ->
+      Tensor.blit_strided ~src:t ~soff:0 ~sstr:(Tensor.strides t) ~dst:out
+        ~doff:(!offset * ost.(axis)) ~dstr:ost (Tensor.dims_arr t);
+      offset := !offset + (Tensor.dims_arr t).(axis))
+    ts;
+  out
 
 let split t ~axis ~sizes =
   let r = Tensor.rank t in
@@ -149,26 +158,6 @@ let tile t ~repeats =
   let out_dims = List.mapi (fun i v -> v * List.nth repeats i) (Tensor.dims t) in
   init_like t out_dims (fun ix ->
       Tensor.get_f t (Array.mapi (fun i v -> v mod d.(i)) ix))
-
-let resize_nearest t ~out_spatial =
-  let d = Tensor.dims_arr t in
-  let r = Array.length d in
-  let spatial_rank = List.length out_spatial in
-  if spatial_rank <> r - 2 then
-    invalid_arg "Transform.resize_nearest: spatial rank mismatch";
-  let out_dims = d.(0) :: d.(1) :: out_spatial in
-  let out_sp = Array.of_list out_spatial in
-  init_like t out_dims (fun ix ->
-      let src =
-        Array.mapi
-          (fun i v ->
-            if i < 2 then v
-            else
-              let in_sz = d.(i) and out_sz = out_sp.(i - 2) in
-              min (in_sz - 1) (v * in_sz / out_sz))
-          ix
-      in
-      Tensor.get_f t src)
 
 let where cond a b =
   let dims = Tensor.broadcast_dims (Tensor.dims_arr cond)

@@ -1,5 +1,5 @@
 (** Layout- and index-transforming kernels: transpose, slice, concat, split,
-    gather, pad, tile, resize, one-hot, range, where.  Semantics follow the
+    gather, pad, tile, one-hot, range, where.  Semantics follow the
     ONNX operator specifications. *)
 
 val transpose : Tensor.t -> int list -> Tensor.t
@@ -12,7 +12,20 @@ val slice :
 (** ONNX [Slice] with clamping of out-of-range bounds and negative
     indices. *)
 
+val slice_window :
+  int array -> starts:int list -> ends:int list -> axes:int list -> steps:int list ->
+  int * int array * int array
+(** Where {!slice} reads in a contiguous source of these dims: the first
+    element's offset, the stride per result axis and the result dims.
+    Raises [Invalid_argument] on a step of 0 or a read outside. *)
+
 val concat : Tensor.t list -> axis:int -> Tensor.t
+(** Raises [Sod2_error.Error] (class [Shape_mismatch]) when the operands
+    differ off the axis. *)
+
+val concat_dims : int list list -> axis:int -> int * int list
+(** The normalized axis and result dims of {!concat} over operands of
+    these dims, with its checks. *)
 
 val split : Tensor.t -> axis:int -> sizes:int list -> Tensor.t list
 
@@ -23,10 +36,6 @@ val gather : Tensor.t -> indices:Tensor.t -> axis:int -> Tensor.t
 val pad : Tensor.t -> before:int list -> after:int list -> value:float -> Tensor.t
 
 val tile : Tensor.t -> repeats:int list -> Tensor.t
-
-val resize_nearest : Tensor.t -> out_spatial:int list -> Tensor.t
-(** Nearest-neighbour resize of the trailing spatial axes of an NCHW (or
-    NCW) tensor. *)
 
 val where : Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t
 (** [where cond a b]: elementwise select with broadcasting; [cond] is an

@@ -156,6 +156,34 @@ let transpose t perm =
       Array.iteri (fun i p -> src_ix.(p) <- ix.(i)) perm;
       src_ix)
 
+(* ONNX Gather: the result index [ix] reads the source at [ix] with the
+   axis's coordinate replaced by the index stored at [ix]'s coordinates
+   over the indices' rank, counted from the axis's end when negative. *)
+let gather_axis t ~indices ~axis =
+  let d = Tensor.dims_arr t in
+  let r = Array.length d in
+  let axis = if axis < 0 then axis + r else axis in
+  let k = Tensor.rank indices in
+  gather t
+    (List.filteri (fun i _ -> i < axis) (Tensor.dims t)
+    @ Tensor.dims indices
+    @ List.filteri (fun i _ -> i > axis) (Tensor.dims t))
+    (fun ix ->
+      let p = Tensor.get_i indices (Array.sub ix axis k) in
+      Array.init r (fun i ->
+          if i < axis then ix.(i)
+          else if i = axis then if p < 0 then p + d.(axis) else p
+          else ix.(i + k - 1)))
+
+(* Nearest resize of the axes past the first two to [out]: result index
+   [i] of an axis of source extent [e] and result extent [o] reads source
+   index [min (e - 1) (i * e / o)]. *)
+let resize_nearest t out =
+  let d = Tensor.dims_arr t in
+  let od = Array.of_list (List.filteri (fun i _ -> i < 2) (Tensor.dims t) @ out) in
+  gather t (Array.to_list od) (fun ix ->
+      Array.mapi (fun a i -> if a < 2 then i else min (d.(a) - 1) (i * d.(a) / od.(a))) ix)
+
 let normalize_slice_bound dim v ~is_end ~step =
   let v = if v < 0 then v + dim else v in
   if step > 0 then max 0 (min v dim)

@@ -9,8 +9,11 @@
 
 module RT = Sod2_runtime
 
-(* Words allocated by [f ()], on either heap. *)
+(* Words allocated by [f ()], on either heap.  The minor heap is emptied
+   first, so no collection falls inside the window (a collection there
+   once added most of a minor heap's worth of words to the count). *)
 let alloc_words f =
+  Gc.minor ();
   let mi0, pr0, ma0 = Gc.counters () in
   f ();
   let mi1, pr1, ma1 = Gc.counters () in
@@ -94,13 +97,17 @@ let test_norm_alloc () =
     ( steady_alloc (fun () ->
           ignore (RT.Kernels.run (Op.LayerNorm { eps = 1e-5 }) [ t; gamma; beta ])),
       steady_alloc (fun () ->
-          ignore (RT.Kernels.run (Op.BatchNorm { eps = 1e-5 }) [ t; scale; bias; mean; var ])) )
+          ignore (RT.Kernels.run (Op.BatchNorm { eps = 1e-5 }) [ t; scale; bias; mean; var ])),
+      steady_alloc (fun () ->
+          ignore
+            (RT.Kernels.run (Op.GroupNorm { num_groups = 2; eps = 1e-5 }) [ t; scale; bias ])) )
   in
-  let ln_small, bn_small = norm_alloc [ 1; 4; 8 ] in
-  let ln_large, bn_large = norm_alloc [ 1; 4; 512 ] in
-  if ln_small <> ln_large || bn_small <> bn_large then
-    Alcotest.failf "layer_norm %d vs %d words, batch_norm %d vs %d words (1x4x8 vs 1x4x512)"
-      ln_small ln_large bn_small bn_large
+  let ln_small, bn_small, gn_small = norm_alloc [ 1; 4; 8 ] in
+  let ln_large, bn_large, gn_large = norm_alloc [ 1; 4; 512 ] in
+  if ln_small <> ln_large || bn_small <> bn_large || gn_small <> gn_large then
+    Alcotest.failf
+      "layer_norm %d vs %d words, batch_norm %d vs %d, group_norm %d vs %d (1x4x8 vs 1x4x512)"
+      ln_small ln_large bn_small bn_large gn_small gn_large
 
 (* The executor's destination kernels for the hottest pointwise ops
    write straight into their destination without boxing an element. *)
@@ -121,13 +128,44 @@ let test_into_alloc () =
         Alcotest.failf "%s into a slot: %d words at 2x8, %d at 2x4096" name small large)
     [ "Relu", Op.Unary Op.Relu; "Add", Op.Binary Op.Add; "Mul", Op.Binary Op.Mul ]
 
-(* Minor and major words of the second of two identical calls. *)
+(* Nearest resize copies each row along the last axis with a typed loop:
+   its allocation follows the rows, not their width. *)
+let test_resize_alloc () =
+  let rng = Rng.create 8 in
+  let alloc n =
+    let x = Tensor.view_f (Tensor.rand_uniform rng [ 1; 2; 2; n ]) in
+    let c = Tensor.fbuf_create Tensor.F32 (16 * n) in
+    steady_alloc (fun () ->
+        ignore
+          (Sod2_runtime.Kernels.run_into (Op.Upsample { scales = [ 2; 2 ] }) [ x ]
+             ~dest:(fun _ _ _ -> c, 0)))
+  in
+  let small = alloc 8 and large = alloc 4096 in
+  if small <> large then
+    Alcotest.failf "Upsample into a slot: %d words at 1x2x2x8, %d at 1x2x2x4096" small large
+
+(* Minor and major words of the second of two identical calls, from an
+   empty minor heap as in [alloc_words]. *)
 let steady_words f =
   f ();
+  Gc.minor ();
   let mi0, pr0, ma0 = Gc.counters () in
   f ();
   let mi1, pr1, ma1 = Gc.counters () in
   int_of_float (mi1 -. mi0), int_of_float (ma1 -. ma0 -. (pr1 -. pr0))
+
+(* Activation quantization reads its view in place with the per-tensor
+   scale and zero point hoisted out of the element loop: its minor words
+   do not grow with the activation. *)
+let test_quantize_alloc () =
+  let rng = Rng.create 9 in
+  let minor dims =
+    let v = Tensor.view_f (Tensor.rand_uniform rng dims) in
+    fst (steady_words (fun () -> ignore (Quant.quantize_activation v)))
+  in
+  let small = minor [ 16; 4; 4 ] and large = minor [ 16; 64; 64 ] in
+  if small <> large || small > 256 then
+    Alcotest.failf "quantize_activation: %d minor words at 16x4x4, %d at 16x64x64" small large
 
 (* The Gemm kernel reads C through its broadcast strides and copies a
    transposed operand into pooled scratch, so nothing it allocates grows
@@ -312,6 +350,10 @@ let suite =
     Alcotest.test_case "reduce: allocation follows the output" `Quick test_reduce_alloc;
     Alcotest.test_case "norms: allocation is flat in the input" `Quick test_norm_alloc;
     Alcotest.test_case "arena pointwise: allocation is flat" `Quick test_into_alloc;
+    Alcotest.test_case "resize into a slot: allocation follows the rows" `Quick
+      test_resize_alloc;
+    Alcotest.test_case "int8 activation quantization: minor words are flat" `Quick
+      test_quantize_alloc;
     Alcotest.test_case "gemm into a slot: allocation matches the matmul" `Quick
       test_gemm_into_alloc;
     Alcotest.test_case "scratch: concurrent systhreads match sequential" `Quick

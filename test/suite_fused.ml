@@ -130,14 +130,14 @@ let test_overflow_rejects_once () =
         (RT.Backend.fused_stats be).RT.Backend.variants;
       for n = 33 to 36 do
         let r0 = (RT.Backend.fused_stats be).RT.Backend.rejects in
-        let copies0 = count "arena-copy-out" in
+        let mallocs0 = count "arena-dest-malloc" in
         run n;
         Alcotest.(check int)
           (Printf.sprintf "n=%d: one reject per execution" n)
           (r0 + 1) (RT.Backend.fused_stats be).RT.Backend.rejects;
         Alcotest.(check int)
-          (Printf.sprintf "n=%d: no arena copy-out" n)
-          copies0 (count "arena-copy-out")
+          (Printf.sprintf "n=%d: no fresh buffer" n)
+          mallocs0 (count "arena-dest-malloc")
       done)
 
 (* ------------------------------------------------------------------ *)
@@ -396,7 +396,7 @@ let suite =
       test_guarded_fused_clean;
     Alcotest.test_case "trace: I64 tensors count 8 bytes" `Quick test_trace_i64_bytes;
     QCheck_alcotest.to_alcotest prop_pointwise_random;
-    Alcotest.test_case "variant overflow: one reject, no arena copy-out" `Quick
+    Alcotest.test_case "variant overflow: one reject, no fresh buffer" `Quick
       test_overflow_rejects_once;
     Alcotest.test_case "mixed precision and mapped values: fused = naive" `Quick
       test_mixed_groups_bitexact;

@@ -708,7 +708,14 @@ let test_concat_shape_check () =
   expect_shape_error "ranks differ" (fun () ->
       Transform.concat [ a; Tensor.rand_uniform rng [ 2; 3; 1 ] ] ~axis:0);
   Alcotest.(check (list int)) "axis 1 joins" [ 2; 7 ]
-    (Tensor.dims (Transform.concat [ a; b ] ~axis:1))
+    (Tensor.dims (Transform.concat [ a; b ] ~axis:1));
+  (* float operands run the destination kernel, which checks the same *)
+  let concat axis xs = Sod2_runtime.Kernels.run (Op.Concat { axis }) xs in
+  expect_shape_error "kernel: off-axis dims differ" (fun () -> concat 0 [ a; b ]);
+  expect_shape_error "kernel: ranks differ" (fun () ->
+      concat 0 [ a; Tensor.rand_uniform rng [ 2; 3; 1 ] ]);
+  Alcotest.(check bool) "kernel: axis 1 joins as Transform does" true
+    (Tensor.equal (Transform.concat [ a; b ] ~axis:1) (List.hd (concat 1 [ a; b ])))
 
 let suite =
   [

@@ -193,7 +193,7 @@ let row_kernel_agrees what st ~want ~dt (x : Tensor.view) run =
   check (what ^ " (into)") ~want ~got:(window_tensor buf ~dims)
   && (dt <> Tensor.view_dtype x
      ||
-     let own = offset_view st (Tensor.copy_view x) in
+     let own = offset_view st (Tensor.of_view x) in
      run own ~c:own.Tensor.vbuf ~co:own.Tensor.voff;
      check (what ^ " (in place)") ~want ~got:(Tensor.of_view own))
 
@@ -269,10 +269,23 @@ let prop_group_norm =
       let x = tensor st (dtype st) dims in
       let gamma = tensor st (dtype st) [ c ] and beta = tensor st (dtype st) [ c ] in
       let eps = eps st in
-      check
-        (Printf.sprintf "group_norm %s groups %d" (dims_s dims) groups)
-        ~want:(Oracle.group_norm x ~groups ~gamma ~beta ~eps)
-        ~got:(Reduction.group_norm x ~groups ~gamma ~beta ~eps))
+      let want = Oracle.group_norm x ~groups ~gamma ~beta ~eps in
+      let what = Printf.sprintf "group_norm %s groups %d" (dims_s dims) groups in
+      check (what ^ " (boxed)") ~want
+        ~got:
+          (List.hd
+             (Sod2_runtime.Kernels.run
+                (Op.GroupNorm { num_groups = groups; eps })
+                [ x; gamma; beta ]))
+      &&
+      let gamma = offset_view st gamma and beta = offset_view st beta in
+      row_kernel_agrees what st ~want ~dt:(Tensor.dtype want) (offset_view st x)
+        (fun x ~c ~co ->
+          ignore
+            (Sod2_runtime.Kernels.run_into
+               (Op.GroupNorm { num_groups = groups; eps })
+               [ x; gamma; beta ]
+               ~dest:(fun _ _ _ -> c, co))))
 
 (* Shuffles run on every storage kind. *)
 let any_tensor st dims =
@@ -326,16 +339,32 @@ let prop_slice =
       (* A negative-step slice of an empty axis counts one element and
          reads out of range unless another axis is empty: both sides must
          then refuse. *)
+      let float = Tensor.is_float_dtype (Tensor.dtype t) in
+      (* the destination kernel, between offset windows, for float data *)
+      let into dims =
+        let buf, dest = into_window ~dims in
+        let ints = List.map Tensor.of_int_list [ starts; ends; axes; steps ] in
+        match Sod2_runtime.Kernels.run_into ~ints Op.Slice [ offset_view st t ] ~dest with
+        | Some [ d ] when d = dims -> window_tensor buf ~dims
+        | _ -> QCheck2.Test.fail_reportf "slice %s: the kernel declined" (dims_s dims)
+      in
       match Oracle.slice t ~starts ~ends ~axes ~steps with
       | exception Sod2_error.Error _ -> (
         match Transform.slice t ~starts ~ends ~axes ~steps () with
-        | exception Invalid_argument _ -> true
+        | exception Invalid_argument _ -> (
+          (not float)
+          ||
+          match into [] with
+          | exception Invalid_argument _ -> true
+          | _ -> QCheck2.Test.fail_reportf "slice %s: the kernel read out of range" (dims_s dims))
         | _ -> QCheck2.Test.fail_reportf "slice %s: read out of range" (dims_s dims))
       | want ->
-        check
-          (Printf.sprintf "slice %s axes %s starts %s ends %s steps %s" (dims_s dims)
-             (dims_s axes) (dims_s starts) (dims_s ends) (dims_s steps))
-          ~want ~got:(Transform.slice t ~starts ~ends ~axes ~steps ()))
+        let what =
+          Printf.sprintf "slice %s axes %s starts %s ends %s steps %s" (dims_s dims)
+            (dims_s axes) (dims_s starts) (dims_s ends) (dims_s steps)
+        in
+        check what ~want ~got:(Transform.slice t ~starts ~ends ~axes ~steps ())
+        && ((not float) || check (what ^ " (into)") ~want ~got:(into (Tensor.dims want))))
 
 let prop_concat =
   prop "concat and split = oracle" (fun st ->
@@ -361,6 +390,14 @@ let prop_concat =
         (Transform.split joined ~axis ~sizes)
       && ((not (Tensor.is_float_dtype (Tensor.dtype joined)))
          ||
+         (* the destination kernels: the pieces from offset windows into
+            one, and each piece back into its own *)
+         let buf, dest = into_window ~dims:(Tensor.dims joined) in
+         Sod2_runtime.Kernels.run_into (Op.Concat { axis = axis_arg })
+           (List.map (offset_view st) parts) ~dest
+         = Some [ Tensor.dims joined ]
+         && check (what ^ " (into)") ~want:joined ~got:(window_tensor buf ~dims:(Tensor.dims joined))
+         &&
          (* the destination kernel: each piece into its own offset window *)
          let wins = ref [] in
          let dest i dt dims =
@@ -377,6 +414,71 @@ let prop_concat =
                 check (what ^ " (split into)") ~want ~got:(window_tensor buf ~dims))
               (List.init (List.length parts) Fun.id)
               parts))
+
+(* Gather on any axis, with indices of rank 0–2 mixing negative ones:
+   the boxed form on any dtype and, for float data, the destination
+   kernel between offset windows, against the index-walking oracle; an
+   index outside the axis is refused. *)
+let prop_gather =
+  prop "gather = oracle (any axis, negative and multi-dimensional indices)" (fun st ->
+      let dims = shape st ~min_rank:1 in
+      let r = List.length dims in
+      let axis = Random.State.int st r in
+      let e = List.nth dims axis in
+      let idims =
+        (* an empty axis takes only an empty index list *)
+        List.init (if e = 0 then 1 else Random.State.int st 3) (fun _ -> if e = 0 then 0 else dim st)
+      in
+      let ids = List.init (List.fold_left ( * ) 1 idims) (fun _ -> Random.State.int st (2 * e) - e) in
+      let indices = Tensor.create_i idims (Array.of_list ids) in
+      let axis_arg = if Random.State.bool st then axis else axis - r in
+      let t = any_tensor st dims in
+      let want = Oracle.gather_axis t ~indices ~axis:axis_arg in
+      let what =
+        Printf.sprintf "gather %s axis %d indices %s %s" (dims_s dims) axis_arg (dims_s idims)
+          (dims_s ids)
+      in
+      check what ~want ~got:(Transform.gather t ~indices ~axis:axis_arg)
+      && ((not (Tensor.is_float_dtype (Tensor.dtype t)))
+         ||
+         let gather ids =
+           let dims = Tensor.dims want in
+           let buf, dest = into_window ~dims in
+           match
+             Sod2_runtime.Kernels.run_into ~ints:[ ids ] (Op.Gather { axis = axis_arg })
+               [ offset_view st t ] ~dest
+           with
+           | Some [ d ] when d = dims -> window_tensor buf ~dims
+           | _ -> QCheck2.Test.fail_reportf "%s: the kernel declined" what
+         in
+         check (what ^ " (into)") ~want ~got:(gather indices)
+         &&
+         match gather (Tensor.of_int_list [ e ]) with
+         | exception Sod2_error.Error { cls = Sod2_error.Shape_mismatch; _ } -> true
+         | _ -> QCheck2.Test.fail_reportf "%s: index %d outside the axis was read" what e))
+
+(* Nearest Resize to any extents and Upsample by integer scales, ranks
+   2–5, between offset windows, against the index-walking oracle. *)
+let prop_resize =
+  prop "nearest resize and upsample = oracle (between arena windows)" (fun st ->
+      let dims = shape st ~min_rank:2 in
+      let x = tensor st (dtype st) dims in
+      let spatial = List.filteri (fun i _ -> i >= 2) dims in
+      let op, out =
+        if Random.State.bool st then
+          let out = List.map (fun e -> if e = 0 then 0 else Random.State.int st 7) spatial in
+          Op.Resize Op.Nearest, out
+        else
+          let scales = List.map (fun _ -> 1 + Random.State.int st 3) spatial in
+          Op.Upsample { scales }, List.map2 ( * ) spatial scales
+      in
+      let want = Oracle.resize_nearest x out in
+      let what = Printf.sprintf "%s %s to %s" (Op.name op) (dims_s dims) (dims_s out) in
+      let dims = Tensor.dims want in
+      let buf, dest = into_window ~dims in
+      let ints = match op with Op.Resize _ -> [ Tensor.of_int_list out ] | _ -> [] in
+      Sod2_runtime.Kernels.run_into ~ints op [ offset_view st x ] ~dest = Some [ dims ]
+      && check what ~want ~got:(window_tensor buf ~dims))
 
 (* Boxed [Kernels.run] and [run_into] from and to windows at non-zero
    offsets, against the index-walking oracle.  Pads reach past the kernel,
@@ -429,5 +531,7 @@ let suite =
       prop_transpose;
       prop_slice;
       prop_concat;
+      prop_gather;
+      prop_resize;
       prop_pool;
     ]

@@ -185,7 +185,18 @@ let test_gather () =
   (* 2-d indices produce higher rank *)
   let ix = Tensor.create_i [ 1; 2 ] [| 1; 3 |] in
   Alcotest.(check (list int)) "rank" [ 1; 2; 2 ]
-    (Tensor.dims (Transform.gather table ~indices:ix ~axis:0))
+    (Tensor.dims (Transform.gather table ~indices:ix ~axis:0));
+  (* float data runs the destination kernel: the same rows, and an
+     index outside the axis is refused *)
+  let gather axis ix = List.hd (Sod2_runtime.Kernels.run (Op.Gather { axis }) [ table; ix ]) in
+  List.iter
+    (fun (axis, ix) ->
+      check_tensor "kernel" (Transform.gather table ~indices:ix ~axis) (gather axis ix))
+    [ 0, Tensor.create_i [ 1; 2 ] [| 1; 3 |]; 0, Tensor.of_int_list [ -1; 0 ];
+      1, Tensor.of_int_list [ 1; 1; 0 ] ];
+  match gather 0 (Tensor.of_int_list [ 4 ]) with
+  | exception Sod2_error.Error { cls = Sod2_error.Shape_mismatch; _ } -> ()
+  | _ -> Alcotest.fail "an index outside the axis was read"
 
 let test_pad_tile_resize () =
   let x = t_f [ 1; 2 ] [ 1.; 2. ] in
@@ -193,7 +204,10 @@ let test_pad_tile_resize () =
     (Transform.pad x ~before:[ 0; 1 ] ~after:[ 0; 1 ] ~value:9.0);
   check_tensor "tile" (t_f [ 1; 4 ] [ 1.; 2.; 1.; 2. ]) (Transform.tile x ~repeats:[ 1; 2 ]);
   let img = Tensor.reshape (t_f [ 4 ] [ 1.; 2.; 3.; 4. ]) [ 1; 1; 2; 2 ] in
-  let up = Transform.resize_nearest img ~out_spatial:[ 4; 4 ] in
+  let up =
+    List.hd
+      (Sod2_runtime.Kernels.run (Op.Resize Op.Nearest) [ img; Tensor.of_int_list [ 4; 4 ] ])
+  in
   Alcotest.(check (list int)) "resize dims" [ 1; 1; 4; 4 ] (Tensor.dims up);
   Alcotest.(check (float 1e-6)) "corner" 4.0 (Tensor.get_f up [| 0; 0; 3; 3 |])
 
