@@ -46,6 +46,12 @@ let f32_vs_f64 = gate "f32 / f64 GEMM 256^3 time" 1.15 At_most
    ahead must make them clearly faster. *)
 let f32_loops = gate "geomean f32 / f64 time: Relu, Add, MaxPool, LayerNorm" 0.8 At_most
 
+(* The register micro-kernel's lead over the naive loop on a regular
+   shape, decided on the median of the per-round ratios (each round times
+   both sides back to back), so one noisy round cannot pass or fail it;
+   the row records their quartiles. *)
+let blocked_floor = gate "gemm/regular 256^3 naive / blocked time (median round)" 10.0 At_least
+
 let element_loops ~rounds blocked =
   let tensor dt dims = Tensor.of_fbuf dims (filled ~dt (List.fold_left ( * ) 1 dims)) in
   let positive dt dims = Tensor.map_f (fun v -> v +. 1.0) (tensor dt dims) in
@@ -103,8 +109,10 @@ let kernels ~rounds =
   let case (name, side) =
     match time ~rounds (List.map side [ naive; blocked; parallel ]) with
     | [ tn; tb; tp ] ->
+      let q1, median, q3 = Stats.quartiles (List.map2 ( /. ) tn.per_round tb.per_round) in
       row name [ "naive", tn; "blocked", tb; "parallel", tp ]
-        ~fields:[ "blocked_x", tn.best /. tb.best; "parallel_x", tn.best /. tp.best ]
+        ~fields:[ "blocked_x", tn.best /. tb.best; "parallel_x", tn.best /. tp.best;
+                  "blocked_x_q1", q1; "blocked_x_median", median; "blocked_x_q3", q3 ]
     | _ -> assert false
   in
   let rows =
@@ -128,7 +136,9 @@ let kernels ~rounds =
             ~fields:[ "ratio_q1", q1; "ratio_median", median; "ratio_q3", q3 ] ]
       @ loops;
     values =
-      [ f32_vs_f64, t32.best /. t64.best;
+      [ blocked_floor,
+        List.assoc "blocked_x_median" (List.find (fun r -> r.label = "gemm/regular 256x256x256") rows).fields;
+        f32_vs_f64, t32.best /. t64.best;
         f32_loops, geomean (List.map ratio [ "relu"; "add"; "maxpool 3x3/2"; "layernorm" ]) ] }
 
 (* --- fused: whole fusion groups as single kernels --------------------- *)
@@ -624,7 +634,7 @@ let micro ~rounds =
 let () =
   main
     [
-      { name = "kernels"; rounds = 7; run = kernels; gates = [ f32_vs_f64; f32_loops ];
+      { name = "kernels"; rounds = 7; run = kernels; gates = [ blocked_floor; f32_vs_f64; f32_loops ];
         doc = "GEMM/conv per shape class on naive, blocked and parallel kernels; f32 vs f64 GEMM \
                and element loops" };
       { name = "fused"; rounds = 7; run = fused; gates = [ fused_floor ];

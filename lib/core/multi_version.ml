@@ -203,16 +203,16 @@ let i8 (t : Quant.qtensor) = Tensor.storage_i8 t.Quant.q
 let matmul_i8 ~par ~tiles x (qw : Quant.qtensor) ~m ~n ~k ~c ~co =
   let qx = Quant.quantize_activation x in
   let scale = Quant.scale_of qx.Quant.qscheme *. Quant.scale_of qw.Quant.qscheme in
+  (* no bias: adding [-0.0] leaves every value as it is *)
   Blocked.gemm_i8_dequant ~par ~tiles ~za:(Quant.zero_point_of qx.Quant.qscheme) ~zb:0
-    ~epilogue:(fun _ acc -> float_of_int acc *. scale)
-    ~ep_off:co ~m ~n ~k ~a:(i8 qx) ~ao:0 ~b:(i8 qw) ~bo:0 ~c ~co ()
+    ~scale:[| scale |] ~bias:[| -0.0 |] ~m ~n ~k ~a:(i8 qx) ~ao:0 ~b:(i8 qw) ~bo:0 ~c ~co ()
 
-(* the output channel of element [ei] is [ei / (oh·ow) mod m]: [ep_off]
-   makes epilogue indices output-relative *)
-let conv_i8 ~par ~tiles ~stride ~pad ~dilation ~groups x (qw : Quant.qtensor) bias ~dims ~c ~co =
+(* per output channel: the activation scale times the channel's weight
+   scale, and the float bias (0.0 without one) *)
+let conv_i8 ~par ~tiles ~stride ~pad ~dilation ~groups x (qw : Quant.qtensor) bias ~c ~co =
   let qx = Quant.quantize_activation x in
   let sx = Quant.scale_of qx.Quant.qscheme and ws = Quant.channel_scales qw.Quant.qscheme in
-  let m, sp = match dims with [ _; m; oh; ow ] -> m, oh * ow | _ -> assert false in
+  let m = List.hd (Tensor.dims qw.Quant.q) in
   let scale = Array.init m (fun ch -> sx *. ws.(if Array.length ws = 1 then 0 else ch)) in
   let bias =
     Array.init m (fun ch ->
@@ -220,10 +220,7 @@ let conv_i8 ~par ~tiles ~stride ~pad ~dilation ~groups x (qw : Quant.qtensor) bi
   in
   ignore
     (Blocked.conv2d_i8_dequant_into ~par ~tiles ~zx:(Quant.zero_point_of qx.Quant.qscheme) ~zw:0
-       ~epilogue:(fun ei acc ->
-         let ch = ei / sp mod m in
-         (float_of_int acc *. scale.(ch)) +. bias.(ch))
-       ~ep_off:co ~stride ~pad ~dilation ~groups ~x:(i8 qx) ~xoff:0
+       ~scale ~bias ~stride ~pad ~dilation ~groups ~x:(i8 qx) ~xoff:0
        ~xdims:(Array.of_list x.Tensor.vdims) ~w:(i8 qw) ~woff:0
        ~wdims:(Array.of_list (Tensor.dims qw.Quant.q)) ~c ~co ())
 
@@ -283,7 +280,7 @@ let heavy_kernel ?int8 ~par versions (op : Op.t) (vs : Tensor.view list) =
         | Some (qw, ran), _ when not one_d ->
           counted ran
             (conv_i8 ~par ~tiles:(int8_tiles versions cls) ~stride ~pad ~dilation ~groups x qw
-               (bias_of rest) ~dims)
+               (bias_of rest))
         | _, None ->
           fun ~c ~co ->
             ignore (Linalg.conv2d_into ~stride ~pad ~dilation ~groups x w (bias_of rest) ~c ~co)

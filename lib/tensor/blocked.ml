@@ -85,14 +85,17 @@ module Pool = struct
       raise e
 end
 
+(* Float panels are float64 Bigarrays, so the C micro-kernel reads them
+   as plain doubles whatever OCaml's float-array layout. *)
+type panel = (float, Bigarray.float64_elt, Bigarray.c_layout) BA1.t
+
 (* One participant's packing state.  [a_call]/[a_tile] and
    [b_call]/[b_blk] name what the panels hold, so consecutive tasks of
    one call on the same participant skip repacking; every call draws a
    fresh id from [calls], so a stale panel never matches. *)
 type scratch = {
-  mutable fa : float array;  (* A row tile as row quads *)
-  mutable fb : float array;  (* B column block as column pairs *)
-  facc : float array;  (* one 4×2 micro-tile's accumulators, [row*2 + col] *)
+  mutable fa : panel;  (* A row tile as row quads *)
+  mutable fb : panel;  (* B column block as column octets *)
   mutable ia : int array;  (* int8: A row tile, three rows per word *)
   mutable asum : int array;
   mutable ib : int array;  (* int8: B column block, sign-extended *)
@@ -104,12 +107,13 @@ type scratch = {
   mutable b_blk : int;
 }
 
+let panel n : panel = BA1.create Bigarray.float64 Bigarray.c_layout n
+
 let panels =
   Pool.create (fun () ->
       {
-        fa = [||];
-        fb = [||];
-        facc = Array.make 8 0.0;
+        fa = panel 0;
+        fb = panel 0;
         ia = [||];
         asum = [||];
         ib = [||];
@@ -124,16 +128,17 @@ let panels =
 let calls = Atomic.make 0
 
 (* Grow-only: steady-state calls find the arrays already large enough. *)
-let fgrow a n = if Array.length a >= n then a else Array.make n 0.0
+let pgrow p n = if BA1.dim p >= n then p else panel n
 let igrow a n = if Array.length a >= n then a else Array.make n 0
 
 (* Row-tile height: the tuned [tm], lowered to a multiple of [group] rows
    when [tm] rows at [group_words] words per row group would pass the
-   panel bound.  Column-block width likewise, in pairs of depth [k]. *)
+   panel bound.  Column-block width likewise, in groups of [group]
+   columns of depth [k]: octets for the float kernel, pairs for int8. *)
 let row_tile tm ~group ~group_words =
   max group (min tm (group * (panel_words / group_words)))
 
-let col_block ~k = 2 * max 1 (panel_words / (2 * k))
+let col_block ~group ~k = group * max 1 (panel_words / (group * k))
 
 (* Run [nt] tasks of one call on the runner, each on a scratch taken
    from [panels].  Callers number tasks block-major (task [t] is row tile
@@ -148,106 +153,17 @@ let run_tasks (par : par) nt task =
         Pool.give panels s;
         raise e)
 
-(* 4×2 register micro-tile over packed panels: [ap] holds row quads
-   ([(ip*k + p)*4 + ii]), [bp] column pairs ([(jp*k + p)*2 + jj]), so both
-   streams are read contiguously.  The eight accumulators are local float
-   refs that never escape, which ocamlopt keeps unboxed in FP registers
-   across the [for] loops; they leave through the float array [acc], so
-   nothing is boxed.  (Passing them as tail-call arguments and returning
-   them as a tuple boxed every one of them on every step: 4.3 bytes per
-   multiply-accumulate.)  The depth loop is unrolled by 4.
-
-   Each accumulator is one ascending-p chain of double-precision adds over
-   the full depth — the same operation sequence as the naive reference —
-   so the single rounding store at write-back yields bit-identical results
-   in every precision. *)
-let micro4x2 (ap : float array) (bp : float array) ia ib k (acc : float array) =
-  let c00 = ref 0.0 and c01 = ref 0.0 and c10 = ref 0.0 and c11 = ref 0.0 in
-  let c20 = ref 0.0 and c21 = ref 0.0 and c30 = ref 0.0 and c31 = ref 0.0 in
-  for q = 0 to (k / 4) - 1 do
-    let ia = ia + (q * 16) and ib = ib + (q * 8) in
-    let a0 = Array.unsafe_get ap ia
-    and a1 = Array.unsafe_get ap (ia + 1)
-    and a2 = Array.unsafe_get ap (ia + 2)
-    and a3 = Array.unsafe_get ap (ia + 3)
-    and b0 = Array.unsafe_get bp ib
-    and b1 = Array.unsafe_get bp (ib + 1) in
-    c00 := !c00 +. (a0 *. b0);
-    c01 := !c01 +. (a0 *. b1);
-    c10 := !c10 +. (a1 *. b0);
-    c11 := !c11 +. (a1 *. b1);
-    c20 := !c20 +. (a2 *. b0);
-    c21 := !c21 +. (a2 *. b1);
-    c30 := !c30 +. (a3 *. b0);
-    c31 := !c31 +. (a3 *. b1);
-    let a0 = Array.unsafe_get ap (ia + 4)
-    and a1 = Array.unsafe_get ap (ia + 5)
-    and a2 = Array.unsafe_get ap (ia + 6)
-    and a3 = Array.unsafe_get ap (ia + 7)
-    and b0 = Array.unsafe_get bp (ib + 2)
-    and b1 = Array.unsafe_get bp (ib + 3) in
-    c00 := !c00 +. (a0 *. b0);
-    c01 := !c01 +. (a0 *. b1);
-    c10 := !c10 +. (a1 *. b0);
-    c11 := !c11 +. (a1 *. b1);
-    c20 := !c20 +. (a2 *. b0);
-    c21 := !c21 +. (a2 *. b1);
-    c30 := !c30 +. (a3 *. b0);
-    c31 := !c31 +. (a3 *. b1);
-    let a0 = Array.unsafe_get ap (ia + 8)
-    and a1 = Array.unsafe_get ap (ia + 9)
-    and a2 = Array.unsafe_get ap (ia + 10)
-    and a3 = Array.unsafe_get ap (ia + 11)
-    and b0 = Array.unsafe_get bp (ib + 4)
-    and b1 = Array.unsafe_get bp (ib + 5) in
-    c00 := !c00 +. (a0 *. b0);
-    c01 := !c01 +. (a0 *. b1);
-    c10 := !c10 +. (a1 *. b0);
-    c11 := !c11 +. (a1 *. b1);
-    c20 := !c20 +. (a2 *. b0);
-    c21 := !c21 +. (a2 *. b1);
-    c30 := !c30 +. (a3 *. b0);
-    c31 := !c31 +. (a3 *. b1);
-    let a0 = Array.unsafe_get ap (ia + 12)
-    and a1 = Array.unsafe_get ap (ia + 13)
-    and a2 = Array.unsafe_get ap (ia + 14)
-    and a3 = Array.unsafe_get ap (ia + 15)
-    and b0 = Array.unsafe_get bp (ib + 6)
-    and b1 = Array.unsafe_get bp (ib + 7) in
-    c00 := !c00 +. (a0 *. b0);
-    c01 := !c01 +. (a0 *. b1);
-    c10 := !c10 +. (a1 *. b0);
-    c11 := !c11 +. (a1 *. b1);
-    c20 := !c20 +. (a2 *. b0);
-    c21 := !c21 +. (a2 *. b1);
-    c30 := !c30 +. (a3 *. b0);
-    c31 := !c31 +. (a3 *. b1)
-  done;
-  for p = k land lnot 3 to k - 1 do
-    let ia = ia + (p * 4) and ib = ib + (p * 2) in
-    let a0 = Array.unsafe_get ap ia
-    and a1 = Array.unsafe_get ap (ia + 1)
-    and a2 = Array.unsafe_get ap (ia + 2)
-    and a3 = Array.unsafe_get ap (ia + 3)
-    and b0 = Array.unsafe_get bp ib
-    and b1 = Array.unsafe_get bp (ib + 1) in
-    c00 := !c00 +. (a0 *. b0);
-    c01 := !c01 +. (a0 *. b1);
-    c10 := !c10 +. (a1 *. b0);
-    c11 := !c11 +. (a1 *. b1);
-    c20 := !c20 +. (a2 *. b0);
-    c21 := !c21 +. (a2 *. b1);
-    c30 := !c30 +. (a3 *. b0);
-    c31 := !c31 +. (a3 *. b1)
-  done;
-  Array.unsafe_set acc 0 !c00;
-  Array.unsafe_set acc 1 !c01;
-  Array.unsafe_set acc 2 !c10;
-  Array.unsafe_set acc 3 !c11;
-  Array.unsafe_set acc 4 !c20;
-  Array.unsafe_set acc 5 !c21;
-  Array.unsafe_set acc 6 !c30;
-  Array.unsafe_set acc 7 !c31
+(* The 4×8 register micro-tile, in C (gemm_stubs.c): [tile ap ia bp ib k
+   c ci n rows cols] adds the product of the four A rows at [ap + ia] and
+   the eight B columns at [bp + ib] into the top-left [rows × cols] corner
+   of C at [ci].  Each C element is one ascending-k chain of f64
+   multiply-then-add from +0.0, added to the destination once at the
+   store: the naive loop's operation sequence, bit for bit. *)
+external tile :
+  panel -> (int[@untagged]) -> panel -> (int[@untagged]) -> (int[@untagged]) ->
+  ('a, 'b, Bigarray.c_layout) BA1.t -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> unit = "sod2_gemm_tile_byte" "sod2_gemm_tile"
+[@@noalloc]
 
 (* Element access for packing and im2col, inlined so each element stays
    unboxed (a float returned from a call into another module is boxed, and
@@ -266,43 +182,61 @@ let[@inline] fset (buf : Tensor.fbuf) i v =
   | Tensor.FB32 b -> BA1.unsafe_set b i v
   | Tensor.FB64 b -> BA1.unsafe_set b i v
 
-(* Pack columns [j0, j0 + 2*npairs) of B (clipped at [n]) into full-depth
-   column pairs, two depths per step, an odd tail column padded with
-   zeros so the micro-kernel never branches on the edge. *)
-let pack_b (b : Tensor.fbuf) bo ~n ~k ~j0 ~npairs panel =
-  for jp = 0 to npairs - 1 do
-    let j = j0 + (jp * 2) in
-    let base = jp * k * 2 in
-    if j + 1 < n then begin
-      let p = ref 0 in
-      while !p + 2 <= k do
-        let q = !p in
-        let s = bo + (q * n) + j and d = base + (q * 2) in
-        let v0 = fget b s and v1 = fget b (s + 1) in
-        let v2 = fget b (s + n) and v3 = fget b (s + n + 1) in
-        Array.unsafe_set panel d v0;
-        Array.unsafe_set panel (d + 1) v1;
-        Array.unsafe_set panel (d + 2) v2;
-        Array.unsafe_set panel (d + 3) v3;
-        p := q + 2
-      done;
-      if !p < k then begin
-        let s = bo + (!p * n) + j and d = base + (!p * 2) in
-        let v0 = fget b s and v1 = fget b (s + 1) in
-        Array.unsafe_set panel d v0;
-        Array.unsafe_set panel (d + 1) v1
-      end
-    end
-    else
+(* Pack columns [j0, j0 + 8*ngroups) of B (clipped at [n]) into
+   full-depth column octets, the columns past [n] zero, so every tile the
+   micro-kernel computes is whole.  A full octet matches the storage kind
+   once, outside its depth loop (matching per element, as [fget] does,
+   doubles the packing time), and loads four elements before it stores
+   any. *)
+let pack_b (b : Tensor.fbuf) bo ~n ~k ~j0 ~ngroups (panel : panel) =
+  for jg = 0 to ngroups - 1 do
+    let j = j0 + (jg * 8) in
+    let s0 = bo + j and d0 = jg * k * 8 in
+    match b with
+    | Tensor.FB32 b when j + 8 <= n ->
       for p = 0 to k - 1 do
-        Array.unsafe_set panel (base + (p * 2)) (fget b (bo + (p * n) + j));
-        Array.unsafe_set panel (base + (p * 2) + 1) 0.0
+        let s = s0 + (p * n) and d = d0 + (p * 8) in
+        let v0 = BA1.unsafe_get b s and v1 = BA1.unsafe_get b (s + 1) in
+        let v2 = BA1.unsafe_get b (s + 2) and v3 = BA1.unsafe_get b (s + 3) in
+        BA1.unsafe_set panel d v0;
+        BA1.unsafe_set panel (d + 1) v1;
+        BA1.unsafe_set panel (d + 2) v2;
+        BA1.unsafe_set panel (d + 3) v3;
+        let v4 = BA1.unsafe_get b (s + 4) and v5 = BA1.unsafe_get b (s + 5) in
+        let v6 = BA1.unsafe_get b (s + 6) and v7 = BA1.unsafe_get b (s + 7) in
+        BA1.unsafe_set panel (d + 4) v4;
+        BA1.unsafe_set panel (d + 5) v5;
+        BA1.unsafe_set panel (d + 6) v6;
+        BA1.unsafe_set panel (d + 7) v7
+      done
+    | Tensor.FB64 b when j + 8 <= n ->
+      for p = 0 to k - 1 do
+        let s = s0 + (p * n) and d = d0 + (p * 8) in
+        let v0 = BA1.unsafe_get b s and v1 = BA1.unsafe_get b (s + 1) in
+        let v2 = BA1.unsafe_get b (s + 2) and v3 = BA1.unsafe_get b (s + 3) in
+        BA1.unsafe_set panel d v0;
+        BA1.unsafe_set panel (d + 1) v1;
+        BA1.unsafe_set panel (d + 2) v2;
+        BA1.unsafe_set panel (d + 3) v3;
+        let v4 = BA1.unsafe_get b (s + 4) and v5 = BA1.unsafe_get b (s + 5) in
+        let v6 = BA1.unsafe_get b (s + 6) and v7 = BA1.unsafe_get b (s + 7) in
+        BA1.unsafe_set panel (d + 4) v4;
+        BA1.unsafe_set panel (d + 5) v5;
+        BA1.unsafe_set panel (d + 6) v6;
+        BA1.unsafe_set panel (d + 7) v7
+      done
+    | b ->
+      for p = 0 to k - 1 do
+        let s = s0 + (p * n) and d = d0 + (p * 8) in
+        for jj = 0 to 7 do
+          BA1.unsafe_set panel (d + jj) (if j + jj < n then fget b (s + jj) else 0.0)
+        done
       done
   done
 
 (* Pack one macro row-tile of A into full-depth row quads, short tiles
    zero-padded. *)
-let pack_a (a : Tensor.fbuf) ao ~k ~i0 ~mc abuf =
+let pack_a (a : Tensor.fbuf) ao ~k ~i0 ~mc (abuf : panel) =
   for ip = 0 to ceil_div mc 4 - 1 do
     let i = i0 + (ip * 4) in
     let base = ip * k * 4 in
@@ -313,60 +247,34 @@ let pack_a (a : Tensor.fbuf) ao ~k ~i0 ~mc abuf =
         let d = base + (p * 4) and s = r0 + p in
         let v0 = fget a s and v1 = fget a (s + k) in
         let v2 = fget a (s + (2 * k)) and v3 = fget a (s + (3 * k)) in
-        Array.unsafe_set abuf d v0;
-        Array.unsafe_set abuf (d + 1) v1;
-        Array.unsafe_set abuf (d + 2) v2;
-        Array.unsafe_set abuf (d + 3) v3
+        BA1.unsafe_set abuf d v0;
+        BA1.unsafe_set abuf (d + 1) v1;
+        BA1.unsafe_set abuf (d + 2) v2;
+        BA1.unsafe_set abuf (d + 3) v3
       done
     else begin
-      Array.fill abuf base (k * 4) 0.0;
+      for d = base to base + (k * 4) - 1 do
+        BA1.unsafe_set abuf d 0.0
+      done;
       for r = 0 to rows - 1 do
         let rs = r0 + (r * k) in
         for p = 0 to k - 1 do
-          Array.unsafe_set abuf (base + (p * 4) + r) (fget a (rs + p))
+          BA1.unsafe_set abuf (base + (p * 4) + r) (fget a (rs + p))
         done
       done
     end
   done
 
-(* Add a finished micro-tile into C (rows × cols of it; [ci] is its
-   top-left flat index), matching the destination kind per element so
-   every value stays unboxed; the store is the single rounding point.  A
-   full 4×2 tile loads its eight elements before it stores any. *)
-let write_back (c : Tensor.fbuf) (acc : float array) ~ci ~n ~rows ~cols =
-  if rows = 4 && cols = 2 then begin
-    let c1 = ci + n in
-    let c2 = c1 + n in
-    let c3 = c2 + n in
-    let v0 = fget c ci and v1 = fget c (ci + 1) and v2 = fget c c1 and v3 = fget c (c1 + 1) in
-    let v4 = fget c c2 and v5 = fget c (c2 + 1) and v6 = fget c c3 and v7 = fget c (c3 + 1) in
-    fset c ci (v0 +. Array.unsafe_get acc 0);
-    fset c (ci + 1) (v1 +. Array.unsafe_get acc 1);
-    fset c c1 (v2 +. Array.unsafe_get acc 2);
-    fset c (c1 + 1) (v3 +. Array.unsafe_get acc 3);
-    fset c c2 (v4 +. Array.unsafe_get acc 4);
-    fset c (c2 + 1) (v5 +. Array.unsafe_get acc 5);
-    fset c c3 (v6 +. Array.unsafe_get acc 6);
-    fset c (c3 + 1) (v7 +. Array.unsafe_get acc 7)
-  end
-  else
-    for r = 0 to rows - 1 do
-      for jj = 0 to cols - 1 do
-        let ci = ci + (r * n) + jj in
-        fset c ci (fget c ci +. Array.unsafe_get acc ((r * 2) + jj))
-      done
-    done
-
 let gemm ?(par = sequential) ?(tiles = default_tiles) ~m ~n ~k
     ~(a : Tensor.fbuf) ~ao ~(b : Tensor.fbuf) ~bo ~(c : Tensor.fbuf) ~co () =
   if m > 0 && n > 0 && k > 0 then begin
     let mt = row_tile tiles.tm ~group:4 ~group_words:(4 * k) in
-    let nc = col_block ~k in
+    let nc = col_block ~group:8 ~k in
     let mtiles = ceil_div m mt in
     let call = Atomic.fetch_and_add calls 1 in
     (* [tn] splits a block into column tiles whose panel slice stays in L1
        while the A quads stream past it. *)
-    let jpt = max 1 (tiles.tn / 2) in
+    let jgt = max 1 (tiles.tn / 8) in
     run_tasks par
       (mtiles * ceil_div n nc)
       (fun s t ->
@@ -374,30 +282,30 @@ let gemm ?(par = sequential) ?(tiles = default_tiles) ~m ~n ~k
         let i0 = it * mt and j0 = blk * nc in
         let mc = min mt (m - i0) in
         let mquads = ceil_div mc 4 in
-        let npairs = ceil_div (min nc (n - j0)) 2 in
+        let ngroups = ceil_div (min nc (n - j0)) 8 in
         if s.a_call <> call || s.a_tile <> it then begin
-          s.fa <- fgrow s.fa (mquads * k * 4);
+          s.fa <- pgrow s.fa (mquads * k * 4);
           pack_a a ao ~k ~i0 ~mc s.fa;
           s.a_call <- call;
           s.a_tile <- it
         end;
         if s.b_call <> call || s.b_blk <> blk then begin
-          s.fb <- fgrow s.fb (npairs * k * 2);
-          pack_b b bo ~n ~k ~j0 ~npairs s.fb;
+          s.fb <- pgrow s.fb (ngroups * k * 8);
+          pack_b b bo ~n ~k ~j0 ~ngroups s.fb;
           s.b_call <- call;
           s.b_blk <- blk
         end;
-        for jt = 0 to ceil_div npairs jpt - 1 do
+        for jt = 0 to ceil_div ngroups jgt - 1 do
           for ip = 0 to mquads - 1 do
             let i = i0 + (ip * 4) in
             let rows = min 4 (i0 + mc - i) in
-            for jp = jt * jpt to min npairs ((jt + 1) * jpt) - 1 do
-              micro4x2 s.fa s.fb (ip * k * 4) (jp * k * 2) k s.facc;
-              let j = j0 + (jp * 2) in
-              write_back c s.facc
-                ~ci:(co + (i * n) + j)
-                ~n ~rows
-                ~cols:(if j + 1 < n then 2 else 1)
+            for jg = jt * jgt to min ngroups ((jt + 1) * jgt) - 1 do
+              let j = j0 + (jg * 8) in
+              let ci = co + (i * n) + j and cols = min 8 (n - j) in
+              let ia = ip * k * 4 and ib = jg * k * 8 in
+              match c with
+              | Tensor.FB32 cb -> tile s.fa ia s.fb ib k cb ci n rows cols
+              | Tensor.FB64 cb -> tile s.fa ia s.fb ib k cb ci n rows cols
             done
           done
         done)
@@ -518,7 +426,7 @@ let conv2d_depthwise par (q : conv_geom) (vx : Tensor.view) (vw : Tensor.view)
   run_tasks par (ceil_div planes per_task) (fun s t ->
       (* The row accumulators borrow the A panel, so the panel no longer
          holds any GEMM's packed tile. *)
-      s.fa <- fgrow s.fa q.ow;
+      s.fa <- pgrow s.fa q.ow;
       s.a_call <- -1;
       let acc = s.fa in
       for p = t * per_task to min planes ((t + 1) * per_task) - 1 do
@@ -529,7 +437,9 @@ let conv2d_depthwise par (q : conv_geom) (vx : Tensor.view) (vw : Tensor.view)
           | Some v -> fget v.Tensor.vbuf (v.Tensor.voff + mi)
         in
         for oy = 0 to q.oh - 1 do
-          Array.fill acc 0 q.ow 0.0;
+          for ox = 0 to q.ow - 1 do
+            BA1.unsafe_set acc ox 0.0
+          done;
           for ci = 0 to q.cg - 1 do
             let plane = vx.Tensor.voff + (((ni * q.c) + (mi * q.cg) + ci) * q.h * q.wd) in
             for ky = 0 to q.kh - 1 do
@@ -550,22 +460,22 @@ let conv2d_depthwise par (q : conv_geom) (vx : Tensor.view) (vw : Tensor.view)
                     let s0 = src + (c * sw) in
                     let x0 = fget xb s0 and x1 = fget xb (s0 + sw) in
                     let x2 = fget xb (s0 + (2 * sw)) and x3 = fget xb (s0 + (3 * sw)) in
-                    Array.unsafe_set acc c (Array.unsafe_get acc c +. (x0 *. wv));
-                    Array.unsafe_set acc (c + 1) (Array.unsafe_get acc (c + 1) +. (x1 *. wv));
-                    Array.unsafe_set acc (c + 2) (Array.unsafe_get acc (c + 2) +. (x2 *. wv));
-                    Array.unsafe_set acc (c + 3) (Array.unsafe_get acc (c + 3) +. (x3 *. wv));
+                    BA1.unsafe_set acc c (BA1.unsafe_get acc c +. (x0 *. wv));
+                    BA1.unsafe_set acc (c + 1) (BA1.unsafe_get acc (c + 1) +. (x1 *. wv));
+                    BA1.unsafe_set acc (c + 2) (BA1.unsafe_get acc (c + 2) +. (x2 *. wv));
+                    BA1.unsafe_set acc (c + 3) (BA1.unsafe_get acc (c + 3) +. (x3 *. wv));
                     ox := c + 4
                   done;
                   for ox = !ox to hi - 1 do
-                    Array.unsafe_set acc ox
-                      (Array.unsafe_get acc ox +. (fget xb (src + (ox * sw)) *. wv))
+                    BA1.unsafe_set acc ox
+                      (BA1.unsafe_get acc ox +. (fget xb (src + (ox * sw)) *. wv))
                   done
                 done
             done
           done;
           let o = co + (((p * q.oh) + oy) * q.ow) in
           for ox = 0 to q.ow - 1 do
-            fset dst (o + ox) (bias +. Array.unsafe_get acc ox)
+            fset dst (o + ox) (bias +. BA1.unsafe_get acc ox)
           done
         done
       done)
@@ -907,7 +817,7 @@ let gemm_i8_core ?(par = sequential) ?(tiles = default_tiles) ~za ~zb
     else begin
       (* Same bounded, block-major tiling as the float {!gemm}. *)
       let mt = row_tile tiles.tm ~group:6 ~group_words:(2 * k) in
-      let nc = col_block ~k in
+      let nc = col_block ~group:2 ~k in
       let mtiles = ceil_div m mt in
       let call = Atomic.fetch_and_add calls 1 in
       let kzazb = k * za * zb in
@@ -970,20 +880,33 @@ let gemm_i8 ?par ?tiles ~za ~zb ~epilogue ?(ep_off = 0) ~m ~n ~k ~a ~ao ~b ~bo
   in
   gemm_i8_core ?par ?tiles ~za ~zb ~store ~m ~n ~k ~a ~ao ~b ~bo ()
 
-let gemm_i8_dequant ?par ?tiles ~za ~zb ~epilogue ?(ep_off = 0) ~m ~n ~k ~a ~ao
-    ~b ~bo ~(c : Tensor.fbuf) ~co () =
+(* Row [r]'s entry of a per-row dequantization array; a one-element array
+   stands for every row. *)
+let[@inline] row_val (v : float array) r = Array.unsafe_get v (if Array.length v = 1 then 0 else r)
+
+(* The dequantizing write-back stores [float acc *. scale +. bias] for
+   product row [i] at rows [row0 + i] of the arrays: one monomorphic
+   store, so no float crosses a closure boundary and nothing is boxed. *)
+let gemm_i8_dequant_rows ?par ?tiles ~za ~zb ~scale ~bias ~row0 ~m ~n ~k ~a ~ao ~b ~bo
+    ~(c : Tensor.fbuf) ~co () =
+  let covers v = Array.length v = 1 || Array.length v >= row0 + m in
+  if not (covers scale && covers bias) then
+    invalid_arg "Blocked.gemm_i8_dequant: scale and bias need one entry or one per row";
   let store =
     match c with
     | Tensor.FB32 cb ->
       fun i j acc ->
-        let ci = co + (i * n) + j in
-        BA1.unsafe_set cb ci (epilogue (ci - ep_off) acc)
+        let r = row0 + i in
+        BA1.unsafe_set cb (co + (i * n) + j) ((float_of_int acc *. row_val scale r) +. row_val bias r)
     | Tensor.FB64 cb ->
       fun i j acc ->
-        let ci = co + (i * n) + j in
-        BA1.unsafe_set cb ci (epilogue (ci - ep_off) acc)
+        let r = row0 + i in
+        BA1.unsafe_set cb (co + (i * n) + j) ((float_of_int acc *. row_val scale r) +. row_val bias r)
   in
   gemm_i8_core ?par ?tiles ~za ~zb ~store ~m ~n ~k ~a ~ao ~b ~bo ()
+
+let gemm_i8_dequant ?par ?tiles ~za ~zb ~scale ~bias =
+  gemm_i8_dequant_rows ?par ?tiles ~za ~zb ~scale ~bias ~row0:0
 
 (* Quantized im2col: the column matrix is int8 (the 4× footprint shrink
    is exactly where the conv path was bandwidth-bound) and padding taps
@@ -1031,13 +954,13 @@ let conv2d_i8_into ?par ?tiles ~zx ~zw ~epilogue ?(ep_off = 0) ~stride ~pad
         ~co:(co + (((ni * m) + (g * mg)) * ndim))
         ())
 
-let conv2d_i8_dequant_into ?par ?tiles ~zx ~zw ~epilogue ?(ep_off = 0) ~stride
-    ~pad ~dilation ~groups ~x ~xoff ~xdims ~(w : Tensor.i8buf) ~woff ~wdims
-    ~(c : Tensor.fbuf) ~co () =
+let conv2d_i8_dequant_into ?par ?tiles ~zx ~zw ~scale ~bias ~stride ~pad ~dilation ~groups
+    ~x ~xoff ~xdims ~(w : Tensor.i8buf) ~woff ~wdims ~(c : Tensor.fbuf) ~co () =
   conv2d_i8_gen ~zx ~stride ~pad ~dilation ~groups ~x ~xoff ~xdims ~wdims
     ~run_gemm:(fun ~ni ~g ~m ~mg ~ndim ~kdim ~col ->
-      gemm_i8_dequant ?par ?tiles ~za:zw ~zb:zx ~epilogue ~ep_off ~m:mg ~n:ndim
-        ~k:kdim ~a:w
+      (* the product's rows are output channels [g·mg ..] *)
+      gemm_i8_dequant_rows ?par ?tiles ~za:zw ~zb:zx ~scale ~bias ~row0:(g * mg) ~m:mg
+        ~n:ndim ~k:kdim ~a:w
         ~ao:(woff + (g * mg * kdim))
         ~b:col ~bo:0 ~c
         ~co:(co + (((ni * m) + (g * mg)) * ndim))

@@ -5,11 +5,11 @@
     module provides the optimized variants the autotuner's tile/thread
     choices actually steer:
 
-    - {!gemm} packs A by row tile and B by column block into panels (so
-      the inner loop touches contiguous memory), computes 4×2 register
-      micro-tiles whose accumulators are unboxed local floats, and runs
-      (row tile × column block) tasks that a parallel runner can execute
-      concurrently;
+    - {!gemm} packs A by row tile and B by column block into float64
+      panels (so the inner loop touches contiguous memory), computes 4×8
+      register micro-tiles in a C stub of 4-lane f64 vectors
+      ([gemm_stubs.c]), and runs (row tile × column block) tasks that a
+      parallel runner can execute concurrently;
     - {!conv2d_im2col_into} lowers convolution (grouped, strided, dilated,
       padded) onto that GEMM by materializing the im2col column matrix per
       (image, group).
@@ -52,8 +52,8 @@ type tiles = {
   tn : int;  (** column-tile width within a packed column block *)
 }
 (** The extents the kernels read.  Packing is full-depth and the
-    micro-kernel always unrolls by 4, so an autotuner configuration's
-    depth tile and unroll factor have no counterpart here. *)
+    micro-kernel's tile is fixed, so an autotuner configuration's depth
+    tile and unroll factor have no counterpart here. *)
 
 val default_tiles : tiles
 
@@ -69,7 +69,9 @@ val gemm :
 (** [gemm ~m ~n ~k ~a ~ao ~b ~bo ~c ~co] accumulates the row-major product
     [A(m×k) · B(k×n)] into [C(m×n)]: [c += a·b], reading each operand at
     its flat offset.  [C] is {e accumulated into}, not overwritten, so
-    callers zero- or bias-initialize it. *)
+    callers zero- or bias-initialize it.  Each element's sum is one
+    ascending-k chain of f64 multiply-then-add, added to [C] once: bit
+    for bit {!Linalg.naive_kernel} on finite operands. *)
 
 val conv2d_im2col_into :
   ?par:par -> ?tiles:tiles -> stride:int * int -> pad:int * int * int * int ->
@@ -92,9 +94,8 @@ val conv2d_im2col_into :
     element exists exactly once — at write-back, where the epilogue
     consumes it.  No int32 intermediate is ever materialized.
 
-    The A panel packs two rows per native word (one multiply computes
-    two multiply-accumulates — the reason the scalar int8 kernel beats
-    the f32 one); zero points are handled by the row/column-sum
+    The A panel packs three rows per native word (one multiply computes
+    three multiply-accumulates); zero points are handled by the row/column-sum
     correction [Σ(a-za)(b-zb) = Σab − zb·Σa − za·Σb + k·za·zb], so the
     epilogue always sees the exact zero-point-corrected accumulator.
     The depth is capped at 65536 so the packed accumulator fields cannot
@@ -112,14 +113,17 @@ val gemm_i8 :
     [0]): pass [~ep_off:co] for destination-relative indices. *)
 
 val gemm_i8_dequant :
-  ?par:par -> ?tiles:tiles -> za:int -> zb:int ->
-  epilogue:(int -> int -> float) -> ?ep_off:int -> m:int -> n:int -> k:int ->
-  a:Tensor.i8buf -> ao:int -> b:Tensor.i8buf -> bo:int ->
-  c:Tensor.fbuf -> co:int -> unit -> unit
-(** Same kernel, float write-back: the epilogue dequantizes the
-    accumulator (scale, bias, activation) straight into a float
-    destination — the dynamic-quantization form the executor uses so
-    quantized nodes compose with the float arena machinery. *)
+  ?par:par -> ?tiles:tiles -> za:int -> zb:int -> scale:float array ->
+  bias:float array -> m:int -> n:int -> k:int -> a:Tensor.i8buf -> ao:int ->
+  b:Tensor.i8buf -> bo:int -> c:Tensor.fbuf -> co:int -> unit -> unit
+(** Same kernel, float write-back: row [i]'s corrected accumulator [acc]
+    dequantizes as [float acc *. scale.(i) +. bias.(i)] straight into a
+    float destination — the dynamic-quantization form the executor uses
+    so quantized nodes compose with the float arena machinery.  An array
+    of one element applies to every row ([-0.0] is the bias that adds
+    nothing, bit for bit); otherwise it needs an entry per row
+    ([Invalid_argument]).  The store is monomorphic, so it allocates
+    nothing per element. *)
 
 val conv2d_i8_into :
   ?par:par -> ?tiles:tiles -> zx:int -> zw:int ->
@@ -134,11 +138,11 @@ val conv2d_i8_into :
     dequantize to zero.  Returns the output dims [N;M;Oh;Ow]. *)
 
 val conv2d_i8_dequant_into :
-  ?par:par -> ?tiles:tiles -> zx:int -> zw:int ->
-  epilogue:(int -> int -> float) -> ?ep_off:int ->
-  stride:int * int -> pad:int * int * int * int -> dilation:int * int ->
-  groups:int -> x:Tensor.i8buf -> xoff:int -> xdims:int array ->
-  w:Tensor.i8buf -> woff:int -> wdims:int array ->
+  ?par:par -> ?tiles:tiles -> zx:int -> zw:int -> scale:float array ->
+  bias:float array -> stride:int * int -> pad:int * int * int * int ->
+  dilation:int * int -> groups:int -> x:Tensor.i8buf -> xoff:int ->
+  xdims:int array -> w:Tensor.i8buf -> woff:int -> wdims:int array ->
   c:Tensor.fbuf -> co:int -> unit -> int list
-(** Float write-back variant of {!conv2d_i8_into}: the epilogue folds
-    dequantization and the (float) bias into the store. *)
+(** Float write-back variant of {!conv2d_i8_into}: output channel [ch]
+    stores [float acc *. scale.(ch) +. bias.(ch)], the arrays indexed like
+    {!gemm_i8_dequant}'s rows (one element, or one per output channel). *)

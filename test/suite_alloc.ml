@@ -193,6 +193,31 @@ let test_gemm_into_alloc () =
       "both operands transposed", gemm true, [ a; b; view [ 1; n ] ];
     ]
 
+(* The int8 conv's dequantizing write-back reads per-channel scale and
+   bias arrays in one monomorphic store, so no float is boxed per output
+   element: its minor words do not grow with the image. *)
+let test_int8_conv_alloc () =
+  let rng = Rng.create 12 in
+  let w = Tensor.rand_uniform rng [ 16; 16; 3; 3 ] and bias = Tensor.rand_uniform rng [ 16 ] in
+  let qw = Quant.quantize w (Quant.choose_per_channel ~axis:0 w) in
+  let be = RT.Backend.create ~versions:Sod2.Multi_version.untuned RT.Backend.Blocked in
+  let op = Op.Conv { stride = 1, 1; pads = 1, 1, 1, 1; dilation = 1, 1; groups = 1 } in
+  let minor hw =
+    let x = Tensor.view_f (Tensor.rand_uniform rng [ 1; 16; hw; hw ]) in
+    let c = Tensor.fbuf_create Tensor.F32 (16 * hw * hw) in
+    fst
+      (steady_words (fun () ->
+           match
+             RT.Kernels.run_into ~backend:be ~int8:qw op [ x; Tensor.view_f w; Tensor.view_f bias ]
+               ~dest:(fun _ _ _ -> c, 0)
+           with
+           | Some _ -> ()
+           | None -> Alcotest.fail "no destination kernel for the int8 conv"))
+  in
+  let small = minor 32 and large = minor 64 in
+  if abs (large - small) > 64 then
+    Alcotest.failf "int8 conv: %d minor words at 1x16x32x32, %d at 1x16x64x64" small large
+
 (* A warm fused kernel runs its block program over register files taken
    from a pool: its allocation is per call, not per element or block.
    [build n] returns a graph whose one fused group yields [n] elements,
@@ -356,6 +381,8 @@ let suite =
       test_quantize_alloc;
     Alcotest.test_case "gemm into a slot: allocation matches the matmul" `Quick
       test_gemm_into_alloc;
+    Alcotest.test_case "int8 conv: minor words are flat in the image" `Quick
+      test_int8_conv_alloc;
     Alcotest.test_case "scratch: concurrent systhreads match sequential" `Quick
       test_scratch_threads;
     Alcotest.test_case "scratch: concurrent domains match sequential" `Quick

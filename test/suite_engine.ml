@@ -549,7 +549,12 @@ let test_single_redeem () =
    flood the queue to 2x queue_cap with 10 ms deadlines.  The engine must
    not deadlock, must shed/expire the overflow with structured errors,
    must restart the worker, and every accepted request it completed must
-   be bit-identical to Reference — with consistent stats. *)
+   be bit-identical to Reference — with consistent stats.  The first
+   execution holds its crash until every request is submitted: the worker
+   then holds at most one batch (4), so at least 16 - 4 - 8 requests meet
+   a full queue and are shed, however the host schedules the threads.
+   (Holding a later execution instead would let two full batches drain 8
+   of the 16, leaving exactly the cap queued and nothing to shed.) *)
 let test_overload_crash_storm () =
   let c = Sod2.Pipeline.compile cpu graph in
   let queue_cap = 8 in
@@ -557,9 +562,14 @@ let test_overload_crash_storm () =
     RT.Engine.create ~workers:1 ~max_batch:4 ~queue_cap ~overload:RT.Engine.Shed_oldest
       ~restart_budget:2 ~breaker_threshold:1000 ~config:arena_config c
   in
-  let calls = Atomic.make 0 in
+  let calls = Atomic.make 0 and submitted = Atomic.make false in
   with_inject (fun ~worker:_ ~plan_key:_ ->
-      if Atomic.fetch_and_add calls 1 = 0 then raise RT.Engine.For_testing.Crash_worker
+      if Atomic.fetch_and_add calls 1 = 0 then begin
+        while not (Atomic.get submitted) do
+          Unix.sleepf 1e-4
+        done;
+        raise RT.Engine.For_testing.Crash_worker
+      end
       else Unix.sleepf 0.001)
   @@ fun () ->
   let n = 2 * queue_cap in
@@ -575,6 +585,7 @@ let test_overload_crash_storm () =
         RT.Engine.submit eng ~deadline_us:10_000.0 ~env ~inputs, reference)
       reqs
   in
+  Atomic.set submitted true;
   let completed = ref 0 in
   List.iter
     (fun (t, reference) ->

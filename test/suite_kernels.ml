@@ -113,23 +113,6 @@ let test_gemm_parallel_matches_naive () =
         (fun ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ->
           Blocked.gemm ~par ~tiles ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()))
 
-let prop_gemm_blocked_random =
-  QCheck2.Test.make ~name:"blocked gemm matches naive on random extents" ~count:60
-    QCheck2.Gen.(tup3 (int_range 1 70) (int_range 1 70) (int_range 1 70))
-    (fun (m, n, k) ->
-      let rng = Rng.create (m + (97 * n) + (389 * k)) in
-      let a = fill_buf rng (m * k) and b = fill_buf rng (k * n) in
-      let c0 = Tensor.fbuf_create Tensor.F32 (m * n) in
-      Tensor.fbuf_fill c0 0 (m * n) 0.0;
-      let want = run_gemm Linalg.naive_kernel ~m ~n ~k ~a ~b ~c0 in
-      let got =
-        run_gemm
-          (fun ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ->
-            Blocked.gemm ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ())
-          ~m ~n ~k ~a ~b ~c0
-      in
-      max_abs_diff want got = 0.0)
-
 (* Odd widths and widths spanning several packed column blocks: a block
    holds 32K elements of full depth, so at k ≈ 2000 one is ~16 columns
    wide and n up to 90 crosses up to six block edges, in either kind. *)
@@ -152,6 +135,58 @@ let prop_gemm_blocked_blocks =
           ~m ~n ~k ~a ~b ~c0
       in
       max_abs_diff want got = 0.0)
+
+(* The micro-kernel's exact contract over its edges: any m, n, k in
+   [1, 70] (odd n, column octets and row quads cut short), the
+   operands and C at nonzero offsets into larger buffers, f32 and f64,
+   finite values with signed zeros among them, on the sequential runner
+   and on a 2-participant pool.  Every element of C's buffer, inside the
+   window and out, equals the naive loop's bit for bit; the elements
+   outside it hold -0.0, which any stray write changes.  (The naive loop
+   skips zero A entries, so ±inf and NaN operands are outside the
+   contract.) *)
+let prop_gemm_blocked_random pool =
+  QCheck2.Test.make ~name:"blocked gemm matches naive on random extents" ~count:60
+    QCheck2.Gen.(
+      tup4 (tup3 (int_range 1 70) (int_range 1 70) (int_range 1 70))
+        (tup3 (int_range 1 9) (int_range 1 9) (int_range 1 9))
+        bool int)
+    (fun ((m, n, k), (ao, bo, co), f64, seed) ->
+      let dt = if f64 then Tensor.F64 else Tensor.F32 in
+      let rng = Rng.create seed in
+      let values len =
+        let b = Tensor.fbuf_create dt len in
+        for i = 0 to len - 1 do
+          Tensor.fbuf_set b i
+            (match Rng.int rng 5 with
+            | 0 -> -0.0
+            | 1 -> 0.0
+            | _ -> Rng.normal rng)
+        done;
+        b
+      in
+      let a = values (ao + (m * k)) and b = values (bo + (k * n)) in
+      (* -0.0 around C's window: a stray [+= 0.0] outside it flips a bit *)
+      let c0 = values (co + (m * n) + 8) in
+      for i = 0 to Tensor.fbuf_len c0 - 1 do
+        if i < co || i >= co + (m * n) then Tensor.fbuf_set c0 i (-0.0)
+      done;
+      let run kernel =
+        let c = copy_fbuf c0 in
+        kernel ~c;
+        Array.init (Tensor.fbuf_len c) (fun i -> Int64.bits_of_float (Tensor.fbuf_get c i))
+      in
+      let want = run (fun ~c -> Linalg.naive_kernel ~m ~n ~k ~a ~ao ~b ~bo ~c ~co) in
+      let tiles = Blocked.tiles_of ~tile_m:32 ~tile_n:32 in
+      List.for_all
+        (fun par -> run (fun ~c -> Blocked.gemm ~par ~tiles ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()) = want)
+        [ Blocked.sequential; RT.Domain_pool.par pool ])
+
+let test_gemm_blocked_random () =
+  let pool = RT.Domain_pool.create 2 in
+  Fun.protect
+    ~finally:(fun () -> RT.Domain_pool.shutdown pool)
+    (fun () -> QCheck2.Test.check_exn (prop_gemm_blocked_random pool))
 
 (* ------------------------------------------------------------------ *)
 (* Convolution equivalence                                             *)
@@ -738,7 +773,8 @@ let suite =
     Alcotest.test_case "reshape: dim resolution" `Quick test_reshape_resolution;
     Alcotest.test_case "conv: group check" `Quick test_conv_group_check;
     Alcotest.test_case "concat: operand dims checked" `Quick test_concat_shape_check;
-    QCheck_alcotest.to_alcotest prop_gemm_blocked_random;
+    Alcotest.test_case "blocked gemm matches naive on random extents" `Quick
+      test_gemm_blocked_random;
     QCheck_alcotest.to_alcotest prop_gemm_blocked_blocks;
     QCheck_alcotest.to_alcotest prop_conv_im2col_random;
     QCheck_alcotest.to_alcotest prop_conv_depthwise_bitexact;

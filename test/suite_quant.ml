@@ -226,9 +226,10 @@ let test_conv_i8_dilated () =
     ~zw:(-1) [ 1; 2; 12; 12 ] [ 3; 2; 3; 3 ] 99
 
 let test_gemm_i8_dequant () =
-  (* The float write-back variant: epilogue dequantizes with a plain
-     float scale; exactness holds because each acc is an integer and the
-     reference applies the identical float op. *)
+  (* The float write-back variant: the store dequantizes with a plain
+     float scale (and the bias [-0.0], which adds nothing); exactness
+     holds because each acc is an integer and the reference applies the
+     identical float op. *)
   let m = 9 and n = 14 and k = 21 in
   let rng = QCheck2.Gen.generate1 ~rand:(Random.State.make [| 5 |]) in
   let a = rng (i8_tensor_gen [ m; k ]) and b = rng (i8_tensor_gen [ k; n ]) in
@@ -236,8 +237,7 @@ let test_gemm_i8_dequant () =
   let scale = 0.0125 in
   let c = Tensor.fbuf_create Tensor.F32 (m * n) in
   Blocked.gemm_i8_dequant ~za ~zb
-    ~epilogue:(fun _ acc -> float_of_int acc *. scale)
-    ~m ~n ~k ~a:(Tensor.storage_i8 a) ~ao:0 ~b:(Tensor.storage_i8 b) ~bo:0 ~c ~co:0 ();
+    ~scale:[| scale |] ~bias:[| -0.0 |] ~m ~n ~k ~a:(Tensor.storage_i8 a) ~ao:0 ~b:(Tensor.storage_i8 b) ~bo:0 ~c ~co:0 ();
   let accs = RT.Reference.gemm_i8_acc ~za ~zb ~m ~n ~k a b in
   for i = 0 to (m * n) - 1 do
     let expect = Tensor.round_f32 (float_of_int accs.(i) *. scale) in
