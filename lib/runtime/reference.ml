@@ -1,37 +1,11 @@
 (* ---------------------------------------------------------------- *)
-(* Scalar int8 reference: an INDEPENDENT transcription of the gemmlowp
-   requantization spec plus direct zero-point-subtracting loop nests.
-   Deliberately written without {!Quant} or {!Blocked} — the qcheck
-   suites hold the fused kernels bit-for-bit equal to this, so a slip in
-   either transcription (or in the packed kernels' SWAR/row-sum algebra)
-   surfaces as a test failure instead of cancelling out. *)
+(* Scalar int8 reference: direct zero-point-subtracting loop nests,
+   deliberately written without {!Quant} or {!Blocked} — the qcheck
+   suites hold the packed kernels' accumulators bit-for-bit equal to
+   these, so a slip in their SWAR or row-sum algebra surfaces as a test
+   failure instead of cancelling out. *)
 
-let requantize ~qm ~shift ~zp acc =
-  let i32max = 0x7FFFFFFF and i32min = -0x80000000 in
-  let sat32 v = if v > i32max then i32max else if v < i32min then i32min else v in
-  (* SaturatingRoundingDoublingHighMul *)
-  let srdhm x y =
-    if x = i32min && y = i32min then i32max
-    else
-      let prod = x * y in
-      let nudge = if prod >= 0 then 0x40000000 else -0x3FFFFFFF in
-      (prod + nudge) / 0x80000000
-  in
-  (* RoundingDivideByPOT *)
-  let rdbpot x e =
-    if e <= 0 then x
-    else
-      let mask = (1 lsl e) - 1 in
-      let rem = x land mask in
-      let threshold = (mask asr 1) + (if x < 0 then 1 else 0) in
-      (x asr e) + (if rem > threshold then 1 else 0)
-  in
-  let lshift = if shift > 0 then shift else 0 in
-  let rshift = if shift > 0 then 0 else -shift in
-  let v = rdbpot (srdhm (sat32 (acc lsl lshift)) qm) rshift + zp in
-  if v > 127 then 127 else if v < -128 then -128 else v
-
-(* Corrected int32 accumulators of the quantized product, row-major:
+(* Corrected accumulators of the quantized product, row-major:
    acc[i,j] = Σ_p (a[i,p] - za)(b[p,j] - zb). *)
 let gemm_i8_acc ~za ~zb ~m ~n ~k a b =
   let da = Tensor.data_i a and db = Tensor.data_i b in

@@ -10,15 +10,9 @@
 
 (** {1 Scalar int8 reference}
 
-    An independent transcription of the gemmlowp requantization spec and
-    direct zero-point-subtracting loop nests — written without {!Quant}
-    or [Blocked], so the qcheck bit-exactness suites compare two
-    genuinely separate derivations of the quantized math. *)
-
-val requantize : qm:int -> shift:int -> zp:int -> int -> int
-(** int32 accumulator → int8 value: fixed-point multiply by
-    [qm · 2^(shift-31)] (saturating-rounding-doubling high-mul, then
-    rounding divide by power of two), add [zp], clamp to [[-128, 127]]. *)
+    Direct zero-point-subtracting loop nests — written without {!Quant}
+    or [Blocked], so the qcheck bit-exactness suites compare the packed
+    kernels' accumulators against a genuinely separate derivation. *)
 
 val gemm_i8_acc :
   za:int -> zb:int -> m:int -> n:int -> k:int -> Tensor.t -> Tensor.t ->

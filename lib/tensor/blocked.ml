@@ -572,7 +572,7 @@ let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ~stride ~pad
   [ q.n; q.m; q.oh; q.ow ]
 
 (* ---------------------------------------------------------------- *)
-(* Int8 path: packed panels, integer micro-kernel, fused requantize   *)
+(* Int8 path: packed panels, integer micro-kernel, dequantizing store *)
 
 (* The integer micro-tile is 6×2, and the A panel packs THREE rows per
    63-bit word at 21-bit field spacing — rows (i, i+2, i+4) as
@@ -594,8 +594,8 @@ let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ~stride ~pad
    word stays within ±60·2^56 < 2^62, so the top field never leaves the
    63-bit int).  Reconstruction is standard signed-SWAR: sign-extend the
    low 21 bits, subtract, shift, repeat.  Total depth stays capped at
-   2^16 so the drained accumulators remain int32-range for the
-   requantizer.
+   2^16, so a corrected accumulator stays below 2^32 in magnitude and
+   converts to float exactly.
 
    Zero points never enter the panels: the write-back applies the
    algebraic correction  Σ(a-za)(b-zb) = Σab − zb·Σa − za·Σb + k·za·zb
@@ -797,123 +797,106 @@ let pack_a_i8 (a : Tensor.i8buf) ao ~k ~i0 ~mc (abuf : int array) (asum : int ar
     end
   done
 
-(* Shared int8 GEMM skeleton.  C is OVERWRITTEN, not accumulated into:
-   packing is full-depth (one k-block), so every element's complete
-   int32 accumulator exists at write-back — exactly where requantization
-   must happen, and why no int32 intermediate is ever materialized.
-   [store i j acc] receives the zero-point-corrected accumulator. *)
-let gemm_i8_core ?(par = sequential) ?(tiles = default_tiles) ~za ~zb
-    ~(store : int -> int -> int -> unit) ~m ~n ~k ~(a : Tensor.i8buf) ~ao
-    ~(b : Tensor.i8buf) ~bo () =
-  if k > max_i8_depth then
-    invalid_arg "Blocked.gemm_i8: depth exceeds 65536 (accumulator field width)";
-  if m > 0 && n > 0 then begin
-    if k <= 0 then
-      for i = 0 to m - 1 do
-        for j = 0 to n - 1 do
-          store i j 0
-        done
-      done
-    else begin
-      (* Same bounded, block-major tiling as the float {!gemm}. *)
-      let mt = row_tile tiles.tm ~group:6 ~group_words:(2 * k) in
-      let nc = col_block ~group:2 ~k in
-      let mtiles = ceil_div m mt in
-      let call = Atomic.fetch_and_add calls 1 in
-      let kzazb = k * za * zb in
-      let jpt = max 1 (tiles.tn / 2) in
-      run_tasks par
-        (mtiles * ceil_div n nc)
-        (fun s t ->
-          let it = t mod mtiles and blk = t / mtiles in
-          let i0 = it * mt and j0 = blk * nc in
-          let mc = min mt (m - i0) in
-          let msext = ceil_div mc 6 in
-          let npairs = ceil_div (min nc (n - j0)) 2 in
-          if s.a_call <> call || s.a_tile <> it then begin
-            s.ia <- igrow s.ia (msext * k * 2);
-            s.asum <- igrow s.asum (msext * 6);
-            pack_a_i8 a ao ~k ~i0 ~mc s.ia s.asum;
-            s.a_call <- call;
-            s.a_tile <- it
-          end;
-          if s.b_call <> call || s.b_blk <> blk then begin
-            s.ib <- igrow s.ib (npairs * k * 2);
-            s.bsum <- igrow s.bsum (npairs * 2);
-            pack_b_i8 b bo ~n ~k ~j0 ~npairs s.ib s.bsum;
-            s.b_call <- call;
-            s.b_blk <- blk
-          end;
-          (* Drained accumulators for one 6×2 micro-tile, laid out
-             [row*2 + col]. *)
-          let acc = s.iacc in
-          for jt = 0 to ceil_div npairs jpt - 1 do
-            for ip = 0 to msext - 1 do
-              let i = i0 + (ip * 6) in
-              let rows = min 6 (i0 + mc - i) in
-              for jp = jt * jpt to min npairs ((jt + 1) * jpt) - 1 do
-                Array.fill acc 0 12 0;
-                iqtile s.ia s.ib acc (ip * k * 2) (jp * k * 2) k;
-                let j = j0 + (jp * 2) in
-                let wide = j + 1 < n in
-                let bs0 = za * s.bsum.(jp * 2) and bs1 = za * s.bsum.((jp * 2) + 1) in
-                (* The zero-point correction: a raw field sum Σab for row
-                   [r] becomes Σ(a-za)(b-zb). *)
-                for r = 0 to rows - 1 do
-                  let ra = kzazb - (zb * s.asum.((ip * 6) + r)) in
-                  store (i + r) j (acc.(r * 2) - bs0 + ra);
-                  if wide then store (i + r) (j + 1) (acc.((r * 2) + 1) - bs1 + ra)
-                done
-              done
-            done
-          done)
-    end
-  end
-
-let gemm_i8 ?par ?tiles ~za ~zb ~epilogue ?(ep_off = 0) ~m ~n ~k ~a ~ao ~b ~bo
-    ~(c : Tensor.i8buf) ~co () =
-  (* The int8 store wraps modulo 256; the clamp below makes the rails
-     authoritative even if an epilogue forgets its own. *)
-  let store i j acc =
-    let ci = co + (i * n) + j in
-    BA1.unsafe_set c ci (Quant.clamp_i8 (epilogue (ci - ep_off) acc))
-  in
-  gemm_i8_core ?par ?tiles ~za ~zb ~store ~m ~n ~k ~a ~ao ~b ~bo ()
-
 (* Row [r]'s entry of a per-row dequantization array; a one-element array
    stands for every row. *)
 let[@inline] row_val (v : float array) r = Array.unsafe_get v (if Array.length v = 1 then 0 else r)
 
-(* The dequantizing write-back stores [float acc *. scale +. bias] for
-   product row [i] at rows [row0 + i] of the arrays: one monomorphic
-   store, so no float crosses a closure boundary and nothing is boxed. *)
-let gemm_i8_dequant_rows ?par ?tiles ~za ~zb ~scale ~bias ~row0 ~m ~n ~k ~a ~ao ~b ~bo
-    ~(c : Tensor.fbuf) ~co () =
+(* The int8 GEMM.  C is OVERWRITTEN, not accumulated into: packing is
+   full-depth (one k-block), so every element's complete accumulator
+   exists at write-back, which dequantizes it as [float acc *. scale +.
+   bias] for product row [i] at rows [row0 + i] of the arrays — no
+   integer intermediate is ever materialized.  The write-back matches
+   the destination kind once per micro-tile, as the float {!gemm} does,
+   and stores through a monomorphic Bigarray, so no float crosses a
+   closure and nothing is boxed. *)
+let gemm_i8_core ?(par = sequential) ?(tiles = default_tiles) ~za ~zb ~scale ~bias ~row0
+    ~m ~n ~k ~(a : Tensor.i8buf) ~ao ~(b : Tensor.i8buf) ~bo ~(c : Tensor.fbuf) ~co () =
+  if k > max_i8_depth then
+    invalid_arg "Blocked.gemm_i8_dequant: depth exceeds 65536 (accumulator field width)";
   let covers v = Array.length v = 1 || Array.length v >= row0 + m in
   if not (covers scale && covers bias) then
     invalid_arg "Blocked.gemm_i8_dequant: scale and bias need one entry or one per row";
-  let store =
-    match c with
-    | Tensor.FB32 cb ->
-      fun i j acc ->
-        let r = row0 + i in
-        BA1.unsafe_set cb (co + (i * n) + j) ((float_of_int acc *. row_val scale r) +. row_val bias r)
-    | Tensor.FB64 cb ->
-      fun i j acc ->
-        let r = row0 + i in
-        BA1.unsafe_set cb (co + (i * n) + j) ((float_of_int acc *. row_val scale r) +. row_val bias r)
-  in
-  gemm_i8_core ?par ?tiles ~za ~zb ~store ~m ~n ~k ~a ~ao ~b ~bo ()
+  if m > 0 && n > 0 then begin
+    (* Same bounded, block-major tiling as the float {!gemm}; depth 0
+       packs nothing and leaves every accumulator 0. *)
+    let kw = max 1 k in
+    let mt = row_tile tiles.tm ~group:6 ~group_words:(2 * kw) in
+    let nc = col_block ~group:2 ~k:kw in
+    let mtiles = ceil_div m mt in
+    let call = Atomic.fetch_and_add calls 1 in
+    let kzazb = k * za * zb in
+    let jpt = max 1 (tiles.tn / 2) in
+    run_tasks par
+      (mtiles * ceil_div n nc)
+      (fun s t ->
+        let it = t mod mtiles and blk = t / mtiles in
+        let i0 = it * mt and j0 = blk * nc in
+        let mc = min mt (m - i0) in
+        let msext = ceil_div mc 6 in
+        let npairs = ceil_div (min nc (n - j0)) 2 in
+        if s.a_call <> call || s.a_tile <> it then begin
+          s.ia <- igrow s.ia (msext * k * 2);
+          s.asum <- igrow s.asum (msext * 6);
+          pack_a_i8 a ao ~k ~i0 ~mc s.ia s.asum;
+          s.a_call <- call;
+          s.a_tile <- it
+        end;
+        if s.b_call <> call || s.b_blk <> blk then begin
+          s.ib <- igrow s.ib (npairs * k * 2);
+          s.bsum <- igrow s.bsum (npairs * 2);
+          pack_b_i8 b bo ~n ~k ~j0 ~npairs s.ib s.bsum;
+          s.b_call <- call;
+          s.b_blk <- blk
+        end;
+        (* Drained accumulators for one 6×2 micro-tile, laid out
+           [row*2 + col]. *)
+        let acc = s.iacc in
+        for jt = 0 to ceil_div npairs jpt - 1 do
+          for ip = 0 to msext - 1 do
+            let i = i0 + (ip * 6) in
+            let rows = min 6 (i0 + mc - i) in
+            for jp = jt * jpt to min npairs ((jt + 1) * jpt) - 1 do
+              Array.fill acc 0 12 0;
+              iqtile s.ia s.ib acc (ip * k * 2) (jp * k * 2) k;
+              let j = j0 + (jp * 2) in
+              let wide = j + 1 < n in
+              (* The zero-point correction: a raw field sum Σab for row
+                 [r] becomes Σ(a-za)(b-zb). *)
+              let bs0 = za * s.bsum.(jp * 2) and bs1 = za * s.bsum.((jp * 2) + 1) in
+              for r = 0 to rows - 1 do
+                let ra = kzazb - (zb * s.asum.((ip * 6) + r)) in
+                acc.(r * 2) <- acc.(r * 2) - bs0 + ra;
+                acc.((r * 2) + 1) <- acc.((r * 2) + 1) - bs1 + ra
+              done;
+              match c with
+              | Tensor.FB32 cb ->
+                for r = 0 to rows - 1 do
+                  let sc = row_val scale (row0 + i + r) and bi = row_val bias (row0 + i + r) in
+                  let ci = co + ((i + r) * n) + j in
+                  BA1.unsafe_set cb ci ((float_of_int acc.(r * 2) *. sc) +. bi);
+                  if wide then BA1.unsafe_set cb (ci + 1) ((float_of_int acc.((r * 2) + 1) *. sc) +. bi)
+                done
+              | Tensor.FB64 cb ->
+                for r = 0 to rows - 1 do
+                  let sc = row_val scale (row0 + i + r) and bi = row_val bias (row0 + i + r) in
+                  let ci = co + ((i + r) * n) + j in
+                  BA1.unsafe_set cb ci ((float_of_int acc.(r * 2) *. sc) +. bi);
+                  if wide then BA1.unsafe_set cb (ci + 1) ((float_of_int acc.((r * 2) + 1) *. sc) +. bi)
+                done
+            done
+          done
+        done)
+  end
 
 let gemm_i8_dequant ?par ?tiles ~za ~zb ~scale ~bias =
-  gemm_i8_dequant_rows ?par ?tiles ~za ~zb ~scale ~bias ~row0:0
+  gemm_i8_core ?par ?tiles ~za ~zb ~scale ~bias ~row0:0
 
 (* Quantized im2col: the column matrix is int8 (the 4× footprint shrink
    is exactly where the conv path was bandwidth-bound) and padding taps
    hold the INPUT ZERO POINT, not 0 — they must dequantize to 0.0, and
    the zero-point correction then cancels them exactly. *)
-let conv2d_i8_gen ~zx ~stride ~pad ~dilation ~groups ~(x : Tensor.i8buf) ~xoff
-    ~xdims ~wdims ~run_gemm =
+let conv2d_i8_dequant_into ?par ?tiles ~zx ~zw ~scale ~bias ~stride ~pad ~dilation ~groups
+    ~(x : Tensor.i8buf) ~xoff ~xdims ~(w : Tensor.i8buf) ~woff ~wdims ~(c : Tensor.fbuf) ~co () =
   let q = conv_geom ~stride ~pad ~dilation ~groups xdims wdims in
   let mg = q.m / groups in
   let kdim = q.cg * q.kh * q.kw in
@@ -937,31 +920,13 @@ let conv2d_i8_gen ~zx ~stride ~pad ~dilation ~groups ~(x : Tensor.i8buf) ~xoff
         for ni = 0 to q.n - 1 do
           for g = 0 to groups - 1 do
             iter_col_rows q ~xoff ~ni ~g row;
-            run_gemm ~ni ~g ~m:q.m ~mg ~ndim ~kdim ~col
+            (* the product's rows are output channels [g·mg ..] *)
+            gemm_i8_core ?par ?tiles ~za:zw ~zb:zx ~scale ~bias ~row0:(g * mg) ~m:mg ~n:ndim
+              ~k:kdim ~a:w
+              ~ao:(woff + (g * mg * kdim))
+              ~b:col ~bo:0 ~c
+              ~co:(co + (((ni * q.m) + (g * mg)) * ndim))
+              ()
           done
         done);
   [ q.n; q.m; q.oh; q.ow ]
-
-let conv2d_i8_into ?par ?tiles ~zx ~zw ~epilogue ?(ep_off = 0) ~stride ~pad
-    ~dilation ~groups ~x ~xoff ~xdims ~(w : Tensor.i8buf) ~woff ~wdims
-    ~(c : Tensor.i8buf) ~co () =
-  conv2d_i8_gen ~zx ~stride ~pad ~dilation ~groups ~x ~xoff ~xdims ~wdims
-    ~run_gemm:(fun ~ni ~g ~m ~mg ~ndim ~kdim ~col ->
-      gemm_i8 ?par ?tiles ~za:zw ~zb:zx ~epilogue ~ep_off ~m:mg ~n:ndim ~k:kdim
-        ~a:w
-        ~ao:(woff + (g * mg * kdim))
-        ~b:col ~bo:0 ~c
-        ~co:(co + (((ni * m) + (g * mg)) * ndim))
-        ())
-
-let conv2d_i8_dequant_into ?par ?tiles ~zx ~zw ~scale ~bias ~stride ~pad ~dilation ~groups
-    ~x ~xoff ~xdims ~(w : Tensor.i8buf) ~woff ~wdims ~(c : Tensor.fbuf) ~co () =
-  conv2d_i8_gen ~zx ~stride ~pad ~dilation ~groups ~x ~xoff ~xdims ~wdims
-    ~run_gemm:(fun ~ni ~g ~m ~mg ~ndim ~kdim ~col ->
-      (* the product's rows are output channels [g·mg ..] *)
-      gemm_i8_dequant_rows ?par ?tiles ~za:zw ~zb:zx ~scale ~bias ~row0:(g * mg) ~m:mg
-        ~n:ndim ~k:kdim ~a:w
-        ~ao:(woff + (g * mg * kdim))
-        ~b:col ~bo:0 ~c
-        ~co:(co + (((ni * m) + (g * mg)) * ndim))
-        ())

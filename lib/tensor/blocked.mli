@@ -87,55 +87,34 @@ val conv2d_im2col_into :
 
 (** {1 Int8 path}
 
-    Quantized GEMM/conv over packed int8 panels with the requantization
-    (or dequantization) epilogue fused into the micro-tile write-back.
-    Unlike the float {!gemm}, the destination is {e overwritten}:
-    packing is full-depth, so the complete int32 accumulator for every
-    element exists exactly once — at write-back, where the epilogue
-    consumes it.  No int32 intermediate is ever materialized.
+    Quantized GEMM/conv over packed int8 panels with the dequantization
+    fused into the micro-tile write-back.  Unlike the float {!gemm}, the
+    destination is {e overwritten}: packing is full-depth, so the
+    complete accumulator for every element exists exactly once — at
+    write-back, where it is dequantized.  No integer intermediate is
+    ever materialized.
 
     The A panel packs three rows per native word (one multiply computes
     three multiply-accumulates); zero points are handled by the row/column-sum
     correction [Σ(a-za)(b-zb) = Σab − zb·Σa − za·Σb + k·za·zb], so the
-    epilogue always sees the exact zero-point-corrected accumulator.
+    write-back always sees the exact zero-point-corrected accumulator.
     The depth is capped at 65536 so the packed accumulator fields cannot
-    overflow ([Invalid_argument] beyond). *)
-
-val gemm_i8 :
-  ?par:par -> ?tiles:tiles -> za:int -> zb:int ->
-  epilogue:(int -> int -> int) -> ?ep_off:int -> m:int -> n:int -> k:int ->
-  a:Tensor.i8buf -> ao:int -> b:Tensor.i8buf -> bo:int ->
-  c:Tensor.i8buf -> co:int -> unit -> unit
-(** [epilogue ei acc] maps element [ei]'s corrected int32 accumulator to
-    its int8 output value (typically {!Quant.requantize_one}); the store
-    clamps to [[-128, 127]] regardless, so the rails are authoritative.
-    [ei] is the element's flat index into [c] minus [ep_off] (default
-    [0]): pass [~ep_off:co] for destination-relative indices. *)
+    overflow ([Invalid_argument] beyond, before any work). *)
 
 val gemm_i8_dequant :
   ?par:par -> ?tiles:tiles -> za:int -> zb:int -> scale:float array ->
   bias:float array -> m:int -> n:int -> k:int -> a:Tensor.i8buf -> ao:int ->
   b:Tensor.i8buf -> bo:int -> c:Tensor.fbuf -> co:int -> unit -> unit
-(** Same kernel, float write-back: row [i]'s corrected accumulator [acc]
-    dequantizes as [float acc *. scale.(i) +. bias.(i)] straight into a
-    float destination — the dynamic-quantization form the executor uses
-    so quantized nodes compose with the float arena machinery.  An array
-    of one element applies to every row ([-0.0] is the bias that adds
-    nothing, bit for bit); otherwise it needs an entry per row
-    ([Invalid_argument]).  The store is monomorphic, so it allocates
-    nothing per element. *)
-
-val conv2d_i8_into :
-  ?par:par -> ?tiles:tiles -> zx:int -> zw:int ->
-  epilogue:(int -> int -> int) -> ?ep_off:int ->
-  stride:int * int -> pad:int * int * int * int -> dilation:int * int ->
-  groups:int -> x:Tensor.i8buf -> xoff:int -> xdims:int array ->
-  w:Tensor.i8buf -> woff:int -> wdims:int array ->
-  c:Tensor.i8buf -> co:int -> unit -> int list
-(** Quantized im2col convolution (NCHW/OIHW, grouped/strided/dilated/
-    padded like {!conv2d_im2col_into}), int8 destination.  [zx]/[zw] are
-    the input/weight zero points; padding taps hold [zx] so they
-    dequantize to zero.  Returns the output dims [N;M;Oh;Ow]. *)
+(** Row [i]'s corrected accumulator [acc] dequantizes as [float acc *.
+    scale.(i) +. bias.(i)] straight into a float destination — the
+    dynamic-quantization form the executor uses so quantized nodes
+    compose with the float arena machinery.  An array of one element
+    applies to every row ([-0.0] is the bias that adds nothing, bit for
+    bit); otherwise it needs an entry per row ([Invalid_argument]).  Into
+    an F64 destination with [~scale:[|1.0|] ~bias:[|-0.0|]] the stored
+    values are the accumulators themselves, exactly (their magnitude stays
+    below 2^53).  The store is monomorphic, so it allocates nothing per
+    element. *)
 
 val conv2d_i8_dequant_into :
   ?par:par -> ?tiles:tiles -> zx:int -> zw:int -> scale:float array ->
@@ -143,6 +122,10 @@ val conv2d_i8_dequant_into :
   dilation:int * int -> groups:int -> x:Tensor.i8buf -> xoff:int ->
   xdims:int array -> w:Tensor.i8buf -> woff:int -> wdims:int array ->
   c:Tensor.fbuf -> co:int -> unit -> int list
-(** Float write-back variant of {!conv2d_i8_into}: output channel [ch]
-    stores [float acc *. scale.(ch) +. bias.(ch)], the arrays indexed like
-    {!gemm_i8_dequant}'s rows (one element, or one per output channel). *)
+(** Quantized im2col convolution (NCHW/OIHW, grouped/strided/dilated/
+    padded like {!conv2d_im2col_into}) with {!gemm_i8_dequant}'s
+    write-back: output channel [ch] stores [float acc *. scale.(ch) +.
+    bias.(ch)], the arrays indexed like its rows (one element, or one per
+    output channel).  [zx]/[zw] are the input/weight zero points; padding
+    taps hold [zx] so they dequantize to zero.  Returns the output dims
+    [N;M;Oh;Ow]. *)

@@ -94,28 +94,6 @@ let naive_kernel : gemm_kernel =
       row_writeback c co n i row
     done)
 
-(* Scalar int8 GEMM: the zero points are subtracted inline, so the
-   accumulator is Σ(a-za)(b-zb) directly — the shape-class dispatcher's
-   Tiny arm, where packing overhead would dominate.  Same overwrite +
-   epilogue contract as [Blocked.gemm_i8]. *)
-let gemm_i8_naive ~za ~zb ~epilogue ?(ep_off = 0) ~m ~n ~k ~(a : Tensor.i8buf)
-    ~ao ~(b : Tensor.i8buf) ~bo ~(c : Tensor.i8buf) ~co () =
-  for i = 0 to m - 1 do
-    let arow = ao + (i * k) in
-    for j = 0 to n - 1 do
-      let acc = ref 0 in
-      for p = 0 to k - 1 do
-        acc :=
-          !acc
-          + ((BA1.unsafe_get a (arow + p) - za)
-            * (BA1.unsafe_get b (bo + (p * n) + j) - zb))
-      done;
-      let ci = co + (i * n) + j in
-      let v = epilogue (ci - ep_off) !acc in
-      BA1.unsafe_set c ci (if v > 127 then 127 else if v < -128 then -128 else v)
-    done
-  done
-
 let check_conv_groups ~c ~groups ~cg =
   if groups <= 0 then
     Sod2_error.failf ~op:"Conv" Sod2_error.Shape_mismatch "groups must be positive, got %d"

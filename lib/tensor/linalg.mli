@@ -24,16 +24,6 @@ type gemm_kernel =
 
 val naive_kernel : gemm_kernel
 
-val gemm_i8_naive :
-  za:int -> zb:int -> epilogue:(int -> int -> int) -> ?ep_off:int ->
-  m:int -> n:int -> k:int -> a:Tensor.i8buf -> ao:int ->
-  b:Tensor.i8buf -> bo:int -> c:Tensor.i8buf -> co:int -> unit -> unit
-(** Scalar int8 GEMM with inline zero-point subtraction: the epilogue
-    receives Σ(a-za)(b-zb) per element and returns the int8 value (the
-    store clamps to the rails).  [C] is overwritten, not accumulated —
-    same contract as [Blocked.gemm_i8], whose shape-class dispatcher
-    uses this for tiny extents where packing overhead dominates. *)
-
 val check_conv_groups : c:int -> groups:int -> cg:int -> unit
 (** Validates grouped-convolution channel bookkeeping: [groups > 0],
     [c mod groups = 0] and [c / groups = cg].  Raises a structured

@@ -1,14 +1,8 @@
-(* Quantization schemes and gemmlowp-style fixed-point requantization.
-
-   The fixed-point primitives are a transcription of the gemmlowp /
-   TFLite reference semantics onto OCaml's 63-bit native ints: every
-   value of interest fits int32, the wider word only removes the
-   undefined-behaviour corners of the C originals (the one true int32
-   overflow case, [int32_min * int32_min] in {!srdhm}, is handled
-   explicitly, exactly as gemmlowp saturates it).  The runtime's scalar
-   reference requantizer ({!Reference}) is an independent transcription
-   of the same spec — the qcheck suites assert the two agree bit-for-bit
-   so a slip in either copy cannot hide. *)
+(* Quantization schemes: choosing a scale and zero point from float
+   data, and quantizing and dequantizing through int8 payloads.  The
+   int8 kernels ({!Blocked.gemm_i8_dequant}) take the scales from here
+   and dequantize in their write-back; no int8 value is ever produced
+   from an accumulator. *)
 
 module BA1 = Bigarray.Array1
 
@@ -18,72 +12,7 @@ type scheme =
 
 type qtensor = { q : Tensor.t; qscheme : scheme }
 
-(* ---------------------------------------------------------------- *)
-(* Fixed-point primitives (gemmlowp semantics)                       *)
-
-let int32_max = 0x7FFFFFFF
-let int32_min = -0x80000000
-
 let clamp_i8 v = if v > 127 then 127 else if v < -128 then -128 else v
-let sat32 v = if v > int32_max then int32_max else if v < int32_min then int32_min else v
-
-(* SaturatingRoundingDoublingHighMul: the high 32 bits of 2·a·b with
-   rounding.  [a·b] is at most 2^62 in magnitude, which only the
-   saturated [int32_min · int32_min] corner reaches — everything else
-   fits the 63-bit native int, so plain multiplication plus a truncating
-   division by 2^31 reproduces the int64 arithmetic of the original. *)
-let srdhm a b =
-  if a = int32_min && b = int32_min then int32_max
-  else
-    let ab = a * b in
-    let nudge = if ab >= 0 then 1 lsl 30 else 1 - (1 lsl 30) in
-    (ab + nudge) / (1 lsl 31)
-
-(* RoundingDivideByPOT: arithmetic shift right by [exponent] rounding to
-   nearest, ties away from zero (the "upward nudge on negatives" form of
-   the gemmlowp original). *)
-let rounding_divide_by_pot x exponent =
-  if exponent <= 0 then x
-  else
-    let mask = (1 lsl exponent) - 1 in
-    let remainder = x land mask in
-    let threshold = (mask asr 1) + (if x < 0 then 1 else 0) in
-    (x asr exponent) + (if remainder > threshold then 1 else 0)
-
-(* A positive real multiplier as (q31 mantissa, shift):
-   [m = qm · 2^(shift - 31)] with [qm ∈ [2^30, 2^31)].  This is TFLite's
-   QuantizeMultiplier. *)
-let quantize_multiplier m =
-  if m <= 0.0 then invalid_arg "Quant.quantize_multiplier: multiplier must be > 0";
-  let q, exp = Float.frexp m in
-  let q_fixed = int_of_float (Float.round (q *. 2147483648.0)) in
-  if q_fixed = 1 lsl 31 then ((1 lsl 30), exp + 1) else (q_fixed, exp)
-
-(* MultiplyByQuantizedMultiplier: [x · qm · 2^(shift-31)] in fixed point.
-   The left-shifted operand saturates to int32 first — the C original
-   leaves that overflow undefined; saturating is the one choice both this
-   and the reference transcription make, so they stay comparable. *)
-let multiply_by_quantized_multiplier x ~qm ~shift =
-  let left = if shift > 0 then shift else 0 in
-  let right = if shift > 0 then 0 else -shift in
-  rounding_divide_by_pot (srdhm (sat32 (x lsl left)) qm) right
-
-(* ---------------------------------------------------------------- *)
-(* Requantization: int32 accumulator → int8 value                    *)
-
-type requant = { qm : int; shift : int; zp : int }
-
-let requant_of_multiplier ~multiplier ~zp =
-  let qm, shift = quantize_multiplier multiplier in
-  { qm; shift; zp }
-
-(* The classic GEMM epilogue multiplier: accumulators carry
-   [in_scale · w_scale]; the output wants [out_scale]. *)
-let requant_of_scales ~in_scale ~w_scale ~out_scale ~zp_out =
-  requant_of_multiplier ~multiplier:(in_scale *. w_scale /. out_scale) ~zp:zp_out
-
-let requantize_one { qm; shift; zp } acc =
-  clamp_i8 (multiply_by_quantized_multiplier acc ~qm ~shift + zp)
 
 (* ---------------------------------------------------------------- *)
 (* Choosing schemes from float data                                  *)

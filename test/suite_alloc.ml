@@ -290,10 +290,11 @@ let test_fused_alloc () =
 (* ------------------------------------------------------------------ *)
 (* Scratch under concurrency                                           *)
 
-(* A kernel job writes a fresh output and returns its bits.  The mix
-   covers f32/f64 GEMMs of different shapes (so participants regrow and
-   repack each other's scratch), plain and grouped convolutions (the
-   column buffers) and an int8 GEMM (the integer panels). *)
+(* A kernel job writes a fresh output and returns its bits; each comes
+   with the bits it must return.  The mix covers f32/f64 GEMMs of
+   different shapes (so participants regrow and repack each other's
+   scratch), plain and grouped convolutions (the column buffers) and an
+   int8 GEMM (the integer panels). *)
 let jobs () =
   let rng = Rng.create 77 in
   let bits_of_fbuf c =
@@ -325,27 +326,35 @@ let jobs () =
       Tensor.storage_i8 (Tensor.cast t Tensor.I8)
     in
     let a = i8 (m * k) and b = i8 (k * n) in
-    fun () ->
-      let c = Bigarray.Array1.create Bigarray.int8_signed Bigarray.c_layout (m * n) in
-      Blocked.gemm_i8 ~za:3 ~zb:(-2) ~epilogue:(fun _ acc -> acc asr 8) ~m ~n ~k ~a ~ao:0
-        ~b ~bo:0 ~c ~co:0 ();
-      Array.init (m * n) (fun i -> Int64.of_int (Bigarray.Array1.get c i))
+    let job () =
+      (* the accumulators themselves, exactly: an F64 store of scale 1 *)
+      let c = Tensor.fbuf_create Tensor.F64 (m * n) in
+      Blocked.gemm_i8_dequant ~za:3 ~zb:(-2) ~scale:[| 1.0 |] ~bias:[| -0.0 |] ~m ~n ~k ~a
+        ~ao:0 ~b ~bo:0 ~c ~co:0 ();
+      bits_of_fbuf c
+    in
+    let accs =
+      RT.Reference.gemm_i8_acc ~za:3 ~zb:(-2) ~m ~n ~k (Tensor.of_i8buf [ m; k ] a)
+        (Tensor.of_i8buf [ k; n ] b)
+    in
+    job, Array.map (fun acc -> Int64.bits_of_float (float_of_int acc)) accs
   in
+  let sequential job = job, job () in
   [
-    gemm Tensor.F32 (70, 90, 130);
-    gemm Tensor.F64 (33, 301, 77);
-    gemm Tensor.F32 (5, 64, 2100);
-    conv Tensor.F32 [ 1; 8; 20; 20 ] [ 12; 8; 3; 3 ] 1;
-    conv Tensor.F64 [ 2; 6; 9; 11 ] [ 6; 2; 3; 3 ] 3;
+    sequential (gemm Tensor.F32 (70, 90, 130));
+    sequential (gemm Tensor.F64 (33, 301, 77));
+    sequential (gemm Tensor.F32 (5, 64, 2100));
+    sequential (conv Tensor.F32 [ 1; 8; 20; 20 ] [ 12; 8; 3; 3 ] 1);
+    sequential (conv Tensor.F64 [ 2; 6; 9; 11 ] [ 6; 2; 3; 3 ] 3);
     gemm_i8 (40, 70, 150);
   ]
 
 (* Each runner executes every job twelve times, rotated so concurrent
    runners are at different jobs, and counts results that differ from
-   the sequential ones. *)
+   the expected ones: a float job's sequential run, the int8 GEMM's
+   scalar reference. *)
 let run_concurrently spawn join =
-  let jobs = Array.of_list (jobs ()) in
-  let want = Array.map (fun j -> j ()) jobs in
+  let jobs, want = Array.split (Array.of_list (jobs ())) in
   let mismatches = Atomic.make 0 in
   let runner shift () =
     for round = 0 to 11 do
