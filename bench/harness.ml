@@ -77,6 +77,13 @@ let time ?(calls = 1) ~rounds (sides : (unit -> unit -> unit) list) =
 
 let row ?(fields = []) label timings = { label; timings; fields }
 
+(* The quartiles of the paired per-round ratios [a / b] as the fields
+   [name_q1], [name_median] and [name_q3]: the spread behind a best-of
+   ratio, which host noise widens and a regression moves. *)
+let paired name (a : timing) (b : timing) =
+  let q1, median, q3 = Stats.quartiles (List.map2 ( /. ) a.per_round b.per_round) in
+  [ name ^ "_q1", q1; name ^ "_median", median; name ^ "_q3", q3 ]
+
 let pair = function [ a; b ] -> a, b | _ -> invalid_arg "pair"
 
 let geomean = function

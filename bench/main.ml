@@ -46,11 +46,21 @@ let f32_vs_f64 = gate "f32 / f64 GEMM 256^3 time" 1.15 At_most
    ahead must make them clearly faster. *)
 let f32_loops = gate "geomean f32 / f64 time: Relu, Add, MaxPool, LayerNorm" 0.8 At_most
 
+(* BatchNorm's all-f32 chain is one C loop per channel run; kept out of
+   the geomean above, whose reading it would lower. *)
+let bn_f32 = gate "batchnorm f32 / f64 time" 0.8 At_most
+
 (* The register micro-kernel's lead over the naive loop on a regular
    shape, decided on the median of the per-round ratios (each round times
    both sides back to back), so one noisy round cannot pass or fail it;
    the row records their quartiles. *)
 let blocked_floor = gate "gemm/regular 256^3 naive / blocked time (median round)" 10.0 At_least
+
+(* A convolution lowered onto the GEMM must cost about its GEMM: B is
+   packed straight from the image, so building the operands adds little
+   to the product.  SkipNet's stem conv against the blocked GEMM at its
+   (m, n, k), decided on the median of the per-round ratios. *)
+let conv_over_gemm = gate "conv/stem 7x7/2 time / gemm at its (m, n, k) (median round)" 1.3 At_most
 
 let element_loops ~rounds blocked =
   let tensor dt dims = Tensor.of_fbuf dims (filled ~dt (List.fold_left ( * ) 1 dims)) in
@@ -106,13 +116,26 @@ let kernels ~rounds =
     fun () ->
       ignore (RT.Kernels.run_into ~backend:be op [ Tensor.view_f x; Tensor.view_f w ] ~dest:(fun _ _ _ -> out, 0))
   in
+  (* SkipNet's stem at 128²: a [32 × 4096 × 147] GEMM, B gathered at
+     stride 2 with three rows and columns of padding *)
+  let stem =
+    let rng = Rng.create 19 in
+    let x = Tensor.rand_uniform rng [ 1; 3; 128; 128 ] and w = Tensor.rand_uniform rng [ 32; 3; 7; 7 ] in
+    let op = Op.Conv { stride = 2, 2; pads = 3, 3, 3, 3; dilation = 1, 1; groups = 1 } in
+    let out = Tensor.fbuf_create Tensor.F32 (32 * 64 * 64) in
+    let conv () () =
+      ignore (RT.Kernels.run_into ~backend:blocked op [ Tensor.view_f x; Tensor.view_f w ] ~dest:(fun _ _ _ -> out, 0))
+    in
+    let tc, tg = pair (time ~calls:5 ~rounds [ conv; gemm_side (32, 64 * 64, 3 * 7 * 7) (on blocked) ]) in
+    row "conv/stem 3->32 7x7/2 128x128" [ "conv", tc; "gemm", tg ]
+      ~fields:(("over_gemm", tc.best /. tg.best) :: paired "over_gemm" tc tg)
+  in
   let case (name, side) =
     match time ~rounds (List.map side [ naive; blocked; parallel ]) with
     | [ tn; tb; tp ] ->
-      let q1, median, q3 = Stats.quartiles (List.map2 ( /. ) tn.per_round tb.per_round) in
       row name [ "naive", tn; "blocked", tb; "parallel", tp ]
-        ~fields:[ "blocked_x", tn.best /. tb.best; "parallel_x", tn.best /. tp.best;
-                  "blocked_x_q1", q1; "blocked_x_median", median; "blocked_x_q3", q3 ]
+        ~fields:([ "blocked_x", tn.best /. tb.best; "parallel_x", tn.best /. tp.best ]
+                 @ paired "blocked_x" tn tb)
     | _ -> assert false
   in
   let rows =
@@ -125,21 +148,19 @@ let kernels ~rounds =
      host swings one call by 50%. *)
   let side dt = gemm_side ~dt (256, 256, 256) (on blocked) in
   let t32, t64 = pair (time ~calls:15 ~rounds [ side Tensor.F32; side Tensor.F64 ]) in
-  (* the spread of the per-round f32/f64 ratios behind the gate's best-of
-     score: host noise widens it, a regression moves it *)
-  let q1, median, q3 = Stats.quartiles (List.map2 ( /. ) t32.per_round t64.per_round) in
   let loops = element_loops ~rounds blocked in
   let ratio label = List.assoc "f32_over_f64" (List.find (fun r -> r.label = label) loops).fields in
   { rows =
       rows
-      @ [ row "gemm/f32-vs-f64 256^3" [ "f32", t32; "f64", t64 ]
-            ~fields:[ "ratio_q1", q1; "ratio_median", median; "ratio_q3", q3 ] ]
+      @ [ stem; row "gemm/f32-vs-f64 256^3" [ "f32", t32; "f64", t64 ] ~fields:(paired "ratio" t32 t64) ]
       @ loops;
     values =
       [ blocked_floor,
         List.assoc "blocked_x_median" (List.find (fun r -> r.label = "gemm/regular 256x256x256") rows).fields;
+        conv_over_gemm, List.assoc "over_gemm_median" stem.fields;
         f32_vs_f64, t32.best /. t64.best;
-        f32_loops, geomean (List.map ratio [ "relu"; "add"; "maxpool 3x3/2"; "layernorm" ]) ] }
+        f32_loops, geomean (List.map ratio [ "relu"; "add"; "maxpool 3x3/2"; "layernorm" ]);
+        bn_f32, ratio "batchnorm" ] }
 
 (* --- fused: whole fusion groups as single kernels --------------------- *)
 
@@ -158,8 +179,9 @@ let fused ~rounds =
     let trace, _ = RT.Executor.run_real ~backend:fused c ~inputs in
     let avoided = List.fold_left (fun a s -> a + s.RT.Executor.internal_bytes) 0 trace.steps in
     row name [ "blocked", tb; "fused", tf ]
-      ~fields:[ "speedup", tb.best /. tf.best; "avoided_kb", count avoided /. 1024.0;
-                "fused_kernels", count (RT.Backend.fused_stats fused).misses ]
+      ~fields:((("speedup", tb.best /. tf.best) :: paired "speedup" tb tf)
+               @ [ "avoided_kb", count avoided /. 1024.0;
+                   "fused_kernels", count (RT.Backend.fused_stats fused).misses ])
   in
   let rows =
     List.map case
@@ -209,7 +231,7 @@ let plan_rows ~rounds =
       @ List.map (fun (h, w) -> ratio skipnet (Env.of_list [ "H", h; "W", w ])) sizes)
   in
   ( [ row "conformer-T128 plan" [ "evaluate", te; "replace", tr ]
-        ~fields:[ "evaluate_over_replace", te.best /. tr.best ];
+        ~fields:(("evaluate_over_replace", te.best /. tr.best) :: paired "evaluate_over_replace" te tr);
       row "worst evaluated / re-planned arena" [] ~fields:[ "ratio", worst ] ],
     [ plan_time, te.best /. tr.best; plan_arena, worst ] )
 
@@ -240,8 +262,8 @@ let arena ~rounds =
       wrong := !wrong + mismatches (Within 1e-4) (snd (malloc ())) reference
                + mismatches (Within 1e-4) arena_out reference;
       row (name ^ " " ^ RT.Backend.kind_name kind) [ "malloc", tm; "arena", ta ]
-        ~fields:[ "speedup", tm.best /. ta.best; "arena_bytes", count bytes;
-                  "dest_malloc", count m ]
+        ~fields:((("speedup", tm.best /. ta.best) :: paired "speedup" tm ta)
+                 @ [ "arena_bytes", count bytes; "dest_malloc", count m ])
     in
     List.map backend kinds
   in
@@ -336,11 +358,10 @@ let engine ~rounds =
     List.map2
       (fun (w, eng) t ->
         let st = RT.Engine.stats eng in
-        let q1, median, q3 = Stats.quartiles (List.map2 ( /. ) one.per_round t.per_round) in
         row (Printf.sprintf "engine, %d worker(s)" w) [ "wall", t ]
-          ~fields:[ "req_per_s", req_s t; "speedup", seq.best /. t.best;
-                    "over_1w", one.best /. t.best; "over_1w_q1", q1; "over_1w_median", median;
-                    "over_1w_q3", q3; "batched", count st.batched; "queue_peak", count st.queue_peak ])
+          ~fields:([ "req_per_s", req_s t; "speedup", seq.best /. t.best; "over_1w", one.best /. t.best ]
+                   @ paired "over_1w" one t
+                   @ [ "batched", count st.batched; "queue_peak", count st.queue_peak ]))
       (List.combine workers engines) (List.tl timings)
   in
   { rows = row "32 requests, sequential run_real" [ "wall", seq ] ~fields:[ "req_per_s", req_s seq ] :: rows;
@@ -450,11 +471,7 @@ let int8 ~rounds =
   in
   let case (name, sides) =
     let f, q = pair (time ~rounds sides) in
-    (* the spread of the paired per-round ratios behind the best-of score *)
-    let q1, median, q3 = Stats.quartiles (List.map2 ( /. ) f.per_round q.per_round) in
-    row name [ "f32", f; "int8", q ]
-      ~fields:[ "speedup", f.best /. q.best; "speedup_q1", q1; "speedup_median", median;
-                "speedup_q3", q3 ]
+    row name [ "f32", f; "int8", q ] ~fields:(("speedup", f.best /. q.best) :: paired "speedup" f q)
   in
   let rows = List.map case [ "gemm 256^3", gemm; "conv 64x64x3^2", conv ] in
   { rows; values = [ int8_exact, count !off; int8_floor, List.assoc "speedup" (List.hd rows).fields ] }
@@ -506,7 +523,8 @@ let gates ~rounds =
         count (mismatches (Within 1e-4) sel_outs (RT.Reference.run g ~inputs));
         (if List.map (fun s -> s.RT.Executor.gid) tr.steps = live then 0.0 else 1.0) ],
       row name [ "all_paths", ta; "selected_only", ts ]
-        ~fields:[ "gates", count (Array.length ctrl.gates); "speedup", ta.best /. ts.best ] )
+        ~fields:([ "gates", count (Array.length ctrl.gates); "speedup", ta.best /. ts.best ]
+                 @ paired "speedup" ta ts) )
   in
   let models = List.map model [ "skipnet"; "blockdrop" ] in
   let sum i = List.fold_left (fun a (bad, _) -> a +. List.nth bad i) 0.0 models in
@@ -540,11 +558,7 @@ let tune ~rounds =
         Sod2.Autotune.pp_config analytic
     in
     let d, a = pair (time ~rounds (List.map side [ Sod2.Autotune.default_config; analytic ])) in
-    (* the spread of the per-round analytical/default ratios behind the
-       gate's best-of score, as in the kernels f32/f64 row *)
-    let q1, median, q3 = Stats.quartiles (List.map2 ( /. ) a.per_round d.per_round) in
-    row label [ "default", d; "analytical", a ]
-      ~fields:[ "ratio_q1", q1; "ratio_median", median; "ratio_q3", q3 ]
+    row label [ "default", d; "analytical", a ] ~fields:(paired "ratio" a d)
   in
   let rows = List.map shape [ Sod2.Multi_version.Fat; Sod2.Multi_version.Skinny ] in
   let gm side = geomean (List.map (fun r -> (List.assoc side r.timings).best) rows) in
@@ -647,9 +661,10 @@ let micro ~rounds =
 let () =
   main
     [
-      { name = "kernels"; rounds = 7; run = kernels; gates = [ blocked_floor; f32_vs_f64; f32_loops ];
-        doc = "GEMM/conv per shape class on naive, blocked and parallel kernels; f32 vs f64 GEMM \
-               and element loops" };
+      { name = "kernels"; rounds = 7; run = kernels;
+        gates = [ blocked_floor; conv_over_gemm; f32_vs_f64; f32_loops; bn_f32 ];
+        doc = "GEMM/conv per shape class on naive, blocked and parallel kernels; the stem conv \
+               vs its GEMM; f32 vs f64 GEMM and element loops" };
       { name = "fused"; rounds = 7; run = fused; gates = [ fused_floor ];
         doc = "each fusion group op by op on blocked vs as one fused kernel" };
       { name = "arena"; rounds = 5; run = arena;

@@ -273,10 +273,11 @@ let[@inline] round32 (cell : Tensor.f32buf) l v =
    stores any, a loop whose destination is its source runs in place.
    An f32 store converts through one scratch register ([cvtsd2ss] into
    %xmm15, a merge too), so all f32 stores form one chain: a loop that
-   rounds through memory mid-computation (BatchNorm here, the row
-   kernels of [Reduction]) steps its four elements through each rounding
-   point together.  f64 arms keep one element per step: [movsd] loads
-   carry no merge dependency. *)
+   rounds through memory mid-computation (the row kernels of
+   [Reduction]) steps its four elements through each rounding point
+   together; BatchNorm's all-f32 chain, three roundings and a division
+   per element, is a C loop instead ([norm_run32]).  f64 arms keep one
+   element per step: [movsd] loads carry no merge dependency. *)
 
 (* Relu on an f32 value held in double, without a data-dependent branch:
    for finite [v], [(v + |v|) / 2] is exactly [max 0 v] (the sum of two
@@ -487,12 +488,13 @@ let[@inline] norm_param (nm : norm) (bufs : Tensor.fbuf array) offs k ch =
   let l = nm.n_params.(k) in
   get bufs.(l) (offs.(l) + if nm.n_per_channel.(k) then ch else 0)
 
-(* The all-f32 chain of one element, rounding through lane [l] of
-   [cell]. *)
-let[@inline] norm32 cell l v m sd s b =
-  let v = round32 cell l (v -. m) in
-  let v = round32 cell l (v /. sd) in
-  round32 cell l (v *. s) +. b
+(* One channel run of the all-f32 chain, in C beside the GEMM tile
+   (gemm_stubs.c). *)
+external norm_run32 :
+  Tensor.f32buf -> (int[@untagged]) -> Tensor.f32buf -> (int[@untagged]) ->
+  (int[@untagged]) -> (float[@unboxed]) -> (float[@unboxed]) -> (float[@unboxed]) ->
+  (float[@unboxed]) -> unit = "sod2_norm32_byte" "sod2_norm32"
+[@@noalloc]
 
 let norm_block (nm : norm) (bufs : Tensor.fbuf array) offs cell (x : Tensor.fbuf) xo
     (d : Tensor.fbuf) o lo len =
@@ -510,36 +512,7 @@ let norm_block (nm : norm) (bufs : Tensor.fbuf array) offs cell (x : Tensor.fbuf
     let m = norm_param nm bufs offs 2 ch in
     let sd = sqrt (norm_param nm bufs offs 3 ch +. nm.n_eps) in
     (match x, d with
-    | Tensor.FB32 x, Tensor.FB32 d when !all32 ->
-      let xo = xo + !i and o = o + !i in
-      let k = ref 0 in
-      while !k + 4 <= run do
-        let q = !k in
-        let v0 = BA1.unsafe_get x (xo + q) and v1 = BA1.unsafe_get x (xo + q + 1) in
-        let v2 = BA1.unsafe_get x (xo + q + 2) and v3 = BA1.unsafe_get x (xo + q + 3) in
-        (* step by step across the four, so no element's rounding waits
-           behind the whole chain of the element before it *)
-        let v0 = round32 cell 0 (v0 -. m) in
-        let v1 = round32 cell 1 (v1 -. m) in
-        let v2 = round32 cell 2 (v2 -. m) in
-        let v3 = round32 cell 3 (v3 -. m) in
-        let v0 = round32 cell 0 (v0 /. sd) in
-        let v1 = round32 cell 1 (v1 /. sd) in
-        let v2 = round32 cell 2 (v2 /. sd) in
-        let v3 = round32 cell 3 (v3 /. sd) in
-        let v0 = round32 cell 0 (v0 *. s) in
-        let v1 = round32 cell 1 (v1 *. s) in
-        let v2 = round32 cell 2 (v2 *. s) in
-        let v3 = round32 cell 3 (v3 *. s) in
-        BA1.unsafe_set d (o + q) (v0 +. b);
-        BA1.unsafe_set d (o + q + 1) (v1 +. b);
-        BA1.unsafe_set d (o + q + 2) (v2 +. b);
-        BA1.unsafe_set d (o + q + 3) (v3 +. b);
-        k := q + 4
-      done;
-      for q = !k to run - 1 do
-        BA1.unsafe_set d (o + q) (norm32 cell 0 (BA1.unsafe_get x (xo + q)) m sd s b)
-      done
+    | Tensor.FB32 x, Tensor.FB32 d when !all32 -> norm_run32 x (xo + !i) d (o + !i) run m sd s b
     | x, d ->
       for k = !i to !i + run - 1 do
         let v = get x (xo + k) -. m in

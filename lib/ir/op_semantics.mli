@@ -87,6 +87,13 @@ val norm :
     mean and var, [pdts] their dtypes and [pnums] their element counts
     (each [C] or 1).  Its rounding points are the reference's. *)
 
+val norm_run32 :
+  Tensor.f32buf -> int -> Tensor.f32buf -> int -> int -> float -> float -> float -> float -> unit
+(** [norm_run32 x xo d o len m sd s b]: one channel run of the all-f32
+    BatchNorm, [len] elements of [x] from [xo] into [d] from [o]: [(x −
+    m)], [/ sd] and [× s] each rounded to f32, then [+ b] rounded at the
+    store, no step fused.  [d] may be [x] at the same offset. *)
+
 type stage = {
   code : instr array;  (** in execution order *)
   n : int;  (** elements in the stage's index space *)

@@ -165,108 +165,39 @@ external tile :
   (int[@untagged]) -> (int[@untagged]) -> unit = "sod2_gemm_tile_byte" "sod2_gemm_tile"
 [@@noalloc]
 
-(* Element access for packing and im2col, inlined so each element stays
-   unboxed (a float returned from a call into another module is boxed, and
-   dev-profile builds are [-opaque]).  The per-element kind match is one
-   predictable branch on loops that are O(n·k) against the O(m·n·k)
-   compute.  The loops below load a group of elements into distinct
-   values before they store any: an f32 load writes only the low lane of
-   its register and waits for the register's previous value, so
-   one-at-a-time copies run at the latency of a load each (see
-   [Op_semantics]). *)
-let[@inline] fget (buf : Tensor.fbuf) i =
-  match buf with Tensor.FB32 b -> BA1.unsafe_get b i | Tensor.FB64 b -> BA1.unsafe_get b i
+(* The panel packers, in C beside the tile: each widens a float32 or
+   float64 operand exactly into a float64 panel, ragged quads and octets
+   zero-padded so every tile is whole.  [pack_a a ao k i0 mc panel] packs
+   rows [i0, i0 + mc) of A as row quads; [pack_b b bo n k j0 ngroups
+   panel] columns [j0, j0 + 8·ngroups) of B as column octets;
+   [pack_conv_b x geom n k j0 ngroups panel] the same columns of a
+   convolution's im2col matrix, gathered from the image [x] through
+   [geom] (laid out in {!conv2d_im2col_into}), padding taps +0.0. *)
+external pack_a :
+  ('a, 'b, Bigarray.c_layout) BA1.t -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> panel -> unit = "sod2_pack_a_byte" "sod2_pack_a"
+[@@noalloc]
 
-let[@inline] fset (buf : Tensor.fbuf) i v =
-  match buf with
-  | Tensor.FB32 b -> BA1.unsafe_set b i v
-  | Tensor.FB64 b -> BA1.unsafe_set b i v
+external pack_b :
+  ('a, 'b, Bigarray.c_layout) BA1.t -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> panel -> unit
+  = "sod2_pack_b_byte" "sod2_pack_b"
+[@@noalloc]
 
-(* Pack columns [j0, j0 + 8*ngroups) of B (clipped at [n]) into
-   full-depth column octets, the columns past [n] zero, so every tile the
-   micro-kernel computes is whole.  A full octet matches the storage kind
-   once, outside its depth loop (matching per element, as [fget] does,
-   doubles the packing time), and loads four elements before it stores
-   any. *)
-let pack_b (b : Tensor.fbuf) bo ~n ~k ~j0 ~ngroups (panel : panel) =
-  for jg = 0 to ngroups - 1 do
-    let j = j0 + (jg * 8) in
-    let s0 = bo + j and d0 = jg * k * 8 in
-    match b with
-    | Tensor.FB32 b when j + 8 <= n ->
-      for p = 0 to k - 1 do
-        let s = s0 + (p * n) and d = d0 + (p * 8) in
-        let v0 = BA1.unsafe_get b s and v1 = BA1.unsafe_get b (s + 1) in
-        let v2 = BA1.unsafe_get b (s + 2) and v3 = BA1.unsafe_get b (s + 3) in
-        BA1.unsafe_set panel d v0;
-        BA1.unsafe_set panel (d + 1) v1;
-        BA1.unsafe_set panel (d + 2) v2;
-        BA1.unsafe_set panel (d + 3) v3;
-        let v4 = BA1.unsafe_get b (s + 4) and v5 = BA1.unsafe_get b (s + 5) in
-        let v6 = BA1.unsafe_get b (s + 6) and v7 = BA1.unsafe_get b (s + 7) in
-        BA1.unsafe_set panel (d + 4) v4;
-        BA1.unsafe_set panel (d + 5) v5;
-        BA1.unsafe_set panel (d + 6) v6;
-        BA1.unsafe_set panel (d + 7) v7
-      done
-    | Tensor.FB64 b when j + 8 <= n ->
-      for p = 0 to k - 1 do
-        let s = s0 + (p * n) and d = d0 + (p * 8) in
-        let v0 = BA1.unsafe_get b s and v1 = BA1.unsafe_get b (s + 1) in
-        let v2 = BA1.unsafe_get b (s + 2) and v3 = BA1.unsafe_get b (s + 3) in
-        BA1.unsafe_set panel d v0;
-        BA1.unsafe_set panel (d + 1) v1;
-        BA1.unsafe_set panel (d + 2) v2;
-        BA1.unsafe_set panel (d + 3) v3;
-        let v4 = BA1.unsafe_get b (s + 4) and v5 = BA1.unsafe_get b (s + 5) in
-        let v6 = BA1.unsafe_get b (s + 6) and v7 = BA1.unsafe_get b (s + 7) in
-        BA1.unsafe_set panel (d + 4) v4;
-        BA1.unsafe_set panel (d + 5) v5;
-        BA1.unsafe_set panel (d + 6) v6;
-        BA1.unsafe_set panel (d + 7) v7
-      done
-    | b ->
-      for p = 0 to k - 1 do
-        let s = s0 + (p * n) and d = d0 + (p * 8) in
-        for jj = 0 to 7 do
-          BA1.unsafe_set panel (d + jj) (if j + jj < n then fget b (s + jj) else 0.0)
-        done
-      done
-  done
+external pack_conv_b :
+  ('a, 'b, Bigarray.c_layout) BA1.t -> int array -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> panel -> unit
+  = "sod2_pack_conv_b_byte" "sod2_pack_conv_b"
+[@@noalloc]
 
-(* Pack one macro row-tile of A into full-depth row quads, short tiles
-   zero-padded. *)
-let pack_a (a : Tensor.fbuf) ao ~k ~i0 ~mc (abuf : panel) =
-  for ip = 0 to ceil_div mc 4 - 1 do
-    let i = i0 + (ip * 4) in
-    let base = ip * k * 4 in
-    let rows = min 4 (i0 + mc - i) in
-    let r0 = ao + (i * k) in
-    if rows = 4 then
-      for p = 0 to k - 1 do
-        let d = base + (p * 4) and s = r0 + p in
-        let v0 = fget a s and v1 = fget a (s + k) in
-        let v2 = fget a (s + (2 * k)) and v3 = fget a (s + (3 * k)) in
-        BA1.unsafe_set abuf d v0;
-        BA1.unsafe_set abuf (d + 1) v1;
-        BA1.unsafe_set abuf (d + 2) v2;
-        BA1.unsafe_set abuf (d + 3) v3
-      done
-    else begin
-      for d = base to base + (k * 4) - 1 do
-        BA1.unsafe_set abuf d 0.0
-      done;
-      for r = 0 to rows - 1 do
-        let rs = r0 + (r * k) in
-        for p = 0 to k - 1 do
-          BA1.unsafe_set abuf (base + (p * 4) + r) (fget a (rs + p))
-        done
-      done
-    end
-  done
+(* Where a GEMM's B comes from: row-major rows at an offset, or the
+   im2col matrix of one (image, group) of a convolution, read from the
+   image itself, so no column matrix is ever built. *)
+type b_source =
+  | Rows of Tensor.fbuf * int
+  | Image of Tensor.fbuf * int array
 
-let gemm ?(par = sequential) ?(tiles = default_tiles) ~m ~n ~k
-    ~(a : Tensor.fbuf) ~ao ~(b : Tensor.fbuf) ~bo ~(c : Tensor.fbuf) ~co () =
+let gemm_from ~par ~tiles ~m ~n ~k ~(a : Tensor.fbuf) ~ao ~b ~(c : Tensor.fbuf) ~co =
   if m > 0 && n > 0 && k > 0 then begin
     let mt = row_tile tiles.tm ~group:4 ~group_words:(4 * k) in
     let nc = col_block ~group:8 ~k in
@@ -285,13 +216,19 @@ let gemm ?(par = sequential) ?(tiles = default_tiles) ~m ~n ~k
         let ngroups = ceil_div (min nc (n - j0)) 8 in
         if s.a_call <> call || s.a_tile <> it then begin
           s.fa <- pgrow s.fa (mquads * k * 4);
-          pack_a a ao ~k ~i0 ~mc s.fa;
+          (match a with
+          | Tensor.FB32 a -> pack_a a ao k i0 mc s.fa
+          | Tensor.FB64 a -> pack_a a ao k i0 mc s.fa);
           s.a_call <- call;
           s.a_tile <- it
         end;
         if s.b_call <> call || s.b_blk <> blk then begin
           s.fb <- pgrow s.fb (ngroups * k * 8);
-          pack_b b bo ~n ~k ~j0 ~ngroups s.fb;
+          (match b with
+          | Rows (Tensor.FB32 b, bo) -> pack_b b bo n k j0 ngroups s.fb
+          | Rows (Tensor.FB64 b, bo) -> pack_b b bo n k j0 ngroups s.fb
+          | Image (Tensor.FB32 x, geom) -> pack_conv_b x geom n k j0 ngroups s.fb
+          | Image (Tensor.FB64 x, geom) -> pack_conv_b x geom n k j0 ngroups s.fb);
           s.b_call <- call;
           s.b_blk <- blk
         end;
@@ -311,25 +248,10 @@ let gemm ?(par = sequential) ?(tiles = default_tiles) ~m ~n ~k
         done)
   end
 
-(* Per-participant im2col column buffers, one per storage kind, grown to
-   the largest (kernel volume × output pixels) seen and reused. *)
-type cols = {
-  mutable c32 : Tensor.f32buf;
-  mutable c64 : Tensor.f64buf;
-  mutable c8 : Tensor.i8buf;
-}
+let gemm ?(par = sequential) ?(tiles = default_tiles) ~m ~n ~k ~a ~ao ~b ~bo ~c ~co () =
+  gemm_from ~par ~tiles ~m ~n ~k ~a ~ao ~b:(Rows (b, bo)) ~c ~co
 
-let col_pool =
-  Pool.create (fun () ->
-      {
-        c32 = BA1.create Bigarray.float32 Bigarray.c_layout 0;
-        c64 = BA1.create Bigarray.float64 Bigarray.c_layout 0;
-        c8 = BA1.create Bigarray.int8_signed Bigarray.c_layout 0;
-      })
-
-let bgrow kind b n = if BA1.dim b >= n then b else BA1.create kind Bigarray.c_layout n
-
-(* Conv geometry shared by the float and int8 im2col paths. *)
+(* Conv geometry shared by the float, depthwise and int8 paths. *)
 type conv_geom = {
   n : int;
   c : int;
@@ -385,32 +307,16 @@ let col_lo (q : conv_geom) off = if off >= 0 then 0 else min q.ow (ceil_div (-of
 let col_hi (q : conv_geom) off lo =
   if off >= q.wd then lo else max lo (min q.ow (((q.wd - 1 - off) / q.sw) + 1))
 
-(* The im2col column matrix of image [ni], group [g] ([cg·kh·kw] rows of
-   [oh·ow] output pixels) is written one output row at a time:
-   [row o soff lo hi] must fill the [ow] elements at [o] with the source
-   [soff + ox·sw] for [ox] in [[lo, hi)] and with padding elsewhere.
-   Computing the in-bounds range once per row keeps the per-element
-   loops branch-free and lets each storage kind's fill stay
-   monomorphic. *)
-let iter_col_rows (q : conv_geom) ~xoff ~ni ~g row =
-  let ndim = q.oh * q.ow in
-  for ci = 0 to q.cg - 1 do
-    let src_base = xoff + (((ni * q.c) + (g * q.cg) + ci) * q.h * q.wd) in
-    for ky = 0 to q.kh - 1 do
-      for kx = 0 to q.kw - 1 do
-        let rbase = ((((ci * q.kh) + ky) * q.kw) + kx) * ndim in
-        let off = (kx * q.dw) - q.pl in
-        let lo = col_lo q off in
-        let hi = col_hi q off lo in
-        for oy = 0 to q.oh - 1 do
-          let iy = (oy * q.sh) - q.pt + (ky * q.dh) in
-          if iy >= 0 && iy < q.h then
-            row (rbase + (oy * q.ow)) (src_base + (iy * q.wd) + off) lo hi
-          else row (rbase + (oy * q.ow)) 0 0 0
-        done
-      done
-    done
-  done
+(* Element access for the depthwise loop, inlined so each element stays
+   unboxed (a float returned from a call into another module is boxed,
+   and dev-profile builds are [-opaque]). *)
+let[@inline] fget (buf : Tensor.fbuf) i =
+  match buf with Tensor.FB32 b -> BA1.unsafe_get b i | Tensor.FB64 b -> BA1.unsafe_get b i
+
+let[@inline] fset (buf : Tensor.fbuf) i v =
+  match buf with
+  | Tensor.FB32 b -> BA1.unsafe_set b i v
+  | Tensor.FB64 b -> BA1.unsafe_set b i v
 
 (* Depthwise convolution (one output channel per group) as a direct tap
    loop: a GEMM per channel with m = 1 spends its time in dispatch and
@@ -516,58 +422,30 @@ let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ~stride ~pad
           done
       done
     done;
-    if ndim > 0 && kdim > 0 then
-      Pool.use col_pool (fun cs ->
-          (* One column buffer in the input's precision (the copy is
-             lossless), rebuilt per (image, group); gemm completes before
-             the next rebuild, so reuse is safe even under the parallel
-             runner. *)
-          let len = kdim * ndim and sw = q.sw and ow = q.ow in
-          let col =
-            match vx.Tensor.vbuf with
-            | Tensor.FB32 _ ->
-              cs.c32 <- bgrow Bigarray.float32 cs.c32 len;
-              Tensor.FB32 cs.c32
-            | Tensor.FB64 _ ->
-              cs.c64 <- bgrow Bigarray.float64 cs.c64 len;
-              Tensor.FB64 cs.c64
-          in
-          let src = vx.Tensor.vbuf in
-          let row o soff lo hi =
-            for ox = 0 to lo - 1 do
-              fset col (o + ox) 0.0
-            done;
-            let ox = ref lo in
-            while !ox + 4 <= hi do
-              let c = !ox in
-              let s0 = soff + (c * sw) in
-              let v0 = fget src s0 and v1 = fget src (s0 + sw) in
-              let v2 = fget src (s0 + (2 * sw)) and v3 = fget src (s0 + (3 * sw)) in
-              fset col (o + c) v0;
-              fset col (o + c + 1) v1;
-              fset col (o + c + 2) v2;
-              fset col (o + c + 3) v3;
-              ox := c + 4
-            done;
-            for ox = !ox to hi - 1 do
-              fset col (o + ox) (fget src (soff + (ox * sw)))
-            done;
-            for ox = hi to ow - 1 do
-              fset col (o + ox) 0.0
-            done
-          in
-          for ni = 0 to q.n - 1 do
-            for g = 0 to groups - 1 do
-              iter_col_rows q ~xoff:vx.Tensor.voff ~ni ~g row;
-              (* [co] makes the gemm's write indices global flat offsets
-                 into the destination buffer. *)
-              gemm ~par ~tiles ~m:mg ~n:ndim ~k:kdim ~a:vw.Tensor.vbuf
-                ~ao:(vw.Tensor.voff + (g * mg * kdim))
-                ~b:col ~bo:0 ~c:dst
-                ~co:(co + (((ni * q.m) + (g * mg)) * ndim))
-                ()
-            done
-          done)
+    if ndim > 0 && kdim > 0 then begin
+      (* B of each (image, group) GEMM is its im2col matrix, which the
+         packer gathers from the image through [geom]: the group's first
+         input plane, the plane's extents, the group's input channels,
+         the kernel, the output width, strides, leading pads and
+         dilations (gemm_stubs.c reads them in this order).  Only the
+         plane offset changes between the GEMMs, each of which completes
+         before the next. *)
+      let geom =
+        [| 0; q.h; q.wd; q.cg; q.kh; q.kw; q.ow; q.sh; q.sw; q.pt; q.pl; q.dh; q.dw |]
+      in
+      let b = Image (vx.Tensor.vbuf, geom) in
+      for ni = 0 to q.n - 1 do
+        for g = 0 to groups - 1 do
+          geom.(0) <- vx.Tensor.voff + (((ni * q.c) + (g * q.cg)) * q.h * q.wd);
+          (* [co] makes the gemm's write indices global flat offsets into
+             the destination buffer. *)
+          gemm_from ~par ~tiles ~m:mg ~n:ndim ~k:kdim ~a:vw.Tensor.vbuf
+            ~ao:(vw.Tensor.voff + (g * mg * kdim))
+            ~b ~c:dst
+            ~co:(co + (((ni * q.m) + (g * mg)) * ndim))
+        done
+      done
+    end
   end;
   [ q.n; q.m; q.oh; q.ow ]
 
@@ -891,6 +769,37 @@ let gemm_i8_core ?(par = sequential) ?(tiles = default_tiles) ~za ~zb ~scale ~bi
 let gemm_i8_dequant ?par ?tiles ~za ~zb ~scale ~bias =
   gemm_i8_core ?par ?tiles ~za ~zb ~scale ~bias ~row0:0
 
+(* Per-participant int8 im2col column buffers, grown to the largest
+   (kernel volume × output pixels) seen and reused. *)
+let col_pool = Pool.create (fun () -> ref (BA1.create Bigarray.int8_signed Bigarray.c_layout 0))
+
+(* The im2col column matrix of image [ni], group [g] ([cg·kh·kw] rows of
+   [oh·ow] output pixels) is written one output row at a time:
+   [row o soff lo hi] must fill the [ow] elements at [o] with the source
+   [soff + ox·sw] for [ox] in [[lo, hi)] and with padding elsewhere.
+   Computing the in-bounds range once per row keeps the per-element
+   loops branch-free and lets each storage kind's fill stay
+   monomorphic. *)
+let iter_col_rows (q : conv_geom) ~xoff ~ni ~g row =
+  let ndim = q.oh * q.ow in
+  for ci = 0 to q.cg - 1 do
+    let src_base = xoff + (((ni * q.c) + (g * q.cg) + ci) * q.h * q.wd) in
+    for ky = 0 to q.kh - 1 do
+      for kx = 0 to q.kw - 1 do
+        let rbase = ((((ci * q.kh) + ky) * q.kw) + kx) * ndim in
+        let off = (kx * q.dw) - q.pl in
+        let lo = col_lo q off in
+        let hi = col_hi q off lo in
+        for oy = 0 to q.oh - 1 do
+          let iy = (oy * q.sh) - q.pt + (ky * q.dh) in
+          if iy >= 0 && iy < q.h then
+            row (rbase + (oy * q.ow)) (src_base + (iy * q.wd) + off) lo hi
+          else row (rbase + (oy * q.ow)) 0 0 0
+        done
+      done
+    done
+  done
+
 (* Quantized im2col: the column matrix is int8 (the 4× footprint shrink
    is exactly where the conv path was bandwidth-bound) and padding taps
    hold the INPUT ZERO POINT, not 0 — they must dequantize to 0.0, and
@@ -903,8 +812,9 @@ let conv2d_i8_dequant_into ?par ?tiles ~zx ~zw ~scale ~bias ~stride ~pad ~dilati
   let ndim = q.oh * q.ow in
   if ndim > 0 && kdim > 0 then
     Pool.use col_pool (fun cs ->
-        let col = bgrow Bigarray.int8_signed cs.c8 (kdim * ndim) in
-        cs.c8 <- col;
+        if BA1.dim !cs < kdim * ndim then
+          cs := BA1.create Bigarray.int8_signed Bigarray.c_layout (kdim * ndim);
+        let col = !cs in
         let sw = q.sw and ow = q.ow in
         let row o soff lo hi =
           for ox = 0 to lo - 1 do

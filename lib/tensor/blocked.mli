@@ -7,18 +7,19 @@
 
     - {!gemm} packs A by row tile and B by column block into float64
       panels (so the inner loop touches contiguous memory), computes 4×8
-      register micro-tiles in a C stub of 4-lane f64 vectors
-      ([gemm_stubs.c]), and runs (row tile × column block) tasks that a
-      parallel runner can execute concurrently;
+      register micro-tiles from them, and runs (row tile × column block)
+      tasks that a parallel runner can execute concurrently; the packers
+      and the tile are a C stub of 4-lane f64 vectors ([gemm_stubs.c]);
     - {!conv2d_im2col_into} lowers convolution (grouped, strided, dilated,
-      padded) onto that GEMM by materializing the im2col column matrix per
-      (image, group).
+      padded) onto that GEMM per (image, group) by implicit im2col: the B
+      packer gathers the column matrix's octets straight from the image,
+      and no column matrix is built.
 
-    Packing panels and column buffers are per-participant scratch, taken
-    from a shared free list and given back after each task, bounded in
-    size and reused across calls: once a shape has been seen, a float
-    {!gemm} or {!conv2d_im2col_into} allocates only a constant few words
-    per call, whatever the extents.
+    Packing panels (and the int8 path's column buffers) are
+    per-participant scratch, taken from a shared free list and given back
+    after each task, bounded in size and reused across calls: once a shape
+    has been seen, a float {!gemm} or {!conv2d_im2col_into} allocates only
+    a constant few words per call, whatever the extents.
 
     The module is deliberately runtime-agnostic: parallelism arrives
     through the {!par} record so the tensor library does not depend on the
@@ -80,9 +81,10 @@ val conv2d_im2col_into :
 (** The blocked counterpart of {!Linalg.conv2d_into}: same NCHW/OIHW
     layouts, same validation, same output bits, written into [c] at
     element offset [co] (its dims are returned).  Internally each (image,
-    group) pair becomes a [mg × (oh·ow) × (cg·kh·kw)] GEMM over the packed
-    column matrix — except depthwise convolutions (one output channel per
-    group, more than one group), which run a direct tap loop in
+    group) pair becomes a [mg × (oh·ow) × (cg·kh·kw)] GEMM whose B, the
+    im2col column matrix, is packed straight from the image (a padding
+    tap packs +0.0) — except depthwise convolutions (one output channel
+    per group, more than one group), which run a direct tap loop in
     {!Linalg.conv2d_into}'s summation order, bit for bit. *)
 
 (** {1 Int8 path}

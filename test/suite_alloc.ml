@@ -46,6 +46,19 @@ let conv_alloc dt ~ch ~hw =
         (Blocked.conv2d_im2col_into ~stride:(1, 1) ~pad:(1, 1, 1, 1) ~dilation:(1, 1)
            ~groups:1 x w (Some b) ~c ~co:0))
 
+(* SkipNet's stem, 3→32 7×7/2 with three pixels of padding, whose
+   GEMM's B the packer gathers from the image: nothing in between grows
+   with it. *)
+let stem_alloc dt ~hw =
+  let rng = Rng.create hw in
+  let view dims = Tensor.view_f (Tensor.cast (Tensor.rand_uniform rng dims) dt) in
+  let x = view [ 1; 3; hw; hw ] and w = view [ 32; 3; 7; 7 ] and b = view [ 32 ] in
+  let c = Tensor.fbuf_create dt (32 * (hw / 2) * (hw / 2)) in
+  steady_alloc (fun () ->
+      ignore
+        (Blocked.conv2d_im2col_into ~stride:(2, 2) ~pad:(3, 3, 3, 3) ~dilation:(1, 1)
+           ~groups:1 x w (Some b) ~c ~co:0))
+
 let check_flat what small large =
   if small <> large || small > 256 then
     Alcotest.failf "%s: %d words at the small shape, %d at the large one" what small
@@ -66,6 +79,14 @@ let test_conv_alloc_flat () =
         ("conv " ^ Tensor.dtype_name dt)
         (conv_alloc dt ~ch:8 ~hw:16)
         (conv_alloc dt ~ch:32 ~hw:48))
+    [ Tensor.F32; Tensor.F64 ]
+
+let test_stem_conv_alloc_flat () =
+  List.iter
+    (fun dt ->
+      check_flat
+        ("stem conv " ^ Tensor.dtype_name dt)
+        (stem_alloc dt ~hw:64) (stem_alloc dt ~hw:128))
     [ Tensor.F32; Tensor.F64 ]
 
 (* [reduce] walks the input by stride: its allocation follows the output
@@ -381,6 +402,8 @@ let suite =
       test_gemm_alloc_flat;
     Alcotest.test_case "conv: steady-state allocation is flat" `Quick
       test_conv_alloc_flat;
+    Alcotest.test_case "stem conv: steady-state allocation is flat in the image" `Quick
+      test_stem_conv_alloc_flat;
     Alcotest.test_case "reduce: allocation follows the output" `Quick test_reduce_alloc;
     Alcotest.test_case "norms: allocation is flat in the input" `Quick test_norm_alloc;
     Alcotest.test_case "arena pointwise: allocation is flat" `Quick test_into_alloc;

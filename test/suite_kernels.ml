@@ -222,7 +222,7 @@ let test_conv_im2col_matches_naive () =
 
 (* Random geometry, bit for bit: odd output widths, padding wider than
    the kernel's reach, and images big enough (oh·ow past 1200 at kernel
-   volume 27) that the column matrix spans several packed blocks. *)
+   volume 27) that the im2col matrix spans several packed blocks. *)
 let prop_conv_im2col_random =
   QCheck2.Test.make ~name:"im2col conv matches naive on random geometry" ~count:40
     QCheck2.Gen.(
@@ -235,11 +235,87 @@ let prop_conv_im2col_random =
       let x = Tensor.cast (Tensor.rand_uniform rng [ 1; cg * groups; hw; hw + 2 ]) dt in
       let w = Tensor.cast (Tensor.rand_uniform rng [ 2 * groups; cg; kh; kw ]) dt in
       let bias = Some (Tensor.cast (Tensor.rand_uniform rng [ 2 * groups ]) dt) in
-      (* widths stride 1-3 over the row fill's groups of four and tails *)
+      (* widths stride 1-3, so octets cross output rows and padding *)
       let stride = stride, 1 + (hw mod 3) and pad = pad, pad, 1, pad and dilation = dil, 1 in
       match conv2d ~stride ~pad ~dilation ~groups x w bias with
       | exception Invalid_argument _ -> true
       | want -> Tensor.equal want (im2col ~stride ~pad ~dilation ~groups x w bias))
+
+(* The implicit-im2col packer gathers B's column octets straight from
+   the image.  [conv_bits_agree] runs one geometry with batch 2, the
+   input, weight and bias at nonzero view offsets into their buffers,
+   and the destination window between -0.0 sentinels (a stray write
+   flips one) over garbage it must overwrite: every element of the
+   destination buffer must equal the naive loop's bit for bit, on the
+   sequential runner and on a 2-participant pool, in f32 and f64. *)
+let conv_bits_agree pool ~rng ~xdims ~wdims ~stride ~pad ~dilation ~groups ~offs:(xo, wo, co) =
+  let filled len off =
+    let b = Tensor.fbuf_create Tensor.F64 (off + len) in
+    for i = 0 to off + len - 1 do
+      Tensor.fbuf_set b i (Rng.normal rng)
+    done;
+    b
+  in
+  let numel = List.fold_left ( * ) 1 in
+  match Linalg.conv2d_out_dims ~stride ~pad ~dilation xdims wdims with
+  | exception Invalid_argument _ -> true
+  | od when List.exists (fun d -> d <= 0) od -> true
+  | od ->
+    let total = numel od in
+    let x64 = filled (numel xdims) xo and w64 = filled (numel wdims) wo in
+    let b64 = filled (List.hd wdims) 2 in
+    let c64 = filled total co in
+    List.for_all
+      (fun dt ->
+        let cast b = Tensor.storage_f (Tensor.cast (Tensor.of_fbuf [ Tensor.fbuf_len b ] b) dt) in
+        let vx = Tensor.sub_view ~buf:(cast x64) ~off:xo ~dims:xdims in
+        let vw = Tensor.sub_view ~buf:(cast w64) ~off:wo ~dims:wdims in
+        let vb = Some (Tensor.sub_view ~buf:(cast b64) ~off:2 ~dims:[ List.hd wdims ]) in
+        let c0 = Tensor.fbuf_create dt (co + total + 8) in
+        for i = 0 to Tensor.fbuf_len c0 - 1 do
+          Tensor.fbuf_set c0 i (if i >= co && i < co + total then Tensor.fbuf_get c64 i else -0.0)
+        done;
+        let run conv =
+          let c = copy_fbuf c0 in
+          ignore (conv ~stride ~pad ~dilation ~groups vx vw vb ~c ~co);
+          Array.init (Tensor.fbuf_len c) (fun i -> Int64.bits_of_float (Tensor.fbuf_get c i))
+        in
+        let want = run naive_conv in
+        List.for_all
+          (fun par -> run (Blocked.conv2d_im2col_into ~par ?tiles:None) = want)
+          [ Blocked.sequential; RT.Domain_pool.par pool ])
+      [ Tensor.F32; Tensor.F64 ]
+
+let prop_conv_implicit_views pool =
+  QCheck2.Test.make ~name:"implicit im2col conv matches naive at offsets, batch 2, on a pool"
+    ~count:40
+    QCheck2.Gen.(
+      tup4
+        (tup4 (int_range 1 3) (int_range 1 3) (int_range 1 3) (int_range 1 2))
+        (tup4 (int_range 1 3) (int_range 0 3) (int_range 1 2) (int_range 1 30))
+        (tup3 (int_range 1 9) (int_range 1 9) (int_range 1 9))
+        int)
+    (fun ((cg, kh, kw, groups), (stride, pad, dil, hw), offs, seed) ->
+      conv_bits_agree pool ~rng:(Rng.create seed)
+        ~xdims:[ 2; cg * groups; hw; hw + 3 ]
+        ~wdims:[ 3 * groups; cg; kh; kw ]
+        ~stride:(stride, 1 + (hw mod 3))
+        ~pad:(pad, 1, pad, (pad + 1) mod 4)
+        ~dilation:(dil, 1) ~groups ~offs)
+
+(* SkipNet's stem geometry, 7×7/2 with three rows and columns of
+   padding, at odd extents: 19×21 output pixels span 49 column octets
+   and end in a partial one. *)
+let test_conv_implicit_stem () =
+  let pool = RT.Domain_pool.create 2 in
+  Fun.protect
+    ~finally:(fun () -> RT.Domain_pool.shutdown pool)
+    (fun () ->
+      Alcotest.(check bool) "stem conv bit for bit" true
+        (conv_bits_agree pool ~rng:(Rng.create 7) ~xdims:[ 2; 3; 37; 41 ]
+           ~wdims:[ 32; 3; 7; 7 ] ~stride:(2, 2) ~pad:(3, 3, 3, 3) ~dilation:(1, 1) ~groups:1
+           ~offs:(5, 3, 7));
+      QCheck2.Test.check_exn (prop_conv_implicit_views pool))
 
 (* Depthwise convolutions (one output channel per group) take a direct
    tap loop; it must reproduce the naive summation order bit for bit,
@@ -503,6 +579,50 @@ let prop_block_norm =
          ||
          let vx = view 3 x in
          into vx (fun _ _ _ -> vx.Tensor.vbuf, 3) && agree vx.Tensor.vbuf 3))
+
+(* The all-f32 BatchNorm loop (C) against the scalar chain it runs:
+   (x − m), / sd and × s each rounded to f32, then + b rounded at the
+   store.  Channel runs of 1–9 elements (every tail of its groups of
+   eight) and longer, special values, windows at offsets whose
+   surroundings must survive, and in place. *)
+let prop_norm_run32 =
+  let r32 v = Int32.float_of_bits (Int32.bits_of_float v) in
+  QCheck2.Test.make ~name:"f32 BatchNorm run matches the scalar chain" ~count:200
+    QCheck2.Gen.(
+      tup4
+        (frequency [ 3, int_range 1 9; 1, int_range 10 40 ])
+        (pair (int_range 0 5) (int_range 0 5))
+        bool int)
+    (fun (len, (xo, o), in_place, seed) ->
+      let st = Random.State.make [| seed |] in
+      let value () =
+        if Random.State.int st 4 = 0 then
+          List.nth special_values (Random.State.int st (List.length special_values))
+        else Random.State.float st 4.0 -. 2.0
+      in
+      let f32buf n = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout n in
+      let x = f32buf (xo + len + 3) in
+      for i = 0 to Bigarray.Array1.dim x - 1 do
+        x.{i} <- value ()
+      done;
+      let o = if in_place then xo else o in
+      let d = if in_place then x else f32buf (o + len + 3) in
+      if not in_place then Bigarray.Array1.fill d 7.0;
+      let before = Array.init (Bigarray.Array1.dim d) (fun i -> d.{i}) in
+      let xs = Array.init len (fun i -> x.{xo + i}) in
+      let m = r32 (value ()) and s = r32 (value ()) and b = r32 (value ()) in
+      let sd = sqrt (r32 (Float.abs (value ())) +. 1e-5) in
+      Op_semantics.norm_run32 x xo d o len m sd s b;
+      let want i =
+        if i >= o && i < o + len then
+          r32 (r32 (r32 (r32 (xs.(i - o) -. m) /. sd) *. s) +. b)
+        else before.(i)
+      in
+      let ok = ref true in
+      for i = 0 to Bigarray.Array1.dim d - 1 do
+        if not (same_value (want i) d.{i}) then ok := false
+      done;
+      !ok)
 
 let test_conv_im2col_parallel_matches_naive () =
   let pool = RT.Domain_pool.create 3 in
@@ -775,6 +895,8 @@ let suite =
     Alcotest.test_case "concat: operand dims checked" `Quick test_concat_shape_check;
     Alcotest.test_case "blocked gemm matches naive on random extents" `Quick
       test_gemm_blocked_random;
+    Alcotest.test_case "conv: implicit im2col bit for bit at offsets and the stem" `Quick
+      test_conv_implicit_stem;
     QCheck_alcotest.to_alcotest prop_gemm_blocked_blocks;
     QCheck_alcotest.to_alcotest prop_conv_im2col_random;
     QCheck_alcotest.to_alcotest prop_conv_depthwise_bitexact;
@@ -782,4 +904,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_block_binary;
     QCheck_alcotest.to_alcotest prop_gather_odometer;
     QCheck_alcotest.to_alcotest prop_block_norm;
+    QCheck_alcotest.to_alcotest prop_norm_run32;
   ]
