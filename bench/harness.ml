@@ -147,6 +147,7 @@ let run_suite s =
     Out_channel.with_open_text file (fun oc ->
         Json.Obj
           [ "suite", Json.Str s.name; "host_cores", Json.Num (float_of_int host_cores);
+            "gemm_tile", Json.Str Blocked.gemm_tile;
             "rounds", Json.Num (float_of_int s.rounds); "rows", Json.Arr (List.map row_json r.rows);
             "gates", Json.Arr (List.map snd gates) ]
         |> Json.to_string |> output_string oc;

@@ -62,6 +62,13 @@ let blocked_floor = gate "gemm/regular 256^3 naive / blocked time (median round)
    (m, n, k), decided on the median of the per-round ratios. *)
 let conv_over_gemm = gate "conv/stem 7x7/2 time / gemm at its (m, n, k) (median round)" 1.3 At_most
 
+(* Gelu, the FFN epilogue of the transformer models, against Relu on the
+   same f32 image, decided on the median of the per-round ratios: erf
+   and Gelu run as a vector C loop (DESIGN.md §9), so Gelu costs a small
+   multiple of the cheapest unary op.  The OCaml loop over an
+   exp-based erf read ~10x; the C loop reads ~1.0-1.4x. *)
+let gelu_over_relu = gate "f32 gelu / relu time, 1x32x64x64 (median round)" 3.0 At_most
+
 let element_loops ~rounds blocked =
   let tensor dt dims = Tensor.of_fbuf dims (filled ~dt (List.fold_left ( * ) 1 dims)) in
   let positive dt dims = Tensor.map_f (fun v -> v +. 1.0) (tensor dt dims) in
@@ -86,7 +93,14 @@ let element_loops ~rounds blocked =
     let t32, t64 = pair (time ~calls:15 ~rounds sides) in
     row label [ "f32", t32; "f64", t64 ] ~fields:[ "f32_over_f64", t32.best /. t64.best ]
   in
-  List.map case
+  let gelu =
+    let f32 op = side (Op.Unary op) [ (fun dt -> tensor dt image) ] Tensor.F32 in
+    let tg, tr = pair (time ~calls:15 ~rounds [ f32 Op.Gelu; f32 Op.Relu ]) in
+    row "gelu/relu f32" [ "gelu", tg; "relu", tr ]
+      ~fields:(("gelu_over_relu", tg.best /. tr.best) :: paired "gelu_over_relu" tg tr)
+  in
+  gelu
+  :: List.map case
     [ "relu", Op.Unary Op.Relu, [ (fun dt -> tensor dt image) ];
       "add", Op.Binary Op.Add, [ (fun dt -> tensor dt image); (fun dt -> tensor dt image) ];
       "batchnorm", Op.BatchNorm { eps = 1e-5 },
@@ -149,7 +163,8 @@ let kernels ~rounds =
   let side dt = gemm_side ~dt (256, 256, 256) (on blocked) in
   let t32, t64 = pair (time ~calls:15 ~rounds [ side Tensor.F32; side Tensor.F64 ]) in
   let loops = element_loops ~rounds blocked in
-  let ratio label = List.assoc "f32_over_f64" (List.find (fun r -> r.label = label) loops).fields in
+  let field label key = List.assoc key (List.find (fun r -> r.label = label) loops).fields in
+  let ratio label = field label "f32_over_f64" in
   { rows =
       rows
       @ [ stem; row "gemm/f32-vs-f64 256^3" [ "f32", t32; "f64", t64 ] ~fields:(paired "ratio" t32 t64) ]
@@ -160,7 +175,8 @@ let kernels ~rounds =
         conv_over_gemm, List.assoc "over_gemm_median" stem.fields;
         f32_vs_f64, t32.best /. t64.best;
         f32_loops, geomean (List.map ratio [ "relu"; "add"; "maxpool 3x3/2"; "layernorm" ]);
-        bn_f32, ratio "batchnorm" ] }
+        bn_f32, ratio "batchnorm";
+        gelu_over_relu, field "gelu/relu f32" "gelu_over_relu_median" ] }
 
 (* --- fused: whole fusion groups as single kernels --------------------- *)
 
@@ -662,7 +678,7 @@ let () =
   main
     [
       { name = "kernels"; rounds = 7; run = kernels;
-        gates = [ blocked_floor; conv_over_gemm; f32_vs_f64; f32_loops; bn_f32 ];
+        gates = [ blocked_floor; conv_over_gemm; f32_vs_f64; f32_loops; bn_f32; gelu_over_relu ];
         doc = "GEMM/conv per shape class on naive, blocked and parallel kernels; the stem conv \
                vs its GEMM; f32 vs f64 GEMM and element loops" };
       { name = "fused"; rounds = 7; run = fused; gates = [ fused_floor ];

@@ -16,17 +16,14 @@
 
 module BA1 = Bigarray.Array1
 
-let[@inline] erf x =
-  (* Abramowitz–Stegun 7.1.26, |error| < 1.5e-7. *)
-  let sign = if x < 0.0 then -1.0 else 1.0 in
-  let x = Float.abs x in
-  let t = 1.0 /. (1.0 +. (0.3275911 *. x)) in
-  let y =
-    1.0
-    -. (((((1.061405429 *. t) -. 1.453152027) *. t) +. 1.421413741) *. t -. 0.284496736)
-       *. t *. t *. exp (-.x *. x)
-  in
-  sign *. y
+(* erf and Gelu are defined once, in C (gemm_stubs.c): an exp-free
+   rational erf within 1e-7 of libm's, and Gelu = 0.5·v·(1 + erf(v/√2))
+   over it.  Scalar calls cost a direct C call; the block loops below run
+   them over f32 and f64 runs in vector C. *)
+external erf : (float[@unboxed]) -> (float[@unboxed]) = "sod2_erf_byte" "sod2_erf" [@@noalloc]
+
+external gelu : (float[@unboxed]) -> (float[@unboxed]) = "sod2_gelu_byte" "sod2_gelu"
+[@@noalloc]
 
 let[@inline] unary u v =
   match u with
@@ -43,7 +40,7 @@ let[@inline] unary u v =
   | Op.Neg -> -.v
   | Op.Abs -> Float.abs v
   | Op.Erf -> erf v
-  | Op.Gelu -> 0.5 *. v *. (1.0 +. erf (v /. sqrt 2.0))
+  | Op.Gelu -> gelu v
   | Op.HardSwish -> v *. Float.max 0.0 (Float.min 1.0 ((v /. 6.0) +. 0.5))
   | Op.Softplus -> log (1.0 +. exp v)
   | Op.Floor -> Float.floor v
@@ -303,19 +300,35 @@ let[@inline] unary_loop32 u (x : Tensor.f32buf) xo (d : Tensor.f32buf) o len =
     BA1.unsafe_set d (o + k) (unary32 u (BA1.unsafe_get x (xo + k)))
   done
 
+(* [erf_block gelu x xo d o len]: Gelu ([gelu = 1]) or erf over [len]
+   elements, both buffers of one kind, as a C vector loop that computes
+   the scalar [erf]/[gelu] lane by lane: the same bits. *)
+external erf_block :
+  (int[@untagged]) -> ('a, 'b, Bigarray.c_layout) BA1.t -> (int[@untagged]) ->
+  ('a, 'b, Bigarray.c_layout) BA1.t -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "sod2_erf_block_byte" "sod2_erf_block"
+[@@noalloc]
+
 (* Matched with a constant operator, an inlined loop carries no
-   per-element match: Relu, the one cheap unary op of real models, gets
-   its own; the rest cost far more than the match. *)
+   per-element match: Relu gets its own, and Gelu and Erf (the FFN
+   epilogue of transformer models) run as vector C in f32 and f64; the
+   rest cost far more than the match. *)
 let unary_block u (x : Tensor.fbuf) xo (d : Tensor.fbuf) o len =
   match x, d with
   | Tensor.FB32 x, Tensor.FB32 d -> (
     match u with
     | Op.Relu -> unary_loop32 Op.Relu x xo d o len
+    | Op.Gelu -> erf_block 1 x xo d o len
+    | Op.Erf -> erf_block 0 x xo d o len
     | u -> unary_loop32 u x xo d o len)
-  | Tensor.FB64 x, Tensor.FB64 d ->
-    for i = 0 to len - 1 do
-      BA1.unsafe_set d (o + i) (unary u (BA1.unsafe_get x (xo + i)))
-    done
+  | Tensor.FB64 x, Tensor.FB64 d -> (
+    match u with
+    | Op.Gelu -> erf_block 1 x xo d o len
+    | Op.Erf -> erf_block 0 x xo d o len
+    | u ->
+      for i = 0 to len - 1 do
+        BA1.unsafe_set d (o + i) (unary u (BA1.unsafe_get x (xo + i)))
+      done)
   | x, d ->
     for i = 0 to len - 1 do
       set d (o + i) (unary u (get x (xo + i)))

@@ -10,8 +10,13 @@
     values in registers whose storage kind is the dtype the reference would
     have stored — every store rounds where the reference rounds. *)
 
-val erf : float -> float
-(** Abramowitz–Stegun approximation of the error function, |err| < 1.5e-7. *)
+external erf : (float[@unboxed]) -> (float[@unboxed]) = "sod2_erf_byte" "sod2_erf" [@@noalloc]
+(** The error function, defined once in C: the odd rational
+    [x·P(x²)/Q(x²)] on [x] clamped to [[−4, 4]], clamped to [[−1, 1]]
+    (DESIGN.md §14).  Within 1e-7 of libm's [erf] ([Float.erf]), 6.5e-8
+    measured at worst; [erf (−x) = −.erf x] and [erf (−0) = −0] bit for bit;
+    NaN passes through.  [unary_fn Op.Gelu] is [0.5·v·(1 + erf (v/√2))]
+    over it, in C as well. *)
 
 val unary_fn : Op.unary -> float -> float
 (** Float semantics of a unary operator. *)

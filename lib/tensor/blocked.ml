@@ -153,17 +153,23 @@ let run_tasks (par : par) nt task =
         Pool.give panels s;
         raise e)
 
-(* The 4×8 register micro-tile, in C (gemm_stubs.c): [tile ap ia bp ib k
-   c ci n rows cols] adds the product of the four A rows at [ap + ia] and
-   the eight B columns at [bp + ib] into the top-left [rows × cols] corner
-   of C at [ci].  Each C element is one ascending-k chain of f64
-   multiply-then-add from +0.0, added to the destination once at the
-   store: the naive loop's operation sequence, bit for bit. *)
+(* The register micro-tile, in C (gemm_stubs.c): [tile ap ia bp ib k c ci
+   n rows cols] adds the product of the A row quad at [ap + ia] — two
+   consecutive quads when [rows > 4] — and the eight B columns at
+   [bp + ib] into the top-left [rows × cols] corner of C at [ci].  Each C
+   element is one ascending-k chain of f64 multiply-then-add from +0.0,
+   added to the destination once at the store: the naive loop's operation
+   sequence, bit for bit, whether the host runs the 8×8 AVX-512F tile or
+   two 4×8 ones. *)
 external tile :
   panel -> (int[@untagged]) -> panel -> (int[@untagged]) -> (int[@untagged]) ->
   ('a, 'b, Bigarray.c_layout) BA1.t -> (int[@untagged]) -> (int[@untagged]) ->
   (int[@untagged]) -> (int[@untagged]) -> unit = "sod2_gemm_tile_byte" "sod2_gemm_tile"
 [@@noalloc]
+
+external tile_rows : unit -> int = "sod2_gemm_tile_rows" [@@noalloc]
+
+let gemm_tile = if tile_rows () = 8 then "8x8 avx512f" else "4x8"
 
 (* The panel packers, in C beside the tile: each widens a float32 or
    float64 operand exactly into a float64 panel, ragged quads and octets
@@ -233,13 +239,14 @@ let gemm_from ~par ~tiles ~m ~n ~k ~(a : Tensor.fbuf) ~ao ~b ~(c : Tensor.fbuf) 
           s.b_blk <- blk
         end;
         for jt = 0 to ceil_div ngroups jgt - 1 do
-          for ip = 0 to mquads - 1 do
-            let i = i0 + (ip * 4) in
-            let rows = min 4 (i0 + mc - i) in
+          (* two quads per step; an odd last quad runs alone *)
+          for ip = 0 to ceil_div mquads 2 - 1 do
+            let i = i0 + (ip * 8) in
+            let rows = min 8 (i0 + mc - i) in
             for jg = jt * jgt to min ngroups ((jt + 1) * jgt) - 1 do
               let j = j0 + (jg * 8) in
               let ci = co + (i * n) + j and cols = min 8 (n - j) in
-              let ia = ip * k * 4 and ib = jg * k * 8 in
+              let ia = ip * k * 8 and ib = jg * k * 8 in
               match c with
               | Tensor.FB32 cb -> tile s.fa ia s.fb ib k cb ci n rows cols
               | Tensor.FB64 cb -> tile s.fa ia s.fb ib k cb ci n rows cols

@@ -6,10 +6,12 @@
     choices actually steer:
 
     - {!gemm} packs A by row tile and B by column block into float64
-      panels (so the inner loop touches contiguous memory), computes 4×8
-      register micro-tiles from them, and runs (row tile × column block)
-      tasks that a parallel runner can execute concurrently; the packers
-      and the tile are a C stub of 4-lane f64 vectors ([gemm_stubs.c]);
+      panels (so the inner loop touches contiguous memory), computes
+      register micro-tiles from them — 8×8 in 8-lane f64 vectors on an
+      AVX-512F host, else 4×8 in 4-lane ones — and runs (row tile ×
+      column block) tasks that a parallel runner can execute
+      concurrently; the packers and the tiles are a C stub
+      ([gemm_stubs.c]);
     - {!conv2d_im2col_into} lowers convolution (grouped, strided, dilated,
       padded) onto that GEMM per (image, group) by implicit im2col: the B
       packer gathers the column matrix's octets straight from the image,
@@ -73,6 +75,10 @@ val gemm :
     callers zero- or bias-initialize it.  Each element's sum is one
     ascending-k chain of f64 multiply-then-add, added to [C] once: bit
     for bit {!Linalg.naive_kernel} on finite operands. *)
+
+val gemm_tile : string
+(** The micro-tile body this host runs, picked once by the CPU:
+    ["8x8 avx512f"] or ["4x8"]. *)
 
 val conv2d_im2col_into :
   ?par:par -> ?tiles:tiles -> stride:int * int -> pad:int * int * int * int ->

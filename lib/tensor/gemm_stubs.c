@@ -1,12 +1,18 @@
 /* The float GEMM behind Blocked.gemm: its panel packers and its register
-   micro-kernel, plus the all-f32 BatchNorm loop of the block evaluator.
+   micro-kernels; the all-f32 BatchNorm loop of the block evaluator; and
+   erf and Gelu, the one definition every path computes them with.
 
-   One tile call computes a 4x8 tile of C from packed panels: [a] holds
-   four rows as row quads (a[4p + r]), [b] eight columns as column octets
-   (b[8p + j]), both float64 and full depth.  The tile lives in eight
+   A tile call computes up to 8 rows x 8 columns of C from packed panels:
+   [a] holds row quads (a[4p + r], four rows, full depth; the next quad
+   follows at a + 4k), [b] eight columns as a column octet (b[8p + j]),
+   both float64.  A call of at most four rows runs the 4x8 tile: eight
    4-lane f64 accumulators (a row's 8 columns are two vectors), so each
    depth step is two B loads, four A broadcasts, eight multiplies and
-   eight adds.
+   eight adds.  A call of five to eight rows takes two quads at once: on
+   a host with AVX-512F the 8x8 tile holds them in eight 8-lane
+   accumulators (one per row), so a depth step is one B load, eight A
+   broadcasts, eight multiplies and eight adds for twice the products;
+   elsewhere it runs as two 4x8 tiles.
 
    Every lane is one C element's accumulator: it starts at +0.0 and adds
    the products a[p]*b[p] in ascending p, each product and each sum
@@ -14,7 +20,8 @@
    file is compiled with -ffp-contract=off, so no multiply-add is fused,
    and the write-back adds the accumulator to the destination element
    once, rounding to the destination's precision at the store.  Hence the
-   results are bit-identical to the naive loop in f32 and f64.
+   results are bit-identical to the naive loop in f32 and f64, whichever
+   tile ran.
 
    The packers widen float32 or float64 operands exactly into the
    panels, and pad ragged quads and octets with +0.0.  The convolution
@@ -24,11 +31,14 @@
    GEMM.
 
    On x86-64, target_clones builds an AVX2 body and a baseline (SSE2)
-   body from this one source; the loader picks one per host.  Both round
-   identically.  Elsewhere the vector types compile to the target's own
-   vector or scalar code, with the same rounding. */
+   body of the 4x8 tile, the packers and the BatchNorm loop from one
+   source (and an AVX-512F body of the erf loop); the loader picks one
+   per host, and the 8x8 tile is chosen once, by the CPU's AVX-512F flag.
+   All bodies round identically.  Elsewhere the vector types compile to
+   the target's own vector or scalar code, with the same rounding. */
 
 #include <caml/mlvalues.h>
+#include <caml/alloc.h>
 #include <caml/bigarray.h>
 
 typedef double v4d __attribute__((vector_size(32)));
@@ -36,13 +46,22 @@ typedef double v4d __attribute__((vector_size(32)));
 typedef double v4du __attribute__((vector_size(32), aligned(8)));
 typedef float v4f __attribute__((vector_size(16)));
 typedef float v4fu __attribute__((vector_size(16), aligned(4)));
+typedef double v8d __attribute__((vector_size(64)));
+typedef double v8du __attribute__((vector_size(64), aligned(8)));
+typedef float v8f __attribute__((vector_size(32)));
+typedef float v8fu __attribute__((vector_size(32), aligned(4)));
+/* lane masks, unsigned: gcc 12 fails on signed 64-bit vector masks
+   under -fwrapv in an AVX2 clone */
+typedef unsigned long long v8m __attribute__((vector_size(64)));
 
 #define V(p) (*(const v4du *)(p))
 
 #if defined(__x86_64__)
 #define CLONES __attribute__((target_clones("avx2", "default")))
+#define CLONES512 __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
 #define CLONES
+#define CLONES512
 #endif
 
 /* Add the lanes of [*v] into four consecutive destination elements. */
@@ -100,19 +119,93 @@ static void tile4x8(const double *a, const double *b, intnat k, int f32, void *c
   }
 }
 
-/* [sod2_gemm_tile ap ia bp ib k c ci n rows cols] adds the 4x8 product of
-   the A quads at [ap + ia] and the B octets at [bp + ib] (depth [k]) into
-   the top-left [rows] x [cols] corner of C at flat index [ci], row stride
-   [n].  [c] is a float32 or float64 bigarray. */
+#if defined(__x86_64__)
+/* Two row quads (a, and a + 4k) against one B octet, one 8-lane
+   accumulator per row. */
+__attribute__((target("avx512f"))) static void tile8x8(const double *a, const double *b,
+                                                       intnat k, int f32, void *c, intnat n,
+                                                       intnat rows, intnat cols)
+{
+  const double *a2 = a + 4 * k;
+  v8d c0 = {0}, c1 = {0}, c2 = {0}, c3 = {0}, c4 = {0}, c5 = {0}, c6 = {0}, c7 = {0};
+  for (intnat p = 0; p < k; p++, a += 4, a2 += 4, b += 8) {
+    v8d bv = *(const v8du *)b;
+    c0 += a[0] * bv;
+    c1 += a[1] * bv;
+    c2 += a[2] * bv;
+    c3 += a[3] * bv;
+    c4 += a2[0] * bv;
+    c5 += a2[1] * bv;
+    c6 += a2[2] * bv;
+    c7 += a2[3] * bv;
+  }
+  v8d acc[8] = {c0, c1, c2, c3, c4, c5, c6, c7};
+  for (intnat r = 0; r < rows; r++) {
+    if (cols == 8) {
+      if (f32) {
+        float *d = (float *)c + r * n;
+        v8d w = __builtin_convertvector(*(const v8fu *)d, v8d) + acc[r];
+        *(v8fu *)d = __builtin_convertvector(w, v8f);
+      } else {
+        double *d = (double *)c + r * n;
+        *(v8du *)d = *(const v8du *)d + acc[r];
+      }
+    } else
+      for (intnat j = 0; j < cols; j++) {
+        if (f32) {
+          float *d = (float *)c + r * n + j;
+          *d = (float)((double)*d + acc[r][j]);
+        } else {
+          double *d = (double *)c + r * n + j;
+          *d = *d + acc[r][j];
+        }
+      }
+  }
+}
+
+static int has_tile8x8;
+
+__attribute__((constructor)) static void pick_tile(void)
+{
+  __builtin_cpu_init();
+  has_tile8x8 = __builtin_cpu_supports("avx512f");
+}
+#else
+static const int has_tile8x8 = 0;
+#endif
+
+/* [sod2_gemm_tile ap ia bp ib k c ci n rows cols] adds the product of
+   the A quads at [ap + ia] (one quad when [rows] <= 4, else two) and the
+   B octet at [bp + ib] (depth [k]) into the top-left [rows] x [cols]
+   corner of C at flat index [ci], row stride [n].  [c] is a float32 or
+   float64 bigarray. */
 value sod2_gemm_tile(value ap, intnat ia, value bp, intnat ib, intnat k, value c,
                      intnat ci, intnat n, intnat rows, intnat cols)
 {
   int f32 = (Caml_ba_array_val(c)->flags & CAML_BA_KIND_MASK) == CAML_BA_FLOAT32;
-  void *cp = f32 ? (void *)((float *)Caml_ba_data_val(c) + ci)
-                 : (void *)((double *)Caml_ba_data_val(c) + ci);
-  tile4x8((const double *)Caml_ba_data_val(ap) + ia, (const double *)Caml_ba_data_val(bp) + ib,
-          k, f32, cp, n, rows, cols);
+  size_t esz = f32 ? sizeof(float) : sizeof(double);
+  char *cp = (char *)Caml_ba_data_val(c) + ci * esz;
+  const double *a = (const double *)Caml_ba_data_val(ap) + ia;
+  const double *b = (const double *)Caml_ba_data_val(bp) + ib;
+  if (rows <= 4)
+    tile4x8(a, b, k, f32, cp, n, rows, cols);
+#if defined(__x86_64__)
+  else if (has_tile8x8)
+    tile8x8(a, b, k, f32, cp, n, rows, cols);
+#endif
+  else {
+    tile4x8(a, b, k, f32, cp, n, 4, cols);
+    tile4x8(a + 4 * k, b, k, f32, cp + 4 * n * esz, n, rows - 4, cols);
+  }
   return Val_unit;
+}
+
+/* The height of the tile body that runs here: 8 for the AVX-512F 8x8
+   tile, else 4 (two 4x8 tiles per call of more than four rows). */
+value sod2_gemm_tile_rows(value unit)
+{
+  (void)unit;
+  return Val_int(has_tile8x8 ? 8 : 4);
 }
 
 value sod2_gemm_tile_byte(value *argv, int argn)
@@ -362,4 +455,106 @@ value sod2_norm32_byte(value *argv, int argn)
   return sod2_norm32(argv[0], Long_val(argv[1]), argv[2], Long_val(argv[3]),
                      Long_val(argv[4]), Double_val(argv[5]), Double_val(argv[6]),
                      Double_val(argv[7]), Double_val(argv[8]));
+}
+
+/* ---------------------------------------------------------------- */
+/* erf and Gelu                                                       */
+
+/* The lanes of [a] where [m] is set, else those of [b]: an exact pick. */
+static inline v8d pick(v8m m, v8d a, v8d b) { return (v8d)(((v8m)a & m) | ((v8m)b & ~m)); }
+
+/* erf, lane by lane, as the odd rational x P(x^2) / Q(x^2) of degrees 13
+   and 8 on x clamped to [-4, 4], the result clamped to [-1, 1]: no exp
+   and no branch.  Against libm's erf it is within 1e-7 (6.5e-8 at worst
+   on a 2e-7 grid over [0, 4.5]; past the clamp |erf| > 1 - 1.6e-8, and
+   the clamp gives exactly 1), it
+   is odd bit for bit (erf(-x) = -erf(x), erf(-0) = -0), and NaN passes
+   through.  Each step is one IEEE operation, none fused, so every body
+   and every lane computes the same bits. */
+static inline v8d erf8(v8d x)
+{
+  const v8d one = (v8d){0} + 1.0, four = (v8d){0} + 4.0;
+  v8d c = pick(x > four, four, pick(x < -four, -four, x));
+  v8d x2 = c * c;
+  v8d p = x2 * -2.72614225801306e-10 + 2.77068142495902e-08;
+  p = p * x2 - 2.10102402082508e-06;
+  p = p * x2 - 5.69250639462346e-05;
+  p = p * x2 - 7.34990630326855e-04;
+  p = p * x2 - 2.95459980854025e-03;
+  p = p * x2 - 1.60960333262415e-02;
+  v8d q = x2 * -1.45660718464996e-05 - 2.13374055278905e-04;
+  q = q * x2 - 1.68282697438203e-03;
+  q = q * x2 - 7.37332916720468e-03;
+  q = q * x2 - 1.42647390514189e-02;
+  v8d r = c * p / q;
+  return pick(r > one, one, pick(r < -one, -one, r));
+}
+
+/* Gelu(v) = 0.5 v (1 + erf(v / sqrt 2)), left to right. */
+static inline v8d gelu8(v8d v) { return 0.5 * v * (1.0 + erf8(v / 1.4142135623730951)); }
+
+/* The scalar entries are lane 0 of the vector forms: one definition. */
+double sod2_erf(double x) { return erf8((v8d){x})[0]; }
+value sod2_erf_byte(value x) { return caml_copy_double(sod2_erf(Double_val(x))); }
+double sod2_gelu(double v) { return gelu8((v8d){v})[0]; }
+value sod2_gelu_byte(value v) { return caml_copy_double(sod2_gelu(Double_val(v))); }
+
+/* Eight elements per step, widened exactly and loaded before any is
+   stored, so [d] may be [x] at the same offset; a ragged tail computes
+   in a zero-padded vector and stores only its own lanes. */
+KIND_INLINE void erf_block_kind(int gelu, int f32, const void *x, void *d, intnat len)
+{
+  for (intnat i = 0; i < len; i += 8) {
+    intnat l = len - i < 8 ? len - i : 8;
+    v8d v = {0};
+    if (l == 8)
+      v = f32 ? __builtin_convertvector(*(const v8fu *)((const float *)x + i), v8d)
+              : *(const v8du *)((const double *)x + i);
+    else
+      for (intnat j = 0; j < l; j++) v[j] = LD(x, f32, i + j);
+    v8d r = gelu ? gelu8(v) : erf8(v);
+    if (l == 8 && f32)
+      *(v8fu *)((float *)d + i) = __builtin_convertvector(r, v8f);
+    else if (l == 8)
+      *(v8du *)((double *)d + i) = r;
+    else
+      for (intnat j = 0; j < l; j++)
+        if (f32)
+          ((float *)d)[i + j] = (float)r[j];
+        else
+          ((double *)d)[i + j] = r[j];
+  }
+}
+
+CLONES512
+static void erf_block(int gelu, int f32, const void *x, void *d, intnat len)
+{
+  if (f32 && gelu)
+    erf_block_kind(1, 1, x, d, len);
+  else if (f32)
+    erf_block_kind(0, 1, x, d, len);
+  else if (gelu)
+    erf_block_kind(1, 0, x, d, len);
+  else
+    erf_block_kind(0, 0, x, d, len);
+}
+
+/* [sod2_erf_block gelu x xo d o len]: Gelu (gelu = 1) or erf of the
+   [len] elements of [x] from [xo] into [d] from [o], both float32 or
+   both float64, each element widened exactly, computed in f64 and
+   rounded once at the store. */
+value sod2_erf_block(intnat gelu, value x, intnat xo, value d, intnat o, intnat len)
+{
+  int f32 = is_f32(x);
+  size_t esz = f32 ? sizeof(float) : sizeof(double);
+  erf_block((int)gelu, f32, (const char *)Caml_ba_data_val(x) + xo * esz,
+            (char *)Caml_ba_data_val(d) + o * esz, len);
+  return Val_unit;
+}
+
+value sod2_erf_block_byte(value *argv, int argn)
+{
+  (void)argn;
+  return sod2_erf_block(Long_val(argv[0]), argv[1], Long_val(argv[2]), argv[3],
+                        Long_val(argv[4]), Long_val(argv[5]));
 }

@@ -422,13 +422,19 @@ let init_f dims f =
   done;
   of_floats F32 (Array.to_list shape) data
 
-let rand_uniform rng dims =
-  let n = product (Array.of_list dims) in
-  of_floats F32 dims (Array.init n (fun _ -> (Rng.uniform rng *. 2.0) -. 1.0))
+(* An F32 tensor of [draw ()] values in flat order, drawn straight into
+   its storage: a model's weights pass through no float array (8 bytes
+   an element of garbage beside 4 of weight). *)
+let rand_f32 dims draw =
+  let shape = Array.of_list dims in
+  let b = BA1.create Bigarray.float32 Bigarray.c_layout (product shape) in
+  for i = 0 to BA1.dim b - 1 do
+    BA1.unsafe_set b i (draw ())
+  done;
+  { shape; data = Fd (FB32 b) }
 
-let rand_normal rng ?(stddev = 1.0) dims =
-  let n = product (Array.of_list dims) in
-  of_floats F32 dims (Array.init n (fun _ -> Rng.normal rng *. stddev))
+let rand_uniform rng dims = rand_f32 dims (fun () -> (Rng.uniform rng *. 2.0) -. 1.0)
+let rand_normal rng ?(stddev = 1.0) dims = rand_f32 dims (fun () -> Rng.normal rng *. stddev)
 
 let reshape t dims =
   let shape = Array.of_list dims in

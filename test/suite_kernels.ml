@@ -136,57 +136,94 @@ let prop_gemm_blocked_blocks =
       in
       max_abs_diff want got = 0.0)
 
+(* Whether [Blocked.gemm] on [par] leaves C's whole buffer bit for bit as
+   the naive loop does, for operands drawn from [seed] (finite, with
+   signed zeros among them) at the offsets [ao], [bo], [co] into larger
+   buffers.  The elements outside C's window hold -0.0, which any stray
+   write changes.  (The naive loop skips zero A entries, so ±inf and NaN
+   operands are outside the contract.) *)
+let gemm_bit_exact ~pars ~tiles ~dt ~seed (m, n, k) (ao, bo, co) =
+  let rng = Rng.create seed in
+  let values len =
+    let b = Tensor.fbuf_create dt len in
+    for i = 0 to len - 1 do
+      Tensor.fbuf_set b i
+        (match Rng.int rng 5 with
+        | 0 -> -0.0
+        | 1 -> 0.0
+        | _ -> Rng.normal rng)
+    done;
+    b
+  in
+  let a = values (ao + (m * k)) and b = values (bo + (k * n)) in
+  let c0 = values (co + (m * n) + 8) in
+  for i = 0 to Tensor.fbuf_len c0 - 1 do
+    if i < co || i >= co + (m * n) then Tensor.fbuf_set c0 i (-0.0)
+  done;
+  let run kernel =
+    let c = copy_fbuf c0 in
+    kernel ~c;
+    Array.init (Tensor.fbuf_len c) (fun i -> Int64.bits_of_float (Tensor.fbuf_get c i))
+  in
+  let want = run (fun ~c -> Linalg.naive_kernel ~m ~n ~k ~a ~ao ~b ~bo ~c ~co) in
+  List.for_all
+    (fun par -> run (fun ~c -> Blocked.gemm ~par ~tiles ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()) = want)
+    pars
+
 (* The micro-kernel's exact contract over its edges: any m, n, k in
    [1, 70] (odd n, column octets and row quads cut short), the
-   operands and C at nonzero offsets into larger buffers, f32 and f64,
-   finite values with signed zeros among them, on the sequential runner
-   and on a 2-participant pool.  Every element of C's buffer, inside the
-   window and out, equals the naive loop's bit for bit; the elements
-   outside it hold -0.0, which any stray write changes.  (The naive loop
-   skips zero A entries, so ±inf and NaN operands are outside the
-   contract.) *)
+   operands and C at nonzero offsets, f32 and f64, on the sequential
+   runner and on a 2-participant pool. *)
 let prop_gemm_blocked_random pool =
   QCheck2.Test.make ~name:"blocked gemm matches naive on random extents" ~count:60
     QCheck2.Gen.(
       tup4 (tup3 (int_range 1 70) (int_range 1 70) (int_range 1 70))
         (tup3 (int_range 1 9) (int_range 1 9) (int_range 1 9))
         bool int)
-    (fun ((m, n, k), (ao, bo, co), f64, seed) ->
-      let dt = if f64 then Tensor.F64 else Tensor.F32 in
-      let rng = Rng.create seed in
-      let values len =
-        let b = Tensor.fbuf_create dt len in
-        for i = 0 to len - 1 do
-          Tensor.fbuf_set b i
-            (match Rng.int rng 5 with
-            | 0 -> -0.0
-            | 1 -> 0.0
-            | _ -> Rng.normal rng)
-        done;
-        b
-      in
-      let a = values (ao + (m * k)) and b = values (bo + (k * n)) in
-      (* -0.0 around C's window: a stray [+= 0.0] outside it flips a bit *)
-      let c0 = values (co + (m * n) + 8) in
-      for i = 0 to Tensor.fbuf_len c0 - 1 do
-        if i < co || i >= co + (m * n) then Tensor.fbuf_set c0 i (-0.0)
-      done;
-      let run kernel =
-        let c = copy_fbuf c0 in
-        kernel ~c;
-        Array.init (Tensor.fbuf_len c) (fun i -> Int64.bits_of_float (Tensor.fbuf_get c i))
-      in
-      let want = run (fun ~c -> Linalg.naive_kernel ~m ~n ~k ~a ~ao ~b ~bo ~c ~co) in
-      let tiles = Blocked.tiles_of ~tile_m:32 ~tile_n:32 in
-      List.for_all
-        (fun par -> run (fun ~c -> Blocked.gemm ~par ~tiles ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()) = want)
-        [ Blocked.sequential; RT.Domain_pool.par pool ])
+    (fun (mnk, offsets, f64, seed) ->
+      gemm_bit_exact
+        ~pars:[ Blocked.sequential; RT.Domain_pool.par pool ]
+        ~tiles:(Blocked.tiles_of ~tile_m:32 ~tile_n:32)
+        ~dt:(if f64 then Tensor.F64 else Tensor.F32)
+        ~seed mnk offsets)
 
 let test_gemm_blocked_random () =
   let pool = RT.Domain_pool.create 2 in
   Fun.protect
     ~finally:(fun () -> RT.Domain_pool.shutdown pool)
     (fun () -> QCheck2.Test.check_exn (prop_gemm_blocked_random pool))
+
+(* A tile call takes two row quads at once (the 8×8 tile on an AVX-512F
+   host, two 4×8 tiles elsewhere) and an odd last quad alone.  Every
+   m mod 8, at shallow k and at k = 2500, where a row tile is 12 rows
+   (three quads, so each row tile ends on a lone quad), against ragged
+   n, in f32 and f64, at nonzero offsets, sequentially and on a
+   2-participant pool: C bit for bit as the naive loop leaves it. *)
+let test_gemm_tile_rows () =
+  Alcotest.(check bool) "a known tile body" true
+    (List.mem Blocked.gemm_tile [ "8x8 avx512f"; "4x8" ]);
+  let pool = RT.Domain_pool.create 2 in
+  Fun.protect
+    ~finally:(fun () -> RT.Domain_pool.shutdown pool)
+    (fun () ->
+      let pars = [ Blocked.sequential; RT.Domain_pool.par pool ] in
+      let cases =
+        List.concat_map (fun m -> [ m, 13, 37; m + 32, 21, 9 ]) (List.init 8 (fun r -> r + 1))
+        @ List.map (fun m -> m, 11, 2500) [ 5; 12; 20; 24; 29; 36 ]
+      in
+      List.iter
+        (fun dt ->
+          List.iteri
+            (fun i (m, n, k) ->
+              if
+                not
+                  (gemm_bit_exact ~pars ~tiles:Blocked.default_tiles ~dt ~seed:i (m, n, k)
+                     (3, 5, 7))
+              then
+                Alcotest.failf "%s %dx%dx%d (%s tile): C differs from the naive loop"
+                  (Tensor.dtype_name dt) m n k Blocked.gemm_tile)
+            cases)
+        [ Tensor.F32; Tensor.F64 ])
 
 (* ------------------------------------------------------------------ *)
 (* Convolution equivalence                                             *)
@@ -521,6 +558,38 @@ let prop_block_unary =
                ~want:(fun ops -> Tensor.map_f (Op_semantics.clip_fn (-0.0) 1.5) (List.hd ops))
                ~instr:(fun ls d -> Op_semantics.Clip (-0.0, 1.5, List.hd ls, d)))
         [ Tensor.F32; Tensor.F64 ])
+
+(* erf and Gelu against libm, with the bounds DESIGN.md §14 states:
+   |erf x − Float.erf x| ≤ 1e-7, and |Gelu v − 0.5·v·(1 + Float.erf
+   (v/√2))| ≤ 1e-7·max(1, |v|); equal values (infinities) and NaN
+   against NaN agree outright. *)
+let erf_bound = 1e-7
+
+let near_libm bound want got = same_value want got || Float.abs (want -. got) <= bound
+
+let gen_erf_args range =
+  QCheck2.Gen.(frequency [ 1, oneofl special_values; 4, float_range (-.range) range ])
+
+let prop_erf_libm =
+  QCheck2.Test.make ~name:"erf is within its bound of libm erf" ~count:2000 (gen_erf_args 6.0)
+    (fun x -> near_libm erf_bound (Float.erf x) (Op_semantics.erf x))
+
+let prop_gelu_libm =
+  QCheck2.Test.make ~name:"gelu is within its bound of the libm-erf gelu" ~count:2000
+    (gen_erf_args 8.0) (fun v ->
+      near_libm
+        (erf_bound *. Float.max 1.0 (Float.abs v))
+        (0.5 *. v *. (1.0 +. Float.erf (v /. sqrt 2.0)))
+        (Op_semantics.unary_fn Op.Gelu v))
+
+let prop_erf_odd =
+  QCheck2.Test.make ~name:"erf is odd bit for bit" ~count:2000 (gen_erf_args 6.0) (fun x ->
+      same_value (Op_semantics.erf (-.x)) (-.Op_semantics.erf x))
+
+let test_erf_signed_zero () =
+  let bits v = Int64.bits_of_float v in
+  Alcotest.(check int64) "erf (+0) = +0" (bits 0.0) (bits (Op_semantics.erf 0.0));
+  Alcotest.(check int64) "erf (-0) = -0" (bits (-0.0)) (bits (Op_semantics.erf (-0.0)))
 
 let prop_block_binary =
   QCheck2.Test.make ~name:"block evaluator matches scalar binary semantics" ~count:30
@@ -905,4 +974,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_gather_odometer;
     QCheck_alcotest.to_alcotest prop_block_norm;
     QCheck_alcotest.to_alcotest prop_norm_run32;
+    Alcotest.test_case "gemm: two-quad tile and its one-quad tail bit for bit" `Quick
+      test_gemm_tile_rows;
+    Alcotest.test_case "erf: signed zeros bit for bit" `Quick test_erf_signed_zero;
+    QCheck_alcotest.to_alcotest prop_erf_libm;
+    QCheck_alcotest.to_alcotest prop_gelu_libm;
+    QCheck_alcotest.to_alcotest prop_erf_odd;
   ]
