@@ -31,7 +31,7 @@ let gemm_side ?(dt = Tensor.F32) (m, n, k) gemm () =
     Tensor.fbuf_fill c 0 (m * n) 0.0;
     gemm ~m ~n ~k ~a ~b ~c
 
-let blocked_gemm tiles ~m ~n ~k ~a ~b ~c = Blocked.gemm ?tiles ~m ~n ~k ~a ~ao:0 ~b ~bo:0 ~c ~co:0 ()
+let blocked_gemm ~m ~n ~k ~a ~b ~c = Blocked.gemm ~m ~n ~k ~a ~ao:0 ~b ~bo:0 ~c ~co:0 ()
 
 (* --- kernels: naive vs blocked vs parallel, f32 vs f64 --------------- *)
 
@@ -114,10 +114,9 @@ let element_loops ~rounds blocked =
       "softmax", Op.Softmax { axis = -1 }, [ (fun dt -> tensor dt [ 1; 4; 32; 32 ]) ] ]
 
 let kernels ~rounds =
-  let versions = Sod2.Multi_version.build cpu in
-  let naive = RT.Backend.create ~versions RT.Backend.Naive in
-  let blocked = RT.Backend.create ~versions RT.Backend.Blocked in
-  with_backend (RT.Backend.create ~versions ~threads:cpu.Profile.cores RT.Backend.Parallel)
+  let naive = RT.Backend.create RT.Backend.Naive in
+  let blocked = RT.Backend.create RT.Backend.Blocked in
+  with_backend (RT.Backend.create RT.Backend.Parallel)
   @@ fun parallel ->
   let on be ~m ~n ~k ~a ~b ~c = RT.Backend.gemm_kernel be ~m ~n ~k ~a ~ao:0 ~b ~bo:0 ~c ~co:0 in
   let gemm name (m, n, k) = Printf.sprintf "%s %dx%dx%d" name m n k, fun be -> gemm_side (m, n, k) (on be) in
@@ -462,7 +461,7 @@ let int8 ~rounds =
   let m, n, k = 256, 256, 256 in
   let qa = i8 (m * k) 5 and qb = i8 (k * n) 23 and qc = Tensor.fbuf_create Tensor.F32 (m * n) in
   let gemm =
-    [ gemm_side (m, n, k) (blocked_gemm None);
+    [ gemm_side (m, n, k) blocked_gemm;
       (fun () () ->
         Blocked.gemm_i8_dequant ~za ~zb ~scale:[| 3e-4 |] ~bias:[| -0.0 |] ~m ~n ~k ~a:qa ~ao:0
           ~b:qb ~bo:0 ~c:qc ~co:0 ()) ]
@@ -549,36 +548,6 @@ let gates ~rounds =
     values =
       [ gates_paths, sum 0; gates_ref, sum 1; gates_live, sum 2;
         gates_floor, geomean (List.map (fun r -> List.assoc "speedup" r.fields) rows) ] }
-
-(* --- tune: default vs the analytical GA pick ------------------------- *)
-
-(* The kernel-version table serving runs ([Multi_version.build]) must not
-   lose to the untuned default on its own class representatives. *)
-let tune_analytic = gate "geomean analytical / default time" 1.05 At_most
-
-let tune ~rounds =
-  let versions = Sod2.Multi_version.build cpu in
-  let shape cls =
-    let m, n, k = List.assoc cls Sod2.Multi_version.representatives in
-    let analytic = Sod2.Multi_version.config_for versions cls in
-    (* One operand set for both configs. *)
-    let a = filled (m * k) and b = filled (k * n) and c = Tensor.fbuf_create Tensor.F32 (m * n) in
-    let side (cfg : Sod2.Autotune.config) () =
-      let tiles = Blocked.tiles_of ~tile_m:cfg.tile_m ~tile_n:cfg.tile_n in
-      fun () ->
-        Tensor.fbuf_fill c 0 (m * n) 0.0;
-        blocked_gemm (Some tiles) ~m ~n ~k ~a ~b ~c
-    in
-    let label =
-      Format.asprintf "%s %dx%dx%d (%a)" (Sod2.Multi_version.class_name cls) m n k
-        Sod2.Autotune.pp_config analytic
-    in
-    let d, a = pair (time ~rounds (List.map side [ Sod2.Autotune.default_config; analytic ])) in
-    row label [ "default", d; "analytical", a ] ~fields:(paired "ratio" a d)
-  in
-  let rows = List.map shape [ Sod2.Multi_version.Fat; Sod2.Multi_version.Skinny ] in
-  let gm side = geomean (List.map (fun r -> (List.assoc side r.timings).best) rows) in
-  { rows; values = [ tune_analytic, gm "analytical" /. gm "default" ] }
 
 (* --- backend: CodeBERT end to end on the pool and on fused kernels ---- *)
 
@@ -696,8 +665,6 @@ let () =
         doc = "int8 GEMM/conv with the dequantizing write-back vs f32 blocked" };
       { name = "gates"; rounds = 3; run = gates; gates = [ gates_paths; gates_ref; gates_live; gates_floor ];
         doc = "all-paths vs selected-only execution of one plan on SkipNet and BlockDrop" };
-      { name = "tune"; rounds = 35; run = tune; gates = [ tune_analytic ];
-        doc = "GEMM default vs the analytical GA config serving runs, fat and skinny" };
       { name = "backend"; rounds = 1; run = backend; gates = [ backend_wrong ];
         doc = "CodeBERT S=32 on the parallel and fused backends vs Reference" };
       { name = "micro"; rounds = 5; run = micro; gates = [];

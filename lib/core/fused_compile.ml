@@ -173,8 +173,7 @@ let output_dtype (nd : Graph.node) (dt : Graph.tensor_id -> Tensor.dtype) =
   | _, x :: _ -> dt x
   | op, [] -> fail "operator %s has no inputs" (Op.name op)
 
-let specialize g (tpl : template) ~(versions : Multi_version.table)
-    ~(args : (int list * Tensor.dtype) array) : (kernel, string) result =
+let specialize g (tpl : template) ~(args : (int list * Tensor.dtype) array) : (kernel, string) result =
   try
     let nslots = Array.length tpl.t_slots in
     if Array.length args <> nslots then fail "argument count %d <> slot count %d" (Array.length args) nslots;
@@ -502,7 +501,7 @@ let specialize g (tpl : template) ~(versions : Multi_version.table)
           (fun ~par (args : Tensor.view array) ~c ~co ->
             let _, _, kernel =
               Option.get
-                (Multi_version.heavy_kernel ~par (Some versions) anc.Graph.op
+                (Multi_version.heavy_kernel ~par ~blocked:true anc.Graph.op
                    (List.map (fun i -> args.(i)) slots))
             in
             kernel ~c ~co)

@@ -56,13 +56,10 @@ val plan :
     quantization. *)
 
 val specialize :
-  Graph.t -> template ->
-  versions:Multi_version.table ->
-  args:(int list * Tensor.dtype) array ->
-  (kernel, string) result
+  Graph.t -> template -> args:(int list * Tensor.dtype) array -> (kernel, string) result
 (** Compile the template against concrete slot dims/dtypes (slot order).
-    The anchor runs {!Multi_version.heavy_kernel} with [versions], which
-    classifies the problem by its extents as op-by-op execution does.
+    The anchor runs {!Multi_version.heavy_kernel} as a blocked backend
+    does, classifying the problem by its extents as op-by-op execution does.
     [Error] means this shape
     cannot be fused soundly (I64 element inputs, non-concrete member
     shapes, …) and the caller should fall back to op-by-op execution. *)

@@ -106,22 +106,16 @@ let gemm_dims_of_op (op : Op.t) ~in_dims ~out_dims =
 (* The heavy-operator kernels                                          *)
 
 (* The dispatch rule, the one place a class becomes a kernel: a problem
-   runs the blocked kernel of its class's version, except on a naive
-   backend ([versions = None]) and for Tiny problems, where packing would
-   cost more than the whole product — both take the naive loop
-   ([None]). *)
-let kernel_tiles versions cls =
-  match versions, cls with
-  | None, _ | _, Tiny -> None
-  | Some t, cls ->
-    let cfg = config_for t cls in
-    Some (Blocked.tiles_of ~tile_m:cfg.Autotune.tile_m ~tile_n:cfg.Autotune.tile_n)
+   runs the blocked kernel, except on a naive backend ([blocked = false])
+   and for Tiny problems, where packing would cost more than the whole
+   product — both take the naive loop. *)
+let runs_blocked ~blocked cls = blocked && cls <> Tiny
 
-let gemm_kernel ~par versions : Linalg.gemm_kernel =
+let gemm_kernel ~par ~blocked : Linalg.gemm_kernel =
  fun ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ->
-  match kernel_tiles versions (classify_gemm ~m ~n ~k) with
-  | None -> Linalg.naive_kernel ~m ~n ~k ~a ~ao ~b ~bo ~c ~co
-  | Some tiles -> Blocked.gemm ~par ~tiles ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()
+  if runs_blocked ~blocked (classify_gemm ~m ~n ~k) then
+    Blocked.gemm ~par ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()
+  else Linalg.naive_kernel ~m ~n ~k ~a ~ao ~b ~bo ~c ~co
 
 (* The class of a 2-d convolution's im2col GEMM over NCHW input dims
    against OIHW weight dims. *)
@@ -194,22 +188,20 @@ let transpose_into (held : Tensor.view) (v : Tensor.view) =
    calibrated and quantized per tensor at call time, read in place from
    its view; the packed int8 kernels accumulate in int32 and fold the
    dequantization — scale product, per output channel for a conv, plus
-   the bias — into the write-back.  The accumulation is exact, so tiles
-   steer only speed: where the rule says naive, the int8 kernels (which
-   have no naive loop) run the default tiles. *)
-let int8_tiles versions cls = Option.value ~default:Blocked.default_tiles (kernel_tiles versions cls)
+   the bias — into the write-back.  The int8 kernels have no naive loop,
+   so they run Tiny problems too. *)
 let i8 (t : Quant.qtensor) = Tensor.storage_i8 t.Quant.q
 
-let matmul_i8 ~par ~tiles x (qw : Quant.qtensor) ~m ~n ~k ~c ~co =
+let matmul_i8 ~par x (qw : Quant.qtensor) ~m ~n ~k ~c ~co =
   let qx = Quant.quantize_activation x in
   let scale = Quant.scale_of qx.Quant.qscheme *. Quant.scale_of qw.Quant.qscheme in
   (* no bias: adding [-0.0] leaves every value as it is *)
-  Blocked.gemm_i8_dequant ~par ~tiles ~za:(Quant.zero_point_of qx.Quant.qscheme) ~zb:0
+  Blocked.gemm_i8_dequant ~par ~za:(Quant.zero_point_of qx.Quant.qscheme) ~zb:0
     ~scale:[| scale |] ~bias:[| -0.0 |] ~m ~n ~k ~a:(i8 qx) ~ao:0 ~b:(i8 qw) ~bo:0 ~c ~co ()
 
 (* per output channel: the activation scale times the channel's weight
    scale, and the float bias (0.0 without one) *)
-let conv_i8 ~par ~tiles ~stride ~pad ~dilation ~groups x (qw : Quant.qtensor) bias ~c ~co =
+let conv_i8 ~par ~stride ~pad ~dilation ~groups x (qw : Quant.qtensor) bias ~c ~co =
   let qx = Quant.quantize_activation x in
   let sx = Quant.scale_of qx.Quant.qscheme and ws = Quant.channel_scales qw.Quant.qscheme in
   let m = List.hd (Tensor.dims qw.Quant.q) in
@@ -219,15 +211,15 @@ let conv_i8 ~par ~tiles ~stride ~pad ~dilation ~groups x (qw : Quant.qtensor) bi
         match bias with Some b -> Tensor.fbuf_get b.Tensor.vbuf (b.Tensor.voff + ch) | None -> 0.0)
   in
   ignore
-    (Blocked.conv2d_i8_dequant_into ~par ~tiles ~zx:(Quant.zero_point_of qx.Quant.qscheme) ~zw:0
+    (Blocked.conv2d_i8_dequant_into ~par ~zx:(Quant.zero_point_of qx.Quant.qscheme) ~zw:0
        ~scale ~bias ~stride ~pad ~dilation ~groups ~x:(i8 qx) ~xoff:0
        ~xdims:(Array.of_list x.Tensor.vdims) ~w:(i8 qw) ~woff:0
        ~wdims:(Array.of_list (Tensor.dims qw.Quant.q)) ~c ~co ())
 
-let heavy_kernel ?int8 ~par versions (op : Op.t) (vs : Tensor.view list) =
-  let inner = gemm_kernel ~par versions in
+let heavy_kernel ?int8 ~par ~blocked (op : Op.t) (vs : Tensor.view list) =
+  let inner = gemm_kernel ~par ~blocked in
   (* the int8 payload and its per-execution hook, off a naive backend *)
-  let int8 = match versions with None -> None | Some _ -> int8 in
+  let int8 = if blocked then int8 else None in
   let counted ran kernel ~c ~co =
     kernel ~c ~co;
     ran ()
@@ -240,8 +232,7 @@ let heavy_kernel ?int8 ~par versions (op : Op.t) (vs : Tensor.view list) =
         promoted vs,
         match int8, a.Tensor.vdims, dims with
         | Some (qw, ran), [ m; k ], [ _; n ] when k > 0 && Tensor.dims qw.Quant.q = [ k; n ] ->
-          counted ran
-            (matmul_i8 ~par ~tiles:(int8_tiles versions (classify_gemm ~m ~n ~k)) a qw ~m ~n ~k)
+          counted ran (matmul_i8 ~par a qw ~m ~n ~k)
         | _ -> fun ~c ~co -> ignore (Linalg.matmul_into ~inner a b ~c ~co) )
   | Op.Gemm { alpha; beta; trans_a; trans_b }, a :: b :: rest, _
     when promoted (a :: b :: Option.to_list (bias_of rest)) = promoted [ a; b ] ->
@@ -276,17 +267,15 @@ let heavy_kernel ?int8 ~par versions (op : Op.t) (vs : Tensor.view list) =
     Some
       ( dims,
         promoted [ x; w ],
-        match int8, kernel_tiles versions cls with
-        | Some (qw, ran), _ when not one_d ->
-          counted ran
-            (conv_i8 ~par ~tiles:(int8_tiles versions cls) ~stride ~pad ~dilation ~groups x qw
-               (bias_of rest))
-        | _, None ->
-          fun ~c ~co ->
-            ignore (Linalg.conv2d_into ~stride ~pad ~dilation ~groups x w (bias_of rest) ~c ~co)
-        | _, Some tiles ->
+        match int8 with
+        | Some (qw, ran) when not one_d ->
+          counted ran (conv_i8 ~par ~stride ~pad ~dilation ~groups x qw (bias_of rest))
+        | _ when runs_blocked ~blocked cls ->
           fun ~c ~co ->
             ignore
-              (Blocked.conv2d_im2col_into ~par ~tiles ~stride ~pad ~dilation ~groups x w
-                 (bias_of rest) ~c ~co) )
+              (Blocked.conv2d_im2col_into ~par ~stride ~pad ~dilation ~groups x w (bias_of rest)
+                 ~c ~co)
+        | _ ->
+          fun ~c ~co ->
+            ignore (Linalg.conv2d_into ~stride ~pad ~dilation ~groups x w (bias_of rest) ~c ~co) )
   | _ -> None

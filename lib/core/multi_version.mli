@@ -8,9 +8,11 @@
     pick the version.
 
     A {!table} holds one tuned {!Autotune.config} per shape class for a
-    device; {!efficiency_for} evaluates the selected version on the actual
-    problem, and degrades gracefully when versioning is disabled (the
-    single generic version is used everywhere). *)
+    simulated device; {!efficiency_for} evaluates the selected version on
+    the actual problem, and degrades gracefully when versioning is
+    disabled (the single generic version is used everywhere).  Only the
+    simulators read a table: the host's kernels below have one tiling,
+    and take from the shape class only whether packing pays. *)
 
 type shape_class =
   | Fat  (** both output extents large *)
@@ -19,10 +21,6 @@ type shape_class =
   | Tiny  (** whole problem smaller than the packing overhead *)
 
 val class_name : shape_class -> string
-
-val representatives : (shape_class * (int * int * int)) list
-(** The canonical (m, n, k) each class is tuned on — what {!build} hands
-    the autotuner. *)
 
 val classify : m:int -> n:int -> shape_class
 (** Shape class of a GEMM (or implicit-GEMM convolution) output. *)
@@ -54,32 +52,27 @@ val gemm_dims_of_op :
 (** The implicit-GEMM extents (m, n, k) of a heavy operator execution;
     [None] for non-heavy operators. *)
 
-val config_for : table -> shape_class -> Autotune.config
-
 (** {1 The heavy-operator kernels}
 
     MatMul, Gemm, Conv and Conv1d have one destination-passing entry,
     {!heavy_kernel}, which op-by-op execution ([Kernels.run_into]) and a
     fused group's anchor ({!Fused_compile}) both call.  Each problem is
     classified by its own extents when it runs — every GEMM product by
-    {!classify_gemm}, a convolution by its im2col GEMM — and
-    {!kernel_tiles} turns the class into a kernel, so the kernel a
-    problem runs does not depend on the path that reached it. *)
+    {!classify_gemm}, a convolution by its im2col GEMM — and one rule
+    turns the class into a kernel: the blocked kernels, except on a naive
+    backend ([blocked = false]) and for a {!Tiny} problem, where packing
+    would cost more than the whole product; both take the naive reference
+    loop.  So the kernel a problem runs does not depend on the path that
+    reached it. *)
 
-val kernel_tiles : table option -> shape_class -> Blocked.tiles option
-(** The one place a shape class becomes a kernel: the blocked tiles of
-    the version [table] holds for the class, or [None] for the naive
-    reference loop — on a naive backend ([None] table) and for a {!Tiny}
-    problem, where packing would cost more than the whole product. *)
-
-val gemm_kernel : par:Blocked.par -> table option -> Linalg.gemm_kernel
+val gemm_kernel : par:Blocked.par -> blocked:bool -> Linalg.gemm_kernel
 (** The inner GEMM of that rule: the extents of each product classify
     it. *)
 
 val heavy_kernel :
-  ?int8:Quant.qtensor * (unit -> unit) -> par:Blocked.par -> table option -> Op.t ->
+  ?int8:Quant.qtensor * (unit -> unit) -> par:Blocked.par -> blocked:bool -> Op.t ->
   Tensor.view list -> (int list * Tensor.dtype * (c:Tensor.fbuf -> co:int -> unit)) option
-(** [heavy_kernel ~par versions op args] — the dims and float dtype of a
+(** [heavy_kernel ~par ~blocked op args] — the dims and float dtype of a
     heavy operator's result over [args] (the bias does not widen a
     convolution), and its kernel, which writes every element of the
     result into [c] at element offset [co].  A Conv1d runs as a Conv of
@@ -93,6 +86,5 @@ val heavy_kernel :
     int8 kernels take — a 2-d MatMul activation and an NCHW Conv — run
     them instead (dynamic-range quantization: the activation is
     quantized per tensor at call time, read in place, and the result is
-    float, in the same dims and dtype); they use the tiles of the
-    problem's class, or the default tiles where {!kernel_tiles} says
-    naive.  Any other shape runs the float kernel. *)
+    float, in the same dims and dtype), Tiny problems included, since
+    they have no naive loop.  Any other shape runs the float kernel. *)

@@ -28,7 +28,7 @@ type compiled = {
   rdp : Rdp.t;
   fusion_plan : Fusion.plan;
   exec : Exec_plan.t;
-  versions : Multi_version.table;
+  versions : Multi_version.table;  (** read by the simulators only *)
   fused : Fused_compile.template option array;
       (** per-group fused-kernel templates (indexed by group id); [None]
           when the group stays on op-by-op execution *)

@@ -17,7 +17,6 @@ type t = {
   reinit_tuning_us_per_op : float;
   cache_spill_penalty : float;
   pressure_coeff : float;
-  cores : int;
 }
 
 (* Calibration notes: the CPU/GPU throughput ratio, the enormous GPU
@@ -41,7 +40,6 @@ let sd888_cpu = {
   reinit_tuning_us_per_op = 4500.0;
   cache_spill_penalty = 2.2;
   pressure_coeff = 0.15;
-  cores = 8;
 }
 
 let sd888_gpu = {
@@ -59,7 +57,6 @@ let sd888_gpu = {
   reinit_tuning_us_per_op = 2800.0;
   cache_spill_penalty = 3.0;
   pressure_coeff = 0.48;
-  cores = 8;
 }
 
 let sd835_cpu = {
@@ -77,7 +74,6 @@ let sd835_cpu = {
   reinit_tuning_us_per_op = 8000.0;
   cache_spill_penalty = 2.8;
   pressure_coeff = 0.22;
-  cores = 8;
 }
 
 let sd835_gpu = {
@@ -95,7 +91,6 @@ let sd835_gpu = {
   reinit_tuning_us_per_op = 5200.0;
   cache_spill_penalty = 3.6;
   pressure_coeff = 0.60;
-  cores = 8;
 }
 
 let all = [ sd888_cpu; sd888_gpu; sd835_cpu; sd835_gpu ]

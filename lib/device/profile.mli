@@ -36,10 +36,6 @@ type t = {
       (** sensitivity of execution latency to the inference's total memory
           footprint (cache-thrash coupling); mobile GPUs are markedly more
           sensitive to memory and data movement (§5.3) *)
-  cores : int;
-      (** CPU core count available to the kernel worker pool (both
-          Snapdragons are octa-core); the runtime clamps this to what the
-          host actually offers *)
 }
 
 val sd888_cpu : t

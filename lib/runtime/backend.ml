@@ -29,7 +29,6 @@ type fused_entry = {
 
 type t = {
   kind : kind;
-  versions : Multi_version.table;
   pool : Domain_pool.t option;
   profile_name : string;
   fused_cache : (int * (int list * Tensor.dtype) list, fused_entry) Hashtbl.t;
@@ -39,7 +38,7 @@ type t = {
   mutable fused_rejects : int;
 }
 
-let create ?(versions = Multi_version.untuned) ?threads ?(profile = "unprofiled") kind =
+let create ?versions:_ ?threads ?(profile = "unprofiled") kind =
   let pool =
     match kind with
     | Parallel | Fused ->
@@ -51,7 +50,6 @@ let create ?(versions = Multi_version.untuned) ?threads ?(profile = "unprofiled"
   in
   {
     kind;
-    versions;
     pool;
     profile_name = profile;
     fused_cache = Hashtbl.create 32;
@@ -61,9 +59,7 @@ let create ?(versions = Multi_version.untuned) ?threads ?(profile = "unprofiled"
     fused_rejects = 0;
   }
 
-let for_compiled kind (c : Pipeline.compiled) =
-  create ~versions:c.Pipeline.versions ~threads:c.Pipeline.profile.Profile.cores
-    ~profile:c.Pipeline.profile.Profile.name kind
+let for_compiled kind (c : Pipeline.compiled) = create ~profile:c.Pipeline.profile.Profile.name kind
 
 let kind_of t = t.kind
 let pool_size t = match t.pool with Some p -> Domain_pool.size p | None -> 1
@@ -72,11 +68,8 @@ let shutdown t = Option.iter Domain_pool.shutdown t.pool
 let par_of t =
   match t.pool with Some p -> Domain_pool.par p | None -> Sod2_tensor.Blocked.sequential
 
-(* The kernel versions a heavy op dispatches on; [None] on a naive
-   backend, where every heavy op takes the naive reference loop. *)
-let versions t = match t.kind with Naive -> None | Blocked | Parallel | Fused -> Some t.versions
-
-let gemm_kernel t = Multi_version.gemm_kernel ~par:(par_of t) (versions t)
+let blocked t = t.kind <> Naive
+let gemm_kernel t = Multi_version.gemm_kernel ~par:(par_of t) ~blocked:(blocked t)
 
 let record t kind = Profile.Counters.record ~profile:t.profile_name ~kind
 
@@ -139,8 +132,7 @@ let fused_kernel t (c : Pipeline.compiled) ~gid
             record t "fused-cache-miss";
             let kernel =
               match
-                Fused_compile.specialize c.Pipeline.graph tpl ~versions:t.versions
-                  ~args:(Array.of_list args)
+                Fused_compile.specialize c.Pipeline.graph tpl ~args:(Array.of_list args)
               with
               | Ok k -> Some k
               | Error _ -> None

@@ -1,10 +1,10 @@
 (** Kernel-backend selection: naive reference loops, cache-blocked
     kernels, or blocked kernels driven by the domain pool.
 
-    A backend bundles the per-shape-class kernel versions
-    ({!Multi_version.table}) with an optional {!Domain_pool.t}.  It owns
-    no float kernels: {!Kernels.run_into} runs every operator, heavy ones
-    through {!Multi_version.heavy_kernel} with {!versions} and {!par_of}.
+    A backend bundles its kind with an optional {!Domain_pool.t} sized by
+    the host.  It owns no float kernels: {!Kernels.run_into} runs every
+    operator, heavy ones through {!Multi_version.heavy_kernel} with
+    {!blocked} and {!par_of}.
     [Naive] reproduces the reference interpreter bit-exactly and is what
     {!Kernels.run} uses when no backend is given, so guarded fallback and
     golden comparisons stay byte-stable. *)
@@ -23,13 +23,14 @@ val kind_of_string : string -> kind option
 type t
 
 val create : ?versions:Multi_version.table -> ?threads:int -> ?profile:string -> kind -> t
-(** [create kind] — [versions] defaults to the untuned table; [threads]
-    (Parallel/Fused only) defaults to the host's recommended domain count;
-    [profile] names the device in {!Profile.Counters} records. *)
+(** [create kind] — [threads] (Parallel/Fused only) defaults to the
+    host's recommended domain count, and the pool clamps it to the host;
+    [profile] names the device in {!Profile.Counters} records.
+    [versions] is accepted and ignored: the kernels have one tiling. *)
 
 val for_compiled : kind -> Pipeline.compiled -> t
-(** Backend using the compiled artifact's tuned version table and device
-    core count. *)
+(** A backend whose counters are recorded under the compiled artifact's
+    profile name. *)
 
 val kind_of : t -> kind
 
@@ -39,9 +40,9 @@ val pool_size : t -> int
 val shutdown : t -> unit
 (** Joins the pool's worker domains, if any. *)
 
-val versions : t -> Multi_version.table option
-(** The version table heavy operators dispatch on
-    ({!Multi_version.heavy_kernel}); [None] on a [Naive] backend. *)
+val blocked : t -> bool
+(** Whether heavy operators may run the blocked kernels
+    ({!Multi_version.heavy_kernel}): every kind but [Naive]. *)
 
 val gemm_kernel : t -> Linalg.gemm_kernel
 (** {!Multi_version.gemm_kernel} for this backend: the extents of each

@@ -143,5 +143,3 @@ let shutdown t =
   Mutex.unlock t.mutex;
   List.iter Domain.join t.domains;
   t.domains <- []
-
-let for_profile (p : Profile.t) = create p.Profile.cores

@@ -3,10 +3,11 @@
     Spawning a domain costs far more than one kernel invocation, so the
     pool keeps [n - 1] worker domains parked on a condition variable and
     hands them one data-parallel job at a time; the calling domain is the
-    n-th participant.  Tasks are distributed by an atomic work-stealing
-    cursor, so uneven tile costs balance automatically.  Completion is
-    awaited by blocking, never spinning — on a single-core host the pool
-    degrades to sequential execution instead of starving itself.
+    n-th participant, and [n] never exceeds the host's cores.  Tasks are
+    distributed by an atomic work-stealing cursor, so uneven tile costs
+    balance automatically.  Completion is awaited by blocking, never
+    spinning — on a single-core host the pool degrades to sequential
+    execution instead of starving itself.
 
     One job runs at a time; [run] must only be called from the domain that
     owns the pool (the runtime's orchestration thread), never from inside
@@ -33,7 +34,3 @@ val par : t -> Blocked.par
 
 val shutdown : t -> unit
 (** Joins the worker domains.  Idempotent.  The pool must be idle. *)
-
-val for_profile : Profile.t -> t
-(** Pool sized from the device profile's core count (clamped to the
-    host). *)

@@ -365,8 +365,7 @@ let worker_body t w =
     | Backend.Naive -> None
     | k ->
       Some
-        (Backend.create ~versions:t.compiled.Pipeline.versions
-           ~threads:(max 1 (Domain.recommended_domain_count () / t.nworkers))
+        (Backend.create ~threads:(max 1 (Domain.recommended_domain_count () / t.nworkers))
            ~profile:t.compiled.Pipeline.profile.Profile.name k)
   in
   let release () = Option.iter Backend.shutdown backend in

@@ -155,8 +155,10 @@ let split_operands (op : Op.t) xs =
 
 let run_into ?backend ?int8 ?(ints = []) (op : Op.t) (inputs : Tensor.view list)
     ~(dest : int -> Tensor.dtype -> int list -> Tensor.fbuf * int) : int list list option =
-  let par =
-    match backend with Some be -> Backend.par_of be | None -> Blocked.sequential
+  let par, blocked =
+    match backend with
+    | Some be -> Backend.par_of be, Backend.blocked be
+    | None -> Blocked.sequential, false
   in
   (* The one call to [dest] of a single-output op: every shape check has
      passed by now. *)
@@ -232,7 +234,7 @@ let run_into ?backend ?int8 ?(ints = []) (op : Op.t) (inputs : Tensor.view list)
     | Some be, Some qw -> Some (qw, fun () -> Backend.record be "quant-kernel")
     | _ -> None
   in
-  match Multi_version.heavy_kernel ?int8 ~par (Option.bind backend Backend.versions) op inputs with
+  match Multi_version.heavy_kernel ?int8 ~par ~blocked op inputs with
   | Some (dims, dt, kernel) -> write ~dt dims kernel
   | None -> (
     match op, inputs with

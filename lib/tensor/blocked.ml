@@ -11,18 +11,6 @@ let sequential =
         done);
   }
 
-type tiles = {
-  tm : int;
-  tn : int;
-}
-
-let default_tiles = { tm = 64; tn = 32 }
-
-(* Floors measured against the real kernel: micro-tiles need at least 8
-   quad-rows/pair-columns to amortize the edge guards.  The autotuner
-   steers above these floors. *)
-let tiles_of ~tile_m ~tile_n = { tm = max 32 tile_m; tn = max 32 tile_n }
-
 let ceil_div x y = (x + y - 1) / y
 
 (* ---------------------------------------------------------------- *)
@@ -131,12 +119,17 @@ let calls = Atomic.make 0
 let pgrow p n = if BA1.dim p >= n then p else panel n
 let igrow a n = if Array.length a >= n then a else Array.make n 0
 
-(* Row-tile height: the tuned [tm], lowered to a multiple of [group] rows
-   when [tm] rows at [group_words] words per row group would pass the
-   panel bound.  Column-block width likewise, in groups of [group]
-   columns of depth [k]: octets for the float kernel, pairs for int8. *)
-let row_tile tm ~group ~group_words =
-  max group (min tm (group * (panel_words / group_words)))
+(* Row tiles (the parallel work unit) are 32 rows and column tiles 32
+   columns, enough row groups and column groups to amortize the
+   micro-tiles' edge guards; sequential GEMMs time the same at 64-row
+   tiles.  A row tile is lowered to a multiple of [group] rows when 32
+   rows at [group_words] words per row group would pass the panel bound.
+   Column-block width likewise, in groups of [group] columns of depth
+   [k]: octets for the float kernel, pairs for int8. *)
+let tile_extent = 32
+
+let row_tile ~group ~group_words =
+  max group (min tile_extent (group * (panel_words / group_words)))
 
 let col_block ~group ~k = group * max 1 (panel_words / (group * k))
 
@@ -203,15 +196,15 @@ type b_source =
   | Rows of Tensor.fbuf * int
   | Image of Tensor.fbuf * int array
 
-let gemm_from ~par ~tiles ~m ~n ~k ~(a : Tensor.fbuf) ~ao ~b ~(c : Tensor.fbuf) ~co =
+let gemm_from ~par ~m ~n ~k ~(a : Tensor.fbuf) ~ao ~b ~(c : Tensor.fbuf) ~co =
   if m > 0 && n > 0 && k > 0 then begin
-    let mt = row_tile tiles.tm ~group:4 ~group_words:(4 * k) in
+    let mt = row_tile ~group:4 ~group_words:(4 * k) in
     let nc = col_block ~group:8 ~k in
     let mtiles = ceil_div m mt in
     let call = Atomic.fetch_and_add calls 1 in
-    (* [tn] splits a block into column tiles whose panel slice stays in L1
-       while the A quads stream past it. *)
-    let jgt = max 1 (tiles.tn / 8) in
+    (* column tiles of octets, whose panel slice stays in L1 while the A
+       quads stream past it *)
+    let jgt = tile_extent / 8 in
     run_tasks par
       (mtiles * ceil_div n nc)
       (fun s t ->
@@ -255,8 +248,8 @@ let gemm_from ~par ~tiles ~m ~n ~k ~(a : Tensor.fbuf) ~ao ~b ~(c : Tensor.fbuf) 
         done)
   end
 
-let gemm ?(par = sequential) ?(tiles = default_tiles) ~m ~n ~k ~a ~ao ~b ~bo ~c ~co () =
-  gemm_from ~par ~tiles ~m ~n ~k ~a ~ao ~b:(Rows (b, bo)) ~c ~co
+let gemm ?(par = sequential) ~m ~n ~k ~a ~ao ~b ~bo ~c ~co () =
+  gemm_from ~par ~m ~n ~k ~a ~ao ~b:(Rows (b, bo)) ~c ~co
 
 (* Conv geometry shared by the float, depthwise and int8 paths. *)
 type conv_geom = {
@@ -393,7 +386,7 @@ let conv2d_depthwise par (q : conv_geom) (vx : Tensor.view) (vw : Tensor.view)
         done
       done)
 
-let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ~stride ~pad
+let conv2d_im2col_into ?(par = sequential) ~stride ~pad
     ~dilation ~groups (vx : Tensor.view) (vw : Tensor.view) (vbias : Tensor.view option)
     ~c:dst ~co =
   let q =
@@ -446,7 +439,7 @@ let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ~stride ~pad
           geom.(0) <- vx.Tensor.voff + (((ni * q.c) + (g * q.cg)) * q.h * q.wd);
           (* [co] makes the gemm's write indices global flat offsets into
              the destination buffer. *)
-          gemm_from ~par ~tiles ~m:mg ~n:ndim ~k:kdim ~a:vw.Tensor.vbuf
+          gemm_from ~par ~m:mg ~n:ndim ~k:kdim ~a:vw.Tensor.vbuf
             ~ao:(vw.Tensor.voff + (g * mg * kdim))
             ~b ~c:dst
             ~co:(co + (((ni * q.m) + (g * mg)) * ndim))
@@ -694,7 +687,7 @@ let[@inline] row_val (v : float array) r = Array.unsafe_get v (if Array.length v
    the destination kind once per micro-tile, as the float {!gemm} does,
    and stores through a monomorphic Bigarray, so no float crosses a
    closure and nothing is boxed. *)
-let gemm_i8_core ?(par = sequential) ?(tiles = default_tiles) ~za ~zb ~scale ~bias ~row0
+let gemm_i8_core ?(par = sequential) ~za ~zb ~scale ~bias ~row0
     ~m ~n ~k ~(a : Tensor.i8buf) ~ao ~(b : Tensor.i8buf) ~bo ~(c : Tensor.fbuf) ~co () =
   if k > max_i8_depth then
     invalid_arg "Blocked.gemm_i8_dequant: depth exceeds 65536 (accumulator field width)";
@@ -705,12 +698,12 @@ let gemm_i8_core ?(par = sequential) ?(tiles = default_tiles) ~za ~zb ~scale ~bi
     (* Same bounded, block-major tiling as the float {!gemm}; depth 0
        packs nothing and leaves every accumulator 0. *)
     let kw = max 1 k in
-    let mt = row_tile tiles.tm ~group:6 ~group_words:(2 * kw) in
+    let mt = row_tile ~group:6 ~group_words:(2 * kw) in
     let nc = col_block ~group:2 ~k:kw in
     let mtiles = ceil_div m mt in
     let call = Atomic.fetch_and_add calls 1 in
     let kzazb = k * za * zb in
-    let jpt = max 1 (tiles.tn / 2) in
+    let jpt = tile_extent / 2 in
     run_tasks par
       (mtiles * ceil_div n nc)
       (fun s t ->
@@ -773,8 +766,7 @@ let gemm_i8_core ?(par = sequential) ?(tiles = default_tiles) ~za ~zb ~scale ~bi
         done)
   end
 
-let gemm_i8_dequant ?par ?tiles ~za ~zb ~scale ~bias =
-  gemm_i8_core ?par ?tiles ~za ~zb ~scale ~bias ~row0:0
+let gemm_i8_dequant ?par ~za ~zb ~scale ~bias = gemm_i8_core ?par ~za ~zb ~scale ~bias ~row0:0
 
 (* Per-participant int8 im2col column buffers, grown to the largest
    (kernel volume × output pixels) seen and reused. *)
@@ -811,7 +803,7 @@ let iter_col_rows (q : conv_geom) ~xoff ~ni ~g row =
    is exactly where the conv path was bandwidth-bound) and padding taps
    hold the INPUT ZERO POINT, not 0 — they must dequantize to 0.0, and
    the zero-point correction then cancels them exactly. *)
-let conv2d_i8_dequant_into ?par ?tiles ~zx ~zw ~scale ~bias ~stride ~pad ~dilation ~groups
+let conv2d_i8_dequant_into ?par ~zx ~zw ~scale ~bias ~stride ~pad ~dilation ~groups
     ~(x : Tensor.i8buf) ~xoff ~xdims ~(w : Tensor.i8buf) ~woff ~wdims ~(c : Tensor.fbuf) ~co () =
   let q = conv_geom ~stride ~pad ~dilation ~groups xdims wdims in
   let mg = q.m / groups in
@@ -838,7 +830,7 @@ let conv2d_i8_dequant_into ?par ?tiles ~zx ~zw ~scale ~bias ~stride ~pad ~dilati
           for g = 0 to groups - 1 do
             iter_col_rows q ~xoff ~ni ~g row;
             (* the product's rows are output channels [g·mg ..] *)
-            gemm_i8_core ?par ?tiles ~za:zw ~zb:zx ~scale ~bias ~row0:(g * mg) ~m:mg ~n:ndim
+            gemm_i8_core ?par ~za:zw ~zb:zx ~scale ~bias ~row0:(g * mg) ~m:mg ~n:ndim
               ~k:kdim ~a:w
               ~ao:(woff + (g * mg * kdim))
               ~b:col ~bo:0 ~c

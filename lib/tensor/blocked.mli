@@ -2,8 +2,9 @@
     multi-version kernel backend (§4.4.2).
 
     The naive loop nests in {!Linalg} remain the bit-exact reference; this
-    module provides the optimized variants the autotuner's tile/thread
-    choices actually steer:
+    module provides the optimized kernels, one fixed tiling each (32-row
+    by 32-column tiles, lowered at deep contractions so packed panels stay
+    bounded):
 
     - {!gemm} packs A by row tile and B by column block into float64
       panels (so the inner loop touches contiguous memory), computes
@@ -50,23 +51,8 @@ module Pool : sig
       [f] raises. *)
 end
 
-type tiles = {
-  tm : int;  (** macro row-tile height (parallel work unit) *)
-  tn : int;  (** column-tile width within a packed column block *)
-}
-(** The extents the kernels read.  Packing is full-depth and the
-    micro-kernel's tile is fixed, so an autotuner configuration's depth
-    tile and unroll factor have no counterpart here. *)
-
-val default_tiles : tiles
-
-val tiles_of : tile_m:int -> tile_n:int -> tiles
-(** Sanitize an autotuner configuration's tile extents into usable ones
-    (clamped to sane minima so degenerate configs cannot starve the
-    kernel). *)
-
 val gemm :
-  ?par:par -> ?tiles:tiles -> m:int -> n:int ->
+  ?par:par -> m:int -> n:int ->
   k:int -> a:Tensor.fbuf -> ao:int -> b:Tensor.fbuf -> bo:int ->
   c:Tensor.fbuf -> co:int -> unit -> unit
 (** [gemm ~m ~n ~k ~a ~ao ~b ~bo ~c ~co] accumulates the row-major product
@@ -81,7 +67,7 @@ val gemm_tile : string
     ["8x8 avx512f"] or ["4x8"]. *)
 
 val conv2d_im2col_into :
-  ?par:par -> ?tiles:tiles -> stride:int * int -> pad:int * int * int * int ->
+  ?par:par -> stride:int * int -> pad:int * int * int * int ->
   dilation:int * int -> groups:int -> Tensor.view -> Tensor.view ->
   Tensor.view option -> c:Tensor.fbuf -> co:int -> int list
 (** The blocked counterpart of {!Linalg.conv2d_into}: same NCHW/OIHW
@@ -110,7 +96,7 @@ val conv2d_im2col_into :
     overflow ([Invalid_argument] beyond, before any work). *)
 
 val gemm_i8_dequant :
-  ?par:par -> ?tiles:tiles -> za:int -> zb:int -> scale:float array ->
+  ?par:par -> za:int -> zb:int -> scale:float array ->
   bias:float array -> m:int -> n:int -> k:int -> a:Tensor.i8buf -> ao:int ->
   b:Tensor.i8buf -> bo:int -> c:Tensor.fbuf -> co:int -> unit -> unit
 (** Row [i]'s corrected accumulator [acc] dequantizes as [float acc *.
@@ -125,7 +111,7 @@ val gemm_i8_dequant :
     element. *)
 
 val conv2d_i8_dequant_into :
-  ?par:par -> ?tiles:tiles -> zx:int -> zw:int -> scale:float array ->
+  ?par:par -> zx:int -> zw:int -> scale:float array ->
   bias:float array -> stride:int * int -> pad:int * int * int * int ->
   dilation:int * int -> groups:int -> x:Tensor.i8buf -> xoff:int ->
   xdims:int array -> w:Tensor.i8buf -> woff:int -> wdims:int array ->

@@ -98,10 +98,13 @@ let slot_fed_chain_graph () =
   Graph.Builder.set_outputs b [ cl; z ];
   x, Graph.Builder.finish b
 
-(* Past its live-variant budget a group runs op-by-op.  Each such
-   execution consults the kernel cache once — one reject — and its
-   op-by-op members read the arena-resident input as a view, never a
-   copy. *)
+(* Past its live-variant budget ([fused_variant_cap] = 32 shapes per
+   group, failed specializations included) a group runs op-by-op.  Each
+   such execution consults the kernel cache once — one overflow, one
+   reject — its op-by-op members read the arena-resident input as a view,
+   never a copy, and its result is the reference's, bit for bit.  Shapes
+   cached before the overflow still hit, and [variants] counts only the
+   kernels that compiled. *)
 let test_overflow_rejects_once () =
   let x, g = slot_fed_chain_graph () in
   let c = Sod2.Pipeline.compile cpu g in
@@ -109,9 +112,11 @@ let test_overflow_rejects_once () =
     Array.to_list c.Sod2.Pipeline.fused |> List.filter Option.is_some |> List.length
   in
   Alcotest.(check int) "one templated group" 1 templated;
+  let gid = Option.get (Array.find_index Option.is_some c.Sod2.Pipeline.fused) in
   let count kind = Profile.Counters.count ~profile:cpu.Profile.name ~kind in
   let arena = RT.Arena.create () in
   with_fused c (fun be ->
+      let stats () = RT.Backend.fused_stats be in
       let run n =
         let env = Env.of_list [ "N", n ] in
         let inputs = [ x, Tensor.rand_uniform (Rng.create n) [ n; 32 ] ] in
@@ -123,22 +128,34 @@ let test_overflow_rejects_once () =
         check_bitexact (Printf.sprintf "slot-fed chain n=%d" n)
           (RT.Reference.run c.Sod2.Pipeline.graph ~inputs) got
       in
-      for n = 1 to 32 do
+      for n = 1 to 31 do
         run n
       done;
-      Alcotest.(check int) "the budget is full" 32
-        (RT.Backend.fused_stats be).RT.Backend.variants;
-      for n = 33 to 36 do
-        let r0 = (RT.Backend.fused_stats be).RT.Backend.rejects in
+      (* the 32nd shape fails to specialize (an integer slot), and is
+         cached as a failure that takes the last place in the budget *)
+      Alcotest.(check bool) "an integer slot does not specialize" true
+        (RT.Backend.fused_kernel be c ~gid ~args:[ [ 1; 32 ], Tensor.I64 ] = None);
+      Alcotest.(check int) "32 specializations tried" 32 (stats ()).RT.Backend.misses;
+      Alcotest.(check int) "variants count the compiled kernels" 31 (stats ()).RT.Backend.variants;
+      for n = 32 to 35 do
+        let r0 = (stats ()).RT.Backend.rejects in
+        let overflows0 = count "fused-variant-overflow" and rejects0 = count "fused-reject" in
         let mallocs0 = count "arena-dest-malloc" in
         run n;
-        Alcotest.(check int)
-          (Printf.sprintf "n=%d: one reject per execution" n)
-          (r0 + 1) (RT.Backend.fused_stats be).RT.Backend.rejects;
-        Alcotest.(check int)
-          (Printf.sprintf "n=%d: no fresh buffer" n)
-          mallocs0 (count "arena-dest-malloc")
-      done)
+        let step what = Printf.sprintf "n=%d: %s" n what in
+        Alcotest.(check int) (step "one reject per execution") (r0 + 1) (stats ()).RT.Backend.rejects;
+        Alcotest.(check int) (step "one overflow counted") (overflows0 + 1)
+          (count "fused-variant-overflow");
+        Alcotest.(check int) (step "one reject counted") (rejects0 + 1) (count "fused-reject");
+        Alcotest.(check int) (step "no fresh buffer") mallocs0 (count "arena-dest-malloc")
+      done;
+      let hits0 = (stats ()).RT.Backend.hits and rejects0 = (stats ()).RT.Backend.rejects in
+      run 5;
+      Alcotest.(check int) "a shape cached before the overflow hits" (hits0 + 1)
+        (stats ()).RT.Backend.hits;
+      Alcotest.(check int) "and is not rejected" rejects0 (stats ()).RT.Backend.rejects;
+      Alcotest.(check int) "overflow compiles nothing" 32 (stats ()).RT.Backend.misses;
+      Alcotest.(check int) "nor adds a variant" 31 (stats ()).RT.Backend.variants)
 
 (* ------------------------------------------------------------------ *)
 (* Broadcast groups and the per-shape cache                            *)

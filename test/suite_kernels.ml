@@ -25,7 +25,7 @@ let conv2d ?(into = naive_conv) ~stride ~pad ~dilation ~groups x w b =
        (Option.map Tensor.view_f b) ~c:(Tensor.storage_f out) ~co:0);
   out
 
-let im2col ?par = conv2d ~into:(Blocked.conv2d_im2col_into ?par ?tiles:None)
+let im2col ?par = conv2d ~into:(Blocked.conv2d_im2col_into ?par)
 
 (* Random operand storage for the raw-kernel tests.  [dt] selects the
    element kind so the same cases exercise both f32 and f64 code paths. *)
@@ -53,7 +53,7 @@ let gemm_cases =
     4, 512, 37;
     (* skinny *)
     63, 65, 66;
-    (* straddles the 64-tile edge *)
+    (* one row short of two 32-row tiles *)
     128, 32, 200;
     300, 257, 19;
     (* fat-ish with odd n and shallow k *)
@@ -94,12 +94,7 @@ let check_gemm_kernel name kernel =
 let test_gemm_blocked_matches_naive () =
   check_gemm_kernel "blocked"
     (fun ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ->
-      Blocked.gemm ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ());
-  (* degenerate tile configuration goes through the sanitizer *)
-  let tiles = Blocked.tiles_of ~tile_m:1 ~tile_n:1 in
-  check_gemm_kernel "blocked/clamped-tiles"
-    (fun ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ->
-      Blocked.gemm ~tiles ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ())
+      Blocked.gemm ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ())
 
 let test_gemm_parallel_matches_naive () =
   let pool = RT.Domain_pool.create 4 in
@@ -107,11 +102,10 @@ let test_gemm_parallel_matches_naive () =
     ~finally:(fun () -> RT.Domain_pool.shutdown pool)
     (fun () ->
       let par = RT.Domain_pool.par pool in
-      (* small row-tiles so several macro-tiles actually run per job *)
-      let tiles = Blocked.tiles_of ~tile_m:32 ~tile_n:32 in
+      (* m = 63, 128 and 300 split into several 32-row tiles per job *)
       check_gemm_kernel "parallel"
         (fun ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ->
-          Blocked.gemm ~par ~tiles ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()))
+          Blocked.gemm ~par ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()))
 
 (* Odd widths and widths spanning several packed column blocks: a block
    holds 32K elements of full depth, so at k ≈ 2000 one is ~16 columns
@@ -142,7 +136,7 @@ let prop_gemm_blocked_blocks =
    buffers.  The elements outside C's window hold -0.0, which any stray
    write changes.  (The naive loop skips zero A entries, so ±inf and NaN
    operands are outside the contract.) *)
-let gemm_bit_exact ~pars ~tiles ~dt ~seed (m, n, k) (ao, bo, co) =
+let gemm_bit_exact ~pars ~dt ~seed (m, n, k) (ao, bo, co) =
   let rng = Rng.create seed in
   let values len =
     let b = Tensor.fbuf_create dt len in
@@ -167,13 +161,14 @@ let gemm_bit_exact ~pars ~tiles ~dt ~seed (m, n, k) (ao, bo, co) =
   in
   let want = run (fun ~c -> Linalg.naive_kernel ~m ~n ~k ~a ~ao ~b ~bo ~c ~co) in
   List.for_all
-    (fun par -> run (fun ~c -> Blocked.gemm ~par ~tiles ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()) = want)
+    (fun par -> run (fun ~c -> Blocked.gemm ~par ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()) = want)
     pars
 
 (* The micro-kernel's exact contract over its edges: any m, n, k in
    [1, 70] (odd n, column octets and row quads cut short), the
    operands and C at nonzero offsets, f32 and f64, on the sequential
-   runner and on a 2-participant pool. *)
+   runner and on a 2-participant pool, which splits m > 32 into row
+   tiles. *)
 let prop_gemm_blocked_random pool =
   QCheck2.Test.make ~name:"blocked gemm matches naive on random extents" ~count:60
     QCheck2.Gen.(
@@ -183,7 +178,6 @@ let prop_gemm_blocked_random pool =
     (fun (mnk, offsets, f64, seed) ->
       gemm_bit_exact
         ~pars:[ Blocked.sequential; RT.Domain_pool.par pool ]
-        ~tiles:(Blocked.tiles_of ~tile_m:32 ~tile_n:32)
         ~dt:(if f64 then Tensor.F64 else Tensor.F32)
         ~seed mnk offsets)
 
@@ -217,8 +211,7 @@ let test_gemm_tile_rows () =
             (fun i (m, n, k) ->
               if
                 not
-                  (gemm_bit_exact ~pars ~tiles:Blocked.default_tiles ~dt ~seed:i (m, n, k)
-                     (3, 5, 7))
+                  (gemm_bit_exact ~pars ~dt ~seed:i (m, n, k) (3, 5, 7))
               then
                 Alcotest.failf "%s %dx%dx%d (%s tile): C differs from the naive loop"
                   (Tensor.dtype_name dt) m n k Blocked.gemm_tile)
@@ -319,7 +312,7 @@ let conv_bits_agree pool ~rng ~xdims ~wdims ~stride ~pad ~dilation ~groups ~offs
         in
         let want = run naive_conv in
         List.for_all
-          (fun par -> run (Blocked.conv2d_im2col_into ~par ?tiles:None) = want)
+          (fun par -> run (Blocked.conv2d_im2col_into ~par) = want)
           [ Blocked.sequential; RT.Domain_pool.par pool ])
       [ Tensor.F32; Tensor.F64 ]
 
@@ -842,7 +835,7 @@ let test_domain_pool_propagates_exception () =
       Alcotest.(check int) "pool usable after failure" 16 (Atomic.get ok))
 
 let test_domain_pool_shutdown_idempotent () =
-  let pool = RT.Domain_pool.for_profile Profile.sd888_cpu in
+  let pool = RT.Domain_pool.create 8 in
   RT.Domain_pool.run pool 8 ignore;
   RT.Domain_pool.shutdown pool;
   RT.Domain_pool.shutdown pool
@@ -917,7 +910,7 @@ let test_conv_group_check () =
   in
   expect_shape_error "naive conv rejects" (fun () -> conv ~groups:2 x);
   expect_shape_error "im2col conv rejects" (fun () ->
-      conv ~into:(Blocked.conv2d_im2col_into ?par:None ?tiles:None) ~groups:2 x);
+      conv ~into:(Blocked.conv2d_im2col_into ?par:None) ~groups:2 x);
   expect_shape_error "zero groups" (fun () -> conv ~groups:0 x);
   (* channels divisible but weight channels-per-group inconsistent *)
   let x8 = Tensor.rand_uniform rng [ 1; 8; 5; 5 ] in
