@@ -15,6 +15,16 @@ let gate gate bound dir = { gate; bound; dir }
 let count n = float_of_int n
 let with_backend be f = Fun.protect ~finally:(fun () -> RT.Backend.shutdown be) (fun () -> f be)
 
+(* The artifact with every fusion template withheld: a blocked backend
+   runs each of its groups op by op. *)
+let op_by_op (c : Sod2.Pipeline.compiled) = { c with fused = Array.map (fun _ -> None) c.fused }
+
+(* Execution sides as the arena and backend rows name them: naive
+   kernels, blocked kernels op by op, and blocked with fused groups. *)
+let naive_side = "naive", RT.Backend.Naive, Fun.id
+let blocked_side = "blocked", RT.Backend.Blocked, op_by_op
+let fused_side = "fused", RT.Backend.Blocked, Fun.id
+
 (* Deterministic operand storage in the requested element kind. *)
 let filled ?(dt = Tensor.F32) len =
   let b = Tensor.fbuf_create dt len in
@@ -33,14 +43,14 @@ let gemm_side ?(dt = Tensor.F32) (m, n, k) gemm () =
 
 let blocked_gemm ~m ~n ~k ~a ~b ~c = Blocked.gemm ~m ~n ~k ~a ~ao:0 ~b ~bo:0 ~c ~co:0 ()
 
-(* --- kernels: naive vs blocked vs parallel, f32 vs f64 --------------- *)
+(* --- kernels: naive vs blocked on one domain and on the host, f32 vs f64 *)
 
 (* Halving the element size must not cost throughput: the packed inner
    loops are the same for both dtypes. *)
 let f32_vs_f64 = gate "f32 / f64 GEMM 256^3 time" 1.15 At_most
 
 (* The element loops of the serving path through [Kernels.run_into] on
-   the (one-thread) blocked backend, f32 against f64 on the same values.
+   the single-domain blocked backend, f32 against f64 on the same values.
    An f32 load merges into its register (DESIGN.md §9), so f32 loops that
    take one element at a time ran no faster than f64 ones; loading four
    ahead must make them clearly faster. *)
@@ -115,9 +125,8 @@ let element_loops ~rounds blocked =
 
 let kernels ~rounds =
   let naive = RT.Backend.create RT.Backend.Naive in
-  let blocked = RT.Backend.create RT.Backend.Blocked in
-  with_backend (RT.Backend.create RT.Backend.Parallel)
-  @@ fun parallel ->
+  with_backend (RT.Backend.create ~threads:1 RT.Backend.Blocked) @@ fun blocked ->
+  with_backend (RT.Backend.create RT.Backend.Blocked) @@ fun parallel ->
   let on be ~m ~n ~k ~a ~b ~c = RT.Backend.gemm_kernel be ~m ~n ~k ~a ~ao:0 ~b ~bo:0 ~c ~co:0 in
   let gemm name (m, n, k) = Printf.sprintf "%s %dx%dx%d" name m n k, fun be -> gemm_side (m, n, k) (on be) in
   (* the serving path's conv entry, into a buffer allocated once per round *)
@@ -186,17 +195,16 @@ let fused ~rounds =
     let c = Sod2.Pipeline.compile cpu g in
     let dims tid = Option.get (Shape.as_ints (Option.get (Graph.input_shape g tid))) in
     let inputs = List.map (fun t -> t, Tensor.rand_uniform (Rng.create 3) (dims t)) (Graph.inputs g) in
-    with_backend (RT.Backend.for_compiled RT.Backend.Blocked c) @@ fun blocked ->
-    with_backend (RT.Backend.for_compiled RT.Backend.Fused c) @@ fun fused ->
-    let side be () () = ignore (RT.Executor.run_real ~backend:be c ~inputs) in
-    let tb, tf = pair (time ~calls:5 ~rounds [ side blocked; side fused ]) in
+    with_backend (RT.Backend.for_compiled RT.Backend.Blocked c) @@ fun be ->
+    let side c () () = ignore (RT.Executor.run_real ~backend:be c ~inputs) in
+    let tb, tf = pair (time ~calls:5 ~rounds [ side (op_by_op c); side c ]) in
     (* traffic the fused kernel never materializes: group-internal bytes *)
-    let trace, _ = RT.Executor.run_real ~backend:fused c ~inputs in
+    let trace, _ = RT.Executor.run_real ~backend:be c ~inputs in
     let avoided = List.fold_left (fun a s -> a + s.RT.Executor.internal_bytes) 0 trace.steps in
     row name [ "blocked", tb; "fused", tf ]
       ~fields:((("speedup", tb.best /. tf.best) :: paired "speedup" tb tf)
                @ [ "avoided_kb", count avoided /. 1024.0;
-                   "fused_kernels", count (RT.Backend.fused_stats fused).misses ])
+                   "fused_kernels", count (RT.Backend.fused_stats be).misses ])
   in
   let rows =
     List.map case
@@ -255,14 +263,15 @@ let arena ~rounds =
   (* Arena runs keep the RDP boundary cross-check on. *)
   let guarded = { RT.Executor.default_config with guarded = true } in
   let counter kind = Profile.Counters.count ~profile:cpu.Profile.name ~kind in
-  let model (name, g, env, inputs, kinds) =
-    let c = Sod2.Pipeline.compile cpu g in
+  let model (name, g, env, inputs, sides) =
+    let compiled = Sod2.Pipeline.compile cpu g in
     (* The expected side is the reference interpreter: both memory modes
        run the executor's destination kernels, so neither can vouch for
        the other. *)
     let reference = RT.Reference.run g ~inputs in
-    let bytes = (Sod2.Pipeline.instantiated_plan c env).Sod2.Mem_plan.arena_bytes in
-    let backend kind =
+    let bytes = (Sod2.Pipeline.instantiated_plan compiled env).Sod2.Mem_plan.arena_bytes in
+    let backend (label, kind, artifact) =
+      let c = artifact compiled in
       with_backend (RT.Backend.for_compiled kind c) @@ fun be ->
       (* Steady state: one persistent grow-only arena, the plan evaluated
          per run. *)
@@ -276,24 +285,24 @@ let arena ~rounds =
       mallocs := max !mallocs m;
       wrong := !wrong + mismatches (Within 1e-4) (snd (malloc ())) reference
                + mismatches (Within 1e-4) arena_out reference;
-      row (name ^ " " ^ RT.Backend.kind_name kind) [ "malloc", tm; "arena", ta ]
+      row (name ^ " " ^ label) [ "malloc", tm; "arena", ta ]
         ~fields:((("speedup", tm.best /. ta.best) :: paired "speedup" tm ta)
                  @ [ "arena_bytes", count bytes; "dest_malloc", count m ])
     in
-    List.map backend kinds
+    List.map backend sides
   in
   let stream (name, g, dims) =
-    name, g, Env.empty, [ 0, Tensor.rand_uniform (Rng.create 3) dims ], RT.Backend.[ Naive; Blocked; Fused ]
+    name, g, Env.empty, [ 0, Tensor.rand_uniform (Rng.create 3) dims ], [ naive_side; blocked_side; fused_side ]
   in
   let skipnet =
     let sp = fixture "skipnet" in
     let g = sp.Zoo.build () and env = Env.of_list [ "H", 128; "W", 128 ] in
-    "skipnet-128x128", g, env, Zoo.make_inputs sp g env (Rng.create 3), RT.Backend.[ Blocked; Fused ]
+    "skipnet-128x128", g, env, Zoo.make_inputs sp g env (Rng.create 3), [ blocked_side; fused_side ]
   in
   let conformer =
     let sp = fixture "conformer" in
     let g = sp.Zoo.build () and env = Env.of_list [ "T", 128 ] in
-    "conformer-T128", g, env, Zoo.make_inputs sp g env (Rng.create 3), RT.Backend.[ Fused ]
+    "conformer-T128", g, env, Zoo.make_inputs sp g env (Rng.create 3), [ fused_side ]
   in
   let dims = [ 256; 1024 ] in
   let rows =
@@ -337,10 +346,10 @@ let engine ~rounds =
   let c, samples, stream = serving ~steps:256 ~requests:32 in
   (* Worker counts follow the host: 1, half the cores, all the cores; 2 is
      always included so the sweep exercises real concurrency (a shared
-     artifact, micro-batching) on a 1-core host too. *)
+     artifact and queue) on a 1-core host too. *)
   let workers = List.sort_uniq compare [ 1; 2; max 1 (host_cores / 2); host_cores ] in
   let engines =
-    List.map (fun w -> RT.Engine.create ~workers:w ~max_batch:4 ~config:arena_config c) workers
+    List.map (fun w -> RT.Engine.create ~workers:w ~config:arena_config c) workers
   in
   Fun.protect ~finally:(fun () -> List.iter RT.Engine.shutdown engines) @@ fun () ->
   (* Every binding a few times per worker, so each worker's grow-only
@@ -376,7 +385,7 @@ let engine ~rounds =
         row (Printf.sprintf "engine, %d worker(s)" w) [ "wall", t ]
           ~fields:([ "req_per_s", req_s t; "speedup", seq.best /. t.best; "over_1w", one.best /. t.best ]
                    @ paired "over_1w" one t
-                   @ [ "batched", count st.batched; "queue_peak", count st.queue_peak ]))
+                   @ [ "queue_peak", count st.queue_peak ]))
       (List.combine workers engines) (List.tl timings)
   in
   { rows = row "32 requests, sequential run_real" [ "wall", seq ] ~fields:[ "req_per_s", req_s seq ] :: rows;
@@ -398,7 +407,7 @@ let overload_wrong = gate "completed outputs differing from Reference" 0.0 At_mo
 let overload ~rounds:_ =
   let c, samples, stream = serving ~steps:128 ~requests:64 in
   let eng =
-    RT.Engine.create ~workers:1 ~max_batch:4 ~queue_cap:8 ~overload:RT.Engine.Shed_oldest
+    RT.Engine.create ~workers:1 ~queue_cap:8 ~overload:RT.Engine.Shed_oldest
       ~config:arena_config c
   in
   (* A warm arena, so service time, not allocation, decides what is shed. *)
@@ -549,25 +558,26 @@ let gates ~rounds =
       [ gates_paths, sum 0; gates_ref, sum 1; gates_live, sum 2;
         gates_floor, geomean (List.map (fun r -> List.assoc "speedup" r.fields) rows) ] }
 
-(* --- backend: CodeBERT end to end on the pool and on fused kernels ---- *)
+(* --- backend: CodeBERT end to end op by op and on fused kernels -------- *)
 
 let backend_wrong = gate "outputs differing from Reference" 0.0 At_most
 
 let backend ~rounds:_ =
   let sp = fixture "codebert" in
   let g = sp.Zoo.build () in
-  let c = Sod2.Pipeline.compile cpu g in
+  let compiled = Sod2.Pipeline.compile cpu g in
   let inputs = Zoo.make_inputs sp g (Env.of_list [ "S", 32 ]) (Rng.create 5) in
   let reference = RT.Reference.run g ~inputs in
-  let run kind =
+  let run (label, kind, artifact) =
+    let c = artifact compiled in
     with_backend (RT.Backend.for_compiled kind c) @@ fun be ->
     let trace, outs = RT.Executor.run_real ~backend:be c ~inputs in
-    row ("codebert S=32 on " ^ RT.Backend.kind_name kind) []
+    row ("codebert S=32 on " ^ label) []
       ~fields:[ "nodes", count trace.nodes_executed; "domains", count (RT.Backend.pool_size be);
                 "fused_kernels", count (RT.Backend.fused_stats be).misses;
                 "mismatches", count (mismatches Exact outs reference) ]
   in
-  let rows = List.map run RT.Backend.[ Parallel; Fused ] in
+  let rows = List.map run [ blocked_side; fused_side ] in
   { rows;
     values = [ backend_wrong, List.fold_left (fun a r -> a +. List.assoc "mismatches" r.fields) 0.0 rows ] }
 
@@ -648,10 +658,12 @@ let () =
     [
       { name = "kernels"; rounds = 7; run = kernels;
         gates = [ blocked_floor; conv_over_gemm; f32_vs_f64; f32_loops; bn_f32; gelu_over_relu ];
-        doc = "GEMM/conv per shape class on naive, blocked and parallel kernels; the stem conv \
-               vs its GEMM; f32 vs f64 GEMM and element loops" };
+        doc = "GEMM/conv per shape class on naive kernels and on blocked kernels over one domain \
+               and over the host's pool; the stem conv vs its GEMM; f32 vs f64 GEMM and element \
+               loops" };
       { name = "fused"; rounds = 7; run = fused; gates = [ fused_floor ];
-        doc = "each fusion group op by op on blocked vs as one fused kernel" };
+        doc = "each fusion group op by op (templates withheld) vs as one fused kernel, both on \
+               blocked" };
       { name = "arena"; rounds = 5; run = arena;
         gates = [ arena_wrong; arena_dest_malloc; plan_time; plan_arena ];
         doc = "malloc vs arena on three stream graphs x naive/blocked/fused, SkipNet 128^2 x \
@@ -666,7 +678,7 @@ let () =
       { name = "gates"; rounds = 3; run = gates; gates = [ gates_paths; gates_ref; gates_live; gates_floor ];
         doc = "all-paths vs selected-only execution of one plan on SkipNet and BlockDrop" };
       { name = "backend"; rounds = 1; run = backend; gates = [ backend_wrong ];
-        doc = "CodeBERT S=32 on the parallel and fused backends vs Reference" };
+        doc = "CodeBERT S=32 on blocked, op by op and fused, vs Reference" };
       { name = "micro"; rounds = 5; run = micro; gates = [];
         doc = "the computation behind each paper table/figure and the compiler passes" };
     ]

@@ -72,14 +72,15 @@ let exec_config ?(default = Sod2_runtime.Executor.default_config) ~exec ~compile
 let exec_arg =
   Arg.(value & opt (some string) None
        & info [ "exec" ] ~docv:"SPEC"
-           ~doc:"Execution config: naive|blocked|parallel|fused, optionally \
+           ~doc:"Execution config: naive|blocked (blocked kernels run fused \
+                 groups on a domain pool sized by the host), optionally \
                  followed by comma-separated modifiers arena (planned arena \
                  memory), malloc, guarded (graceful degradation under runtime \
                  guards) and all-paths (execute every control-flow branch).  \
                  Unrecognized modifiers are parsed as --compile tokens \
                  (int8 among them: a quantized artifact runs the int8 \
                  kernels on every non-naive backend), so one spec can carry \
-                 both halves.  Example: --exec fused,arena,int8.")
+                 both halves.  Example: --exec blocked,arena,int8.")
 
 let compile_arg =
   Arg.(value & opt (some string) None
@@ -236,13 +237,10 @@ let run_cmd =
               outs
             end
           in
-          if backend_kind = Sod2_runtime.Backend.Fused then begin
-            let fs = Sod2_runtime.Backend.fused_stats be in
-            Printf.printf
-              "fused kernels: %d hits, %d misses, %d rejects, %d live variants\n"
-              fs.Sod2_runtime.Backend.hits fs.Sod2_runtime.Backend.misses
-              fs.Sod2_runtime.Backend.rejects fs.Sod2_runtime.Backend.variants
-          end;
+          let fs = Sod2_runtime.Backend.fused_stats be in
+          Printf.printf "fused kernels: %d hits, %d misses, %d rejects, %d live variants\n"
+            fs.Sod2_runtime.Backend.hits fs.Sod2_runtime.Backend.misses
+            fs.Sod2_runtime.Backend.rejects fs.Sod2_runtime.Backend.variants;
           List.iter
             (fun (tid, t) -> Format.printf "output t%d = %a@." tid Tensor.pp t)
             outs)
@@ -274,7 +272,7 @@ let run_cmd =
 (* --- serve ---------------------------------------------------------- *)
 
 let serve_cmd =
-  let run model device requests workers max_batch exec compile arrival_rate seed
+  let run model device requests workers exec compile arrival_rate seed
       queue_cap deadline_ms overload =
     let open Sod2_runtime in
     let sp = spec_of_name model in
@@ -314,7 +312,7 @@ let serve_cmd =
           env, Zoo.make_inputs sp g env rng)
     in
     let engine =
-      Engine.create ~workers ~max_batch ~config:cfg
+      Engine.create ~workers ~config:cfg
         ?queue_cap:(Option.map (fun n -> max 1 n) queue_cap)
         ~overload:overload_policy c
     in
@@ -369,8 +367,7 @@ let serve_cmd =
        | None -> "");
     Printf.printf "  resilience:    %d worker restarts, %d breaker trips, degraded=%b\n"
       st.Engine.worker_restarts st.Engine.breaker_open st.Engine.degraded;
-    Printf.printf "  micro-batched: %d requests (max batch %d), queue peak %d\n"
-      st.Engine.batched max_batch st.Engine.queue_peak;
+    Printf.printf "  queue peak:    %d\n" st.Engine.queue_peak;
     Array.iteri
       (fun w n ->
         Printf.printf "  worker %d:      %d runs, %.1f ms busy\n" w n
@@ -405,12 +402,6 @@ let serve_cmd =
     Arg.(value & opt int 4
          & info [ "workers"; "k" ] ~docv:"K"
              ~doc:"Worker slots (each owns a private arena and backend).")
-  in
-  let max_batch =
-    Arg.(value & opt int 4
-         & info [ "max-batch" ] ~docv:"B"
-             ~doc:"Micro-batch bound: a worker claims up to B queued requests \
-                   sharing one shape binding; 1 disables batching.")
   in
   let arrival_rate =
     Arg.(value & opt float 0.0
@@ -451,8 +442,8 @@ let serve_cmd =
              shape bindings over K workers — optionally as an open-loop \
              Poisson stream against a bounded queue with deadlines — and \
              report throughput, latency percentiles, shed/reject/expiry \
-             counts, micro-batching and plan-cache behavior.")
-    Term.(const run $ model_arg $ device_arg $ requests $ workers $ max_batch $ exec_arg
+             counts, queue depth and arena behavior.")
+    Term.(const run $ model_arg $ device_arg $ requests $ workers $ exec_arg
           $ compile_arg $ arrival_rate $ seed $ queue_cap $ deadline_ms $ overload)
 
 (* --- compare ------------------------------------------------------- *)

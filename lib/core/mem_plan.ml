@@ -65,8 +65,8 @@ let aliased (nd : Graph.node) =
 (* The env-independent part of lifetime analysis: which tensors
    materialize, their symbolic shapes and their step ranges.  Every float
    activation gets an entry, group internals included: a group that runs
-   op by op (any backend but [fused], or a fused group whose kernel is
-   refused) writes them, each live for its group's step.  Aliases get no
+   op by op (on a naive backend, or when its template is withheld or its
+   fused kernel refused) writes them, each live for its group's step.  Aliases get no
    entry; each of their roots (the non-alias tensors whose storage they
    share, through alias chains) lives on until the aliases' last
    consumer.  {!concretize} turns the result into placeable lifetimes by

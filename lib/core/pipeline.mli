@@ -88,8 +88,8 @@ val compile_checked :
 
 val plan_key : compiled -> Env.t -> string
 (** Canonical rendering of [env] restricted to [plan_syms].  Requests
-    with equal keys get the same memory plan, so {!Engine} micro-batches
-    them onto one worker and keys its circuit breakers on it. *)
+    with equal keys get the same memory plan, so {!Engine} keys its
+    circuit breakers on it. *)
 
 val instantiated_plan : compiled -> Env.t -> Mem_plan.t
 (** The memory plan for one symbol binding: {!Mem_plan.instantiate} of

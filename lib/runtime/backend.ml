@@ -1,20 +1,14 @@
 type kind =
   | Naive
   | Blocked
-  | Parallel
-  | Fused
 
-let kind_name = function
-  | Naive -> "naive"
-  | Blocked -> "blocked"
-  | Parallel -> "parallel"
-  | Fused -> "fused"
+let kind_name = function Naive -> "naive" | Blocked -> "blocked"
 
+(* "fused" is the spelling of [Blocked] from before fused groups ran on
+   every blocked backend; existing specs still name it. *)
 let kind_of_string = function
   | "naive" -> Some Naive
-  | "blocked" -> Some Blocked
-  | "parallel" -> Some Parallel
-  | "fused" -> Some Fused
+  | "blocked" | "fused" -> Some Blocked
   | _ -> None
 
 (* One specialized fused kernel per (group × concrete shape tuple).
@@ -41,12 +35,11 @@ type t = {
 let create ?versions:_ ?threads ?(profile = "unprofiled") kind =
   let pool =
     match kind with
-    | Parallel | Fused ->
-      let n =
-        match threads with Some n -> n | None -> Domain.recommended_domain_count ()
-      in
-      Some (Domain_pool.create n)
-    | Naive | Blocked -> None
+    | Blocked ->
+      Some
+        (Domain_pool.create
+           (Option.value threads ~default:(Domain.recommended_domain_count ())))
+    | Naive -> None
   in
   {
     kind;
@@ -61,7 +54,6 @@ let create ?versions:_ ?threads ?(profile = "unprofiled") kind =
 
 let for_compiled kind (c : Pipeline.compiled) = create ~profile:c.Pipeline.profile.Profile.name kind
 
-let kind_of t = t.kind
 let pool_size t = match t.pool with Some p -> Domain_pool.size p | None -> 1
 let shutdown t = Option.iter Domain_pool.shutdown t.pool
 
@@ -105,47 +97,41 @@ let fused_stats t =
    another artifact's template. *)
 let fused_kernel t (c : Pipeline.compiled) ~gid
     ~(args : (int list * Tensor.dtype) list) =
-  if t.kind <> Fused then None
-  else
-    match c.Pipeline.fused.(gid) with
-    | None -> None
-    | Some tpl ->
-      let key = gid, args in
-      let entry =
-        match Hashtbl.find_opt t.fused_cache key with
-        | Some e when e.fe_tpl == tpl ->
-          if e.fe_kernel <> None then begin
-            t.fused_hits <- t.fused_hits + 1;
-            record t "fused-cache-hit"
-          end;
-          Some e
-        | _ ->
-          let nvar =
-            Option.value ~default:0 (Hashtbl.find_opt t.fused_variants gid)
+  match c.Pipeline.fused.(gid) with
+  | Some tpl when blocked t -> (
+    let key = gid, args in
+    let entry =
+      match Hashtbl.find_opt t.fused_cache key with
+      | Some e when e.fe_tpl == tpl ->
+        if e.fe_kernel <> None then begin
+          t.fused_hits <- t.fused_hits + 1;
+          record t "fused-cache-hit"
+        end;
+        Some e
+      | _ ->
+        let nvar = Option.value ~default:0 (Hashtbl.find_opt t.fused_variants gid) in
+        if nvar >= fused_variant_cap then begin
+          record t "fused-variant-overflow";
+          None
+        end
+        else begin
+          t.fused_misses <- t.fused_misses + 1;
+          record t "fused-cache-miss";
+          let kernel =
+            match Fused_compile.specialize c.Pipeline.graph tpl ~args:(Array.of_list args) with
+            | Ok k -> Some k
+            | Error _ -> None
           in
-          if nvar >= fused_variant_cap then begin
-            record t "fused-variant-overflow";
-            None
-          end
-          else begin
-            t.fused_misses <- t.fused_misses + 1;
-            record t "fused-cache-miss";
-            let kernel =
-              match
-                Fused_compile.specialize c.Pipeline.graph tpl ~args:(Array.of_list args)
-              with
-              | Ok k -> Some k
-              | Error _ -> None
-            in
-            let e = { fe_tpl = tpl; fe_kernel = kernel } in
-            Hashtbl.replace t.fused_cache key e;
-            Hashtbl.replace t.fused_variants gid (nvar + 1);
-            Some e
-          end
-      in
-      (match entry with
-      | Some { fe_kernel = Some k; _ } -> Some k
-      | Some { fe_kernel = None; _ } | None ->
-        t.fused_rejects <- t.fused_rejects + 1;
-        record t "fused-reject";
-        None)
+          let e = { fe_tpl = tpl; fe_kernel = kernel } in
+          Hashtbl.replace t.fused_cache key e;
+          Hashtbl.replace t.fused_variants gid (nvar + 1);
+          Some e
+        end
+    in
+    match entry with
+    | Some { fe_kernel = Some k; _ } -> Some k
+    | Some { fe_kernel = None; _ } | None ->
+      t.fused_rejects <- t.fused_rejects + 1;
+      record t "fused-reject";
+      None)
+  | _ -> None

@@ -1,38 +1,43 @@
-(** Kernel-backend selection: naive reference loops, cache-blocked
-    kernels, or blocked kernels driven by the domain pool.
+(** Kernel-backend selection: naive reference loops, or cache-blocked
+    kernels over a domain pool with fused groups.
 
-    A backend bundles its kind with an optional {!Domain_pool.t} sized by
-    the host.  It owns no float kernels: {!Kernels.run_into} runs every
-    operator, heavy ones through {!Multi_version.heavy_kernel} with
-    {!blocked} and {!par_of}.
+    A backend bundles its kind with the resources its kernels run on.  It
+    owns no float kernels: {!Kernels.run_into} runs every operator, heavy
+    ones through {!Multi_version.heavy_kernel} with {!blocked} and
+    {!par_of}.
     [Naive] reproduces the reference interpreter bit-exactly and is what
     {!Kernels.run} uses when no backend is given, so guarded fallback and
-    golden comparisons stay byte-stable. *)
+    golden comparisons stay byte-stable.  A [Blocked] backend owns a
+    {!Domain_pool.t} sized by the host and runs each templated fusion
+    group as one cached fused kernel ({!fused_kernel}); op-by-op
+    execution on blocked kernels is an artifact whose templates are
+    withheld ([{ c with fused = Array.map (fun _ -> None) c.fused }]). *)
 
 type kind =
-  | Naive  (** reference scalar loop nests *)
-  | Blocked  (** packed, register-tiled kernels, single domain *)
-  | Parallel  (** blocked kernels and block-program maps over a domain pool *)
-  | Fused
-      (** Parallel, plus whole fusion groups execute as single compiled
+  | Naive  (** reference scalar loop nests, op by op *)
+  | Blocked
+      (** packed, register-tiled kernels and block-program maps over a
+          domain pool; whole fusion groups execute as single compiled
           kernels ({!Fused_compile}) with a per-(group × shape) cache *)
 
 val kind_name : kind -> string
 val kind_of_string : string -> kind option
+(** Inverts {!kind_name}; ["fused"], the spelling from before every
+    blocked backend ran fused groups, also reads as [Blocked]. *)
 
 type t
 
 val create : ?versions:Multi_version.table -> ?threads:int -> ?profile:string -> kind -> t
-(** [create kind] — [threads] (Parallel/Fused only) defaults to the
-    host's recommended domain count, and the pool clamps it to the host;
-    [profile] names the device in {!Profile.Counters} records.
-    [versions] is accepted and ignored: the kernels have one tiling. *)
+(** [create kind] — [threads] (the pool of a [Blocked] backend) defaults
+    to the host's recommended domain count, and the pool clamps it to the
+    host; {!Engine} divides the host across its workers, and
+    [~threads:1] gives a single-domain backend.  [profile] names the
+    device in {!Profile.Counters} records.  [versions] is accepted and
+    ignored: the kernels have one tiling. *)
 
 val for_compiled : kind -> Pipeline.compiled -> t
-(** A backend whose counters are recorded under the compiled artifact's
-    profile name. *)
-
-val kind_of : t -> kind
+(** A backend over the whole host whose counters are recorded under the
+    compiled artifact's profile name. *)
 
 val pool_size : t -> int
 (** Domains the pool actually uses (1 when no pool). *)
@@ -79,10 +84,10 @@ val fused_kernel :
 (** Resolve fusion group [gid] under the concrete slot shapes [args] to a
     specialized kernel, through the per-(group × shapes) cache —
     compiling on first sight, caching failures.  [None] means op-by-op
-    execution (non-[Fused] backend, no template, failed specialization, or
+    execution (naive backend, no template, failed specialization, or
     the group's live-variant budget exhausted).  The cache checks
     template identity, so a stale template from another artifact can
-    never be served.  A [None] for a templated group on a [Fused]
+    never be served.  A [None] for a templated group on a [Blocked]
     backend counts one reject, so the executor calls this exactly once
     per group execution; on
     [Some k] it writes the terminal result through [k.k_run_into] into

@@ -2,7 +2,6 @@ type result = {
   outputs : (Graph.tensor_id * Tensor.t) list;
   latency_us : float;
   worker : int;
-  batched : bool;
   degraded : bool;
 }
 
@@ -14,7 +13,7 @@ type state =
 
 type request = {
   r_env : Env.t;
-  r_key : string;  (** {!Pipeline.plan_key} of [r_env] — micro-batch key *)
+  r_key : string;  (** {!Pipeline.plan_key} of [r_env] — circuit-breaker key *)
   r_inputs : (Graph.tensor_id * Tensor.t) list;
   r_submitted : float;  (** [Clock.now_us] at submit *)
   r_deadline : float option;  (** absolute [Clock.now_us] expiry, from [?deadline_us] *)
@@ -88,7 +87,6 @@ type t = {
   compiled : Pipeline.compiled;
   cfg : Executor.config;
   nworkers : int;
-  max_batch : int;
   queue_cap : int;
   overload : overload_policy;
   restart_budget : int;
@@ -100,7 +98,7 @@ type t = {
   room : Condition.t;  (** broadcast whenever the queue shrinks *)
   queue : request Queue.t;
   breakers : (string, breaker) Hashtbl.t;
-  inflight : request list array;  (** per worker slot: claimed, unsettled batch *)
+  inflight : request option array;  (** per worker slot: the claimed request *)
   mutable stopping : bool;
   mutable joined : bool;
   mutable domains : unit Domain.t list;
@@ -114,7 +112,6 @@ type t = {
   mutable rejected : int;
   mutable shed : int;
   mutable expired : int;
-  mutable batched : int;
   mutable degraded_runs : int;
   mutable worker_restarts : int;
   mutable breaker_trips : int;
@@ -244,7 +241,7 @@ let run_fallback t req = Reference.run t.compiled.Pipeline.graph ~inputs:req.r_i
    lock is NOT held here — only the settle step takes it.
    {!For_testing.Crash_worker} escapes on purpose: it simulates an
    exception that takes the whole worker domain down. *)
-let execute t ~w ~arena ~backend req ~batched =
+let execute t ~w ~arena ~backend req =
   let started = Clock.now_us () in
   let grows = Arena.grows arena in
   Mutex.lock t.lock;
@@ -281,7 +278,6 @@ let execute t ~w ~arena ~backend req ~batched =
             outputs;
             latency_us = now -. req.r_submitted;
             worker = w;
-            batched;
             degraded = via_fallback;
           },
           now -. started )
@@ -298,7 +294,6 @@ let execute t ~w ~arena ~backend req ~batched =
     ignore (settle_locked t req (Done r) V_completed);
     t.busy_us.(w) <- t.busy_us.(w) +. busy;
     record_latency_locked t r.latency_us;
-    if batched then t.batched <- t.batched + 1;
     if r.degraded then t.degraded_runs <- t.degraded_runs + 1
     else breaker_success_locked t req.r_key ~probe:(route = `Probe)
   | Error (e, busy) ->
@@ -308,7 +303,6 @@ let execute t ~w ~arena ~backend req ~batched =
       breaker_failure_locked t req.r_key ~probe:(route = `Probe) (Clock.now_us ()));
   Mutex.unlock t.lock;
   counter t "engine-request";
-  if batched then counter t "engine-batched";
   if via_fallback then counter t "engine-degraded-run";
   match outcome with Error _ -> counter t "engine-failed" | Ok _ -> ()
 
@@ -318,10 +312,9 @@ let expired_error req now =
        (Printf.sprintf "deadline exceeded %.0f us before execution"
           (now -. Option.get req.r_deadline)))
 
-(* One claimed request: shed it if its deadline already passed (checked
-   at dequeue and again before each micro-batch follower runs), else
-   execute it. *)
-let process t ~w ~arena ~backend (req, batched) =
+(* One claimed request: shed it if its deadline passed while it queued,
+   else execute it. *)
+let process t ~w ~arena ~backend req =
   let now = Clock.now_us () in
   match req.r_deadline with
   | Some d when now > d ->
@@ -329,33 +322,11 @@ let process t ~w ~arena ~backend (req, batched) =
     ignore (settle_locked t req (Failed (expired_error req now)) V_expired);
     Mutex.unlock t.lock;
     counter t "engine-expired"
-  | _ -> execute t ~w ~arena ~backend req ~batched
-
-(* Claim the head request plus up to [max_batch - 1] queued requests with
-   the same plan key.  Non-matching requests keep their queue order.
-   Caller holds the lock. *)
-let claim_batch t =
-  let first = Queue.pop t.queue in
-  if t.max_batch <= 1 then [ first, false ]
-  else begin
-    let taken = ref 1 in
-    let followers = ref [] in
-    let rest = Queue.create () in
-    while not (Queue.is_empty t.queue) do
-      let r = Queue.pop t.queue in
-      if !taken < t.max_batch && r.r_key = first.r_key then begin
-        incr taken;
-        followers := r :: !followers
-      end
-      else Queue.push r rest
-    done;
-    Queue.transfer rest t.queue;
-    (first, false) :: List.rev_map (fun r -> r, true) !followers
-  end
+  | _ -> execute t ~w ~arena ~backend req
 
 let worker_body t w =
   (* Per-worker resources are created {e inside} the worker domain so
-     that a Parallel/Fused backend's domain pool is owned by the domain
+     that a blocked backend's domain pool is owned by the domain
      that calls into it ({!Domain_pool.run}'s ownership rule).  Pool
      width is divided across workers so K workers never oversubscribe
      the host. *)
@@ -378,13 +349,13 @@ let worker_body t w =
       (* stopping && drained: graceful exit *)
       Mutex.unlock t.lock
     else begin
-      let batch = claim_batch t in
-      t.inflight.(w) <- List.map fst batch;
+      let req = Queue.pop t.queue in
+      t.inflight.(w) <- Some req;
       Condition.broadcast t.room;
       Mutex.unlock t.lock;
-      List.iter (process t ~w ~arena ~backend) batch;
+      process t ~w ~arena ~backend req;
       Mutex.lock t.lock;
-      t.inflight.(w) <- [];
+      t.inflight.(w) <- None;
       Mutex.unlock t.lock;
       loop ()
     end
@@ -414,7 +385,6 @@ let run_degraded_inline t req =
           outputs;
           latency_us = settled -. req.r_submitted;
           worker = -1;
-          batched = false;
           degraded = true;
         }
       in
@@ -436,7 +406,7 @@ let rec spawn_worker t w =
       try worker_body t w with e -> on_worker_crash t w ~born e)
 
 (* Runs inside the dying worker domain.  Fails the crashed worker's
-   in-flight requests with full context, then either respawns a fresh
+   in-flight request with full context, then either respawns a fresh
    domain (fresh arena/backend) under the restart budget, or — when the
    budget is spent and this was the last live worker — flips the engine
    into degraded mode and drains the queue inline so nothing deadlocks. *)
@@ -445,9 +415,11 @@ and on_worker_crash t w ~born e =
   let uptime_ms = (now -. born) /. 1e3 in
   Mutex.lock t.lock;
   let victims =
-    List.filter (fun r -> match r.r_state with Pending -> true | _ -> false) t.inflight.(w)
+    match t.inflight.(w) with
+    | Some ({ r_state = Pending; _ } as r) -> [ r ]
+    | _ -> []
   in
-  t.inflight.(w) <- [];
+  t.inflight.(w) <- None;
   List.iter
     (fun req ->
       req.r_worker <- w;
@@ -489,7 +461,7 @@ and on_worker_crash t w ~born e =
 (* ------------------------------------------------------------------ *)
 (* Client side                                                         *)
 
-let create ?(workers = 1) ?(max_batch = 4) ?(config = Executor.default_config)
+let create ?(workers = 1) ?(config = Executor.default_config)
     ?(queue_cap = max_int) ?(overload = Reject) ?(restart_budget = 3)
     ?(breaker_threshold = 5) ?(breaker_cooldown_us = 50_000.0) compiled =
   let nworkers = max 1 workers in
@@ -498,7 +470,6 @@ let create ?(workers = 1) ?(max_batch = 4) ?(config = Executor.default_config)
       compiled;
       cfg = config;
       nworkers;
-      max_batch = max 1 max_batch;
       queue_cap = max 1 queue_cap;
       overload;
       restart_budget = max 0 restart_budget;
@@ -510,7 +481,7 @@ let create ?(workers = 1) ?(max_batch = 4) ?(config = Executor.default_config)
       room = Condition.create ();
       queue = Queue.create ();
       breakers = Hashtbl.create 8;
-      inflight = Array.make nworkers [];
+      inflight = Array.make nworkers None;
       stopping = false;
       joined = false;
       domains = [];
@@ -523,7 +494,6 @@ let create ?(workers = 1) ?(max_batch = 4) ?(config = Executor.default_config)
       rejected = 0;
       shed = 0;
       expired = 0;
-      batched = 0;
       degraded_runs = 0;
       worker_restarts = 0;
       breaker_trips = 0;
@@ -666,7 +636,7 @@ let stats t =
         rejected = t.rejected;
         shed = t.shed;
         expired = t.expired;
-        batched = t.batched;
+        batched = 0;
         degraded_runs = t.degraded_runs;
         worker_restarts = t.worker_restarts;
         breaker_open = t.breaker_trips;

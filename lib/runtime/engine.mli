@@ -7,18 +7,16 @@
     (§4.4.1): it owns one {!Pipeline.compiled} artifact plus [N] worker
     slots — each with its own grow-only {!Arena.t} and its own
     {!Backend.t} (per-worker fused-kernel cache, so cache lookups are
-    lock-free), built from the artifact's kernel-version table — fed from
-    a mutex/condition request queue.
+    lock-free, and a domain pool of its share of the host) — fed in
+    submission order from a mutex/condition request queue.
 
     The compiled artifact is read-only, so workers share it without a
     lock: each request evaluates its binding's memory plan from the
     slots placed at compile time ({!Pipeline.instantiated_plan}), with
     no placement at serving time.  A worker's arena grows only
     when a request needs more bytes than any before it
-    ([stats.arena_grows]).  Requests that carry the same symbol binding
-    (equal {!Pipeline.plan_key}) may be {e micro-batched}: a worker that
-    dequeues a request also claims up to [max_batch - 1] queued
-    same-binding requests and runs them back-to-back.
+    ([stats.arena_grows]).  Each worker claims one request at a time,
+    from the head of the queue.
 
     {2 Overload and failure semantics (DESIGN.md §13)}
 
@@ -29,11 +27,10 @@
       error), or block the submitter until there is room (optionally
       bounded by a timeout).
     - {b Deadlines}: [submit ?deadline_us] attaches a relative deadline;
-      it is checked when the request is dequeued and again before each
-      micro-batch follower runs, so expired requests are shed
-      ({!Sod2_error.Deadline_expired}) before burning a worker.
+      it is checked when the request is dequeued, so an expired request
+      is shed ({!Sod2_error.Deadline_expired}) before burning a worker.
     - {b Worker supervision}: a worker domain that dies on an escaped
-      exception fails its in-flight requests with context (worker id,
+      exception fails its in-flight request with context (worker id,
       plan key, uptime) and is replaced by a fresh domain — fresh arena,
       fresh backend — under [restart_budget].  When the budget is spent
       and the last worker is gone the engine enters {e degraded mode}:
@@ -58,7 +55,7 @@
     Per-request latency lands in a fixed-bucket log histogram (8 buckets
     per octave, no per-request retention) surfaced as p50/p95/p99 in
     {!stats}; the process-global {!Profile.Counters} additionally
-    records ["engine-request"], ["engine-batched"], ["engine-failed"],
+    records ["engine-request"], ["engine-failed"],
     ["engine-rejected"], ["engine-shed"], ["engine-expired"],
     ["engine-worker-restart"], ["engine-breaker-open"],
     ["engine-degraded-run"] and ["engine-degraded"]. *)
@@ -69,7 +66,6 @@ type result = {
   outputs : (Graph.tensor_id * Tensor.t) list;
   latency_us : float;  (** submit-to-completion, queue wait included *)
   worker : int;  (** worker slot that executed the request; [-1] = inline degraded *)
-  batched : bool;  (** ran as a follower inside a micro-batch *)
   degraded : bool;  (** ran on the reference fallback (breaker open or
                         degraded mode) rather than the configured backend *)
 }
@@ -102,7 +98,9 @@ type stats = {
   rejected : int;  (** refused at submit by admission control *)
   shed : int;  (** evicted from a full queue under {!Shed_oldest} *)
   expired : int;  (** deadline passed before execution *)
-  batched : int;  (** requests that rode along in a micro-batch *)
+  batched : int;
+      (** always [0]: a compatibility leftover of micro-batching, kept
+          because existing report readers name it *)
   degraded_runs : int;  (** requests served via the reference fallback *)
   worker_restarts : int;  (** crashed worker domains replaced so far *)
   breaker_open : int;  (** circuit-breaker trip events (incl. re-opens) *)
@@ -130,7 +128,6 @@ type stats = {
 
 val create :
   ?workers:int ->
-  ?max_batch:int ->
   ?config:Executor.config ->
   ?queue_cap:int ->
   ?overload:overload_policy ->
@@ -140,8 +137,7 @@ val create :
   Pipeline.compiled ->
   t
 (** [create c] starts the worker domains (default [workers = 1], clamped
-    to at least 1).  [max_batch] (default 4) bounds micro-batches; [1]
-    disables batching.  [config] (default {!Executor.default_config})
+    to at least 1).  [config] (default {!Executor.default_config})
     fixes the execution policy for every request.
 
     Robustness knobs: [queue_cap] (default unbounded) bounds the request
@@ -160,7 +156,7 @@ val submit :
   ticket
 (** Enqueue one inference.  [env] must bind the model's shape variables
     consistently with [inputs] — it sizes the memory plan and keys the
-    micro-batcher and the circuit breaker.  [deadline_us] is relative to
+    circuit breaker.  [deadline_us] is relative to
     now; once it passes the request is shed without executing
     ({!await} raises {!Sod2_error.Deadline_expired}).
 

@@ -57,7 +57,7 @@ let default_config =
 (* "<backend>[,arena][,guarded][,all-paths][,<compile token>…]" — the
    CLI's --exec syntax.  Modifiers the executor does not recognize are
    offered to [Compile_opts.parse_token], so one spec can carry both sides
-   of the surface ("fused,arena,int8"). *)
+   of the surface ("blocked,arena,int8"). *)
 let config_of_string s =
   match String.split_on_char ',' (String.lowercase_ascii (String.trim s)) with
   | [] | [ "" ] -> Error "empty exec spec"
@@ -65,7 +65,7 @@ let config_of_string s =
     match Backend.kind_of_string kind with
     | None ->
       Error
-        (Printf.sprintf "unknown backend %S (expected naive|blocked|parallel|fused)" kind)
+        (Printf.sprintf "unknown backend %S (expected naive|blocked)" kind)
     | Some backend ->
       List.fold_left
         (fun acc m ->
@@ -600,12 +600,12 @@ let run_engine ~control ~verify ?kernel_hook ?backend ?arena ctx st =
      backend's fused-kernel cache — one lookup per execution: one compiled
      kernel reads the group's inputs as views and writes its terminal
      result to [destination]; internal tensors never materialize.  Any
-     refusal (shape not specializable, variant budget spent, non-fused
+     refusal (shape not specializable, variant budget spent, naive
      backend) falls through to the op-by-op loop.  Quantized members never
      execute fused: compile withheld their groups' templates. *)
   let run_fused ~gid members =
     match backend with
-    | Some be when Backend.kind_of be = Backend.Fused && List.length members > 1 -> (
+    | Some be when List.length members > 1 -> (
       match c.Pipeline.fused.(gid) with
       | None -> false
       | Some tpl -> (

@@ -120,6 +120,10 @@ type mem_kind =
 
 type config = {
   backend : Backend.kind;
+      (** [Naive] or [Blocked]; a blocked run also runs every templated
+          fusion group fused and sizes its domain pool from the host (an
+          {!Engine} divides the host across its workers), so neither is
+          a setting *)
   memory : mem_kind;
   guarded : bool;
       (** in {!run_real}: fail-fast RDP cross-checks under the [env]
@@ -138,10 +142,11 @@ val default_config : config
 
 val config_of_string : string -> (config, string) result
 (** Parses the CLI [--exec] syntax
-    ["naive|blocked|parallel|fused[,arena][,malloc][,guarded][,all-paths]"].
+    ["naive|blocked[,arena][,malloc][,guarded][,all-paths]"] (["fused"]
+    still reads as [blocked]).
     Modifiers the executor does not recognize are folded through
     {!Compile_opts.parse_token} into [compile], so a single spec can carry
-    compile tokens too (["fused,arena,int8"]). *)
+    compile tokens too (["blocked,arena,int8"]). *)
 
 val config_to_string : config -> string
 (** Canonical [--exec] rendering (exec modifiers first, then the
@@ -193,7 +198,7 @@ val run_real :
 
     The remaining arguments are resources, not choices.  [backend] is a
     long-lived kernel backend (it replaces the transient one): heavy
-    operators route through its blocked/parallel kernels, each problem
+    operators route through its blocked kernels and domain pool, each problem
     classified by its own extents.  [memory] is
     the allocation discipline with its own arena (see {!memory}); it
     replaces the one [config.memory] would build.  Graph outputs never

@@ -119,17 +119,17 @@ let calls = Atomic.make 0
 let pgrow p n = if BA1.dim p >= n then p else panel n
 let igrow a n = if Array.length a >= n then a else Array.make n 0
 
-(* Row tiles (the parallel work unit) are 32 rows and column tiles 32
-   columns, enough row groups and column groups to amortize the
-   micro-tiles' edge guards; sequential GEMMs time the same at 64-row
-   tiles.  A row tile is lowered to a multiple of [group] rows when 32
-   rows at [group_words] words per row group would pass the panel bound.
-   Column-block width likewise, in groups of [group] columns of depth
-   [k]: octets for the float kernel, pairs for int8. *)
+(* Row tiles (the parallel work unit) are whole [group]-row micro-tiles,
+   up to 32 rows (8 float quads, 5 int8 sexts), and column tiles 32
+   columns: enough row and column groups to amortize the micro-tiles'
+   edge guards; sequential GEMMs time the same at 64-row tiles.  A row
+   tile is lowered when [group_words] words per row group would pass the
+   panel bound; column-block width likewise, in groups of [group] columns
+   of depth [k]: octets for the float kernel, pairs for int8. *)
 let tile_extent = 32
 
 let row_tile ~group ~group_words =
-  max group (min tile_extent (group * (panel_words / group_words)))
+  group * max 1 (min (tile_extent / group) (panel_words / group_words))
 
 let col_block ~group ~k = group * max 1 (panel_words / (group * k))
 

@@ -2,9 +2,9 @@
     multi-version kernel backend (§4.4.2).
 
     The naive loop nests in {!Linalg} remain the bit-exact reference; this
-    module provides the optimized kernels, one fixed tiling each (32-row
-    by 32-column tiles, lowered at deep contractions so packed panels stay
-    bounded):
+    module provides the optimized kernels, one fixed tiling each (32-row,
+    30 for int8, by 32-column tiles, lowered at deep contractions so
+    packed panels stay bounded):
 
     - {!gemm} packs A by row tile and B by column block into float64
       panels (so the inner loop touches contiguous memory), computes

@@ -148,7 +148,7 @@ let matmul_out_dims adims bdims = (matmul_spec adims bdims).mm_out
    directly into [c] at element offset [co] (destination passing — the
    arena executor points this at a planned slot).  [inner] computes one
    (m×k)·(k×n) product, accumulating into C — the backend swaps in the
-   blocked/parallel kernel here while the batch-broadcast bookkeeping
+   blocked kernel here while the batch-broadcast bookkeeping
    stays single-sourced.  Returns the result dims. *)
 let matmul_into ?(inner = naive_kernel) (va : Tensor.view) (vb : Tensor.view) ~c ~co =
   let s = matmul_spec va.Tensor.vdims vb.Tensor.vdims in

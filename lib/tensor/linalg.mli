@@ -13,7 +13,7 @@ type gemm_kernel =
   c:Tensor.fbuf -> co:int -> unit
 (** One flat row-major [(m×k)·(k×n)] product accumulated into C at the
     given offsets ([c += a·b]), over raw float storage in any precision.
-    The pluggable unit the blocked/parallel backend swaps in;
+    The pluggable unit the blocked backend swaps in;
     {!naive_kernel} is the reference.
 
     Numerical contract shared by every implementation: each output element

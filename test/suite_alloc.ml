@@ -221,7 +221,7 @@ let test_int8_conv_alloc () =
   let rng = Rng.create 12 in
   let w = Tensor.rand_uniform rng [ 16; 16; 3; 3 ] and bias = Tensor.rand_uniform rng [ 16 ] in
   let qw = Quant.quantize w (Quant.choose_per_channel ~axis:0 w) in
-  let be = RT.Backend.create RT.Backend.Blocked in
+  let be = RT.Backend.create ~threads:1 RT.Backend.Blocked in
   let op = Op.Conv { stride = 1, 1; pads = 1, 1, 1, 1; dilation = 1, 1; groups = 1 } in
   let minor hw =
     let x = Tensor.view_f (Tensor.rand_uniform rng [ 1; 16; hw; hw ]) in

@@ -61,7 +61,7 @@ let prop_concurrent_matches_reference =
             let inputs = input_for bsz (seed + i) in
             env, inputs, RT.Reference.run graph ~inputs)
       in
-      let eng = RT.Engine.create ~workers ~max_batch:3 ~config:arena_config c in
+      let eng = RT.Engine.create ~workers ~config:arena_config c in
       let tickets = List.map (fun (env, inputs, _) -> RT.Engine.submit eng ~env ~inputs) reqs in
       let results = List.map (RT.Engine.await eng) tickets in
       RT.Engine.shutdown eng;
@@ -74,7 +74,7 @@ let prop_concurrent_matches_reference =
 
 let test_stats_and_occupancy () =
   let c = Sod2.Pipeline.compile cpu graph in
-  let eng = RT.Engine.create ~workers:2 ~max_batch:1 ~config:arena_config c in
+  let eng = RT.Engine.create ~workers:2 ~config:arena_config c in
   let n = 9 in
   let tickets =
     List.init n (fun i ->
@@ -87,7 +87,7 @@ let test_stats_and_occupancy () =
   Alcotest.(check int) "submitted" n st.RT.Engine.submitted;
   Alcotest.(check int) "completed" n st.RT.Engine.completed;
   Alcotest.(check int) "failed" 0 st.RT.Engine.failed;
-  Alcotest.(check int) "max_batch=1 disables batching" 0 st.RT.Engine.batched;
+  Alcotest.(check int) "stats.batched is always 0" 0 st.RT.Engine.batched;
   Alcotest.(check int) "queue drained" 0 st.RT.Engine.queue_depth;
   Alcotest.(check int) "worker_runs sums to completed" n
     (Array.fold_left ( + ) 0 st.RT.Engine.worker_runs);
@@ -95,8 +95,7 @@ let test_stats_and_occupancy () =
     (fun (r : RT.Engine.result) ->
       if r.RT.Engine.latency_us < 0.0 then Alcotest.fail "negative latency";
       if r.RT.Engine.worker < 0 || r.RT.Engine.worker >= 2 then
-        Alcotest.fail "worker index out of range";
-      if r.RT.Engine.batched then Alcotest.fail "batched result under max_batch=1")
+        Alcotest.fail "worker index out of range")
     results;
   if st.RT.Engine.total_latency_us <= 0.0 then Alcotest.fail "no latency accounted";
   if st.RT.Engine.max_latency_us > st.RT.Engine.total_latency_us +. 1e-9 then
@@ -144,6 +143,11 @@ let test_shutdown_semantics () =
   Alcotest.(check bool) "submit after shutdown raises structured Engine_error" true
     rejected
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let test_config_parsing () =
   let roundtrip s =
     match RT.Executor.config_of_string s with
@@ -151,12 +155,22 @@ let test_config_parsing () =
     | Ok cfg -> RT.Executor.config_to_string cfg
   in
   Alcotest.(check string) "default" "naive" (roundtrip "naive");
-  Alcotest.(check string) "arena" "fused,arena" (roundtrip "fused,arena");
+  Alcotest.(check string) "arena" "blocked,arena" (roundtrip "blocked,arena");
   Alcotest.(check string) "modifier order canonicalized" "blocked,arena,guarded"
     (roundtrip "blocked,guarded,arena");
-  Alcotest.(check string) "all modifiers" "parallel,arena,guarded,all-paths"
-    (roundtrip "parallel,arena,guarded,all-paths");
+  Alcotest.(check string) "all modifiers" "blocked,arena,guarded,all-paths"
+    (roundtrip "blocked,arena,guarded,all-paths");
   Alcotest.(check string) "malloc is the default spelling" "naive" (roundtrip "naive,malloc");
+  (* the specs the serving benchmark runs *)
+  Alcotest.(check bool) "fused reads as blocked" true
+    (RT.Executor.config_of_string "fused,arena" = RT.Executor.config_of_string "blocked,arena");
+  Alcotest.(check string) "variants=N still parses" "blocked,arena"
+    (roundtrip "blocked,arena,variants=8");
+  (match RT.Executor.config_of_string "parallel" with
+  | Ok _ -> Alcotest.fail "parallel accepted"
+  | Error e ->
+    Alcotest.(check bool) "the error names naive|blocked" true
+      (contains e "naive|blocked"));
   (match RT.Executor.config_of_string "turbo" with
   | Ok _ -> Alcotest.fail "unknown backend accepted"
   | Error _ -> ());
@@ -168,6 +182,34 @@ let test_config_parsing () =
                                     memory = RT.Executor.Mem_malloc; guarded = false;
                                     control = RT.Executor.Selected_only;
                                     compile = Sod2.Compile_opts.default })
+
+(* qcheck: every config — {naive, blocked} × memory × guarded × control
+   × compile options — survives rendering and re-parsing. *)
+let prop_config_roundtrip =
+  QCheck2.Test.make ~name:"exec spec round-trip over every config" ~count:200
+    QCheck2.Gen.(tup4 (int_range 0 15) bool (int_range 0 7) (int_range 1 128))
+    (fun (exec, f64, flags, sym) ->
+      let bit i n = n land (1 lsl i) <> 0 in
+      let cfg =
+        {
+          RT.Executor.backend = (if bit 0 exec then RT.Backend.Blocked else RT.Backend.Naive);
+          memory = (if bit 1 exec then RT.Executor.Mem_arena else RT.Executor.Mem_malloc);
+          guarded = bit 2 exec;
+          control = (if bit 3 exec then RT.Executor.All_paths else RT.Executor.Selected_only);
+          compile =
+            {
+              Sod2.Compile_opts.float_dtype = (if f64 then Tensor.F64 else Tensor.F32);
+              quant = bit 0 flags;
+              fusion = not (bit 1 flags);
+              plan_sym_value = (if bit 2 flags then sym else 64);
+            };
+        }
+      in
+      let s = RT.Executor.config_to_string cfg in
+      match RT.Executor.config_of_string s with
+      | Ok cfg' when cfg' = cfg -> true
+      | Ok _ -> QCheck2.Test.fail_reportf "%S re-parsed to a different config" s
+      | Error e -> QCheck2.Test.fail_reportf "%S does not parse: %s" s e)
 
 (* Every config-driven entry point must agree with the reference. *)
 let test_config_entry_points () =
@@ -254,7 +296,7 @@ let test_arena_grows_once_per_size () =
     | Error e -> Alcotest.fail e
   in
   let c = Sod2.Pipeline.compile cpu graph in
-  let eng = RT.Engine.create ~workers:1 ~max_batch:1 ~config:cfg c in
+  let eng = RT.Engine.create ~workers:1 ~config:cfg c in
   Fun.protect ~finally:(fun () -> RT.Engine.shutdown eng) @@ fun () ->
   let pass seed =
     List.iter
@@ -368,7 +410,7 @@ let test_deadline_expiry () =
 let test_queue_cap_reject () =
   let c = Sod2.Pipeline.compile cpu graph in
   let eng =
-    RT.Engine.create ~workers:1 ~max_batch:1 ~queue_cap:2 ~overload:RT.Engine.Reject
+    RT.Engine.create ~workers:1 ~queue_cap:2 ~overload:RT.Engine.Reject
       ~config:arena_config c
   in
   with_inject (fun ~worker:_ ~plan_key:_ -> Unix.sleepf 0.02) @@ fun () ->
@@ -400,7 +442,7 @@ let test_queue_cap_reject () =
 let test_queue_cap_shed () =
   let c = Sod2.Pipeline.compile cpu graph in
   let eng =
-    RT.Engine.create ~workers:1 ~max_batch:1 ~queue_cap:2 ~overload:RT.Engine.Shed_oldest
+    RT.Engine.create ~workers:1 ~queue_cap:2 ~overload:RT.Engine.Shed_oldest
       ~config:arena_config c
   in
   with_inject (fun ~worker:_ ~plan_key:_ -> Unix.sleepf 0.02) @@ fun () ->
@@ -559,7 +601,7 @@ let test_overload_crash_storm () =
   let c = Sod2.Pipeline.compile cpu graph in
   let queue_cap = 8 in
   let eng =
-    RT.Engine.create ~workers:1 ~max_batch:4 ~queue_cap ~overload:RT.Engine.Shed_oldest
+    RT.Engine.create ~workers:1 ~queue_cap ~overload:RT.Engine.Shed_oldest
       ~restart_budget:2 ~breaker_threshold:1000 ~config:arena_config c
   in
   let calls = Atomic.make 0 and submitted = Atomic.make false in
@@ -635,7 +677,7 @@ let prop_conservation_under_faults =
         | _ -> RT.Engine.Block (Some 2_000.0)
       in
       let eng =
-        RT.Engine.create ~workers ~max_batch:3 ~queue_cap ~overload ~restart_budget:16
+        RT.Engine.create ~workers ~queue_cap ~overload ~restart_budget:16
           ~breaker_threshold:3 ~breaker_cooldown_us:1_000.0 ~config:arena_config c
       in
       let calls = Atomic.make 0 in
@@ -690,6 +732,7 @@ let suite =
     Alcotest.test_case "failed request is isolated" `Quick test_failed_request_isolated;
     Alcotest.test_case "graceful shutdown" `Quick test_shutdown_semantics;
     Alcotest.test_case "config parsing" `Quick test_config_parsing;
+    QCheck_alcotest.to_alcotest prop_config_roundtrip;
     Alcotest.test_case "config entry points" `Quick test_config_entry_points;
     Alcotest.test_case "arena config without env raises" `Quick test_arena_config_needs_env;
     Alcotest.test_case "guarded malloc engine = reference" `Quick test_guarded_malloc_engine;

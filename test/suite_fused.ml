@@ -11,7 +11,7 @@ module RT = Sod2_runtime
 let cpu = Profile.sd888_cpu
 
 let with_fused c f =
-  let be = RT.Backend.for_compiled RT.Backend.Fused c in
+  let be = RT.Backend.for_compiled RT.Backend.Blocked c in
   Fun.protect ~finally:(fun () -> RT.Backend.shutdown be) (fun () -> f be)
 
 let outputs_of ?backend c inputs = snd (RT.Executor.run_real ?backend c ~inputs)

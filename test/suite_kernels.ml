@@ -698,15 +698,15 @@ let test_conv_im2col_parallel_matches_naive () =
 (* Backend dispatch                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let with_backend kind f =
-  let be = RT.Backend.create kind in
+let with_backend ?threads kind f =
+  let be = RT.Backend.create ?threads kind in
   Fun.protect ~finally:(fun () -> RT.Backend.shutdown be) (fun () -> f be)
 
 let test_backend_ops_match_reference () =
   List.iter
-    (fun kind ->
-      with_backend kind (fun be ->
-          let name op = RT.Backend.kind_name kind ^ "/" ^ op in
+    (fun (label, kind, threads) ->
+      with_backend ?threads kind (fun be ->
+          let name op = label ^ "/" ^ op in
           (* the backend's kernels against the naive ones, both through
              [Kernels.run] *)
           let check what op inputs =
@@ -730,13 +730,13 @@ let test_backend_ops_match_reference () =
           let w1 = Tensor.rand_uniform rng [ 6; 2; 3 ] in
           check "conv1d" (Op.Conv1d { stride1 = 2; pads1 = 1, 1; dilation1 = 1; groups1 = 2 })
             [ x1; w1 ]))
-    [ RT.Backend.Naive; RT.Backend.Blocked; RT.Backend.Parallel ]
+    RT.Backend.[ "naive", Naive, None; "blocked", Blocked, Some 1; "parallel", Blocked, None ]
 
-(* Elementwise maps on a Parallel backend run as destination kernels:
+(* Elementwise maps on a blocked backend run as destination kernels:
    block programs chunked over the pool.  They must match the sequential
    [Tensor] maps bit for bit, same-shape and broadcast alike. *)
 let test_backend_elementwise () =
-  with_backend RT.Backend.Parallel (fun be ->
+  with_backend RT.Backend.Blocked (fun be ->
       let rng = Rng.create 21 in
       let into op inputs =
         let out = ref None in
@@ -777,7 +777,10 @@ let test_backend_kind_names () =
       Alcotest.(check bool)
         "kind_of_string inverts kind_name" true
         (RT.Backend.kind_of_string (RT.Backend.kind_name kind) = Some kind))
-    [ RT.Backend.Naive; RT.Backend.Blocked; RT.Backend.Parallel ];
+    [ RT.Backend.Naive; RT.Backend.Blocked ];
+  Alcotest.(check bool) "fused reads as blocked" true
+    (RT.Backend.kind_of_string "fused" = Some RT.Backend.Blocked);
+  Alcotest.(check bool) "parallel is not a kind" true (RT.Backend.kind_of_string "parallel" = None);
   Alcotest.(check bool) "unknown kind" true (RT.Backend.kind_of_string "simd" = None)
 
 (* The backend must not perturb end-to-end execution: run a real model on

@@ -172,7 +172,7 @@ let test_run_routing () =
       in
       Alcotest.(check string) msg cls got
   in
-  let blocked = Sod2_runtime.Backend.create Sod2_runtime.Backend.Blocked in
+  let blocked = Sod2_runtime.Backend.create ~threads:1 Sod2_runtime.Backend.Blocked in
   List.iter
     (fun (name, backend) ->
       let raises msg = raises (name ^ ": " ^ msg) in

@@ -451,7 +451,7 @@ let test_engine_guarded_int8_consistent () =
   in
   let env = Env.of_list [ "H", 64; "W", 64 ] in
   let inputs = Zoo.make_inputs sp g env (Rng.create 5) in
-  let eng = RT.Engine.create ~workers:1 ~max_batch:1 ~config:cfg c in
+  let eng = RT.Engine.create ~workers:1 ~config:cfg c in
   Fun.protect
     ~finally:(fun () -> RT.Engine.shutdown eng)
     (fun () ->
@@ -554,7 +554,7 @@ let test_int8_arena_in_place () =
             (bit_identical (run RT.Executor.Malloc) outs)))
     [
       "skipnet", "blocked,arena,int8", Env.of_list [ "H", 96; "W", 96 ];
-      "conformer", "fused,arena,int8", Env.of_list [ "T", 64 ];
+      "conformer", "blocked,arena,int8", Env.of_list [ "T", 64 ];
     ]
 
 let test_memplan_int_elem_override () =

@@ -19,6 +19,14 @@ let tiny_env (sp : Zoo.spec) =
       Env.bind s (if sp.input_desc = "Image" || sp.input_desc = "Text + Image" then 64 else 32) e)
     Env.empty sp.dim_choices
 
+(* Execution sides, named as their failures print them: naive kernels,
+   blocked kernels op by op (the artifact with every fusion template
+   withheld), and blocked with fused groups. *)
+let op_by_op (c : Sod2.Pipeline.compiled) = { c with fused = Array.map (fun _ -> None) c.fused }
+let naive_side = "naive", Sod2_runtime.Backend.Naive, Fun.id
+let blocked_side = "blocked", Sod2_runtime.Backend.Blocked, op_by_op
+let fused_side = "fused", Sod2_runtime.Backend.Blocked, Fun.id
+
 (* One arena run with the RDP cross-check on; the trace carries the arena
    figures. *)
 let run_arena ?backend ?(arena = Sod2_runtime.Arena.create ()) c ~env ~inputs =
@@ -291,7 +299,8 @@ let test_alias_lifetimes () =
           outs)
     [ 1; 3; 1 lsl 20 ];
   List.iter
-    (fun kind ->
+    (fun (label, kind, artifact) ->
+      let c = artifact c in
       let be = Sod2_runtime.Backend.for_compiled kind c in
       let arena = Sod2_runtime.Arena.create () in
       Fun.protect ~finally:(fun () -> Sod2_runtime.Backend.shutdown be) @@ fun () ->
@@ -306,16 +315,13 @@ let test_alias_lifetimes () =
           let _, got = run_arena ~backend:be ~arena c ~env ~inputs in
           List.iter2
             (fun (t, w) (t', v) ->
-              let what =
-                Printf.sprintf "%s,arena N=%d seed %d: t%d" (Sod2_runtime.Backend.kind_name kind)
-                  n seed t
-              in
+              let what = Printf.sprintf "%s,arena N=%d seed %d: t%d" label n seed t in
               Alcotest.(check int) what t t';
               Alcotest.(check (list int)) (what ^ " dims") (Tensor.dims w) (Tensor.dims v);
               if bits w <> bits v then Alcotest.failf "%s differs from Reference" what)
             want got)
         (List.concat_map (fun n -> List.init 4 (fun s -> n, s)) [ 1; 5; 48 ]))
-    Sod2_runtime.Backend.[ Blocked; Fused ]
+    [ blocked_side; fused_side ]
 
 (* InstanceNorm, Upsample and a same-kind Cast, the destination kernels
    no zoo model runs, each writing an intermediate with a slot. *)
@@ -343,8 +349,9 @@ let norm_upsample_graph () =
    arena only what the outputs share takes a fresh buffer — boxed
    kernels' float results included — the arena does not grow, and the
    outputs are Reference's,
-   bit for bit.  Across the zoo [blocked,arena] runs at the smallest and
-   largest binding and [fused,arena] at the smallest. *)
+   bit for bit.  Across the zoo [blocked,arena] runs op by op at the
+   smallest and largest binding and with its fused groups at the
+   smallest. *)
 let test_serving_path_stays_in_arena () =
   let bits t =
     if Tensor.is_float_dtype (Tensor.dtype t) then
@@ -352,12 +359,13 @@ let test_serving_path_stays_in_arena () =
     else `I (Tensor.data_i t)
   in
   let check_runs name g runs =
-    let c = Sod2.Pipeline.compile cpu g in
+    let compiled = Sod2.Pipeline.compile cpu g in
     List.iter
-      (fun (env_name, env, inputs, kinds) ->
+      (fun (env_name, env, inputs, sides) ->
         let want = Sod2_runtime.Reference.run g ~inputs in
         List.iter
-          (fun kind ->
+          (fun (label, kind, artifact) ->
+            let c = artifact compiled in
             let be = Sod2_runtime.Backend.for_compiled kind c in
             Fun.protect ~finally:(fun () -> Sod2_runtime.Backend.shutdown be) @@ fun () ->
             let arena = Sod2_runtime.Arena.create () in
@@ -365,10 +373,7 @@ let test_serving_path_stays_in_arena () =
             Profile.Counters.reset ();
             let grows = Sod2_runtime.Arena.grows arena in
             let _, got = run_arena ~backend:be ~arena c ~env ~inputs in
-            let what =
-              Printf.sprintf "%s %s,arena at %s" name (Sod2_runtime.Backend.kind_name kind)
-                env_name
-            in
+            let what = Printf.sprintf "%s %s,arena at %s" name label env_name in
             Alcotest.(check int) (what ^ ": arena-dest-malloc") 0
               (Profile.Counters.count ~profile:cpu.Profile.name ~kind:"arena-dest-malloc");
             Alcotest.(check int) (what ^ ": arena grows") grows (Sod2_runtime.Arena.grows arena);
@@ -378,20 +383,20 @@ let test_serving_path_stays_in_arena () =
                 if Tensor.dims w <> Tensor.dims v || bits w <> bits v then
                   Alcotest.failf "%s: output t%d differs from Reference" what t)
               want got)
-          kinds)
+          sides)
       runs
   in
-  let open Sod2_runtime.Backend in
   List.iter
     (fun (sp : Zoo.spec) ->
       let g = sp.Zoo.build () in
       let at name env kinds = name, env, Zoo.make_inputs sp g env (Rng.create 11), kinds in
       check_runs sp.Zoo.name g
-        [ at "min_env" (Zoo.min_env sp) [ Blocked; Fused ]; at "max_env" (Zoo.max_env sp) [ Blocked ] ])
+        [ at "min_env" (Zoo.min_env sp) [ blocked_side; fused_side ];
+          at "max_env" (Zoo.max_env sp) [ blocked_side ] ])
     Zoo.all;
   let g, x = norm_upsample_graph () in
   check_runs "instance-norm/upsample/cast" g
-    [ "[1;4;6;6]", Env.empty, [ x, Tensor.rand_uniform (Rng.create 3) [ 1; 4; 6; 6 ] ], [ Blocked; Fused ] ]
+    [ "[1;4;6;6]", Env.empty, [ x, Tensor.rand_uniform (Rng.create 3) [ 1; 4; 6; 6 ] ], [ blocked_side; fused_side ] ]
 
 (* Gemm writes its slot like every other float kernel: three chained
    Gemms covering both transposes, alpha and beta off 1 and a broadcast C
@@ -510,7 +515,8 @@ let test_arena_backends_match () =
   let inputs = Zoo.make_inputs sp g env (Rng.create 17) in
   let boxed = Sod2_runtime.Reference.run c.Sod2.Pipeline.graph ~inputs in
   List.iter
-    (fun kind ->
+    (fun (label, kind, artifact) ->
+      let c = artifact c in
       let be = Sod2_runtime.Backend.for_compiled kind c in
       Fun.protect
         ~finally:(fun () -> Sod2_runtime.Backend.shutdown be)
@@ -522,13 +528,9 @@ let test_arena_backends_match () =
             (fun (t1, v1) (t2, v2) ->
               Alcotest.(check int) "same output id" t1 t2;
               if not (Tensor.approx_equal ~eps:1e-3 v1 v2) then
-                Alcotest.failf "arena outputs diverge under the %s backend"
-                  (Sod2_runtime.Backend.kind_name kind))
+                Alcotest.failf "arena outputs diverge on %s" label)
             boxed res))
-    [
-      Sod2_runtime.Backend.Naive; Sod2_runtime.Backend.Blocked;
-      Sod2_runtime.Backend.Parallel; Sod2_runtime.Backend.Fused;
-    ]
+    [ naive_side; blocked_side; fused_side ]
 
 let test_arena_rejects_mismatched_env () =
   let sp = spec "codebert" in

@@ -175,15 +175,17 @@ let test_backends_bit_identical () =
         want;
       let _, got = RT.Executor.run_real c ~inputs in
       check_bitwise (Printf.sprintf "naive executor, %s" kn) want got;
+      (* blocked kernels op by op, on one domain and on the host's pool *)
+      let op_by_op = { c with fused = Array.map (fun _ -> None) c.fused } in
       List.iter
-        (fun (kind, bn) ->
-          let be = RT.Backend.for_compiled kind c in
+        (fun (threads, bn) ->
+          let be = RT.Backend.create ?threads RT.Backend.Blocked in
           Fun.protect
             ~finally:(fun () -> RT.Backend.shutdown be)
             (fun () ->
-              let _, got = RT.Executor.run_real ~backend:be c ~inputs in
+              let _, got = RT.Executor.run_real ~backend:be op_by_op ~inputs in
               check_bitwise (Printf.sprintf "%s backend, %s" bn kn) want got))
-        [ RT.Backend.Blocked, "blocked"; RT.Backend.Parallel, "parallel" ];
+        [ Some 1, "blocked"; None, "parallel" ];
       (* arena execution: planned slots, destination-passing stores *)
       let tr, got = run_arena c ~inputs in
       check_bitwise (Printf.sprintf "arena, %s" kn) want got;
@@ -199,7 +201,7 @@ let test_fused_bit_identical () =
       let c = compile_in dt g in
       let inputs = [ x, Tensor.cast (Tensor.rand_uniform (Rng.create 13) [ 9; 32 ]) dt ] in
       let want = RT.Reference.run c.Sod2.Pipeline.graph ~inputs in
-      let be = RT.Backend.for_compiled RT.Backend.Fused c in
+      let be = RT.Backend.for_compiled RT.Backend.Blocked c in
       Fun.protect
         ~finally:(fun () -> RT.Backend.shutdown be)
         (fun () ->

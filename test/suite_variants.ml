@@ -182,7 +182,7 @@ let test_exec_config_roundtrip () =
         | Error e -> Alcotest.failf "re-parse of %S failed: %s" s e))
     [
       "naive"; "fused,arena"; "fused,arena,guarded,variants=8";
-      "parallel,malloc,all-paths,f64,sym=32"; "blocked,int8,variants=3";
+      "blocked,malloc,all-paths,f64,sym=32"; "blocked,int8,variants=3";
     ]
 
 (* --- engine: one plan, vetted per run, aggregated stats ------------ *)
@@ -197,7 +197,7 @@ let test_engine_gated_serving () =
       guarded = true;
     }
   in
-  let engine = RT.Engine.create ~workers:1 ~max_batch:1 ~config:cfg c in
+  let engine = RT.Engine.create ~workers:1 ~config:cfg c in
   Fun.protect
     ~finally:(fun () -> RT.Engine.shutdown engine)
     (fun () ->
